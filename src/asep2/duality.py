@@ -48,77 +48,37 @@ class NotConstant(ArithmeticError):
 # ---------------------------------------------------------------------
 
 
-def qa_exponent(x: int, c: Config) -> int | None:
-    """q-exponent of the one-site A factor, or None if site x is not an A."""
-    if c.state(x) != A:
-        return None
-    left = sum(c.a(k) for k in sites(c.L) if k < x)
-    right = sum(c.a(k) for k in sites(c.L) if k > x)
-    return left - right
+def qz_exponent(z: Positions, occ) -> int | None:
+    """q-exponent of the product Q_z on an occupation sequence.
 
-
-def qb_exponent(y: int, c: Config) -> int | None:
-    if c.state(y) != B:
-        return None
-    left = sum(c.b(k) for k in sites(c.L) if k < y)
-    right = sum(c.b(k) for k in sites(c.L) if k > y)
-    return right - left
-
-
-def QA(x: int, c: Config) -> LaurentPoly:
-    e = qa_exponent(x, c)
-    return LaurentPoly.zero() if e is None else LaurentPoly.q_power(e)
-
-
-def QB(y: int, c: Config) -> LaurentPoly:
-    e = qb_exponent(y, c)
-    return LaurentPoly.zero() if e is None else LaurentPoly.q_power(e)
-
-
-def qz_exponent(z: Positions, c: Config) -> int | None:
-    """Exponent of the product factor, or None if any projector vanishes."""
-    total = 0
-    for x in z.x:
-        e = qa_exponent(x, c)
-        if e is None:
-            return None
-        total += e
-    for y in z.y:
-        e = qb_exponent(y, c)
-        if e is None:
-            return None
-        total += e
-    return total
+    An A at x contributes (A left of x) - (A right of x), a B at y
+    (B right of y) - (B left of y).  None if a projector vanishes, i.e.
+    some coordinate of z does not hold its species in occ.
+    """
+    e = 0
+    for coords, species, sign in ((z.x, A, 1), (z.y, B, -1)):
+        for site in coords:
+            pos = site + z.L - 1
+            if occ[pos] != species:
+                return None
+            e += sign * (occ[:pos].count(species) - occ[pos + 1 :].count(species))
+    return e
 
 
 def Qz(z: Positions, c: Config) -> LaurentPoly:
-    e = qz_exponent(z, c)
+    e = qz_exponent(z, c.occ)
     return LaurentPoly.zero() if e is None else LaurentPoly.q_power(e)
 
 
 def qz_value(z: Positions, occ, L: int, q0: float) -> float:
-    """Numeric duality product for a raw occupation sequence (hot path)."""
-    e = 0
-    for x in z.x:
-        px = x + L - 1
-        if occ[px] != A:
-            return 0.0
-        left = sum(1 for p in range(px) if occ[p] == A)
-        right = sum(1 for p in range(px + 1, 2 * L) if occ[p] == A)
-        e += left - right
-    for y in z.y:
-        py = y + L - 1
-        if occ[py] != B:
-            return 0.0
-        left = sum(1 for p in range(py) if occ[p] == B)
-        right = sum(1 for p in range(py + 1, 2 * L) if occ[p] == B)
-        e += right - left
-    return float(q0**e)
+    """Numeric duality product for a raw occupation sequence on 2L sites."""
+    e = qz_exponent(z, occ)
+    return 0.0 if e is None else float(q0**e)
 
 
 def duality_function(z: Positions, c: Config) -> LaurentPoly:
     """Self-duality function: inverse reversible weight of z times the product."""
-    e = qz_exponent(z, c)
+    e = qz_exponent(z, c.occ)
     if e is None:
         return LaurentPoly.zero()
     return LaurentPoly.q_power(e - pi_exponent_positions(z))
@@ -126,11 +86,7 @@ def duality_function(z: Positions, c: Config) -> LaurentPoly:
 
 def q_hat(z: Positions, L: int) -> SparseMatrix:
     """Diagonal operator form of the duality product (built lazily per z)."""
-    diag = []
-    for c in all_configs(L):
-        e = qz_exponent(z, c)
-        diag.append(LaurentPoly.zero() if e is None else LaurentPoly.q_power(e))
-    return SparseMatrix.diagonal(diag, Basis(L))
+    return SparseMatrix.diagonal([Qz(z, c) for c in all_configs(L)], Basis(L))
 
 
 # ---------------------------------------------------------------------
@@ -414,7 +370,7 @@ def check_duality(L: int) -> Report:
         row = S.row(zc.ternary_index() - 1)
         expected = {}
         for c in configs:
-            e = qz_exponent(z, c)
+            e = qz_exponent(z, c.occ)
             if e is not None:
                 expected[c.ternary_index() - 1] = LaurentPoly.q_power(e)
         if row != expected:

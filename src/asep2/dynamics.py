@@ -1,4 +1,4 @@
-"""Time evolution: uniformized transition kernels and Gillespie sampling.
+"""Time evolution: uniformized transition kernels and the Gillespie sampler.
 
 The kernel exp(-H t) is computed by uniformization: with a rate bound
 no smaller than the largest exit rate, the generator is traded for a
@@ -7,11 +7,13 @@ power series, which preserves probability structure term by term.
 Poisson weights are evaluated in log space so horizons with a large
 rate-time product (the ergodic-limit checks use t = 1e3) do not
 underflow; the leading negligible powers are skipped with one binary
-matrix power.
+matrix power, and the series stops once its Poisson tail is below 1e-14.
 
-Trajectories use counter-based Philox streams keyed by (master seed,
-trajectory index), so every trajectory is reproducible bit for bit and
-trivially parallel.
+There is one sampler: `_run_occ`, a Gillespie jump loop on a raw
+occupation list that reads its bond rates from `generator.rate_table`.
+`estimate_Q_many` runs it on counter-based Philox streams keyed by
+(master seed, trajectory index), so every trajectory is reproducible bit
+for bit and trivially parallel.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import qz_value
-from .generator import ModelParams, Ring, build_H_sector, local_rate
-from .lattice import Config, Positions, Sector, bonds, enumerate_sector
+from .generator import ModelParams, Ring, build_H_sector, rate_table
+from .lattice import Config, Positions, Sector, enumerate_sector
 from .measures import Measure
 from .sparse import Basis, SparseMatrix
 
-
-class NonConvergence(RuntimeError):
-    """The Poisson tail did not fall below tolerance within the term budget."""
+TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,16 @@ class TransitionKernel:
         return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0)))
 
 
-def evolve(
-    op: SparseMatrix, t: float, tol: float = 1e-14, max_terms: int | None = None
-) -> TransitionKernel:
+def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     """exp(-H t) for a float generator by uniformization.
 
-    Truncates once the Poisson tail mass drops below tol; the default
-    term budget is 10*lambda*t + 50 and exhausting it raises
-    NonConvergence.
+    Sums Poisson-weighted powers until the Poisson tail mass is below
+    TAIL_TOL: either the accumulated weight is within TAIL_TOL of one, or,
+    once the weight ratios mu/(k+1) have fallen below one, the geometric
+    bound w_k mu/(k+1) / (1 - mu/(k+2)) on the tail is.  The bound does
+    not depend on rounding in the accumulated weight, so the loop always
+    ends (Moler & Van Loan, "Nineteen dubious ways to compute the
+    exponential of a matrix, twenty-five years later", SIAM Rev. 2003).
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -61,7 +63,6 @@ def evolve(
     mu = lam * t
     if mu == 0.0:
         return TransitionKernel(np.eye(n), t, op.basis)
-    budget = int(10 * mu + 50) if max_terms is None else max_terms
     p = np.eye(n) - a / lam
 
     # powers below k_lo carry no Poisson mass at double precision
@@ -71,97 +72,22 @@ def evolve(
     log_mu = math.log(mu)
     cum = 0.0
     k = k_lo
-    while k <= k_lo + budget:
+    while True:
         w = math.exp(-mu + k * log_mu - math.lgamma(k + 1))
         if w > 0.0:
             out += w * pk
             cum += w
-        if 1.0 - cum < tol:
+        if 1.0 - cum < TAIL_TOL or (
+            k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2)) < TAIL_TOL
+        ):
             return TransitionKernel(out, t, op.basis)
         pk = p @ pk
         k += 1
-    raise NonConvergence(f"Poisson tail above {tol} after {budget} terms")
 
 
 # ---------------------------------------------------------------------
 # Gillespie sampling
 # ---------------------------------------------------------------------
-
-
-@dataclass
-class SimState:
-    config: Config
-    time: float
-    rng: np.random.Generator
-
-
-def make_sim_state(config: Config, master_seed: int, traj_index: int) -> SimState:
-    """Fresh trajectory state on its own counter-based stream."""
-    rng = np.random.Generator(np.random.Philox(key=[master_seed, traj_index]))
-    return SimState(config=config, time=0.0, rng=rng)
-
-
-def gillespie_step(state: SimState, p: ModelParams) -> SimState:
-    """One jump of the continuous-time chain.
-
-    Draws an exponential waiting time at the total exit rate, then picks
-    the bond by a linear scan of the 2L-1 bond rates.  A configuration
-    with zero exit rate jumps straight to t = infinity.
-    """
-    c = state.config
-    rates = [float(local_rate(p, c, k)) for k in bonds(p.L)]
-    total = sum(rates)
-    if total == 0.0:
-        return SimState(c, math.inf, state.rng)
-    dt = state.rng.exponential(1.0 / total)
-    u = state.rng.random() * total
-    acc = 0.0
-    for k, rate in zip(bonds(p.L), rates):
-        acc += rate
-        if u < acc or k == p.L - 1:
-            return SimState(c.swap(k), state.time + dt, state.rng)
-    raise AssertionError("unreachable")
-
-
-def run_until(state: SimState, p: ModelParams, t_end: float) -> SimState:
-    """Advance to the time horizon; the last overshooting jump is dropped."""
-    while True:
-        nxt = gillespie_step(state, p)
-        if nxt.time > t_end:
-            return SimState(state.config, t_end, state.rng)
-        state = nxt
-
-
-def simulate_trajectory(
-    config: Config, p: ModelParams, t_end: float, master_seed: int, traj_index: int
-) -> list[tuple[float, Config]]:
-    """Event list (time, configuration) of one trajectory up to the horizon."""
-    state = make_sim_state(config, master_seed, traj_index)
-    events = [(0.0, config)]
-    while True:
-        nxt = gillespie_step(state, p)
-        if nxt.time > t_end:
-            return events
-        events.append((nxt.time, nxt.config))
-        state = nxt
-
-
-def write_trajectory_csv(fh, events) -> None:
-    fh.write("time,config\n")
-    for time, config in events:
-        fh.write(f"{time!r},{config.text()}\n")
-
-
-def _rate_table(p: ModelParams):
-    from .lattice import A, B, VACANT
-
-    r0, l0 = float(p.r), float(p.ell)
-    table = [[0.0] * 3 for _ in range(3)]
-    for s1, s2 in ((A, VACANT), (VACANT, B), (A, B)):
-        table[s1][s2] = r0
-    for s1, s2 in ((VACANT, A), (B, VACANT), (B, A)):
-        table[s1][s2] = l0
-    return table
 
 
 def _run_occ(occ: list, table, n_sites: int, t: float, t_end: float, rng) -> float:
@@ -221,7 +147,7 @@ def estimate_Q_many(
     a grid of observables reuses the same sampled paths.
     """
     q0 = p.q0
-    table = _rate_table(p)
+    table = rate_table(p, Ring.FLOAT)
     n_sites = 2 * p.L
     configs, cdf = _support_arrays(p0)
     sums = [0.0] * len(zs)
@@ -242,12 +168,6 @@ def estimate_Q_many(
         var = max(0.0, (sumsq[j] / n - mean * mean) * n / max(1, n - 1))
         out.append(QEstimate(mean=mean, stderr=math.sqrt(var / n), n=n))
     return out
-
-
-def estimate_Q(
-    z: Positions, p0: Measure, t: float, trajectories: int, seed: int, p: ModelParams
-) -> QEstimate:
-    return estimate_Q_many([z], p0, t, trajectories, seed, p)[0]
 
 
 def duality_rhs(z: Positions, p0: Measure, t: float, p: ModelParams) -> float:

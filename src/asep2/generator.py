@@ -28,7 +28,6 @@ from .lattice import (
     A,
     B,
     VACANT,
-    BondOutOfRange,
     Config,
     Sector,
     all_configs,
@@ -85,26 +84,34 @@ class ModelParams:
         return math.sqrt(float(self.r * self.ell))
 
 
-def local_rate(p: ModelParams, c: Config, k: int) -> Fraction:
-    """Exchange rate of the bond (k, k+1) in configuration c."""
-    if not -c.L + 1 <= k <= c.L - 1:
-        raise BondOutOfRange(f"bond ({k},{k + 1}) outside lattice")
-    pair = (c.state(k), c.state(k + 1))
-    if pair in RIGHT_PAIRS:
-        return p.r
-    if pair in LEFT_PAIRS:
-        return p.ell
-    return Fraction(0)
+def rate_table(p: ModelParams, ring: Ring) -> tuple:
+    """The exchange rule as a table of bond rates, [state_k][state_k+1].
+
+    RIGHT_PAIRS exchange at r and LEFT_PAIRS at l, all other pairs never.
+    Exact mode factors out the time scale w, so the rates become the
+    symbols q and 1/q.  Rows and columns follow the state encoding
+    A=0, vacancy=1, B=2.
+    """
+    if ring is Ring.EXACT:
+        right, left, zero = Q, QINV, ZERO
+    else:
+        right, left, zero = float(p.r), float(p.ell), 0.0
+    return tuple(
+        tuple(
+            right if (s1, s2) in RIGHT_PAIRS else left if (s1, s2) in LEFT_PAIRS else zero
+            for s2 in (A, VACANT, B)
+        )
+        for s1 in (A, VACANT, B)
+    )
 
 
-def rate_over_w(c: Config, k: int) -> LaurentPoly:
-    """Bond rate with the time scale factored out: q, 1/q, or 0."""
-    pair = (c.state(k), c.state(k + 1))
-    if pair in RIGHT_PAIRS:
-        return Q
-    if pair in LEFT_PAIRS:
-        return QINV
-    return ZERO
+def _bond_rates(table, c: Config) -> list:
+    """(bond k, rate) for every bond of c that exchanges at a nonzero rate."""
+    return [
+        (k, rate)
+        for k, s1, s2 in zip(bonds(c.L), c.occ, c.occ[1:])
+        if (rate := table[s1][s2])
+    ]
 
 
 def _accumulate(H: dict, src: int, tgt: int, rate) -> None:
@@ -120,13 +127,11 @@ def build_H(p: ModelParams, ring: Ring = Ring.EXACT) -> SparseMatrix:
             f"full basis capped at L <= {cap} in {ring.value} mode; "
             "use build_H_sector beyond"
         )
+    table = rate_table(p, ring)
     entries: dict = {}
     for c in all_configs(p.L):
         src = c.ternary_index() - 1
-        for k in bonds(p.L):
-            rate = rate_over_w(c, k) if ring is Ring.EXACT else float(local_rate(p, c, k))
-            if not rate:
-                continue
+        for k, rate in _bond_rates(table, c):
             tgt = c.swap(k).ternary_index() - 1
             _accumulate(entries, src, tgt, rate)
     return SparseMatrix(3 ** (2 * p.L), entries, Basis(p.L))
@@ -138,13 +143,11 @@ def build_H_sector(p: ModelParams, sector: Sector, ring: Ring = Ring.EXACT) -> S
         raise ValueError("sector and parameters disagree on L")
     configs = enumerate_sector(sector)
     index = {c: i for i, c in enumerate(configs)}
+    table = rate_table(p, ring)
     entries: dict = {}
     for c in configs:
         src = index[c]
-        for k in bonds(p.L):
-            rate = rate_over_w(c, k) if ring is Ring.EXACT else float(local_rate(p, c, k))
-            if not rate:
-                continue
+        for k, rate in _bond_rates(table, c):
             tgt = index[c.swap(k)]  # exchanges conserve (N, M)
             _accumulate(entries, src, tgt, rate)
     return SparseMatrix(len(configs), entries, Basis(p.L, (sector.N, sector.M)))
@@ -157,10 +160,7 @@ def apply_generator(f, c: Config, p: ModelParams, ring: Ring = Ring.FLOAT):
     the rates are the w-scaled symbols q and 1/q.
     """
     total = ZERO if ring is Ring.EXACT else 0.0
-    for k in bonds(p.L):
-        rate = rate_over_w(c, k) if ring is Ring.EXACT else float(local_rate(p, c, k))
-        if not rate:
-            continue
+    for k, rate in _bond_rates(rate_table(p, ring), c):
         total = total + rate * (f(c.swap(k)) - f(c))
     return total
 
@@ -169,13 +169,6 @@ def apply_generator(f, c: Config, p: ModelParams, ring: Ring = Ring.FLOAT):
 def h_exact(L: int) -> SparseMatrix:
     """Cached full exact generator (independent of the rates)."""
     return build_H(ModelParams(L, Fraction(2), Fraction(1, 2)), Ring.EXACT)
-
-
-@lru_cache(maxsize=None)
-def h_sector_exact(L: int, N: int, M: int) -> SparseMatrix:
-    return build_H_sector(
-        ModelParams(L, Fraction(2), Fraction(1, 2)), Sector(L, N, M), Ring.EXACT
-    )
 
 
 def _format_value(v) -> str:

@@ -208,16 +208,20 @@ class Sector:
         return comb(2 * self.L, self.N) * comb(2 * self.L - self.N, self.M)
 
 
+def ternary_digits(index0: int, n_sites: int) -> tuple[int, ...]:
+    """Site states of the 0-based basis index, least significant site first."""
+    digits = []
+    for _ in range(n_sites):
+        digits.append(index0 % 3)
+        index0 //= 3
+    return tuple(digits)
+
+
 def config_from_ternary(index: int, L: int) -> Config:
     """Inverse of Config.ternary_index (1-based)."""
     if not 1 <= index <= 3 ** (2 * L):
         raise ValueError(f"index {index} outside 1..3^{2 * L}")
-    i = index - 1
-    occ = []
-    for _ in range(2 * L):
-        occ.append(i % 3)
-        i //= 3
-    return Config(L, tuple(occ))
+    return Config(L, ternary_digits(index - 1, 2 * L))
 
 
 def all_configs(L: int) -> list[Config]:

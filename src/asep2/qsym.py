@@ -16,7 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import A, B, VACANT, SiteOutOfRange, all_configs, sites
+from .lattice import (
+    A,
+    B,
+    VACANT,
+    SiteOutOfRange,
+    all_configs,
+    sites,
+    ternary_digits,
+)
 from .qring import LaurentPoly, exact_div, q_number
 from .reporting import Report, matrices_equal, matrix_is_zero
 from .sparse import Basis, SparseMatrix, commutator
@@ -55,14 +63,6 @@ def mat3_mul(u, v):
 
 def mat3_transpose(u):
     return tuple(tuple(u[j][i] for j in range(3)) for i in range(3))
-
-
-def _digits(index0: int, n_sites: int) -> list[int]:
-    out = []
-    for _ in range(n_sites):
-        out.append(index0 % 3)
-        index0 //= 3
-    return out
 
 
 def site_embed(u, k: int, L: int) -> SparseMatrix:
@@ -117,7 +117,7 @@ def build_Y_site(i: int, sign: int, k: int, L: int) -> SparseMatrix:
     )
     entries: dict = {}
     for i0 in range(dim):
-        d = _digits(i0, n_sites)
+        d = ternary_digits(i0, n_sites)
         if d[pos] != cs:
             continue
         left = sum(1 for p in range(pos) if d[p] == species)
@@ -190,7 +190,7 @@ def build_cartan(L: int) -> CartanOps:
     dim = 3**n_sites
     n_diag, v_diag, m_diag = [], [], []
     for i0 in range(dim):
-        d = _digits(i0, n_sites)
+        d = ternary_digits(i0, n_sites)
         n_diag.append(d.count(A))
         v_diag.append(d.count(VACANT))
         m_diag.append(d.count(B))

@@ -64,13 +64,6 @@ class SparseMatrix:
         values = list(values)
         return cls(len(values), {(i, i): v for i, v in enumerate(values)}, basis)
 
-    @classmethod
-    def from_dense(cls, rows, basis=None) -> "SparseMatrix":
-        n = len(rows)
-        return cls(
-            n, {(r, c): rows[r][c] for r in range(n) for c in range(len(rows[r]))}, basis
-        )
-
     # -- queries ----------------------------------------------------------
 
     def get(self, r: int, c: int):

@@ -99,7 +99,7 @@ def test_c06_symmetry_rows_give_duality_products():
         row = S.row(zc.ternary_index() - 1)
         expected = {}
         for c in configs:
-            e = qz_exponent(z, c)
+            e = qz_exponent(z, c.occ)
             if e is not None:
                 expected[c.ternary_index() - 1] = LaurentPoly.q_power(e)
         if row != expected:

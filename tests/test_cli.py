@@ -116,6 +116,13 @@ class TestSimulate:
         assert sorted({r["t"] for r in payload["records"]}) == [0.0, 1.0]
         assert all(abs(r["zscore"]) <= 3.0 for r in payload["records"])
 
+    def test_long_horizon_prediction(self, capsys):
+        # the duality prediction needs exp(-H t) at t = 100 on every sector
+        argv = ["simulate", "--L", "1", "--trajectories", "200", "--t", "100"]
+        assert main(argv) in (0, 1)
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert len(records) == len(default_dual_coordinates(1))
+
     def test_zscore_edge_cases(self):
         assert zscore(1.0, 0.0, 1.0) == 0.0
         assert math.isinf(zscore(1.0, 0.0, 2.0))

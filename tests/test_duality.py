@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from asep2.duality import (
-    QA,
-    QB,
     NotConstant,
     Qz,
     build_S,
@@ -36,16 +34,19 @@ from asep2.sparse import commutator
 class TestDualityFunctions:
     def test_projector_kills_mismatch(self):
         c = Config.from_text("0A")
-        assert QA(0, c) == LaurentPoly.zero()
-        assert QB(1, c) == LaurentPoly.zero()
+        assert Qz(Positions(1, x=(0,)), c) == LaurentPoly.zero()
+        assert Qz(Positions(1, y=(1,)), c) == LaurentPoly.zero()
 
     def test_lone_particle_is_one(self):
         c = Config.from_text("A0")
-        assert QA(0, c) == LaurentPoly.one()
+        assert Qz(Positions(1, x=(0,)), c) == LaurentPoly.one()
 
     def test_counts_left_neighbours(self):
         c = Config.from_text("AA")
-        assert QA(1, c) == LaurentPoly.q_power(1)
+        assert Qz(Positions(1, x=(1,)), c) == LaurentPoly.q_power(1)
+        assert Qz(Positions(1, x=(0,)), c) == LaurentPoly.q_power(-1)
+        c = Config.from_text("BB")
+        assert Qz(Positions(1, y=(1,)), c) == LaurentPoly.q_power(-1)
 
     def test_product_empty(self):
         z = Positions(2)

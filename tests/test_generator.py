@@ -11,10 +11,9 @@ from asep2.generator import (
     build_H_sector,
     dump_matrix,
     h_exact,
-    local_rate,
-    rate_over_w,
+    rate_table,
 )
-from asep2.lattice import BondOutOfRange, Config, Sector, all_configs, enumerate_sector
+from asep2.lattice import A, B, VACANT, Config, Sector, all_configs, enumerate_sector
 from asep2.qring import LaurentPoly
 from asep2.qsym import build_cartan
 from asep2.sparse import commutator
@@ -40,27 +39,25 @@ class TestModelParams:
 
 
 class TestLocalRate:
+    FLOAT = rate_table(P1, Ring.FLOAT)
+    EXACT = rate_table(P1, Ring.EXACT)
+
     def test_right_moves(self):
-        assert local_rate(P1, Config.from_text("A0"), 0) == Fraction(2)
-        assert local_rate(P1, Config.from_text("0B"), 0) == Fraction(2)
-        assert local_rate(P1, Config.from_text("AB"), 0) == Fraction(2)
+        for s1, s2 in ((A, VACANT), (VACANT, B), (A, B)):
+            assert self.FLOAT[s1][s2] == 2.0
 
     def test_left_moves(self):
-        assert local_rate(P1, Config.from_text("BA"), 0) == Fraction(1, 2)
-        assert local_rate(P1, Config.from_text("0A"), 0) == Fraction(1, 2)
-        assert local_rate(P1, Config.from_text("B0"), 0) == Fraction(1, 2)
+        for s1, s2 in ((B, A), (VACANT, A), (B, VACANT)):
+            assert self.FLOAT[s1][s2] == 0.5
 
     def test_frozen_pairs(self):
-        for text in ("AA", "BB", "00"):
-            assert local_rate(P1, Config.from_text(text), 0) == 0
-
-    def test_bond_range(self):
-        with pytest.raises(BondOutOfRange):
-            local_rate(P1, Config.from_text("A0"), 1)
+        for s in (A, B, VACANT):
+            assert self.FLOAT[s][s] == 0.0
+            assert not self.EXACT[s][s]
 
     def test_scaled_symbol(self):
-        assert rate_over_w(Config.from_text("A0"), 0) == LaurentPoly.q_power(1)
-        assert rate_over_w(Config.from_text("BA"), 0) == LaurentPoly.q_power(-1)
+        assert self.EXACT[A][VACANT] == LaurentPoly.q_power(1)
+        assert self.EXACT[B][A] == LaurentPoly.q_power(-1)
 
 
 class TestBuildH:
