@@ -9,7 +9,9 @@ Subcommands:
     dump-symmetry
 
 Exit codes: 0 all checks pass, 1 an identity or statistical check
-failed, 2 usage error or desk-scale resource cap breached.
+failed, 2 usage error (including an unreadable config file, a negative
+time, no trajectories or a sector outside the lattice) or desk-scale
+resource cap breached.
 
 Parameters come from built-in defaults (L=2, r=2, l=1/2 so q=2, w=1 and
 all evaluated q-powers are dyadic), overridden by an optional flat
@@ -67,8 +69,12 @@ class RunConfig:
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -115,6 +121,12 @@ def resolve_config(args) -> RunConfig:
     ts = getattr(args, "t", None)
     if ts is None and "t" in fv:
         ts = [float(part) for part in fv["t"].split(",") if part.strip()]
+    ts = [float(t) for t in ts] if ts is not None else []
+    if any(t < 0 for t in ts):
+        raise UsageError("times must be nonnegative")
+    trajectories = pick("trajectories", int, 100000)
+    if trajectories < 1:
+        raise UsageError(f"need at least one trajectory, got {trajectories}")
     ring_name = pick("ring", str, None)
     if ring_name is not None and ring_name not in ("exact", "float"):
         raise UsageError(f"ring must be exact or float, got {ring_name}")
@@ -127,8 +139,8 @@ def resolve_config(args) -> RunConfig:
         ring=Ring(ring_name) if ring_name else Ring.EXACT,
         N=pick("N", int),
         M=pick("M", int),
-        ts=[float(t) for t in ts] if ts is not None else [],
-        trajectories=pick("trajectories", int, 100000),
+        ts=ts,
+        trajectories=trajectories,
         seed=pick("seed", int, 12345),
         out=pick("out", str),
         nu=pick("nu", float, 0.0),
@@ -212,6 +224,11 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 def cmd_measure(args, cfg: RunConfig) -> int:
     p = cfg.params
     what = args.what
+    if what == "canonical":
+        try:
+            sector = Sector(p.L, cfg.N or 0, cfg.M or 0)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     fh = _open_out(cfg)
     try:
         if what == "partition":
@@ -222,9 +239,7 @@ def cmd_measure(args, cfg: RunConfig) -> int:
                 for m in range(2 * p.L - n + 1):
                     fh.write(f"{n},{m},{q_multinomial(2 * p.L, n, m)}\n")
         elif what == "canonical":
-            n = cfg.N if cfg.N is not None else 0
-            m = cfg.M if cfg.M is not None else 0
-            mu = measures.canonical(Sector(p.L, n, m))
+            mu = measures.canonical(sector)
             if cfg.ring is Ring.FLOAT:
                 mu = mu.normalize(p.q0)
             measures.write_measure_csv(fh, mu)
@@ -341,16 +356,18 @@ def cmd_dump_generator(args, cfg: RunConfig) -> int:
     p = cfg.params
     if (cfg.N is None) != (cfg.M is None):
         raise UsageError("sector dumps need both N and M")
+    sector = None
     try:
         if cfg.N is not None:
-            op = build_H_sector(p, Sector(p.L, cfg.N, cfg.M), cfg.ring)
+            sector = Sector(p.L, cfg.N, cfg.M)
+            op = build_H_sector(p, sector, cfg.ring)
         else:
             op = build_H(p, cfg.ring)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     fh = _open_out(cfg)
     try:
-        dump_matrix(op, fh, p)
+        dump_matrix(op, fh, p, sector)
     finally:
         if fh is not sys.stdout:
             fh.close()
@@ -361,19 +378,9 @@ def cmd_dump_symmetry(args, cfg: RunConfig) -> int:
     p = cfg.params
     if p.L > 3:
         raise UsageError("symmetry operators are desk-scale: need L <= 3")
-    cartan = qsym.build_cartan(p.L)
-    ops = [
-        ("Y1+", qsym.build_Y(1, +1, p.L)),
-        ("Y1-", qsym.build_Y(1, -1, p.L)),
-        ("Y2+", qsym.build_Y(2, +1, p.L)),
-        ("Y2-", qsym.build_Y(2, -1, p.L)),
-        ("L1", cartan.l1),
-        ("L2", cartan.l2),
-        ("L3", cartan.l3),
-    ]
     fh = _open_out(cfg)
     try:
-        for name, op in ops:
+        for name, op in qsym.symmetry_operators(p.L):
             fh.write(f"operator {name}\n")
             dump_matrix(op, fh, p)
     finally:

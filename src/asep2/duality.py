@@ -34,7 +34,7 @@ from .lattice import (
 from .measures import pi_exponent, pi_exponent_positions, pi_unnormalized
 from .qring import LaurentPoly, exact_div, q_factorial
 from .reporting import Report, matrices_equal, matrix_is_zero
-from .sparse import Basis, SparseMatrix, commutator
+from .sparse import SparseMatrix, commutator
 from .qsym import build_Y
 from .generator import h_exact
 
@@ -86,7 +86,7 @@ def duality_function(z: Positions, c: Config) -> LaurentPoly:
 
 def q_hat(z: Positions, L: int) -> SparseMatrix:
     """Diagonal operator form of the duality product (built lazily per z)."""
-    return SparseMatrix.diagonal([Qz(z, c) for c in all_configs(L)], Basis(L))
+    return SparseMatrix.diagonal([Qz(z, c) for c in all_configs(L)])
 
 
 # ---------------------------------------------------------------------
@@ -134,20 +134,17 @@ def tilde_duality(z: Positions, c: Config) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def build_S(L: int) -> SparseMatrix:
-    """Double sum of divided powers of the two sector-shifting ladders.
+def divided_power_terms(L: int) -> dict[tuple[int, int], SparseMatrix]:
+    """Terms (Y1-)^(n) (Y2+)^(m) of S, keyed by (n, m) with n + m <= 2L.
 
-    Divided powers are exact quotients by the q-factorials; a failed
-    division would signal a representation bug and raises.
+    X^(n) is the divided power X**n / [n]!.  Divided powers are exact
+    quotients by the q-factorials; a failed division would signal a
+    representation bug and raises.
     """
-    if L > 3:
-        raise ValueError("symmetry operator capped at L <= 3 (slow beyond 2)")
     dim = 3 ** (2 * L)
-    y1m = build_Y(1, -1, L)
-    y2p = build_Y(2, +1, L)
 
     def divided_powers(y):
-        powers = [SparseMatrix.identity(dim, basis=Basis(L))]
+        powers = [SparseMatrix.identity(dim)]
         for n in range(1, 2 * L + 1):
             powers.append(powers[-1] @ y)
         return [
@@ -155,26 +152,31 @@ def build_S(L: int) -> SparseMatrix:
             for n, p in enumerate(powers)
         ]
 
-    d1 = divided_powers(y1m)
-    d2 = divided_powers(y2p)
-    out = SparseMatrix(dim, {}, Basis(L))
-    for n in range(2 * L + 1):
-        for m in range(2 * L - n + 1):
-            out = out + d1[n] @ d2[m]
+    d1 = divided_powers(build_Y(1, -1, L))
+    d2 = divided_powers(build_Y(2, +1, L))
+    return {
+        (n, m): d1[n] @ d2[m] for n in range(2 * L + 1) for m in range(2 * L - n + 1)
+    }
+
+
+@lru_cache(maxsize=None)
+def build_S(L: int) -> SparseMatrix:
+    """Double sum of divided powers of the two sector-shifting ladders."""
+    if L > 3:
+        raise ValueError("symmetry operator capped at L <= 3 (slow beyond 2)")
+    out = SparseMatrix(3 ** (2 * L), {})
+    for term in divided_power_terms(L).values():
+        out = out + term
     return out
 
 
-@dataclass(frozen=True)
-class DualityMatrix:
-    """Duality matrix with provenance: rows are dual coordinates, columns
-    configurations; entries vanish unless the dual sector fits inside the
-    configuration's sector."""
+@lru_cache(maxsize=None)
+def duality_closed_form(L: int) -> SparseMatrix:
+    """Duality matrix from the duality functions.
 
-    matrix: SparseMatrix
-    source: str  # "closed_form" or "from_symmetry"
-
-
-def _closed_form_entries(L: int) -> dict:
+    Rows are dual coordinates, columns configurations; entries vanish
+    unless the dual sector fits inside the configuration's sector.
+    """
     entries: dict = {}
     for c in all_configs(L):
         col = c.ternary_index() - 1
@@ -186,22 +188,16 @@ def _closed_form_entries(L: int) -> dict:
                         z = Positions(L, xs, ys)
                         row = z.to_config().ternary_index() - 1
                         entries[(row, col)] = duality_function(z, c)
-    return entries
+    return SparseMatrix(3 ** (2 * L), entries)
 
 
 @lru_cache(maxsize=None)
-def duality_matrix(source: str, L: int) -> DualityMatrix:
-    if source == "closed_form":
-        return DualityMatrix(
-            SparseMatrix(3 ** (2 * L), _closed_form_entries(L), Basis(L)),
-            "closed_form",
-        )
-    if source == "from_symmetry":
-        inv_pi = SparseMatrix.diagonal(
-            [LaurentPoly.q_power(-pi_exponent(c)) for c in all_configs(L)], Basis(L)
-        )
-        return DualityMatrix(inv_pi @ build_S(L), "from_symmetry")
-    raise ValueError("source must be 'closed_form' or 'from_symmetry'")
+def duality_from_symmetry(L: int) -> SparseMatrix:
+    """The same matrix as the inverse reversible diagonal times S."""
+    inv_pi = SparseMatrix.diagonal(
+        [LaurentPoly.q_power(-pi_exponent(c)) for c in all_configs(L)]
+    )
+    return inv_pi @ build_S(L)
 
 
 # ---------------------------------------------------------------------
@@ -265,9 +261,10 @@ def sum_rule(sector_from: Sector, sector_to: Sector) -> SumRuleResult:
         raise NotConstant(f"sides disagree: left {lhs_value}, right {rhs_value}")
 
     report = Report()
-    report.add_pass(
+    report.check(
         f"L{L}:sum-rule-N{sector_from.N}M{sector_from.M}"
-        f"-to-N{sector_to.N}M{sector_to.M}"
+        f"-to-N{sector_to.N}M{sector_to.M}",
+        [],
     )
     return SumRuleResult(lam=lhs_value, report=report)
 
@@ -303,25 +300,19 @@ def check_sum_rules(L: int) -> Report:
     try:
         rows = sum_rule_table(L)
     except NotConstant as exc:
-        report.add_fail(f"L{L}:sum-rule-constancy", detail=str(exc))
+        report.check(f"L{L}:sum-rule-constancy", [exc])
         return report
-    report.add_pass(f"L{L}:sum-rule-constancy")
+    report.check(f"L{L}:sum-rule-constancy", [])
 
     bad = [
         (n, m, np_, mp_)
         for n, m, np_, mp_, lam in rows
         if (np_ > n or mp_ > m) and lam
     ]
-    if bad:
-        report.add_fail(f"L{L}:sum-rule-vanishing", detail=str(bad[0]))
-    else:
-        report.add_pass(f"L{L}:sum-rule-vanishing")
+    report.check(f"L{L}:sum-rule-vanishing", bad)
 
     empty = next(lam for n, m, np_, mp_, lam in rows if (n, m, np_, mp_) == (0,) * 4)
-    if empty == 1:
-        report.add_pass(f"L{L}:sum-rule-empty-pair")
-    else:
-        report.add_fail(f"L{L}:sum-rule-empty-pair", detail=str(empty))
+    report.check(f"L{L}:sum-rule-empty-pair", [] if empty == 1 else [empty])
     return report
 
 
@@ -343,14 +334,15 @@ def check_duality(L: int) -> Report:
         raise ValueError("duality checks are capped at L <= 2")
     report = Report()
     H = h_exact(L)
-    D_closed = duality_matrix("closed_form", L).matrix
-    D_sym = duality_matrix("from_symmetry", L).matrix
+    D_closed = duality_closed_form(L)
     S = build_S(L)
     dim = 3 ** (2 * L)
     configs = all_configs(L)
 
     matrices_equal(report, f"L{L}:DH=HtD", D_closed @ H, H.transpose() @ D_closed)
-    matrices_equal(report, f"L{L}:closed-form-vs-symmetry", D_closed, D_sym)
+    matrices_equal(
+        report, f"L{L}:closed-form-vs-symmetry", D_closed, duality_from_symmetry(L)
+    )
     matrix_is_zero(report, f"L{L}:commutator-S-H", commutator(S, H))
     matrix_is_zero(
         report,
@@ -359,91 +351,59 @@ def check_duality(L: int) -> Report:
     )
 
     vac_row = S.row(vacant_config(L).ternary_index() - 1)
-    if len(vac_row) == dim and all(v == 1 for v in vac_row.values()):
-        report.add_pass(f"L{L}:S-vacuum-row")
-    else:
-        report.add_fail(f"L{L}:S-vacuum-row", detail=f"{len(vac_row)} of {dim} ones")
+    report.check(f"L{L}:S-vacuum-row", [c for c in range(dim) if vac_row.get(c) != 1])
 
-    bad = None
-    for zc in configs:
-        z = zc.to_positions()
-        row = S.row(zc.ternary_index() - 1)
-        expected = {}
-        for c in configs:
-            e = qz_exponent(z, c.occ)
-            if e is not None:
-                expected[c.ternary_index() - 1] = LaurentPoly.q_power(e)
-        if row != expected:
-            bad = zc.text()
-            break
-    if bad is None:
-        report.add_pass(f"L{L}:rows-S-vs-Qhat")
-    else:
-        report.add_fail(f"L{L}:rows-S-vs-Qhat", detail=bad)
+    def qz_row(z: Positions) -> dict:
+        return {
+            c.ternary_index() - 1: LaurentPoly.q_power(e)
+            for c in configs
+            if (e := qz_exponent(z, c.occ)) is not None
+        }
 
-    bad = None
-    for (r, c) in D_closed.entries:
-        zc, eta = configs[r], configs[c]
-        if zc.N > eta.N or zc.M > eta.M:
-            bad = (r, c)
-            break
-    if bad is None:
-        report.add_pass(f"L{L}:sector-block-structure")
-    else:
-        report.add_fail(f"L{L}:sector-block-structure", detail=str(bad))
-
-    report.extend(_check_exclusion_cutoff(L))
+    report.check(
+        f"L{L}:rows-S-vs-Qhat",
+        [
+            zc.text()
+            for zc in configs
+            if S.row(zc.ternary_index() - 1) != qz_row(zc.to_positions())
+        ],
+    )
+    report.check(
+        f"L{L}:sector-block-structure",
+        [
+            (r, c)
+            for (r, c) in D_closed.entries
+            if configs[r].N > configs[c].N or configs[r].M > configs[c].M
+        ],
+    )
+    _check_exclusion_cutoff(report, L)
     return report
 
 
-def _check_exclusion_cutoff(L: int) -> Report:
+def _check_exclusion_cutoff(report: Report, L: int) -> None:
     """Terms of the double divided-power sum die on saturated sectors."""
-    report = Report()
-    dim = 3 ** (2 * L)
     configs = all_configs(L)
-    y1m = build_Y(1, -1, L)
-    y2p = build_Y(2, +1, L)
 
     # the sector summation row vector annihilates both ladders on full sectors
-    bad = None
+    bad = []
     for n in range(2 * L + 1):
         full = enumerate_sector(Sector(L, n, 2 * L - n))
         rows = {c.ternary_index() - 1 for c in full}
-        for name, y in (("Y1-", y1m), ("Y2+", y2p)):
+        for name, y in (("Y1-", build_Y(1, -1, L)), ("Y2+", build_Y(2, +1, L))):
             col_sums: dict = {}
             for (r, c), v in y.entries.items():
                 if r in rows:
                     col_sums[c] = col_sums.get(c, LaurentPoly.zero()) + v
-            if any(v for v in col_sums.values()):
-                bad = (n, name)
-                break
-        if bad:
-            break
-    if bad is None:
-        report.add_pass(f"L{L}:saturated-sector-annihilation")
-    else:
-        report.add_fail(f"L{L}:saturated-sector-annihilation", detail=str(bad))
+            if any(col_sums.values()):
+                bad.append((n, name))
+    report.check(f"L{L}:saturated-sector-annihilation", bad)
 
-    powers1 = [SparseMatrix.identity(dim, basis=Basis(L))]
-    powers2 = [SparseMatrix.identity(dim, basis=Basis(L))]
-    for _ in range(2 * L):
-        powers1.append(powers1[-1] @ y1m)
-        powers2.append(powers2[-1] @ y2p)
-    bad = None
-    for n in range(2 * L + 1):
-        for m in range(2 * L - n + 1):
-            term = powers1[n] @ powers2[m]
-            for (r, _c) in term.entries:
-                zc = configs[r]
-                if n + m > 2 * L - zc.N - zc.M:
-                    bad = (n, m, r)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    if bad is None:
-        report.add_pass(f"L{L}:divided-power-cutoff")
-    else:
-        report.add_fail(f"L{L}:divided-power-cutoff", detail=str(bad))
-    return report
+    report.check(
+        f"L{L}:divided-power-cutoff",
+        [
+            (n, m, r)
+            for (n, m), term in divided_power_terms(L).items()
+            for (r, _c) in term.entries
+            if n + m > 2 * L - configs[r].N - configs[r].M
+        ],
+    )

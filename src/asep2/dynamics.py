@@ -27,7 +27,7 @@ from .duality import qz_value
 from .generator import ModelParams, Ring, build_H_sector, rate_table
 from .lattice import Config, Positions, Sector, enumerate_sector
 from .measures import Measure
-from .sparse import Basis, SparseMatrix
+from .sparse import SparseMatrix
 
 TAIL_TOL = 1e-14
 
@@ -37,8 +37,6 @@ class TransitionKernel:
     """Matrix of transition probabilities: entry [target, source]."""
 
     matrix: np.ndarray
-    t: float
-    basis: Basis | None = None
 
     def column_defect(self) -> float:
         return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0)))
@@ -62,7 +60,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     lam = float(np.max(np.diag(a))) if n else 0.0
     mu = lam * t
     if mu == 0.0:
-        return TransitionKernel(np.eye(n), t, op.basis)
+        return TransitionKernel(np.eye(n))
     p = np.eye(n) - a / lam
 
     # powers below k_lo carry no Poisson mass at double precision
@@ -80,7 +78,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
         if 1.0 - cum < TAIL_TOL or (
             k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2)) < TAIL_TOL
         ):
-            return TransitionKernel(out, t, op.basis)
+            return TransitionKernel(out)
         pk = p @ pk
         k += 1
 

@@ -35,7 +35,7 @@ from .lattice import (
     enumerate_sector,
 )
 from .qring import QINV, ZERO, LaurentPoly, Q
-from .sparse import Basis, SparseMatrix
+from .sparse import SparseMatrix
 
 
 class Ring(enum.Enum):
@@ -134,7 +134,7 @@ def build_H(p: ModelParams, ring: Ring = Ring.EXACT) -> SparseMatrix:
         for k, rate in _bond_rates(table, c):
             tgt = c.swap(k).ternary_index() - 1
             _accumulate(entries, src, tgt, rate)
-    return SparseMatrix(3 ** (2 * p.L), entries, Basis(p.L))
+    return SparseMatrix(3 ** (2 * p.L), entries)
 
 
 def build_H_sector(p: ModelParams, sector: Sector, ring: Ring = Ring.EXACT) -> SparseMatrix:
@@ -150,7 +150,7 @@ def build_H_sector(p: ModelParams, sector: Sector, ring: Ring = Ring.EXACT) -> S
         for k, rate in _bond_rates(table, c):
             tgt = index[c.swap(k)]  # exchanges conserve (N, M)
             _accumulate(entries, src, tgt, rate)
-    return SparseMatrix(len(configs), entries, Basis(p.L, (sector.N, sector.M)))
+    return SparseMatrix(len(configs), entries)
 
 
 def apply_generator(f, c: Config, p: ModelParams, ring: Ring = Ring.FLOAT):
@@ -175,18 +175,15 @@ def _format_value(v) -> str:
     return str(v) if isinstance(v, LaurentPoly) else repr(float(v))
 
 
-def dump_matrix(op: SparseMatrix, fh, p: ModelParams) -> None:
+def dump_matrix(op: SparseMatrix, fh, p: ModelParams, sector: Sector | None = None) -> None:
     """Write `row col value` lines, column-compressed order, after a header.
 
-    Header: `dim basis L N M r ell` with N M dashed out on the full basis.
+    Header: `dim basis L N M r ell`, where basis is `full` or `sector` and
+    N M are the sector's particle numbers, dashed out on the full basis.
     Exact values are serialised Laurent polynomials; float values use
     shortest round-trip decimals.
     """
-    basis = op.basis if op.basis is not None else Basis(p.L)
-    if basis.sector is None:
-        n_tag = m_tag = "-"
-    else:
-        n_tag, m_tag = basis.sector
-    fh.write(f"{op.dim} {basis.kind} {basis.L} {n_tag} {m_tag} {p.r} {p.ell}\n")
+    kind, n, m = ("full", "-", "-") if sector is None else ("sector", sector.N, sector.M)
+    fh.write(f"{op.dim} {kind} {p.L} {n} {m} {p.r} {p.ell}\n")
     for (r, c), v in op.sorted_items():
         fh.write(f"{r} {c} {_format_value(v)}\n")

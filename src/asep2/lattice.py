@@ -177,9 +177,6 @@ class Positions:
     def M(self) -> int:
         return len(self.y)
 
-    def is_empty(self) -> bool:
-        return not self.x and not self.y
-
     def to_config(self) -> Config:
         occ = [VACANT] * (2 * self.L)
         for c in self.x:
@@ -272,13 +269,6 @@ def weyl_alcove(n: int, L: int):
 # ---------------------------------------------------------------------
 
 
-def _scan(report: Report, name: str, failures: list) -> None:
-    if failures:
-        report.add_fail(name, detail=str(failures[0]))
-    else:
-        report.add_pass(name)
-
-
 def check_counting_lemmas(l_max: int) -> Report:
     """Step-function identities and additivity/inversion of left counts.
 
@@ -298,7 +288,7 @@ def check_counting_lemmas(l_max: int) -> Report:
             for l in lam
             if theta(k, l) + theta(l, k) + (1 if k == l else 0) != 1
         ]
-        _scan(report, f"L{L}:theta-complement", bad)
+        report.check(f"L{L}:theta-complement", bad)
 
         bad = []
         for r in lam:
@@ -307,7 +297,7 @@ def check_counting_lemmas(l_max: int) -> Report:
                     bad.append((r, x, "left"))
                 if sum(1 for k in lam if k > x and k == r) != theta(x, r):
                     bad.append((r, x, "right"))
-        _scan(report, f"L{L}:theta-delta-sum", bad)
+        report.check(f"L{L}:theta-delta-sum", bad)
 
         # single-particle left counts reduce to the step function
         bad = []
@@ -319,7 +309,7 @@ def check_counting_lemmas(l_max: int) -> Report:
                     bad.append((x, r, "A"))
                 if count_left(zb, r, B) != theta(x, r):
                     bad.append((x, r, "B"))
-        _scan(report, f"L{L}:single-left-count", bad)
+        report.check(f"L{L}:single-left-count", bad)
 
         for species, tag in ((A, "A"), (B, "B")):
             def pos(coords):
@@ -355,10 +345,10 @@ def check_counting_lemmas(l_max: int) -> Report:
                         count_left(pos((k,)), c, species) for c in second
                     ):
                         inv_bad.append((second, k))
-            _scan(report, f"L{L}:left-count-union-additivity-{tag}", add_bad)
-            _scan(report, f"L{L}:left-count-single-additivity-{tag}", single_bad)
-            _scan(report, f"L{L}:left-count-union-complement-{tag}", comp_bad)
-            _scan(report, f"L{L}:left-count-inversion-{tag}", inv_bad)
+            report.check(f"L{L}:left-count-union-additivity-{tag}", add_bad)
+            report.check(f"L{L}:left-count-single-additivity-{tag}", single_bad)
+            report.check(f"L{L}:left-count-union-complement-{tag}", comp_bad)
+            report.check(f"L{L}:left-count-inversion-{tag}", inv_bad)
     return report
 
 
@@ -397,7 +387,7 @@ def check_permutation_identities(n_max: int, l_max: int) -> Report:
                 rhs = q_factorial(n) * LaurentPoly.q_power(-2 * order)
                 if lhs != rhs:
                     bad.append((r, str(lhs - rhs)))
-            _scan(report, f"L{L}:qfactorial-inversion-sum-n{n}", bad)
+            report.check(f"L{L}:qfactorial-inversion-sum-n{n}", bad)
 
             def vandermonde(r):
                 out = LaurentPoly.one()
@@ -428,5 +418,5 @@ def check_permutation_identities(n_max: int, l_max: int) -> Report:
                         folded = folded + f(tuple(r[p] for p in perm))
                 if full != folded:
                     bad.append((fname, str(full - folded)))
-            _scan(report, f"L{L}:diagonal-vanishing-symmetrization-n{n}", bad)
+            report.check(f"L{L}:diagonal-vanishing-symmetrization-n{n}", bad)
     return report

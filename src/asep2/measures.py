@@ -36,7 +36,7 @@ from .lattice import (
 )
 from .qring import LaurentPoly, q_multinomial, rogers_szego_x, rogers_szego_y
 from .reporting import Report, matrix_is_zero
-from .sparse import Basis, SparseMatrix
+from .sparse import SparseMatrix
 
 
 class DegenerateWidth(ValueError):
@@ -44,30 +44,22 @@ class DegenerateWidth(ValueError):
 
 
 class Measure:
-    """Weights over configurations, optionally restricted to a sector.
+    """Weights over configurations.
 
     Exact measures keep ring-valued weights with the partition function
     stored separately; normalisation happens only at evaluation time.
     """
 
-    def __init__(self, L, weights, sector=None, normalized=False, partition=None):
+    def __init__(self, L, weights, partition=None):
         self.L = L
         self.weights = dict(weights)
-        self.sector = sector
-        self.normalized = normalized
         self.partition = partition
-
-    def weight(self, c: Config):
-        return self.weights.get(c, 0)
 
     def support(self):
         return self.weights.keys()
 
     def items(self):
         return self.weights.items()
-
-    def total(self):
-        return sum(self.weights.values())
 
     def as_vector(self, order) -> np.ndarray:
         return np.array([float(self.weights.get(c, 0.0)) for c in order])
@@ -91,16 +83,11 @@ class Measure:
         total = sum(vals.values())
         if total <= 0:
             raise ValueError("cannot normalise a vanishing measure")
-        return Measure(
-            self.L,
-            {c: v / total for c, v in vals.items()},
-            sector=self.sector,
-            normalized=True,
-        )
+        return Measure(self.L, {c: v / total for c, v in vals.items()})
 
     @classmethod
     def point_mass(cls, c: Config) -> "Measure":
-        return cls(c.L, {c: 1.0}, normalized=True)
+        return cls(c.L, {c: 1.0})
 
 
 # ---------------------------------------------------------------------
@@ -146,11 +133,7 @@ def canonical(sector: Sector) -> Measure:
     """
     weights = {c: pi_unnormalized(c) for c in enumerate_sector(sector)}
     return Measure(
-        sector.L,
-        weights,
-        sector=sector,
-        normalized=False,
-        partition=q_multinomial(2 * sector.L, sector.N, sector.M),
+        sector.L, weights, partition=q_multinomial(2 * sector.L, sector.N, sector.M)
     )
 
 
@@ -169,7 +152,7 @@ def grandcanonical(nu: float, mu: float, p: ModelParams) -> Measure:
     weights = {}
     for c in all_configs(p.L):
         weights[c] = math.exp(nu * c.N + mu * c.M) * q0 ** pi_exponent(c) / y
-    return Measure(p.L, weights, normalized=True)
+    return Measure(p.L, weights)
 
 
 def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
@@ -184,7 +167,7 @@ def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
             coeff = math.exp(nu * n + mu * m) * z / y
             for c, w in canonical(sector).items():
                 weights[c] = coeff * w.eval(q0) / z
-    return Measure(p.L, weights, normalized=True)
+    return Measure(p.L, weights)
 
 
 # ---------------------------------------------------------------------
@@ -216,7 +199,7 @@ def pure_measure(species: int, chem_pot: float, p: ModelParams) -> Measure:
             weights[c] = math.exp(chem_pot * c.N) * q0 ** pi_exponent(c) / x
         elif species == B and c.N == 0:
             weights[c] = math.exp(chem_pot * c.M) * q0 ** pi_exponent(c) / x
-    return Measure(p.L, weights, normalized=True)
+    return Measure(p.L, weights)
 
 
 @dataclass(frozen=True)
@@ -259,9 +242,7 @@ def shock_profile(species: int, chem_pot: float, p: ModelParams) -> ShockProfile
 
 def pi_hat(L: int) -> SparseMatrix:
     """Diagonal matrix of reversible weights on the full basis."""
-    return SparseMatrix.diagonal(
-        [pi_unnormalized(c) for c in all_configs(L)], Basis(L)
-    )
+    return SparseMatrix.diagonal([pi_unnormalized(c) for c in all_configs(L)])
 
 
 def check_reversibility(H: SparseMatrix, L: int) -> Report:
@@ -276,27 +257,24 @@ def check_partition_functions(l_max: int) -> Report:
     """Sector weight sums against the Gaussian trinomials, exactly."""
     report = Report()
     for L in range(1, l_max + 1):
-        bad = []
-        for n in range(2 * L + 1):
-            for m in range(2 * L - n + 1):
-                if sector_weight_sum(Sector(L, n, m)) != q_multinomial(2 * L, n, m):
-                    bad.append((n, m))
-        if bad:
-            report.add_fail(f"L{L}:partition-function", detail=str(bad[0]))
-        else:
-            report.add_pass(f"L{L}:partition-function")
-
-        bad = []
-        for n in range(2 * L + 1):
-            for m in range(2 * L - n + 1):
-                lhs = q_multinomial(2 * L, n, m)
-                rhs = q_multinomial(2 * L, n, 0) * q_multinomial(2 * L - n, 0, m)
-                if lhs != rhs:
-                    bad.append((n, m))
-        if bad:
-            report.add_fail(f"L{L}:partition-factorization", detail=str(bad[0]))
-        else:
-            report.add_pass(f"L{L}:partition-factorization")
+        spans = [(n, m) for n in range(2 * L + 1) for m in range(2 * L - n + 1)]
+        report.check(
+            f"L{L}:partition-function",
+            [
+                (n, m)
+                for n, m in spans
+                if sector_weight_sum(Sector(L, n, m)) != q_multinomial(2 * L, n, m)
+            ],
+        )
+        report.check(
+            f"L{L}:partition-factorization",
+            [
+                (n, m)
+                for n, m in spans
+                if q_multinomial(2 * L, n, m)
+                != q_multinomial(2 * L, n, 0) * q_multinomial(2 * L - n, 0, m)
+            ],
+        )
     return report
 
 
@@ -328,11 +306,10 @@ def check_uniqueness(p: ModelParams, L: int, tol: float = 1e-10) -> Report:
             a = op.to_numpy()
             size = sector.size
             rank = int(np.linalg.matrix_rank(a))
-            name = f"L{L}:kernel-dimension-N{n}-M{m}"
-            if rank == size - 1:
-                report.add_pass(name)
-            else:
-                report.add_fail(name, detail=f"rank {rank} of {size}")
+            report.check(
+                f"L{L}:kernel-dimension-N{n}-M{m}",
+                [] if rank == size - 1 else [f"rank {rank} of {size}"],
+            )
             vec = stationary_vector(op)
             residual = float(np.max(np.abs(a @ vec))) if size > 1 else 0.0
             mu = canonical(sector)
@@ -340,11 +317,11 @@ def check_uniqueness(p: ModelParams, L: int, tol: float = 1e-10) -> Report:
                 [mu.probability(c, q0) for c in enumerate_sector(sector)]
             )
             diff = float(np.max(np.abs(vec - probs)))
-            name = f"L{L}:kernel-matches-canonical-N{n}-M{m}"
-            if residual < tol and diff < tol:
-                report.add_pass(name)
-            else:
-                report.add_fail(name, detail=f"residual {residual:g} diff {diff:g}")
+            report.check(
+                f"L{L}:kernel-matches-canonical-N{n}-M{m}",
+                [] if residual < tol and diff < tol
+                else [f"residual {residual:g} diff {diff:g}"],
+            )
     return report
 
 
@@ -366,17 +343,15 @@ def check_grandcanonical_stationarity(
             measure = grandcanonical(nu, mu, p)
             vec = measure.as_vector(order)
             residual = float(np.max(np.abs(H @ vec)))
-            name = f"L{p.L}:grandcanonical-stationary-nu{nu:g}-mu{mu:g}"
-            if residual < tol:
-                report.add_pass(name)
-            else:
-                report.add_fail(name, detail=f"residual {residual:g}")
+            report.check(
+                f"L{p.L}:grandcanonical-stationary-nu{nu:g}-mu{mu:g}",
+                [] if residual < tol else [f"residual {residual:g}"],
+            )
             mix = grandcanonical_mixture(nu, mu, p).as_vector(order)
-            name = f"L{p.L}:grandcanonical-mixture-form-nu{nu:g}-mu{mu:g}"
-            if float(np.max(np.abs(mix - vec))) < tol:
-                report.add_pass(name)
-            else:
-                report.add_fail(name, detail="forms disagree")
+            report.check(
+                f"L{p.L}:grandcanonical-mixture-form-nu{nu:g}-mu{mu:g}",
+                [] if float(np.max(np.abs(mix - vec))) < tol else ["forms disagree"],
+            )
     return report
 
 
@@ -400,11 +375,10 @@ def check_shock_agreement(
                     closed = profile.density(k)
                     marg = pure_marginal(species, nu, p, k)
                     worst = max(worst, abs(mixture - closed), abs(marg - closed))
-                name = f"L{L}:shock-profile-{tag}-q{float(q):g}-nu{nu:g}"
-                if worst < tol:
-                    report.add_pass(name)
-                else:
-                    report.add_fail(name, detail=f"max deviation {worst:g}")
+                report.check(
+                    f"L{L}:shock-profile-{tag}-q{float(q):g}-nu{nu:g}",
+                    [] if worst < tol else [f"max deviation {worst:g}"],
+                )
     return report
 
 
@@ -419,28 +393,19 @@ def check_marginal_independence(L: int) -> Report:
     pairs = [(k,) for k in lam] + [
         (k1, k2) for i, k1 in enumerate(lam) for k2 in lam[i + 1 :]
     ]
-    bad = None
+    bad = []
     for n in range(2 * L + 1):
         for m in range(2 * L - n + 1):
             for sites_tuple in pairs:
-                sa, za = ring_moment(Sector(L, n, m), sites_tuple, A)
-                sa0, za0 = ring_moment(Sector(L, n, 0), sites_tuple, A)
-                if sa * za0 != sa0 * za:
-                    bad = ("A", n, m, sites_tuple)
-                    break
-                sb, zb = ring_moment(Sector(L, n, m), sites_tuple, B)
-                sb0, zb0 = ring_moment(Sector(L, 0, m), sites_tuple, B)
-                if sb * zb0 != sb0 * zb:
-                    bad = ("B", n, m, sites_tuple)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    if bad is None:
-        report.add_pass(f"L{L}:moment-independence")
-    else:
-        report.add_fail(f"L{L}:moment-independence", detail=str(bad))
+                for tag, species, pure in (
+                    ("A", A, Sector(L, n, 0)),
+                    ("B", B, Sector(L, 0, m)),
+                ):
+                    s, z = ring_moment(Sector(L, n, m), sites_tuple, species)
+                    s0, z0 = ring_moment(pure, sites_tuple, species)
+                    if s * z0 != s0 * z:
+                        bad.append((tag, n, m, sites_tuple))
+    report.check(f"L{L}:moment-independence", bad)
     return report
 
 

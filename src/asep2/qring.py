@@ -86,14 +86,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self._c) == 1
 
-    def terms(self):
-        """Sorted (exponent, coefficient) pairs with Fraction exponents."""
-        for h in sorted(self._c):
-            yield Fraction(h, 2), self._c[h]
-
-    def half_items(self):
-        return self._c.items()
-
     def _deg(self) -> int:
         return max(self._c)
 

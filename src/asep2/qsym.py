@@ -13,7 +13,6 @@ matrices over the exact ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import (
@@ -27,7 +26,7 @@ from .lattice import (
 )
 from .qring import LaurentPoly, exact_div, q_number
 from .reporting import Report, matrices_equal, matrix_is_zero
-from .sparse import Basis, SparseMatrix, commutator
+from .sparse import SparseMatrix, commutator
 
 # Fundamental 3x3 matrices in the basis order (A, vacancy, B).
 # a+ turns a vacancy into an A particle, a- removes an A, b+/b- do the
@@ -89,7 +88,7 @@ def site_embed(u, k: int, L: int) -> SparseMatrix:
             if cs == d:
                 j = i + (rs - d) * step
                 entries[(j, i)] = entries.get((j, i), LaurentPoly.zero()) + v
-    return SparseMatrix(dim, entries, Basis(L))
+    return SparseMatrix(dim, entries)
 
 
 # (local op, dressing species, sign of the left sum) for each ladder:
@@ -125,7 +124,7 @@ def build_Y_site(i: int, sign: int, k: int, L: int) -> SparseMatrix:
         exponent = left_sign * (left - right)
         j0 = i0 + (rs - cs) * step
         entries[(j0, i0)] = LaurentPoly.q_power(exponent)
-    return SparseMatrix(dim, entries, Basis(L))
+    return SparseMatrix(dim, entries)
 
 
 @lru_cache(maxsize=None)
@@ -135,84 +134,41 @@ def build_Y(i: int, sign: int, L: int) -> SparseMatrix:
         raise ValueError("ladder label must be i in {1,2}, sign in {+1,-1}")
     if L > 3:
         raise ValueError("exact ladder operators are capped at L <= 3")
-    out = SparseMatrix(3 ** (2 * L), {}, Basis(L))
+    out = SparseMatrix(3 ** (2 * L), {})
     for k in sites(L):
         out = out + build_Y_site(i, sign, k, L)
     return out
 
 
-@dataclass(frozen=True)
-class CartanOps:
-    """Diagonal part of the representation.
-
-    n_diag/v_diag/m_diag hold the integer species counts per basis state;
-    the matrices are their constant-diagonal forms, h1/h2 the differences,
-    and l1/l2/l3 the half-power monomial diagonals q**(-count/2).
-    """
-
-    L: int
-    n_diag: tuple[int, ...]
-    v_diag: tuple[int, ...]
-    m_diag: tuple[int, ...]
-    n_hat: SparseMatrix
-    v_hat: SparseMatrix
-    m_hat: SparseMatrix
-    h1: SparseMatrix
-    h2: SparseMatrix
-    l1: SparseMatrix
-    l2: SparseMatrix
-    l3: SparseMatrix
-
-    def l_op(self, i: int, power: int = 1) -> SparseMatrix:
-        """q**(-power * T_i / 2) as a diagonal monomial matrix."""
-        diag = (self.n_diag, self.v_diag, self.m_diag)[i - 1]
-        return diag_half_power(diag, -power, self.L)
-
-    def h_diag(self, i: int) -> tuple[int, ...]:
-        if i == 1:
-            return tuple(n - v for n, v in zip(self.n_diag, self.v_diag))
-        return tuple(v - m for v, m in zip(self.v_diag, self.m_diag))
-
-
-def diag_half_power(eigs, mult: int, L: int) -> SparseMatrix:
-    return SparseMatrix.diagonal(
-        [LaurentPoly.q_half_power(mult * e) for e in eigs], Basis(L)
-    )
-
-
-def q_number_diag(eigs, L: int) -> SparseMatrix:
-    return SparseMatrix.diagonal([q_number(e) for e in eigs], Basis(L))
-
-
 @lru_cache(maxsize=None)
-def build_cartan(L: int) -> CartanOps:
+def species_counts(L: int) -> tuple[tuple[int, ...], ...]:
+    """(T1, T2, T3): the numbers of A, vacancies and B in each basis state."""
     n_sites = 2 * L
-    dim = 3**n_sites
-    n_diag, v_diag, m_diag = [], [], []
-    for i0 in range(dim):
-        d = ternary_digits(i0, n_sites)
-        n_diag.append(d.count(A))
-        v_diag.append(d.count(VACANT))
-        m_diag.append(d.count(B))
-    n_diag, v_diag, m_diag = tuple(n_diag), tuple(v_diag), tuple(m_diag)
+    digits = [ternary_digits(i0, n_sites) for i0 in range(3**n_sites)]
+    return tuple(tuple(d.count(s) for d in digits) for s in (A, VACANT, B))
 
-    def const_diag(eigs):
-        return SparseMatrix.diagonal([LaurentPoly.const(e) for e in eigs], Basis(L))
 
-    return CartanOps(
-        L=L,
-        n_diag=n_diag,
-        v_diag=v_diag,
-        m_diag=m_diag,
-        n_hat=const_diag(n_diag),
-        v_hat=const_diag(v_diag),
-        m_hat=const_diag(m_diag),
-        h1=const_diag([n - v for n, v in zip(n_diag, v_diag)]),
-        h2=const_diag([v - m for v, m in zip(v_diag, m_diag)]),
-        l1=diag_half_power(n_diag, -1, L),
-        l2=diag_half_power(v_diag, -1, L),
-        l3=diag_half_power(m_diag, -1, L),
+def h_diag(i: int, L: int) -> tuple[int, ...]:
+    """Eigenvalues of H_i = T_i - T_(i+1) on the basis states, i in {1, 2}."""
+    counts = species_counts(L)
+    return tuple(a - b for a, b in zip(counts[i - 1], counts[i]))
+
+
+def l_op(i: int, L: int, power: int = 1) -> SparseMatrix:
+    """L_i**power = q**(-power * T_i / 2) as a diagonal monomial matrix."""
+    return SparseMatrix.diagonal(
+        [LaurentPoly.q_half_power(-power * t) for t in species_counts(L)[i - 1]]
     )
+
+
+def symmetry_operators(L: int) -> list[tuple[str, SparseMatrix]]:
+    """The four dressed ladders and the three diagonal L_i, by name."""
+    ladders = [
+        (f"Y{i}{'+' if s > 0 else '-'}", build_Y(i, s, L))
+        for i in (1, 2)
+        for s in (+1, -1)
+    ]
+    return ladders + [(f"L{i}", l_op(i, L)) for i in (1, 2, 3)]
 
 
 def check_symmetry(H: SparseMatrix, L: int) -> Report:
@@ -222,17 +178,7 @@ def check_symmetry(H: SparseMatrix, L: int) -> Report:
     must commute with H identically in the ring.
     """
     report = Report()
-    cartan = build_cartan(L)
-    ops = [
-        ("Y1+", build_Y(1, +1, L)),
-        ("Y1-", build_Y(1, -1, L)),
-        ("Y2+", build_Y(2, +1, L)),
-        ("Y2-", build_Y(2, -1, L)),
-        ("L1", cartan.l1),
-        ("L2", cartan.l2),
-        ("L3", cartan.l3),
-    ]
-    for name, op in ops:
+    for name, op in symmetry_operators(L):
         matrix_is_zero(report, f"L{L}:commutator-H-{name}", commutator(H, op))
     return report
 
@@ -251,8 +197,7 @@ def check_algebra_relations(L: int) -> Report:
     if L > 2:
         raise ValueError("algebra relation checks are capped at L <= 2")
     report = Report()
-    cartan = build_cartan(L)
-    ls = {1: cartan.l1, 2: cartan.l2, 3: cartan.l3}
+    ls = {i: l_op(i, L) for i in (1, 2, 3)}
     ys = {
         (i, s): build_Y(i, s, L) for i in (1, 2) for s in (+1, -1)
     }
@@ -283,15 +228,15 @@ def check_algebra_relations(L: int) -> Report:
             if i != j:
                 matrix_is_zero(report, f"L{L}:ladder-commutator-Y{i}p-Y{j}m", comm)
                 continue
-            k2 = cartan.l_op(i + 1, 2) @ cartan.l_op(i, -2)
-            k2inv = cartan.l_op(i + 1, -2) @ cartan.l_op(i, 2)
+            k2 = l_op(i + 1, L, 2) @ l_op(i, L, -2)
+            k2inv = l_op(i + 1, L, -2) @ l_op(i, L, 2)
             rhs = (k2 - k2inv).map_entries(lambda v: exact_div(v, q_minus_qinv))
             matrices_equal(report, f"L{L}:ladder-commutator-Y{i}p-Y{i}m", comm, rhs)
             matrices_equal(
                 report,
                 f"L{L}:cartan-qnumber-consistency-H{i}",
                 rhs,
-                q_number_diag(cartan.h_diag(i), L),
+                SparseMatrix.diagonal([q_number(h) for h in h_diag(i, L)]),
             )
 
     two_q = q_number(2)
@@ -354,24 +299,22 @@ def check_conjugation_lemma(L: int) -> Report:
             want_left = op if _TARGET[op_name] == proj_name else zero3
             if mat3_mul(proj, op) != want_left:
                 bad.append((op_name, proj_name, "left"))
-    if bad:
-        report.add_fail("fundamental-products-table", detail=str(bad[0]))
-    else:
-        report.add_pass("fundamental-products-table")
+    report.check("fundamental-products-table", bad)
 
-    ok = mat3_mul(A_PLUS, B_MINUS) == C_PLUS and mat3_mul(B_PLUS, A_MINUS) == C_MINUS
-    (report.add_pass if ok else report.add_fail)("fundamental-c-factorization")
-
-    ok = all(
-        mat3_transpose(LADDERS[f"{sp}+"]) == LADDERS[f"{sp}-"] for sp in "abc"
+    factorizations = (("c+", A_PLUS, B_MINUS, C_PLUS), ("c-", B_PLUS, A_MINUS, C_MINUS))
+    report.check(
+        "fundamental-c-factorization",
+        [name for name, u, v, c in factorizations if mat3_mul(u, v) != c],
     )
-    (report.add_pass if ok else report.add_fail)("fundamental-transpose")
-
+    report.check(
+        "fundamental-transpose",
+        [sp for sp in "abc" if mat3_transpose(LADDERS[f"{sp}+"]) != LADDERS[f"{sp}-"]],
+    )
     total = tuple(
         tuple(PROJ_A[r][c] + PROJ_V[r][c] + PROJ_B[r][c] for c in range(3))
         for r in range(3)
     )
-    (report.add_pass if total == IDENT3 else report.add_fail)("fundamental-projector-sum")
+    report.check("fundamental-projector-sum", [] if total == IDENT3 else [total])
 
     q = LaurentPoly.q_power(1)
     qinv = LaurentPoly.q_power(-1)
@@ -383,13 +326,10 @@ def check_conjugation_lemma(L: int) -> Report:
         prod = mat3_mul(_p_power(proj, q), _p_power(proj, qinv))
         if prod != ident:
             bad.append((name, "exponential-inverse"))
-    if bad:
-        report.add_fail("projector-exponential", detail=str(bad[0]))
-    else:
-        report.add_pass("projector-exponential")
+    report.check("projector-exponential", bad)
 
     dim = 3 ** (2 * L)
-    ident = SparseMatrix.identity(dim, basis=Basis(L))
+    ident = SparseMatrix.identity(dim)
     proj_of = {A: PROJ_A, B: PROJ_B}
     ladder_of = {
         (A, +1): A_PLUS,
@@ -419,8 +359,8 @@ def check_conjugation_lemma(L: int) -> Report:
                     if (p_cross @ op @ p_cross_inv) != op:
                         cross_bad.append((l, x))
             tag = f"{species_tag[sp]}{_SIGN_TAG[s]}"
-            _add(report, f"L{L}:conjugation-single-{tag}", same_bad)
-            _add(report, f"L{L}:conjugation-single-cross-{tag}", cross_bad)
+            report.check(f"L{L}:conjugation-single-{tag}", same_bad)
+            report.check(f"L{L}:conjugation-single-cross-{tag}", cross_bad)
 
     # two-site projector product P = proj_A(l) proj_B(m): conjugation of a
     # ladder at x by q**P picks up q**(+-delta) times the *other* projector
@@ -448,7 +388,7 @@ def check_conjugation_lemma(L: int) -> Report:
                         ) @ op
                         if (p_pow @ op @ p_pow_inv) != rhs:
                             bad.append((l, m, x))
-            _add(report, f"L{L}:conjugation-product-{species_tag[sp]}{_SIGN_TAG[s]}", bad)
+            report.check(f"L{L}:conjugation-product-{species_tag[sp]}{_SIGN_TAG[s]}", bad)
 
     # occupation projectors act diagonally with the local occupation numbers
     bad = []
@@ -465,7 +405,7 @@ def check_conjugation_lemma(L: int) -> Report:
                 bad.append((k, c.text()))
         if not pa.is_diagonal() or not pb.is_diagonal():
             bad.append((k, "not diagonal"))
-    _add(report, f"L{L}:projector-eigenvalue", bad)
+    report.check(f"L{L}:projector-eigenvalue", bad)
 
     # embedded operators at distinct sites commute
     bad = []
@@ -479,12 +419,5 @@ def check_conjugation_lemma(L: int) -> Report:
                     v = site_embed(LADDERS[v_name], l, L)
                     if not commutator(u, v).is_zero():
                         bad.append((u_name, k, v_name, l))
-    _add(report, f"L{L}:embed-commute", bad)
+    report.check(f"L{L}:embed-commute", bad)
     return report
-
-
-def _add(report: Report, name: str, failures: list) -> None:
-    if failures:
-        report.add_fail(name, detail=str(failures[0]))
-    else:
-        report.add_pass(name)

@@ -44,20 +44,21 @@ class Report:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def add(self, result: CheckResult) -> None:
-        self.results.append(result)
-
     def add_pass(self, name: str) -> None:
         self.results.append(CheckResult(name, True))
 
     def add_fail(self, name: str, row=None, col=None, residual=None, detail=None):
         self.results.append(CheckResult(name, False, row, col, residual, detail))
 
+    def check(self, name: str, failures) -> None:
+        """PASS if `failures` is empty, else FAIL with the first one as detail."""
+        if failures:
+            self.add_fail(name, detail=str(failures[0]))
+        else:
+            self.add_pass(name)
+
     def extend(self, other: "Report") -> None:
         self.results.extend(other.results)
-
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if not r.passed]
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.results]

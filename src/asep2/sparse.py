@@ -12,23 +12,9 @@ Matrices are treated as immutable once built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qring import LaurentPoly
-
-
-@dataclass(frozen=True)
-class Basis:
-    """Tag saying which configuration basis indexes the matrix."""
-
-    L: int
-    sector: tuple[int, int] | None = None  # (N, M) when restricted
-
-    @property
-    def kind(self) -> str:
-        return "full" if self.sector is None else "sector"
 
 
 def _is_zero(v) -> bool:
@@ -38,11 +24,10 @@ def _is_zero(v) -> bool:
 
 
 class SparseMatrix:
-    __slots__ = ("dim", "entries", "basis")
+    __slots__ = ("dim", "entries")
 
-    def __init__(self, dim: int, entries=None, basis: Basis | None = None):
+    def __init__(self, dim: int, entries=None):
         self.dim = dim
-        self.basis = basis
         cleaned = {}
         if entries:
             for (r, c), v in entries.items():
@@ -55,14 +40,14 @@ class SparseMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def identity(cls, dim: int, one=None, basis=None) -> "SparseMatrix":
+    def identity(cls, dim: int, one=None) -> "SparseMatrix":
         one = LaurentPoly.one() if one is None else one
-        return cls(dim, {(i, i): one for i in range(dim)}, basis)
+        return cls(dim, {(i, i): one for i in range(dim)})
 
     @classmethod
-    def diagonal(cls, values, basis=None) -> "SparseMatrix":
+    def diagonal(cls, values) -> "SparseMatrix":
         values = list(values)
-        return cls(len(values), {(i, i): v for i, v in enumerate(values)}, basis)
+        return cls(len(values), {(i, i): v for i, v in enumerate(values)})
 
     # -- queries ----------------------------------------------------------
 
@@ -120,22 +105,18 @@ class SparseMatrix:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return SparseMatrix(self.dim, out, self.basis)
+        return SparseMatrix(self.dim, out)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + (-other)
 
     def __neg__(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.dim, {k: -v for k, v in self.entries.items()}, self.basis
-        )
+        return SparseMatrix(self.dim, {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar) -> "SparseMatrix":
         if _is_zero(scalar):
-            return SparseMatrix(self.dim, {}, self.basis)
-        return SparseMatrix(
-            self.dim, {k: scalar * v for k, v in self.entries.items()}, self.basis
-        )
+            return SparseMatrix(self.dim, {})
+        return SparseMatrix(self.dim, {k: scalar * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         self._check_dim(other)
@@ -156,17 +137,13 @@ class SparseMatrix:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        return SparseMatrix(self.dim, out, self.basis)
+        return SparseMatrix(self.dim, out)
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.dim, {(c, r): v for (r, c), v in self.entries.items()}, self.basis
-        )
+        return SparseMatrix(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
 
     def map_entries(self, fn) -> "SparseMatrix":
-        return SparseMatrix(
-            self.dim, {k: fn(v) for k, v in self.entries.items()}, self.basis
-        )
+        return SparseMatrix(self.dim, {k: fn(v) for k, v in self.entries.items()})
 
     # -- conversion ---------------------------------------------------------
 

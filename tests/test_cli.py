@@ -173,3 +173,23 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("L 1\n")
         assert main(["verify", "algebra", "--config", str(cfg)]) == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--L", "1", "--trajectories", "0"],
+            ["simulate", "--L", "1", "--trajectories", "10", "--t", "-1"],
+            ["measure", "canonical", "--L", "1", "--N", "5", "--M", "5"],
+        ],
+        ids=["zero-trajectories", "negative-time", "sector-out-of-range"],
+    )
+    def test_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["verify", "algebra", "--config", str(missing)]) == 2
+        assert "usage error" in capsys.readouterr().err

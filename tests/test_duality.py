@@ -9,8 +9,9 @@ from asep2.duality import (
     build_S,
     check_duality,
     check_sum_rules,
+    duality_closed_form,
+    duality_from_symmetry,
     duality_function,
-    duality_matrix,
     q_hat,
     qz_value,
     sum_rule,
@@ -109,17 +110,17 @@ class TestSymmetryOperator:
 
 class TestDualityMatrix:
     def test_constructions_agree_l1(self):
-        closed = duality_matrix("closed_form", 1).matrix
-        sym = duality_matrix("from_symmetry", 1).matrix
+        closed = duality_closed_form(1)
+        sym = duality_from_symmetry(1)
         assert closed == sym
 
     def test_intertwining_l1(self):
-        D = duality_matrix("closed_form", 1).matrix
+        D = duality_closed_form(1)
         H = h_exact(1)
         assert (D @ H - H.transpose() @ D).is_zero()
 
     def test_block_structure(self):
-        D = duality_matrix("closed_form", 1).matrix
+        D = duality_closed_form(1)
         configs = all_configs(1)
         for (r, c) in D.entries:
             assert configs[r].N <= configs[c].N

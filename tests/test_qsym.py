@@ -22,17 +22,24 @@ from asep2.qsym import (
     PROJ_A,
     PROJ_B,
     PROJ_V,
-    build_cartan,
     build_Y,
     build_Y_site,
     check_algebra_relations,
     check_conjugation_lemma,
     check_symmetry,
+    h_diag,
+    l_op,
     mat3_mul,
     mat3_transpose,
     site_embed,
+    species_counts,
 )
 from asep2.sparse import SparseMatrix, commutator
+
+
+def count_op(L: int, i: int) -> SparseMatrix:
+    """Number operator of species T_i (A, vacancy, B) as a constant diagonal."""
+    return SparseMatrix.diagonal([LaurentPoly.const(t) for t in species_counts(L)[i - 1]])
 
 
 class TestSiteEmbed:
@@ -133,46 +140,42 @@ class TestLadders:
     def test_number_operator_commutators(self):
         # [N, Y1^s] = s*Y1^s and [M, Y2^s] = -s*Y2^s as exact matrices
         L = 2
-        cartan = build_cartan(L)
         for s in (+1, -1):
             y1 = build_Y(1, s, L)
-            assert commutator(cartan.n_hat, y1) == y1.scale(LaurentPoly.const(s))
+            assert commutator(count_op(L, 1), y1) == y1.scale(LaurentPoly.const(s))
             y2 = build_Y(2, s, L)
-            assert commutator(cartan.m_hat, y2) == y2.scale(LaurentPoly.const(-s))
+            assert commutator(count_op(L, 3), y2) == y2.scale(LaurentPoly.const(-s))
 
 
 class TestCartan:
     def test_number_eigenvalues(self):
-        cartan = build_cartan(1)
+        n_diag, _, m_diag = species_counts(1)
         c = Config.from_text("AA")
         i = c.ternary_index() - 1
-        assert cartan.n_hat.get(i, i) == 2
-        assert cartan.n_diag[i] == 2 and cartan.m_diag[i] == 0
+        assert n_diag[i] == 2 and m_diag[i] == 0
         for cfg in all_configs(1):
             j = cfg.ternary_index() - 1
-            assert cartan.n_diag[j] == cfg.N
-            assert cartan.m_diag[j] == cfg.M
+            assert n_diag[j] == cfg.N
+            assert m_diag[j] == cfg.M
 
     def test_h1_is_difference(self):
-        cartan = build_cartan(2)
-        assert cartan.h1 == cartan.n_hat - cartan.v_hat
-        assert cartan.h2 == cartan.v_hat - cartan.m_hat
+        h1 = SparseMatrix.diagonal([LaurentPoly.const(h) for h in h_diag(1, 2)])
+        h2 = SparseMatrix.diagonal([LaurentPoly.const(h) for h in h_diag(2, 2)])
+        assert h1 == count_op(2, 1) - count_op(2, 2)
+        assert h2 == count_op(2, 2) - count_op(2, 3)
 
     def test_counter_sum_is_size(self):
-        cartan = build_cartan(2)
-        total = cartan.n_hat + cartan.v_hat + cartan.m_hat
+        total = count_op(2, 1) + count_op(2, 2) + count_op(2, 3)
         assert total == SparseMatrix.identity(81).scale(LaurentPoly.const(4))
 
     def test_l_ops_are_half_powers(self):
-        cartan = build_cartan(1)
         c = vacant_config(1)
         i = c.ternary_index() - 1
-        assert cartan.l2.get(i, i) == LaurentPoly.q_half_power(-2)
-        assert cartan.l1.get(i, i) == LaurentPoly.one()
+        assert l_op(2, 1).get(i, i) == LaurentPoly.q_half_power(-2)
+        assert l_op(1, 1).get(i, i) == LaurentPoly.one()
 
     def test_qnumber_of_h1(self):
-        cartan = build_cartan(1)
-        for i, h in enumerate(cartan.h_diag(1)):
+        for h in h_diag(1, 1):
             assert q_number(h).at_one() == h
 
 
@@ -197,9 +200,8 @@ class TestAlgebraRelations:
 
     def test_ladder_commutator_is_qnumber(self):
         L = 1
-        cartan = build_cartan(L)
         comm = commutator(build_Y(1, +1, L), build_Y(1, -1, L))
-        expect = SparseMatrix.diagonal([q_number(h) for h in cartan.h_diag(1)])
+        expect = SparseMatrix.diagonal([q_number(h) for h in h_diag(1, L)])
         assert comm == expect
 
     def test_report_lines(self):
