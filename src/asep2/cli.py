@@ -9,9 +9,10 @@ Subcommands:
     dump-symmetry
 
 Exit codes: 0 all checks pass, 1 an identity or statistical check
-failed, 2 usage error (including an unreadable config file, a negative
-time, no trajectories or a sector outside the lattice) or desk-scale
-resource cap breached.
+failed, 2 usage error (including an unreadable config file or value, an
+output path that cannot be opened, a negative or non-finite time, no
+trajectories or a sector outside the lattice) or desk-scale resource cap
+breached.
 
 Parameters come from built-in defaults (L=2, r=2, l=1/2 so q=2, w=1 and
 all evaluated q-powers are dyadic), overridden by an optional flat
@@ -23,6 +24,7 @@ deterministic given the run configuration and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -68,6 +70,18 @@ class RunConfig:
     lambda_out: str | None = None
 
 
+def rational(text: str) -> Fraction:
+    """Parse a rate parameter such as 2 or 1/2; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def _times(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
+
+
 def _read_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -93,17 +107,20 @@ def resolve_config(args) -> RunConfig:
         if flag is not None:
             return flag
         if key in fv:
-            return cast(fv[key])
+            try:
+                return cast(fv[key])
+            except ValueError as exc:
+                raise UsageError(f"config value {key} = {fv[key]!r}: {exc}") from exc
         return default
 
     L = pick("L", int, 2)
     if L is None or L < 1:
         raise UsageError(f"L must be a positive integer, got {L}")
 
-    r = pick("r", Fraction)
-    ell = pick("ell", Fraction)
-    q = pick("q", Fraction)
-    w = pick("w", Fraction)
+    r = pick("r", rational)
+    ell = pick("ell", rational)
+    q = pick("q", rational)
+    w = pick("w", rational)
     if (r is not None or ell is not None) and (q is not None or w is not None):
         raise UsageError("supply either (r, ell) or (q, w), not both")
     try:
@@ -118,12 +135,9 @@ def resolve_config(args) -> RunConfig:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    ts = getattr(args, "t", None)
-    if ts is None and "t" in fv:
-        ts = [float(part) for part in fv["t"].split(",") if part.strip()]
-    ts = [float(t) for t in ts] if ts is not None else []
-    if any(t < 0 for t in ts):
-        raise UsageError("times must be nonnegative")
+    ts = pick("t", _times, [])
+    if not all(0 <= t < math.inf for t in ts):
+        raise UsageError("times must be finite and nonnegative")
     trajectories = pick("trajectories", int, 100000)
     if trajectories < 1:
         raise UsageError(f"need at least one trajectory, got {trajectories}")
@@ -149,10 +163,18 @@ def resolve_config(args) -> RunConfig:
     )
 
 
-def _open_out(cfg: RunConfig):
-    if cfg.out:
-        return open(cfg.out, "w")
-    return sys.stdout
+@contextlib.contextmanager
+def _writing(path: str | None, default=None):
+    """Open path for writing, a usage error if it cannot be; default if no path."""
+    if path is None:
+        yield default
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
+        yield fh
 
 
 # ---------------------------------------------------------------------
@@ -179,7 +201,7 @@ def _suite_reports(suite: str, L: int, params: ModelParams) -> Report:
         for size in range(1, min(L, 2) + 1):
             p_size = ModelParams(size, params.r, params.ell)
             report.extend(measures.check_grandcanonical_stationarity(p_size))
-            report.extend(measures.check_uniqueness(p_size, size))
+            report.extend(measures.check_uniqueness(p_size))
             report.extend(measures.check_marginal_independence(size))
         report.extend(measures.check_shock_agreement(min(L, 3)))
     if suite in ("lemmas", "all"):
@@ -203,16 +225,16 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         raise UsageError(
             f"verification suites are desk-scale: need L <= {VERIFY_MAX_L}"
         )
-    report = _suite_reports(args.suite, cfg.params.L, cfg.params)
-    text = report.render()
-    print(text)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    if args.suite in ("duality", "all") and cfg.lambda_out:
-        rows = duality.sum_rule_table(min(cfg.params.L, 2))
-        with open(cfg.lambda_out, "w") as fh:
-            duality.write_lambda_csv(fh, rows)
+    lambda_out = cfg.lambda_out if args.suite in ("duality", "all") else None
+    with _writing(cfg.out) as out, _writing(lambda_out) as lambda_fh:
+        report = _suite_reports(args.suite, cfg.params.L, cfg.params)
+        text = report.render()
+        print(text)
+        if out:
+            out.write(text + "\n")
+        if lambda_fh:
+            rows = duality.sum_rule_table(min(cfg.params.L, 2))
+            duality.write_lambda_csv(lambda_fh, rows)
     return 0 if report.passed else 1
 
 
@@ -229,8 +251,7 @@ def cmd_measure(args, cfg: RunConfig) -> int:
             sector = Sector(p.L, cfg.N or 0, cfg.M or 0)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    fh = _open_out(cfg)
-    try:
+    with _writing(cfg.out, sys.stdout) as fh:
         if what == "partition":
             from .qring import q_multinomial
 
@@ -253,12 +274,6 @@ def cmd_measure(args, cfg: RunConfig) -> int:
             profile = measures.shock_profile(cfg.species, chem, p)
             rows = [(k, profile.density(k)) for k in range(-p.L + 1, p.L + 1)]
             measures.write_profile_csv(fh, rows)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -304,7 +319,7 @@ def zscore(mean: float, stderr: float, prediction: float) -> float:
     return (mean - prediction) / stderr
 
 
-def cmd_simulate(args, cfg: RunConfig) -> int:
+def _closure_payload(cfg: RunConfig) -> dict:
     p = cfg.params
     ts = cfg.ts or [0.0, 1.0]
     zs = default_dual_coordinates(p.L)
@@ -328,7 +343,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
                     "zscore": zscore(est.mean, est.stderr, prediction),
                 }
             )
-    payload = {
+    return {
         "initial": eta0.text(),
         "L": p.L,
         "r": str(p.r),
@@ -337,13 +352,13 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         "trajectories": cfg.trajectories,
         "records": records,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    worst = max((abs(rec["zscore"]) for rec in records), default=0.0)
+
+
+def cmd_simulate(args, cfg: RunConfig) -> int:
+    with _writing(cfg.out, sys.stdout) as fh:
+        payload = _closure_payload(cfg)
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    worst = max((abs(rec["zscore"]) for rec in payload["records"]), default=0.0)
     return 1 if worst > 5.0 else 0
 
 
@@ -365,12 +380,8 @@ def cmd_dump_generator(args, cfg: RunConfig) -> int:
             op = build_H(p, cfg.ring)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    fh = _open_out(cfg)
-    try:
+    with _writing(cfg.out, sys.stdout) as fh:
         dump_matrix(op, fh, p, sector)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -378,14 +389,10 @@ def cmd_dump_symmetry(args, cfg: RunConfig) -> int:
     p = cfg.params
     if p.L > 3:
         raise UsageError("symmetry operators are desk-scale: need L <= 3")
-    fh = _open_out(cfg)
-    try:
+    with _writing(cfg.out, sys.stdout) as fh:
         for name, op in qsym.symmetry_operators(p.L):
             fh.write(f"operator {name}\n")
             dump_matrix(op, fh, p)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -398,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value parameter file")
     common.add_argument("--L", type=int)
-    common.add_argument("--r", type=Fraction)
-    common.add_argument("--ell", type=Fraction)
-    common.add_argument("--q", type=Fraction)
-    common.add_argument("--w", type=Fraction)
+    common.add_argument("--r", type=rational)
+    common.add_argument("--ell", type=rational)
+    common.add_argument("--q", type=rational)
+    common.add_argument("--w", type=rational)
     common.add_argument("--N", type=int)
     common.add_argument("--M", type=int)
     common.add_argument("--t", type=float, action="append")
@@ -449,6 +456,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ def Qz(z: Positions, c: Config) -> LaurentPoly:
     return LaurentPoly.zero() if e is None else LaurentPoly.q_power(e)
 
 
-def qz_value(z: Positions, occ, L: int, q0: float) -> float:
+def qz_value(z: Positions, occ, q0: float) -> float:
     """Numeric duality product for a raw occupation sequence on 2L sites."""
     e = qz_exponent(z, occ)
     return 0.0 if e is None else float(q0**e)

@@ -156,7 +156,7 @@ def estimate_Q_many(
         occ = list(configs[int(np.searchsorted(cdf, u, side="right"))].occ)
         _run_occ(occ, table, n_sites, 0.0, t, rng)
         for j, z in enumerate(zs):
-            v = qz_value(z, occ, p.L, q0)
+            v = qz_value(z, occ, q0)
             sums[j] += v
             sumsq[j] += v * v
     out = []
@@ -184,7 +184,7 @@ def duality_rhs(z: Positions, p0: Measure, t: float, p: ModelParams) -> float:
     for j, zc in enumerate(configs):
         zj = zc.to_positions()
         init = sum(
-            w * qz_value(zj, eta.occ, p.L, q0) for eta, w in p0.items()
+            w * qz_value(zj, eta.occ, q0) for eta, w in p0.items()
         )
         total += init * kernel[row, j]
     return total

@@ -145,26 +145,36 @@ def sector_weight_sum(sector: Sector) -> LaurentPoly:
     return total
 
 
+def _top_exponent(L: int, *chem_pots: float) -> float:
+    """Largest exponent sum_i chem_i * count_i over all sectors (a corner).
+
+    Fugacity weights and their normaliser are shifted by it, so none overflows.
+    """
+    return max(0.0, *(2 * L * chem for chem in chem_pots))
+
+
 def grandcanonical(nu: float, mu: float, p: ModelParams) -> Measure:
     """Fugacity mixture over all sectors, normalised at the numeric q0."""
     q0 = p.q0
-    y = rogers_szego_y(2 * p.L, nu, mu, q0)
+    shift = _top_exponent(p.L, nu, mu)
+    y = rogers_szego_y(2 * p.L, nu, mu, q0, shift)
     weights = {}
     for c in all_configs(p.L):
-        weights[c] = math.exp(nu * c.N + mu * c.M) * q0 ** pi_exponent(c) / y
+        weights[c] = math.exp(nu * c.N + mu * c.M - shift) * q0 ** pi_exponent(c) / y
     return Measure(p.L, weights)
 
 
 def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
     """The same measure assembled sector by sector (cross-check form)."""
     q0 = p.q0
-    y = rogers_szego_y(2 * p.L, nu, mu, q0)
+    shift = _top_exponent(p.L, nu, mu)
+    y = rogers_szego_y(2 * p.L, nu, mu, q0, shift)
     weights: dict = {}
     for n in range(2 * p.L + 1):
         for m in range(2 * p.L - n + 1):
             sector = Sector(p.L, n, m)
             z = q_multinomial(2 * p.L, n, m).eval(q0)
-            coeff = math.exp(nu * n + mu * m) * z / y
+            coeff = math.exp(nu * n + mu * m - shift) * z / y
             for c, w in canonical(sector).items():
                 weights[c] = coeff * w.eval(q0) / z
     return Measure(p.L, weights)
@@ -178,13 +188,12 @@ def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
 def pure_marginal(species: int, chem_pot: float, p: ModelParams, k: int) -> float:
     """Occupation probability of site k under the pure product measure."""
     q0 = p.q0
-    if species == A:
-        z = math.exp(chem_pot) * q0 ** (2 * k - 1)
-    elif species == B:
-        z = math.exp(chem_pot) * q0 ** (1 - 2 * k)
-    else:
+    if species not in (A, B):
         raise ValueError("species must be A or B")
-    return z / (1.0 + z)
+    # z / (1 + z) for z = e^chem_pot q0^(+-(2k-1)), top and bottom times e^-shift
+    shift = max(0.0, chem_pot)
+    z = math.exp(chem_pot - shift) * q0 ** ((2 * k - 1) if species == A else (1 - 2 * k))
+    return z / (math.exp(-shift) + z)
 
 
 def pure_measure(species: int, chem_pot: float, p: ModelParams) -> Measure:
@@ -192,13 +201,14 @@ def pure_measure(species: int, chem_pot: float, p: ModelParams) -> Measure:
     if species not in (A, B):
         raise ValueError("species must be A or B")
     q0 = p.q0
-    x = rogers_szego_x(2 * p.L, chem_pot, q0)
+    shift = _top_exponent(p.L, chem_pot)
+    x = rogers_szego_x(2 * p.L, chem_pot, q0, shift)
     weights = {}
     for c in all_configs(p.L):
         if species == A and c.M == 0:
-            weights[c] = math.exp(chem_pot * c.N) * q0 ** pi_exponent(c) / x
+            weights[c] = math.exp(chem_pot * c.N - shift) * q0 ** pi_exponent(c) / x
         elif species == B and c.N == 0:
-            weights[c] = math.exp(chem_pot * c.M) * q0 ** pi_exponent(c) / x
+            weights[c] = math.exp(chem_pot * c.M - shift) * q0 ** pi_exponent(c) / x
     return Measure(p.L, weights)
 
 
@@ -295,10 +305,10 @@ def stationary_vector(op: SparseMatrix) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
-def check_uniqueness(p: ModelParams, L: int, tol: float = 1e-10) -> Report:
+def check_uniqueness(p: ModelParams, tol: float = 1e-10) -> Report:
     """Each sector kernel is one-dimensional and canonical."""
     report = Report()
-    q0 = p.q0
+    L, q0 = p.L, p.q0
     for n in range(2 * L + 1):
         for m in range(2 * L - n + 1):
             sector = Sector(L, n, m)

@@ -1,9 +1,10 @@
-"""Exact arithmetic in the Laurent-polynomial ring Q[q**(1/2), q**(-1/2)].
+"""Exact arithmetic in the Laurent-polynomial ring Z[q**(1/2), q**(-1/2)].
 
 Every symbolic identity in this package (commutators, detailed balance,
 duality intertwining, partition-function identities) is decided in this
-ring: coefficients are arbitrary-precision rationals and equality means
-identically equal polynomials, never a numerical tolerance.
+ring: coefficients are arbitrary-precision integers and equality means
+identically equal polynomials, never a numerical tolerance.  Every
+divisor the package uses is monic, so every quotient it takes stays integral.
 
 The exponent grid is half-integer because the diagonal Cartan-type
 operators q**(-n/2) need half steps; all other objects live on the even
@@ -25,17 +26,18 @@ class NonIntegralQuotient(ArithmeticError):
 def _coerce(value):
     if isinstance(value, LaurentPoly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return LaurentPoly.const(value)
     return None
 
 
 class LaurentPoly:
-    """A Laurent polynomial in q**(1/2) with rational coefficients.
+    """A Laurent polynomial in q**(1/2) with integer coefficients.
 
     Instances are immutable; all arithmetic returns new objects.  ``int``
-    and ``Fraction`` scalars coerce to constants in mixed expressions, so
-    ``poly == 1`` and ``2 * poly`` behave as expected.
+    scalars coerce to constants in mixed expressions, so ``poly == 1`` and
+    ``2 * poly`` behave as expected.  A coefficient of any other type
+    raises TypeError.
     """
 
     __slots__ = ("_c",)
@@ -44,7 +46,8 @@ class LaurentPoly:
         c = {}
         if half_coeffs:
             for h, v in half_coeffs.items():
-                v = Fraction(v)
+                if not isinstance(v, int):
+                    raise TypeError(f"coefficient {v!r} is not an int")
                 if v:
                     c[int(h)] = v
         self._c = c
@@ -61,7 +64,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, value) -> "LaurentPoly":
-        return cls({0: Fraction(value)})
+        return cls({0: value})
 
     @classmethod
     def q_power(cls, exponent: int) -> "LaurentPoly":
@@ -72,10 +75,6 @@ class LaurentPoly:
     def q_half_power(cls, half_steps: int) -> "LaurentPoly":
         """The monomial q**(half_steps/2)."""
         return cls({half_steps: 1})
-
-    @classmethod
-    def monomial(cls, coeff, half_steps: int) -> "LaurentPoly":
-        return cls({half_steps: Fraction(coeff)})
 
     # -- structure ----------------------------------------------------
 
@@ -165,7 +164,7 @@ class LaurentPoly:
         return hash(frozenset(self._c.items()))
 
     def inverse(self) -> "LaurentPoly":
-        """Exact ring inverse; only monomials are units."""
+        """Exact ring inverse; only the monomials +-q**(h/2) are units."""
         return exact_div(LaurentPoly.one(), self)
 
     # -- evaluation ---------------------------------------------------
@@ -174,11 +173,11 @@ class LaurentPoly:
         """Substitute a positive numeric q0."""
         if q0 <= 0:
             raise ValueError("q0 must be positive")
-        return float(sum(float(v) * q0 ** (h / 2) for h, v in self._c.items()))
+        return float(sum(v * q0 ** (h / 2) for h, v in self._c.items()))
 
-    def at_one(self) -> Fraction:
+    def at_one(self) -> int:
         """Exact value at q = 1 (the sum of coefficients)."""
-        return sum(self._c.values(), Fraction(0))
+        return sum(self._c.values())
 
     # -- formatting ---------------------------------------------------
 
@@ -203,7 +202,7 @@ QINV = LaurentPoly.q_power(-1)
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient a/b in the ring.
 
-    Long division by the leading term; a nonzero remainder raises
+    Long division by the leading term; any remainder raises
     NonIntegralQuotient, which always signals a bug in the caller: every
     quotient this package takes (q-multinomials, divided powers, the
     sum-rule constants) is exact whenever the surrounding identities hold.
@@ -222,7 +221,9 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         h = deg_r - deg_b
         if h < low:
             raise NonIntegralQuotient(f"({a}) is not divisible by ({b})")
-        coeff = rem[deg_r] / lead_b
+        coeff, left = divmod(rem[deg_r], lead_b)
+        if left:
+            raise NonIntegralQuotient(f"({a}) is not divisible by ({b})")
         quot[h] = coeff
         for hb, vb in b._c.items():
             k = h + hb
@@ -270,31 +271,32 @@ def q_multinomial(K: int, N: int, M: int) -> LaurentPoly:
     return exact_div(q_factorial(K), den)
 
 
-def _exp_or_zero(weight: float, count: int) -> float:
-    # count == 0 keeps the term alive even for weight = -inf
-    return 1.0 if count == 0 else math.exp(weight * count)
+def _exponent(chem: float, count: int) -> float:
+    # count == 0 contributes nothing, even for chem = -inf
+    return chem * count if count else 0.0
 
 
-def rogers_szego_x(two_l: int, alpha: float, q0: float) -> float:
-    """Univariate Rogers-Szego polynomial sum_K e^(alpha*K) C_{2L}(K) at q0."""
+def rogers_szego_x(two_l: int, alpha: float, q0: float, shift=0.0) -> float:
+    """Univariate Rogers-Szego polynomial sum_K e^(alpha*K - shift) C_{2L}(K) at q0.
+
+    A shift by the largest exponent alpha*K keeps every term finite.
+    """
     if two_l < 0:
         raise ValueError("lattice size must be nonnegative")
     return sum(
-        _exp_or_zero(alpha, k) * q_binomial(two_l, k).eval(q0)
+        math.exp(_exponent(alpha, k) - shift) * q_binomial(two_l, k).eval(q0)
         for k in range(two_l + 1)
     )
 
 
-def rogers_szego_y(two_l: int, nu: float, mu: float, q0: float) -> float:
-    """Bivariate Rogers-Szego polynomial sum_{N,M} e^(nu*N+mu*M) C_{2L}(N,M) at q0."""
+def rogers_szego_y(two_l: int, nu: float, mu: float, q0: float, shift=0.0) -> float:
+    """Bivariate Rogers-Szego polynomial sum_{N,M} e^(nu*N+mu*M-shift) C_{2L}(N,M) at q0."""
     if two_l < 0:
         raise ValueError("lattice size must be nonnegative")
     total = 0.0
     for n in range(two_l + 1):
         for m in range(two_l - n + 1):
-            total += (
-                _exp_or_zero(nu, n)
-                * _exp_or_zero(mu, m)
-                * q_multinomial(two_l, n, m).eval(q0)
-            )
+            total += math.exp(
+                _exponent(nu, n) + _exponent(mu, m) - shift
+            ) * q_multinomial(two_l, n, m).eval(q0)
     return total

@@ -67,20 +67,15 @@ def mat3_transpose(u):
 def site_embed(u, k: int, L: int) -> SparseMatrix:
     """Act with the 3x3 matrix u on the site-k tensor factor.
 
-    Entries of u may be ints, Fractions, or Laurent polynomials; the
-    result always carries exact ring entries.  Operators embedded at
-    different sites commute.
+    Entries of u may be ints or Laurent polynomials; the result always
+    carries exact ring entries.  Operators embedded at different sites
+    commute.
     """
     if not -L + 1 <= k <= L:
         raise SiteOutOfRange(f"site {k} outside lattice")
     dim = 3 ** (2 * L)
     step = 3 ** (k + L - 1)
-    cells = [
-        (rs, cs, v if isinstance(v, LaurentPoly) else LaurentPoly.const(v))
-        for rs in range(3)
-        for cs in range(3)
-        if (v := u[rs][cs])
-    ]
+    cells = [(rs, cs, v) for rs in range(3) for cs in range(3) if (v := u[rs][cs])]
     entries: dict = {}
     for i in range(dim):
         d = (i // step) % 3

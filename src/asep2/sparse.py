@@ -1,9 +1,9 @@
 """Sparse square matrices over an exact or floating scalar ring.
 
-Entries are plain scalars that support +, -, *: LaurentPoly in exact
-mode, float in numeric mode.  Zero entries are never stored, so a matrix
-is identically zero in the ring iff it stores nothing, which is what the
-identity checks test.  Storage is a coordinate hash map; the dump format
+Entries are plain scalars that support +, -, * and are false exactly
+when zero: LaurentPoly in exact mode, float in numeric mode.  Zero
+entries are never stored, so a matrix is identically zero in the ring
+iff it stores nothing, which is what the identity checks test.  Storage is a coordinate hash map; the dump format
 orders entries column-compressed, (col, row) ascending, so serialised
 matrices are deterministic.
 
@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qring import LaurentPoly
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, LaurentPoly):
-        return not v
-    return v == 0
+from .qring import ONE, LaurentPoly
 
 
 class SparseMatrix:
@@ -33,16 +27,15 @@ class SparseMatrix:
             for (r, c), v in entries.items():
                 if not 0 <= r < dim or not 0 <= c < dim:
                     raise IndexError(f"entry ({r},{c}) outside dim {dim}")
-                if not _is_zero(v):
+                if v:
                     cleaned[(r, c)] = v
         self.entries = cleaned
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def identity(cls, dim: int, one=None) -> "SparseMatrix":
-        one = LaurentPoly.one() if one is None else one
-        return cls(dim, {(i, i): one for i in range(dim)})
+    def identity(cls, dim: int) -> "SparseMatrix":
+        return cls(dim, {(i, i): ONE for i in range(dim)})
 
     @classmethod
     def diagonal(cls, values) -> "SparseMatrix":
@@ -101,7 +94,7 @@ class SparseMatrix:
         for key, v in other.entries.items():
             s = out.get(key)
             s = v if s is None else s + v
-            if _is_zero(s):
+            if not s:
                 out.pop(key, None)
             else:
                 out[key] = s
@@ -114,7 +107,7 @@ class SparseMatrix:
         return SparseMatrix(self.dim, {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar) -> "SparseMatrix":
-        if _is_zero(scalar):
+        if not scalar:
             return SparseMatrix(self.dim, {})
         return SparseMatrix(self.dim, {k: scalar * v for k, v in self.entries.items()})
 
@@ -133,7 +126,7 @@ class SparseMatrix:
                 s = out.get(key)
                 prod = va * vb
                 s = prod if s is None else s + prod
-                if _is_zero(s):
+                if not s:
                     out.pop(key, None)
                 else:
                     out[key] = s

@@ -176,18 +176,40 @@ class TestConfigFile:
 
 
 class TestUsageErrors:
+    # "{tmp}" stands for a fresh directory holding the config files below
     @pytest.mark.parametrize(
         "argv",
         [
             ["simulate", "--L", "1", "--trajectories", "0"],
             ["simulate", "--L", "1", "--trajectories", "10", "--t", "-1"],
+            ["simulate", "--L", "1", "--trajectories", "10", "--t", "nan"],
             ["measure", "canonical", "--L", "1", "--N", "5", "--M", "5"],
+            ["simulate", "--L", "1", "--trajectories", "10", "--config", "{tmp}/t.cfg"],
+            ["verify", "algebra", "--L", "1", "--config", "{tmp}/r.cfg"],
+            ["verify", "reversibility", "--L", "1", "--out", "{tmp}/missing/report.txt"],
+            ["verify", "duality", "--L", "1", "--lambda-out", "{tmp}/missing/lambda.csv"],
+            ["measure", "partition", "--L", "1", "--out", "{tmp}/missing/partition.csv"],
         ],
-        ids=["zero-trajectories", "negative-time", "sector-out-of-range"],
+        ids=[
+            "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
+            "config-value-not-a-number", "config-zero-denominator",
+            "out-dir-missing", "lambda-out-dir-missing", "measure-out-dir-missing",
+        ],
     )
-    def test_exit_2(self, argv, capsys):
-        assert main(argv) == 2
-        assert "usage error" in capsys.readouterr().err
+    def test_exit_2(self, argv, tmp_path, capsys):
+        (tmp_path / "t.cfg").write_text("t = abc\n")
+        (tmp_path / "r.cfg").write_text("r = 1/0\n")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_zero_denominator_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "algebra", "--L", "1", "--r", "1/0"])
+        assert exc.value.code == 2
+        assert "invalid rational value" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"

@@ -81,7 +81,7 @@ class TestDualityFunctions:
         q0 = 2.0
         for c in all_configs(2):
             z = Positions(2, x=c.to_positions().x[:1], y=c.to_positions().y[:1])
-            assert qz_value(z, c.occ, 2, q0) == pytest.approx(Qz(z, c).eval(q0))
+            assert qz_value(z, c.occ, q0) == pytest.approx(Qz(z, c).eval(q0))
 
 
 class TestSymmetryOperator:
@@ -155,7 +155,7 @@ class TestDynamicDuality:
             for zi, zc in enumerate(configs):
                 z = zc.to_positions()
                 for ci, c in enumerate(configs):
-                    qmat[zi, ci] = qz_value(z, c.occ, L, 1.0)
+                    qmat[zi, ci] = qz_value(z, c.occ, 1.0)
             kernel = evolve(build_H(p, Ring.FLOAT), t).matrix
             assert float(np.max(np.abs(qmat @ kernel - kernel.T @ qmat))) < 1e-10
 

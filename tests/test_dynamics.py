@@ -171,7 +171,7 @@ class TestEstimators:
         eta = Config.from_text("A0BA")
         z = Positions(2, x=(-1,), y=(1,))
         est = estimate_Q_many([z], Measure.point_mass(eta), 0.0, 50, 5, P2)[0]
-        assert est.mean == qz_value(z, eta.occ, 2, P2.q0)
+        assert est.mean == qz_value(z, eta.occ, P2.q0)
         assert est.stderr == 0.0
 
     def test_shared_trajectories(self):
@@ -193,7 +193,7 @@ class TestDualityRhs:
         p0 = Measure.point_mass(eta)
         for z in (Positions(2, x=(0,)), Positions(2, x=(2,), y=(1,))):
             assert duality_rhs(z, p0, 0.0, P2) == pytest.approx(
-                qz_value(z, eta.occ, 2, P2.q0)
+                qz_value(z, eta.occ, P2.q0)
             )
 
     def test_stationary_initial_distribution(self):

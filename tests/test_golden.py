@@ -21,7 +21,15 @@ DUMP_SHA256 = [
         ["measure", "canonical", "--N", "1", "--M", "1"],
         "3d3e59b53227949804813c730d3a7996235f66971a64ea4e48d64c3c11b8b736",
     ),
+    (
+        ["measure", "partition", "--L", "3"],
+        "c2c2e757e63a95425148b18808b7a7b11e46c3a0358f75bd1b673b708f64bb6b",
+    ),
+    (["dump-symmetry", "--L", "2"], "0bb2f9aec686b764d35af2f61cd28d1ae4e202ea286dd96ac81098affaa0b341"),
 ]
+
+# SHA-256 of the sum-rule CSV written by `verify duality --L 2 --lambda-out`
+LAMBDA_L2_SHA256 = "3e85ec9d0fcc25167cc072de11a81206cc78f95e1944e309fcf957da95afb13e"
 
 # (z, t, n, mean, stderr) of `simulate --L 2 --trajectories 2000 --seed 7
 # --t 0 --t 1`; `prediction` is left out because it depends on the BLAS build
@@ -58,3 +66,9 @@ def test_dump_stdout(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_lambda_csv_l2(tmp_path):
+    path = tmp_path / "lambda.csv"
+    assert main(["verify", "duality", "--L", "2", "--lambda-out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LAMBDA_L2_SHA256

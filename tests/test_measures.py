@@ -153,6 +153,24 @@ class TestPureMeasures:
         mu = pure_measure(B, 0.0, P2)
         assert all(c.N == 0 for c in mu.support())
 
+    @pytest.mark.parametrize("chem", [-1e6, 700.0, 800.0, 1e6])
+    def test_large_chemical_potentials(self, chem):
+        for mu in (
+            pure_measure(A, chem, P2),
+            pure_measure(B, chem, P2),
+            grandcanonical(chem, 0.0, P2),
+            grandcanonical(0.0, chem, P2),
+            grandcanonical(chem, chem, P2),
+            grandcanonical_mixture(chem, chem, P2),
+        ):
+            weights = list(mu.weights.values())
+            assert all(math.isfinite(w) for w in weights)
+            assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+        for species in (A, B):
+            for k in sites(2):
+                expected = 1.0 if chem > 0 else 0.0
+                assert pure_marginal(species, chem, P2, k) == pytest.approx(expected)
+
 
 class TestShockProfile:
     def test_tanh_equals_logistic(self):
@@ -195,7 +213,7 @@ class TestReversibility:
 
 class TestUniqueness:
     def test_sector_kernels(self):
-        report = check_uniqueness(P2, 2)
+        report = check_uniqueness(P2)
         assert report.passed, report.render()
 
     def test_stationary_vector_solves(self):

@@ -22,7 +22,7 @@ QINV = LaurentPoly.q_power(-1)
 
 
 def poly_strategy(max_terms=5, max_exp=8):
-    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    coeff = st.integers(min_value=-5, max_value=5)
     return st.dictionaries(
         st.integers(min_value=-max_exp, max_value=max_exp), coeff, max_size=max_terms
     ).map(LaurentPoly)
@@ -111,9 +111,14 @@ class TestExactDiv:
         with pytest.raises(ZeroDivisionError):
             exact_div(ONE, LaurentPoly.zero())
 
-    def test_monomial_inverse(self):
-        m = LaurentPoly.monomial(Fraction(3, 2), 5)
-        assert m * m.inverse() == ONE
+    def test_coefficient_remainder_raises(self):
+        with pytest.raises(NonIntegralQuotient):
+            exact_div(2 * Q, LaurentPoly.const(3))
+
+    def test_units_are_signed_monomials(self):
+        assert (-Q) * (-Q).inverse() == ONE
+        with pytest.raises(NonIntegralQuotient):
+            (3 * Q).inverse()
 
 
 class TestEval:
@@ -140,8 +145,16 @@ class TestSerialization:
     def test_half_exponent(self):
         assert str(LaurentPoly.q_half_power(-1)) == "1*q^-1/2"
 
-    def test_rational_coeff(self):
-        assert str(LaurentPoly.monomial(Fraction(1, 2), 0)) == "1/2*q^0"
+
+class TestCoefficients:
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(2), 0.5, 1.0])
+    def test_non_int_rejected(self, value):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: value})
+        with pytest.raises(TypeError):
+            LaurentPoly.const(value)
+        with pytest.raises(TypeError):
+            Q * value
 
 
 class TestRingAxioms:
