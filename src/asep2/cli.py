@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 an identity or statistical check
 failed, 2 usage error (including an unreadable config file or value, an
-output path that cannot be opened, a negative or non-finite time, no
-trajectories or a sector outside the lattice) or desk-scale resource cap
-breached.
+output path that cannot be opened, a negative or non-finite time, a
+non-finite chemical potential, no trajectories, a sector outside the
+lattice or a shock profile at q = 1) or desk-scale resource cap breached.
 
 Parameters come from built-in defaults (L=2, r=2, l=1/2 so q=2, w=1 and
 all evaluated q-powers are dyadic), overridden by an optional flat
@@ -34,6 +34,7 @@ from pathlib import Path
 
 from . import duality, dynamics, measures, qsym
 from .generator import (
+    FLOAT_FULL_MAX_L,
     ModelParams,
     Ring,
     build_H,
@@ -147,6 +148,9 @@ def resolve_config(args) -> RunConfig:
     species_name = pick("species", str, "A")
     if species_name not in ("A", "B"):
         raise UsageError("species must be A or B")
+    nu, mu = pick("nu", float, 0.0), pick("mu", float, 0.0)
+    if not (math.isfinite(nu) and math.isfinite(mu)):
+        raise UsageError(f"chemical potentials must be finite, got nu={nu}, mu={mu}")
 
     return RunConfig(
         params=params,
@@ -157,8 +161,8 @@ def resolve_config(args) -> RunConfig:
         trajectories=trajectories,
         seed=pick("seed", int, 12345),
         out=pick("out", str),
-        nu=pick("nu", float, 0.0),
-        mu=pick("mu", float, 0.0),
+        nu=nu,
+        mu=mu,
         species=A if species_name == "A" else B,
     )
 
@@ -246,11 +250,18 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 def cmd_measure(args, cfg: RunConfig) -> int:
     p = cfg.params
     what = args.what
-    if what == "canonical":
-        try:
+    chem = cfg.nu if cfg.species == A else cfg.mu
+    try:
+        if what == "canonical":
             sector = Sector(p.L, cfg.N or 0, cfg.M or 0)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        elif what == "profile":
+            profile = measures.shock_profile(cfg.species, chem, p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if what in ("grandcanonical", "pure") and p.L > FLOAT_FULL_MAX_L:
+        raise UsageError(
+            f"measures over all configurations are desk-scale: need L <= {FLOAT_FULL_MAX_L}"
+        )
     with _writing(cfg.out, sys.stdout) as fh:
         if what == "partition":
             from .qring import q_multinomial
@@ -267,11 +278,8 @@ def cmd_measure(args, cfg: RunConfig) -> int:
         elif what == "grandcanonical":
             measures.write_measure_csv(fh, measures.grandcanonical(cfg.nu, cfg.mu, p))
         elif what == "pure":
-            chem = cfg.nu if cfg.species == A else cfg.mu
             measures.write_measure_csv(fh, measures.pure_measure(cfg.species, chem, p))
         elif what == "profile":
-            chem = cfg.nu if cfg.species == A else cfg.mu
-            profile = measures.shock_profile(cfg.species, chem, p)
             rows = [(k, profile.density(k)) for k in range(-p.L + 1, p.L + 1)]
             measures.write_profile_csv(fh, rows)
     return 0
@@ -446,9 +454,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_float_values(argv: list[str]) -> list[str]:
+    """Write `--nu -1e3` as `--nu=-1e3`.
+
+    argparse takes a negative number in exponent notation for an option.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--nu", "--mu") and _is_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(args)
         cfg.lambda_out = getattr(args, "lambda_out", None)

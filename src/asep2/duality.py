@@ -17,7 +17,6 @@ reproduces D entrywise.  Both constructions are built here and compared.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import (
@@ -31,8 +30,8 @@ from .lattice import (
     sites,
     vacant_config,
 )
-from .measures import pi_exponent, pi_exponent_positions, pi_unnormalized
-from .qring import LaurentPoly, exact_div, q_factorial
+from .measures import pi_exponent, pi_unnormalized
+from .qring import LaurentPoly, exact_div, q_factorial, q_multinomial
 from .reporting import Report, matrices_equal, matrix_is_zero
 from .sparse import SparseMatrix, commutator
 from .qsym import build_Y
@@ -76,17 +75,25 @@ def qz_value(z: Positions, occ, q0: float) -> float:
     return 0.0 if e is None else float(q0**e)
 
 
-def duality_function(z: Positions, c: Config) -> LaurentPoly:
-    """Self-duality function: inverse reversible weight of z times the product."""
-    e = qz_exponent(z, c.occ)
-    if e is None:
-        return LaurentPoly.zero()
-    return LaurentPoly.q_power(e - pi_exponent_positions(z))
+@lru_cache(maxsize=None)
+def duality_products(L: int) -> SparseMatrix:
+    """Q[z, eta] = Q_z(eta): rows dual coordinates, columns configurations.
 
-
-def q_hat(z: Positions, L: int) -> SparseMatrix:
-    """Diagonal operator form of the duality product (built lazily per z)."""
-    return SparseMatrix.diagonal([Qz(z, c) for c in all_configs(L)])
+    Q_z(eta) vanishes unless z is a sub-configuration of eta, so only
+    those entries are built.
+    """
+    entries: dict = {}
+    for c in all_configs(L):
+        col = c.ternary_index() - 1
+        pos = c.to_positions()
+        for nx in range(pos.N + 1):
+            for xs in itertools.combinations(pos.x, nx):
+                for my in range(pos.M + 1):
+                    for ys in itertools.combinations(pos.y, my):
+                        z = Positions(L, xs, ys)
+                        row = z.to_config().ternary_index() - 1
+                        entries[(row, col)] = Qz(z, c)
+    return SparseMatrix(3 ** (2 * L), entries)
 
 
 # ---------------------------------------------------------------------
@@ -170,34 +177,27 @@ def build_S(L: int) -> SparseMatrix:
     return out
 
 
+def _inverse_pi(L: int) -> SparseMatrix:
+    """Diagonal of inverse reversible weights q^(-pi(z))."""
+    return SparseMatrix.diagonal(
+        [LaurentPoly.q_power(-pi_exponent(c.occ)) for c in all_configs(L)]
+    )
+
+
 @lru_cache(maxsize=None)
 def duality_closed_form(L: int) -> SparseMatrix:
-    """Duality matrix from the duality functions.
+    """Duality matrix from the duality functions: row z of Q times q^(-pi(z)).
 
-    Rows are dual coordinates, columns configurations; entries vanish
-    unless the dual sector fits inside the configuration's sector.
+    Entries vanish unless the dual sector fits inside the configuration's
+    sector.
     """
-    entries: dict = {}
-    for c in all_configs(L):
-        col = c.ternary_index() - 1
-        pos = c.to_positions()
-        for nx in range(pos.N + 1):
-            for xs in itertools.combinations(pos.x, nx):
-                for my in range(pos.M + 1):
-                    for ys in itertools.combinations(pos.y, my):
-                        z = Positions(L, xs, ys)
-                        row = z.to_config().ternary_index() - 1
-                        entries[(row, col)] = duality_function(z, c)
-    return SparseMatrix(3 ** (2 * L), entries)
+    return _inverse_pi(L) @ duality_products(L)
 
 
 @lru_cache(maxsize=None)
 def duality_from_symmetry(L: int) -> SparseMatrix:
     """The same matrix as the inverse reversible diagonal times S."""
-    inv_pi = SparseMatrix.diagonal(
-        [LaurentPoly.q_power(-pi_exponent(c)) for c in all_configs(L)]
-    )
-    return inv_pi @ build_S(L)
+    return _inverse_pi(L) @ build_S(L)
 
 
 # ---------------------------------------------------------------------
@@ -205,87 +205,68 @@ def duality_from_symmetry(L: int) -> SparseMatrix:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SumRuleResult:
-    lam: LaurentPoly
-    report: Report
-
-
-def sum_rule(sector_from: Sector, sector_to: Sector) -> SumRuleResult:
-    """Both sides of the sum rule, each checked for constancy.
-
-    The left side averages the duality product over the canonical measure
-    of the source sector and strips the canonical weight of the target
-    coordinate; the right side sums the product over all coordinate sets
-    of the target sector.  Both are configuration-independent and equal;
-    a violation raises NotConstant (it would falsify the identity, so it
-    is surfaced, never masked).
-    """
-    if sector_from.L != sector_to.L:
-        raise ValueError("sectors must share the lattice size")
-    L = sector_from.L
-    sources = enumerate_sector(sector_from)
-    targets = enumerate_sector(sector_to)
-    z_from = _sector_partition(sector_from)
-    z_to = _sector_partition(sector_to)
-
-    lhs_value = None
-    for zc in targets:
-        z = zc.to_positions()
-        weighted = LaurentPoly.zero()
-        for eta in sources:
-            weighted = weighted + pi_unnormalized(eta) * Qz(z, eta)
-        lhs = exact_div(weighted * z_to, pi_unnormalized(zc) * z_from)
-        if lhs_value is None:
-            lhs_value = lhs
-        elif lhs != lhs_value:
-            raise NotConstant(
-                f"left side depends on z: {zc.text()} gives {lhs}, expected {lhs_value}"
-            )
-
-    rhs_value = None
-    target_positions = [zc.to_positions() for zc in targets]
-    for eta in sources:
-        total = LaurentPoly.zero()
-        for z in target_positions:
-            total = total + Qz(z, eta)
-        if rhs_value is None:
-            rhs_value = total
-        elif total != rhs_value:
-            raise NotConstant(
-                f"right side depends on eta: {eta.text()} gives {total}, "
-                f"expected {rhs_value}"
-            )
-
-    if lhs_value != rhs_value:
-        raise NotConstant(f"sides disagree: left {lhs_value}, right {rhs_value}")
-
-    report = Report()
-    report.check(
-        f"L{L}:sum-rule-N{sector_from.N}M{sector_from.M}"
-        f"-to-N{sector_to.N}M{sector_to.M}",
-        [],
-    )
-    return SumRuleResult(lam=lhs_value, report=report)
-
-
-def _sector_partition(sector: Sector) -> LaurentPoly:
-    from .qring import q_multinomial
-
-    return q_multinomial(2 * sector.L, sector.N, sector.M)
-
-
 def sum_rule_table(L: int) -> list[tuple[int, int, int, int, LaurentPoly]]:
-    """Sum-rule constants for every pair of sectors (for the CSV emitter)."""
+    """Sum-rule constants lambda for every ordered pair of sectors.
+
+    For a source sector s and a target sector t, the left side
+    Z_t / (pi(z) Z_s) * sum over eta in s of pi(eta) Q_z(eta) must not
+    depend on z in t, the right side sum over z in t of Q_z(eta) must not
+    depend on eta in s, and the two must agree; lambda is their common
+    value.  Both sides are accumulated in one pass over the nonzero
+    duality products.  A violation raises NotConstant (it would falsify
+    the identity, so it is surfaced, never masked).
+    """
+    configs = all_configs(L)
+    sector_of = [(c.N, c.M) for c in configs]
+    pi = [pi_unnormalized(c) for c in configs]
+    zero = LaurentPoly.zero()
+    weighted: dict = {}  # (z, source sector) -> sum of pi(eta) Q_z(eta)
+    summed: dict = {}  # (eta, target sector) -> sum of Q_z(eta)
+    for (z, eta), value in duality_products(L).entries.items():
+        key = (z, sector_of[eta])
+        weighted[key] = weighted.get(key, zero) + pi[eta] * value
+        key = (eta, sector_of[z])
+        summed[key] = summed.get(key, zero) + value
+
+    spans = [(n, m) for n in range(2 * L + 1) for m in range(2 * L - n + 1)]
+    partition = {span: q_multinomial(2 * L, *span) for span in spans}
+    members: dict = {span: [] for span in spans}
+    for i, span in enumerate(sector_of):
+        members[span].append(i)
     rows = []
-    spans = [
-        (n, m) for n in range(2 * L + 1) for m in range(2 * L - n + 1)
-    ]
-    for n, m in spans:
-        for np_, mp_ in spans:
-            res = sum_rule(Sector(L, n, m), Sector(L, np_, mp_))
-            rows.append((n, m, np_, mp_, res.lam))
+    for source in spans:
+        for target in spans:
+            left = _constant(
+                "left side depends on z",
+                configs,
+                members[target],
+                lambda z: exact_div(
+                    weighted.get((z, source), zero) * partition[target],
+                    pi[z] * partition[source],
+                ),
+            )
+            right = _constant(
+                "right side depends on eta",
+                configs,
+                members[source],
+                lambda eta: summed.get((eta, target), zero),
+            )
+            if left != right:
+                raise NotConstant(f"sides disagree: left {left}, right {right}")
+            rows.append((*source, *target, left))
     return rows
+
+
+def _constant(side: str, configs, indices, value) -> LaurentPoly:
+    """value(i), the same for every i in indices; NotConstant names the first outlier."""
+    expected = value(indices[0])
+    for i in indices[1:]:
+        got = value(i)
+        if got != expected:
+            raise NotConstant(
+                f"{side}: {configs[i].text()} gives {got}, expected {expected}"
+            )
+    return expected
 
 
 def write_lambda_csv(fh, rows) -> None:

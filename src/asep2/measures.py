@@ -26,17 +26,22 @@ from .lattice import (
     A,
     B,
     Config,
-    Positions,
     Sector,
     all_configs,
-    bonds,
-    count_left,
     enumerate_sector,
     sites,
 )
 from .qring import LaurentPoly, q_multinomial, rogers_szego_x, rogers_szego_y
 from .reporting import Report, matrix_is_zero
 from .sparse import SparseMatrix
+
+
+# grid and tolerances of the float checks
+CHEM_POTS = (-1.0, 0.0, 1.0)  # chemical potentials nu, mu
+SHOCK_QS = (Fraction(2), Fraction(6, 5))
+KERNEL_TOL = 1e-10
+STATIONARY_TOL = 1e-12
+SHOCK_TOL = 1e-10
 
 
 class DegenerateWidth(ValueError):
@@ -95,28 +100,27 @@ class Measure:
 # ---------------------------------------------------------------------
 
 
-def pi_exponent(c: Config) -> int:
-    """Exponent of the reversible q-power weight, occupation form."""
-    e = sum((2 * k - 1) * (c.a(k) - c.b(k)) for k in sites(c.L))
-    for k in bonds(c.L):
-        for l in range(-c.L + 1, k + 1):
-            e += c.a(l) * c.b(k + 1) - c.b(l) * c.a(k + 1)
+def pi_exponent(occ) -> int:
+    """Exponent of the reversible q-power weight of an occupation sequence.
+
+    An A at site k adds 2k - 1 minus the B count to its left, a B at k
+    adds the A count to its left minus (2k - 1).
+    """
+    L = len(occ) // 2
+    e = left_a = left_b = 0
+    for i, s in enumerate(occ):
+        odd = 2 * (i - L) + 1  # 2k - 1 at site k = i - L + 1
+        if s == A:
+            e += odd - left_b
+            left_a += 1
+        elif s == B:
+            e += left_a - odd
+            left_b += 1
     return e
 
 
 def pi_unnormalized(c: Config) -> LaurentPoly:
-    return LaurentPoly.q_power(pi_exponent(c))
-
-
-def pi_exponent_positions(z: Positions) -> int:
-    """Same exponent computed from particle positions and left counts."""
-    e = sum(2 * x - 1 - count_left(z, x, B) for x in z.x)
-    e -= sum(2 * y - 1 - count_left(z, y, A) for y in z.y)
-    return e
-
-
-def pi_from_positions(z: Positions) -> LaurentPoly:
-    return LaurentPoly.q_power(pi_exponent_positions(z))
+    return LaurentPoly.q_power(pi_exponent(c.occ))
 
 
 # ---------------------------------------------------------------------
@@ -160,7 +164,7 @@ def grandcanonical(nu: float, mu: float, p: ModelParams) -> Measure:
     y = rogers_szego_y(2 * p.L, nu, mu, q0, shift)
     weights = {}
     for c in all_configs(p.L):
-        weights[c] = math.exp(nu * c.N + mu * c.M - shift) * q0 ** pi_exponent(c) / y
+        weights[c] = math.exp(nu * c.N + mu * c.M - shift) * q0 ** pi_exponent(c.occ) / y
     return Measure(p.L, weights)
 
 
@@ -206,9 +210,9 @@ def pure_measure(species: int, chem_pot: float, p: ModelParams) -> Measure:
     weights = {}
     for c in all_configs(p.L):
         if species == A and c.M == 0:
-            weights[c] = math.exp(chem_pot * c.N - shift) * q0 ** pi_exponent(c) / x
+            weights[c] = math.exp(chem_pot * c.N - shift) * q0 ** pi_exponent(c.occ) / x
         elif species == B and c.N == 0:
-            weights[c] = math.exp(chem_pot * c.M - shift) * q0 ** pi_exponent(c) / x
+            weights[c] = math.exp(chem_pot * c.M - shift) * q0 ** pi_exponent(c.occ) / x
     return Measure(p.L, weights)
 
 
@@ -305,7 +309,7 @@ def stationary_vector(op: SparseMatrix) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
-def check_uniqueness(p: ModelParams, tol: float = 1e-10) -> Report:
+def check_uniqueness(p: ModelParams) -> Report:
     """Each sector kernel is one-dimensional and canonical."""
     report = Report()
     L, q0 = p.L, p.q0
@@ -329,15 +333,13 @@ def check_uniqueness(p: ModelParams, tol: float = 1e-10) -> Report:
             diff = float(np.max(np.abs(vec - probs)))
             report.check(
                 f"L{L}:kernel-matches-canonical-N{n}-M{m}",
-                [] if residual < tol and diff < tol
+                [] if residual < KERNEL_TOL and diff < KERNEL_TOL
                 else [f"residual {residual:g} diff {diff:g}"],
             )
     return report
 
 
-def check_grandcanonical_stationarity(
-    p: ModelParams, nus=(-1.0, 0.0, 1.0), mus=(-1.0, 0.0, 1.0), tol: float = 1e-12
-) -> Report:
+def check_grandcanonical_stationarity(p: ModelParams) -> Report:
     """Fugacity mixtures are killed by the float generator, grid-wise.
 
     Also checks that the direct weights and the sector-by-sector mixture
@@ -348,32 +350,30 @@ def check_grandcanonical_stationarity(
     report = Report()
     H = build_H(p, Ring.FLOAT).to_numpy()
     order = all_configs(p.L)
-    for nu in nus:
-        for mu in mus:
+    for nu in CHEM_POTS:
+        for mu in CHEM_POTS:
             measure = grandcanonical(nu, mu, p)
             vec = measure.as_vector(order)
             residual = float(np.max(np.abs(H @ vec)))
             report.check(
                 f"L{p.L}:grandcanonical-stationary-nu{nu:g}-mu{mu:g}",
-                [] if residual < tol else [f"residual {residual:g}"],
+                [] if residual < STATIONARY_TOL else [f"residual {residual:g}"],
             )
             mix = grandcanonical_mixture(nu, mu, p).as_vector(order)
+            gap = float(np.max(np.abs(mix - vec)))
             report.check(
                 f"L{p.L}:grandcanonical-mixture-form-nu{nu:g}-mu{mu:g}",
-                [] if float(np.max(np.abs(mix - vec))) < tol else ["forms disagree"],
+                [] if gap < STATIONARY_TOL else ["forms disagree"],
             )
     return report
 
 
-def check_shock_agreement(
-    L: int, q_values=None, nus=(-1.0, 0.0, 1.0), tol: float = 1e-10
-) -> Report:
+def check_shock_agreement(L: int) -> Report:
     """Closed tanh profiles against mixture-computed densities."""
     report = Report()
-    q_list = [Fraction(2), Fraction(6, 5)] if q_values is None else q_values
-    for q in q_list:
+    for q in SHOCK_QS:
         p = ModelParams.from_qw(L, q)
-        for nu in nus:
+        for nu in CHEM_POTS:
             for species, tag in ((A, "A"), (B, "B")):
                 measure = pure_measure(species, nu, p)
                 profile = shock_profile(species, nu, p)
@@ -387,7 +387,7 @@ def check_shock_agreement(
                     worst = max(worst, abs(mixture - closed), abs(marg - closed))
                 report.check(
                     f"L{L}:shock-profile-{tag}-q{float(q):g}-nu{nu:g}",
-                    [] if worst < tol else [f"max deviation {worst:g}"],
+                    [] if worst < SHOCK_TOL else [f"max deviation {worst:g}"],
                 )
     return report
 

@@ -189,11 +189,20 @@ class TestUsageErrors:
             ["verify", "reversibility", "--L", "1", "--out", "{tmp}/missing/report.txt"],
             ["verify", "duality", "--L", "1", "--lambda-out", "{tmp}/missing/lambda.csv"],
             ["measure", "partition", "--L", "1", "--out", "{tmp}/missing/partition.csv"],
+            ["measure", "pure", "--L", "1", "--nu", "nan"],
+            ["measure", "pure", "--L", "1", "--nu", "inf"],
+            ["measure", "pure", "--L", "1", "--nu=-inf"],
+            ["measure", "grandcanonical", "--L", "1", "--mu", "nan"],
+            ["measure", "profile", "--q", "1"],
+            ["measure", "grandcanonical", "--L", "7"],
+            ["measure", "pure", "--L", "7"],
         ],
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
             "config-value-not-a-number", "config-zero-denominator",
             "out-dir-missing", "lambda-out-dir-missing", "measure-out-dir-missing",
+            "nu-nan", "nu-inf", "nu-minus-inf", "mu-nan", "profile-q-one",
+            "grandcanonical-lattice-too-large", "pure-lattice-too-large",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):
@@ -204,6 +213,14 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--nu", "--mu"])
+    def test_negative_exponent_notation(self, flag, capsys):
+        argv = ["measure", "grandcanonical", "--L", "1"]
+        assert main(argv + [flag, "-1e3"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(argv + [f"{flag}=-1e3"]) == 0
+        assert spaced == capsys.readouterr().out != ""
 
     def test_zero_denominator_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

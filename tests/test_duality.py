@@ -11,10 +11,7 @@ from asep2.duality import (
     check_sum_rules,
     duality_closed_form,
     duality_from_symmetry,
-    duality_function,
-    q_hat,
     qz_value,
-    sum_rule,
     sum_rule_table,
     tilde_duality,
     tilde_qa,
@@ -30,6 +27,14 @@ from asep2.lattice import (
 )
 from asep2.qring import LaurentPoly
 from asep2.sparse import commutator
+
+
+def _closed_form_entry(z_text: str, eta_text: str) -> LaurentPoly:
+    """Entry D[z, eta] of the closed-form duality matrix at L = 1."""
+    row = Config.from_text(z_text).ternary_index() - 1
+    col = Config.from_text(eta_text).ternary_index() - 1
+    got = duality_closed_form(1).get(row, col)
+    return LaurentPoly.zero() if got is None else got
 
 
 class TestDualityFunctions:
@@ -65,17 +70,14 @@ class TestDualityFunctions:
         assert Qz(z, Config.from_text("0B00")) == LaurentPoly.zero()
 
     def test_duality_unit_on_empty(self):
-        z = Positions(1)
         for c in all_configs(1):
-            assert duality_function(z, c) == LaurentPoly.one()
+            assert _closed_form_entry("00", c.text()) == LaurentPoly.one()
 
     def test_sector_vanishing(self):
-        z = Positions(1, x=(0,))
-        assert duality_function(z, Config.from_text("0B")) == LaurentPoly.zero()
+        assert _closed_form_entry("A0", "0B") == LaurentPoly.zero()
 
     def test_worked_example(self):
-        z = Positions(1, x=(1,))
-        assert duality_function(z, Config.from_text("AA")) == LaurentPoly.one()
+        assert _closed_form_entry("0A", "AA") == LaurentPoly.one()
 
     def test_numeric_matches_ring(self):
         q0 = 2.0
@@ -125,15 +127,6 @@ class TestDualityMatrix:
         for (r, c) in D.entries:
             assert configs[r].N <= configs[c].N
             assert configs[r].M <= configs[c].M
-
-    def test_diagonal_operator_form(self):
-        z = Positions(1, x=(0,))
-        op = q_hat(z, 1)
-        assert op.is_diagonal()
-        for c in all_configs(1):
-            i = c.ternary_index() - 1
-            got = op.get(i, i)
-            assert (got if got is not None else LaurentPoly.zero()) == Qz(z, c)
 
     def test_full_check_l1(self):
         report = check_duality(1)
@@ -190,17 +183,19 @@ class TestTildeVariants:
 
 
 class TestSumRule:
+    @staticmethod
+    def lam(L, source, target):
+        rows = {(n, m, np_, mp_): lam for n, m, np_, mp_, lam in sum_rule_table(L)}
+        return rows[(*source, *target)]
+
     def test_lambda_equal_sectors_l1(self):
-        res = sum_rule(Sector(1, 1, 0), Sector(1, 1, 0))
-        assert res.lam == LaurentPoly.one()
+        assert self.lam(1, (1, 0), (1, 0)) == LaurentPoly.one()
 
     def test_lambda_zero_when_dual_bigger(self):
-        res = sum_rule(Sector(1, 0, 0), Sector(1, 1, 0))
-        assert res.lam == LaurentPoly.zero()
+        assert self.lam(1, (0, 0), (1, 0)) == LaurentPoly.zero()
 
     def test_lambda_empty_pair(self):
-        res = sum_rule(Sector(1, 0, 0), Sector(1, 0, 0))
-        assert res.lam == LaurentPoly.one()
+        assert self.lam(1, (0, 0), (0, 0)) == LaurentPoly.one()
 
     def test_all_pairs_l1(self):
         report = check_sum_rules(1)
@@ -219,9 +214,9 @@ class TestSumRule:
         original = dual.pi_unnormalized
         try:
             dual.pi_unnormalized = lambda c: LaurentPoly.q_power(
-                pi_exponent(c) + c.N
+                pi_exponent(c.occ) + c.N
             )
-            with pytest.raises(NotConstant):
-                dual.sum_rule(Sector(1, 1, 0), Sector(1, 0, 0))
+            with pytest.raises(NotConstant, match=r"sides disagree: left 1\*q\^1, right 1"):
+                dual.sum_rule_table(1)
         finally:
             dual.pi_unnormalized = original

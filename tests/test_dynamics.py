@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asep2.duality import qz_value, sum_rule
+from asep2.duality import qz_value, sum_rule_table
 from asep2.dynamics import QEstimate, _run_occ, duality_rhs, estimate_Q_many, evolve
 from asep2.generator import ModelParams, Ring, build_H, build_H_sector, rate_table
 from asep2.lattice import (
@@ -206,7 +206,11 @@ class TestDualityRhs:
         source = Sector(2, 2, 1)
         target = Sector(2, 1, 1)
         p0 = canonical(source).normalize(P2.q0)
-        lam = sum_rule(source, target).lam.eval(P2.q0)
+        lam = next(
+            lam
+            for n, m, np_, mp_, lam in sum_rule_table(2)
+            if (n, m, np_, mp_) == (2, 1, 1, 1)
+        ).eval(P2.q0)
         mu = canonical(target)
         for zc in enumerate_sector(target)[:4]:
             z = zc.to_positions()

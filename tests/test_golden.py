@@ -1,11 +1,13 @@
 """Golden outputs: refactors must leave the CLI's contracts byte-identical."""
 
 import hashlib
+import io
 import json
 
 import pytest
 
 from asep2.cli import main
+from asep2.duality import sum_rule_table, write_lambda_csv
 
 VERIFY_ALL_L2_SHA256 = "246cf9011e4ec82618b8b39753d9f031932112737f74616ddb9a8b0b79d781f2"
 
@@ -30,6 +32,9 @@ DUMP_SHA256 = [
 
 # SHA-256 of the sum-rule CSV written by `verify duality --L 2 --lambda-out`
 LAMBDA_L2_SHA256 = "3e85ec9d0fcc25167cc072de11a81206cc78f95e1944e309fcf957da95afb13e"
+
+# SHA-256 of the same CSV for `sum_rule_table(3)` (the CLI caps it at L = 2)
+LAMBDA_L3_SHA256 = "7053cf2a9da288bf84c6ae0283f13561bd98d67e6b5a85e457d0a7664dcdee18"
 
 # (z, t, n, mean, stderr) of `simulate --L 2 --trajectories 2000 --seed 7
 # --t 0 --t 1`; `prediction` is left out because it depends on the BLAS build
@@ -72,3 +77,9 @@ def test_lambda_csv_l2(tmp_path):
     path = tmp_path / "lambda.csv"
     assert main(["verify", "duality", "--L", "2", "--lambda-out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LAMBDA_L2_SHA256
+
+
+def test_lambda_csv_l3():
+    fh = io.StringIO()
+    write_lambda_csv(fh, sum_rule_table(3))
+    assert hashlib.sha256(fh.getvalue().encode()).hexdigest() == LAMBDA_L3_SHA256
