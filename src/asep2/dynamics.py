@@ -1,13 +1,8 @@
 """Time evolution: uniformized transition kernels and the Gillespie sampler.
 
-The kernel exp(-H t) is computed by uniformization: with a rate bound
-no smaller than the largest exit rate, the generator is traded for a
-column-stochastic matrix and the exponential becomes a Poisson-weighted
-power series, which preserves probability structure term by term.
-Poisson weights are evaluated in log space so horizons with a large
-rate-time product (the ergodic-limit checks use t = 1e3) do not
-underflow; the leading negligible powers are skipped with one binary
-matrix power, and the series stops once its Poisson tail is below 1e-14.
+The kernel exp(-H t) is a Poisson-weighted power series in the
+column-stochastic, entrywise nonnegative P = I - H/lam (uniformization),
+so no term cancels another; it is summed at a scaled horizon and squared.
 
 There is one sampler: `_run_occ`, a Gillespie jump loop on a raw
 occupation list that reads its bond rates from `generator.rate_table`.
@@ -30,6 +25,8 @@ from .measures import Measure
 from .sparse import SparseMatrix
 
 TAIL_TOL = 1e-14
+SCALE_MU = 16.0  # largest rate-time product summed without squaring
+STORED_POWERS = 3  # powers of P kept by the Paterson-Stockmeyer series
 
 
 @dataclass(frozen=True)
@@ -38,49 +35,73 @@ class TransitionKernel:
 
     matrix: np.ndarray
 
-    def column_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0)))
+
+def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
+    """sum_k weights[k] p^k by Paterson-Stockmeyer: Horner's rule in
+    p^STORED_POWERS over blocks of STORED_POWERS coefficients."""
+    n = p.shape[0]
+    powers = [p]
+    while len(powers) < STORED_POWERS:
+        powers.append(powers[-1] @ p)
+    blocks = [
+        weights[i : i + STORED_POWERS] for i in range(0, len(weights), STORED_POWERS)
+    ]
+    out = np.zeros_like(p)
+    buf = np.empty_like(p)
+    for j, block in enumerate(reversed(blocks)):
+        if j:
+            np.matmul(out, powers[-1], out=buf)
+            out, buf = buf, out
+        for w, pk in zip(block[1:], powers):
+            np.multiply(pk, w, out=buf)
+            out += buf
+        out.flat[:: n + 1] += block[0]
+    return out
 
 
 def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     """exp(-H t) for a float generator by uniformization.
 
-    Sums Poisson-weighted powers until the Poisson tail mass is below
-    TAIL_TOL: either the accumulated weight is within TAIL_TOL of one, or,
-    once the weight ratios mu/(k+1) have fallen below one, the geometric
-    bound w_k mu/(k+1) / (1 - mu/(k+2)) on the tail is.  The bound does
-    not depend on rounding in the accumulated weight, so the loop always
-    ends (Moler & Van Loan, "Nineteen dubious ways to compute the
-    exponential of a matrix, twenty-five years later", SIAM Rev. 2003).
+    With lam the largest exit rate, exp(-H t) = sum_k w_k P^k for
+    P = I - H/lam and Poisson(lam t) weights w_k.  The series is summed
+    at t/2^s, with s the least such that mu = lam t/2^s <= SCALE_MU, by
+    Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then squared s times
+    (Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26, 2005).  It stops once the
+    summed weight is within TAIL_TOL/2^s of one or, for k + 2 > mu, the
+    geometric tail bound w_k mu/(k+1) / (1 - mu/(k+2)) is below it; the
+    bound ignores rounding in the sum, so the series always ends.  Column
+    sums are within 1e-12 of one for lam t <= 1e4 on the tested sectors
+    (L <= 4); beyond that the error grows like 2^s times the unit roundoff.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    a = op.to_numpy()
-    n = a.shape[0]
-    lam = float(np.max(np.diag(a))) if n else 0.0
-    mu = lam * t
-    if mu == 0.0:
+    p = op.to_numpy()
+    n = p.shape[0]
+    lam = float(np.max(np.diag(p))) if n else 0.0
+    lam_t = lam * t
+    if not (t >= 0 and math.isfinite(lam_t)):
+        raise ValueError(
+            f"time must be nonnegative with a finite rate-time product, got t={t!r}"
+        )
+    if lam_t == 0.0:
         return TransitionKernel(np.eye(n))
-    p = np.eye(n) - a / lam
-
-    # powers below k_lo carry no Poisson mass at double precision
-    k_lo = max(0, int(mu - 12.0 * math.sqrt(mu) - 30.0))
-    pk = np.linalg.matrix_power(p, k_lo) if k_lo else np.eye(n)
-    out = np.zeros_like(pk)
-    log_mu = math.log(mu)
-    cum = 0.0
-    k = k_lo
-    while True:
-        w = math.exp(-mu + k * log_mu - math.lgamma(k + 1))
-        if w > 0.0:
-            out += w * pk
-            cum += w
-        if 1.0 - cum < TAIL_TOL or (
-            k + 2 > mu and w * mu / (k + 1) / (1.0 - mu / (k + 2)) < TAIL_TOL
-        ):
-            return TransitionKernel(out)
-        pk = p @ pk
+    s = max(0, math.ceil(math.log2(lam_t / SCALE_MU)))
+    mu, tol = math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s)
+    weights = [math.exp(-mu)]  # mu <= SCALE_MU: cannot underflow
+    cum = weights[0]
+    k = 0
+    while 1.0 - cum >= tol and not (
+        k + 2 > mu and weights[k] * mu / (k + 1) / (1.0 - mu / (k + 2)) < tol
+    ):
         k += 1
+        weights.append(weights[k - 1] * mu / k)
+        cum += weights[k]
+    p /= -lam
+    p.flat[:: n + 1] += 1.0
+    out, buf = _power_series(p, weights), p  # P is spent: square into it
+    for _ in range(s):
+        np.matmul(out, out, out=buf)
+        out, buf = buf, out
+    return TransitionKernel(out)
 
 
 # ---------------------------------------------------------------------

@@ -34,7 +34,7 @@ class TestEvolve:
 
     def test_columns_stochastic(self):
         k = evolve(build_H(P2, Ring.FLOAT), 1.0)
-        assert k.column_defect() < 1e-12
+        assert np.abs(k.matrix.sum(axis=0) - 1).max() < 1e-12
         assert k.matrix.min() >= 0.0
         assert k.matrix.max() <= 1.0 + 1e-12
 
@@ -51,23 +51,58 @@ class TestEvolve:
         assert float(np.max(np.abs(k.matrix - probs[:, None]))) < 1e-8
 
     @pytest.mark.parametrize(
-        "L, N, M, t", [(3, 2, 2, 30.0), (3, 1, 1, 30.0), (3, 1, 1, 100.0)]
+        "L, N, M, t",
+        [
+            (3, 2, 2, 30.0),
+            (3, 1, 1, 30.0),
+            (3, 1, 1, 100.0),
+            (4, 3, 3, 30.0),
+            (4, 3, 3, 1000.0),
+            (4, 2, 2, 1000.0),
+        ],
     )
     def test_long_horizons(self, L, N, M, t):
-        # horizons where rounding keeps the summed Poisson weight above
-        # 1 - 1e-14, so only the tail bound ends the series
+        # horizons that are scaled by 2^s and squared s times: the column
+        # sums hold only if each squaring's rounding and the tail cut at
+        # the scaled horizon stay within the bound
         p = ModelParams(L, Fraction(2), Fraction(1, 2))
         sector = Sector(L, N, M)
         k = evolve(build_H_sector(p, sector, Ring.FLOAT), t)
         mu = canonical(sector)
         pi = np.array([mu.probability(c, p.q0) for c in enumerate_sector(sector)])
-        assert k.column_defect() <= 1e-12
+        assert np.abs(k.matrix.sum(axis=0) - 1).max() <= 1e-12
         assert k.matrix.min() >= -1e-12
         assert float(np.max(np.abs(k.matrix @ pi - pi))) <= 1e-10
+        if t >= 1000.0:
+            assert float(np.max(np.abs(k.matrix - pi[:, None]))) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "L, N, M", [(2, 1, 1), (3, 1, 1), (3, 2, 2), (3, 1, 2)]
+    )
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0, 30.0])
+    def test_spectral_reference(self, L, N, M, t):
+        # detailed balance makes S = Pi^(-1/2) H Pi^(1/2) symmetric, so
+        # eigh gives exp(-H t) = Pi^(1/2) V exp(-D t) V^T Pi^(-1/2)
+        # independently of the uniformization series
+        p = ModelParams(L, Fraction(2), Fraction(1, 2))
+        sector = Sector(L, N, M)
+        op = build_H_sector(p, sector, Ring.FLOAT)
+        mu = canonical(sector)
+        root = np.sqrt([mu.probability(c, p.q0) for c in enumerate_sector(sector)])
+        h = op.to_numpy()
+        d, v = np.linalg.eigh(h * root[None, :] / root[:, None])
+        reference = (root[:, None] * v) @ (np.exp(-d * t)[:, None] * v.T / root[None, :])
+        assert float(np.max(np.abs(evolve(op, t).matrix - reference))) <= 1e-11
 
     def test_negative_time(self):
         with pytest.raises(ValueError):
             evolve(build_H_sector(P2, SECTOR11, Ring.FLOAT), -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 1e308])
+    def test_non_finite_time(self, t):
+        # 1e308 is finite, but its rate-time product overflows
+        with pytest.raises(ValueError, match="finite rate-time product"):
+            evolve(build_H_sector(P2, SECTOR11, Ring.FLOAT), t)
 
     def test_absorbing_sector(self):
         k = evolve(build_H_sector(P2, Sector(2, 0, 0), Ring.FLOAT), 3.0)
