@@ -12,7 +12,11 @@ Exit codes: 0 all checks pass, 1 an identity or statistical check
 failed, 2 usage error (including an unreadable config file or value, an
 output path that cannot be opened, a negative or non-finite time, a
 non-finite chemical potential, no trajectories, a sector outside the
-lattice or a shock profile at q = 1) or desk-scale resource cap breached.
+lattice or a shock profile at q = 1) or desk-scale resource cap breached
+(including a simulation whose jump-proposal bound exceeds
+SIMULATE_MAX_PROPOSALS), 3 internal error: any other exception, such as
+a write that fails after its file was opened, prints one `error: ...`
+line and no traceback.
 
 Parameters come from built-in defaults (L=2, r=2, l=1/2 so q=2, w=1 and
 all evaluated q-powers are dyadic), overridden by an optional flat
@@ -49,6 +53,9 @@ from .reporting import Report
 SUITES = ("algebra", "reversibility", "duality", "measures", "lemmas", "all")
 MEASURE_KINDS = ("canonical", "grandcanonical", "pure", "profile", "partition")
 VERIFY_MAX_L = 3
+# trajectories * (2L - 1) * max(r, l) * sum of the times bounds the
+# expected number of jump proposals of a simulate run
+SIMULATE_MAX_PROPOSALS = 1e8
 
 
 class UsageError(ValueError):
@@ -327,14 +334,13 @@ def zscore(mean: float, stderr: float, prediction: float) -> float:
     return (mean - prediction) / stderr
 
 
-def _closure_payload(cfg: RunConfig) -> dict:
+def _closure_payload(cfg: RunConfig, ts: list[float]) -> dict:
     p = cfg.params
-    ts = cfg.ts or [0.0, 1.0]
     zs = default_dual_coordinates(p.L)
     eta0 = default_initial_config(p.L)
     p0 = Measure.point_mass(eta0)
     records = []
-    for it, t in enumerate(sorted(ts)):
+    for it, t in enumerate(ts):
         estimates = dynamics.estimate_Q_many(
             zs, p0, t, cfg.trajectories, cfg.seed + it, p
         )
@@ -363,8 +369,16 @@ def _closure_payload(cfg: RunConfig) -> dict:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
+    p = cfg.params
+    ts = sorted(cfg.ts or [0.0, 1.0])
+    proposals = cfg.trajectories * (2 * p.L - 1) * float(max(p.r, p.ell)) * sum(ts)
+    if proposals > SIMULATE_MAX_PROPOSALS:
+        raise UsageError(
+            f"simulation is desk-scale: up to {proposals:.3g} jump proposals, "
+            f"need at most {SIMULATE_MAX_PROPOSALS:.0e}"
+        )
     with _writing(cfg.out, sys.stdout) as fh:
-        payload = _closure_payload(cfg)
+        payload = _closure_payload(cfg, ts)
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     worst = max((abs(rec["zscore"]) for rec in payload["records"]), default=0.0)
     return 1 if worst > 5.0 else 0
@@ -486,9 +500,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        text = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: {text}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -27,10 +27,9 @@ from .lattice import (
     Sector,
     all_configs,
     enumerate_sector,
-    sites,
     vacant_config,
 )
-from .measures import pi_exponent, pi_unnormalized
+from .measures import pi_hat, pi_unnormalized
 from .qring import LaurentPoly, exact_div, q_factorial, q_multinomial
 from .reporting import Report, matrices_equal, matrix_is_zero
 from .sparse import SparseMatrix, commutator
@@ -97,45 +96,6 @@ def duality_products(L: int) -> SparseMatrix:
 
 
 # ---------------------------------------------------------------------
-# tilde variants (sector-equivalent duality products)
-# ---------------------------------------------------------------------
-
-
-def tilde_qa(x: int, c: Config) -> LaurentPoly:
-    """One-sided A factor q**(2 * left count); the one-species duality kernel."""
-    if c.state(x) != A:
-        return LaurentPoly.zero()
-    left = sum(c.a(k) for k in sites(c.L) if k < x)
-    return LaurentPoly.q_power(2 * left)
-
-
-def tilde_qb(y: int, c: Config) -> LaurentPoly:
-    if c.state(y) != B:
-        return LaurentPoly.zero()
-    left = sum(c.b(k) for k in sites(c.L) if k < y)
-    return LaurentPoly.q_power(-2 * left)
-
-
-def tilde_duality(z: Positions, c: Config) -> LaurentPoly:
-    """Product of one-sided factors.
-
-    On a fixed sector it differs from the two-sided product only by the
-    constant q**(n*(N-1) - m*(M-1)) with n = N(z), m = M(z), so the two
-    families generate the same sector-restricted dualities.
-    """
-    out = LaurentPoly.one()
-    for x in z.x:
-        out = out * tilde_qa(x, c)
-        if not out:
-            return out
-    for y in z.y:
-        out = out * tilde_qb(y, c)
-        if not out:
-            return out
-    return out
-
-
-# ---------------------------------------------------------------------
 # symmetry operator and duality matrix
 # ---------------------------------------------------------------------
 
@@ -177,13 +137,6 @@ def build_S(L: int) -> SparseMatrix:
     return out
 
 
-def _inverse_pi(L: int) -> SparseMatrix:
-    """Diagonal of inverse reversible weights q^(-pi(z))."""
-    return SparseMatrix.diagonal(
-        [LaurentPoly.q_power(-pi_exponent(c.occ)) for c in all_configs(L)]
-    )
-
-
 @lru_cache(maxsize=None)
 def duality_closed_form(L: int) -> SparseMatrix:
     """Duality matrix from the duality functions: row z of Q times q^(-pi(z)).
@@ -191,13 +144,13 @@ def duality_closed_form(L: int) -> SparseMatrix:
     Entries vanish unless the dual sector fits inside the configuration's
     sector.
     """
-    return _inverse_pi(L) @ duality_products(L)
+    return pi_hat(L).map_entries(LaurentPoly.inverse) @ duality_products(L)
 
 
 @lru_cache(maxsize=None)
 def duality_from_symmetry(L: int) -> SparseMatrix:
     """The same matrix as the inverse reversible diagonal times S."""
-    return _inverse_pi(L) @ build_S(L)
+    return pi_hat(L).map_entries(LaurentPoly.inverse) @ build_S(L)
 
 
 # ---------------------------------------------------------------------

@@ -53,7 +53,7 @@ FLOAT_FULL_MAX_L = 6
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Hopping rates; q = sqrt(r/l) and w = sqrt(r*l) are derived."""
+    """Hopping rates r and l; q0 = sqrt(r/l) is derived."""
 
     L: int
     r: Fraction
@@ -78,10 +78,6 @@ class ModelParams:
     @property
     def q0(self) -> float:
         return math.sqrt(float(self.r / self.ell))
-
-    @property
-    def w0(self) -> float:
-        return math.sqrt(float(self.r * self.ell))
 
 
 def rate_table(p: ModelParams, ring: Ring) -> tuple:
@@ -151,18 +147,6 @@ def build_H_sector(p: ModelParams, sector: Sector, ring: Ring = Ring.EXACT) -> S
             tgt = index[c.swap(k)]  # exchanges conserve (N, M)
             _accumulate(entries, src, tgt, rate)
     return SparseMatrix(len(configs), entries)
-
-
-def apply_generator(f, c: Config, p: ModelParams, ring: Ring = Ring.FLOAT):
-    """Generator applied to an observable: sum of rate * (f(swapped) - f(c)).
-
-    Agrees entrywise with -(H^T f) for the matching matrix; in exact mode
-    the rates are the w-scaled symbols q and 1/q.
-    """
-    total = ZERO if ring is Ring.EXACT else 0.0
-    for k, rate in _bond_rates(rate_table(p, ring), c):
-        total = total + rate * (f(c.swap(k)) - f(c))
-    return total
 
 
 @lru_cache(maxsize=None)

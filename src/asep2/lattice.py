@@ -86,9 +86,6 @@ class Config:
     def a(self, k: int) -> int:
         return 1 if self.state(k) == A else 0
 
-    def v(self, k: int) -> int:
-        return 1 if self.state(k) == VACANT else 0
-
     def b(self, k: int) -> int:
         return 1 if self.state(k) == B else 0
 
@@ -99,10 +96,6 @@ class Config:
     @property
     def M(self) -> int:
         return self.occ.count(B)
-
-    @property
-    def V(self) -> int:
-        return self.occ.count(VACANT)
 
     def ternary_index(self) -> int:
         """1-based basis index; site -L+1 is the least significant digit."""
@@ -250,12 +243,6 @@ def count_left(z: Positions, k: int, species: int) -> int:
     if coords is None:
         raise ValueError("species must be A or B")
     return sum(1 for c in coords if c < k)
-
-
-def centered_count(z: Positions, k: int, species: int) -> int:
-    """Centred left-count: twice the left count minus the species total."""
-    total = z.N if species == A else z.M
-    return 2 * count_left(z, k, species) - total
 
 
 def weyl_alcove(n: int, L: int):

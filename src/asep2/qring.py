@@ -81,10 +81,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    @property
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
-
     def _deg(self) -> int:
         return max(self._c)
 
@@ -174,10 +170,6 @@ class LaurentPoly:
         if q0 <= 0:
             raise ValueError("q0 must be positive")
         return float(sum(v * q0 ** (h / 2) for h, v in self._c.items()))
-
-    def at_one(self) -> int:
-        """Exact value at q = 1 (the sum of coefficients)."""
-        return sum(self._c.values())
 
     # -- formatting ---------------------------------------------------
 

@@ -69,12 +69,6 @@ class SparseMatrix:
     def row(self, r: int) -> dict:
         return {c: v for (rr, c), v in self.entries.items() if rr == r}
 
-    def column_sums(self) -> dict:
-        sums = {}
-        for (r, c), v in self.entries.items():
-            sums[c] = sums.get(c, 0) + v
-        return sums
-
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented

@@ -1,8 +1,11 @@
+import errno
+import io
 import json
 import math
 
 import pytest
 
+from asep2 import cli, qsym
 from asep2.cli import default_dual_coordinates, default_initial_config, main, zscore
 from asep2.measures import pure_marginal
 from asep2.generator import ModelParams
@@ -196,6 +199,8 @@ class TestUsageErrors:
             ["measure", "profile", "--q", "1"],
             ["measure", "grandcanonical", "--L", "7"],
             ["measure", "pure", "--L", "7"],
+            ["simulate", "--L", "1", "--trajectories", "2", "--t", "1e308"],
+            ["simulate", "--L", "2", "--trajectories", "1000000", "--t", "100"],
         ],
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
@@ -203,6 +208,7 @@ class TestUsageErrors:
             "out-dir-missing", "lambda-out-dir-missing", "measure-out-dir-missing",
             "nu-nan", "nu-inf", "nu-minus-inf", "mu-nan", "profile-q-one",
             "grandcanonical-lattice-too-large", "pure-lattice-too-large",
+            "huge-time", "proposals-over-budget",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):
@@ -232,3 +238,28 @@ class TestUsageErrors:
         missing = tmp_path / "missing.cfg"
         assert main(["verify", "algebra", "--config", str(missing)]) == 2
         assert "usage error" in capsys.readouterr().err
+
+
+class TestInternalErrors:
+    def _assert_exit_3(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_raising_suite(self, monkeypatch, capsys):
+        def broken(L):
+            raise RuntimeError("broken\nsuite")
+
+        monkeypatch.setattr(qsym, "check_conjugation_lemma", broken)
+        self._assert_exit_3(["verify", "lemmas", "--L", "1"], capsys)
+
+    def test_write_fails_after_open(self, monkeypatch, tmp_path, capsys):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: FullDisk(), raising=False)
+        argv = ["measure", "partition", "--L", "1", "--out", str(tmp_path / "z.csv")]
+        self._assert_exit_3(argv, capsys)

@@ -1,0 +1,53 @@
+"""Every public name in the package is reached from the package itself.
+
+A public module-level function or class needs a `Name` or `Attribute`
+reference somewhere in `src/asep2` outside its own definition; a public
+method or property needs an `Attribute` reference.  Code that only tests
+reach is deleted, or its tests move onto the code the package runs.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "asep2"
+
+# "name" or "Class.name" -> why nothing in src references it
+ALLOWLIST: dict[str, str] = {}
+
+
+def _words(node, kinds) -> list[str]:
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and ast.Name in kinds:
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute) and ast.Attribute in kinds:
+            out.append(sub.attr)
+    return out
+
+
+def unreferenced() -> list[str]:
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    both = (ast.Name, ast.Attribute)
+    names = [w for tree in trees for w in _words(tree, both)]
+    attrs = [w for tree in trees for w in _words(tree, (ast.Attribute,))]
+    defs = (ast.FunctionDef, ast.ClassDef)
+    out = []
+    for tree in trees:
+        for top in tree.body:
+            if not isinstance(top, defs) or top.name.startswith("_"):
+                continue
+            if names.count(top.name) == _words(top, both).count(top.name):
+                out.append(top.name)
+            if not isinstance(top, ast.ClassDef):
+                continue
+            for member in top.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                own = _words(member, (ast.Attribute,)).count(member.name)
+                if attrs.count(member.name) == own:
+                    out.append(f"{top.name}.{member.name}")
+    return sorted(out)
+
+
+def test_no_public_name_is_unreferenced():
+    assert [name for name in unreferenced() if name not in ALLOWLIST] == []

@@ -13,16 +13,12 @@ from asep2.duality import (
     duality_from_symmetry,
     qz_value,
     sum_rule_table,
-    tilde_duality,
-    tilde_qa,
 )
 from asep2.generator import ModelParams, Ring, build_H, h_exact
 from asep2.lattice import (
     Config,
     Positions,
-    Sector,
     all_configs,
-    enumerate_sector,
     vacant_config,
 )
 from asep2.qring import LaurentPoly
@@ -60,10 +56,10 @@ class TestDualityFunctions:
             assert Qz(z, c) == LaurentPoly.one()
 
     def test_product_is_monomial_on_support(self):
+        # the ring's units are the signed monomials
         for c in all_configs(2):
-            z = c.to_positions()
-            value = Qz(z, c)
-            assert value.is_monomial
+            value = Qz(c.to_positions(), c)
+            assert value * value.inverse() == LaurentPoly.one()
 
     def test_mismatched_coordinate(self):
         z = Positions(2, x=(0,))
@@ -151,35 +147,6 @@ class TestDynamicDuality:
                     qmat[zi, ci] = qz_value(z, c.occ, 1.0)
             kernel = evolve(build_H(p, Ring.FLOAT), t).matrix
             assert float(np.max(np.abs(qmat @ kernel - kernel.T @ qmat))) < 1e-10
-
-
-class TestTildeVariants:
-    def test_leftmost_particle_is_one(self):
-        c = Config.from_text("A0B0")
-        assert tilde_qa(-1, c) == LaurentPoly.one()
-
-    def test_single_species_reduction(self):
-        # with no B coordinates the product depends on left counts only
-        c = Config.from_text("A0AA")
-        z = Positions(2, x=(1, 2))
-        left_counts = [1, 2]
-        expect = LaurentPoly.q_power(2 * sum(left_counts))
-        assert tilde_duality(z, c) == expect
-
-    def test_sector_constant_ratio(self):
-        # tilde product = two-sided product * q^(n(N-1) - m(M-1)) on a sector
-        L = 2
-        for n_z, m_z, sector in (
-            ((0,), (1,), Sector(2, 1, 1)),
-            ((-1, 0), (), Sector(2, 2, 1)),
-            ((), (0, 2), Sector(2, 1, 2)),
-        ):
-            z = Positions(L, x=n_z, y=m_z)
-            n, m = z.N, z.M
-            for eta in enumerate_sector(sector):
-                two_sided = Qz(z, eta)
-                ratio = LaurentPoly.q_power(n * (sector.N - 1) - m * (sector.M - 1))
-                assert tilde_duality(z, eta) == two_sided * ratio
 
 
 class TestSumRule:

@@ -12,7 +12,6 @@ from asep2.lattice import (
     Positions,
     Sector,
     all_configs,
-    centered_count,
     check_counting_lemmas,
     check_permutation_identities,
     config_from_ternary,
@@ -23,6 +22,14 @@ from asep2.lattice import (
     vacant_config,
     weyl_alcove,
 )
+from asep2.qring import LaurentPoly
+from asep2.qsym import build_Y_site
+
+
+def _lowering_row(text: str, k: int) -> dict:
+    c = Config.from_text(text)
+    row = build_Y_site(1, -1, k, c.L).row(c.ternary_index() - 1)
+    return {config_from_ternary(j + 1, c.L).text(): v for j, v in row.items()}
 
 
 def configs_strategy(L=2):
@@ -68,7 +75,6 @@ class TestPositions:
         for c in all_configs(2):
             p = c.to_positions()
             assert (p.N, p.M) == (c.N, c.M)
-            assert c.N + c.M + c.V == 4
 
     def test_overlap_rejected(self):
         with pytest.raises(OverlappingCoordinates):
@@ -150,12 +156,14 @@ class TestCounting:
             for r in sites(2):
                 assert count_left(Positions(2, x=(x,)), r, A) == theta(x, r)
 
+    # the site-k term of Y1- adds an A at k, dressed by q**(-c) for the
+    # centred count c = (A left of k) - (A right of k)
     def test_centered_empty(self):
-        assert centered_count(Positions(2), 0, A) == 0
+        assert _lowering_row("0000", 0) == {"0A00": LaurentPoly.one()}
 
     def test_centered_single(self):
-        assert centered_count(Positions(2, x=(-1,)), 0, A) == 1
-        assert centered_count(Positions(2, x=(1,)), 0, A) == -1
+        assert _lowering_row("A000", 0) == {"AA00": LaurentPoly.q_power(-1)}
+        assert _lowering_row("00A0", 0) == {"0AA0": LaurentPoly.q_power(1)}
 
 
 class TestTheta:

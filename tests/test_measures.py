@@ -199,7 +199,7 @@ class TestReversibility:
         assert report.passed, report.render()
 
     def test_q_one_reduces_to_symmetry(self):
-        H = h_exact(1).map_entries(lambda v: v.at_one())
+        H = h_exact(1).map_entries(lambda v: v.eval(1.0))
         assert H == H.transpose()
 
 

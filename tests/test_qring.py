@@ -44,7 +44,7 @@ class TestQNumber:
 
     def test_value_at_one(self):
         for n in range(13):
-            assert q_number(n).at_one() == n
+            assert q_number(n).eval(1.0) == n
 
 
 class TestQFactorial:

@@ -1,12 +1,14 @@
 import pytest
 
+from asep2 import qsym
 from asep2.generator import h_exact
 from asep2.lattice import (
     A,
+    VACANT,
     Config,
     SiteOutOfRange,
     all_configs,
-    centered_count,
+    count_left,
     sites,
     vacant_config,
 )
@@ -98,12 +100,10 @@ class TestLadders:
             z = zc.to_positions()
             for r in sites(L):
                 row = build_Y_site(1, -1, r, L).row(zc.ternary_index() - 1)
-                if zc.v(r):
+                if zc.state(r) == VACANT:
                     extended = zc.with_state(r, A)
-                    expect = {
-                        extended.ternary_index()
-                        - 1: LaurentPoly.q_power(-centered_count(z, r, A))
-                    }
+                    centred = 2 * count_left(z, r, A) - z.N
+                    expect = {extended.ternary_index() - 1: LaurentPoly.q_power(-centred)}
                     assert row == expect
                 else:
                     assert row == {}
@@ -176,7 +176,7 @@ class TestCartan:
 
     def test_qnumber_of_h1(self):
         for h in h_diag(1, 1):
-            assert q_number(h).at_one() == h
+            assert q_number(h).eval(1.0) == h
 
 
 class TestSymmetry:
@@ -185,8 +185,8 @@ class TestSymmetry:
         assert report.passed, report.render()
 
     def test_q_one_specialisation(self):
-        H1 = h_exact(1).map_entries(lambda v: v.at_one())
-        y = build_Y(1, +1, 1).map_entries(lambda v: v.at_one())
+        H1 = h_exact(1).map_entries(lambda v: v.eval(1.0))
+        y = build_Y(1, +1, 1).map_entries(lambda v: v.eval(1.0))
         assert commutator(H1, y).is_zero()
 
 
@@ -218,3 +218,13 @@ class TestConjugationLemma:
     def test_cap(self):
         with pytest.raises(ValueError):
             check_conjugation_lemma(3)
+
+    def test_mutated_ladder_fails(self, monkeypatch):
+        # a+ replaced by a-: the chain-level checks must see the change
+        monkeypatch.setattr(qsym, "A_PLUS", qsym.A_MINUS)
+        failed = [line for line in check_conjugation_lemma(1).lines() if " FAIL " in line]
+        assert failed == [
+            "RELATION fundamental-c-factorization FAIL c+",
+            "RELATION L1:conjugation-single-ap FAIL (0, 0)",
+            "RELATION L1:conjugation-product-ap FAIL (0, 1, 0)",
+        ]
