@@ -14,7 +14,7 @@ Modules:
 """
 
 from .generator import ModelParams, Ring
-from .lattice import A, B, VACANT, Config, Positions, Sector
+from .lattice import A, B, VACANT, Config, Sector
 from .qring import LaurentPoly
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Config",
     "LaurentPoly",
     "ModelParams",
-    "Positions",
     "Ring",
     "Sector",
 ]

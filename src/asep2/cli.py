@@ -12,7 +12,8 @@ Exit codes: 0 all checks pass, 1 an identity or statistical check
 failed, 2 usage error (including an unreadable config file or value, an
 output path that cannot be opened, a negative or non-finite time, a
 non-finite chemical potential, no trajectories, a sector outside the
-lattice or a shock profile at q = 1) or desk-scale resource cap breached
+lattice, a shock profile at q = 1 or a simulate seed outside
+0..2^63 - (number of times)) or desk-scale resource cap breached
 (including a simulation whose jump-proposal bound exceeds
 SIMULATE_MAX_PROPOSALS), 3 internal error: any other exception, such as
 a write that fails after its file was opened, prints one `error: ...`
@@ -46,7 +47,7 @@ from .generator import (
     dump_matrix,
     h_exact,
 )
-from .lattice import A, B, Config, Positions, Sector, vacant_config
+from .lattice import A, B, Config, Sector, vacant_config
 from .measures import Measure
 from .reporting import Report
 
@@ -297,24 +298,14 @@ def cmd_measure(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------
 
 
-def default_dual_coordinates(L: int) -> list[Positions]:
+def default_dual_coordinates(L: int) -> list[Config]:
     """Five dual coordinate sets covering sectors (1,0), (0,1), (1,1)."""
     lo, hi = -L + 1, L
     if L == 1:
-        return [
-            Positions(L, x=(lo,)),
-            Positions(L, y=(hi,)),
-            Positions(L, x=(lo,), y=(hi,)),
-            Positions(L, y=(lo,)),
-            Positions(L, x=(hi,)),
-        ]
-    return [
-        Positions(L, x=(lo,)),
-        Positions(L, y=(0,)),
-        Positions(L, x=(0,), y=(1,)),
-        Positions(L, y=(hi,)),
-        Positions(L, x=(lo,), y=(hi,)),
-    ]
+        coords = [((lo,), ()), ((), (hi,)), ((lo,), (hi,)), ((), (lo,)), ((hi,), ())]
+    else:
+        coords = [((lo,), ()), ((), (0,)), ((0,), (1,)), ((), (hi,)), ((lo,), (hi,))]
+    return [Config.from_coordinates(L, x, y) for x, y in coords]
 
 
 def default_initial_config(L: int) -> Config:
@@ -348,7 +339,7 @@ def _closure_payload(cfg: RunConfig, ts: list[float]) -> dict:
             prediction = dynamics.duality_rhs(z, p0, t, p)
             records.append(
                 {
-                    "z": z.to_config().text(),
+                    "z": z.text(),
                     "t": t,
                     "n": est.n,
                     "mean": est.mean,
@@ -371,6 +362,12 @@ def _closure_payload(cfg: RunConfig, ts: list[float]) -> dict:
 def cmd_simulate(args, cfg: RunConfig) -> int:
     p = cfg.params
     ts = sorted(cfg.ts or [0.0, 1.0])
+    # time i samples on Philox keys seed + i, which numpy keeps exact only
+    # below 2^63 (larger keys alias through float64)
+    if cfg.seed < 0 or cfg.seed + len(ts) - 1 >= 2**63:
+        raise UsageError(
+            f"seed must be in 0..2^63 - {len(ts)} for {len(ts)} time(s), got {cfg.seed}"
+        )
     proposals = cfg.trajectories * (2 * p.L - 1) * float(max(p.r, p.ell)) * sum(ts)
     if proposals > SIMULATE_MAX_PROPOSALS:
         raise UsageError(

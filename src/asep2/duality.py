@@ -1,7 +1,8 @@
 """Self-duality machinery: duality functions, the symmetry operator, and
 the intertwining duality matrix.
 
-A dual coordinate set z picks particle positions; its duality weight
+A dual coordinate set z is a configuration of the same lattice (a
+`Config`, whose `x` and `y` are its A and B sites); its duality weight
 against a configuration is a product of one-site factors, each a q-power
 of the particle counts on either side of the coordinate times a
 projector that kills mismatched sites.  Dividing by the reversible
@@ -23,9 +24,9 @@ from .lattice import (
     A,
     B,
     Config,
-    Positions,
     Sector,
     all_configs,
+    count_left,
     enumerate_sector,
     vacant_config,
 )
@@ -46,7 +47,7 @@ class NotConstant(ArithmeticError):
 # ---------------------------------------------------------------------
 
 
-def qz_exponent(z: Positions, occ) -> int | None:
+def qz_exponent(z: Config, occ) -> int | None:
     """q-exponent of the product Q_z on an occupation sequence.
 
     An A at x contributes (A left of x) - (A right of x), a B at y
@@ -55,20 +56,21 @@ def qz_exponent(z: Positions, occ) -> int | None:
     """
     e = 0
     for coords, species, sign in ((z.x, A, 1), (z.y, B, -1)):
+        total = occ.count(species)
         for site in coords:
-            pos = site + z.L - 1
-            if occ[pos] != species:
+            if occ[site + z.L - 1] != species:
                 return None
-            e += sign * (occ[:pos].count(species) - occ[pos + 1 :].count(species))
+            # left - right, with right = total - left - 1 (the particle at site)
+            e += sign * (2 * count_left(occ, site, species) + 1 - total)
     return e
 
 
-def Qz(z: Positions, c: Config) -> LaurentPoly:
+def Qz(z: Config, c: Config) -> LaurentPoly:
     e = qz_exponent(z, c.occ)
     return LaurentPoly.zero() if e is None else LaurentPoly.q_power(e)
 
 
-def qz_value(z: Positions, occ, q0: float) -> float:
+def qz_value(z: Config, occ, q0: float) -> float:
     """Numeric duality product for a raw occupation sequence on 2L sites."""
     e = qz_exponent(z, occ)
     return 0.0 if e is None else float(q0**e)
@@ -84,14 +86,12 @@ def duality_products(L: int) -> SparseMatrix:
     entries: dict = {}
     for c in all_configs(L):
         col = c.ternary_index() - 1
-        pos = c.to_positions()
-        for nx in range(pos.N + 1):
-            for xs in itertools.combinations(pos.x, nx):
-                for my in range(pos.M + 1):
-                    for ys in itertools.combinations(pos.y, my):
-                        z = Positions(L, xs, ys)
-                        row = z.to_config().ternary_index() - 1
-                        entries[(row, col)] = Qz(z, c)
+        for nx in range(c.N + 1):
+            for xs in itertools.combinations(c.x, nx):
+                for my in range(c.M + 1):
+                    for ys in itertools.combinations(c.y, my):
+                        z = Config.from_coordinates(L, xs, ys)
+                        entries[(z.ternary_index() - 1, col)] = Qz(z, c)
     return SparseMatrix(3 ** (2 * L), entries)
 
 
@@ -287,7 +287,7 @@ def check_duality(L: int) -> Report:
     vac_row = S.row(vacant_config(L).ternary_index() - 1)
     report.check(f"L{L}:S-vacuum-row", [c for c in range(dim) if vac_row.get(c) != 1])
 
-    def qz_row(z: Positions) -> dict:
+    def qz_row(z: Config) -> dict:
         return {
             c.ternary_index() - 1: LaurentPoly.q_power(e)
             for c in configs
@@ -299,7 +299,7 @@ def check_duality(L: int) -> Report:
         [
             zc.text()
             for zc in configs
-            if S.row(zc.ternary_index() - 1) != qz_row(zc.to_positions())
+            if S.row(zc.ternary_index() - 1) != qz_row(zc)
         ],
     )
     report.check(

@@ -8,7 +8,8 @@ There is one sampler: `_run_occ`, a Gillespie jump loop on a raw
 occupation list that reads its bond rates from `generator.rate_table`.
 `estimate_Q_many` runs it on counter-based Philox streams keyed by
 (master seed, trajectory index), so every trajectory is reproducible bit
-for bit and trivially parallel.
+for bit and trivially parallel.  Its dual coordinate sets z, like the
+one `duality_rhs` predicts for, are `Config`s of the same lattice.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .duality import qz_value
 from .generator import ModelParams, Ring, build_H_sector, rate_table
-from .lattice import Config, Positions, Sector, enumerate_sector
+from .lattice import Config, Sector, enumerate_sector
 from .measures import Measure
 from .sparse import SparseMatrix
 
@@ -153,7 +154,7 @@ def _support_arrays(p0: Measure):
 
 
 def estimate_Q_many(
-    zs: list[Positions],
+    zs: list[Config],
     p0: Measure,
     t: float,
     trajectories: int,
@@ -189,7 +190,7 @@ def estimate_Q_many(
     return out
 
 
-def duality_rhs(z: Positions, p0: Measure, t: float, p: ModelParams) -> float:
+def duality_rhs(z: Config, p0: Measure, t: float, p: ModelParams) -> float:
     """Duality prediction for the time-dependent mean of the product.
 
     Builds the few-particle sector kernel for the dual coordinates and
@@ -200,12 +201,9 @@ def duality_rhs(z: Positions, p0: Measure, t: float, p: ModelParams) -> float:
     configs = enumerate_sector(sector)
     kernel = evolve(build_H_sector(p, sector, Ring.FLOAT), t).matrix
     q0 = p.q0
-    row = configs.index(z.to_config())
+    row = configs.index(z)
     total = 0.0
     for j, zc in enumerate(configs):
-        zj = zc.to_positions()
-        init = sum(
-            w * qz_value(zj, eta.occ, q0) for eta, w in p0.items()
-        )
+        init = sum(w * qz_value(zc, eta.occ, q0) for eta, w in p0.items())
         total += init * kernel[row, j]
     return total

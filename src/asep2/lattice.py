@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .qring import LaurentPoly, q_factorial
@@ -60,7 +61,11 @@ def theta(k: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class Config:
-    """Occupation-variable form of a configuration."""
+    """Occupation-variable form of a configuration.
+
+    The same type serves as a dual coordinate set z = (x, y): `x` and `y`
+    are the sorted sites of the A and B particles.
+    """
 
     L: int
     occ: tuple[int, ...]
@@ -115,10 +120,30 @@ class Config:
         occ[self._pos(k)] = state
         return Config(self.L, tuple(occ))
 
-    def to_positions(self) -> "Positions":
-        x = tuple(k for k in sites(self.L) if self.state(k) == A)
-        y = tuple(k for k in sites(self.L) if self.state(k) == B)
-        return Positions(self.L, x, y)
+    @cached_property
+    def x(self) -> tuple[int, ...]:
+        return tuple(k for k, s in zip(sites(self.L), self.occ) if s == A)
+
+    @cached_property
+    def y(self) -> tuple[int, ...]:
+        return tuple(k for k, s in zip(sites(self.L), self.occ) if s == B)
+
+    @classmethod
+    def from_coordinates(cls, L: int, x=(), y=()) -> "Config":
+        """The configuration with A particles at sites x and B particles at y.
+
+        A coordinate off the lattice raises SiteOutOfRange; a site named
+        twice, in one tuple or in both, raises OverlappingCoordinates.
+        """
+        occ = [VACANT] * (2 * L)
+        for coords, species in ((x, A), (y, B)):
+            for c in coords:
+                if not -L + 1 <= c <= L:
+                    raise SiteOutOfRange(f"coordinate {c} outside lattice")
+                if occ[c + L - 1] != VACANT:
+                    raise OverlappingCoordinates(f"coordinates overlap in x={x}, y={y}")
+                occ[c + L - 1] = species
+        return cls(L, tuple(occ))
 
     def text(self) -> str:
         return "".join(_CHAR_OF[s] for s in self.occ)
@@ -135,48 +160,6 @@ class Config:
 
     def __str__(self) -> str:
         return self.text()
-
-
-@dataclass(frozen=True)
-class Positions:
-    """Position form z = (x, y): sites of the A and B particles.
-
-    Coordinates are canonicalised (sorted) on construction; repeated or
-    overlapping coordinates raise OverlappingCoordinates.
-    """
-
-    L: int
-    x: tuple[int, ...] = ()
-    y: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.L < 1:
-            raise ValueError("L must be a positive integer")
-        x = tuple(sorted(self.x))
-        y = tuple(sorted(self.y))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        for c in (*x, *y):
-            if not -self.L + 1 <= c <= self.L:
-                raise SiteOutOfRange(f"coordinate {c} outside lattice")
-        if len(set(x)) != len(x) or len(set(y)) != len(y) or set(x) & set(y):
-            raise OverlappingCoordinates(f"coordinates overlap in x={x}, y={y}")
-
-    @property
-    def N(self) -> int:
-        return len(self.x)
-
-    @property
-    def M(self) -> int:
-        return len(self.y)
-
-    def to_config(self) -> Config:
-        occ = [VACANT] * (2 * self.L)
-        for c in self.x:
-            occ[c + self.L - 1] = A
-        for c in self.y:
-            occ[c + self.L - 1] = B
-        return Config(self.L, tuple(occ))
 
 
 @dataclass(frozen=True)
@@ -230,19 +213,26 @@ def enumerate_sector(sector: Sector) -> list[Config]:
     for xs in itertools.combinations(lam, sector.N):
         rest = [k for k in lam if k not in xs]
         for ys in itertools.combinations(rest, sector.M):
-            out.append(Positions(sector.L, xs, ys).to_config())
+            out.append(Config.from_coordinates(sector.L, xs, ys))
     out.sort(key=Config.ternary_index)
     return out
 
 
-def count_left(z: Positions, k: int, species: int) -> int:
-    """Number of particles of the given species strictly left of site k."""
-    if not -z.L + 1 <= k <= z.L:
+def count_left(occ, k: int, species: int) -> int:
+    """Number of sites strictly left of site k in the given state.
+
+    occ is the occupation sequence of 2L sites: the `occ` of a Config
+    (which also serves as a dual coordinate set) or a raw list.  species
+    is A, VACANT or B.  This is the one left count: the duality exponent
+    and the ladder dressing derive their right counts from it as the
+    species total minus the left count minus the site's own particle.
+    """
+    L = len(occ) // 2
+    if not -L + 1 <= k <= L:
         raise SiteOutOfRange(f"site {k} outside lattice")
-    coords = z.x if species == A else z.y if species == B else None
-    if coords is None:
-        raise ValueError("species must be A or B")
-    return sum(1 for c in coords if c < k)
+    if species not in _STATES:
+        raise ValueError("species must be A, VACANT or B")
+    return occ[: k + L - 1].count(species)
 
 
 def weyl_alcove(n: int, L: int):
@@ -260,8 +250,10 @@ def check_counting_lemmas(l_max: int) -> Report:
     """Step-function identities and additivity/inversion of left counts.
 
     Exhausts every pair of disjoint coordinate sets on lattices of sizes
-    2..2*l_max, for both species.  Returns the first counterexample on
-    failure; there is none if the implementation is sound.
+    2..2*l_max, for both species, as occupation tuples fed to the same
+    `count_left` that the duality exponent and the ladder dressing call.
+    Returns the first counterexample on failure; there is none if the
+    implementation is sound.
     """
     if not 1 <= l_max <= 3:
         raise ValueError("counting lemmas are desk-scale: need 1 <= l_max <= 3")
@@ -286,50 +278,46 @@ def check_counting_lemmas(l_max: int) -> Report:
                     bad.append((r, x, "right"))
         report.check(f"L{L}:theta-delta-sum", bad)
 
+        def lone(species, x):
+            """Occupations of a lattice whose one particle sits at site x."""
+            return tuple(species if k == x else VACANT for k in lam)
+
         # single-particle left counts reduce to the step function
         bad = []
         for x in lam:
-            z = Positions(L, x=(x,))
-            zb = Positions(L, y=(x,))
             for r in lam:
-                if count_left(z, r, A) != theta(x, r):
+                if count_left(lone(A, x), r, A) != theta(x, r):
                     bad.append((x, r, "A"))
-                if count_left(zb, r, B) != theta(x, r):
+                if count_left(lone(B, x), r, B) != theta(x, r):
                     bad.append((x, r, "B"))
         report.check(f"L{L}:single-left-count", bad)
 
         for species, tag in ((A, "A"), (B, "B")):
-            def pos(coords):
-                return (
-                    Positions(L, x=coords) if species == A else Positions(L, y=coords)
-                )
-
+            single = {x: lone(species, x) for x in lam}
             add_bad, comp_bad, inv_bad, single_bad = [], [], [], []
             for assign in itertools.product((0, 1, 2), repeat=2 * L):
                 first = tuple(k for k, w in zip(lam, assign) if w == 1)
                 second = tuple(k for k, w in zip(lam, assign) if w == 2)
-                union = pos(tuple(sorted(first + second)))
-                zf, zs = pos(first), pos(second)
+                union = tuple(species if w else VACANT for w in assign)
+                occ_first = tuple(species if w == 1 else VACANT for w in assign)
+                occ_second = tuple(species if w == 2 else VACANT for w in assign)
                 n_second = len(second)
                 for k in lam:
-                    if count_left(union, k, species) != count_left(
-                        zf, k, species
-                    ) + count_left(zs, k, species):
+                    in_union = count_left(union, k, species)
+                    in_first = count_left(occ_first, k, species)
+                    in_second = count_left(occ_second, k, species)
+                    if in_union != in_first + in_second:
                         add_bad.append((first, second, k))
-                    if count_left(zf, k, species) != sum(
-                        count_left(pos((c,)), k, species) for c in first
-                    ):
+                    if in_first != sum(count_left(single[c], k, species) for c in first):
                         single_bad.append((first, k))
                     if k in second:
                         continue
                     # complement form: counts of the added set via step functions
-                    if count_left(union, k, species) != count_left(
-                        zf, k, species
-                    ) + n_second - sum(theta(k, c) for c in second):
+                    if in_union != in_first + n_second - sum(theta(k, c) for c in second):
                         comp_bad.append((first, second, k))
                     # inversion: left counts of a set from single-site counts
-                    if count_left(zs, k, species) != n_second - sum(
-                        count_left(pos((k,)), c, species) for c in second
+                    if in_second != n_second - sum(
+                        count_left(single[k], c, species) for c in second
                     ):
                         inv_bad.append((second, k))
             report.check(f"L{L}:left-count-union-additivity-{tag}", add_bad)

@@ -26,6 +26,7 @@ from .lattice import (
     VACANT,
     SiteOutOfRange,
     all_configs,
+    count_left,
     sites,
     ternary_digits,
 )
@@ -46,16 +47,6 @@ PROJ_A = ((1, 0, 0), (0, 0, 0), (0, 0, 0))
 PROJ_V = ((0, 0, 0), (0, 1, 0), (0, 0, 0))
 PROJ_B = ((0, 0, 0), (0, 0, 0), (0, 0, 1))
 IDENT3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-LADDERS = {
-    "a+": A_PLUS,
-    "a-": A_MINUS,
-    "b+": B_PLUS,
-    "b-": B_MINUS,
-    "c+": C_PLUS,
-    "c-": C_MINUS,
-}
-PROJECTORS = {"A": PROJ_A, "V": PROJ_V, "B": PROJ_B}
 
 
 def mat3_mul(u, v):
@@ -119,8 +110,8 @@ def build_Y_site(i: int, sign: int, k: int, L: int) -> SparseMatrix:
         d = ternary_digits(i0, n_sites)
         if d[pos] != cs:
             continue
-        left = sum(1 for p in range(pos) if d[p] == species)
-        right = sum(1 for p in range(pos + 1, n_sites) if d[p] == species)
+        left = count_left(d, k, species)
+        right = d.count(species) - left - (d[pos] == species)
         exponent = left_sign * (left - right)
         j0 = i0 + (rs - cs) * step
         entries[(j0, i0)] = LaurentPoly.q_power(exponent)
@@ -295,11 +286,21 @@ def check_conjugation_lemma(L: int) -> Report:
     if L > 2:
         raise ValueError("conjugation checks are capped at L <= 2")
     report = Report()
+    # read at call time, so that a substituted matrix reaches every check
+    ladders = {
+        "a+": A_PLUS,
+        "a-": A_MINUS,
+        "b+": B_PLUS,
+        "b-": B_MINUS,
+        "c+": C_PLUS,
+        "c-": C_MINUS,
+    }
+    projectors = {"A": PROJ_A, "V": PROJ_V, "B": PROJ_B}
 
     zero3 = ((0, 0, 0),) * 3
     bad = []
-    for op_name, op in LADDERS.items():
-        for proj_name, proj in PROJECTORS.items():
+    for op_name, op in ladders.items():
+        for proj_name, proj in projectors.items():
             want_right = op if _SOURCE[op_name] == proj_name else zero3
             if mat3_mul(op, proj) != want_right:
                 bad.append((op_name, proj_name, "right"))
@@ -315,7 +316,7 @@ def check_conjugation_lemma(L: int) -> Report:
     )
     report.check(
         "fundamental-transpose",
-        [sp for sp in "abc" if mat3_transpose(LADDERS[f"{sp}+"]) != LADDERS[f"{sp}-"]],
+        [sp for sp in "abc" if mat3_transpose(ladders[f"{sp}+"]) != ladders[f"{sp}-"]],
     )
     total = tuple(
         tuple(PROJ_A[r][c] + PROJ_V[r][c] + PROJ_B[r][c] for c in range(3))
@@ -326,7 +327,7 @@ def check_conjugation_lemma(L: int) -> Report:
     q = LaurentPoly.q_power(1)
     qinv = LaurentPoly.q_power(-1)
     bad = []
-    for name, proj in PROJECTORS.items():
+    for name, proj in projectors.items():
         if mat3_mul(proj, proj) != proj:
             bad.append((name, "idempotent"))
         ident = tuple(tuple(LaurentPoly.const(v) for v in row) for row in IDENT3)
@@ -335,9 +336,6 @@ def check_conjugation_lemma(L: int) -> Report:
             bad.append((name, "exponential-inverse"))
     report.check("projector-exponential", bad)
 
-    # The ladders are read here, not from LADDERS, so that a substituted
-    # matrix reaches the chain-level checks.
-    ladders = dict(zip(LADDERS, (A_PLUS, A_MINUS, B_PLUS, B_MINUS, C_PLUS, C_MINUS)))
     embedded = {
         (name, x): site_embed(u, x, L) for name, u in ladders.items() for x in sites(L)
     }

@@ -95,9 +95,8 @@ def test_c06_symmetry_rows_give_duality_products():
     S = build_S(L)
     configs = all_configs(L)
     ok = True
-    for zc in configs:
-        z = zc.to_positions()
-        row = S.row(zc.ternary_index() - 1)
+    for z in configs:
+        row = S.row(z.ternary_index() - 1)
         expected = {}
         for c in configs:
             e = qz_exponent(z, c.occ)

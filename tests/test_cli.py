@@ -201,6 +201,9 @@ class TestUsageErrors:
             ["measure", "pure", "--L", "7"],
             ["simulate", "--L", "1", "--trajectories", "2", "--t", "1e308"],
             ["simulate", "--L", "2", "--trajectories", "1000000", "--t", "100"],
+            ["simulate", "--L", "1", "--trajectories", "10", "--seed", "-1"],
+            ["simulate", "--L", "1", "--trajectories", "10", "--t", "0", "--t", "1",
+             "--seed", str(2**63 - 1)],
         ],
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
@@ -208,7 +211,7 @@ class TestUsageErrors:
             "out-dir-missing", "lambda-out-dir-missing", "measure-out-dir-missing",
             "nu-nan", "nu-inf", "nu-minus-inf", "mu-nan", "profile-q-one",
             "grandcanonical-lattice-too-large", "pure-lattice-too-large",
-            "huge-time", "proposals-over-budget",
+            "huge-time", "proposals-over-budget", "negative-seed", "seed-key-overflow",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):

@@ -17,7 +17,6 @@ from asep2.duality import (
 from asep2.generator import ModelParams, Ring, build_H, h_exact
 from asep2.lattice import (
     Config,
-    Positions,
     all_configs,
     vacant_config,
 )
@@ -36,33 +35,33 @@ def _closed_form_entry(z_text: str, eta_text: str) -> LaurentPoly:
 class TestDualityFunctions:
     def test_projector_kills_mismatch(self):
         c = Config.from_text("0A")
-        assert Qz(Positions(1, x=(0,)), c) == LaurentPoly.zero()
-        assert Qz(Positions(1, y=(1,)), c) == LaurentPoly.zero()
+        assert Qz(Config.from_coordinates(1, x=(0,)), c) == LaurentPoly.zero()
+        assert Qz(Config.from_coordinates(1, y=(1,)), c) == LaurentPoly.zero()
 
     def test_lone_particle_is_one(self):
         c = Config.from_text("A0")
-        assert Qz(Positions(1, x=(0,)), c) == LaurentPoly.one()
+        assert Qz(Config.from_coordinates(1, x=(0,)), c) == LaurentPoly.one()
 
     def test_counts_left_neighbours(self):
         c = Config.from_text("AA")
-        assert Qz(Positions(1, x=(1,)), c) == LaurentPoly.q_power(1)
-        assert Qz(Positions(1, x=(0,)), c) == LaurentPoly.q_power(-1)
+        assert Qz(Config.from_coordinates(1, x=(1,)), c) == LaurentPoly.q_power(1)
+        assert Qz(Config.from_coordinates(1, x=(0,)), c) == LaurentPoly.q_power(-1)
         c = Config.from_text("BB")
-        assert Qz(Positions(1, y=(1,)), c) == LaurentPoly.q_power(-1)
+        assert Qz(Config.from_coordinates(1, y=(1,)), c) == LaurentPoly.q_power(-1)
 
     def test_product_empty(self):
-        z = Positions(2)
+        z = Config.from_coordinates(2)
         for c in all_configs(2):
             assert Qz(z, c) == LaurentPoly.one()
 
     def test_product_is_monomial_on_support(self):
         # the ring's units are the signed monomials
         for c in all_configs(2):
-            value = Qz(c.to_positions(), c)
+            value = Qz(c, c)
             assert value * value.inverse() == LaurentPoly.one()
 
     def test_mismatched_coordinate(self):
-        z = Positions(2, x=(0,))
+        z = Config.from_coordinates(2, x=(0,))
         assert Qz(z, Config.from_text("0B00")) == LaurentPoly.zero()
 
     def test_duality_unit_on_empty(self):
@@ -78,7 +77,7 @@ class TestDualityFunctions:
     def test_numeric_matches_ring(self):
         q0 = 2.0
         for c in all_configs(2):
-            z = Positions(2, x=c.to_positions().x[:1], y=c.to_positions().y[:1])
+            z = Config.from_coordinates(2, x=c.x[:1], y=c.y[:1])
             assert qz_value(z, c.occ, q0) == pytest.approx(Qz(z, c).eval(q0))
 
 
@@ -98,9 +97,8 @@ class TestSymmetryOperator:
 
     def test_rows_are_duality_products(self):
         S = build_S(1)
-        for zc in all_configs(1):
-            z = zc.to_positions()
-            row = S.row(zc.ternary_index() - 1)
+        for z in all_configs(1):
+            row = S.row(z.ternary_index() - 1)
             for c in all_configs(1):
                 got = row.get(c.ternary_index() - 1, LaurentPoly.zero())
                 assert got == Qz(z, c)
@@ -141,8 +139,7 @@ class TestDynamicDuality:
             configs = all_configs(L)
             dim = len(configs)
             qmat = np.zeros((dim, dim))
-            for zi, zc in enumerate(configs):
-                z = zc.to_positions()
+            for zi, z in enumerate(configs):
                 for ci, c in enumerate(configs):
                     qmat[zi, ci] = qz_value(z, c.occ, 1.0)
             kernel = evolve(build_H(p, Ring.FLOAT), t).matrix

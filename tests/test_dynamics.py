@@ -11,7 +11,6 @@ from asep2.lattice import (
     A,
     VACANT,
     Config,
-    Positions,
     Sector,
     enumerate_sector,
     vacant_config,
@@ -131,7 +130,7 @@ class TestGillespie:
 
     def test_reproducible_trajectories(self):
         p0 = Measure.point_mass(Config.from_text("A0BA"))
-        zs = [Positions(2, x=(-1,)), Positions(2, y=(1,))]
+        zs = [Config.from_coordinates(2, x=(-1,)), Config.from_coordinates(2, y=(1,))]
 
         def estimates(seed):
             return estimate_Q_many(zs, p0, 2.0, 200, seed, P2)
@@ -199,26 +198,26 @@ class TestGillespie:
 class TestEstimators:
     def test_constant_observable(self):
         p0 = Measure.point_mass(Config.from_text("A0BA"))
-        est = estimate_Q_many([Positions(2)], p0, 0.5, 200, 5, P2)[0]
+        est = estimate_Q_many([Config.from_coordinates(2)], p0, 0.5, 200, 5, P2)[0]
         assert est == QEstimate(mean=1.0, stderr=0.0, n=200)
 
     def test_zero_time_point_mass(self):
         eta = Config.from_text("A0BA")
-        z = Positions(2, x=(-1,), y=(1,))
+        z = Config.from_coordinates(2, x=(-1,), y=(1,))
         est = estimate_Q_many([z], Measure.point_mass(eta), 0.0, 50, 5, P2)[0]
         assert est.mean == qz_value(z, eta.occ, P2.q0)
         assert est.stderr == 0.0
 
     def test_shared_trajectories(self):
         p0 = Measure.point_mass(Config.from_text("A0BA"))
-        zs = [Positions(2, x=(-1,)), Positions(2, y=(1,))]
+        zs = [Config.from_coordinates(2, x=(-1,)), Config.from_coordinates(2, y=(1,))]
         both = estimate_Q_many(zs, p0, 0.7, 500, 9, P2)
         single = estimate_Q_many(zs[:1], p0, 0.7, 500, 9, P2)[0]
         assert both[0] == single
 
     def test_sampled_initial_distribution(self):
         p0 = canonical(SECTOR11).normalize(P2.q0)
-        est = estimate_Q_many([Positions(2)], p0, 0.0, 300, 21, P2)[0]
+        est = estimate_Q_many([Config.from_coordinates(2)], p0, 0.0, 300, 21, P2)[0]
         assert est.mean == 1.0
 
 
@@ -226,14 +225,14 @@ class TestDualityRhs:
     def test_zero_time_reduces_to_initial_mean(self):
         eta = Config.from_text("A0BA")
         p0 = Measure.point_mass(eta)
-        for z in (Positions(2, x=(0,)), Positions(2, x=(2,), y=(1,))):
+        for z in (Config.from_coordinates(2, x=(0,)), Config.from_coordinates(2, x=(2,), y=(1,))):
             assert duality_rhs(z, p0, 0.0, P2) == pytest.approx(
                 qz_value(z, eta.occ, P2.q0)
             )
 
     def test_stationary_initial_distribution(self):
         p0 = canonical(Sector(2, 2, 1)).normalize(P2.q0)
-        z = Positions(2, x=(0,), y=(1,))
+        z = Config.from_coordinates(2, x=(0,), y=(1,))
         values = [duality_rhs(z, p0, t, P2) for t in (0.0, 0.5, 1.0, 2.0)]
         assert max(values) - min(values) < 1e-10
 
@@ -247,17 +246,16 @@ class TestDualityRhs:
             if (n, m, np_, mp_) == (2, 1, 1, 1)
         ).eval(P2.q0)
         mu = canonical(target)
-        for zc in enumerate_sector(target)[:4]:
-            z = zc.to_positions()
+        for z in enumerate_sector(target)[:4]:
             limit = duality_rhs(z, p0, 200.0, P2)
             assert limit == pytest.approx(
-                lam * mu.probability(zc, P2.q0), abs=1e-9
+                lam * mu.probability(z, P2.q0), abs=1e-9
             )
 
     def test_against_monte_carlo(self):
         eta = Config.from_text("A0BA")
         p0 = Measure.point_mass(eta)
-        z = Positions(2, x=(-1,))
+        z = Config.from_coordinates(2, x=(-1,))
         est = estimate_Q_many([z], p0, 1.0, 20_000, 99, P2)[0]
         rhs = duality_rhs(z, p0, 1.0, P2)
         assert abs(est.mean - rhs) <= 3.0 * est.stderr

@@ -10,6 +10,7 @@ from asep2.cli import main
 from asep2.duality import sum_rule_table, write_lambda_csv
 
 VERIFY_ALL_L2_SHA256 = "246cf9011e4ec82618b8b39753d9f031932112737f74616ddb9a8b0b79d781f2"
+VERIFY_ALL_L3_SHA256 = "11395577c02152f21cd514d27611db4f643dfb52e00e5c6df1c4b305fe79a93d"
 
 # SHA-256 of the stdout of matrix dumps and measure files
 DUMP_SHA256 = [
@@ -56,6 +57,13 @@ def test_verify_all_l2_stdout(capsys):
     assert main(["verify", "all", "--L", "2"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_L2_SHA256
+
+
+def test_verify_all_l3_stdout(capsys):
+    # the only pin on the L3: counting-lemma and algebra lines
+    assert main(["verify", "all", "--L", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_L3_SHA256
 
 
 def test_simulate_l2_sampled_fields(capsys):

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asep2 import lattice
 from asep2.lattice import (
     A,
     B,
@@ -9,8 +12,8 @@ from asep2.lattice import (
     BondOutOfRange,
     Config,
     OverlappingCoordinates,
-    Positions,
     Sector,
+    SiteOutOfRange,
     all_configs,
     check_counting_lemmas,
     check_permutation_identities,
@@ -22,14 +25,27 @@ from asep2.lattice import (
     vacant_config,
     weyl_alcove,
 )
+from asep2.duality import check_duality
+from asep2.generator import h_exact
 from asep2.qring import LaurentPoly
-from asep2.qsym import build_Y_site
+from asep2.qsym import build_Y_site, check_symmetry
 
 
 def _lowering_row(text: str, k: int) -> dict:
     c = Config.from_text(text)
     row = build_Y_site(1, -1, k, c.L).row(c.ternary_index() - 1)
     return {config_from_ternary(j + 1, c.L).text(): v for j, v in row.items()}
+
+
+def _package_modules():
+    return [m for name, m in sys.modules.items() if name.partition(".")[0] == "asep2"]
+
+
+def _clear_caches():
+    for module in _package_modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def configs_strategy(L=2):
@@ -59,39 +75,48 @@ class TestTernaryIndex:
 
 
 class TestPositions:
+    """The coordinate form of a Config: sorted A sites x, B sites y."""
+
     def test_ab(self):
-        p = Config.from_text("AB").to_positions()
-        assert p.x == (0,) and p.y == (1,)
+        c = Config.from_text("AB")
+        assert c.x == (0,) and c.y == (1,)
 
     def test_vacant(self):
-        p = vacant_config(2).to_positions()
-        assert p.x == () and p.y == ()
+        c = vacant_config(2)
+        assert c.x == () and c.y == ()
 
     def test_roundtrip_exhaustive(self):
-        for c in all_configs(2):
-            assert c.to_positions().to_config() == c
+        for L in (1, 2, 3):
+            for c in all_configs(L):
+                assert Config.from_coordinates(L, c.x, c.y) == c
 
     def test_counts(self):
         for c in all_configs(2):
-            p = c.to_positions()
-            assert (p.N, p.M) == (c.N, c.M)
+            assert (len(c.x), len(c.y)) == (c.N, c.M)
 
     def test_overlap_rejected(self):
         with pytest.raises(OverlappingCoordinates):
-            Positions(2, x=(0,), y=(0,))
+            Config.from_coordinates(2, x=(0,), y=(0,))
         with pytest.raises(OverlappingCoordinates):
-            Positions(2, x=(0, 0))
+            Config.from_coordinates(2, x=(0, 0))
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(SiteOutOfRange):
+            Config.from_coordinates(2, x=(3,))
+        with pytest.raises(SiteOutOfRange):
+            Config.from_coordinates(2, y=(-2,))
 
     def test_sorted(self):
-        assert Positions(2, x=(2, -1)).x == (-1, 2)
+        assert Config.from_coordinates(2, x=(2, -1)).x == (-1, 2)
+        for c in all_configs(2):
+            assert list(c.x) == sorted(c.x) and list(c.y) == sorted(c.y)
 
     def test_occupation_from_positions(self):
         # local occupations are sums of coordinate indicators
         for c in all_configs(2):
-            p = c.to_positions()
             for k in sites(2):
-                assert c.a(k) == sum(1 for x in p.x if x == k)
-                assert c.b(k) == sum(1 for y in p.y if y == k)
+                assert c.a(k) == sum(1 for x in c.x if x == k)
+                assert c.b(k) == sum(1 for y in c.y if y == k)
 
 
 class TestTextForm:
@@ -143,18 +168,29 @@ class TestSectors:
 
 class TestCounting:
     def test_example(self):
-        z = Positions(2, x=(-1, 2))
-        assert count_left(z, 2, A) == 1
+        occ = Config.from_coordinates(2, x=(-1, 2)).occ
+        assert count_left(occ, 2, A) == 1
 
     def test_left_edge(self):
-        z = Positions(2, x=(0, 1), y=(2,))
-        assert count_left(z, -1, A) == 0
-        assert count_left(z, -1, B) == 0
+        occ = Config.from_coordinates(2, x=(0, 1), y=(2,)).occ
+        assert count_left(occ, -1, A) == 0
+        assert count_left(occ, -1, B) == 0
+
+    def test_vacancies(self):
+        occ = Config.from_text("A0B0").occ
+        assert [count_left(occ, k, VACANT) for k in sites(2)] == [0, 0, 1, 1]
+
+    def test_invalid(self):
+        with pytest.raises(SiteOutOfRange):
+            count_left(vacant_config(2).occ, 3, A)
+        with pytest.raises(ValueError):
+            count_left(vacant_config(2).occ, 0, 3)
 
     def test_single_particle_step(self):
         for x in sites(2):
             for r in sites(2):
-                assert count_left(Positions(2, x=(x,)), r, A) == theta(x, r)
+                occ = Config.from_coordinates(2, x=(x,)).occ
+                assert count_left(occ, r, A) == theta(x, r)
 
     # the site-k term of Y1- adds an A at k, dressed by q**(-c) for the
     # centred count c = (A left of k) - (A right of k)
@@ -225,3 +261,26 @@ class TestLemmaChecks:
             check_counting_lemmas(4)
         with pytest.raises(ValueError):
             check_permutation_identities(5, 2)
+
+    def test_wrong_left_count_is_seen(self, monkeypatch):
+        # negative control: a left count that is wrong at one site fails the
+        # lemma suite and the symmetry and duality checks, which call it too
+        real = lattice.count_left
+
+        def wrong(occ, k, species):
+            return real(occ, k, species) + (1 if k == 1 else 0)
+
+        for module in _package_modules():
+            if getattr(module, "count_left", None) is real:
+                monkeypatch.setattr(module, "count_left", wrong)
+        _clear_caches()
+        try:
+            report = check_counting_lemmas(1)
+            report.extend(check_symmetry(h_exact(1), 1))
+            report.extend(check_duality(1))
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+        failed = {line.split()[1] for line in report.lines() if " FAIL " in line}
+        assert "L1:left-count-union-additivity-A" in failed
+        assert {"L1:DH=HtD", "L1:commutator-H-Y1-"} <= failed

@@ -10,7 +10,6 @@ from asep2.lattice import (
     A,
     B,
     Config,
-    Positions,
     Sector,
     all_configs,
     sites,
@@ -60,7 +59,7 @@ class TestReversibleWeight:
 
     def test_single_a_from_positions(self):
         for x in sites(2):
-            c = Positions(2, x=(x,)).to_config()
+            c = Config.from_coordinates(2, x=(x,))
             assert pi_unnormalized(c) == LaurentPoly.q_power(2 * x - 1)
 
 

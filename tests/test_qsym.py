@@ -97,12 +97,11 @@ class TestLadders:
         # coordinate set by one A and picks up the centred-count power
         L = 2
         for zc in all_configs(L):
-            z = zc.to_positions()
             for r in sites(L):
                 row = build_Y_site(1, -1, r, L).row(zc.ternary_index() - 1)
                 if zc.state(r) == VACANT:
                     extended = zc.with_state(r, A)
-                    centred = 2 * count_left(z, r, A) - z.N
+                    centred = 2 * count_left(zc.occ, r, A) - zc.N
                     expect = {extended.ternary_index() - 1: LaurentPoly.q_power(-centred)}
                     assert row == expect
                 else:
@@ -220,11 +219,14 @@ class TestConjugationLemma:
             check_conjugation_lemma(3)
 
     def test_mutated_ladder_fails(self, monkeypatch):
-        # a+ replaced by a-: the chain-level checks must see the change
+        # a+ replaced by a-: the 3x3 tables and the chain-level checks
+        # must all see the change
         monkeypatch.setattr(qsym, "A_PLUS", qsym.A_MINUS)
         failed = [line for line in check_conjugation_lemma(1).lines() if " FAIL " in line]
         assert failed == [
+            "RELATION fundamental-products-table FAIL ('a+', 'A', 'right')",
             "RELATION fundamental-c-factorization FAIL c+",
+            "RELATION fundamental-transpose FAIL a",
             "RELATION L1:conjugation-single-ap FAIL (0, 0)",
             "RELATION L1:conjugation-product-ap FAIL (0, 1, 0)",
         ]
