@@ -9,7 +9,7 @@ Modules:
     qsym       deformed gl(3) ladder/Cartan operators and relation checks
     measures   reversible, canonical, grandcanonical and pure measures
     duality    duality functions, symmetry operator, intertwining checks
-    dynamics   uniformized kernels and the one Gillespie sampler
+    dynamics   uniformized kernels, the one batch sampler, the law of eta_t
     cli        the `asep2` command-line interface
 """
 

@@ -9,7 +9,8 @@ Subcommands:
     dump-symmetry
 
 Exit codes: 0 all checks pass, 1 an identity or statistical check
-failed, 2 usage error (including an unreadable config file or value, an
+failed (for simulate: a z-score beyond 5, or an exact mean of Q_z(eta_t)
+that disagrees with its duality prediction), 2 usage error (including an unreadable config file or value, an
 output path that cannot be opened, a negative or non-finite time, a
 non-finite chemical potential, no trajectories, a sector outside the
 lattice, a shock profile at q = 1 or a simulate seed outside
@@ -57,6 +58,9 @@ VERIFY_MAX_L = 3
 # trajectories * (2L - 1) * max(r, l) * sum of the times bounds the
 # expected number of jump proposals of a simulate run
 SIMULATE_MAX_PROPOSALS = 1e8
+# a simulate record's exact mean and duality prediction must agree within
+# EXACT_RTOL relative or EXACT_ATOL absolute: the float self-duality check
+EXACT_RTOL, EXACT_ATOL = 1e-10, 1e-15
 
 
 class UsageError(ValueError):
@@ -319,10 +323,10 @@ def default_initial_config(L: int) -> Config:
     return c
 
 
-def zscore(mean: float, stderr: float, prediction: float) -> float:
-    if stderr == 0.0:
+def zscore(mean: float, sigma: float, prediction: float) -> float:
+    if sigma == 0.0:
         return 0.0 if abs(mean - prediction) < 1e-12 else math.inf
-    return (mean - prediction) / stderr
+    return (mean - prediction) / sigma
 
 
 def _closure_payload(cfg: RunConfig, ts: list[float]) -> dict:
@@ -335,8 +339,11 @@ def _closure_payload(cfg: RunConfig, ts: list[float]) -> dict:
         estimates = dynamics.estimate_Q_many(
             zs, p0, t, cfg.trajectories, cfg.seed + it, p
         )
+        law = dynamics.law_at(p0, t, p)
         for z, est in zip(zs, estimates):
             prediction = dynamics.duality_rhs(z, p0, t, p)
+            exact, var = dynamics.q_moments(z, law, p.q0)
+            sigma = math.sqrt(var / est.n)
             records.append(
                 {
                     "z": z.text(),
@@ -344,8 +351,10 @@ def _closure_payload(cfg: RunConfig, ts: list[float]) -> dict:
                     "n": est.n,
                     "mean": est.mean,
                     "stderr": est.stderr,
+                    "exact": exact,
+                    "sigma": sigma,
                     "prediction": prediction,
-                    "zscore": zscore(est.mean, est.stderr, prediction),
+                    "zscore": zscore(est.mean, sigma, prediction),
                 }
             )
     return {
@@ -377,8 +386,13 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     with _writing(cfg.out, sys.stdout) as fh:
         payload = _closure_payload(cfg, ts)
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    worst = max((abs(rec["zscore"]) for rec in payload["records"]), default=0.0)
-    return 1 if worst > 5.0 else 0
+    records = payload["records"]
+    worst = max((abs(rec["zscore"]) for rec in records), default=0.0)
+    close = all(
+        math.isclose(r["exact"], r["prediction"], rel_tol=EXACT_RTOL, abs_tol=EXACT_ATOL)
+        for r in records
+    )
+    return 0 if worst <= 5.0 and close else 1
 
 
 # ---------------------------------------------------------------------

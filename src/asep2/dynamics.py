@@ -1,20 +1,21 @@
-"""Time evolution: uniformized transition kernels and the Gillespie sampler.
+"""Time evolution: uniformized kernels, the batch sampler, the law of eta_t.
 
 The kernel exp(-H t) is a Poisson-weighted power series in the
 column-stochastic, entrywise nonnegative P = I - H/lam (uniformization),
 so no term cancels another; it is summed at a scaled horizon and squared.
 
-There is one sampler: `_run_occ`, a Gillespie jump loop on a raw
-occupation list that reads its bond rates from `generator.rate_table`.
-`estimate_Q_many` runs it on counter-based Philox streams keyed by
-(master seed, trajectory index), so every trajectory is reproducible bit
-for bit and trivially parallel.  Its dual coordinate sets z, like the
-one `duality_rhs` predicts for, are `Config`s of the same lattice.
+There is one sampler: `_final_blocks`, the uniformized chain run on
+blocks of BLOCK occupation rows with rates from `generator.rate_table`.
+Block b draws from the counter-based Philox stream keyed (seed, b)
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+so a run depends only on (seed, trajectories).  Dual coordinate sets z
+are `Config`s of the same lattice.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .sparse import SparseMatrix
 TAIL_TOL = 1e-14
 SCALE_MU = 16.0  # largest rate-time product summed without squaring
 STORED_POWERS = 3  # powers of P kept by the Paterson-Stockmeyer series
+BLOCK = 4096  # trajectories per Philox stream
 
 
 @dataclass(frozen=True)
@@ -106,30 +108,47 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
 
 
 # ---------------------------------------------------------------------
-# Gillespie sampling
+# batch sampling
 # ---------------------------------------------------------------------
 
 
-def _run_occ(occ: list, table, n_sites: int, t: float, t_end: float, rng) -> float:
-    """Hot trajectory loop on a raw occupation list (mutated in place)."""
-    exponential = rng.exponential
-    uniform = rng.random
-    while True:
-        rates = [table[occ[i]][occ[i + 1]] for i in range(n_sites - 1)]
-        total = sum(rates)
-        if total == 0.0:
-            return t_end
-        dt = exponential(1.0 / total)
-        u = uniform() * total
-        if t + dt > t_end:
-            return t_end
-        t += dt
-        acc = 0.0
-        for i, rate in enumerate(rates):
-            acc += rate
-            if u < acc or i == n_sites - 2:
-                occ[i], occ[i + 1] = occ[i + 1], occ[i]
-                break
+def _support_arrays(p0: Measure):
+    """Occupations of p0's support as int8 rows, and its cumulative weights."""
+    configs = sorted(p0.support(), key=Config.ternary_index)
+    cdf = np.cumsum([float(p0.weights[c]) for c in configs])
+    if not math.isclose(cdf[-1], 1.0, rel_tol=0, abs_tol=1e-9):
+        raise ValueError("initial distribution must be normalised")
+    return np.array([c.occ for c in configs], dtype=np.int8), cdf
+
+
+def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelParams):
+    """Final occupations of `trajectories` paths, one (n, 2L) int8 array per block.
+
+    Each path starts from a draw of p0 and makes Poisson(lam t) proposals,
+    lam = (2L - 1) max(r, l), each a uniform bond exchanged with probability
+    rate/max(r, l): the uniformized chain, so eta_t has its exact law.  Rows
+    are sorted by proposal count; at each step the last m rows propose.
+    """
+    starts, cdf = _support_arrays(p0)
+    top = float(max(p.r, p.ell))
+    accept = np.array(rate_table(p, Ring.FLOAT)) / top
+    n_sites = 2 * p.L
+    lam_t = (n_sites - 1) * top * t
+    for b, first in enumerate(range(0, trajectories, BLOCK)):
+        n = min(BLOCK, trajectories - first)
+        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+        occ = starts[np.searchsorted(cdf[:-1], rng.random(n), side="right")]
+        proposals = np.sort(rng.poisson(lam_t, n))
+        flat = occ.reshape(-1)
+        for step in range(int(proposals[-1])):
+            m = n - int(np.searchsorted(proposals, step, side="right"))
+            left = np.arange((n - m) * n_sites, n * n_sites, n_sites)
+            left += rng.integers(n_sites - 1, size=m)
+            s1, s2 = flat[left], flat[left + 1]
+            swap = rng.random(m) < accept[s1, s2]
+            hit = left[swap]
+            flat[hit], flat[hit + 1] = s2[swap], s1[swap]
+        yield occ
 
 
 # ---------------------------------------------------------------------
@@ -144,15 +163,6 @@ class QEstimate:
     n: int
 
 
-def _support_arrays(p0: Measure):
-    configs = sorted(p0.support(), key=Config.ternary_index)
-    probs = np.array([float(p0.weights[c]) for c in configs])
-    total = probs.sum()
-    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ValueError("initial distribution must be normalised")
-    return configs, np.cumsum(probs)
-
-
 def estimate_Q_many(
     zs: list[Config],
     p0: Measure,
@@ -164,30 +174,37 @@ def estimate_Q_many(
     """Monte-Carlo means of the duality products over shared trajectories.
 
     Every trajectory is evaluated against all coordinate sets at once, so
-    a grid of observables reuses the same sampled paths.
+    a grid of observables reuses the same sampled paths; each distinct
+    final configuration is evaluated once, weighted by its frequency.
     """
-    q0 = p.q0
-    table = rate_table(p, Ring.FLOAT)
-    n_sites = 2 * p.L
-    configs, cdf = _support_arrays(p0)
-    sums = [0.0] * len(zs)
-    sumsq = [0.0] * len(zs)
-    for i in range(trajectories):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        u = rng.random()
-        occ = list(configs[int(np.searchsorted(cdf, u, side="right"))].occ)
-        _run_occ(occ, table, n_sites, 0.0, t, rng)
-        for j, z in enumerate(zs):
-            v = qz_value(z, occ, q0)
-            sums[j] += v
-            sumsq[j] += v * v
-    out = []
+    counts: Counter = Counter()
+    for occ in _final_blocks(p0, t, trajectories, seed, p):
+        rows, hits = np.unique(occ, axis=0, return_counts=True)
+        counts.update(dict(zip(map(tuple, rows.tolist()), hits.tolist())))
     n = trajectories
-    for j in range(len(zs)):
-        mean = sums[j] / n
-        var = max(0.0, (sumsq[j] / n - mean * mean) * n / max(1, n - 1))
-        out.append(QEstimate(mean=mean, stderr=math.sqrt(var / n), n=n))
-    return out
+    sample = Measure(p.L, {Config(p.L, occ): c for occ, c in counts.items()})
+    moments = [q_moments(z, sample, p.q0) for z in zs]
+    return [QEstimate(m, math.sqrt(var / max(1, n - 1)), n) for m, var in moments]
+
+
+def q_moments(z: Config, law: Measure, q0: float) -> tuple[float, float]:
+    """Mean and variance of the duality product Q_z under float weights,
+    normalised by their sum (a law, or the counts of a sample)."""
+    values = [(w, qz_value(z, eta.occ, q0)) for eta, w in law.items()]
+    total = sum(w for w, _ in values)
+    mean = sum(w * v for w, v in values) / total
+    return mean, max(0.0, sum(w * (v - mean) ** 2 for w, v in values) / total)
+
+
+def law_at(p0: Measure, t: float, p: ModelParams) -> Measure:
+    """Exact law of eta_t: each sector's part of p0 evolved by its kernel."""
+    weights = {}
+    for n, m in sorted({(c.N, c.M) for c in p0.support()}):
+        sector = Sector(p.L, n, m)
+        configs = enumerate_sector(sector)
+        kernel = evolve(build_H_sector(p, sector, Ring.FLOAT), t).matrix
+        weights.update(zip(configs, (kernel @ p0.as_vector(configs)).tolist()))
+    return Measure(p.L, weights)
 
 
 def duality_rhs(z: Config, p0: Measure, t: float, p: ModelParams) -> float:

@@ -2,10 +2,11 @@ import errno
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from asep2 import cli, qsym
+from asep2 import cli, dynamics, qsym
 from asep2.cli import default_dual_coordinates, default_initial_config, main, zscore
 from asep2.measures import pure_marginal
 from asep2.generator import ModelParams
@@ -125,6 +126,36 @@ class TestSimulate:
         assert main(argv) in (0, 1)
         records = json.loads(capsys.readouterr().out)["records"]
         assert len(records) == len(default_dual_coordinates(1))
+
+    def test_zero_hit_record_has_finite_z(self, capsys):
+        # A000000B gets no hits in 1e4 trajectories (prediction ~9e-6); its
+        # z-score divides by the exact-law sigma, not the empirical stderr of 0
+        argv = ["simulate", "--L", "4", "--t", "4", "--trajectories", "10000", "--seed", "1"]
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert all(math.isfinite(r["zscore"]) and r["sigma"] > 0.0 for r in records)
+        assert all(r["exact"] == pytest.approx(r["prediction"], rel=1e-10) for r in records)
+
+    def test_wrong_q_prediction_fails(self, monkeypatch, capsys):
+        # negative control: sample at r=2, l=1/2, predict at r=3, l=1/2;
+        # the exact-law sigma must not hide the disagreement
+        wrong = ModelParams(2, Fraction(3), Fraction(1, 2))
+        rhs = dynamics.duality_rhs
+        monkeypatch.setattr(dynamics, "duality_rhs", lambda z, p0, t, p: rhs(z, p0, t, wrong))
+        assert main(["simulate", "--L", "2", "--trajectories", "10000", "--t", "1"]) == 1
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert max(abs(r["zscore"]) for r in records) > 5.0
+
+    def test_exact_mean_disagreement_fails(self, monkeypatch, capsys):
+        # a prediction off by 1e-8 relative moves no z-score past 5, but
+        # breaks the float self-duality check against the exact mean
+        rhs = dynamics.duality_rhs
+        monkeypatch.setattr(
+            dynamics, "duality_rhs", lambda z, p0, t, p: rhs(z, p0, t, p) * (1 + 1e-8)
+        )
+        assert main(["simulate", "--L", "1", "--trajectories", "200", "--t", "1"]) == 1
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert max(abs(r["zscore"]) for r in records) <= 5.0
 
     def test_zscore_edge_cases(self):
         assert zscore(1.0, 0.0, 1.0) == 0.0

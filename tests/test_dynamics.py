@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 from asep2.duality import qz_value, sum_rule_table
-from asep2.dynamics import QEstimate, _run_occ, duality_rhs, estimate_Q_many, evolve
+from asep2.dynamics import (
+    BLOCK,
+    QEstimate,
+    _final_blocks,
+    duality_rhs,
+    estimate_Q_many,
+    evolve,
+    law_at,
+    q_moments,
+)
 from asep2.generator import ModelParams, Ring, build_H, build_H_sector, rate_table
 from asep2.lattice import (
-    A,
     VACANT,
     Config,
     Sector,
@@ -108,25 +116,33 @@ class TestEvolve:
         assert np.array_equal(k.matrix, np.eye(1))
 
 
+def final_rows(p0, t, trajectories, seed, p=P2):
+    return np.concatenate(list(_final_blocks(p0, t, trajectories, seed, p)))
+
+
 class TestGillespie:
-    def test_deterministic_single_bond(self):
-        # only one enabled bond: the first jump is A0 -> 0A after an Exp(r)
-        # wait; each jump draws its waiting time, then its bond, from the stream
-        ref = np.random.Generator(np.random.Philox(key=[7, 0]))
-        first = ref.exponential(1.0 / 2.0)
-        ref.random()
-        second = ref.exponential(1.0 / 0.5)
-        rng = np.random.Generator(np.random.Philox(key=[7, 0]))
-        occ = [A, VACANT]
-        t_end = first + second / 2
-        assert _run_occ(occ, rate_table(P1, Ring.FLOAT), 2, 0.0, t_end, rng) == t_end
-        assert occ == [VACANT, A]
+    def test_two_site_chain(self):
+        # A0 -> 0A at rate r, back at rate l: P(0A at t) = r/(r+l) (1 - e^{-(r+l) t})
+        t, n = 0.4, 20_000
+        rows = final_rows(Measure.point_mass(Config.from_text("A0")), t, n, 7, P1)
+        r, ell = float(P1.r), float(P1.ell)
+        p = r / (r + ell) * (1.0 - math.exp(-(r + ell) * t))
+        freq = float(np.mean(rows[:, 0] == VACANT))
+        assert abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
     def test_frozen_configuration(self):
-        rng = np.random.Generator(np.random.Philox(key=[7, 0]))
-        occ = list(vacant_config(2).occ)
-        assert _run_occ(occ, rate_table(P2, Ring.FLOAT), 4, 0.0, 5.0, rng) == 5.0
-        assert occ == list(vacant_config(2).occ)
+        vacant = vacant_config(2)
+        rows = final_rows(Measure.point_mass(vacant), 5.0, 100, 7)
+        assert rows.shape == (100, 4)
+        assert all(tuple(row) == vacant.occ for row in rows.tolist())
+
+    def test_block_layout(self):
+        # block b of a run draws from its own stream, so a longer run only
+        # appends blocks: its first BLOCK rows are a run of BLOCK
+        p0 = canonical(SECTOR11).normalize(P2.q0)
+        blocks = list(_final_blocks(p0, 1.0, 2 * BLOCK + 7, 3, P2))
+        assert [len(b) for b in blocks] == [BLOCK, BLOCK, 7]
+        assert np.array_equal(blocks[0], final_rows(p0, 1.0, BLOCK, 3))
 
     def test_reproducible_trajectories(self):
         p0 = Measure.point_mass(Config.from_text("A0BA"))
@@ -143,15 +159,10 @@ class TestGillespie:
         # uniformized kernel column, within 3-sigma multinomial bands
         start = Config.from_text("AB00")
         t, n = 1.0, 100_000
-        table = rate_table(P2, Ring.FLOAT)
-        counts: dict[tuple, int] = {}
-        for i in range(n):
-            rng = np.random.Generator(np.random.Philox(key=[2024, i]))
-            rng.random()  # initial-draw slot (point mass)
-            occ = list(start.occ)
-            _run_occ(occ, table, 4, 0.0, t, rng)
-            key = tuple(occ)
-            counts[key] = counts.get(key, 0) + 1
+        rows, hits = np.unique(
+            final_rows(Measure.point_mass(start), t, n, 2024), axis=0, return_counts=True
+        )
+        counts = dict(zip(map(tuple, rows.tolist()), hits.tolist()))
         configs = enumerate_sector(SECTOR11)
         kernel = sector_kernel(t).matrix
         col = configs.index(start)
@@ -251,6 +262,17 @@ class TestDualityRhs:
             assert limit == pytest.approx(
                 lam * mu.probability(z, P2.q0), abs=1e-9
             )
+
+    def test_exact_law_closes_duality(self):
+        # E Q_z(eta_t) under the exact law of eta_t, started from a mix of
+        # two sectors, against the few-particle prediction
+        p0 = Measure(2, {Config.from_text("A0BA"): 0.25, Config.from_text("AB00"): 0.75})
+        law = law_at(p0, 1.5, P2)
+        assert sum(law.weights.values()) == pytest.approx(1.0, abs=1e-12)
+        for z in enumerate_sector(Sector(2, 1, 1))[:5] + enumerate_sector(Sector(2, 2, 0))[:3]:
+            mean, var = q_moments(z, law, P2.q0)
+            assert mean == pytest.approx(duality_rhs(z, p0, 1.5, P2), rel=1e-12, abs=1e-15)
+            assert var >= 0.0
 
     def test_against_monte_carlo(self):
         eta = Config.from_text("A0BA")
