@@ -16,9 +16,10 @@ non-finite chemical potential, no trajectories, a sector outside the
 lattice, a shock profile at q = 1 or a simulate seed outside
 0..2^63 - (number of times)) or desk-scale resource cap breached
 (including a simulation whose jump-proposal bound exceeds
-SIMULATE_MAX_PROPOSALS), 3 internal error: any other exception, such as
-a write that fails after its file was opened, prints one `error: ...`
-line and no traceback.
+SIMULATE_MAX_PROPOSALS, and a simulation at L > dynamics.CODE_MAX_L = 19,
+where a final row's base-3 code would overflow int64), 3 internal error:
+any other exception, such as a write that fails after its file was
+opened, prints one `error: ...` line and no traceback.
 
 Parameters come from built-in defaults (L=2, r=2, l=1/2 so q=2, w=1 and
 all evaluated q-powers are dyadic), overridden by an optional flat
@@ -370,6 +371,10 @@ def _closure_payload(cfg: RunConfig, ts: list[float]) -> dict:
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
     p = cfg.params
+    if p.L > dynamics.CODE_MAX_L:
+        raise UsageError(
+            f"simulation is desk-scale: need L <= {dynamics.CODE_MAX_L}, got {p.L}"
+        )
     ts = sorted(cfg.ts or [0.0, 1.0])
     # time i samples on Philox keys seed + i, which numpy keeps exact only
     # below 2^63 (larger keys alias through float64)

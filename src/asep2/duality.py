@@ -33,7 +33,7 @@ from .lattice import (
 from .measures import pi_hat, pi_unnormalized
 from .qring import LaurentPoly, exact_div, q_factorial, q_multinomial
 from .reporting import Report, matrices_equal, matrix_is_zero
-from .sparse import SparseMatrix, commutator
+from .sparse import SparseMatrix, commutator, matrix_sum, product_difference
 from .qsym import build_Y
 from .generator import h_exact
 
@@ -131,10 +131,7 @@ def build_S(L: int) -> SparseMatrix:
     """Double sum of divided powers of the two sector-shifting ladders."""
     if L > 3:
         raise ValueError("symmetry operator capped at L <= 3 (slow beyond 2)")
-    out = SparseMatrix(3 ** (2 * L), {})
-    for term in divided_power_terms(L).values():
-        out = out + term
-    return out
+    return matrix_sum(3 ** (2 * L), divided_power_terms(L).values())
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +270,9 @@ def check_duality(L: int) -> Report:
     dim = 3 ** (2 * L)
     configs = all_configs(L)
 
-    matrices_equal(report, f"L{L}:DH=HtD", D_closed @ H, H.transpose() @ D_closed)
+    matrix_is_zero(
+        report, f"L{L}:DH=HtD", product_difference(D_closed, H, H.transpose(), D_closed)
+    )
     matrices_equal(
         report, f"L{L}:closed-form-vs-symmetry", D_closed, duality_from_symmetry(L)
     )

@@ -30,6 +30,9 @@ TAIL_TOL = 1e-14
 SCALE_MU = 16.0  # largest rate-time product summed without squaring
 STORED_POWERS = 3  # powers of P kept by the Paterson-Stockmeyer series
 BLOCK = 4096  # trajectories per Philox stream
+# a final row is counted by its big-endian base-3 code, exact in int64
+# while 3**(2L) <= 2**63
+CODE_MAX_L = 19
 
 
 @dataclass(frozen=True)
@@ -176,10 +179,16 @@ def estimate_Q_many(
     Every trajectory is evaluated against all coordinate sets at once, so
     a grid of observables reuses the same sampled paths; each distinct
     final configuration is evaluated once, weighted by its frequency.
+    Rows are counted by their big-endian base-3 codes, whose order is the
+    rows' lexicographic order.
     """
+    if p.L > CODE_MAX_L:
+        raise ValueError(f"row codes overflow int64: need L <= {CODE_MAX_L}")
+    place = 3 ** np.arange(2 * p.L - 1, -1, -1, dtype=np.int64)
     counts: Counter = Counter()
     for occ in _final_blocks(p0, t, trajectories, seed, p):
-        rows, hits = np.unique(occ, axis=0, return_counts=True)
+        codes, hits = np.unique(occ @ place, return_counts=True)
+        rows = codes[:, None] // place % 3
         counts.update(dict(zip(map(tuple, rows.tolist()), hits.tolist())))
     n = trajectories
     sample = Measure(p.L, {Config(p.L, occ): c for occ, c in counts.items()})

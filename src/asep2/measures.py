@@ -33,7 +33,7 @@ from .lattice import (
 )
 from .qring import LaurentPoly, q_multinomial, rogers_szego_x, rogers_szego_y
 from .reporting import Report, matrix_is_zero
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, product_difference
 
 
 # grid and tolerances of the float checks
@@ -263,7 +263,9 @@ def check_reversibility(H: SparseMatrix, L: int) -> Report:
     """Detailed balance as the exact matrix identity H P = P H^T."""
     report = Report()
     P = pi_hat(L)
-    matrix_is_zero(report, f"L{L}:detailed-balance", H @ P - P @ H.transpose())
+    matrix_is_zero(
+        report, f"L{L}:detailed-balance", product_difference(H, P, P, H.transpose())
+    )
     return report
 
 

@@ -78,6 +78,11 @@ class LaurentPoly:
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def terms(self) -> dict[int, int]:
+        """The half-exponent -> coefficient map, not copied: read, never mutate."""
+        return self._c
+
     def __bool__(self) -> bool:
         return bool(self._c)
 
@@ -100,16 +105,12 @@ class LaurentPoly:
                 c[h] = s
             elif h in c:
                 del c[h]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        return _own(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {h: -v for h, v in self._c.items()}
-        return out
+        return _own({h: -v for h, v in self._c.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -136,9 +137,7 @@ class LaurentPoly:
                     c[h] = s
                 elif h in c:
                     del c[h]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
+        return _own(c)
 
     __rmul__ = __mul__
 
@@ -183,6 +182,23 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
+
+
+def _own(half_coeffs: dict[int, int]) -> LaurentPoly:
+    """Trusted constructor: the map's coefficients are nonzero ints, and
+    the polynomial takes ownership of it."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = half_coeffs
+    return out
+
+
+def from_terms(term_maps) -> list[LaurentPoly]:
+    """One polynomial per half-exponent -> coefficient map, without checks.
+
+    The caller guarantees int keys and nonzero int coefficients and hands
+    over each map; this is how the sparse kernel builds its output entries.
+    """
+    return [_own(c) for c in term_maps]
 
 
 ZERO = LaurentPoly.zero()

@@ -60,4 +60,6 @@ def matrix_is_zero(report: Report, name: str, op) -> None:
 
 
 def matrices_equal(report: Report, name: str, left, right) -> None:
+    """Record whether left == right; the residual left - right is one pass
+    of the sparse term kernel."""
     matrix_is_zero(report, name, left - right)

@@ -1,20 +1,26 @@
-"""Sparse square matrices over an exact or floating scalar ring.
+"""Sparse square matrices; their algebra is exact.
 
-Entries are plain scalars that support +, -, * and are false exactly
-when zero: LaurentPoly in exact mode, float in numeric mode.  Zero
-entries are never stored, so a matrix is identically zero in the ring
-iff it stores nothing, which is what the identity checks test.  Storage is a coordinate hash map; the dump format
-orders entries column-compressed, (col, row) ascending, so serialised
-matrices are deterministic.
+Storage is a coordinate hash map of nonzero entries, so a matrix is
+identically zero iff it stores nothing, which is what the identity checks
+test.  Dumps order entries column-compressed, (col, row) ascending, so
+serialised matrices are deterministic.
+
++, -, @, `commutator`, `product_difference` and `matrix_sum` take
+LaurentPoly entries only and run on their integer terms (`_combine`): no
+polynomial is built per scalar product, and a commutator is one pass with
+no intermediate product.  Float matrices (the float generator) are built
+and converted, never multiplied: their arithmetic goes through `to_numpy`.
 
 Matrices are treated as immutable once built.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
-from .qring import ONE, LaurentPoly
+from .qring import ONE, LaurentPoly, from_terms
 
 
 class SparseMatrix:
@@ -30,6 +36,14 @@ class SparseMatrix:
                 if v:
                     cleaned[(r, c)] = v
         self.entries = cleaned
+
+    @classmethod
+    def _trusted(cls, dim: int, entries: dict) -> "SparseMatrix":
+        """Take ownership of in-range entries that are already nonzero."""
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.entries = entries
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -78,27 +92,11 @@ class SparseMatrix:
 
     # -- algebra ----------------------------------------------------------
 
-    def _check_dim(self, other):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch {self.dim} vs {other.dim}")
-
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        self._check_dim(other)
-        out = dict(self.entries)
-        for key, v in other.entries.items():
-            s = out.get(key)
-            s = v if s is None else s + v
-            if not s:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return SparseMatrix(self.dim, out)
+        return _combine(self.dim, sums=((1, self), (1, other)))
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "SparseMatrix":
-        return SparseMatrix(self.dim, {k: -v for k, v in self.entries.items()})
+        return _combine(self.dim, sums=((1, self), (-1, other)))
 
     def scale(self, scalar) -> "SparseMatrix":
         if not scalar:
@@ -106,28 +104,12 @@ class SparseMatrix:
         return SparseMatrix(self.dim, {k: scalar * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        self._check_dim(other)
-        rows_other: dict[int, dict] = {}
-        for (r, c), v in other.entries.items():
-            rows_other.setdefault(r, {})[c] = v
-        out: dict = {}
-        for (r, k), va in self.entries.items():
-            row = rows_other.get(k)
-            if not row:
-                continue
-            for c, vb in row.items():
-                key = (r, c)
-                s = out.get(key)
-                prod = va * vb
-                s = prod if s is None else s + prod
-                if not s:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SparseMatrix(self.dim, out)
+        return _combine(self.dim, products=((1, self, other),))
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
+        return SparseMatrix._trusted(
+            self.dim, {(c, r): v for (r, c), v in self.entries.items()}
+        )
 
     def map_entries(self, fn) -> "SparseMatrix":
         return SparseMatrix(self.dim, {k: fn(v) for k, v in self.entries.items()})
@@ -150,5 +132,74 @@ class SparseMatrix:
         return f"SparseMatrix(dim={self.dim}, nnz={self.nnz})"
 
 
+def product_difference(
+    a: SparseMatrix, b: SparseMatrix, c: SparseMatrix, d: SparseMatrix
+) -> SparseMatrix:
+    """a @ b - c @ d in one pass, with no intermediate product matrix."""
+    return _combine(a.dim, products=((1, a, b), (-1, c, d)))
+
+
 def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    return a @ b - b @ a
+    return product_difference(a, b, b, a)
+
+
+def matrix_sum(dim: int, matrices) -> SparseMatrix:
+    """The sum of an iterable of dim x dim matrices, in one pass."""
+    return _combine(dim, sums=((1, m) for m in matrices))
+
+
+def _combine(dim: int, sums=(), products=()) -> SparseMatrix:
+    """sign * m summed over (sign, m) in sums, plus sign * (a @ b) summed
+    over (sign, a, b) in products, accumulated term by term.
+
+    `rows[r]` maps `h * dim + c` to the integer coefficient of q**(h/2)
+    gathered so far for entry (r, c): one flat key per term keeps the
+    inner loop at one dict lookup, and `divmod(key, dim)` gives (h, c)
+    back, also for negative h.  Coefficients that cancel to zero, and
+    entries left with none, are dropped once, at the end.
+    """
+    rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for sign, m in sums:
+        _check_dim(dim, m)
+        for (r, c), v in m.entries.items():
+            row = rows[r]
+            for h, x in v.terms.items():
+                key = h * dim + c
+                row[key] = row.get(key, 0) + sign * x
+    for sign, a, b in products:
+        _check_dim(dim, a)
+        _check_dim(dim, b)
+        b_terms: defaultdict[int, list] = defaultdict(list)  # row k of b
+        for (k, c), v in b.entries.items():
+            b_row = b_terms[k]
+            for h, x in v.terms.items():
+                b_row.append((h * dim + c, x))
+        for (r, k), v in a.entries.items():
+            b_row = b_terms.get(k)
+            if b_row is None:
+                continue
+            row = rows[r]
+            for ha, xa in v.terms.items():
+                shift, xa = ha * dim, sign * xa
+                for kb, xb in b_row:
+                    key = kb + shift
+                    row[key] = row.get(key, 0) + xa * xb
+    keys, cells = [], []
+    for r, row in rows.items():
+        by_col: dict[int, dict[int, int]] = {}
+        for key, x in row.items():
+            if x:
+                h, c = divmod(key, dim)
+                cell = by_col.get(c)
+                if cell is None:
+                    by_col[c] = {h: x}
+                else:
+                    cell[h] = x
+        keys.extend((r, c) for c in by_col)
+        cells.extend(by_col.values())
+    return SparseMatrix._trusted(dim, dict(zip(keys, from_terms(cells))))
+
+
+def _check_dim(dim: int, m: SparseMatrix) -> None:
+    if m.dim != dim:
+        raise ValueError(f"dimension mismatch {dim} vs {m.dim}")

@@ -235,6 +235,7 @@ class TestUsageErrors:
             ["simulate", "--L", "1", "--trajectories", "10", "--seed", "-1"],
             ["simulate", "--L", "1", "--trajectories", "10", "--t", "0", "--t", "1",
              "--seed", str(2**63 - 1)],
+            ["simulate", "--L", "20", "--trajectories", "10"],
         ],
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
@@ -243,6 +244,7 @@ class TestUsageErrors:
             "nu-nan", "nu-inf", "nu-minus-inf", "mu-nan", "profile-q-one",
             "grandcanonical-lattice-too-large", "pure-lattice-too-large",
             "huge-time", "proposals-over-budget", "negative-seed", "seed-key-overflow",
+            "row-code-overflow",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from asep2.generator import (
@@ -21,9 +22,9 @@ P1 = ModelParams(1, Fraction(2), Fraction(1, 2))
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
 
 
-def _summation_row(dim: int, one) -> SparseMatrix:
+def _summation_row(dim: int) -> SparseMatrix:
     """The all-ones row vector, as row 0 of a square matrix."""
-    return SparseMatrix(dim, {(0, c): one for c in range(dim)})
+    return SparseMatrix(dim, {(0, c): LaurentPoly.one() for c in range(dim)})
 
 
 def _generator_action(H: SparseMatrix, f, configs) -> list:
@@ -96,15 +97,15 @@ class TestBuildH:
         assert He.get(tgt, src) == -LaurentPoly.q_power(1)
 
     def test_column_sums_vanish(self):
-        # the dyadic rates 2 and 1/2 keep the float sums exact
-        for ring, one in ((Ring.EXACT, LaurentPoly.one()), (Ring.FLOAT, 1.0)):
-            H = build_H(P2, ring)
-            assert (_summation_row(H.dim, one) @ H).is_zero()
+        # the dyadic rates 2 and 1/2 keep the float sums exact; the exact
+        # ring is checked by the summation-vector test below
+        H = build_H(P2, Ring.FLOAT).to_numpy()
+        assert not np.any(np.ones(H.shape[0]) @ H)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_summation_vector_annihilates_exactly(self, L):
         H = h_exact(L)
-        assert (_summation_row(H.dim, LaurentPoly.one()) @ H).is_zero()
+        assert (_summation_row(H.dim) @ H).is_zero()
 
     def test_sign_structure(self):
         H = build_H(P2, Ring.FLOAT)
