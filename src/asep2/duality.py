@@ -24,10 +24,8 @@ from .lattice import (
     A,
     B,
     Config,
-    Sector,
     all_configs,
     count_left,
-    enumerate_sector,
     vacant_config,
 )
 from .measures import pi_hat, pi_unnormalized
@@ -84,14 +82,13 @@ def duality_products(L: int) -> SparseMatrix:
     those entries are built.
     """
     entries: dict = {}
-    for c in all_configs(L):
-        col = c.ternary_index() - 1
+    for col, c in enumerate(all_configs(L)):
         for nx in range(c.N + 1):
             for xs in itertools.combinations(c.x, nx):
                 for my in range(c.M + 1):
                     for ys in itertools.combinations(c.y, my):
                         z = Config.from_coordinates(L, xs, ys)
-                        entries[(z.ternary_index() - 1, col)] = Qz(z, c)
+                        entries[(z.index, col)] = Qz(z, c)
     return SparseMatrix(3 ** (2 * L), entries)
 
 
@@ -283,24 +280,17 @@ def check_duality(L: int) -> Report:
         commutator(build_Y(1, -1, L), build_Y(2, +1, L)),
     )
 
-    vac_row = S.row(vacant_config(L).ternary_index() - 1)
-    report.check(f"L{L}:S-vacuum-row", [c for c in range(dim) if vac_row.get(c) != 1])
+    vacuum = vacant_config(L).index
+    report.check(f"L{L}:S-vacuum-row", [c for c in range(dim) if S.get(vacuum, c) != 1])
 
-    def qz_row(z: Config) -> dict:
-        return {
-            c.ternary_index() - 1: LaurentPoly.q_power(e)
-            for c in configs
-            if (e := qz_exponent(z, c.occ)) is not None
-        }
-
-    report.check(
-        f"L{L}:rows-S-vs-Qhat",
-        [
-            zc.text()
-            for zc in configs
-            if S.row(zc.ternary_index() - 1) != qz_row(zc)
-        ],
-    )
+    # Q_z(eta) by brute force over every pair: row z of S is Q_z
+    brute = {
+        (r, c): LaurentPoly.q_power(e)
+        for r, z in enumerate(configs)
+        for c, eta in enumerate(configs)
+        if (e := qz_exponent(z, eta.occ)) is not None
+    }
+    matrices_equal(report, f"L{L}:rows-S-vs-Qhat", S, SparseMatrix(dim, brute))
     report.check(
         f"L{L}:sector-block-structure",
         [
@@ -320,8 +310,7 @@ def _check_exclusion_cutoff(report: Report, L: int) -> None:
     # the sector summation row vector annihilates both ladders on full sectors
     bad = []
     for n in range(2 * L + 1):
-        full = enumerate_sector(Sector(L, n, 2 * L - n))
-        rows = {c.ternary_index() - 1 for c in full}
+        rows = {i for i, c in enumerate(configs) if (c.N, c.M) == (n, 2 * L - n)}
         for name, y in (("Y1-", build_Y(1, -1, L)), ("Y2+", build_Y(2, +1, L))):
             col_sums: dict = {}
             for (r, c), v in y.entries.items():

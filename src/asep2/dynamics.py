@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -117,7 +118,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
 
 def _support_arrays(p0: Measure):
     """Occupations of p0's support as int8 rows, and its cumulative weights."""
-    configs = sorted(p0.support(), key=Config.ternary_index)
+    configs = sorted(p0.support(), key=attrgetter("index"))
     cdf = np.cumsum([float(p0.weights[c]) for c in configs])
     if not math.isclose(cdf[-1], 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValueError("initial distribution must be normalised")
@@ -219,17 +220,10 @@ def law_at(p0: Measure, t: float, p: ModelParams) -> Measure:
 def duality_rhs(z: Config, p0: Measure, t: float, p: ModelParams) -> float:
     """Duality prediction for the time-dependent mean of the product.
 
-    Builds the few-particle sector kernel for the dual coordinates and
-    contracts it with the initial-time means: the expectation propagates
-    through the dynamics of N(z) + M(z) particles only.
+    The initial-time means of Q_zc, for every zc in z's sector, evolved
+    as a law of that sector: the expectation propagates through the
+    dynamics of N(z) + M(z) particles only.
     """
-    sector = Sector(p.L, z.N, z.M)
-    configs = enumerate_sector(sector)
-    kernel = evolve(build_H_sector(p, sector, Ring.FLOAT), t).matrix
-    q0 = p.q0
-    row = configs.index(z)
-    total = 0.0
-    for j, zc in enumerate(configs):
-        init = sum(w * qz_value(zc, eta.occ, q0) for eta, w in p0.items())
-        total += init * kernel[row, j]
-    return total
+    zcs = enumerate_sector(Sector(p.L, z.N, z.M))
+    means = Measure(p.L, {zc: q_moments(zc, p0, p.q0)[0] for zc in zcs})
+    return law_at(means, t, p).weights[z]

@@ -125,11 +125,9 @@ def build_H(p: ModelParams, ring: Ring = Ring.EXACT) -> SparseMatrix:
         )
     table = rate_table(p, ring)
     entries: dict = {}
-    for c in all_configs(p.L):
-        src = c.ternary_index() - 1
+    for src, c in enumerate(all_configs(p.L)):
         for k, rate in _bond_rates(table, c):
-            tgt = c.swap(k).ternary_index() - 1
-            _accumulate(entries, src, tgt, rate)
+            _accumulate(entries, src, c.swap(k).index, rate)
     return SparseMatrix(3 ** (2 * p.L), entries)
 
 

@@ -9,14 +9,21 @@ private.
 
 The text form of a configuration is a string over {A, 0, B} read
 left-to-right from site -L+1, e.g. "A0B0".
+
+Every full-basis matrix in the package (generator, ladders, symmetry
+operator, duality matrix) lives on the 3^(2L) configurations in ternary
+order: the state of site -L+1 is the least significant digit.  There is
+one encoder, `Config.index`, and one decoder, the table `all_configs(L)`,
+built once per L, whose entry i is the configuration with index i.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
+from operator import attrgetter
 
 from .qring import LaurentPoly, q_factorial
 from .reporting import Report
@@ -102,9 +109,17 @@ class Config:
     def M(self) -> int:
         return self.occ.count(B)
 
-    def ternary_index(self) -> int:
-        """1-based basis index; site -L+1 is the least significant digit."""
-        return 1 + sum(s * 3**i for i, s in enumerate(self.occ))
+    @property
+    def index(self) -> int:
+        """Basis index, from 0; site -L+1 is the least significant digit.
+
+        Recomputed on each read: hot loops read it once per Config, and a
+        cached copy would cost memory on every configuration held.
+        """
+        index = 0
+        for s in reversed(self.occ):
+            index = 3 * index + s
+        return index
 
     def swap(self, k: int) -> "Config":
         """Exchange the occupations of sites k and k+1 (an involution)."""
@@ -181,25 +196,14 @@ class Sector:
         return comb(2 * self.L, self.N) * comb(2 * self.L - self.N, self.M)
 
 
-def ternary_digits(index0: int, n_sites: int) -> tuple[int, ...]:
-    """Site states of the 0-based basis index, least significant site first."""
-    digits = []
-    for _ in range(n_sites):
-        digits.append(index0 % 3)
-        index0 //= 3
-    return tuple(digits)
-
-
-def config_from_ternary(index: int, L: int) -> Config:
-    """Inverse of Config.ternary_index (1-based)."""
-    if not 1 <= index <= 3 ** (2 * L):
-        raise ValueError(f"index {index} outside 1..3^{2 * L}")
-    return Config(L, ternary_digits(index - 1, 2 * L))
-
-
-def all_configs(L: int) -> list[Config]:
-    """All 3^(2L) configurations in ternary order."""
-    return [config_from_ternary(i, L) for i in range(1, 3 ** (2 * L) + 1)]
+@lru_cache(maxsize=None)
+def all_configs(L: int) -> tuple[Config, ...]:
+    """The basis table: all 3^(2L) configurations, entry i of index i."""
+    # product varies its last element fastest; reversed, that is site -L+1,
+    # the least significant digit
+    return tuple(
+        Config(L, occ[::-1]) for occ in itertools.product(_STATES, repeat=2 * L)
+    )
 
 
 def vacant_config(L: int) -> Config:
@@ -207,14 +211,14 @@ def vacant_config(L: int) -> Config:
 
 
 def enumerate_sector(sector: Sector) -> list[Config]:
-    """All configurations in the sector, sorted by ternary index."""
+    """All configurations in the sector, sorted by basis index."""
     lam = list(sites(sector.L))
     out = []
     for xs in itertools.combinations(lam, sector.N):
         rest = [k for k in lam if k not in xs]
         for ys in itertools.combinations(rest, sector.M):
             out.append(Config.from_coordinates(sector.L, xs, ys))
-    out.sort(key=Config.ternary_index)
+    out.sort(key=attrgetter("index"))
     return out
 
 
@@ -384,13 +388,16 @@ def check_permutation_identities(n_max: int, l_max: int) -> Report:
 
             bad = []
             for fname, f in (("vandermonde", vandermonde), ("gap", weighted_gap)):
+                # the folded sum runs over tuples of distinct sites: it
+                # reads the values the full sum computed
+                values = {r: f(r) for r in itertools.product(lam, repeat=n)}
                 full = LaurentPoly.zero()
-                for r in itertools.product(lam, repeat=n):
-                    full = full + f(r)
+                for value in values.values():
+                    full = full + value
                 folded = LaurentPoly.zero()
                 for r in weyl_alcove(n, L):
                     for perm in perms:
-                        folded = folded + f(tuple(r[p] for p in perm))
+                        folded = folded + values[tuple(r[p] for p in perm)]
                 if full != folded:
                     bad.append((fname, str(full - folded)))
             report.check(f"L{L}:diagonal-vanishing-symmetrization-n{n}", bad)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -450,7 +451,7 @@ def write_profile_csv(fh, rows) -> None:
 
 def write_measure_csv(fh, measure: Measure) -> None:
     fh.write("config,weight\n")
-    for c in sorted(measure.support(), key=Config.ternary_index):
+    for c in sorted(measure.support(), key=attrgetter("index")):
         w = measure.weights[c]
         text = str(w) if isinstance(w, LaurentPoly) else repr(float(w))
         fh.write(f"{c.text()},{text}\n")

@@ -13,7 +13,7 @@ matrices over the exact ring.
 The conjugation lemma needs no matrix product on the chain: q**(P) for
 a diagonal projector P is the diagonal q**(P(i)), so conjugating an
 embedded ladder by it multiplies entry (r, c) by q**(P(r) - P(c)), an
-exponent shift read off the ternary digits of r and c.
+exponent shift read off the configurations r and c of the basis table.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from .lattice import (
     all_configs,
     count_left,
     sites,
-    ternary_digits,
 )
-from .qring import LaurentPoly, exact_div, q_number
+from .qring import ONE, LaurentPoly, exact_div, q_number
 from .reporting import Report, matrices_equal, matrix_is_zero
 from .sparse import SparseMatrix, commutator, matrix_sum, product_difference
 
@@ -60,26 +59,26 @@ def mat3_transpose(u):
     return tuple(tuple(u[j][i] for j in range(3)) for i in range(3))
 
 
-def site_embed(u, k: int, L: int) -> SparseMatrix:
+def site_embed(u, k: int, L: int, dressing=lambda c: ONE) -> SparseMatrix:
     """Act with the 3x3 matrix u on the site-k tensor factor.
 
     Entries of u may be ints or Laurent polynomials; the result always
-    carries exact ring entries.  Operators embedded at different sites
-    commute.
+    carries exact ring entries.  Each entry is multiplied by
+    `dressing(c)`, c the configuration it acts on.  Operators embedded at
+    different sites commute.
     """
     if not -L + 1 <= k <= L:
         raise SiteOutOfRange(f"site {k} outside lattice")
-    dim = 3 ** (2 * L)
-    step = 3 ** (k + L - 1)
-    cells = [(rs, cs, v) for rs in range(3) for cs in range(3) if (v := u[rs][cs])]
+    pos = k + L - 1
+    step = 3**pos
+    # moves[s]: (target state, value) of the nonzero entries in column s of u
+    moves = [[(rs, v) for rs in range(3) if (v := u[rs][cs])] for cs in range(3)]
     entries: dict = {}
-    for i in range(dim):
-        d = (i // step) % 3
-        for rs, cs, v in cells:
-            if cs == d:
-                j = i + (rs - d) * step
-                entries[(j, i)] = entries.get((j, i), LaurentPoly.zero()) + v
-    return SparseMatrix(dim, entries)
+    for i, c in enumerate(all_configs(L)):
+        s = c.occ[pos]
+        for rs, v in moves[s]:
+            entries[(i + (rs - s) * step, i)] = v * dressing(c)
+    return SparseMatrix(3 ** (2 * L), entries)
 
 
 # (local op, dressing species, sign of the left sum) for each ladder:
@@ -96,26 +95,13 @@ _Y_RECIPE = {
 def build_Y_site(i: int, sign: int, k: int, L: int) -> SparseMatrix:
     """Single-site term of the dressed ladder operator Y_i^sign."""
     op, species, left_sign = _Y_RECIPE[(i, sign)]
-    if not -L + 1 <= k <= L:
-        raise SiteOutOfRange(f"site {k} outside lattice")
-    n_sites = 2 * L
-    dim = 3**n_sites
-    pos = k + L - 1
-    step = 3**pos
-    (rs, cs) = next(
-        (r, c) for r in range(3) for c in range(3) if op[r][c]
-    )
-    entries: dict = {}
-    for i0 in range(dim):
-        d = ternary_digits(i0, n_sites)
-        if d[pos] != cs:
-            continue
-        left = count_left(d, k, species)
-        right = d.count(species) - left - (d[pos] == species)
-        exponent = left_sign * (left - right)
-        j0 = i0 + (rs - cs) * step
-        entries[(j0, i0)] = LaurentPoly.q_power(exponent)
-    return SparseMatrix(dim, entries)
+
+    def dressing(c):
+        left = count_left(c.occ, k, species)
+        right = c.occ.count(species) - left - (c.state(k) == species)
+        return LaurentPoly.q_power(left_sign * (left - right))
+
+    return site_embed(op, k, L, dressing)
 
 
 @lru_cache(maxsize=None)
@@ -131,9 +117,8 @@ def build_Y(i: int, sign: int, L: int) -> SparseMatrix:
 @lru_cache(maxsize=None)
 def species_counts(L: int) -> tuple[tuple[int, ...], ...]:
     """(T1, T2, T3): the numbers of A, vacancies and B in each basis state."""
-    n_sites = 2 * L
-    digits = [ternary_digits(i0, n_sites) for i0 in range(3**n_sites)]
-    return tuple(tuple(d.count(s) for d in digits) for s in (A, VACANT, B))
+    configs = all_configs(L)
+    return tuple(tuple(c.occ.count(s) for c in configs) for s in (A, VACANT, B))
 
 
 def h_diag(i: int, L: int) -> tuple[int, ...]:
@@ -276,7 +261,7 @@ def check_conjugation_lemma(L: int) -> Report:
 
     The chain-level conjugations are evaluated as exponent shifts: each
     stored entry (r, c) of an embedded ladder must have P(r) - P(c) equal
-    to the exponent of its factor, with P read from the ternary digits.
+    to the exponent of its factor, with P read from the basis table.
     The 3x3 projector-exponential and the chain-level projector-eigenvalue
     checks verify that q**(P) is that diagonal.  Each ladder is embedded
     once per site, and embed-commute reuses those embeddings.
@@ -337,11 +322,11 @@ def check_conjugation_lemma(L: int) -> Report:
     embedded = {
         (name, x): site_embed(u, x, L) for name, u in ladders.items() for x in sites(L)
     }
-    occ = [ternary_digits(i, 2 * L) for i in range(3 ** (2 * L))]
+    configs = all_configs(L)
 
     def occupation(species, k):
         """Eigenvalue of the site-k projector onto species, by basis index."""
-        return lambda i: 1 if occ[i][k + L - 1] == species else 0
+        return lambda i: 1 if configs[i].occ[k + L - 1] == species else 0
 
     def conjugates(op, power, shift) -> bool:
         """q**power op q**(-power) == q**shift op, for diagonal exponents:
@@ -385,8 +370,7 @@ def check_conjugation_lemma(L: int) -> Report:
     for k in sites(L):
         pa = site_embed(PROJ_A, k, L)
         pb = site_embed(PROJ_B, k, L)
-        for c in all_configs(L):
-            i = c.ternary_index() - 1
+        for i, c in enumerate(configs):
             va = pa.get(i, i)
             vb = pb.get(i, i)
             if (LaurentPoly.const(c.a(k)) != (va or LaurentPoly.zero())) or (

@@ -80,9 +80,6 @@ class SparseMatrix:
         for key in sorted(self.entries, key=lambda rc: (rc[1], rc[0])):
             yield key, self.entries[key]
 
-    def row(self, r: int) -> dict:
-        return {c: v for (rr, c), v in self.entries.items() if rr == r}
-
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented

@@ -1,0 +1,6 @@
+"""Shared test helpers."""
+
+
+def matrix_row(m, r: int) -> dict:
+    """Row r of a SparseMatrix as {col: value}, scanning every entry."""
+    return {c: v for (rr, c), v in m.entries.items() if rr == r}

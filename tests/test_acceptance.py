@@ -38,6 +38,8 @@ from asep2.qring import LaurentPoly, q_multinomial
 from asep2.qsym import check_algebra_relations, check_conjugation_lemma, check_symmetry
 from asep2.cli import default_dual_coordinates, default_initial_config
 
+from helpers import matrix_row
+
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
 
 
@@ -96,12 +98,12 @@ def test_c06_symmetry_rows_give_duality_products():
     configs = all_configs(L)
     ok = True
     for z in configs:
-        row = S.row(z.ternary_index() - 1)
+        row = matrix_row(S, z.index)
         expected = {}
         for c in configs:
             e = qz_exponent(z, c.occ)
             if e is not None:
-                expected[c.ternary_index() - 1] = LaurentPoly.q_power(e)
+                expected[c.index] = LaurentPoly.q_power(e)
         if row != expected:
             ok = False
             break

@@ -1,9 +1,13 @@
-"""Every public name in the package is reached from the package itself.
+"""Every public name in the package is reached from the package itself,
+and only the lattice module reads basis indices as base-3 digits.
 
 A public module-level function or class needs a `Name` or `Attribute`
 reference somewhere in `src/asep2` outside its own definition; a public
 method or property needs an `Attribute` reference.  Code that only tests
 reach is deleted, or its tests move onto the code the package runs.
+
+A basis index is decoded by the table `lattice.all_configs(L)`, so no
+other module takes a base-3 digit with `% 3`.
 """
 
 import ast
@@ -51,3 +55,39 @@ def unreferenced() -> list[str]:
 
 def test_no_public_name_is_unreferenced():
     assert [name for name in unreferenced() if name not in ALLOWLIST] == []
+
+
+# "module.name" -> why that top-level definition takes base-3 digits itself
+DIGIT_ALLOWLIST: dict[str, str] = {
+    "dynamics.estimate_Q_many": (
+        "a sampled row's big-endian base-3 code is a counting key at L <= 19, "
+        "where no basis table is built"
+    ),
+}
+
+
+def _mod_three(node) -> bool:
+    """`x % 3` or `x %= 3`."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        operand = node.right
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+        operand = node.value
+    else:
+        return False
+    return isinstance(operand, ast.Constant) and operand.value == 3
+
+
+def digit_arithmetic() -> list[str]:
+    """Top-level definitions outside lattice.py that take a base-3 digit."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if any(_mod_three(node) for node in ast.walk(top)):
+                out.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return sorted(out)
+
+
+def test_basis_digits_only_in_lattice():
+    assert digit_arithmetic() == sorted(DIGIT_ALLOWLIST)

@@ -23,11 +23,13 @@ from asep2.lattice import (
 from asep2.qring import LaurentPoly
 from asep2.sparse import commutator
 
+from helpers import matrix_row
+
 
 def _closed_form_entry(z_text: str, eta_text: str) -> LaurentPoly:
     """Entry D[z, eta] of the closed-form duality matrix at L = 1."""
-    row = Config.from_text(z_text).ternary_index() - 1
-    col = Config.from_text(eta_text).ternary_index() - 1
+    row = Config.from_text(z_text).index
+    col = Config.from_text(eta_text).index
     got = duality_closed_form(1).get(row, col)
     return LaurentPoly.zero() if got is None else got
 
@@ -84,7 +86,7 @@ class TestDualityFunctions:
 class TestSymmetryOperator:
     def test_vacuum_row_is_summation_vector(self):
         S = build_S(1)
-        row = S.row(vacant_config(1).ternary_index() - 1)
+        row = matrix_row(S, vacant_config(1).index)
         assert len(row) == 9 and all(v == 1 for v in row.values())
 
     def test_commutes_with_generator(self):
@@ -98,9 +100,9 @@ class TestSymmetryOperator:
     def test_rows_are_duality_products(self):
         S = build_S(1)
         for z in all_configs(1):
-            row = S.row(z.ternary_index() - 1)
+            row = matrix_row(S, z.index)
             for c in all_configs(1):
-                got = row.get(c.ternary_index() - 1, LaurentPoly.zero())
+                got = row.get(c.index, LaurentPoly.zero())
                 assert got == Qz(z, c)
 
 

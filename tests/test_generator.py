@@ -90,8 +90,8 @@ class TestBuildH:
 
     def test_specific_entry(self):
         H = build_H(P1, Ring.FLOAT)
-        src = Config.from_text("A0").ternary_index() - 1
-        tgt = Config.from_text("0A").ternary_index() - 1
+        src = Config.from_text("A0").index
+        tgt = Config.from_text("0A").index
         assert H.get(tgt, src) == -2.0
         He = h_exact(1)
         assert He.get(tgt, src) == -LaurentPoly.q_power(1)
@@ -147,7 +147,7 @@ class TestSectorH:
             for m in range(5 - n):
                 sector = Sector(2, n, m)
                 configs = enumerate_sector(sector)
-                idx = [c.ternary_index() - 1 for c in configs]
+                idx = [c.index for c in configs]
                 block = build_H_sector(P2, sector, Ring.EXACT)
                 for i, gi in enumerate(idx):
                     for j, gj in enumerate(idx):
@@ -155,7 +155,7 @@ class TestSectorH:
         # and nothing of H lives outside the diagonal blocks
         by_sector = {}
         for c in all_configs(2):
-            by_sector[c.ternary_index() - 1] = (c.N, c.M)
+            by_sector[c.index] = (c.N, c.M)
         for (r, c) in H.entries:
             assert by_sector[r] == by_sector[c]
 
@@ -179,7 +179,7 @@ class TestApplyGenerator:
         configs = all_configs(2)
 
         def f(c):
-            return float(c.ternary_index() % 7)
+            return float(c.index % 7)
 
         table = rate_table(P2, Ring.FLOAT)
         for c, got in zip(configs, _generator_action(H, f, configs)):
@@ -206,7 +206,7 @@ class TestApplyGenerator:
 
         table = rate_table(P1, Ring.EXACT)
         for c in configs:
-            entry = H.get(target.ternary_index() - 1, c.ternary_index() - 1)
+            entry = H.get(target.index, c.index)
             assert _bond_sum(delta, c, table) == -(entry or LaurentPoly.zero())
 
 

@@ -29,6 +29,8 @@ DUMP_SHA256 = [
         "c2c2e757e63a95425148b18808b7a7b11e46c3a0358f75bd1b673b708f64bb6b",
     ),
     (["dump-symmetry", "--L", "2"], "0bb2f9aec686b764d35af2f61cd28d1ae4e202ea286dd96ac81098affaa0b341"),
+    (["dump-symmetry", "--L", "3"], "2229fca341f128cf89aa17b26c4d0e78c3421cabe774c21612708d2b2665e006"),
+    (["dump-generator", "--L", "3"], "af9688e8fe161fed453ba07ab5338f4688187155eac77693228ed9a75dbb984b"),
 ]
 
 # SHA-256 of the sum-rule CSV written by `verify duality --L 2 --lambda-out`

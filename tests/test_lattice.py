@@ -17,7 +17,6 @@ from asep2.lattice import (
     all_configs,
     check_counting_lemmas,
     check_permutation_identities,
-    config_from_ternary,
     count_left,
     enumerate_sector,
     sites,
@@ -30,11 +29,13 @@ from asep2.generator import h_exact
 from asep2.qring import LaurentPoly
 from asep2.qsym import build_Y_site, check_symmetry
 
+from helpers import matrix_row
+
 
 def _lowering_row(text: str, k: int) -> dict:
     c = Config.from_text(text)
-    row = build_Y_site(1, -1, k, c.L).row(c.ternary_index() - 1)
-    return {config_from_ternary(j + 1, c.L).text(): v for j, v in row.items()}
+    row = matrix_row(build_Y_site(1, -1, k, c.L), c.index)
+    return {all_configs(c.L)[j].text(): v for j, v in row.items()}
 
 
 def _package_modules():
@@ -55,23 +56,28 @@ def configs_strategy(L=2):
 
 
 class TestTernaryIndex:
+    """`Config.index` encodes, the table `all_configs(L)` decodes."""
+
     def test_all_a(self):
-        assert Config(1, (A, A)).ternary_index() == 1
+        assert Config(1, (A, A)).index == 0
 
     def test_va(self):
-        assert Config(1, (VACANT, A)).ternary_index() == 2
+        assert Config(1, (VACANT, A)).index == 1
 
     def test_all_b(self):
-        assert Config(1, (B, B)).ternary_index() == 9
+        assert Config(1, (B, B)).index == 8
 
     def test_bijection(self):
-        for L in (1, 2):
-            seen = {c.ternary_index() for c in all_configs(L)}
-            assert seen == set(range(1, 3 ** (2 * L) + 1))
+        for L in (1, 2, 3):
+            table = all_configs(L)
+            assert [c.index for c in table] == list(range(3 ** (2 * L)))
 
-    @given(configs_strategy())
+    @given(configs_strategy(2) | configs_strategy(3))
     def test_roundtrip(self, c):
-        assert config_from_ternary(c.ternary_index(), c.L) == c
+        assert all_configs(c.L)[c.index] == c
+
+    def test_table_built_once(self):
+        assert all_configs(2) is all_configs(2)
 
 
 class TestPositions:
@@ -149,8 +155,16 @@ class TestSectors:
 
     def test_sorted_by_index(self):
         configs = enumerate_sector(Sector(2, 1, 2))
-        indices = [c.ternary_index() for c in configs]
+        indices = [c.index for c in configs]
         assert indices == sorted(indices)
+
+    def test_table_filtered_by_sector(self):
+        # the sector basis is the basis table restricted to (N, M), in order
+        for L in (1, 2, 3):
+            for n in range(2 * L + 1):
+                for m in range(2 * L - n + 1):
+                    table = [c for c in all_configs(L) if (c.N, c.M) == (n, m)]
+                    assert enumerate_sector(Sector(L, n, m)) == table
 
     def test_partition_of_state_space(self):
         for L in (1, 2, 3):

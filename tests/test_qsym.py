@@ -39,6 +39,8 @@ from asep2.qsym import (
 )
 from asep2.sparse import SparseMatrix, commutator
 
+from helpers import matrix_row
+
 
 def count_op(L: int, i: int) -> SparseMatrix:
     """Number operator of species T_i (A, vacancy, B) as a constant diagonal."""
@@ -55,7 +57,7 @@ class TestSiteEmbed:
             op = site_embed(PROJ_A, k, 2)
             assert op.is_diagonal()
             for c in all_configs(2):
-                i = c.ternary_index() - 1
+                i = c.index
                 got = op.get(i, i)
                 assert (got if got is not None else LaurentPoly.zero()) == c.a(k)
 
@@ -99,11 +101,11 @@ class TestLadders:
         L = 2
         for zc in all_configs(L):
             for r in sites(L):
-                row = build_Y_site(1, -1, r, L).row(zc.ternary_index() - 1)
+                row = matrix_row(build_Y_site(1, -1, r, L), zc.index)
                 if zc.state(r) == VACANT:
                     extended = zc.with_state(r, A)
                     centred = 2 * count_left(zc.occ, r, A) - zc.N
-                    expect = {extended.ternary_index() - 1: LaurentPoly.q_power(-centred)}
+                    expect = {extended.index: LaurentPoly.q_power(-centred)}
                     assert row == expect
                 else:
                     assert row == {}
@@ -117,7 +119,7 @@ class TestLadders:
         y2p = build_Y(2, +1, 2)
         for c in all_configs(2):
             if c.M == 0:
-                col = c.ternary_index() - 1
+                col = c.index
                 assert all(cc != col for (_r, cc) in y2p.entries)
 
     def test_sector_shifts(self):
@@ -151,10 +153,10 @@ class TestCartan:
     def test_number_eigenvalues(self):
         n_diag, _, m_diag = species_counts(1)
         c = Config.from_text("AA")
-        i = c.ternary_index() - 1
+        i = c.index
         assert n_diag[i] == 2 and m_diag[i] == 0
         for cfg in all_configs(1):
-            j = cfg.ternary_index() - 1
+            j = cfg.index
             assert n_diag[j] == cfg.N
             assert m_diag[j] == cfg.M
 
@@ -170,7 +172,7 @@ class TestCartan:
 
     def test_l_ops_are_half_powers(self):
         c = vacant_config(1)
-        i = c.ternary_index() - 1
+        i = c.index
         assert l_op(2, 1).get(i, i) == LaurentPoly.q_half_power(-2)
         assert l_op(1, 1).get(i, i) == LaurentPoly.one()
 
