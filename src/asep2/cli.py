@@ -10,20 +10,23 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 an identity or statistical check
 failed (for simulate: a z-score beyond 5, or an exact mean of Q_z(eta_t)
-that disagrees with its duality prediction), 2 usage error (including an unreadable config file or value, an
-output path that cannot be opened, a negative or non-finite time, a
-non-finite chemical potential, no trajectories, a sector outside the
-lattice, a shock profile at q = 1 or a simulate seed outside
+that disagrees with its duality prediction), 2 usage error (including a
+bad flag value, an unknown config key, an unreadable config file or
+value, an output path that cannot be opened, a negative or non-finite
+time, a non-finite chemical potential, no trajectories, a sector outside
+the lattice, a shock profile at q = 1 or a simulate seed outside
 0..2^63 - (number of times)) or desk-scale resource cap breached
-(including a simulation whose jump-proposal bound exceeds
-SIMULATE_MAX_PROPOSALS, and a simulation at L > dynamics.CODE_MAX_L = 19,
-where a final row's base-3 code would overflow int64), 3 internal error:
-any other exception, such as a write that fails after its file was
-opened, prints one `error: ...` line and no traceback.
+(including a sector larger than the full basis at FLOAT_FULL_MAX_L, a
+simulation whose jump-proposal bound exceeds SIMULATE_MAX_PROPOSALS,
+and a simulation at L > dynamics.CODE_MAX_L = 19, where a final row's
+base-3 code would overflow int64), each printed as one `usage error: ...`
+line, 3 internal error: any other exception, such as a write that fails
+after its file was opened, prints one `error: ...` line and no traceback.
 
-Parameters come from built-in defaults (L=2, r=2, l=1/2 so q=2, w=1 and
-all evaluated q-powers are dyadic), overridden by an optional flat
-key = value config file, overridden by flags.  Exactly one of the rate
+Parameters come from DEFAULTS (L=2, r=2, l=1/2 so q=2, w=1 and all
+evaluated q-powers are dyadic), overridden by an optional flat
+key = value config file whose keys are the exact flag names (`t = 0,1`
+stands for `--t=0,1`), overridden by flags.  Exactly one of the rate
 pair (r, ell) or the (q, w) pair may be supplied.  All outputs are
 deterministic given the run configuration and seed.
 """
@@ -35,11 +38,10 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import duality, dynamics, measures, qsym
+from . import duality, dynamics, lattice, measures, qsym
 from .generator import (
     FLOAT_FULL_MAX_L,
     ModelParams,
@@ -49,8 +51,9 @@ from .generator import (
     dump_matrix,
     h_exact,
 )
-from .lattice import A, B, Config, Sector, vacant_config
+from .lattice import A, B, Config, Sector
 from .measures import Measure
+from .qring import q_multinomial
 from .reporting import Report
 
 SUITES = ("algebra", "reversibility", "duality", "measures", "lemmas", "all")
@@ -68,20 +71,20 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    params: ModelParams
-    ring: Ring
-    N: int | None
-    M: int | None
-    ts: list[float]
-    trajectories: int
-    seed: int
-    out: str | None
-    nu: float
-    mu: float
-    species: int
-    lambda_out: str | None = None
+class _Parser(argparse.ArgumentParser):
+    """Every parse failure, of a flag or of a config line, is one usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+# the run's values where neither a config file nor a flag gives one; q and w
+# are used only when one of them is given
+DEFAULTS = dict(
+    L=2, r=Fraction(2), ell=Fraction(1, 2), q=Fraction(1), w=Fraction(1), N=None, M=None,
+    t=(0.0, 1.0), trajectories=100000, seed=12345, out=None, ring=Ring.EXACT,
+    nu=0.0, mu=0.0, species="A", lambda_out=None,
+)
 
 
 def rational(text: str) -> Fraction:
@@ -92,16 +95,19 @@ def rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
-def _times(text: str) -> list[float]:
+def times(text: str) -> list[float]:
+    """Parse a comma-separated list of times such as 0,1."""
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, options: argparse.ArgumentParser) -> dict:
+    """The values a flat `key = value` file gives: each line is parsed as
+    the flag `--key=value` by the parser of the shared options."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    values = {}
+    tokens = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -109,75 +115,39 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"config line without '=': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
-    return values
+        tokens.append(f"--{key}={value}")
+    try:
+        return vars(options.parse_args(tokens))
+    except UsageError as exc:
+        raise UsageError(f"config file {path}: {exc}") from exc
 
 
-def resolve_config(args) -> RunConfig:
-    fv = _read_config_file(args.config) if args.config else {}
-
-    def pick(key, cast, default=None):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in fv:
-            try:
-                return cast(fv[key])
-            except ValueError as exc:
-                raise UsageError(f"config value {key} = {fv[key]!r}: {exc}") from exc
-        return default
-
-    L = pick("L", int, 2)
-    if L is None or L < 1:
-        raise UsageError(f"L must be a positive integer, got {L}")
-
-    r = pick("r", rational)
-    ell = pick("ell", rational)
-    q = pick("q", rational)
-    w = pick("w", rational)
-    if (r is not None or ell is not None) and (q is not None or w is not None):
+def parse_run(argv: list[str]) -> argparse.Namespace:
+    """The run's values, {**DEFAULTS, **config file, **flags}, checked once,
+    with the model parameters as `params`."""
+    parser, options = build_parser()
+    given = vars(parser.parse_args(_glue_float_values(argv)))
+    if "config" in given:
+        given = {**_read_config_file(given["config"], options), **given}
+    args = argparse.Namespace(**{**DEFAULTS, **given})
+    if given.keys() & {"r", "ell"} and given.keys() & {"q", "w"}:
         raise UsageError("supply either (r, ell) or (q, w), not both")
     try:
-        if q is not None or w is not None:
-            params = ModelParams.from_qw(L, q if q is not None else 1, w if w is not None else 1)
-        elif r is not None or ell is not None:
-            params = ModelParams(
-                L, r if r is not None else 2, ell if ell is not None else Fraction(1, 2)
-            )
+        if given.keys() & {"q", "w"}:
+            args.params = ModelParams.from_qw(args.L, args.q, args.w)
         else:
-            params = ModelParams(L, Fraction(2), Fraction(1, 2))
+            args.params = ModelParams(args.L, args.r, args.ell)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    ts = pick("t", _times, [])
-    if not all(0 <= t < math.inf for t in ts):
+    if not all(0 <= t < math.inf for t in args.t):
         raise UsageError("times must be finite and nonnegative")
-    trajectories = pick("trajectories", int, 100000)
-    if trajectories < 1:
-        raise UsageError(f"need at least one trajectory, got {trajectories}")
-    ring_name = pick("ring", str, None)
-    if ring_name is not None and ring_name not in ("exact", "float"):
-        raise UsageError(f"ring must be exact or float, got {ring_name}")
-    species_name = pick("species", str, "A")
-    if species_name not in ("A", "B"):
-        raise UsageError("species must be A or B")
-    nu, mu = pick("nu", float, 0.0), pick("mu", float, 0.0)
-    if not (math.isfinite(nu) and math.isfinite(mu)):
-        raise UsageError(f"chemical potentials must be finite, got nu={nu}, mu={mu}")
-
-    return RunConfig(
-        params=params,
-        ring=Ring(ring_name) if ring_name else Ring.EXACT,
-        N=pick("N", int),
-        M=pick("M", int),
-        ts=ts,
-        trajectories=trajectories,
-        seed=pick("seed", int, 12345),
-        out=pick("out", str),
-        nu=nu,
-        mu=mu,
-        species=A if species_name == "A" else B,
-    )
+    if args.trajectories < 1:
+        raise UsageError(f"need at least one trajectory, got {args.trajectories}")
+    if not (math.isfinite(args.nu) and math.isfinite(args.mu)):
+        raise UsageError(
+            f"chemical potentials must be finite, got nu={args.nu}, mu={args.mu}"
+        )
+    return args
 
 
 @contextlib.contextmanager
@@ -222,35 +192,27 @@ def _suite_reports(suite: str, L: int, params: ModelParams) -> Report:
             report.extend(measures.check_marginal_independence(size))
         report.extend(measures.check_shock_agreement(min(L, 3)))
     if suite in ("lemmas", "all"):
-        report.extend(lattice_lemma_report(L))
+        report.extend(lattice.check_counting_lemmas(min(L, 3)))
+        report.extend(lattice.check_permutation_identities(4, min(L, 3)))
         for size in range(1, min(L, 2) + 1):
             report.extend(qsym.check_conjugation_lemma(size))
     return report
 
 
-def lattice_lemma_report(L: int) -> Report:
-    from .lattice import check_counting_lemmas, check_permutation_identities
-
-    report = Report()
-    report.extend(check_counting_lemmas(min(L, 3)))
-    report.extend(check_permutation_identities(4, min(L, 3)))
-    return report
-
-
-def cmd_verify(args, cfg: RunConfig) -> int:
-    if cfg.params.L > VERIFY_MAX_L:
+def cmd_verify(args) -> int:
+    if args.params.L > VERIFY_MAX_L:
         raise UsageError(
             f"verification suites are desk-scale: need L <= {VERIFY_MAX_L}"
         )
-    lambda_out = cfg.lambda_out if args.suite in ("duality", "all") else None
-    with _writing(cfg.out) as out, _writing(lambda_out) as lambda_fh:
-        report = _suite_reports(args.suite, cfg.params.L, cfg.params)
+    lambda_out = args.lambda_out if args.suite in ("duality", "all") else None
+    with _writing(args.out) as out, _writing(lambda_out) as lambda_fh:
+        report = _suite_reports(args.suite, args.params.L, args.params)
         text = report.render()
         print(text)
         if out:
             out.write(text + "\n")
         if lambda_fh:
-            rows = duality.sum_rule_table(min(cfg.params.L, 2))
+            rows = duality.sum_rule_table(min(args.params.L, 2))
             duality.write_lambda_csv(lambda_fh, rows)
     return 0 if report.passed else 1
 
@@ -260,38 +222,53 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------
 
 
-def cmd_measure(args, cfg: RunConfig) -> int:
-    p = cfg.params
-    what = args.what
-    chem = cfg.nu if cfg.species == A else cfg.mu
+def _sector(L: int, N: int, M: int) -> Sector:
+    """Sector (N, M), a usage error if it is off the lattice or larger than
+    the full basis at FLOAT_FULL_MAX_L, checked before it is enumerated."""
     try:
-        if what == "canonical":
-            sector = Sector(p.L, cfg.N or 0, cfg.M or 0)
-        elif what == "profile":
-            profile = measures.shock_profile(cfg.species, chem, p)
+        sector = Sector(L, N, M)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    cap = 3 ** (2 * FLOAT_FULL_MAX_L)
+    if sector.size > cap:
+        raise UsageError(
+            f"sectors are desk-scale: ({N}, {M}) at L={L} has {sector.size} "
+            f"configurations, need at most {cap}"
+        )
+    return sector
+
+
+def cmd_measure(args) -> int:
+    p = args.params
+    what = args.what
+    species = A if args.species == "A" else B
+    chem = args.nu if species == A else args.mu
+    if what == "canonical":
+        sector = _sector(p.L, args.N or 0, args.M or 0)
+    elif what == "profile":
+        try:
+            profile = measures.shock_profile(species, chem, p)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     if what in ("grandcanonical", "pure") and p.L > FLOAT_FULL_MAX_L:
         raise UsageError(
             f"measures over all configurations are desk-scale: need L <= {FLOAT_FULL_MAX_L}"
         )
-    with _writing(cfg.out, sys.stdout) as fh:
+    with _writing(args.out, sys.stdout) as fh:
         if what == "partition":
-            from .qring import q_multinomial
-
             fh.write("N,M,Z\n")
             for n in range(2 * p.L + 1):
                 for m in range(2 * p.L - n + 1):
                     fh.write(f"{n},{m},{q_multinomial(2 * p.L, n, m)}\n")
         elif what == "canonical":
             mu = measures.canonical(sector)
-            if cfg.ring is Ring.FLOAT:
+            if args.ring is Ring.FLOAT:
                 mu = mu.normalize(p.q0)
             measures.write_measure_csv(fh, mu)
         elif what == "grandcanonical":
-            measures.write_measure_csv(fh, measures.grandcanonical(cfg.nu, cfg.mu, p))
+            measures.write_measure_csv(fh, measures.grandcanonical(args.nu, args.mu, p))
         elif what == "pure":
-            measures.write_measure_csv(fh, measures.pure_measure(cfg.species, chem, p))
+            measures.write_measure_csv(fh, measures.pure_measure(species, chem, p))
         elif what == "profile":
             rows = [(k, profile.density(k)) for k in range(-p.L + 1, p.L + 1)]
             measures.write_profile_csv(fh, rows)
@@ -317,11 +294,7 @@ def default_initial_config(L: int) -> Config:
     """Point-mass start with at least one particle of each species."""
     if L == 1:
         return Config.from_text("AB")
-    c = vacant_config(L)
-    c = c.with_state(-L + 1, A)
-    c = c.with_state(1, B)
-    c = c.with_state(L, A)
-    return c
+    return Config.from_coordinates(L, (-L + 1, L), (1,))
 
 
 def zscore(mean: float, sigma: float, prediction: float) -> float:
@@ -330,19 +303,19 @@ def zscore(mean: float, sigma: float, prediction: float) -> float:
     return (mean - prediction) / sigma
 
 
-def _closure_payload(cfg: RunConfig, ts: list[float]) -> dict:
-    p = cfg.params
+def _closure_payload(args, ts: list[float]) -> dict:
+    p = args.params
     zs = default_dual_coordinates(p.L)
     eta0 = default_initial_config(p.L)
     p0 = Measure.point_mass(eta0)
     records = []
     for it, t in enumerate(ts):
         estimates = dynamics.estimate_Q_many(
-            zs, p0, t, cfg.trajectories, cfg.seed + it, p
+            zs, p0, t, args.trajectories, args.seed + it, p
         )
         law = dynamics.law_at(p0, t, p)
-        for z, est in zip(zs, estimates):
-            prediction = dynamics.duality_rhs(z, p0, t, p)
+        predictions = dynamics.duality_rhs(zs, p0, t, p)
+        for z, est, prediction in zip(zs, estimates, predictions):
             exact, var = dynamics.q_moments(z, law, p.q0)
             sigma = math.sqrt(var / est.n)
             records.append(
@@ -363,33 +336,34 @@ def _closure_payload(cfg: RunConfig, ts: list[float]) -> dict:
         "L": p.L,
         "r": str(p.r),
         "ell": str(p.ell),
-        "seed": cfg.seed,
-        "trajectories": cfg.trajectories,
+        "seed": args.seed,
+        "trajectories": args.trajectories,
         "records": records,
     }
 
 
-def cmd_simulate(args, cfg: RunConfig) -> int:
-    p = cfg.params
+def cmd_simulate(args) -> int:
+    p = args.params
     if p.L > dynamics.CODE_MAX_L:
         raise UsageError(
             f"simulation is desk-scale: need L <= {dynamics.CODE_MAX_L}, got {p.L}"
         )
-    ts = sorted(cfg.ts or [0.0, 1.0])
+    # an empty `t =` line asks for the default times
+    ts = sorted(args.t or DEFAULTS["t"])
     # time i samples on Philox keys seed + i, which numpy keeps exact only
     # below 2^63 (larger keys alias through float64)
-    if cfg.seed < 0 or cfg.seed + len(ts) - 1 >= 2**63:
+    if args.seed < 0 or args.seed + len(ts) - 1 >= 2**63:
         raise UsageError(
-            f"seed must be in 0..2^63 - {len(ts)} for {len(ts)} time(s), got {cfg.seed}"
+            f"seed must be in 0..2^63 - {len(ts)} for {len(ts)} time(s), got {args.seed}"
         )
-    proposals = cfg.trajectories * (2 * p.L - 1) * float(max(p.r, p.ell)) * sum(ts)
+    proposals = args.trajectories * (2 * p.L - 1) * float(max(p.r, p.ell)) * sum(ts)
     if proposals > SIMULATE_MAX_PROPOSALS:
         raise UsageError(
             f"simulation is desk-scale: up to {proposals:.3g} jump proposals, "
             f"need at most {SIMULATE_MAX_PROPOSALS:.0e}"
         )
-    with _writing(cfg.out, sys.stdout) as fh:
-        payload = _closure_payload(cfg, ts)
+    with _writing(args.out, sys.stdout) as fh:
+        payload = _closure_payload(args, ts)
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     records = payload["records"]
     worst = max((abs(rec["zscore"]) for rec in records), default=0.0)
@@ -405,29 +379,29 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------
 
 
-def cmd_dump_generator(args, cfg: RunConfig) -> int:
-    p = cfg.params
-    if (cfg.N is None) != (cfg.M is None):
+def cmd_dump_generator(args) -> int:
+    p = args.params
+    if (args.N is None) != (args.M is None):
         raise UsageError("sector dumps need both N and M")
-    sector = None
-    try:
-        if cfg.N is not None:
-            sector = Sector(p.L, cfg.N, cfg.M)
-            op = build_H_sector(p, sector, cfg.ring)
-        else:
-            op = build_H(p, cfg.ring)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    with _writing(cfg.out, sys.stdout) as fh:
+    if args.N is not None:
+        sector = _sector(p.L, args.N, args.M)
+        op = build_H_sector(p, sector, args.ring)
+    else:
+        sector = None
+        try:
+            op = build_H(p, args.ring)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+    with _writing(args.out, sys.stdout) as fh:
         dump_matrix(op, fh, p, sector)
     return 0
 
 
-def cmd_dump_symmetry(args, cfg: RunConfig) -> int:
-    p = cfg.params
+def cmd_dump_symmetry(args) -> int:
+    p = args.params
     if p.L > 3:
         raise UsageError("symmetry operators are desk-scale: need L <= 3")
-    with _writing(cfg.out, sys.stdout) as fh:
+    with _writing(args.out, sys.stdout) as fh:
         for name, op in qsym.symmetry_operators(p.L):
             fh.write(f"operator {name}\n")
             dump_matrix(op, fh, p)
@@ -439,80 +413,66 @@ def cmd_dump_symmetry(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value parameter file")
-    common.add_argument("--L", type=int)
-    common.add_argument("--r", type=rational)
-    common.add_argument("--ell", type=rational)
-    common.add_argument("--q", type=rational)
-    common.add_argument("--w", type=rational)
-    common.add_argument("--N", type=int)
-    common.add_argument("--M", type=int)
-    common.add_argument("--t", type=float, action="append")
-    common.add_argument("--trajectories", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out")
-    common.add_argument("--ring", choices=("exact", "float"))
-    common.add_argument("--nu", type=float)
-    common.add_argument("--mu", type=float)
-    common.add_argument("--species", choices=("A", "B"))
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command-line parser, and the parser of the options its commands
+    share, which also reads config files (so it takes no abbreviations)."""
+    options = _Parser(add_help=False, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+    options.add_argument("--L", type=int)
+    options.add_argument("--r", type=rational)
+    options.add_argument("--ell", type=rational)
+    options.add_argument("--q", type=rational)
+    options.add_argument("--w", type=rational)
+    options.add_argument("--N", type=int)
+    options.add_argument("--M", type=int)
+    options.add_argument("--t", type=times, action="extend")
+    options.add_argument("--trajectories", type=int)
+    options.add_argument("--seed", type=int)
+    options.add_argument("--out")
+    options.add_argument("--ring", type=Ring, metavar="{exact,float}")
+    options.add_argument("--nu", type=float)
+    options.add_argument("--mu", type=float)
+    options.add_argument("--species", choices=("A", "B"))
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asep2",
         description="Two-component ASEP: exact verification and simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="run exact identity suites")
-    p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--lambda-out", dest="lambda_out", help="sum-rule CSV path")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_measure = sub.add_parser("measure", parents=[common], help="emit measure artifacts")
-    p_measure.add_argument("what", choices=MEASURE_KINDS)
-    p_measure.set_defaults(func=cmd_measure)
-
-    p_sim = sub.add_parser("simulate", parents=[common], help="Monte-Carlo duality closure")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_dg = sub.add_parser("dump-generator", parents=[common], help="dump the generator matrix")
-    p_dg.set_defaults(func=cmd_dump_generator)
-
-    p_ds = sub.add_parser("dump-symmetry", parents=[common], help="dump the symmetry operators")
-    p_ds.set_defaults(func=cmd_dump_symmetry)
-    return parser
+    commands = {}
+    for name, func, text in (
+        ("verify", cmd_verify, "run exact identity suites"),
+        ("measure", cmd_measure, "emit measure artifacts"),
+        ("simulate", cmd_simulate, "Monte-Carlo duality closure"),
+        ("dump-generator", cmd_dump_generator, "dump the generator matrix"),
+        ("dump-symmetry", cmd_dump_symmetry, "dump the symmetry operators"),
+    ):
+        commands[name] = sub.add_parser(
+            name, parents=[options], help=text, argument_default=argparse.SUPPRESS
+        )
+        commands[name].add_argument("--config", help="flat key = value parameter file")
+        commands[name].set_defaults(func=func)
+    commands["verify"].add_argument("suite", choices=SUITES)
+    commands["verify"].add_argument("--lambda-out", dest="lambda_out", help="sum-rule CSV path")
+    commands["measure"].add_argument("what", choices=MEASURE_KINDS)
+    return parser, options
 
 
 def _glue_float_values(argv: list[str]) -> list[str]:
-    """Write `--nu -1e3` as `--nu=-1e3`.
-
-    argparse takes a negative number in exponent notation for an option.
-    """
+    """Write `--nu -1e3` as `--nu=-1e3`: argparse takes a negative number
+    in exponent notation for an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--nu", "--mu") and _is_float(arg):
+        if out and out[-1] in ("--nu", "--mu"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
     try:
-        cfg = resolve_config(args)
-        cfg.lambda_out = getattr(args, "lambda_out", None)
-        return args.func(args, cfg)
+        args = parse_run(sys.argv[1:] if argv is None else argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

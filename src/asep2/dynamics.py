@@ -217,13 +217,15 @@ def law_at(p0: Measure, t: float, p: ModelParams) -> Measure:
     return Measure(p.L, weights)
 
 
-def duality_rhs(z: Config, p0: Measure, t: float, p: ModelParams) -> float:
-    """Duality prediction for the time-dependent mean of the product.
+def duality_rhs(zs: list[Config], p0: Measure, t: float, p: ModelParams) -> list[float]:
+    """Duality predictions for the time-dependent means of the products.
 
-    The initial-time means of Q_zc, for every zc in z's sector, evolved
-    as a law of that sector: the expectation propagates through the
-    dynamics of N(z) + M(z) particles only.
+    The initial-time means of Q_zc, for every zc in the sectors of zs,
+    evolved as a law of those sectors: the expectation propagates through
+    the dynamics of N(z) + M(z) particles only, one kernel per sector.
     """
-    zcs = enumerate_sector(Sector(p.L, z.N, z.M))
+    sectors = sorted({(z.N, z.M) for z in zs})
+    zcs = [zc for n, m in sectors for zc in enumerate_sector(Sector(p.L, n, m))]
     means = Measure(p.L, {zc: q_moments(zc, p0, p.q0)[0] for zc in zcs})
-    return law_at(means, t, p).weights[z]
+    law = law_at(means, t, p).weights
+    return [law[z] for z in zs]

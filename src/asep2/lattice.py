@@ -130,11 +130,6 @@ class Config:
         occ[i], occ[i + 1] = occ[i + 1], occ[i]
         return Config(self.L, tuple(occ))
 
-    def with_state(self, k: int, state: int) -> "Config":
-        occ = list(self.occ)
-        occ[self._pos(k)] = state
-        return Config(self.L, tuple(occ))
-
     @cached_property
     def x(self) -> tuple[int, ...]:
         return tuple(k for k, s in zip(sites(self.L), self.occ) if s == A)

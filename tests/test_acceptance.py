@@ -152,8 +152,8 @@ def test_c11_monte_carlo_duality_closure():
     worst = 0.0
     for it, t in enumerate((0.25, 1.0, 4.0)):
         estimates = estimate_Q_many(zs, p0, t, trajectories, seed + it, P2)
-        for z, est in zip(zs, estimates):
-            prediction = duality_rhs(z, p0, t, P2)
+        predictions = duality_rhs(zs, p0, t, P2)
+        for est, prediction in zip(estimates, predictions):
             score = abs(est.mean - prediction) / est.stderr if est.stderr else 0.0
             worst = max(worst, score)
             inside += score <= 3.0

@@ -141,7 +141,7 @@ class TestSimulate:
         # the exact-law sigma must not hide the disagreement
         wrong = ModelParams(2, Fraction(3), Fraction(1, 2))
         rhs = dynamics.duality_rhs
-        monkeypatch.setattr(dynamics, "duality_rhs", lambda z, p0, t, p: rhs(z, p0, t, wrong))
+        monkeypatch.setattr(dynamics, "duality_rhs", lambda zs, p0, t, p: rhs(zs, p0, t, wrong))
         assert main(["simulate", "--L", "2", "--trajectories", "10000", "--t", "1"]) == 1
         records = json.loads(capsys.readouterr().out)["records"]
         assert max(abs(r["zscore"]) for r in records) > 5.0
@@ -151,7 +151,9 @@ class TestSimulate:
         # breaks the float self-duality check against the exact mean
         rhs = dynamics.duality_rhs
         monkeypatch.setattr(
-            dynamics, "duality_rhs", lambda z, p0, t, p: rhs(z, p0, t, p) * (1 + 1e-8)
+            dynamics,
+            "duality_rhs",
+            lambda zs, p0, t, p: [v * (1 + 1e-8) for v in rhs(zs, p0, t, p)],
         )
         assert main(["simulate", "--L", "1", "--trajectories", "200", "--t", "1"]) == 1
         records = json.loads(capsys.readouterr().out)["records"]
@@ -203,10 +205,39 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert "L2:detailed-balance PASS" in out
 
+    def test_flag_times_override_file_times(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t = 0,1\ntrajectories = 50\n")
+        argv = ["simulate", "--L", "1", "--config", str(cfg)]
+        assert main(argv) == 0
+        assert {r["t"] for r in json.loads(capsys.readouterr().out)["records"]} == {0.0, 1.0}
+        assert main(argv + ["--t", "0.5"]) == 0
+        assert {r["t"] for r in json.loads(capsys.readouterr().out)["records"]} == {0.5}
+
+    def test_comma_times_equal_repeated_flags(self, capsys):
+        argv = ["simulate", "--L", "1", "--trajectories", "50", "--seed", "4"]
+        assert main(argv + ["--t", "0,1"]) == 0
+        comma = capsys.readouterr().out
+        assert main(argv + ["--t", "0", "--t", "1"]) == 0
+        assert comma == capsys.readouterr().out
+
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("L 1\n")
         assert main(["verify", "algebra", "--config", str(cfg)]) == 2
+
+
+# config files that test_exit_2 reads as "{tmp}/<name>.cfg"
+CONFIG_FILES = {
+    "t": "t = abc\n",
+    "r": "r = 1/0\n",
+    "species": "species = C\n",
+    "ring": "ring = x\n",
+    "typo": "trajectores = 10\n",
+    "nu": "nu = nan\n",
+    "abbrev": "traj = 10\n",
+    "nested": "config = other.cfg\n",
+}
 
 
 class TestUsageErrors:
@@ -220,6 +251,15 @@ class TestUsageErrors:
             ["measure", "canonical", "--L", "1", "--N", "5", "--M", "5"],
             ["simulate", "--L", "1", "--trajectories", "10", "--config", "{tmp}/t.cfg"],
             ["verify", "algebra", "--L", "1", "--config", "{tmp}/r.cfg"],
+            ["measure", "pure", "--L", "1", "--config", "{tmp}/species.cfg"],
+            ["dump-generator", "--L", "1", "--config", "{tmp}/ring.cfg"],
+            ["simulate", "--L", "1", "--config", "{tmp}/typo.cfg"],
+            ["measure", "grandcanonical", "--L", "1", "--config", "{tmp}/nu.cfg"],
+            ["simulate", "--L", "1", "--config", "{tmp}/abbrev.cfg"],
+            ["verify", "algebra", "--L", "1", "--config", "{tmp}/nested.cfg"],
+            ["measure", "pure", "--L", "1", "--species", "C"],
+            ["measure", "canonical", "--L", "8", "--N", "4", "--M", "4"],
+            ["dump-generator", "--L", "8", "--N", "4", "--M", "4", "--ring", "float"],
             ["verify", "reversibility", "--L", "1", "--out", "{tmp}/missing/report.txt"],
             ["verify", "duality", "--L", "1", "--lambda-out", "{tmp}/missing/lambda.csv"],
             ["measure", "partition", "--L", "1", "--out", "{tmp}/missing/partition.csv"],
@@ -240,6 +280,9 @@ class TestUsageErrors:
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
             "config-value-not-a-number", "config-zero-denominator",
+            "config-species", "config-ring", "config-unknown-key", "config-nu-nan",
+            "config-abbreviated-key", "config-nested", "species-flag",
+            "canonical-sector-too-large", "dump-sector-too-large",
             "out-dir-missing", "lambda-out-dir-missing", "measure-out-dir-missing",
             "nu-nan", "nu-inf", "nu-minus-inf", "mu-nan", "profile-q-one",
             "grandcanonical-lattice-too-large", "pure-lattice-too-large",
@@ -248,8 +291,8 @@ class TestUsageErrors:
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):
-        (tmp_path / "t.cfg").write_text("t = abc\n")
-        (tmp_path / "r.cfg").write_text("r = 1/0\n")
+        for name, text in CONFIG_FILES.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -265,10 +308,10 @@ class TestUsageErrors:
         assert spaced == capsys.readouterr().out != ""
 
     def test_zero_denominator_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "algebra", "--L", "1", "--r", "1/0"])
-        assert exc.value.code == 2
-        assert "invalid rational value" in capsys.readouterr().err
+        # a bad flag value is one usage-error line, not argparse's usage block
+        assert main(["verify", "algebra", "--L", "1", "--r", "1/0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: argument --r: invalid rational value: '1/0'\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"

@@ -220,14 +220,14 @@ class TestDualityRhs:
         eta = Config.from_text("A0BA")
         p0 = Measure.point_mass(eta)
         for z in (Config.from_coordinates(2, x=(0,)), Config.from_coordinates(2, x=(2,), y=(1,))):
-            assert duality_rhs(z, p0, 0.0, P2) == pytest.approx(
+            assert duality_rhs([z], p0, 0.0, P2)[0] == pytest.approx(
                 qz_value(z, eta.occ, P2.q0)
             )
 
     def test_stationary_initial_distribution(self):
         p0 = canonical(Sector(2, 2, 1)).normalize(P2.q0)
         z = Config.from_coordinates(2, x=(0,), y=(1,))
-        values = [duality_rhs(z, p0, t, P2) for t in (0.0, 0.5, 1.0, 2.0)]
+        values = [duality_rhs([z], p0, t, P2)[0] for t in (0.0, 0.5, 1.0, 2.0)]
         assert max(values) - min(values) < 1e-10
 
     def test_long_time_limit_is_sum_rule_constant(self):
@@ -241,7 +241,7 @@ class TestDualityRhs:
         ).eval(P2.q0)
         mu = canonical(target)
         for z in enumerate_sector(target)[:4]:
-            limit = duality_rhs(z, p0, 200.0, P2)
+            limit = duality_rhs([z], p0, 200.0, P2)[0]
             assert limit == pytest.approx(
                 lam * mu.probability(z, P2.q0), abs=1e-9
             )
@@ -254,13 +254,24 @@ class TestDualityRhs:
         assert sum(law.weights.values()) == pytest.approx(1.0, abs=1e-12)
         for z in enumerate_sector(Sector(2, 1, 1))[:5] + enumerate_sector(Sector(2, 2, 0))[:3]:
             mean, var = q_moments(z, law, P2.q0)
-            assert mean == pytest.approx(duality_rhs(z, p0, 1.5, P2), rel=1e-12, abs=1e-15)
+            assert mean == pytest.approx(duality_rhs([z], p0, 1.5, P2)[0], rel=1e-12, abs=1e-15)
             assert var >= 0.0
+
+    @pytest.mark.parametrize("L", [1, 2, 4])
+    def test_batch_equals_single(self, L):
+        # one kernel per sector for all zs gives the per-z predictions bit for bit
+        from asep2.cli import default_dual_coordinates, default_initial_config
+
+        p = ModelParams(L, Fraction(2), Fraction(1, 2))
+        zs = default_dual_coordinates(L)
+        p0 = Measure.point_mass(default_initial_config(L))
+        for t in (0.0, 1.0, 4.0):
+            assert duality_rhs(zs, p0, t, p) == [duality_rhs([z], p0, t, p)[0] for z in zs]
 
     def test_against_monte_carlo(self):
         eta = Config.from_text("A0BA")
         p0 = Measure.point_mass(eta)
         z = Config.from_coordinates(2, x=(-1,))
         est = estimate_Q_many([z], p0, 1.0, 20_000, 99, P2)[0]
-        rhs = duality_rhs(z, p0, 1.0, P2)
+        rhs = duality_rhs([z], p0, 1.0, P2)[0]
         assert abs(est.mean - rhs) <= 3.0 * est.stderr

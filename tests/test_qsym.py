@@ -103,7 +103,7 @@ class TestLadders:
             for r in sites(L):
                 row = matrix_row(build_Y_site(1, -1, r, L), zc.index)
                 if zc.state(r) == VACANT:
-                    extended = zc.with_state(r, A)
+                    extended = Config.from_coordinates(L, zc.x + (r,), zc.y)
                     centred = 2 * count_left(zc.occ, r, A) - zc.N
                     expect = {extended.index: LaurentPoly.q_power(-centred)}
                     assert row == expect
