@@ -33,7 +33,7 @@ from .qring import LaurentPoly, exact_div, q_factorial, q_multinomial
 from .reporting import Report, matrices_equal, matrix_is_zero
 from .sparse import SparseMatrix, commutator, matrix_sum, product_difference
 from .qsym import build_Y
-from .generator import h_exact
+from .generator import EXACT_FULL_MAX_L, h_exact
 
 
 class NotConstant(ArithmeticError):
@@ -126,8 +126,8 @@ def divided_power_terms(L: int) -> dict[tuple[int, int], SparseMatrix]:
 @lru_cache(maxsize=None)
 def build_S(L: int) -> SparseMatrix:
     """Double sum of divided powers of the two sector-shifting ladders."""
-    if L > 3:
-        raise ValueError("symmetry operator capped at L <= 3 (slow beyond 2)")
+    if L > EXACT_FULL_MAX_L:
+        raise ValueError(f"symmetry operator capped at L <= {EXACT_FULL_MAX_L}")
     return matrix_sum(3 ** (2 * L), divided_power_terms(L).values())
 
 
@@ -258,8 +258,6 @@ def check_duality(L: int) -> Report:
     ladders it is built from, and the exclusion cutoff of the divided
     power expansion.
     """
-    if L > 2:
-        raise ValueError("duality checks are capped at L <= 2")
     report = Report()
     H = h_exact(L)
     D_closed = duality_closed_form(L)

@@ -245,85 +245,86 @@ def weyl_alcove(n: int, L: int):
 # ---------------------------------------------------------------------
 
 
-def check_counting_lemmas(l_max: int) -> Report:
+def check_counting_lemmas(L: int) -> Report:
     """Step-function identities and additivity/inversion of left counts.
 
-    Exhausts every pair of disjoint coordinate sets on lattices of sizes
-    2..2*l_max, for both species, as occupation tuples fed to the same
-    `count_left` that the duality exponent and the ladder dressing call.
-    Returns the first counterexample on failure; there is none if the
-    implementation is sound.
+    Exhausts every pair of disjoint coordinate sets on the 2L sites, for
+    both species, as occupation tuples fed to the same `count_left` that
+    the duality exponent and the ladder dressing call.  Returns the first
+    counterexample on failure; there is none if the implementation is
+    sound.
     """
-    if not 1 <= l_max <= 3:
-        raise ValueError("counting lemmas are desk-scale: need 1 <= l_max <= 3")
     report = Report()
-    for L in range(1, l_max + 1):
-        lam = list(sites(L))
+    lam = list(sites(L))
 
-        bad = [
-            (k, l)
-            for k in lam
-            for l in lam
-            if theta(k, l) + theta(l, k) + (1 if k == l else 0) != 1
-        ]
-        report.check(f"L{L}:theta-complement", bad)
+    bad = [
+        (k, l)
+        for k in lam
+        for l in lam
+        if theta(k, l) + theta(l, k) + (1 if k == l else 0) != 1
+    ]
+    report.check(f"L{L}:theta-complement", bad)
 
-        bad = []
-        for r in lam:
-            for x in lam:
-                if sum(1 for k in lam if k < x and k == r) != theta(r, x):
-                    bad.append((r, x, "left"))
-                if sum(1 for k in lam if k > x and k == r) != theta(x, r):
-                    bad.append((r, x, "right"))
-        report.check(f"L{L}:theta-delta-sum", bad)
-
-        def lone(species, x):
-            """Occupations of a lattice whose one particle sits at site x."""
-            return tuple(species if k == x else VACANT for k in lam)
-
-        # single-particle left counts reduce to the step function
-        bad = []
+    bad = []
+    for r in lam:
         for x in lam:
-            for r in lam:
-                if count_left(lone(A, x), r, A) != theta(x, r):
-                    bad.append((x, r, "A"))
-                if count_left(lone(B, x), r, B) != theta(x, r):
-                    bad.append((x, r, "B"))
-        report.check(f"L{L}:single-left-count", bad)
+            if sum(1 for k in lam if k < x and k == r) != theta(r, x):
+                bad.append((r, x, "left"))
+            if sum(1 for k in lam if k > x and k == r) != theta(x, r):
+                bad.append((r, x, "right"))
+    report.check(f"L{L}:theta-delta-sum", bad)
 
-        for species, tag in ((A, "A"), (B, "B")):
-            single = {x: lone(species, x) for x in lam}
-            add_bad, comp_bad, inv_bad, single_bad = [], [], [], []
-            for assign in itertools.product((0, 1, 2), repeat=2 * L):
-                first = tuple(k for k, w in zip(lam, assign) if w == 1)
-                second = tuple(k for k, w in zip(lam, assign) if w == 2)
-                union = tuple(species if w else VACANT for w in assign)
-                occ_first = tuple(species if w == 1 else VACANT for w in assign)
-                occ_second = tuple(species if w == 2 else VACANT for w in assign)
-                n_second = len(second)
-                for k in lam:
-                    in_union = count_left(union, k, species)
-                    in_first = count_left(occ_first, k, species)
-                    in_second = count_left(occ_second, k, species)
-                    if in_union != in_first + in_second:
-                        add_bad.append((first, second, k))
-                    if in_first != sum(count_left(single[c], k, species) for c in first):
-                        single_bad.append((first, k))
-                    if k in second:
-                        continue
-                    # complement form: counts of the added set via step functions
-                    if in_union != in_first + n_second - sum(theta(k, c) for c in second):
-                        comp_bad.append((first, second, k))
-                    # inversion: left counts of a set from single-site counts
-                    if in_second != n_second - sum(
-                        count_left(single[k], c, species) for c in second
-                    ):
-                        inv_bad.append((second, k))
-            report.check(f"L{L}:left-count-union-additivity-{tag}", add_bad)
-            report.check(f"L{L}:left-count-single-additivity-{tag}", single_bad)
-            report.check(f"L{L}:left-count-union-complement-{tag}", comp_bad)
-            report.check(f"L{L}:left-count-inversion-{tag}", inv_bad)
+    def lone(species, x):
+        """Occupations of a lattice whose one particle sits at site x."""
+        return tuple(species if k == x else VACANT for k in lam)
+
+    # single-particle left counts reduce to the step function
+    bad = []
+    for x in lam:
+        for r in lam:
+            if count_left(lone(A, x), r, A) != theta(x, r):
+                bad.append((x, r, "A"))
+            if count_left(lone(B, x), r, B) != theta(x, r):
+                bad.append((x, r, "B"))
+    report.check(f"L{L}:single-left-count", bad)
+
+    for species, tag in ((A, "A"), (B, "B")):
+        single = {x: lone(species, x) for x in lam}
+        add_bad, comp_bad, inv_bad, single_bad = [], [], [], []
+        for assign in itertools.product((0, 1, 2), repeat=2 * L):
+            first = tuple(k for k, w in zip(lam, assign) if w == 1)
+            second = tuple(k for k, w in zip(lam, assign) if w == 2)
+            union = tuple(species if w else VACANT for w in assign)
+            occ_first = tuple(species if w == 1 else VACANT for w in assign)
+            occ_second = tuple(species if w == 2 else VACANT for w in assign)
+            n_second = len(second)
+            for k in lam:
+                in_union = count_left(union, k, species)
+                in_first = count_left(occ_first, k, species)
+                in_second = count_left(occ_second, k, species)
+                if in_union != in_first + in_second:
+                    add_bad.append((first, second, k))
+                if in_first != sum(count_left(single[c], k, species) for c in first):
+                    single_bad.append((first, k))
+                if k in second:
+                    continue
+                # complement form: counts of the added set via step functions
+                if in_union != in_first + n_second - sum(theta(k, c) for c in second):
+                    comp_bad.append((first, second, k))
+                # inversion: left counts of a set from single-site counts
+                if in_second != n_second - sum(
+                    count_left(single[k], c, species) for c in second
+                ):
+                    inv_bad.append((second, k))
+        report.check(f"L{L}:left-count-union-additivity-{tag}", add_bad)
+        report.check(f"L{L}:left-count-single-additivity-{tag}", single_bad)
+        report.check(f"L{L}:left-count-union-complement-{tag}", comp_bad)
+        report.check(f"L{L}:left-count-inversion-{tag}", inv_bad)
     return report
+
+
+# the permutation identities are checked for tuples of up to this many sites
+PERMUTATION_MAX_N = 4
 
 
 def _inversion_weight(r: tuple[int, ...], perm: tuple[int, ...]) -> int:
@@ -335,65 +336,62 @@ def _inversion_weight(r: tuple[int, ...], perm: tuple[int, ...]) -> int:
     return s
 
 
-def check_permutation_identities(n_max: int, l_max: int) -> Report:
+def check_permutation_identities(L: int) -> Report:
     """Symmetric-group identities behind the divided-power row actions.
 
-    First: summing q**(-2*noninversions + n(n-1)/2) over the symmetric
-    group gives the q-factorial times an ordering monomial, for every
-    strictly increasing coordinate tuple.  Second: a sum over ordered
-    tuples equals the alcove-plus-permutations sum for functions that
-    vanish on diagonals.
+    For tuples of n <= PERMUTATION_MAX_N sites.  First: summing
+    q**(-2*noninversions + n(n-1)/2) over the symmetric group gives the
+    q-factorial times an ordering monomial, for every strictly increasing
+    coordinate tuple.  Second: a sum over ordered tuples equals the
+    alcove-plus-permutations sum for functions that vanish on diagonals.
     """
-    if not 1 <= n_max <= 4 or not 1 <= l_max <= 3:
-        raise ValueError("desk scale: need n_max <= 4 and l_max <= 3")
     report = Report()
-    for L in range(1, l_max + 1):
-        lam = list(sites(L))
-        for n in range(1, min(n_max, 2 * L) + 1):
-            perms = list(itertools.permutations(range(n)))
-            bad = []
+    lam = list(sites(L))
+    for n in range(1, min(PERMUTATION_MAX_N, 2 * L) + 1):
+        perms = list(itertools.permutations(range(n)))
+        bad = []
+        for r in weyl_alcove(n, L):
+            lhs = LaurentPoly.zero()
+            for perm in perms:
+                h = -2 * _inversion_weight(r, perm) + n * (n - 1) // 2
+                lhs = lhs + LaurentPoly.q_power(h)
+            order = sum(theta(r[j], r[i]) for j in range(n) for i in range(j))
+            rhs = q_factorial(n) * LaurentPoly.q_power(-2 * order)
+            if lhs != rhs:
+                bad.append((r, str(lhs - rhs)))
+        report.check(f"L{L}:qfactorial-inversion-sum-n{n}", bad)
+
+        def vandermonde(r):
+            out = LaurentPoly.one()
+            for i in range(len(r)):
+                for j in range(i + 1, len(r)):
+                    out = out * (
+                        LaurentPoly.q_power(r[j]) - LaurentPoly.q_power(r[i])
+                    )
+            return out
+
+        def weighted_gap(r):
+            gap = 1
+            for i in range(len(r)):
+                for j in range(i + 1, len(r)):
+                    gap *= r[j] - r[i]
+            return LaurentPoly.const(gap) * LaurentPoly.q_power(
+                sum((i + 1) * c for i, c in enumerate(r))
+            )
+
+        bad = []
+        for fname, f in (("vandermonde", vandermonde), ("gap", weighted_gap)):
+            # the folded sum runs over tuples of distinct sites: it
+            # reads the values the full sum computed
+            values = {r: f(r) for r in itertools.product(lam, repeat=n)}
+            full = LaurentPoly.zero()
+            for value in values.values():
+                full = full + value
+            folded = LaurentPoly.zero()
             for r in weyl_alcove(n, L):
-                lhs = LaurentPoly.zero()
                 for perm in perms:
-                    h = -2 * _inversion_weight(r, perm) + n * (n - 1) // 2
-                    lhs = lhs + LaurentPoly.q_power(h)
-                order = sum(theta(r[j], r[i]) for j in range(n) for i in range(j))
-                rhs = q_factorial(n) * LaurentPoly.q_power(-2 * order)
-                if lhs != rhs:
-                    bad.append((r, str(lhs - rhs)))
-            report.check(f"L{L}:qfactorial-inversion-sum-n{n}", bad)
-
-            def vandermonde(r):
-                out = LaurentPoly.one()
-                for i in range(len(r)):
-                    for j in range(i + 1, len(r)):
-                        out = out * (
-                            LaurentPoly.q_power(r[j]) - LaurentPoly.q_power(r[i])
-                        )
-                return out
-
-            def weighted_gap(r):
-                gap = 1
-                for i in range(len(r)):
-                    for j in range(i + 1, len(r)):
-                        gap *= r[j] - r[i]
-                return LaurentPoly.const(gap) * LaurentPoly.q_power(
-                    sum((i + 1) * c for i, c in enumerate(r))
-                )
-
-            bad = []
-            for fname, f in (("vandermonde", vandermonde), ("gap", weighted_gap)):
-                # the folded sum runs over tuples of distinct sites: it
-                # reads the values the full sum computed
-                values = {r: f(r) for r in itertools.product(lam, repeat=n)}
-                full = LaurentPoly.zero()
-                for value in values.values():
-                    full = full + value
-                folded = LaurentPoly.zero()
-                for r in weyl_alcove(n, L):
-                    for perm in perms:
-                        folded = folded + values[tuple(r[p] for p in perm)]
-                if full != folded:
-                    bad.append((fname, str(full - folded)))
-            report.check(f"L{L}:diagonal-vanishing-symmetrization-n{n}", bad)
+                    folded = folded + values[tuple(r[p] for p in perm)]
+            if full != folded:
+                bad.append((fname, str(full - folded)))
+        report.check(f"L{L}:diagonal-vanishing-symmetrization-n{n}", bad)
     return report

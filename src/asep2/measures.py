@@ -32,7 +32,7 @@ from .lattice import (
     enumerate_sector,
     sites,
 )
-from .qring import LaurentPoly, q_multinomial, rogers_szego_x, rogers_szego_y
+from .qring import LaurentPoly, fugacity_exponent, q_multinomial, rogers_szego_y
 from .reporting import Report, matrix_is_zero
 from .sparse import SparseMatrix, product_difference
 
@@ -159,13 +159,20 @@ def _top_exponent(L: int, *chem_pots: float) -> float:
 
 
 def grandcanonical(nu: float, mu: float, p: ModelParams) -> Measure:
-    """Fugacity mixture over all sectors, normalised at the numeric q0."""
+    """Fugacity mixture over all sectors, normalised at the numeric q0.
+
+    A chemical potential of -inf is zero fugacity: the measure keeps only
+    the configurations without that species, so grandcanonical(nu, -inf, p)
+    is the pure A measure and grandcanonical(-inf, mu, p) the pure B one.
+    """
     q0 = p.q0
     shift = _top_exponent(p.L, nu, mu)
     y = rogers_szego_y(2 * p.L, nu, mu, q0, shift)
     weights = {}
     for c in all_configs(p.L):
-        weights[c] = math.exp(nu * c.N + mu * c.M - shift) * q0 ** pi_exponent(c.occ) / y
+        exponent = fugacity_exponent(nu, c.N) + fugacity_exponent(mu, c.M)
+        if exponent > -math.inf:
+            weights[c] = math.exp(exponent - shift) * q0 ** pi_exponent(c.occ) / y
     return Measure(p.L, weights)
 
 
@@ -199,22 +206,6 @@ def pure_marginal(species: int, chem_pot: float, p: ModelParams, k: int) -> floa
     shift = max(0.0, chem_pot)
     z = math.exp(chem_pot - shift) * q0 ** ((2 * k - 1) if species == A else (1 - 2 * k))
     return z / (math.exp(-shift) + z)
-
-
-def pure_measure(species: int, chem_pot: float, p: ModelParams) -> Measure:
-    """Single-species fugacity mixture; a product measure over sites."""
-    if species not in (A, B):
-        raise ValueError("species must be A or B")
-    q0 = p.q0
-    shift = _top_exponent(p.L, chem_pot)
-    x = rogers_szego_x(2 * p.L, chem_pot, q0, shift)
-    weights = {}
-    for c in all_configs(p.L):
-        if species == A and c.M == 0:
-            weights[c] = math.exp(chem_pot * c.N - shift) * q0 ** pi_exponent(c.occ) / x
-        elif species == B and c.N == 0:
-            weights[c] = math.exp(chem_pot * c.M - shift) * q0 ** pi_exponent(c.occ) / x
-    return Measure(p.L, weights)
 
 
 @dataclass(frozen=True)
@@ -270,28 +261,27 @@ def check_reversibility(H: SparseMatrix, L: int) -> Report:
     return report
 
 
-def check_partition_functions(l_max: int) -> Report:
+def check_partition_functions(L: int) -> Report:
     """Sector weight sums against the Gaussian trinomials, exactly."""
     report = Report()
-    for L in range(1, l_max + 1):
-        spans = [(n, m) for n in range(2 * L + 1) for m in range(2 * L - n + 1)]
-        report.check(
-            f"L{L}:partition-function",
-            [
-                (n, m)
-                for n, m in spans
-                if sector_weight_sum(Sector(L, n, m)) != q_multinomial(2 * L, n, m)
-            ],
-        )
-        report.check(
-            f"L{L}:partition-factorization",
-            [
-                (n, m)
-                for n, m in spans
-                if q_multinomial(2 * L, n, m)
-                != q_multinomial(2 * L, n, 0) * q_multinomial(2 * L - n, 0, m)
-            ],
-        )
+    spans = [(n, m) for n in range(2 * L + 1) for m in range(2 * L - n + 1)]
+    report.check(
+        f"L{L}:partition-function",
+        [
+            (n, m)
+            for n, m in spans
+            if sector_weight_sum(Sector(L, n, m)) != q_multinomial(2 * L, n, m)
+        ],
+    )
+    report.check(
+        f"L{L}:partition-factorization",
+        [
+            (n, m)
+            for n, m in spans
+            if q_multinomial(2 * L, n, m)
+            != q_multinomial(2 * L, n, 0) * q_multinomial(2 * L - n, 0, m)
+        ],
+    )
     return report
 
 
@@ -377,8 +367,9 @@ def check_shock_agreement(L: int) -> Report:
     for q in SHOCK_QS:
         p = ModelParams.from_qw(L, q)
         for nu in CHEM_POTS:
-            for species, tag in ((A, "A"), (B, "B")):
-                measure = pure_measure(species, nu, p)
+            # the pure measure of a species: the other one at zero fugacity
+            for species, tag, chems in ((A, "A", (nu, -math.inf)), (B, "B", (-math.inf, nu))):
+                measure = grandcanonical(*chems, p)
                 profile = shock_profile(species, nu, p)
                 worst = 0.0
                 for k in sites(L):

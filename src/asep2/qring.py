@@ -141,14 +141,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return exact_div(LaurentPoly.one(), self ** (-n))
-        out = LaurentPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is None:
@@ -264,13 +256,6 @@ def q_factorial(n: int) -> LaurentPoly:
     return q_factorial(n - 1) * q_number(n)
 
 
-def q_binomial(K: int, N: int) -> LaurentPoly:
-    """Gaussian binomial [K]!/([N]![K-N]!), exact in the ring."""
-    if not 0 <= N <= K:
-        raise ValueError(f"need 0 <= N <= K, got N={N}, K={K}")
-    return exact_div(q_factorial(K), q_factorial(N) * q_factorial(K - N))
-
-
 def q_multinomial(K: int, N: int, M: int) -> LaurentPoly:
     """Gaussian trinomial [K]!/([N]![M]![K-N-M]!), exact in the ring."""
     if N < 0 or M < 0 or N + M > K:
@@ -279,32 +264,23 @@ def q_multinomial(K: int, N: int, M: int) -> LaurentPoly:
     return exact_div(q_factorial(K), den)
 
 
-def _exponent(chem: float, count: int) -> float:
-    # count == 0 contributes nothing, even for chem = -inf
+def fugacity_exponent(chem: float, count: int) -> float:
+    """chem * count, where a count of 0 contributes nothing, even for chem = -inf."""
     return chem * count if count else 0.0
 
 
-def rogers_szego_x(two_l: int, alpha: float, q0: float, shift=0.0) -> float:
-    """Univariate Rogers-Szego polynomial sum_K e^(alpha*K - shift) C_{2L}(K) at q0.
-
-    A shift by the largest exponent alpha*K keeps every term finite.
-    """
-    if two_l < 0:
-        raise ValueError("lattice size must be nonnegative")
-    return sum(
-        math.exp(_exponent(alpha, k) - shift) * q_binomial(two_l, k).eval(q0)
-        for k in range(two_l + 1)
-    )
-
-
 def rogers_szego_y(two_l: int, nu: float, mu: float, q0: float, shift=0.0) -> float:
-    """Bivariate Rogers-Szego polynomial sum_{N,M} e^(nu*N+mu*M-shift) C_{2L}(N,M) at q0."""
+    """Bivariate Rogers-Szego polynomial sum_{N,M} e^(nu*N+mu*M-shift) C_{2L}(N,M) at q0.
+
+    A shift by the largest exponent nu*N + mu*M keeps every term finite;
+    a chemical potential of -inf leaves only the sectors without that species.
+    """
     if two_l < 0:
         raise ValueError("lattice size must be nonnegative")
     total = 0.0
     for n in range(two_l + 1):
         for m in range(two_l - n + 1):
-            total += math.exp(
-                _exponent(nu, n) + _exponent(mu, m) - shift
-            ) * q_multinomial(two_l, n, m).eval(q0)
+            exponent = fugacity_exponent(nu, n) + fugacity_exponent(mu, m)
+            if exponent > -math.inf:
+                total += math.exp(exponent - shift) * q_multinomial(two_l, n, m).eval(q0)
     return total

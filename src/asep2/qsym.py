@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .generator import EXACT_FULL_MAX_L
 from .lattice import (
     A,
     B,
@@ -109,8 +110,8 @@ def build_Y(i: int, sign: int, L: int) -> SparseMatrix:
     """Global ladder operator Y_i^sign = sum over sites of the dressed terms."""
     if i not in (1, 2) or sign not in (1, -1):
         raise ValueError("ladder label must be i in {1,2}, sign in {+1,-1}")
-    if L > 3:
-        raise ValueError("exact ladder operators are capped at L <= 3")
+    if L > EXACT_FULL_MAX_L:
+        raise ValueError(f"exact ladder operators are capped at L <= {EXACT_FULL_MAX_L}")
     return matrix_sum(3 ** (2 * L), (build_Y_site(i, sign, k, L) for k in sites(L)))
 
 
@@ -167,8 +168,6 @@ def check_algebra_relations(L: int) -> Report:
     half-power form and the per-eigenvalue q-integer diagonal, and the
     quadratic and cubic Serre relations.
     """
-    if L > 2:
-        raise ValueError("algebra relation checks are capped at L <= 2")
     report = Report()
     ls = {i: l_op(i, L) for i in (1, 2, 3)}
     ys = {
@@ -249,35 +248,23 @@ def _p_power(projector, value: LaurentPoly):
     return tuple(tuple(row) for row in out)
 
 
-def check_conjugation_lemma(L: int) -> Report:
-    """Projector-exponential conjugation of the ladder operators.
+def _ladders() -> dict:
+    """The six ladders by name, read at call time, so that a substituted
+    matrix reaches every check."""
+    return {"a+": A_PLUS, "a-": A_MINUS, "b+": B_PLUS, "b-": B_MINUS, "c+": C_PLUS, "c-": C_MINUS}
 
-    At the 3x3 level: the full product tables between ladders and
-    projectors, the composite factorisations c+ = a+ b- and c- = b+ a-,
-    transposition (a+-)^T = a-+, and the projector-sum resolution of the
-    identity.  On the chain: conjugating a site-x ladder by q**(P_l) is
-    the identity for l != x and multiplies by q**(+-1) for l = x, and the
-    two-site projector products conjugate to the stated diagonal factors.
 
-    The chain-level conjugations are evaluated as exponent shifts: each
-    stored entry (r, c) of an embedded ladder must have P(r) - P(c) equal
-    to the exponent of its factor, with P read from the basis table.
-    The 3x3 projector-exponential and the chain-level projector-eigenvalue
-    checks verify that q**(P) is that diagonal.  Each ladder is embedded
-    once per site, and embed-commute reuses those embeddings.
+def check_fundamental_matrices() -> Report:
+    """The 3x3 relations the conjugation lemma rests on.
+
+    The full product tables between ladders and projectors, the composite
+    factorisations c+ = a+ b- and c- = b+ a-, transposition
+    (a+-)^T = a-+, the projector-sum resolution of the identity, and the
+    projector exponential: each projector is idempotent and
+    q**(P) q**(-P) = 1.  None of them depends on the lattice size.
     """
-    if L > 2:
-        raise ValueError("conjugation checks are capped at L <= 2")
     report = Report()
-    # read at call time, so that a substituted matrix reaches every check
-    ladders = {
-        "a+": A_PLUS,
-        "a-": A_MINUS,
-        "b+": B_PLUS,
-        "b-": B_MINUS,
-        "c+": C_PLUS,
-        "c-": C_MINUS,
-    }
+    ladders = _ladders()
     projectors = {"A": PROJ_A, "V": PROJ_V, "B": PROJ_B}
 
     zero3 = ((0, 0, 0),) * 3
@@ -318,7 +305,26 @@ def check_conjugation_lemma(L: int) -> Report:
         if prod != ident:
             bad.append((name, "exponential-inverse"))
     report.check("projector-exponential", bad)
+    return report
 
+
+def check_conjugation_lemma(L: int) -> Report:
+    """Projector-exponential conjugation of the ladder operators on the chain.
+
+    Conjugating a site-x ladder by q**(P_l) is the identity for l != x and
+    multiplies by q**(+-1) for l = x, and the two-site projector products
+    conjugate to the stated diagonal factors.
+
+    The conjugations are evaluated as exponent shifts: each stored entry
+    (r, c) of an embedded ladder must have P(r) - P(c) equal to the
+    exponent of its factor, with P read from the basis table.  The 3x3
+    projector exponential (`check_fundamental_matrices`) and the
+    chain-level projector-eigenvalue check verify that q**(P) is that
+    diagonal.  Each ladder is embedded once per site, and embed-commute
+    reuses those embeddings.
+    """
+    report = Report()
+    ladders = _ladders()
     embedded = {
         (name, x): site_embed(u, x, L) for name, u in ladders.items() for x in sites(L)
     }

@@ -20,7 +20,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .qring import ONE, LaurentPoly, from_terms
+from .qring import ONE, from_terms
 
 
 class SparseMatrix:
@@ -113,16 +113,11 @@ class SparseMatrix:
 
     # -- conversion ---------------------------------------------------------
 
-    def to_numpy(self, q0: float | None = None) -> np.ndarray:
-        """Dense float array; exact entries need a numeric q0."""
+    def to_numpy(self) -> np.ndarray:
+        """Dense float array of a float matrix."""
         out = np.zeros((self.dim, self.dim))
         for (r, c), v in self.entries.items():
-            if isinstance(v, LaurentPoly):
-                if q0 is None:
-                    raise ValueError("q0 required to evaluate exact entries")
-                out[r, c] = v.eval(q0)
-            else:
-                out[r, c] = float(v)
+            out[r, c] = float(v)
         return out
 
     def __repr__(self):

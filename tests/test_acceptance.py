@@ -35,7 +35,12 @@ from asep2.measures import (
     sector_weight_sum,
 )
 from asep2.qring import LaurentPoly, q_multinomial
-from asep2.qsym import check_algebra_relations, check_conjugation_lemma, check_symmetry
+from asep2.qsym import (
+    check_algebra_relations,
+    check_conjugation_lemma,
+    check_fundamental_matrices,
+    check_symmetry,
+)
 from asep2.cli import default_dual_coordinates, default_initial_config
 
 from helpers import matrix_row
@@ -119,12 +124,10 @@ def test_c07_sum_rule():
 
 
 def test_c08_combinatorial_lemmas():
-    reports = [
-        check_counting_lemmas(3),
-        check_permutation_identities(4, 3),
-        check_conjugation_lemma(1),
-        check_conjugation_lemma(2),
-    ]
+    reports = [check_counting_lemmas(L) for L in (1, 2, 3)]
+    reports += [check_permutation_identities(L) for L in (1, 2, 3)]
+    reports += [check_fundamental_matrices()]
+    reports += [check_conjugation_lemma(L) for L in (1, 2)]
     ok = all(r.passed for r in reports)
     _report(8, "counting-and-conjugation-lemmas", ok)
     assert ok, "\n".join(r.render() for r in reports)

@@ -28,6 +28,12 @@ class TestVerify:
         assert main(["verify", "all", "--L", "0"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_relation_names_unique(self, capsys):
+        # each relation is checked once per run, the size-free ones too
+        assert main(["verify", "all", "--L", "3"]) == 0
+        names = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+        assert len(names) == len(set(names))
+
     def test_resource_cap(self, capsys):
         assert main(["verify", "all", "--L", "7"]) == 2
 
@@ -276,6 +282,9 @@ class TestUsageErrors:
             ["simulate", "--L", "1", "--trajectories", "10", "--t", "0", "--t", "1",
              "--seed", str(2**63 - 1)],
             ["simulate", "--L", "20", "--trajectories", "10"],
+            ["simulate", "--L", "1", "--traj", "3", "--t", "0"],
+            ["verify", "duality", "--L", "1", "--lam", "{tmp}/lambda.csv"],
+            ["dump-generator", "--L", "1", "--ri", "float"],
         ],
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
@@ -287,7 +296,8 @@ class TestUsageErrors:
             "nu-nan", "nu-inf", "nu-minus-inf", "mu-nan", "profile-q-one",
             "grandcanonical-lattice-too-large", "pure-lattice-too-large",
             "huge-time", "proposals-over-budget", "negative-seed", "seed-key-overflow",
-            "row-code-overflow",
+            "row-code-overflow", "abbreviated-flag", "abbreviated-command-flag",
+            "abbreviated-choice-flag",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):

@@ -9,8 +9,10 @@ import pytest
 from asep2.cli import main
 from asep2.duality import sum_rule_table, write_lambda_csv
 
-VERIFY_ALL_L2_SHA256 = "246cf9011e4ec82618b8b39753d9f031932112737f74616ddb9a8b0b79d781f2"
-VERIFY_ALL_L3_SHA256 = "11395577c02152f21cd514d27611db4f643dfb52e00e5c6df1c4b305fe79a93d"
+# `verify all --L 2|3` prints each relation once, the five size-free
+# fundamental-matrix relations before the L1 conjugation lines
+VERIFY_ALL_L2_SHA256 = "b0405267e679a10fd36c6e0e3a8793c7da87da9d1627b5c4adddd412b847cd2a"
+VERIFY_ALL_L3_SHA256 = "534522977164990bc67af4086c8b32e34c2ccae5b93637a0cc25480a6a96ca4e"
 
 # SHA-256 of the stdout of matrix dumps and measure files
 DUMP_SHA256 = [
@@ -36,7 +38,8 @@ DUMP_SHA256 = [
 # SHA-256 of the sum-rule CSV written by `verify duality --L 2 --lambda-out`
 LAMBDA_L2_SHA256 = "3e85ec9d0fcc25167cc072de11a81206cc78f95e1944e309fcf957da95afb13e"
 
-# SHA-256 of the same CSV for `sum_rule_table(3)` (the CLI caps it at L = 2)
+# SHA-256 of the same CSV for `sum_rule_table(3)` (the CLI writes it at
+# L <= cli.SLOW_CHECK_MAX_L = 2)
 LAMBDA_L3_SHA256 = "7053cf2a9da288bf84c6ae0283f13561bd98d67e6b5a85e457d0a7664dcdee18"
 
 # (z, t, n, mean, stderr) of `simulate --L 2 --trajectories 2000 --seed 7

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,9 @@ from asep2.qring import (
     LaurentPoly,
     NonIntegralQuotient,
     exact_div,
-    q_binomial,
     q_factorial,
     q_multinomial,
     q_number,
-    rogers_szego_x,
     rogers_szego_y,
 )
 
@@ -61,10 +60,10 @@ class TestQFactorial:
 class TestQMultinomial:
     def test_empty(self):
         assert q_multinomial(5, 0, 0) == ONE
-        assert q_binomial(5, 0) == ONE
+        assert q_multinomial(5, 5, 0) == ONE
 
     def test_binomial_two_one(self):
-        assert q_binomial(2, 1) == Q + QINV
+        assert q_multinomial(2, 1, 0) == Q + QINV
 
     def test_trinomial_two_one_one(self):
         assert q_multinomial(2, 1, 1) == Q + QINV
@@ -72,20 +71,20 @@ class TestQMultinomial:
     def test_symmetry(self):
         for K in range(9):
             for N in range(K + 1):
-                assert q_binomial(K, N) == q_binomial(K, K - N)
+                assert q_multinomial(K, N, 0) == q_multinomial(K, K - N, 0)
 
     def test_pascal_factorization(self):
         # the sector partition function factorises over the two species
         for K in range(9):
             for N in range(K + 1):
                 for M in range(K - N + 1):
-                    assert q_multinomial(K, N, M) == q_binomial(K, N) * q_binomial(
-                        K - N, M
-                    )
+                    assert q_multinomial(K, N, M) == q_multinomial(
+                        K, N, 0
+                    ) * q_multinomial(K - N, M, 0)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            q_binomial(2, 3)
+            q_multinomial(2, 3, 0)
         with pytest.raises(ValueError):
             q_multinomial(2, 2, 1)
 
@@ -181,7 +180,9 @@ class TestRingAxioms:
 
 class TestRogersSzego:
     def test_x_at_one(self):
-        assert rogers_szego_x(2, 0.0, 1.0) == pytest.approx(4.0)
+        # one species at zero fugacity: the 2^(2L) sets of sites of the other
+        assert rogers_szego_y(2, 0.0, -math.inf, 1.0) == 4.0
+        assert rogers_szego_y(2, -math.inf, 0.0, 1.0) == 4.0
 
     def test_y_limits(self):
         assert rogers_szego_y(2, -1e3, -1e3, 2.0) == pytest.approx(1.0)
@@ -190,8 +191,12 @@ class TestRogersSzego:
         assert rogers_szego_y(2, 0.0, 0.0, 1.0) == pytest.approx(9.0)
 
     def test_x_is_y_slice(self):
-        # suppressing one species reduces the bivariate sum to the univariate one
+        # suppressing one species reduces the bivariate sum to the univariate
+        # one, sum_K e^(alpha*K) [4 choose K] at q0
         q0 = 2.0
-        assert rogers_szego_y(4, 0.3, -1e3, q0) == pytest.approx(
-            rogers_szego_x(4, 0.3, q0)
+        univariate = sum(
+            math.exp(0.3 * k) * q_multinomial(4, k, 0).eval(q0) for k in range(5)
         )
+        assert rogers_szego_y(4, 0.3, -math.inf, q0) == pytest.approx(univariate)
+        assert rogers_szego_y(4, -math.inf, 0.3, q0) == pytest.approx(univariate)
+        assert rogers_szego_y(4, 0.3, -1e3, q0) == pytest.approx(univariate)
