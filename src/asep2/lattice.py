@@ -15,6 +15,14 @@ operator, duality matrix) lives on the 3^(2L) configurations in ternary
 order: the state of site -L+1 is the least significant digit.  There is
 one encoder, `Config.index`, and one decoder, the table `all_configs(L)`,
 built once per L, whose entry i is the configuration with index i.
+
+The lemma checks at the end of the module (`check_counting_lemmas`,
+`check_permutation_identities`) test the left count and the step
+function exhaustively.  They call `count_left`, `theta` and
+`q_factorial` into small tables, then compare each identity over all
+its cases at once on exact int64 numpy arrays (no float or modular
+shortcut); a FAIL detail is the first counterexample in the order of
+the nested loops the identity reads as.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from operator import attrgetter
+
+import numpy as np
 
 from .qring import LaurentPoly, q_factorial
 from .reporting import Report
@@ -245,95 +255,181 @@ def weyl_alcove(n: int, L: int):
 # ---------------------------------------------------------------------
 
 
+def _theta_table(lam) -> np.ndarray:
+    """theta(k, l) for every pair of sites, as an int64 array indexed [k, l]."""
+    return np.array([[theta(k, l) for l in lam] for k in lam], dtype=np.int64)
+
+
+def _first(bad: np.ndarray, case) -> list:
+    """[case(*i)] for the first True entry i of `bad` in C order, else [].
+
+    The C order of the axes is the order of the nested loops the identity
+    reads as, so this is the first counterexample those loops would find.
+    """
+    hits = np.argwhere(bad)
+    return [case(*hits[0].tolist())] if len(hits) else []
+
+
 def check_counting_lemmas(L: int) -> Report:
     """Step-function identities and additivity/inversion of left counts.
 
     Exhausts every pair of disjoint coordinate sets on the 2L sites, for
     both species, as occupation tuples fed to the same `count_left` that
-    the duality exponent and the ladder dressing call.  Returns the first
-    counterexample on failure; there is none if the implementation is
-    sound.
+    the duality exponent and the ladder dressing call.  `count_left` is
+    called once per (set of occupied sites, site, species), 2^(2L) * 2L
+    times per species, into a table indexed by the set's bitmask; `theta`
+    once per pair of sites.  Each identity is then compared as one int64
+    array over all its cases: for the left-count identities, the 3^(2L)
+    assignments of every site to neither set, the first or the second,
+    times the 2L sites.  On failure the detail is the first counterexample
+    in the order (assignment in `itertools.product` order, then site);
+    there is none if the implementation is sound.  The largest arrays are
+    the 3^(2L) x 2L ones (6561 x 8 int64 values at L = 4).
     """
     report = Report()
     lam = list(sites(L))
+    n = 2 * L
+    step = _theta_table(lam)
+    delta = np.eye(n, dtype=np.int64)
 
-    bad = [
-        (k, l)
-        for k in lam
-        for l in lam
-        if theta(k, l) + theta(l, k) + (1 if k == l else 0) != 1
-    ]
-    report.check(f"L{L}:theta-complement", bad)
+    report.check(
+        f"L{L}:theta-complement",
+        _first(step + step.T + delta != 1, lambda k, l: (lam[k], lam[l])),
+    )
 
-    bad = []
-    for r in lam:
-        for x in lam:
-            if sum(1 for k in lam if k < x and k == r) != theta(r, x):
-                bad.append((r, x, "left"))
-            if sum(1 for k in lam if k > x and k == r) != theta(x, r):
-                bad.append((r, x, "right"))
-    report.check(f"L{L}:theta-delta-sum", bad)
+    # sum over k of [k == r] [k < x], and of [k == r] [k > x]
+    less = (np.arange(n)[:, None] < np.arange(n)).astype(np.int64)
+    bad = np.stack([delta @ less != step, delta @ less.T != step.T], axis=-1)
+    report.check(
+        f"L{L}:theta-delta-sum",
+        _first(bad, lambda r, x, side: (lam[r], lam[x], ("left", "right")[side])),
+    )
 
-    def lone(species, x):
-        """Occupations of a lattice whose one particle sits at site x."""
-        return tuple(species if k == x else VACANT for k in lam)
+    def left_counts(species):
+        """count_left of each set of sites holding `species`, indexed
+        [mask, site]: bit i of the mask occupies site lam[i]."""
+        table = []
+        for mask in range(1 << n):
+            occ = tuple(species if mask >> i & 1 else VACANT for i in range(n))
+            table.append([count_left(occ, k, species) for k in lam])
+        return np.array(table, dtype=np.int64)
+
+    counts = {A: left_counts(A), B: left_counts(B)}
+    lone = 1 << np.arange(n)  # the mask of one particle at site lam[i]
 
     # single-particle left counts reduce to the step function
-    bad = []
-    for x in lam:
-        for r in lam:
-            if count_left(lone(A, x), r, A) != theta(x, r):
-                bad.append((x, r, "A"))
-            if count_left(lone(B, x), r, B) != theta(x, r):
-                bad.append((x, r, "B"))
-    report.check(f"L{L}:single-left-count", bad)
+    bad = np.stack([counts[s][lone] != step for s in (A, B)], axis=-1)
+    report.check(
+        f"L{L}:single-left-count",
+        _first(bad, lambda x, r, s: (lam[x], lam[r], ("A", "B")[s])),
+    )
+
+    # assignment a puts site lam[i] in the first set if its digit i is 1,
+    # in the second if 2; lam[0] is the most significant digit
+    digits = np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+    in_first, in_second = (digits == 1).astype(np.int64), (digits == 2).astype(np.int64)
+    first_mask, second_mask = in_first @ lone, in_second @ lone
+    n_second = in_second.sum(axis=1, keepdims=True)
+    outside_second = digits != 2
+
+    def coords(a, digit):
+        return tuple(k for k, w in zip(lam, digits[a].tolist()) if w == digit)
+
+    def sets_at(a, k):
+        return (coords(a, 1), coords(a, 2), lam[k])
 
     for species, tag in ((A, "A"), (B, "B")):
-        single = {x: lone(species, x) for x in lam}
-        add_bad, comp_bad, inv_bad, single_bad = [], [], [], []
-        for assign in itertools.product((0, 1, 2), repeat=2 * L):
-            first = tuple(k for k, w in zip(lam, assign) if w == 1)
-            second = tuple(k for k, w in zip(lam, assign) if w == 2)
-            union = tuple(species if w else VACANT for w in assign)
-            occ_first = tuple(species if w == 1 else VACANT for w in assign)
-            occ_second = tuple(species if w == 2 else VACANT for w in assign)
-            n_second = len(second)
-            for k in lam:
-                in_union = count_left(union, k, species)
-                in_first = count_left(occ_first, k, species)
-                in_second = count_left(occ_second, k, species)
-                if in_union != in_first + in_second:
-                    add_bad.append((first, second, k))
-                if in_first != sum(count_left(single[c], k, species) for c in first):
-                    single_bad.append((first, k))
-                if k in second:
-                    continue
-                # complement form: counts of the added set via step functions
-                if in_union != in_first + n_second - sum(theta(k, c) for c in second):
-                    comp_bad.append((first, second, k))
-                # inversion: left counts of a set from single-site counts
-                if in_second != n_second - sum(
-                    count_left(single[k], c, species) for c in second
-                ):
-                    inv_bad.append((second, k))
-        report.check(f"L{L}:left-count-union-additivity-{tag}", add_bad)
-        report.check(f"L{L}:left-count-single-additivity-{tag}", single_bad)
-        report.check(f"L{L}:left-count-union-complement-{tag}", comp_bad)
-        report.check(f"L{L}:left-count-inversion-{tag}", inv_bad)
+        table = counts[species]
+        single = table[lone]  # [c, k]: left count at k of one particle at c
+        union = table[first_mask | second_mask]
+        first, second = table[first_mask], table[second_mask]
+        add_bad = union != first + second
+        single_bad = first != in_first @ single
+        # complement form: counts of the added set via step functions
+        comp_bad = outside_second & (union != first + n_second - in_second @ step.T)
+        # inversion: left counts of a set from single-site counts
+        inv_bad = outside_second & (second != n_second - in_second @ single.T)
+        report.check(f"L{L}:left-count-union-additivity-{tag}", _first(add_bad, sets_at))
+        report.check(
+            f"L{L}:left-count-single-additivity-{tag}",
+            _first(single_bad, lambda a, k: (coords(a, 1), lam[k])),
+        )
+        report.check(f"L{L}:left-count-union-complement-{tag}", _first(comp_bad, sets_at))
+        report.check(
+            f"L{L}:left-count-inversion-{tag}",
+            _first(inv_bad, lambda a, k: (coords(a, 2), lam[k])),
+        )
     return report
 
 
 # the permutation identities are checked for tuples of up to this many sites
 PERMUTATION_MAX_N = 4
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-def _inversion_weight(r: tuple[int, ...], perm: tuple[int, ...]) -> int:
-    n = len(r)
-    s = 0
-    for j in range(n):
-        for i in range(j):
-            s += theta(r[perm[i]], r[perm[j]])
-    return s
+
+def _coefficient_rows(n_rows: int, lo: int, hi: int, terms) -> np.ndarray:
+    """One Laurent polynomial per row: row t holds the coefficients of the
+    exponents lo..hi, summed over the (exponents, coefficients) in `terms`,
+    each giving one term of every row (a coefficient may be shared)."""
+    rows = np.zeros((n_rows, hi - lo + 1), dtype=np.int64)
+    t = np.arange(n_rows)
+    # one term per row at a time, so no entry is hit twice in one step
+    for exponents, coeffs in terms:
+        rows[t, exponents - lo] += coeffs
+    return rows
+
+
+def _polynomial(lo: int, row: np.ndarray, unit: int) -> LaurentPoly:
+    """A coefficient row from exponent lo on, whose exponents are `unit`
+    half-steps, as a LaurentPoly."""
+    return LaurentPoly({unit * (lo + i): c for i, c in enumerate(row.tolist()) if c})
+
+
+def _pairs(n: int) -> tuple[list[int], list[int]]:
+    """The positions i and j of the pairs i < j of an n-tuple."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [i for i, _ in pairs], [j for _, j in pairs]
+
+
+def _vandermonde(r: np.ndarray) -> tuple[int, np.ndarray]:
+    """prod_{i<j} (q**r_j - q**r_i) for each row of sites r, as (lo, rows)
+    with q-exponents from lo on, expanded into its 2^(n(n-1)/2) signed
+    monomials one at a time."""
+    i, j = _pairs(r.shape[1])
+    lo, hi = len(i) * int(r.min()), len(i) * int(r.max())
+    # a choice takes -q**r_i from the pairs where it is True, else q**r_j
+    terms = (
+        (np.where(choice, r[:, i], r[:, j]).sum(axis=1), (-1) ** sum(choice))
+        for choice in itertools.product((False, True), repeat=len(i))
+    )
+    return lo, _coefficient_rows(len(r), lo, hi, terms)
+
+
+def _weighted_gap(r: np.ndarray) -> tuple[int, np.ndarray]:
+    """prod_{i<j} (r_j - r_i) * q**(sum_i (i+1) r_i) for each row of sites
+    r, as (lo, rows) with q-exponents from lo on."""
+    i, j = _pairs(r.shape[1])
+    exponents = r @ np.arange(1, r.shape[1] + 1)
+    gap = np.prod(r[:, j] - r[:, i], axis=1)
+    lo = int(exponents.min())
+    return lo, _coefficient_rows(len(r), lo, int(exponents.max()), [(exponents, gap)])
+
+
+def _unfolded_part(summand, r: np.ndarray, in_folded: np.ndarray) -> LaurentPoly:
+    """The sum of `summand` over all tuples r minus its sum over the tuples
+    with in_folded = 1; its coefficient rows are freed on return."""
+    lo, rows = summand(r)
+    return _polynomial(lo, rows.sum(axis=0) - in_folded @ rows, 2)
+
+
+def _symmetrization_bound(L: int, n: int) -> int:
+    """A bound on every coefficient the symmetrization sums of n-tuples
+    reach: the (2L)^n summands have coefficients of absolute sum at most
+    2^(n(n-1)/2) (Vandermonde) or (2L-1)^(n(n-1)/2) (gap), and the
+    residual is the difference of two such sums."""
+    pairs = n * (n - 1) // 2
+    return 2 * (2 * L) ** n * max(2, 2 * L - 1) ** pairs
 
 
 def check_permutation_identities(L: int) -> Report:
@@ -344,54 +440,67 @@ def check_permutation_identities(L: int) -> Report:
     q-factorial times an ordering monomial, for every strictly increasing
     coordinate tuple.  Second: a sum over ordered tuples equals the
     alcove-plus-permutations sum for functions that vanish on diagonals.
+
+    `theta` is called once per pair of sites and `q_factorial` once per n.
+    Each identity is compared exactly over all its cases at once, every
+    polynomial being one row of an int64 coefficient array: the first
+    identity has a row per alcove tuple (its n! permuted monomials minus
+    the q-factorial), the second a row per tuple of `itertools.product`
+    order for each summand (the Vandermonde product and the weighted
+    gap), summed in full and over the alcove tuples' permutations.  A
+    residual becomes a `LaurentPoly` only for the FAIL detail, the first
+    failing alcove tuple or summand.
+
+    Memory: the widest rows, the weighted gap's at n = 4, hold about
+    (2L)^4 * 10(2L-1) int64 values (0.5 MB at L = 3, 2.3 MB at L = 4);
+    one summand's rows are held at a time.  The sums must stay within
+    int64: `_symmetrization_bound(L, n)` must not exceed 2^63 - 1, which
+    holds up to L = 37.  Past it, OverflowError is raised before any
+    array is allocated, rather than let a sum wrap.
     """
+    n_max = min(PERMUTATION_MAX_N, 2 * L)
+    if _symmetrization_bound(L, n_max) > _INT64_MAX:
+        raise OverflowError(
+            f"permutation identities at L={L}, n={n_max} exceed int64 coefficients"
+        )
     report = Report()
     lam = list(sites(L))
-    for n in range(1, min(PERMUTATION_MAX_N, 2 * L) + 1):
-        perms = list(itertools.permutations(range(n)))
+    step = _theta_table(lam)
+    site = np.array(lam, dtype=np.int64)
+    for n in range(1, n_max + 1):
+        i, j = _pairs(n)
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        alcove_sites = list(weyl_alcove(n, L))
+        alcove = np.array(alcove_sites, dtype=np.int64) + L - 1  # site positions
+        permuted = alcove[:, perms]  # [tuple, permutation, position]
+
+        # in half-steps, per alcove tuple: q**(-2*noninversions + n(n-1)/2)
+        # summed over perms, minus q_factorial(n) * q**(-2*order)
+        noninversions = step[permuted[..., i], permuted[..., j]].sum(axis=-1)
+        order = step[alcove[:, j], alcove[:, i]].sum(axis=-1)
+        terms = [(n * (n - 1) - 4 * noninversions[:, p], 1) for p in range(len(perms))]
+        terms += [(h - 4 * order, -c) for h, c in q_factorial(n).terms.items()]
+        keys = np.array([exponents for exponents, _ in terms])
+        lo = int(keys.min())
+        residual = _coefficient_rows(len(alcove), lo, int(keys.max()), terms)
+        report.check(
+            f"L{L}:qfactorial-inversion-sum-n{n}",
+            _first(
+                residual.any(axis=1),
+                lambda t: (alcove_sites[t], str(_polynomial(lo, residual[t], 1))),
+            ),
+        )
+
+        # every n-tuple of positions, in itertools.product order; the folded
+        # sum reads the rows the full sum adds, each permuted alcove tuple
+        # found by its product-order index
+        tuples = np.indices((2 * L,) * n).reshape(n, -1).T
+        folded = (permuted @ (2 * L) ** np.arange(n - 1, -1, -1)).ravel()
+        in_folded = np.bincount(folded, minlength=len(tuples))
         bad = []
-        for r in weyl_alcove(n, L):
-            lhs = LaurentPoly.zero()
-            for perm in perms:
-                h = -2 * _inversion_weight(r, perm) + n * (n - 1) // 2
-                lhs = lhs + LaurentPoly.q_power(h)
-            order = sum(theta(r[j], r[i]) for j in range(n) for i in range(j))
-            rhs = q_factorial(n) * LaurentPoly.q_power(-2 * order)
-            if lhs != rhs:
-                bad.append((r, str(lhs - rhs)))
-        report.check(f"L{L}:qfactorial-inversion-sum-n{n}", bad)
-
-        def vandermonde(r):
-            out = LaurentPoly.one()
-            for i in range(len(r)):
-                for j in range(i + 1, len(r)):
-                    out = out * (
-                        LaurentPoly.q_power(r[j]) - LaurentPoly.q_power(r[i])
-                    )
-            return out
-
-        def weighted_gap(r):
-            gap = 1
-            for i in range(len(r)):
-                for j in range(i + 1, len(r)):
-                    gap *= r[j] - r[i]
-            return LaurentPoly.const(gap) * LaurentPoly.q_power(
-                sum((i + 1) * c for i, c in enumerate(r))
-            )
-
-        bad = []
-        for fname, f in (("vandermonde", vandermonde), ("gap", weighted_gap)):
-            # the folded sum runs over tuples of distinct sites: it
-            # reads the values the full sum computed
-            values = {r: f(r) for r in itertools.product(lam, repeat=n)}
-            full = LaurentPoly.zero()
-            for value in values.values():
-                full = full + value
-            folded = LaurentPoly.zero()
-            for r in weyl_alcove(n, L):
-                for perm in perms:
-                    folded = folded + values[tuple(r[p] for p in perm)]
-            if full != folded:
-                bad.append((fname, str(full - folded)))
+        for fname, summand in (("vandermonde", _vandermonde), ("gap", _weighted_gap)):
+            residual = _unfolded_part(summand, site[tuples], in_folded)
+            if residual:
+                bad.append((fname, str(residual)))
         report.check(f"L{L}:diagonal-vanishing-symmetrization-n{n}", bad)
     return report

@@ -28,6 +28,7 @@ from asep2.duality import check_duality
 from asep2.generator import h_exact
 from asep2.qring import LaurentPoly
 from asep2.qsym import build_Y_site, check_symmetry
+from asep2.reporting import Report
 
 from helpers import matrix_row
 
@@ -47,6 +48,104 @@ def _clear_caches():
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+_real_count_left = lattice.count_left
+_real_theta = lattice.theta
+
+# injected faults -> the FAIL lines both lemma checks print at L = 1, 2
+# (and 3 for the step function), as computed by the one-case-at-a-time
+# loops these checks replaced: the batched checks report the same first
+# counterexample
+LEMMA_FAULTS = {
+    "left count off by one at site 1": (
+        "count_left",
+        lambda occ, k, species: _real_count_left(occ, k, species) + (k == 1),
+        (1, 2),
+        [
+            "L1:single-left-count FAIL (0, 1, 'A')",
+            "L1:left-count-union-additivity-A FAIL ((), (), 1)",
+            "L1:left-count-single-additivity-A FAIL ((), 1)",
+            "L1:left-count-inversion-A FAIL ((), 1)",
+            "L1:left-count-union-additivity-B FAIL ((), (), 1)",
+            "L1:left-count-single-additivity-B FAIL ((), 1)",
+            "L1:left-count-inversion-B FAIL ((), 1)",
+            "L2:single-left-count FAIL (-1, 1, 'A')",
+            "L2:left-count-union-additivity-A FAIL ((), (), 1)",
+            "L2:left-count-single-additivity-A FAIL ((), 1)",
+            "L2:left-count-inversion-A FAIL ((), 1)",
+            "L2:left-count-union-additivity-B FAIL ((), (), 1)",
+            "L2:left-count-single-additivity-B FAIL ((), 1)",
+            "L2:left-count-inversion-B FAIL ((), 1)",
+        ],
+    ),
+    "left count off by one at the last site of a multi-particle set": (
+        "count_left",
+        lambda occ, k, species: _real_count_left(occ, k, species)
+        + (occ.count(species) >= 2 and k == len(occ) // 2),
+        (1, 2),
+        [
+            "L1:left-count-union-additivity-A FAIL ((0,), (1,), 1)",
+            "L1:left-count-single-additivity-A FAIL ((0, 1), 1)",
+            "L1:left-count-union-complement-A FAIL ((1,), (0,), 1)",
+            "L1:left-count-union-additivity-B FAIL ((0,), (1,), 1)",
+            "L1:left-count-single-additivity-B FAIL ((0, 1), 1)",
+            "L1:left-count-union-complement-B FAIL ((1,), (0,), 1)",
+            "L2:left-count-union-additivity-A FAIL ((1,), (2,), 2)",
+            "L2:left-count-single-additivity-A FAIL ((1, 2), 2)",
+            "L2:left-count-union-complement-A FAIL ((2,), (1,), 2)",
+            "L2:left-count-inversion-A FAIL ((0, 1), 2)",
+            "L2:left-count-union-additivity-B FAIL ((1,), (2,), 2)",
+            "L2:left-count-single-additivity-B FAIL ((1, 2), 2)",
+            "L2:left-count-union-complement-B FAIL ((2,), (1,), 2)",
+            "L2:left-count-inversion-B FAIL ((0, 1), 2)",
+        ],
+    ),
+    "step function wrong at (1, 0)": (
+        "theta",
+        lambda k, l: _real_theta(k, l) ^ ((k, l) == (1, 0)),
+        (1, 2, 3),
+        [
+            "L1:theta-complement FAIL (0, 1)",
+            "L1:theta-delta-sum FAIL (0, 1, 'right')",
+            "L1:single-left-count FAIL (1, 0, 'A')",
+            "L1:left-count-union-complement-A FAIL ((), (0,), 1)",
+            "L1:left-count-union-complement-B FAIL ((), (0,), 1)",
+            "L1:qfactorial-inversion-sum-n2 FAIL ((0, 1), '-1*q^-3 + 1*q^-1')",
+            "L2:theta-complement FAIL (0, 1)",
+            "L2:theta-delta-sum FAIL (0, 1, 'right')",
+            "L2:single-left-count FAIL (1, 0, 'A')",
+            "L2:left-count-union-complement-A FAIL ((), (0,), 1)",
+            "L2:left-count-union-complement-B FAIL ((), (0,), 1)",
+            "L2:qfactorial-inversion-sum-n2 FAIL ((0, 1), '-1*q^-3 + 1*q^-1')",
+            "L2:qfactorial-inversion-sum-n3 FAIL ((-1, 0, 1), '-1*q^-5 + 1*q^1')",
+            "L2:qfactorial-inversion-sum-n4 FAIL ((-1, 0, 1, 2), "
+            "'-1*q^-8 + -1*q^-6 + -1*q^-4 + 1*q^0 + 1*q^2 + 1*q^4')",
+            "L3:theta-complement FAIL (0, 1)",
+            "L3:theta-delta-sum FAIL (0, 1, 'right')",
+            "L3:single-left-count FAIL (1, 0, 'A')",
+            "L3:left-count-union-complement-A FAIL ((), (0,), 1)",
+            "L3:left-count-union-complement-B FAIL ((), (0,), 1)",
+            "L3:qfactorial-inversion-sum-n2 FAIL ((0, 1), '-1*q^-3 + 1*q^-1')",
+            "L3:qfactorial-inversion-sum-n3 FAIL ((-2, 0, 1), '-1*q^-5 + 1*q^1')",
+            "L3:qfactorial-inversion-sum-n4 FAIL ((-2, -1, 0, 1), "
+            "'-1*q^-8 + -1*q^-6 + -1*q^-4 + 1*q^0 + 1*q^2 + 1*q^4')",
+        ],
+    ),
+}
+
+
+def _lemma_report(Ls) -> Report:
+    report = Report()
+    for L in Ls:
+        report.extend(check_counting_lemmas(L))
+        report.extend(check_permutation_identities(L))
+    return report
+
+
+def _failed(report) -> dict[str, str]:
+    """Relation name -> FAIL detail, for the failed relations of a report."""
+    return {r.name: r.detail for r in report.results if not r.passed}
 
 
 def configs_strategy(L=2):
@@ -298,3 +397,50 @@ class TestLemmaChecks:
         failed = {line.split()[1] for line in report.lines() if " FAIL " in line}
         assert "L1:left-count-union-additivity-A" in failed
         assert {"L1:DH=HtD", "L1:commutator-H-Y1-"} <= failed
+
+    @pytest.mark.parametrize("fault", sorted(LEMMA_FAULTS))
+    def test_first_counterexample_pinned(self, monkeypatch, fault):
+        name, wrong, Ls, expected = LEMMA_FAULTS[fault]
+        monkeypatch.setattr(lattice, name, wrong)
+        lines = [line.removeprefix("RELATION ") for line in _lemma_report(Ls).lines()]
+        assert [line for line in lines if " FAIL " in line] == expected
+
+    def test_wrong_q_factorial_is_seen(self, monkeypatch):
+        # negative control: a q-factorial off by a constant fails the
+        # inversion-sum identity at every tuple length
+        real = lattice.q_factorial
+        monkeypatch.setattr(lattice, "q_factorial", lambda n: real(n) + 1)
+        failed = _failed(check_permutation_identities(2))
+        for n in range(1, 5):
+            # the first alcove tuple, with the residual -1
+            first = tuple(range(-1, n - 1))
+            assert failed[f"L2:qfactorial-inversion-sum-n{n}"] == f"({first}, '-1*q^0')"
+        assert not any("diagonal" in name for name in failed)
+
+    def test_summand_not_vanishing_on_diagonals_is_seen(self, monkeypatch):
+        # negative control: the weighted gap plus a constant monomial is
+        # nonzero on tuples with a repeated site, so folding the full sum
+        # onto the alcove loses terms from n = 2 on
+        real = lattice._weighted_gap
+
+        def shifted(r):
+            lo, rows = real(r)
+            rows[:, 0] += 1
+            return lo, rows
+
+        monkeypatch.setattr(lattice, "_weighted_gap", shifted)
+        failed = _failed(check_permutation_identities(2))
+        # the residual counts the 4^n - 4!/(4-n)! tuples with a repeated
+        # site, at the lowest exponent -n(n+1)/2
+        assert failed == {
+            "L2:diagonal-vanishing-symmetrization-n2": "('gap', '4*q^-3')",
+            "L2:diagonal-vanishing-symmetrization-n3": "('gap', '40*q^-6')",
+            "L2:diagonal-vanishing-symmetrization-n4": "('gap', '232*q^-10')",
+        }
+
+    def test_size_guard(self, monkeypatch):
+        # L = 60 has (2L)^4 = 2.1e8 tuples whose sums could pass int64: the
+        # guard raises before any array is made (numpy is not even reached)
+        monkeypatch.setattr(lattice, "np", None)
+        with pytest.raises(OverflowError):
+            check_permutation_identities(60)
