@@ -24,15 +24,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .lattice import (
     A,
     B,
     VACANT,
     Config,
     Sector,
-    all_configs,
     bonds,
     enumerate_sector,
+    occupations,
 )
 from .qring import QINV, ZERO, LaurentPoly, Q
 from .sparse import SparseMatrix
@@ -115,20 +117,54 @@ def _accumulate(H: dict, src: int, tgt: int, rate) -> None:
     H[(src, src)] = H.get((src, src), rate * 0) + rate
 
 
+def _rate_arrays(p: ModelParams, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
+    """`rate_table` as (half-exponent, coefficient) arrays indexed [s1, s2]:
+    the exact rates are the monomials q, 1/q and 0; float rates keep h = 0."""
+    table = rate_table(p, ring)
+    if ring is Ring.FLOAT:
+        return np.zeros((3, 3), np.int64), np.array(table, dtype=np.float64)
+    terms = np.array(
+        [[next(iter(v.terms.items()), (0, 0)) for v in row] for row in table],
+        dtype=np.int64,
+    )
+    return terms[..., 0], terms[..., 1]
+
+
 def build_H(p: ModelParams, ring: Ring = Ring.EXACT) -> SparseMatrix:
-    """Generator on the full ternary basis of dimension 3^(2L)."""
+    """Generator on the full ternary basis of dimension 3^(2L).
+
+    Built from the occupation table with one masked gather per bond: the
+    configurations that exchange on bond (k, k+1) jump to the index of
+    their swap, index + 2 (s_k - s_k+1) 3^pos for site k at 0-based
+    position pos.  A float diagonal adds the exit rates bond by bond from
+    the left, so each is the same sum, in the same order, as a loop over
+    the bonds of one configuration.
+    """
     cap = EXACT_FULL_MAX_L if ring is Ring.EXACT else FLOAT_FULL_MAX_L
     if p.L > cap:
         raise ValueError(
             f"full basis capped at L <= {cap} in {ring.value} mode; "
             "use build_H_sector beyond"
         )
-    table = rate_table(p, ring)
-    entries: dict = {}
-    for src, c in enumerate(all_configs(p.L)):
-        for k, rate in _bond_rates(table, c):
-            _accumulate(entries, src, c.swap(k).index, rate)
-    return SparseMatrix(3 ** (2 * p.L), entries)
+    h3, c3 = _rate_arrays(p, ring)
+    occ = occupations(p.L)
+    dim = len(occ)
+    exit_rate = np.zeros(dim, dtype=c3.dtype)
+    terms = []
+    for pos in range(2 * p.L - 1):  # the bond at positions pos, pos + 1
+        s1, s2 = occ[:, pos], occ[:, pos + 1]
+        src = np.flatnonzero(c3[s1, s2])
+        h, rate = h3[s1[src], s2[src]], c3[s1[src], s2[src]]
+        tgt = src + 2 * (s1[src] - s2[src]) * 3**pos
+        terms.append((tgt, src, h, -rate))
+        if ring is Ring.EXACT:
+            terms.append((src, src, h, rate))
+        else:
+            exit_rate[src] += rate
+    if ring is Ring.FLOAT:
+        every = np.arange(dim)
+        terms.append((every, every, np.zeros(dim, np.int64), exit_rate))
+    return SparseMatrix.from_arrays(dim, *(np.concatenate(t) for t in zip(*terms)))
 
 
 def build_H_sector(p: ModelParams, sector: Sector, ring: Ring = Ring.EXACT) -> SparseMatrix:

@@ -14,7 +14,13 @@ Every full-basis matrix in the package (generator, ladders, symmetry
 operator, duality matrix) lives on the 3^(2L) configurations in ternary
 order: the state of site -L+1 is the least significant digit.  There is
 one encoder, `Config.index`, and one decoder, the table `all_configs(L)`,
-built once per L, whose entry i is the configuration with index i.
+built once per L, whose entry i is the configuration with index i;
+`occupations(L)` is the same table as an int64 array, which the array
+builders of the generator and the ladders read.
+
+The left count has one table, `left_count_table(L, species)`: `count_left`
+of every set of sites holding a species, indexed by the set's bitmask.
+The counting-lemma checks and the ladder dressing both read it.
 
 The lemma checks at the end of the module (`check_counting_lemmas`,
 `check_permutation_identities`) test the left count and the step
@@ -211,6 +217,15 @@ def all_configs(L: int) -> tuple[Config, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def occupations(L: int) -> np.ndarray:
+    """The basis table as a read-only int64 array: row i is the `occ` of
+    configuration i."""
+    table = np.array([c.occ for c in all_configs(L)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def vacant_config(L: int) -> Config:
     return Config(L, (VACANT,) * (2 * L))
 
@@ -242,6 +257,23 @@ def count_left(occ, k: int, species: int) -> int:
     if species not in _STATES:
         raise ValueError("species must be A, VACANT or B")
     return occ[: k + L - 1].count(species)
+
+
+def left_count_table(L: int, species: int) -> np.ndarray:
+    """`count_left` of every set of sites holding `species`, as an int64
+    array indexed [mask, site position]: bit i of the mask puts `species`
+    at position i, and the other sites hold a different state.
+
+    `count_left` is called 2^(2L) * 2L times.  The left counts of a basis
+    configuration are the row of the mask of its `species` sites.
+    """
+    n = 2 * L
+    other = A if species == VACANT else VACANT
+    rows = []
+    for mask in range(1 << n):
+        occ = tuple(species if mask >> i & 1 else other for i in range(n))
+        rows.append([count_left(occ, k, species) for k in sites(L)])
+    return np.array(rows, dtype=np.int64)
 
 
 def weyl_alcove(n: int, L: int):
@@ -277,7 +309,7 @@ def check_counting_lemmas(L: int) -> Report:
     both species, as occupation tuples fed to the same `count_left` that
     the duality exponent and the ladder dressing call.  `count_left` is
     called once per (set of occupied sites, site, species), 2^(2L) * 2L
-    times per species, into a table indexed by the set's bitmask; `theta`
+    times per species, through `left_count_table`; `theta`
     once per pair of sites.  Each identity is then compared as one int64
     array over all its cases: for the left-count identities, the 3^(2L)
     assignments of every site to neither set, the first or the second,
@@ -305,16 +337,7 @@ def check_counting_lemmas(L: int) -> Report:
         _first(bad, lambda r, x, side: (lam[r], lam[x], ("left", "right")[side])),
     )
 
-    def left_counts(species):
-        """count_left of each set of sites holding `species`, indexed
-        [mask, site]: bit i of the mask occupies site lam[i]."""
-        table = []
-        for mask in range(1 << n):
-            occ = tuple(species if mask >> i & 1 else VACANT for i in range(n))
-            table.append([count_left(occ, k, species) for k in lam])
-        return np.array(table, dtype=np.int64)
-
-    counts = {A: left_counts(A), B: left_counts(B)}
+    counts = {A: left_count_table(L, A), B: left_count_table(L, B)}
     lone = 1 << np.arange(n)  # the mask of one particle at site lam[i]
 
     # single-particle left counts reduce to the step function

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -246,9 +247,12 @@ def shock_profile(species: int, chem_pot: float, p: ModelParams) -> ShockProfile
 # ---------------------------------------------------------------------
 
 
-def pi_hat(L: int) -> SparseMatrix:
-    """Diagonal matrix of reversible weights on the full basis."""
-    return SparseMatrix.diagonal([pi_unnormalized(c) for c in all_configs(L)])
+@lru_cache(maxsize=None)
+def pi_hat(L: int, power: int = 1) -> SparseMatrix:
+    """Diagonal matrix of reversible weights on the full basis, to `power`:
+    the monomials q**(power * pi_exponent)."""
+    exponents = np.array([pi_exponent(c.occ) for c in all_configs(L)], dtype=np.int64)
+    return SparseMatrix.monomial_diagonal(2 * power * exponents)
 
 
 def check_reversibility(H: SparseMatrix, L: int) -> Report:

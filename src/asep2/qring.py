@@ -105,12 +105,12 @@ class LaurentPoly:
                 c[h] = s
             elif h in c:
                 del c[h]
-        return _own(c)
+        return from_terms(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _own({h: -v for h, v in self._c.items()})
+        return from_terms({h: -v for h, v in self._c.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -137,7 +137,7 @@ class LaurentPoly:
                     c[h] = s
                 elif h in c:
                     del c[h]
-        return _own(c)
+        return from_terms(c)
 
     __rmul__ = __mul__
 
@@ -149,10 +149,6 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash(frozenset(self._c.items()))
-
-    def inverse(self) -> "LaurentPoly":
-        """Exact ring inverse; only the monomials +-q**(h/2) are units."""
-        return exact_div(LaurentPoly.one(), self)
 
     # -- evaluation ---------------------------------------------------
 
@@ -176,21 +172,14 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)!r})"
 
 
-def _own(half_coeffs: dict[int, int]) -> LaurentPoly:
-    """Trusted constructor: the map's coefficients are nonzero ints, and
-    the polynomial takes ownership of it."""
+def from_terms(half_coeffs: dict[int, int]) -> LaurentPoly:
+    """Trusted constructor: the map's keys are ints and its coefficients
+    nonzero ints, and the polynomial takes ownership of it.  Arithmetic
+    results and the entries sparse matrices read back from their term
+    arrays are built this way."""
     out = LaurentPoly.__new__(LaurentPoly)
     out._c = half_coeffs
     return out
-
-
-def from_terms(term_maps) -> list[LaurentPoly]:
-    """One polynomial per half-exponent -> coefficient map, without checks.
-
-    The caller guarantees int keys and nonzero int coefficients and hands
-    over each map; this is how the sparse kernel builds its output entries.
-    """
-    return [_own(c) for c in term_maps]
 
 
 ZERO = LaurentPoly.zero()

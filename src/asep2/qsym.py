@@ -13,12 +13,19 @@ matrices over the exact ring.
 The conjugation lemma needs no matrix product on the chain: q**(P) for
 a diagonal projector P is the diagonal q**(P(i)), so conjugating an
 embedded ladder by it multiplies entry (r, c) by q**(P(r) - P(c)), an
-exponent shift read off the configurations r and c of the basis table.
+exponent shift read off rows r and c of the occupation table.
+
+Embedded operators are built as term arrays from the occupation table:
+`site_embed` moves every configuration with a given state at site k at
+once, and a ladder's dressing is one half-exponent per basis state, from
+the left counts of `lattice.left_count_table`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from .generator import EXACT_FULL_MAX_L
 from .lattice import (
@@ -27,7 +34,8 @@ from .lattice import (
     VACANT,
     SiteOutOfRange,
     all_configs,
-    count_left,
+    left_count_table,
+    occupations,
     sites,
 )
 from .qring import ONE, LaurentPoly, exact_div, q_number
@@ -60,26 +68,31 @@ def mat3_transpose(u):
     return tuple(tuple(u[j][i] for j in range(3)) for i in range(3))
 
 
-def site_embed(u, k: int, L: int, dressing=lambda c: ONE) -> SparseMatrix:
+def site_embed(u, k: int, L: int, dressing=None) -> SparseMatrix:
     """Act with the 3x3 matrix u on the site-k tensor factor.
 
     Entries of u may be ints or Laurent polynomials; the result always
-    carries exact ring entries.  Each entry is multiplied by
-    `dressing(c)`, c the configuration it acts on.  Operators embedded at
-    different sites commute.
+    carries exact ring entries.  Each entry in column c is multiplied by
+    q**(dressing[c]/2), dressing an int array of half-exponents over the
+    basis (None: no dressing).  Operators embedded at different sites
+    commute.
     """
     if not -L + 1 <= k <= L:
         raise SiteOutOfRange(f"site {k} outside lattice")
     pos = k + L - 1
-    step = 3**pos
-    # moves[s]: (target state, value) of the nonzero entries in column s of u
-    moves = [[(rs, v) for rs in range(3) if (v := u[rs][cs])] for cs in range(3)]
-    entries: dict = {}
-    for i, c in enumerate(all_configs(L)):
-        s = c.occ[pos]
-        for rs, v in moves[s]:
-            entries[(i + (rs - s) * step, i)] = v * dressing(c)
-    return SparseMatrix(3 ** (2 * L), entries)
+    state = occupations(L)[:, pos]
+    if dressing is None:
+        dressing = np.zeros(len(state), np.int64)
+    terms = [(np.zeros(0, np.int64),) * 4]
+    for cs in range(3):
+        cols = np.flatnonzero(state == cs)
+        for rs in range(3):
+            # the column's configurations with site k turned from cs to rs
+            rows = cols + (rs - cs) * 3**pos
+            for h, x in (ONE * u[rs][cs]).terms.items():
+                terms.append((rows, cols, dressing[cols] + h, np.full(len(cols), x)))
+    arrays = (np.concatenate(t) for t in zip(*terms))
+    return SparseMatrix.from_arrays(len(state), *arrays)
 
 
 # (local op, dressing species, sign of the left sum) for each ladder:
@@ -93,16 +106,25 @@ _Y_RECIPE = {
 }
 
 
+@lru_cache(maxsize=None)
+def _left_counts(L: int, species: int) -> np.ndarray:
+    """count_left(c.occ, k, species) for every basis configuration c and
+    site k, indexed [basis index, site position], read off the left-count
+    table by each configuration's mask of `species` sites."""
+    held = occupations(L) == species
+    return left_count_table(L, species)[held @ (1 << np.arange(2 * L))]
+
+
 def build_Y_site(i: int, sign: int, k: int, L: int) -> SparseMatrix:
     """Single-site term of the dressed ladder operator Y_i^sign."""
     op, species, left_sign = _Y_RECIPE[(i, sign)]
-
-    def dressing(c):
-        left = count_left(c.occ, k, species)
-        right = c.occ.count(species) - left - (c.state(k) == species)
-        return LaurentPoly.q_power(left_sign * (left - right))
-
-    return site_embed(op, k, L, dressing)
+    if not -L + 1 <= k <= L:
+        raise SiteOutOfRange(f"site {k} outside lattice")
+    pos = k + L - 1
+    held = occupations(L) == species
+    left = _left_counts(L, species)[:, pos]
+    right = held.sum(axis=1) - left - held[:, pos]
+    return site_embed(op, k, L, 2 * left_sign * (left - right))
 
 
 @lru_cache(maxsize=None)
@@ -130,9 +152,7 @@ def h_diag(i: int, L: int) -> tuple[int, ...]:
 
 def l_op(i: int, L: int, power: int = 1) -> SparseMatrix:
     """L_i**power = q**(-power * T_i / 2) as a diagonal monomial matrix."""
-    return SparseMatrix.diagonal(
-        [LaurentPoly.q_half_power(-power * t) for t in species_counts(L)[i - 1]]
-    )
+    return SparseMatrix.monomial_diagonal(-power * np.array(species_counts(L)[i - 1]))
 
 
 def symmetry_operators(L: int) -> list[tuple[str, SparseMatrix]]:
@@ -328,16 +348,18 @@ def check_conjugation_lemma(L: int) -> Report:
     embedded = {
         (name, x): site_embed(u, x, L) for name, u in ladders.items() for x in sites(L)
     }
-    configs = all_configs(L)
+    occ = occupations(L)
 
     def occupation(species, k):
         """Eigenvalue of the site-k projector onto species, by basis index."""
-        return lambda i: 1 if configs[i].occ[k + L - 1] == species else 0
+        return (occ[:, k + L - 1] == species).astype(np.int64)
 
     def conjugates(op, power, shift) -> bool:
-        """q**power op q**(-power) == q**shift op, for diagonal exponents:
-        the conjugation multiplies entry (r, c) by q**(power(r) - power(c))."""
-        return all(power(r) - power(c) == shift(r) for r, c in op.entries)
+        """q**power op q**(-power) == q**shift op, for diagonal exponents
+        given as arrays (shift may be an int) over the basis: the
+        conjugation multiplies entry (r, c) by q**(power(r) - power(c))."""
+        shift = np.broadcast_to(shift, power.shape)
+        return bool(np.all(power[op.row] - power[op.col] == shift[op.row]))
 
     chain_ladders = (("a+", A, +1), ("a-", A, -1), ("b+", B, +1), ("b-", B, -1))
     for name, sp, s in chain_ladders:
@@ -346,9 +368,9 @@ def check_conjugation_lemma(L: int) -> Report:
             for x in sites(L):
                 op = embedded[(name, x)]
                 delta = 1 if l == x else 0
-                if not conjugates(op, occupation(sp, l), lambda r: s * delta):
+                if not conjugates(op, occupation(sp, l), s * delta):
                     same_bad.append((l, x))
-                if not conjugates(op, occupation(B if sp == A else A, l), lambda r: 0):
+                if not conjugates(op, occupation(B if sp == A else A, l), 0):
                     cross_bad.append((l, x))
         tag = name[0] + _SIGN_TAG[s]
         report.check(f"L{L}:conjugation-single-{tag}", same_bad)
@@ -363,27 +385,24 @@ def check_conjugation_lemma(L: int) -> Report:
                 a_l, b_m = occupation(A, l), occupation(B, m)
                 for x in sites(L):
                     delta, spectator = (l == x, b_m) if sp == A else (m == x, a_l)
-                    if not conjugates(
-                        embedded[(name, x)],
-                        lambda i: a_l(i) * b_m(i),
-                        lambda r: s * delta * spectator(r),
-                    ):
+                    if not conjugates(embedded[(name, x)], a_l * b_m, s * delta * spectator):
                         bad.append((l, m, x))
         report.check(f"L{L}:conjugation-product-{name[0]}{_SIGN_TAG[s]}", bad)
 
-    # occupation projectors act diagonally with the local occupation numbers
+    # occupation projectors act diagonally with the local occupation numbers:
+    # a configuration is bad where the residual against that diagonal has a
+    # diagonal term
+    configs = all_configs(L)
     bad = []
     for k in sites(L):
-        pa = site_embed(PROJ_A, k, L)
-        pb = site_embed(PROJ_B, k, L)
-        for i, c in enumerate(configs):
-            va = pa.get(i, i)
-            vb = pb.get(i, i)
-            if (LaurentPoly.const(c.a(k)) != (va or LaurentPoly.zero())) or (
-                LaurentPoly.const(c.b(k)) != (vb or LaurentPoly.zero())
-            ):
-                bad.append((k, c.text()))
-        if not pa.is_diagonal() or not pb.is_diagonal():
+        embedded_projectors = (site_embed(PROJ_A, k, L), site_embed(PROJ_B, k, L))
+        wrong = set()
+        for proj, species in zip(embedded_projectors, (A, B)):
+            eigen = SparseMatrix.diagonal(occupation(species, k).tolist())
+            residual = proj - eigen
+            wrong.update(residual.row[residual.row == residual.col].tolist())
+        bad.extend((k, configs[i].text()) for i in sorted(wrong))
+        if not all(proj.is_diagonal() for proj in embedded_projectors):
             bad.append((k, "not diagonal"))
     report.check(f"L{L}:projector-eigenvalue", bad)
 

@@ -1,55 +1,106 @@
 """Sparse square matrices; their algebra is exact.
 
-Storage is a coordinate hash map of nonzero entries, so a matrix is
-identically zero iff it stores nothing, which is what the identity checks
-test.  Dumps order entries column-compressed, (col, row) ascending, so
+Storage is four parallel int64 arrays, `row`, `col`, `h` and `coeff`:
+one element per term coeff * q**(h/2) of entry (row, col), sorted by
+(row, col, h), with no key repeated and no zero coefficient.  That normal
+form is unique, so a matrix is identically zero iff it stores no term, and
+two matrices are equal iff their arrays are.  An entry becomes a
+LaurentPoly only when it is read (`get`, `first_entry`, `sorted_items`).
+Dumps order entries column-compressed, (col, row) ascending, so
 serialised matrices are deterministic.
 
-+, -, @, `commutator`, `product_difference` and `matrix_sum` take
-LaurentPoly entries only and run on their integer terms (`_combine`): no
-polynomial is built per scalar product, and a commutator is one pass with
-no intermediate product.  Float matrices (the float generator) are built
-and converted, never multiplied: their arithmetic goes through `to_numpy`.
+Every constructor normalises through `_reduce`: one stable sort on the
+key (row*dim + col)*span + (h - h_min), `np.add.reduceat` over equal
+keys, and the zero sums dropped.  +, -, @, `scale`, `commutator`,
+`product_difference` and `matrix_sum` run through one kernel,
+`_combine`: a product joins each term of a to the terms of b's row
+a.col (`searchsorted` on b's sorted rows, `np.repeat` for the pairs),
+and the gathered terms go through `_reduce` one block of output rows
+(about CHUNK_PAIRS terms and pairs) at a time.
+
+Exactness: the int64 arrays never wrap.  Before `_combine` forms a term,
+sum max|a| max|b| pairs over its products plus sum max|x| size over its
+summands (a bound on every coefficient and partial sum it can reach),
+and max|h_a| + max|h_b| for the exponents, are checked against
+2^63 - 1 in Python integers, and `_reduce` checks dim^2 span, the
+largest sort key; past any bound they raise OverflowError.  Numpy does not warn when int64 arithmetic wraps, so
+these bounds are the only guard.  Building a matrix from a LaurentPoly
+with a coefficient of magnitude 2^63 or more raises OverflowError too.
+No float, modular or evaluation shortcut is used.
+
+A float matrix (the float generator) shares the layout with h = 0 and
+float64 coefficients, one per entry.  It is built and converted, never
+multiplied: `_combine` refuses it, and its arithmetic goes through
+`to_numpy`.
 
 Matrices are treated as immutable once built.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
-from .qring import ONE, from_terms
+from .qring import ONE, _coerce, from_terms
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+# `_combine` forms and reduces the terms of about this many output rows'
+# terms and pairs at a time
+CHUNK_PAIRS = 1 << 20
 
 
 class SparseMatrix:
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "row", "col", "h", "coeff")
 
     def __init__(self, dim: int, entries=None):
+        """From a {(row, col): value} map: LaurentPoly or int values give
+        an exact matrix, float values a float one; zero values are dropped."""
+        items = [(rc, v) for rc, v in entries.items() if v] if entries else []
+        rows = np.fromiter((r for (r, _c), _v in items), np.int64, len(items))
+        cols = np.fromiter((c for (_r, c), _v in items), np.int64, len(items))
+        if items and all(isinstance(v, float) for _rc, v in items):
+            values = np.fromiter((v for _rc, v in items), np.float64, len(items))
+            terms = (rows, cols, np.zeros(len(items), np.int64), values)
+        else:
+            polys = [_coerce(v) for _rc, v in items]
+            if any(p is None for p in polys):
+                raise TypeError("entries must all be floats, or all LaurentPoly or int")
+            sizes = [len(p.terms) for p in polys]
+            n = sum(sizes)
+            h = np.fromiter((h for p in polys for h in p.terms), np.int64, n)
+            coeff = _int64([x for p in polys for x in p.terms.values()])
+            terms = (np.repeat(rows, sizes), np.repeat(cols, sizes), h, coeff)
+        _check_range(dim, rows, cols)
         self.dim = dim
-        cleaned = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not 0 <= r < dim or not 0 <= c < dim:
-                    raise IndexError(f"entry ({r},{c}) outside dim {dim}")
-                if v:
-                    cleaned[(r, c)] = v
-        self.entries = cleaned
+        self.row, self.col, self.h, self.coeff = _reduce(dim, *terms)
 
     @classmethod
-    def _trusted(cls, dim: int, entries: dict) -> "SparseMatrix":
-        """Take ownership of in-range entries that are already nonzero."""
+    def from_arrays(cls, dim: int, row, col, h, coeff) -> "SparseMatrix":
+        """From parallel term arrays in any order, repeated keys summed;
+        int64 coefficients make an exact matrix, float64 ones (h = 0) a
+        float one."""
+        _check_range(dim, row, col)
+        return cls._trusted(dim, *_reduce(dim, row, col, h, coeff))
+
+    @classmethod
+    def _trusted(cls, dim: int, row, col, h, coeff) -> "SparseMatrix":
+        """Take ownership of term arrays already in normal form."""
         out = cls.__new__(cls)
         out.dim = dim
-        out.entries = entries
+        out.row, out.col, out.h, out.coeff = row, col, h, coeff
         return out
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def identity(cls, dim: int) -> "SparseMatrix":
-        return cls(dim, {(i, i): ONE for i in range(dim)})
+        return cls.monomial_diagonal(np.zeros(dim, np.int64))
+
+    @classmethod
+    def monomial_diagonal(cls, half_exponents) -> "SparseMatrix":
+        """The diagonal matrix with entries q**(half_exponents[i]/2)."""
+        h = np.asarray(half_exponents, dtype=np.int64)
+        i = np.arange(len(h))
+        return cls.from_arrays(len(h), i, i, h, np.ones(len(h), np.int64))
 
     @classmethod
     def diagonal(cls, values) -> "SparseMatrix":
@@ -58,32 +109,65 @@ class SparseMatrix:
 
     # -- queries ----------------------------------------------------------
 
+    def _span(self, r: int, c: int) -> tuple[int, int]:
+        """The term positions lo:hi of entry (r, c)."""
+        lo, hi = np.searchsorted(self.row, (r, r + 1))
+        first, last = np.searchsorted(self.col[lo:hi], (c, c + 1))
+        return int(lo + first), int(lo + last)
+
+    def _value(self, lo: int, hi: int):
+        """The entry held by terms lo:hi: a float, or a LaurentPoly."""
+        if self.coeff.dtype.kind == "f":
+            return float(self.coeff[lo])
+        return from_terms(dict(zip(self.h[lo:hi].tolist(), self.coeff[lo:hi].tolist())))
+
     def get(self, r: int, c: int):
-        return self.entries.get((r, c))
+        lo, hi = self._span(r, c)
+        return self._value(lo, hi) if hi > lo else None
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not len(self.coeff)
 
     def is_diagonal(self) -> bool:
-        return all(r == c for r, c in self.entries)
+        return bool(np.all(self.row == self.col))
+
+    def _entry_starts(self) -> np.ndarray:
+        """Position of each entry's first term."""
+        n = len(self.coeff)
+        new = np.ones(n, dtype=bool)
+        new[1:] = (self.row[1:] != self.row[:-1]) | (self.col[1:] != self.col[:-1])
+        return np.flatnonzero(new)
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        """Number of nonzero entries (not of terms)."""
+        return len(self._entry_starts())
 
     def first_entry(self):
         """Deterministic first stored entry in (col, row) order."""
-        key = min(self.entries, key=lambda rc: (rc[1], rc[0]))
-        return key, self.entries[key]
+        t = int(np.argmin(self.col * self.dim + self.row))
+        r, c = int(self.row[t]), int(self.col[t])
+        return (r, c), self.get(r, c)
 
     def sorted_items(self):
-        for key in sorted(self.entries, key=lambda rc: (rc[1], rc[0])):
-            yield key, self.entries[key]
+        """((row, col), value) of every entry, in (col, row) order."""
+        starts = self._entry_starts()
+        ends = np.append(starts[1:], len(self.coeff)).tolist()
+        rows, cols = self.row[starts], self.col[starts]
+        for e in np.lexsort((rows, cols)).tolist():
+            lo = int(starts[e])
+            yield (int(rows[e]), int(cols[e])), self._value(lo, ends[e])
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
+        mine = (self.row, self.col, self.h, self.coeff)
+        theirs = (other.row, other.col, other.h, other.coeff)
+        return (
+            self.dim == other.dim
+            and self.coeff.dtype == other.coeff.dtype
+            and all(np.array_equal(x, y) for x, y in zip(mine, theirs))
+        )
 
     __hash__ = None  # mutable container semantics; equality is by value
 
@@ -96,28 +180,32 @@ class SparseMatrix:
         return _combine(self.dim, sums=((1, self), (-1, other)))
 
     def scale(self, scalar) -> "SparseMatrix":
-        if not scalar:
-            return SparseMatrix(self.dim, {})
-        return SparseMatrix(self.dim, {k: scalar * v for k, v in self.entries.items()})
+        """scalar * self for a LaurentPoly or int scalar: self times the
+        diagonal matrix with scalar in every diagonal entry."""
+        terms = (ONE * scalar).terms
+        i = np.repeat(np.arange(self.dim), len(terms))
+        h = np.tile(np.array(list(terms), dtype=np.int64), self.dim)
+        x = np.tile(_int64(list(terms.values())), self.dim)
+        return self @ SparseMatrix.from_arrays(self.dim, i, i, h, x)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         return _combine(self.dim, products=((1, self, other),))
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix._trusted(
-            self.dim, {(c, r): v for (r, c), v in self.entries.items()}
-        )
+        return SparseMatrix.from_arrays(self.dim, self.col, self.row, self.h, self.coeff)
 
     def map_entries(self, fn) -> "SparseMatrix":
-        return SparseMatrix(self.dim, {k: fn(v) for k, v in self.entries.items()})
+        """The matrix of fn(value) over the entries, each read as a value."""
+        return SparseMatrix(self.dim, {rc: fn(v) for rc, v in self.sorted_items()})
 
     # -- conversion ---------------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
         """Dense float array of a float matrix."""
+        if self.coeff.dtype.kind != "f" and len(self.coeff):
+            raise TypeError("to_numpy converts float matrices only")
         out = np.zeros((self.dim, self.dim))
-        for (r, c), v in self.entries.items():
-            out[r, c] = float(v)
+        out[self.row, self.col] = self.coeff
         return out
 
     def __repr__(self):
@@ -142,56 +230,124 @@ def matrix_sum(dim: int, matrices) -> SparseMatrix:
 
 def _combine(dim: int, sums=(), products=()) -> SparseMatrix:
     """sign * m summed over (sign, m) in sums, plus sign * (a @ b) summed
-    over (sign, a, b) in products, accumulated term by term.
+    over (sign, a, b) in products, reduced term by term.
 
-    `rows[r]` maps `h * dim + c` to the integer coefficient of q**(h/2)
-    gathered so far for entry (r, c): one flat key per term keeps the
-    inner loop at one dict lookup, and `divmod(key, dim)` gives (h, c)
-    back, also for negative h.  Coefficients that cancel to zero, and
-    entries left with none, are dropped once, at the end.
+    A product pairs each term (r, k, ha, xa) of a with every term
+    (k, c, hb, xb) of b's row k, giving (r, c, ha + hb, xa * xb); b's
+    terms are sorted by row, so row k is the slice `searchsorted` finds.
+    The exactness bound is checked before any term pair is formed.  The
+    output rows are taken in blocks of about CHUNK_PAIRS terms and pairs,
+    each reduced on its own: a block's rows are final once reduced, so the
+    working memory is one block's terms however large the products are.
     """
-    rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for sign, m in sums:
-        _check_dim(dim, m)
-        for (r, c), v in m.entries.items():
-            row = rows[r]
-            for h, x in v.terms.items():
-                key = h * dim + c
-                row[key] = row.get(key, 0) + sign * x
+    sums = [(sign, m) for sign, m in sums]
+    joins, bound, total = [], 0, 0
+    for _sign, m in sums:
+        _require_exact(dim, m)
+        bound += _max_abs(m.coeff) * len(m.coeff)
+        total += len(m.coeff)
     for sign, a, b in products:
-        _check_dim(dim, a)
-        _check_dim(dim, b)
-        b_terms: defaultdict[int, list] = defaultdict(list)  # row k of b
-        for (k, c), v in b.entries.items():
-            b_row = b_terms[k]
-            for h, x in v.terms.items():
-                b_row.append((h * dim + c, x))
-        for (r, k), v in a.entries.items():
-            b_row = b_terms.get(k)
-            if b_row is None:
-                continue
-            row = rows[r]
-            for ha, xa in v.terms.items():
-                shift, xa = ha * dim, sign * xa
-                for kb, xb in b_row:
-                    key = kb + shift
-                    row[key] = row.get(key, 0) + xa * xb
-    keys, cells = [], []
-    for r, row in rows.items():
-        by_col: dict[int, dict[int, int]] = {}
-        for key, x in row.items():
-            if x:
-                h, c = divmod(key, dim)
-                cell = by_col.get(c)
-                if cell is None:
-                    by_col[c] = {h: x}
-                else:
-                    cell[h] = x
-        keys.extend((r, c) for c in by_col)
-        cells.extend(by_col.values())
-    return SparseMatrix._trusted(dim, dict(zip(keys, from_terms(cells))))
+        _require_exact(dim, a)
+        _require_exact(dim, b)
+        lo, hi = np.searchsorted(b.row, a.col), np.searchsorted(b.row, a.col, "right")
+        counts = hi - lo
+        pairs = int(counts.sum())
+        bound += _max_abs(a.coeff) * _max_abs(b.coeff) * pairs
+        total += pairs
+        _guard(_max_abs(a.h) + _max_abs(b.h), "product exponents")
+        joins.append((sign, a, b, lo, counts))
+    _guard(bound, "sparse sum of products")
+    if not (sums or joins):
+        return SparseMatrix(dim)
+    parts = []
+    for r0, r1 in _row_blocks(dim, total, sums, joins):
+        block = []
+        for sign, m in sums:
+            i0, i1 = np.searchsorted(m.row, (r0, r1))
+            x = m.coeff[i0:i1]
+            block.append((m.row[i0:i1], m.col[i0:i1], m.h[i0:i1], x if sign > 0 else -x))
+        for sign, a, b, lo, counts in joins:
+            t0, t1 = np.searchsorted(a.row, (r0, r1))
+            n = counts[t0:t1]
+            ia = np.repeat(np.arange(t0, t1), n)
+            # the j-th pair of term t of a takes term lo[t] + j of b
+            ib = np.arange(len(ia)) + np.repeat(lo[t0:t1] - (np.cumsum(n) - n), n)
+            x = a.coeff[ia] * b.coeff[ib]
+            block.append((a.row[ia], b.col[ib], a.h[ia] + b.h[ib], x if sign > 0 else -x))
+        reduced = _reduce(dim, *(np.concatenate(arrays) for arrays in zip(*block)))
+        if len(reduced[3]):
+            parts.append(reduced)
+    if not parts:
+        return SparseMatrix(dim)
+    return SparseMatrix._trusted(dim, *(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
-def _check_dim(dim: int, m: SparseMatrix) -> None:
+def _row_blocks(dim: int, total: int, sums, joins) -> list[tuple[int, int]]:
+    """Ranges r0:r1 of output rows with about CHUNK_PAIRS of the `total`
+    summand terms and product pairs each (one range if all fit)."""
+    if total <= CHUNK_PAIRS:
+        return [(0, dim)]
+    cost = np.zeros(dim, dtype=np.int64)
+    for _sign, m in sums:
+        cost += np.bincount(m.row, minlength=dim)
+    for _sign, a, _b, _lo, counts in joins:
+        cost += np.bincount(a.row, weights=counts, minlength=dim).astype(np.int64)
+    cuts = np.searchsorted(np.cumsum(cost), np.arange(CHUNK_PAIRS, total, CHUNK_PAIRS)) + 1
+    rows = [0, *np.unique(cuts).tolist(), dim]
+    return list(zip(rows, rows[1:]))
+
+
+def _reduce(dim: int, row, col, h, coeff) -> tuple:
+    """The normal form of a list of terms: sorted by (row, col, h), the
+    coefficients of equal keys summed and zero sums dropped.
+
+    Raises OverflowError if the sort key (row*dim + col)*span + (h - h_min)
+    could pass 2^63 - 1."""
+    if not len(coeff):
+        return row, col, h, coeff
+    lo = int(h.min())
+    span = int(h.max()) - lo + 1
+    _guard(dim * dim * span, "sparse sort key")
+    key = (row * dim + col) * span + (h - lo)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    coeff = np.add.reduceat(coeff[order], starts)
+    key = key[starts]
+    keep = coeff != 0
+    if not keep.all():
+        key, coeff = key[keep], coeff[keep]
+    cell, h = np.divmod(key, span)
+    row, col = np.divmod(cell, dim)
+    return row, col, h + lo, coeff
+
+
+def _check_range(dim: int, row, col) -> None:
+    if len(row) and (min(row.min(), col.min()) < 0 or max(row.max(), col.max()) >= dim):
+        raise IndexError(f"entry outside dim {dim}")
+
+
+def _int64(values: list) -> np.ndarray:
+    """Int coefficients as an int64 array; OverflowError for any of
+    magnitude 2^63 or more."""
+    if values and max(max(values), -min(values)) > INT64_MAX:
+        raise OverflowError("a coefficient exceeds the int64 range")
+    return np.array(values, dtype=np.int64)
+
+
+def _max_abs(x: np.ndarray) -> int:
+    return int(np.abs(x).max()) if len(x) else 0
+
+
+def _guard(bound: int, what: str) -> None:
+    if bound > INT64_MAX:
+        raise OverflowError(f"{what} could exceed int64 (bound {bound})")
+
+
+def _require_exact(dim: int, m: SparseMatrix) -> None:
     if m.dim != dim:
         raise ValueError(f"dimension mismatch {dim} vs {m.dim}")
+    if m.coeff.dtype.kind == "f":
+        raise TypeError("float matrices are built and converted, never combined")

@@ -3,4 +3,4 @@
 
 def matrix_row(m, r: int) -> dict:
     """Row r of a SparseMatrix as {col: value}, scanning every entry."""
-    return {c: v for (rr, c), v in m.entries.items() if rr == r}
+    return {c: v for (rr, c), v in m.sorted_items() if rr == r}

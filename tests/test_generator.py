@@ -30,7 +30,7 @@ def _summation_row(dim: int) -> SparseMatrix:
 def _generator_action(H: SparseMatrix, f, configs) -> list:
     """(Lf)(c) = -(H^T f)(c): the generator applied to an observable."""
     out = [f(c) * 0 for c in configs]
-    for (r, c), v in H.entries.items():
+    for (r, c), v in H.sorted_items():
         out[c] = out[c] - v * f(configs[r])
     return out
 
@@ -109,7 +109,7 @@ class TestBuildH:
 
     def test_sign_structure(self):
         H = build_H(P2, Ring.FLOAT)
-        for (r, c), v in H.entries.items():
+        for (r, c), v in H.sorted_items():
             assert v > 0 if r == c else v < 0
 
     def test_symmetric_at_q_one(self):
@@ -156,7 +156,7 @@ class TestSectorH:
         by_sector = {}
         for c in all_configs(2):
             by_sector[c.index] = (c.N, c.M)
-        for (r, c) in H.entries:
+        for (r, c), _v in H.sorted_items():
             assert by_sector[r] == by_sector[c]
 
 

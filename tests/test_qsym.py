@@ -121,7 +121,7 @@ class TestLadders:
         for c in all_configs(2):
             if c.M == 0:
                 col = c.index
-                assert all(cc != col for (_r, cc) in y2p.entries)
+                assert all(cc != col for (_r, cc), _v in y2p.sorted_items())
 
     def test_sector_shifts(self):
         # ladder entries move between adjacent sectors only; on kets the
@@ -136,7 +136,7 @@ class TestLadders:
         }
         for (i, s), (dn, dm) in moves.items():
             y = build_Y(i, s, L)
-            for (r, c) in y.entries:
+            for (r, c), _v in y.sorted_items():
                 src, tgt = configs[c], configs[r]
                 assert (tgt.N - src.N, tgt.M - src.M) == (dn, dm)
 

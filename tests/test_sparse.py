@@ -3,12 +3,16 @@
 Each operation is checked against an entrywise reference built from plain
 LaurentPoly arithmetic, on small random matrices with multi-term entries
 and on pairs built so that whole entries or single coefficients cancel.
+Entries are read back with `sorted_items` and `get`, which build each
+LaurentPoly from the stored term arrays.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asep2 import sparse
 from asep2.generator import h_exact
 from asep2.qring import Q, LaurentPoly
 from asep2.qsym import check_symmetry, symmetry_operators
@@ -29,20 +33,23 @@ def _clean(entries) -> dict:
     return {k: v for k, v in entries.items() if v}
 
 
+def entries(m: SparseMatrix) -> dict:
+    """{(row, col): value} of the stored entries."""
+    return dict(m.sorted_items())
+
+
 def ref_sum(a: SparseMatrix, b: SparseMatrix, sign: int) -> dict:
     zero = LaurentPoly.zero()
+    ea, eb = entries(a), entries(b)
     return _clean(
-        {
-            k: a.entries.get(k, zero) + sign * b.entries.get(k, zero)
-            for k in set(a.entries) | set(b.entries)
-        }
+        {k: ea.get(k, zero) + sign * eb.get(k, zero) for k in set(ea) | set(eb)}
     )
 
 
 def ref_product(a: SparseMatrix, b: SparseMatrix) -> dict:
     out = {}
-    for (r, k), va in a.entries.items():
-        for (kk, c), vb in b.entries.items():
+    for (r, k), va in a.sorted_items():
+        for (kk, c), vb in b.sorted_items():
             if k == kk:
                 out[(r, c)] = out.get((r, c), LaurentPoly.zero()) + va * vb
     return _clean(out)
@@ -55,7 +62,7 @@ def ref_commutator(a: SparseMatrix, b: SparseMatrix) -> dict:
 
 def assert_clean(m: SparseMatrix) -> None:
     """No stored entry is zero and no entry holds a zero or non-int coefficient."""
-    for v in m.entries.values():
+    for _rc, v in m.sorted_items():
         assert isinstance(v, LaurentPoly) and v
         assert all(type(x) is int and x for x in v.terms.values())
 
@@ -64,7 +71,7 @@ def assert_clean(m: SparseMatrix) -> None:
 @given(matrices, matrices)
 def test_add_sub(a, b):
     for out, sign in ((a + b, 1), (a - b, -1)):
-        assert out.entries == ref_sum(a, b, sign)
+        assert entries(out) == ref_sum(a, b, sign)
         assert_clean(out)
 
 
@@ -80,7 +87,7 @@ def test_cancelling_sums(a):
 @given(matrices, matrices)
 def test_matmul(a, b):
     out = a @ b
-    assert out.entries == ref_product(a, b)
+    assert entries(out) == ref_product(a, b)
     assert_clean(out)
 
 
@@ -88,7 +95,7 @@ def test_matmul(a, b):
 @given(matrices, matrices, polys)
 def test_commutator(a, b, p):
     out = commutator(a, b)
-    assert out.entries == ref_commutator(a, b)
+    assert entries(out) == ref_commutator(a, b)
     assert_clean(out)
     # pairs that commute: every product term cancels
     assert commutator(a, a @ a).is_zero()
@@ -100,9 +107,23 @@ def test_commutator(a, b, p):
 def test_product_difference(a, b, c, d):
     out = product_difference(a, b, c, d)
     ab, cd = SparseMatrix(DIM, ref_product(a, b)), SparseMatrix(DIM, ref_product(c, d))
-    assert out.entries == ref_sum(ab, cd, -1)
+    assert entries(out) == ref_sum(ab, cd, -1)
     assert_clean(out)
     assert product_difference(a, b, a, b).is_zero()
+
+
+@KERNEL_EXAMPLES
+@given(matrices, matrices, matrices, matrices)
+def test_row_blocks(a, b, c, d):
+    # with a block of at most two terms or pairs the kernel reduces the
+    # output rows a few at a time; the result is the same normal form
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse, "CHUNK_PAIRS", 2)
+        out = product_difference(a, b, c, d)
+        total = matrix_sum(DIM, [a, b, c.scale(LaurentPoly.const(-1))])
+    assert out == product_difference(a, b, c, d)
+    assert total == matrix_sum(DIM, [a, b, c.scale(LaurentPoly.const(-1))])
+    assert_clean(out)
 
 
 def test_partial_cancellation_drops_coefficients():
@@ -126,8 +147,8 @@ def test_wrong_generator_entry_fails_symmetry():
     # negative control: one off-diagonal rate times q breaks a ladder
     # commutator, and the report names its first nonzero entry
     H = h_exact(1)
-    key = min(k for k in H.entries if k[0] != k[1])
-    bad = SparseMatrix(H.dim, {**H.entries, key: H.entries[key] * Q})
+    key = min(k for k in entries(H) if k[0] != k[1])
+    bad = SparseMatrix(H.dim, {**entries(H), key: H.get(*key) * Q})
     report = check_symmetry(bad, 1)
     failed = {r.name: r.detail for r in report.results if not r.passed}
     assert failed and all(name.startswith("L1:commutator-H-Y") for name in failed)
@@ -138,3 +159,60 @@ def test_wrong_generator_entry_fails_symmetry():
         (r, c), v = residual.first_entry()
         assert failed.pop(f"L1:commutator-H-{name}") == f"{r} {c} {v}"
     assert not failed
+
+
+def test_product_past_int64_raises():
+    # 2^62 * 2 summed over one pair already exceeds 2^63 - 1: the bound is
+    # checked before any term is formed, and nothing wraps
+    big = SparseMatrix(1, {(0, 0): LaurentPoly.const(2**62)})
+    two = SparseMatrix(1, {(0, 0): LaurentPoly.const(2)})
+    with pytest.raises(OverflowError):
+        big @ two
+    with pytest.raises(OverflowError):
+        commutator(big, two)
+    with pytest.raises(OverflowError):
+        matrix_sum(1, [big, big])
+    with pytest.raises(OverflowError):
+        big.scale(LaurentPoly.const(2))
+    # just below the bound the product is exact
+    half = SparseMatrix(1, {(0, 0): LaurentPoly.const(2**62 - 1)})
+    assert (half @ two).get(0, 0) == LaurentPoly.const(2**63 - 2)
+
+
+def test_sort_key_past_int64_raises():
+    # dim^2 * span > 2^63 - 1: the (row, col, h) sort key could wrap
+    wide = LaurentPoly({-(2**40): 1, 2**40: 1})
+    with pytest.raises(OverflowError):
+        SparseMatrix(2**12, {(0, 0): wide})
+
+
+def test_coefficient_outside_int64_raises():
+    for c in (2**63, -(2**63), 2**70):
+        with pytest.raises(OverflowError):
+            SparseMatrix(2, {(0, 1): LaurentPoly.const(c)})
+    top = SparseMatrix(2, {(0, 1): LaurentPoly.const(2**63 - 1)})
+    assert top.get(0, 1) == LaurentPoly.const(2**63 - 1)
+
+
+def test_normal_form():
+    # one element per term, sorted by (row, col, h), no zero coefficient;
+    # nnz counts entries, not terms
+    m = SparseMatrix(3, {(2, 0): LaurentPoly({3: 1, -1: 2}), (0, 1): LaurentPoly({0: -1})})
+    assert m.row.tolist() == [0, 2, 2]
+    assert m.col.tolist() == [1, 0, 0]
+    assert m.h.tolist() == [0, -1, 3]
+    assert m.coeff.tolist() == [-1, 2, 1]
+    assert m.nnz == 2
+    assert [rc for rc, _v in m.sorted_items()] == [(2, 0), (0, 1)]
+    assert m.first_entry() == ((2, 0), LaurentPoly({3: 1, -1: 2}))
+    assert m.get(1, 1) is None
+
+
+def test_float_matrices_are_not_combined():
+    f = SparseMatrix(2, {(0, 1): 0.5, (1, 1): -0.25})
+    assert f.coeff.dtype == np.float64 and f.get(0, 1) == 0.5
+    assert f.to_numpy().tolist() == [[0.0, 0.5], [0.0, -0.25]]
+    with pytest.raises(TypeError):
+        f @ f
+    with pytest.raises(TypeError):
+        f + f
