@@ -18,8 +18,8 @@ the lattice, a shock profile at q = 1 or a simulate seed outside
 0..2^63 - (number of times)) or desk-scale resource cap breached
 (including a sector larger than the full basis at FLOAT_FULL_MAX_L, a
 simulation whose jump-proposal bound exceeds SIMULATE_MAX_PROPOSALS,
-and a simulation at L > dynamics.CODE_MAX_L = 19, where a final row's
-base-3 code would overflow int64), each printed as one `usage error: ...`
+and a sector or a simulation at L > lattice.CODE_MAX_L = 19, where a
+basis index would overflow int64), each printed as one `usage error: ...`
 line, 3 internal error: any other exception, such as a write that fails
 after its file was opened, prints one `error: ...` line and no traceback.
 
@@ -63,8 +63,8 @@ MEASURE_KINDS = ("canonical", "grandcanonical", "pure", "profile", "partition")
 # ones (algebra relations, duality chain, sum rules, grandcanonical,
 # uniqueness and moment checks, chain conjugation lemma) and the
 # --lambda-out table stop at SLOW_CHECK_MAX_L: at 3 they would take
-# `verify all --L 3` from 0.6 s to 4.3 s and from 37 to 76 MB peak RSS
-# (in-process, on a shared 2-core machine)
+# `verify all --L 3` from 0.2 s to 1.9-2.4 s and from 34 to 52 MB peak
+# RSS (in-process, three runs on a shared 2-core machine)
 SLOW_CHECK_MAX_L = 2
 # trajectories * (2L - 1) * max(r, l) * sum of the times bounds the
 # expected number of jump proposals of a simulate run
@@ -239,8 +239,10 @@ def cmd_verify(args) -> int:
 
 
 def _sector(L: int, N: int, M: int) -> Sector:
-    """Sector (N, M), a usage error if it is off the lattice or larger than
-    the full basis at FLOAT_FULL_MAX_L, checked before it is enumerated."""
+    """Sector (N, M); a usage error, before any table is built, past
+    lattice.CODE_MAX_L, off the lattice or past the full basis at FLOAT_FULL_MAX_L."""
+    if L > lattice.CODE_MAX_L:
+        raise UsageError(f"sectors are desk-scale: need L <= {lattice.CODE_MAX_L}, got {L}")
     try:
         sector = Sector(L, N, M)
     except ValueError as exc:
@@ -362,10 +364,8 @@ def _closure_payload(args, ts: list[float]) -> dict:
 
 def cmd_simulate(args) -> int:
     p = args.params
-    if p.L > dynamics.CODE_MAX_L:
-        raise UsageError(
-            f"simulation is desk-scale: need L <= {dynamics.CODE_MAX_L}, got {p.L}"
-        )
+    if p.L > lattice.CODE_MAX_L:
+        raise UsageError(f"simulation is desk-scale: need L <= {lattice.CODE_MAX_L}, got {p.L}")
     # an empty `t =` line asks for the default times
     ts = sorted(args.t or DEFAULTS["t"])
     # time i samples on Philox keys seed + i, which numpy keeps exact only

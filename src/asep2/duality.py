@@ -7,6 +7,8 @@ against a configuration is a product of one-site factors, each a q-power
 of the particle counts on either side of the coordinate times a
 projector that kills mismatched sites.  Dividing by the reversible
 weight of z gives a family of functions D with D H = H^T D exactly.
+`duality_products` builds every Q_z(eta) at once from arrays; `Qz`, one
+pair at a time, is the brute-force side of `rows-S-vs-Qhat`.
 
 The same matrix arises a second, independent way: the exponential-free
 symmetry operator S (a double sum of divided powers of two dressed
@@ -17,7 +19,6 @@ reproduces D entrywise.  Both constructions are built here and compared.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -29,11 +30,13 @@ from .lattice import (
     Config,
     all_configs,
     count_left,
+    encode,
+    left_counts,
     occupations,
     vacant_config,
 )
 from .measures import pi_hat, pi_unnormalized
-from .qring import LaurentPoly, exact_div, q_factorial, q_multinomial
+from .qring import ZERO, LaurentPoly, exact_div, q_factorial, q_multinomial
 from .reporting import Report, matrices_equal, matrix_is_zero
 from .sparse import SparseMatrix, commutator, matrix_sum, product_difference
 from .qsym import build_Y
@@ -69,7 +72,7 @@ def qz_exponent(z: Config, occ) -> int | None:
 
 def Qz(z: Config, c: Config) -> LaurentPoly:
     e = qz_exponent(z, c.occ)
-    return LaurentPoly.zero() if e is None else LaurentPoly.q_power(e)
+    return ZERO if e is None else LaurentPoly.q_power(e)
 
 
 def qz_value(z: Config, occ, q0: float) -> float:
@@ -78,22 +81,33 @@ def qz_value(z: Config, occ, q0: float) -> float:
     return 0.0 if e is None else float(q0**e)
 
 
+# the states (z, eta) a site takes when z is a sub-configuration of eta:
+# (A, A), (0, A), (0, 0), (0, B), (B, B)
+_PAIR_Z = np.array([A, VACANT, VACANT, VACANT, B], dtype=np.int8)
+_PAIR_ETA = np.array([A, A, VACANT, B, B], dtype=np.int8)
+
+
 @lru_cache(maxsize=None)
 def duality_products(L: int) -> SparseMatrix:
     """Q[z, eta] = Q_z(eta): rows dual coordinates, columns configurations.
 
     Q_z(eta) vanishes unless z is a sub-configuration of eta, so only
-    those entries are built.
+    those 5^(2L) pairs are built, one base-5 digit per site over the pair
+    states above; eta's left counts are read from `lattice.left_counts`.
     """
-    entries: dict = {}
-    for col, c in enumerate(all_configs(L)):
-        for nx in range(c.N + 1):
-            for xs in itertools.combinations(c.x, nx):
-                for my in range(c.M + 1):
-                    for ys in itertools.combinations(c.y, my):
-                        z = Config.from_coordinates(L, xs, ys)
-                        entries[(z.index, col)] = Qz(z, c)
-    return SparseMatrix(3 ** (2 * L), entries)
+    n = 2 * L
+    pairs = np.indices((5,) * n, dtype=np.int8).reshape(n, -1).T
+    z, eta = _PAIR_Z[pairs], _PAIR_ETA[pairs]
+    col = encode(eta)
+    e = np.zeros(len(col), dtype=np.int64)
+    for species, sign in ((A, 1), (B, -1)):
+        table = left_counts(L, species)
+        total = (eta == species).sum(axis=1)
+        for i in range(n):
+            # z's particle at position i adds sign * (left - right) of it in eta
+            held = z[:, i] == species
+            e[held] += sign * (2 * table[col[held], i] + 1 - total[held])
+    return SparseMatrix.from_arrays(3**n, encode(z), col, 2 * e, np.ones(len(col), np.int64))
 
 
 # ---------------------------------------------------------------------
@@ -287,10 +301,10 @@ def check_duality(L: int) -> Report:
 
     # Q_z(eta) by brute force over every pair: row z of S is Q_z
     brute = {
-        (r, c): LaurentPoly.q_power(e)
+        (r, c): v
         for r, z in enumerate(configs)
         for c, eta in enumerate(configs)
-        if (e := qz_exponent(z, eta.occ)) is not None
+        if (v := Qz(z, eta))
     }
     matrices_equal(report, f"L{L}:rows-S-vs-Qhat", S, SparseMatrix(dim, brute))
     occ = occupations(L)

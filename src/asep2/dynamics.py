@@ -8,8 +8,9 @@ There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows with rates from `generator.rate_table`.
 Block b draws from the counter-based Philox stream keyed (seed, b)
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
-so a run depends only on (seed, trajectories).  Dual coordinate sets z
-are `Config`s of the same lattice.
+so a run depends only on (seed, trajectories).  Final rows are counted
+by their `lattice.encode` codes.  Dual coordinate sets z are `Config`s
+of the same lattice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .duality import qz_value
 from .generator import ModelParams, Ring, build_H_sector, rate_table
-from .lattice import Config, Sector, enumerate_sector
+from .lattice import Config, Sector, decode, encode, enumerate_sector
 from .measures import Measure
 from .sparse import SparseMatrix
 
@@ -31,9 +32,6 @@ TAIL_TOL = 1e-14
 SCALE_MU = 16.0  # largest rate-time product summed without squaring
 STORED_POWERS = 3  # powers of P kept by the Paterson-Stockmeyer series
 BLOCK = 4096  # trajectories per Philox stream
-# a final row is counted by its big-endian base-3 code, exact in int64
-# while 3**(2L) <= 2**63
-CODE_MAX_L = 19
 
 
 @dataclass(frozen=True)
@@ -180,16 +178,13 @@ def estimate_Q_many(
     Every trajectory is evaluated against all coordinate sets at once, so
     a grid of observables reuses the same sampled paths; each distinct
     final configuration is evaluated once, weighted by its frequency.
-    Rows are counted by their big-endian base-3 codes, whose order is the
-    rows' lexicographic order.
+    Rows are counted by `lattice.encode` of the reversed row, whose order
+    is the rows' lexicographic order.
     """
-    if p.L > CODE_MAX_L:
-        raise ValueError(f"row codes overflow int64: need L <= {CODE_MAX_L}")
-    place = 3 ** np.arange(2 * p.L - 1, -1, -1, dtype=np.int64)
     counts: Counter = Counter()
     for occ in _final_blocks(p0, t, trajectories, seed, p):
-        codes, hits = np.unique(occ @ place, return_counts=True)
-        rows = codes[:, None] // place % 3
+        codes, hits = np.unique(encode(occ[:, ::-1]), return_counts=True)
+        rows = decode(codes, p.L)[:, ::-1]
         counts.update(dict(zip(map(tuple, rows.tolist()), hits.tolist())))
     n = trajectories
     sample = Measure(p.L, {Config(p.L, occ): c for occ, c in counts.items()})

@@ -14,6 +14,9 @@ In exact mode the matrix entries are Laurent monomials in q: the time
 scale w = sqrt(r*l) is factored out globally (exact H is H/w, with the
 rates r -> q and l -> 1/q), which keeps the ring univariate.  Float mode
 carries the physical rates r and l.
+
+The full generator and a sector block are one gather over an occupation
+table in basis order, `lattice.occupations` or `lattice.sector_occupations`.
 """
 
 from __future__ import annotations
@@ -26,16 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (
-    A,
-    B,
-    VACANT,
-    Config,
-    Sector,
-    bonds,
-    enumerate_sector,
-    occupations,
-)
+from .lattice import A, B, VACANT, Sector, encode, occupations, sector_occupations
 from .qring import QINV, ZERO, LaurentPoly, Q
 from .sparse import SparseMatrix
 
@@ -103,20 +97,6 @@ def rate_table(p: ModelParams, ring: Ring) -> tuple:
     )
 
 
-def _bond_rates(table, c: Config) -> list:
-    """(bond k, rate) for every bond of c that exchanges at a nonzero rate."""
-    return [
-        (k, rate)
-        for k, s1, s2 in zip(bonds(c.L), c.occ, c.occ[1:])
-        if (rate := table[s1][s2])
-    ]
-
-
-def _accumulate(H: dict, src: int, tgt: int, rate) -> None:
-    H[(tgt, src)] = H.get((tgt, src), rate * 0) - rate
-    H[(src, src)] = H.get((src, src), rate * 0) + rate
-
-
 def _rate_arrays(p: ModelParams, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
     """`rate_table` as (half-exponent, coefficient) arrays indexed [s1, s2]:
     the exact rates are the monomials q, 1/q and 0; float rates keep h = 0."""
@@ -130,32 +110,27 @@ def _rate_arrays(p: ModelParams, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
     return terms[..., 0], terms[..., 1]
 
 
-def build_H(p: ModelParams, ring: Ring = Ring.EXACT) -> SparseMatrix:
-    """Generator on the full ternary basis of dimension 3^(2L).
+def _gather(p: ModelParams, ring: Ring, rows: np.ndarray) -> SparseMatrix:
+    """The generator on the basis of occupation `rows`, given in basis order.
 
-    Built from the occupation table with one masked gather per bond: the
-    configurations that exchange on bond (k, k+1) jump to the index of
-    their swap, index + 2 (s_k - s_k+1) 3^pos for site k at 0-based
-    position pos.  A float diagonal adds the exit rates bond by bond from
-    the left, so each is the same sum, in the same order, as a loop over
-    the bonds of one configuration.
+    One masked gather per bond: the rows that exchange on bond (k, k+1),
+    site k at position pos, jump to the row of basis index theirs plus
+    2 (s_k - s_k+1) 3^pos, ranked by `np.searchsorted` on the rows' indices.
+    A float diagonal adds the exit rates bond by bond from the left, the
+    same sum in the same order as a loop over one configuration's bonds.
     """
-    cap = EXACT_FULL_MAX_L if ring is Ring.EXACT else FLOAT_FULL_MAX_L
-    if p.L > cap:
-        raise ValueError(
-            f"full basis capped at L <= {cap} in {ring.value} mode; "
-            "use build_H_sector beyond"
-        )
     h3, c3 = _rate_arrays(p, ring)
-    occ = occupations(p.L)
-    dim = len(occ)
+    codes = encode(rows)
+    dim = len(rows)
     exit_rate = np.zeros(dim, dtype=c3.dtype)
     terms = []
-    for pos in range(2 * p.L - 1):  # the bond at positions pos, pos + 1
-        s1, s2 = occ[:, pos], occ[:, pos + 1]
+    for pos in range(rows.shape[1] - 1):  # the bond at positions pos, pos + 1
+        s1, s2 = rows[:, pos], rows[:, pos + 1]
         src = np.flatnonzero(c3[s1, s2])
-        h, rate = h3[s1[src], s2[src]], c3[s1[src], s2[src]]
-        tgt = src + 2 * (s1[src] - s2[src]) * 3**pos
+        a, b = s1[src], s2[src]
+        h, rate = h3[a, b], c3[a, b]
+        shift = (a.astype(np.int64) - b) * (2 * 3**pos)
+        tgt = np.searchsorted(codes, codes[src] + shift)
         terms.append((tgt, src, h, -rate))
         if ring is Ring.EXACT:
             terms.append((src, src, h, rate))
@@ -167,20 +142,23 @@ def build_H(p: ModelParams, ring: Ring = Ring.EXACT) -> SparseMatrix:
     return SparseMatrix.from_arrays(dim, *(np.concatenate(t) for t in zip(*terms)))
 
 
+def build_H(p: ModelParams, ring: Ring = Ring.EXACT) -> SparseMatrix:
+    """Generator on the full ternary basis of dimension 3^(2L)."""
+    cap = EXACT_FULL_MAX_L if ring is Ring.EXACT else FLOAT_FULL_MAX_L
+    if p.L > cap:
+        raise ValueError(
+            f"full basis capped at L <= {cap} in {ring.value} mode; "
+            "use build_H_sector beyond"
+        )
+    return _gather(p, ring, occupations(p.L))
+
+
 def build_H_sector(p: ModelParams, sector: Sector, ring: Ring = Ring.EXACT) -> SparseMatrix:
-    """Generator restricted to a particle-number sector basis."""
+    """Generator restricted to a particle-number sector, on its basis
+    `lattice.sector_occupations(sector)`."""
     if sector.L != p.L:
         raise ValueError("sector and parameters disagree on L")
-    configs = enumerate_sector(sector)
-    index = {c: i for i, c in enumerate(configs)}
-    table = rate_table(p, ring)
-    entries: dict = {}
-    for c in configs:
-        src = index[c]
-        for k, rate in _bond_rates(table, c):
-            tgt = index[c.swap(k)]  # exchanges conserve (N, M)
-            _accumulate(entries, src, tgt, rate)
-    return SparseMatrix(len(configs), entries)
+    return _gather(p, ring, sector_occupations(sector))
 
 
 @lru_cache(maxsize=None)

@@ -10,17 +10,17 @@ private.
 The text form of a configuration is a string over {A, 0, B} read
 left-to-right from site -L+1, e.g. "A0B0".
 
-Every full-basis matrix in the package (generator, ladders, symmetry
-operator, duality matrix) lives on the 3^(2L) configurations in ternary
-order: the state of site -L+1 is the least significant digit.  There is
-one encoder, `Config.index`, and one decoder, the table `all_configs(L)`,
-built once per L, whose entry i is the configuration with index i;
-`occupations(L)` is the same table as an int64 array, which the array
-builders of the generator and the ladders read.
+Every full-basis matrix lives on the 3^(2L) configurations in ternary
+order, site -L+1 the least significant digit.  `encode` and `decode` are
+the one base-3 codec (exact in int64 up to CODE_MAX_L); the array
+builders read the int8 tables `occupations(L)` and `sector_occupations`,
+whose `Config` views `all_configs(L)` and `enumerate_sector` serve text,
+measure keys and FAIL details.
 
 The left count has one table, `left_count_table(L, species)`: `count_left`
 of every set of sites holding a species, indexed by the set's bitmask.
-The counting-lemma checks and the ladder dressing both read it.
+The counting-lemma checks read it, and `left_counts(L, species)` looks
+it up for every basis configuration.
 
 The lemma checks at the end of the module (`check_counting_lemmas`,
 `check_permutation_identities`) test the left count and the step
@@ -37,7 +37,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from operator import attrgetter
 
 import numpy as np
 
@@ -54,12 +53,11 @@ _STATES = (A, VACANT, B)
 _CHAR_OF = {A: "A", VACANT: "0", B: "B"}
 _STATE_OF = {"A": A, "0": VACANT, "B": B}
 
+# a basis index is exact in int64 while 3**(2L) <= 2**63
+CODE_MAX_L = 19
+
 
 class SiteOutOfRange(ValueError):
-    pass
-
-
-class BondOutOfRange(ValueError):
     pass
 
 
@@ -70,11 +68,6 @@ class OverlappingCoordinates(ValueError):
 def sites(L: int) -> range:
     """All site labels -L+1, ..., L."""
     return range(-L + 1, L + 1)
-
-
-def bonds(L: int) -> range:
-    """Left sites k of the bonds (k, k+1)."""
-    return range(-L + 1, L)
 
 
 def theta(k: int, l: int) -> int:
@@ -127,24 +120,8 @@ class Config:
 
     @property
     def index(self) -> int:
-        """Basis index, from 0; site -L+1 is the least significant digit.
-
-        Recomputed on each read: hot loops read it once per Config, and a
-        cached copy would cost memory on every configuration held.
-        """
-        index = 0
-        for s in reversed(self.occ):
-            index = 3 * index + s
-        return index
-
-    def swap(self, k: int) -> "Config":
-        """Exchange the occupations of sites k and k+1 (an involution)."""
-        if not -self.L + 1 <= k <= self.L - 1:
-            raise BondOutOfRange(f"bond ({k},{k + 1}) outside lattice")
-        i = self._pos(k)
-        occ = list(self.occ)
-        occ[i], occ[i + 1] = occ[i + 1], occ[i]
-        return Config(self.L, tuple(occ))
+        """Basis index, from 0: `encode` of the occupation row."""
+        return int(encode(self.occ))
 
     @cached_property
     def x(self) -> tuple[int, ...]:
@@ -208,38 +185,77 @@ class Sector:
 
 
 @lru_cache(maxsize=None)
-def all_configs(L: int) -> tuple[Config, ...]:
-    """The basis table: all 3^(2L) configurations, entry i of index i."""
-    # product varies its last element fastest; reversed, that is site -L+1,
-    # the least significant digit
-    return tuple(
-        Config(L, occ[::-1]) for occ in itertools.product(_STATES, repeat=2 * L)
-    )
+def _places(L: int) -> np.ndarray:
+    if L > CODE_MAX_L:
+        raise ValueError(f"base-3 codes overflow int64: need L <= {CODE_MAX_L}, got L={L}")
+    return _read_only(3 ** np.arange(2 * L, dtype=np.int64))
+
+
+def encode(rows) -> np.ndarray:
+    """Basis indices of occupation rows (last axis: the 2L sites)."""
+    rows = np.asarray(rows)
+    codes = np.zeros(rows.shape[:-1], dtype=np.int64)
+    # a column at a time, so no int64 copy of a whole int8 table is made
+    for i, place in enumerate(_places(rows.shape[-1] // 2)):
+        codes += place * rows[..., i].astype(np.int64)
+    return codes
+
+
+def decode(codes, L: int) -> np.ndarray:
+    """The int8 occupation rows of basis indices, one row of 2L sites per code."""
+    codes = np.asarray(codes, dtype=np.int64)
+    rows = np.empty(codes.shape + (2 * L,), dtype=np.int8)
+    for i, place in enumerate(_places(L)):
+        rows[..., i] = codes // place % 3
+    return rows
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
 def occupations(L: int) -> np.ndarray:
-    """The basis table as a read-only int64 array: row i is the `occ` of
-    configuration i."""
-    table = np.array([c.occ for c in all_configs(L)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
+    """The basis table as a read-only int8 array: row i is the occupation
+    row of basis index i."""
+    return _read_only(decode(np.arange(3 ** (2 * L)), L))
+
+
+@lru_cache(maxsize=None)
+def all_configs(L: int) -> tuple[Config, ...]:
+    """The basis table as Configs: entry i is the configuration of index i."""
+    return tuple(Config(L, tuple(row.tolist())) for row in occupations(L))
 
 
 def vacant_config(L: int) -> Config:
     return Config(L, (VACANT,) * (2 * L))
 
 
+def _combinations(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n), as a (C(n, k), k) array."""
+    return np.array(list(itertools.combinations(range(n), k)), np.intp).reshape(comb(n, k), k)
+
+
+@lru_cache(maxsize=None)
+def sector_occupations(sector: Sector) -> np.ndarray:
+    """The sector's occupation rows in basis order, as a read-only int8
+    array: each choice of N sites for A with each choice of M of the other
+    sites for B."""
+    n, N, M = 2 * sector.L, sector.N, sector.M
+    is_a = np.zeros((comb(n, N), n), dtype=bool)
+    np.put_along_axis(is_a, _combinations(n, N), True, axis=1)
+    # the sites left for B, ascending: a stable sort puts the False ones first
+    free = np.argsort(is_a, axis=1, kind="stable")[:, : n - N]
+    rows = np.where(is_a, A, VACANT).astype(np.int8)[:, None].repeat(comb(n - N, M), axis=1)
+    np.put_along_axis(rows, free[:, _combinations(n - N, M)], B, axis=2)
+    rows = rows.reshape(-1, n)
+    return _read_only(rows[np.argsort(encode(rows))])
+
+
 def enumerate_sector(sector: Sector) -> list[Config]:
-    """All configurations in the sector, sorted by basis index."""
-    lam = list(sites(sector.L))
-    out = []
-    for xs in itertools.combinations(lam, sector.N):
-        rest = [k for k in lam if k not in xs]
-        for ys in itertools.combinations(rest, sector.M):
-            out.append(Config.from_coordinates(sector.L, xs, ys))
-    out.sort(key=attrgetter("index"))
-    return out
+    """All configurations in the sector, in basis order."""
+    return [Config(sector.L, tuple(row)) for row in sector_occupations(sector).tolist()]
 
 
 def count_left(occ, k: int, species: int) -> int:
@@ -274,6 +290,15 @@ def left_count_table(L: int, species: int) -> np.ndarray:
         occ = tuple(species if mask >> i & 1 else other for i in range(n))
         rows.append([count_left(occ, k, species) for k in sites(L)])
     return np.array(rows, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def left_counts(L: int, species: int) -> np.ndarray:
+    """count_left(occ, k, species) as a read-only int64 array indexed
+    [basis index, site position]: the `left_count_table` row of each basis
+    configuration's mask of `species` sites."""
+    held = occupations(L) == species
+    return _read_only(left_count_table(L, species)[held @ (1 << np.arange(2 * L))])
 
 
 def weyl_alcove(n: int, L: int):
@@ -349,7 +374,7 @@ def check_counting_lemmas(L: int) -> Report:
 
     # assignment a puts site lam[i] in the first set if its digit i is 1,
     # in the second if 2; lam[0] is the most significant digit
-    digits = np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+    digits = decode(np.arange(3**n), L)[:, ::-1]
     in_first, in_second = (digits == 1).astype(np.int64), (digits == 2).astype(np.int64)
     first_mask, second_mask = in_first @ lone, in_second @ lone
     n_second = in_second.sum(axis=1, keepdims=True)

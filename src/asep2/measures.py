@@ -15,11 +15,11 @@ q0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 
 import numpy as np
 
@@ -30,7 +30,9 @@ from .lattice import (
     Config,
     Sector,
     all_configs,
+    encode,
     enumerate_sector,
+    occupations,
     sites,
 )
 from .qring import LaurentPoly, fugacity_exponent, q_multinomial, rogers_szego_y
@@ -251,7 +253,7 @@ def shock_profile(species: int, chem_pot: float, p: ModelParams) -> ShockProfile
 def pi_hat(L: int, power: int = 1) -> SparseMatrix:
     """Diagonal matrix of reversible weights on the full basis, to `power`:
     the monomials q**(power * pi_exponent)."""
-    exponents = np.array([pi_exponent(c.occ) for c in all_configs(L)], dtype=np.int64)
+    exponents = np.array([pi_exponent(row) for row in occupations(L).tolist()], dtype=np.int64)
     return SparseMatrix.monomial_diagonal(2 * power * exponents)
 
 
@@ -446,7 +448,11 @@ def write_profile_csv(fh, rows) -> None:
 
 def write_measure_csv(fh, measure: Measure) -> None:
     fh.write("config,weight\n")
-    for c in sorted(measure.support(), key=attrgetter("index")):
+    configs = list(measure.support())
+    # in basis order, every row encoded at once
+    rows = np.fromiter(itertools.chain.from_iterable(c.occ for c in configs), np.int8)
+    for i in np.argsort(encode(rows.reshape(len(configs), -1))):
+        c = configs[i]
         w = measure.weights[c]
         text = str(w) if isinstance(w, LaurentPoly) else repr(float(w))
         fh.write(f"{c.text()},{text}\n")

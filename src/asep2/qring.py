@@ -245,8 +245,10 @@ def q_factorial(n: int) -> LaurentPoly:
     return q_factorial(n - 1) * q_number(n)
 
 
+@lru_cache(maxsize=None)
 def q_multinomial(K: int, N: int, M: int) -> LaurentPoly:
-    """Gaussian trinomial [K]!/([N]![M]![K-N-M]!), exact in the ring."""
+    """Gaussian trinomial [K]!/([N]![M]![K-N-M]!), exact in the ring
+    (cached: a LaurentPoly is immutable, so callers share the result)."""
     if N < 0 or M < 0 or N + M > K:
         raise ValueError(f"need N,M >= 0 and N+M <= K, got N={N}, M={M}, K={K}")
     den = q_factorial(N) * q_factorial(M) * q_factorial(K - N - M)

@@ -18,7 +18,7 @@ exponent shift read off rows r and c of the occupation table.
 Embedded operators are built as term arrays from the occupation table:
 `site_embed` moves every configuration with a given state at site k at
 once, and a ladder's dressing is one half-exponent per basis state, from
-the left counts of `lattice.left_count_table`.
+the left counts of `lattice.left_counts`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .lattice import (
     VACANT,
     SiteOutOfRange,
     all_configs,
-    left_count_table,
+    left_counts,
     occupations,
     sites,
 )
@@ -106,15 +106,6 @@ _Y_RECIPE = {
 }
 
 
-@lru_cache(maxsize=None)
-def _left_counts(L: int, species: int) -> np.ndarray:
-    """count_left(c.occ, k, species) for every basis configuration c and
-    site k, indexed [basis index, site position], read off the left-count
-    table by each configuration's mask of `species` sites."""
-    held = occupations(L) == species
-    return left_count_table(L, species)[held @ (1 << np.arange(2 * L))]
-
-
 def build_Y_site(i: int, sign: int, k: int, L: int) -> SparseMatrix:
     """Single-site term of the dressed ladder operator Y_i^sign."""
     op, species, left_sign = _Y_RECIPE[(i, sign)]
@@ -122,7 +113,7 @@ def build_Y_site(i: int, sign: int, k: int, L: int) -> SparseMatrix:
         raise SiteOutOfRange(f"site {k} outside lattice")
     pos = k + L - 1
     held = occupations(L) == species
-    left = _left_counts(L, species)[:, pos]
+    left = left_counts(L, species)[:, pos]
     right = held.sum(axis=1) - left - held[:, pos]
     return site_embed(op, k, L, 2 * left_sign * (left - right))
 
@@ -140,8 +131,8 @@ def build_Y(i: int, sign: int, L: int) -> SparseMatrix:
 @lru_cache(maxsize=None)
 def species_counts(L: int) -> tuple[tuple[int, ...], ...]:
     """(T1, T2, T3): the numbers of A, vacancies and B in each basis state."""
-    configs = all_configs(L)
-    return tuple(tuple(c.occ.count(s) for c in configs) for s in (A, VACANT, B))
+    occ = occupations(L)
+    return tuple(tuple((occ == s).sum(axis=1).tolist()) for s in (A, VACANT, B))
 
 
 def h_diag(i: int, L: int) -> tuple[int, ...]:
@@ -392,7 +383,6 @@ def check_conjugation_lemma(L: int) -> Report:
     # occupation projectors act diagonally with the local occupation numbers:
     # a configuration is bad where the residual against that diagonal has a
     # diagonal term
-    configs = all_configs(L)
     bad = []
     for k in sites(L):
         embedded_projectors = (site_embed(PROJ_A, k, L), site_embed(PROJ_B, k, L))
@@ -401,7 +391,7 @@ def check_conjugation_lemma(L: int) -> Report:
             eigen = SparseMatrix.diagonal(occupation(species, k).tolist())
             residual = proj - eigen
             wrong.update(residual.row[residual.row == residual.col].tolist())
-        bad.extend((k, configs[i].text()) for i in sorted(wrong))
+        bad.extend((k, all_configs(L)[i].text()) for i in sorted(wrong))
         if not all(proj.is_diagonal() for proj in embedded_projectors):
             bad.append((k, "not diagonal"))
     report.check(f"L{L}:projector-eigenvalue", bad)

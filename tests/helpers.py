@@ -1,6 +1,46 @@
-"""Shared test helpers."""
+"""Shared test helpers, and a reference generator independent of the
+package's occupation tables."""
+
+import itertools
+
+from asep2.generator import rate_table
+from asep2.lattice import A, B, VACANT
+from asep2.sparse import SparseMatrix
 
 
 def matrix_row(m, r: int) -> dict:
     """Row r of a SparseMatrix as {col: value}, scanning every entry."""
     return {c: v for (rr, c), v in m.sorted_items() if rr == r}
+
+
+def swapped(occ: tuple, i: int) -> tuple:
+    """occ with the states at positions i and i + 1 exchanged."""
+    out = list(occ)
+    out[i], out[i + 1] = out[i + 1], out[i]
+    return tuple(out)
+
+
+def basis(L: int, sector=None) -> list[tuple]:
+    """The occupation tuples of the full basis, or of sector (N, M), in
+    basis order: site -L+1 is the least significant digit, so the order
+    is that of the reversed tuples."""
+    rows = itertools.product((A, VACANT, B), repeat=2 * L)
+    if sector is not None:
+        rows = (occ for occ in rows if (occ.count(A), occ.count(B)) == sector)
+    return sorted(rows, key=lambda occ: occ[::-1])
+
+
+def reference_generator(p, ring, rows: list[tuple]) -> SparseMatrix:
+    """The generator on the basis `rows` by a loop over each row's bonds,
+    with the rates read off `rate_table`: H[target, source] = -rate and
+    the exit rates, summed from the left bond, on the diagonal."""
+    table = rate_table(p, ring)
+    index = {occ: i for i, occ in enumerate(rows)}
+    entries = {}
+    for src, occ in enumerate(rows):
+        for i in range(len(occ) - 1):
+            rate = table[occ[i]][occ[i + 1]]
+            if rate:
+                entries[(index[swapped(occ, i)], src)] = -rate
+                entries[(src, src)] = entries.get((src, src), rate * 0) + rate
+    return SparseMatrix(len(rows), entries)

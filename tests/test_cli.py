@@ -266,6 +266,8 @@ class TestUsageErrors:
             ["measure", "pure", "--L", "1", "--species", "C"],
             ["measure", "canonical", "--L", "8", "--N", "4", "--M", "4"],
             ["dump-generator", "--L", "8", "--N", "4", "--M", "4", "--ring", "float"],
+            ["dump-generator", "--L", "20", "--N", "1", "--M", "1"],
+            ["measure", "canonical", "--L", "25", "--N", "1", "--M", "0"],
             ["verify", "reversibility", "--L", "1", "--out", "{tmp}/missing/report.txt"],
             ["verify", "duality", "--L", "1", "--lambda-out", "{tmp}/missing/lambda.csv"],
             ["measure", "partition", "--L", "1", "--out", "{tmp}/missing/partition.csv"],
@@ -292,6 +294,7 @@ class TestUsageErrors:
             "config-species", "config-ring", "config-unknown-key", "config-nu-nan",
             "config-abbreviated-key", "config-nested", "species-flag",
             "canonical-sector-too-large", "dump-sector-too-large",
+            "dump-sector-past-code-max-l", "canonical-sector-past-code-max-l",
             "out-dir-missing", "lambda-out-dir-missing", "measure-out-dir-missing",
             "nu-nan", "nu-inf", "nu-minus-inf", "mu-nan", "profile-q-one",
             "grandcanonical-lattice-too-large", "pure-lattice-too-large",

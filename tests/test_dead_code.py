@@ -6,8 +6,8 @@ reference somewhere in `src/asep2` outside its own definition; a public
 method or property needs an `Attribute` reference.  Code that only tests
 reach is deleted, or its tests move onto the code the package runs.
 
-A basis index is decoded by the table `lattice.all_configs(L)`, so no
-other module takes a base-3 digit with `% 3`.
+A basis index is decoded by `lattice.decode`, the one base-3 codec, so
+no other module takes a base-3 digit with `% 3`.
 """
 
 import ast
@@ -58,12 +58,7 @@ def test_no_public_name_is_unreferenced():
 
 
 # "module.name" -> why that top-level definition takes base-3 digits itself
-DIGIT_ALLOWLIST: dict[str, str] = {
-    "dynamics.estimate_Q_many": (
-        "a sampled row's big-endian base-3 code is a counting key at L <= 19, "
-        "where no basis table is built"
-    ),
-}
+DIGIT_ALLOWLIST: dict[str, str] = {}
 
 
 def _mod_three(node) -> bool:

@@ -13,10 +13,12 @@ from asep2.generator import (
     h_exact,
     rate_table,
 )
-from asep2.lattice import A, B, VACANT, Config, Sector, all_configs, enumerate_sector
+from asep2.lattice import A, B, VACANT, Config, Sector, all_configs
 from asep2.qring import LaurentPoly
 from asep2.qsym import species_counts
 from asep2.sparse import SparseMatrix, commutator
+
+from helpers import basis, reference_generator, swapped
 
 P1 = ModelParams(1, Fraction(2), Fraction(1, 2))
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
@@ -38,10 +40,10 @@ def _generator_action(H: SparseMatrix, f, configs) -> list:
 def _bond_sum(f, c: Config, table):
     """sum over the bonds of c of rate * (f(swapped) - f(c)), read off the rule."""
     total = f(c) * 0
-    for i, k in enumerate(range(-c.L + 1, c.L)):
+    for i in range(2 * c.L - 1):
         rate = table[c.occ[i]][c.occ[i + 1]]
         if rate:
-            total = total + rate * (f(c.swap(k)) - f(c))
+            total = total + rate * (f(Config(c.L, swapped(c.occ, i))) - f(c))
     return total
 
 
@@ -141,23 +143,23 @@ class TestSectorH:
         assert op.dim == 1 and op.is_zero()
 
     def test_blocks_reassemble(self):
-        # the sector blocks are exactly the full matrix restricted to them
-        H = h_exact(2)
-        for n in range(5):
-            for m in range(5 - n):
-                sector = Sector(2, n, m)
-                configs = enumerate_sector(sector)
-                idx = [c.index for c in configs]
-                block = build_H_sector(P2, sector, Ring.EXACT)
-                for i, gi in enumerate(idx):
-                    for j, gj in enumerate(idx):
-                        assert H.get(gi, gj) == block.get(i, j)
-        # and nothing of H lives outside the diagonal blocks
-        by_sector = {}
-        for c in all_configs(2):
-            by_sector[c.index] = (c.N, c.M)
-        for (r, c), _v in H.sorted_items():
-            assert by_sector[r] == by_sector[c]
+        # every sector block, and the full matrix, equal the swap loop of
+        # tests/helpers.py on the sector's and the full basis; that loop
+        # conserves (N, M), so H has nothing outside the blocks
+        def items(op):
+            return op.dim, list(op.sorted_items())
+
+        for r, ell in ((Fraction(2), Fraction(1, 2)), (Fraction(7, 10), Fraction(3, 10))):
+            for L in (1, 2, 3):
+                p = ModelParams(L, r, ell)
+                for ring in Ring:
+                    full = reference_generator(p, ring, basis(L))
+                    assert items(build_H(p, ring)) == items(full)
+                    for n in range(2 * L + 1):
+                        for m in range(2 * L - n + 1):
+                            block = build_H_sector(p, Sector(L, n, m), ring)
+                            ref = reference_generator(p, ring, basis(L, (n, m)))
+                            assert items(block) == items(ref), (r, ell, L, ring, n, m)
 
 
 class TestApplyGenerator:

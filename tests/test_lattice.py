@@ -1,5 +1,7 @@
+import itertools
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from asep2.lattice import (
     A,
     B,
     VACANT,
-    BondOutOfRange,
+    CODE_MAX_L,
     Config,
     OverlappingCoordinates,
     Sector,
@@ -18,7 +20,11 @@ from asep2.lattice import (
     check_counting_lemmas,
     check_permutation_identities,
     count_left,
+    decode,
+    encode,
     enumerate_sector,
+    occupations,
+    sector_occupations,
     sites,
     theta,
     vacant_config,
@@ -179,6 +185,40 @@ class TestTernaryIndex:
         assert all_configs(2) is all_configs(2)
 
 
+class TestCodec:
+    """`encode` and `decode`, the one base-3 codec, and the tables built on it."""
+
+    def test_roundtrip(self):
+        for L in (1, 2, 3, 4):
+            rows = np.array(list(itertools.product((A, VACANT, B), repeat=2 * L)))
+            codes = encode(rows)
+            assert np.array_equal(decode(codes, L), rows)
+            assert np.array_equal(encode(decode(codes, L)), codes)
+
+    def test_roundtrip_at_code_max_l(self):
+        codes = np.array([0, 3 ** (2 * CODE_MAX_L) - 1])
+        rows = decode(codes, CODE_MAX_L)
+        assert rows.tolist() == [[A] * 38, [B] * 38]
+        assert np.array_equal(encode(rows), codes)
+        # past CODE_MAX_L a code could overflow int64: the codec refuses
+        with pytest.raises(ValueError):
+            decode(codes, CODE_MAX_L + 1)
+        with pytest.raises(ValueError):
+            encode(np.zeros(2 * CODE_MAX_L + 2, dtype=np.int8))
+
+    def test_occupations_match_product_table(self):
+        # itertools.product varies its last element fastest; reversed, that
+        # is site -L+1, the least significant digit
+        for L in (1, 2, 3, 4):
+            rows = [occ[::-1] for occ in itertools.product((A, VACANT, B), repeat=2 * L)]
+            assert occupations(L).tolist() == [list(occ) for occ in rows]
+
+    def test_sector_table_at_code_max_l(self):
+        rows = sector_occupations(Sector(CODE_MAX_L, 2, 1))
+        assert rows.shape == (25308, 38)
+        assert np.all(np.diff(encode(rows)) > 0)
+
+
 class TestPositions:
     """The coordinate form of a Config: sorted A sites x, B sites y."""
 
@@ -259,7 +299,7 @@ class TestSectors:
 
     def test_table_filtered_by_sector(self):
         # the sector basis is the basis table restricted to (N, M), in order
-        for L in (1, 2, 3):
+        for L in (1, 2, 3, 4):
             for n in range(2 * L + 1):
                 for m in range(2 * L - n + 1):
                     table = [c for c in all_configs(L) if (c.N, c.M) == (n, m)]
@@ -326,24 +366,6 @@ class TestTheta:
             for r in sites(L):
                 for x in sites(L):
                     assert theta(r, x) + theta(x, r) + (r == x) == 1
-
-
-class TestSwap:
-    def test_simple(self):
-        assert Config.from_text("A0").swap(0) == Config.from_text("0A")
-
-    def test_involution_exhaustive(self):
-        for c in all_configs(2):
-            for k in range(-1, 2):
-                assert c.swap(k).swap(k) == c
-
-    def test_middle_bond(self):
-        c = Config(2, (A, B, VACANT, VACANT))
-        assert c.swap(0) == Config(2, (A, VACANT, B, VACANT))
-
-    def test_out_of_range(self):
-        with pytest.raises(BondOutOfRange):
-            Config.from_text("A0").swap(1)
 
 
 class TestWeylAlcove:

@@ -16,6 +16,7 @@ from asep2.lattice import (
 )
 from asep2.measures import (
     DegenerateWidth,
+    Measure,
     canonical,
     check_grandcanonical_stationarity,
     check_marginal_independence,
@@ -233,3 +234,11 @@ class TestCsv:
         fh = io.StringIO()
         write_measure_csv(fh, canonical(Sector(1, 0, 0)))
         assert fh.getvalue() == "config,weight\n00,1*q^0\n"
+
+    def test_measure_rows_in_basis_order(self):
+        # a support held in reverse order is written by basis index
+        configs = all_configs(2)
+        fh = io.StringIO()
+        write_measure_csv(fh, Measure(2, {c: 1.0 for c in reversed(configs)}))
+        rows = [line.split(",")[0] for line in fh.getvalue().splitlines()[1:]]
+        assert rows == [c.text() for c in configs]
