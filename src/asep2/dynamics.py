@@ -30,6 +30,7 @@ from .sparse import SparseMatrix
 
 TAIL_TOL = 1e-14
 SCALE_MU = 16.0  # largest rate-time product summed without squaring
+MAX_SQUARINGS = 10  # squarings the plan may add: lam t = 1e4 takes as many
 STORED_POWERS = 3  # powers of P kept by the Paterson-Stockmeyer series
 BLOCK = 4096  # trajectories per Philox stream
 
@@ -41,16 +42,54 @@ class TransitionKernel:
     matrix: np.ndarray
 
 
+def _poisson_weights(mu: float, tol: float) -> list[float]:
+    """Poisson(mu) weights w_0, w_1, ... by w_k = w_(k-1) mu/k, cut once
+    the summed weight is within tol of one or, for k + 2 > mu, the
+    geometric tail bound w_k mu/(k+1) / (1 - mu/(k+2)) is below tol; the
+    bound ignores rounding in the sum, so the list always ends.  Needs
+    mu <= SCALE_MU, so that exp(-mu) cannot underflow."""
+    weights = [math.exp(-mu)]
+    cum = weights[0]
+    k = 0
+    while 1.0 - cum >= tol and not (
+        k + 2 > mu and weights[k] * mu / (k + 1) / (1.0 - mu / (k + 2)) < tol
+    ):
+        k += 1
+        weights.append(weights[k - 1] * mu / k)
+        cum += weights[k]
+    return weights
+
+
+def _product_count(s: int, weights: list[float]) -> int:
+    """Dense products of `evolve` at s squarings: the powers P^2..P^p,
+    p = min(STORED_POWERS, len(weights)), the Horner steps in P^p, and s."""
+    m = len(weights)
+    p = min(STORED_POWERS, m)
+    return s + (p - 1) + (math.ceil(m / p) - 1)
+
+
+def _squaring_plan(lam_t: float) -> tuple[int, list[float]]:
+    """The squaring count s and the series weights at lam t/2^s that need
+    the fewest dense products, the fewer squarings on a tie.  Candidates
+    run from s0, the least s with lam t/2^s <= SCALE_MU, to
+    max(s0, MAX_SQUARINGS); the tail tolerance at s is TAIL_TOL/2^s."""
+    s0 = max(0, math.ceil(math.log2(lam_t / SCALE_MU)))
+    plans = [
+        (s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s)))
+        for s in range(s0, max(s0, MAX_SQUARINGS) + 1)
+    ]
+    return min(plans, key=lambda plan: _product_count(*plan))
+
+
 def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
-    """sum_k weights[k] p^k by Paterson-Stockmeyer: Horner's rule in
-    p^STORED_POWERS over blocks of STORED_POWERS coefficients."""
+    """sum_k weights[k] p^k by Paterson-Stockmeyer: Horner's rule in p^b
+    over blocks of b coefficients, b = min(STORED_POWERS, len(weights))."""
     n = p.shape[0]
     powers = [p]
-    while len(powers) < STORED_POWERS:
+    while len(powers) < min(STORED_POWERS, len(weights)):
         powers.append(powers[-1] @ p)
-    blocks = [
-        weights[i : i + STORED_POWERS] for i in range(0, len(weights), STORED_POWERS)
-    ]
+    size = len(powers)
+    blocks = [weights[i : i + size] for i in range(0, len(weights), size)]
     out = np.zeros_like(p)
     buf = np.empty_like(p)
     for j, block in enumerate(reversed(blocks)):
@@ -69,15 +108,19 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
 
     With lam the largest exit rate, exp(-H t) = sum_k w_k P^k for
     P = I - H/lam and Poisson(lam t) weights w_k.  The series is summed
-    at t/2^s, with s the least such that mu = lam t/2^s <= SCALE_MU, by
-    Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then squared s times
-    (Higham, "The scaling and squaring method for the matrix exponential
-    revisited", SIAM J. Matrix Anal. Appl. 26, 2005).  It stops once the
-    summed weight is within TAIL_TOL/2^s of one or, for k + 2 > mu, the
-    geometric tail bound w_k mu/(k+1) / (1 - mu/(k+2)) is below it; the
-    bound ignores rounding in the sum, so the series always ends.  Column
-    sums are within 1e-12 of one for lam t <= 1e4 on the tested sectors
-    (L <= 4); beyond that the error grows like 2^s times the unit roundoff.
+    at t/2^s by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then
+    squared s times (Higham, "The scaling and squaring method for the
+    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005).
+    As in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s is the one
+    that needs the fewest dense products (`_squaring_plan`): between s0,
+    the least s with mu = lam t/2^s <= SCALE_MU, and MAX_SQUARINGS, each
+    candidate's weights cut at the tail tolerance TAIL_TOL/2^s
+    (`_poisson_weights`).  MAX_SQUARINGS = 10 is the s that lam t = 1e4
+    takes at s0, where the bound below is stated; past lam t = 16 * 2^10
+    the plan is s0.  Column sums are within 1e-12 of one for lam t <= 1e4
+    on the tested sectors (L <= 4; at most 5.2e-13 on the benchmark's
+    kernels, 3.5e-13 at s0 alone); beyond that the error grows like 2^s
+    times the unit roundoff.
     """
     p = op.to_numpy()
     n = p.shape[0]
@@ -89,17 +132,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
         )
     if lam_t == 0.0:
         return TransitionKernel(np.eye(n))
-    s = max(0, math.ceil(math.log2(lam_t / SCALE_MU)))
-    mu, tol = math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s)
-    weights = [math.exp(-mu)]  # mu <= SCALE_MU: cannot underflow
-    cum = weights[0]
-    k = 0
-    while 1.0 - cum >= tol and not (
-        k + 2 > mu and weights[k] * mu / (k + 1) / (1.0 - mu / (k + 2)) < tol
-    ):
-        k += 1
-        weights.append(weights[k - 1] * mu / k)
-        cum += weights[k]
+    s, weights = _squaring_plan(lam_t)
     p /= -lam
     p.flat[:: n + 1] += 1.0
     out, buf = _power_series(p, weights), p  # P is spent: square into it

@@ -104,12 +104,6 @@ class Config:
     def state(self, k: int) -> int:
         return self.occ[self._pos(k)]
 
-    def a(self, k: int) -> int:
-        return 1 if self.state(k) == A else 0
-
-    def b(self, k: int) -> int:
-        return 1 if self.state(k) == B else 0
-
     @property
     def N(self) -> int:
         return self.occ.count(A)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,9 +34,10 @@ from .lattice import (
     encode,
     enumerate_sector,
     occupations,
+    sector_occupations,
     sites,
 )
-from .qring import LaurentPoly, fugacity_exponent, q_multinomial, rogers_szego_y
+from .qring import LaurentPoly, from_terms, fugacity_exponent, q_multinomial, rogers_szego_y
 from .reporting import Report, matrix_is_zero
 from .sparse import SparseMatrix, product_difference
 
@@ -250,11 +252,18 @@ def shock_profile(species: int, chem_pot: float, p: ModelParams) -> ShockProfile
 
 
 @lru_cache(maxsize=None)
+def _pi_exponents(L: int) -> np.ndarray:
+    """`pi_exponent` of every basis row, as a read-only int64 array in basis order."""
+    exponents = np.array([pi_exponent(row) for row in occupations(L).tolist()], dtype=np.int64)
+    exponents.flags.writeable = False
+    return exponents
+
+
+@lru_cache(maxsize=None)
 def pi_hat(L: int, power: int = 1) -> SparseMatrix:
     """Diagonal matrix of reversible weights on the full basis, to `power`:
     the monomials q**(power * pi_exponent)."""
-    exponents = np.array([pi_exponent(row) for row in occupations(L).tolist()], dtype=np.int64)
-    return SparseMatrix.monomial_diagonal(2 * power * exponents)
+    return SparseMatrix.monomial_diagonal(2 * power * _pi_exponents(L))
 
 
 def check_reversibility(H: SparseMatrix, L: int) -> Report:
@@ -403,36 +412,47 @@ def check_marginal_independence(L: int) -> Report:
     pairs = [(k,) for k in lam] + [
         (k1, k2) for i, k1 in enumerate(lam) for k2 in lam[i + 1 :]
     ]
+
+    def moments(sector, species):
+        return ring_moments(sector, pairs, species), q_multinomial(2 * L, sector.N, sector.M)
+
+    pure = {
+        A: [moments(Sector(L, n, 0), A) for n in range(2 * L + 1)],
+        B: [moments(Sector(L, 0, m), B) for m in range(2 * L + 1)],
+    }
     bad = []
     for n in range(2 * L + 1):
         for m in range(2 * L - n + 1):
-            for sites_tuple in pairs:
-                for tag, species, pure in (
-                    ("A", A, Sector(L, n, 0)),
-                    ("B", B, Sector(L, 0, m)),
-                ):
-                    s, z = ring_moment(Sector(L, n, m), sites_tuple, species)
-                    s0, z0 = ring_moment(pure, sites_tuple, species)
-                    if s * z0 != s0 * z:
+            sector = Sector(L, n, m)
+            sides = [
+                (tag, moments(sector, species), pure[species][count])
+                for tag, species, count in (("A", A, n), ("B", B, m))
+            ]
+            for i, sites_tuple in enumerate(pairs):
+                for tag, (s, z), (s0, z0) in sides:
+                    if s[i] * z0 != s0[i] * z:
                         bad.append((tag, n, m, sites_tuple))
     report.check(f"L{L}:moment-independence", bad)
     return report
 
 
-def ring_moment(sector: Sector, sites_tuple: tuple[int, ...], species: int) -> tuple:
-    """Unnormalised sector moment of a product of occupation numbers.
+def ring_moments(sector: Sector, site_tuples, species: int) -> list[LaurentPoly]:
+    """Unnormalised sector moments of products of occupation numbers, one
+    per site tuple: the reversible weights summed over the sector's
+    configurations with `species` at every site of the tuple.
 
-    Returns (weighted sum, partition function) so callers can compare
-    moments across sectors by cross-multiplication without division.
+    One pass over the sector's occupation rows and their `pi_exponent`s;
+    callers compare moments across sectors by cross-multiplication with
+    the partition functions, without division.
     """
-    total = LaurentPoly.zero()
-    for c in enumerate_sector(sector):
-        ind = 1
-        for k in sites_tuple:
-            ind *= c.a(k) if species == A else c.b(k)
-        if ind:
-            total = total + pi_unnormalized(c)
-    return total, q_multinomial(2 * sector.L, sector.N, sector.M)
+    rows = sector_occupations(sector)
+    half_exponents = 2 * _pi_exponents(sector.L)[encode(rows)]
+    held = rows == species
+    moments = []
+    for sites_tuple in site_tuples:
+        hit = held[:, [k + sector.L - 1 for k in sites_tuple]].all(axis=1)
+        moments.append(from_terms(dict(Counter(half_exponents[hit].tolist()))))
+    return moments
 
 
 # ---------------------------------------------------------------------

@@ -7,8 +7,15 @@ import pytest
 from asep2.duality import qz_value, sum_rule_table
 from asep2.dynamics import (
     BLOCK,
+    MAX_SQUARINGS,
+    SCALE_MU,
+    TAIL_TOL,
     QEstimate,
     _final_blocks,
+    _poisson_weights,
+    _power_series,
+    _product_count,
+    _squaring_plan,
     duality_rhs,
     estimate_Q_many,
     evolve,
@@ -32,6 +39,42 @@ SECTOR11 = Sector(2, 1, 1)
 
 def sector_kernel(t):
     return evolve(build_H_sector(P2, SECTOR11, Ring.FLOAT), t)
+
+
+def canonical_vector(p, sector):
+    mu = canonical(sector)
+    return np.array([mu.probability(c, p.q0) for c in enumerate_sector(sector)])
+
+
+def assert_sound_kernel(k, pi, t):
+    """Column sums, signs, stationarity and, at t >= 1000, mixing of a kernel."""
+    assert np.abs(k.sum(axis=0) - 1).max() <= 1e-12
+    assert k.min() >= -1e-12
+    assert float(np.max(np.abs(k @ pi - pi))) <= 1e-10
+    if t >= 1000.0:
+        assert float(np.max(np.abs(k - pi[:, None]))) <= 1e-8
+
+
+def fixed_rule_weights(lam_t):
+    """The series weights of the rule that always squares s0 times, the
+    least s with lam t/2^s <= SCALE_MU, with its stopping rule written out
+    as a reference: returns (s0, weights)."""
+    s = max(0, math.ceil(math.log2(lam_t / SCALE_MU)))
+    mu, tol = math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s)
+    weights = [math.exp(-mu)]
+    cum = weights[0]
+    k = 0
+    while 1.0 - cum >= tol and not (
+        k + 2 > mu and weights[k] * mu / (k + 1) / (1.0 - mu / (k + 2)) < tol
+    ):
+        k += 1
+        weights.append(weights[k - 1] * mu / k)
+        cum += weights[k]
+    return s, weights
+
+
+# a log grid of rate-time products with those of the benchmark's kernels
+PLAN_GRID = sorted({*np.logspace(-3, 5, 41).tolist(), 2.75, 11.0, 44.0, 285.0, 850.0, 8500.0})
 
 
 class TestEvolve:
@@ -75,13 +118,45 @@ class TestEvolve:
         p = ModelParams(L, Fraction(2), Fraction(1, 2))
         sector = Sector(L, N, M)
         k = evolve(build_H_sector(p, sector, Ring.FLOAT), t)
-        mu = canonical(sector)
-        pi = np.array([mu.probability(c, p.q0) for c in enumerate_sector(sector)])
-        assert np.abs(k.matrix.sum(axis=0) - 1).max() <= 1e-12
-        assert k.matrix.min() >= -1e-12
-        assert float(np.max(np.abs(k.matrix @ pi - pi))) <= 1e-10
-        if t >= 1000.0:
-            assert float(np.max(np.abs(k.matrix - pi[:, None]))) <= 1e-8
+        assert_sound_kernel(k.matrix, canonical_vector(p, sector), t)
+
+    def test_cross_plan_semigroup(self):
+        # the benchmark's 560-state sector at horizons whose plans square
+        # 3 and 5 times: the semigroup law holds across plans, and each
+        # kernel keeps the invariants at the benchmark's horizons
+        p = ModelParams(4, Fraction(2), Fraction(1, 2))
+        sector = Sector(4, 3, 3)
+        op = build_H_sector(p, sector, Ring.FLOAT)
+        lam = float(np.max(np.diag(op.to_numpy())))
+        assert [_squaring_plan(lam * t)[0] for t in (1.0, 3.0, 4.0)] == [3, 5, 5]
+        k = {t: evolve(op, t).matrix for t in (0.25, 1.0, 3.0, 4.0)}
+        assert float(np.max(np.abs(k[1.0] @ k[3.0] - k[4.0]))) <= 1e-12
+        pi = canonical_vector(p, sector)
+        for t in (0.25, 1.0, 4.0):
+            assert_sound_kernel(k[t], pi, t)
+
+    @pytest.mark.parametrize("lam_t", PLAN_GRID)
+    def test_squaring_plan(self, lam_t):
+        # never more products than squaring s0 times, never past
+        # MAX_SQUARINGS unless s0 is, and the weights at s0 are unchanged
+        s0, reference = fixed_rule_weights(lam_t)
+        mu0, tol0 = math.ldexp(lam_t, -s0), math.ldexp(TAIL_TOL, -s0)
+        assert _poisson_weights(mu0, tol0) == reference
+        s, weights = _squaring_plan(lam_t)
+        assert _product_count(s, weights) <= _product_count(s0, reference)
+        assert s0 <= s <= max(s0, MAX_SQUARINGS)
+        assert math.ldexp(lam_t, -s) <= SCALE_MU
+        assert weights == _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 4, 7])
+    def test_power_series_short(self, terms):
+        # dyadic entries and weights keep every sum exact, so the series
+        # equals sum_k w_k P^k bit for bit however few powers it forms
+        rng = np.random.default_rng(terms)
+        p = rng.integers(0, 4, size=(5, 5)) / 4.0
+        weights = [2.0 ** -(k + 1) for k in range(terms)]
+        expected = sum(w * np.linalg.matrix_power(p, k) for k, w in enumerate(weights))
+        assert np.array_equal(_power_series(p, weights), expected)
 
     @pytest.mark.parametrize(
         "L, N, M", [(2, 1, 1), (3, 1, 1), (3, 2, 2), (3, 1, 2)]
@@ -94,12 +169,13 @@ class TestEvolve:
         p = ModelParams(L, Fraction(2), Fraction(1, 2))
         sector = Sector(L, N, M)
         op = build_H_sector(p, sector, Ring.FLOAT)
-        mu = canonical(sector)
-        root = np.sqrt([mu.probability(c, p.q0) for c in enumerate_sector(sector)])
+        root = np.sqrt(canonical_vector(p, sector))
         h = op.to_numpy()
         d, v = np.linalg.eigh(h * root[None, :] / root[:, None])
         reference = (root[:, None] * v) @ (np.exp(-d * t)[:, None] * v.T / root[None, :])
-        assert float(np.max(np.abs(evolve(op, t).matrix - reference))) <= 1e-11
+        k = evolve(op, t).matrix
+        assert float(np.max(np.abs(k - reference))) <= 1e-11
+        assert_sound_kernel(k, root**2, t)
 
     def test_negative_time(self):
         with pytest.raises(ValueError):

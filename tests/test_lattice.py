@@ -260,8 +260,8 @@ class TestPositions:
         # local occupations are sums of coordinate indicators
         for c in all_configs(2):
             for k in sites(2):
-                assert c.a(k) == sum(1 for x in c.x if x == k)
-                assert c.b(k) == sum(1 for y in c.y if y == k)
+                assert (c.state(k) == A) == (k in c.x)
+                assert (c.state(k) == B) == (k in c.y)
 
 
 class TestTextForm:

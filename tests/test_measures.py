@@ -12,6 +12,7 @@ from asep2.lattice import (
     Config,
     Sector,
     all_configs,
+    enumerate_sector,
     sites,
 )
 from asep2.measures import (
@@ -28,6 +29,7 @@ from asep2.measures import (
     grandcanonical_mixture,
     pi_unnormalized,
     pure_marginal,
+    ring_moments,
     sector_weight_sum,
     shock_profile,
     stationary_vector,
@@ -222,6 +224,28 @@ class TestMomentIndependence:
     def test_l2(self):
         report = check_marginal_independence(2)
         assert report.passed, report.render()
+
+    @pytest.mark.parametrize("species", [A, B])
+    def test_moments_against_loop(self, species):
+        # every sector's moments against the sum of reversible weights over
+        # its configurations with the species at every site of the tuple
+        lam = list(sites(2))
+        tuples = [(k,) for k in lam] + [(k1, k2) for k1 in lam for k2 in lam if k1 < k2]
+        for n in range(5):
+            for m in range(5 - n):
+                sector = Sector(2, n, m)
+                expected = [
+                    sum(
+                        (
+                            pi_unnormalized(c)
+                            for c in enumerate_sector(sector)
+                            if all(c.state(k) == species for k in sites_tuple)
+                        ),
+                        LaurentPoly.zero(),
+                    )
+                    for sites_tuple in tuples
+                ]
+                assert ring_moments(sector, tuples, species) == expected
 
 
 class TestCsv:

@@ -60,7 +60,7 @@ class TestSiteEmbed:
             for c in all_configs(2):
                 i = c.index
                 got = op.get(i, i)
-                assert (got if got is not None else LaurentPoly.zero()) == c.a(k)
+                assert (got if got is not None else LaurentPoly.zero()) == int(c.state(k) == A)
 
     def test_distinct_sites_commute(self):
         u = site_embed(A_PLUS, 0, 1)
