@@ -324,16 +324,20 @@ def _check_exclusion_cutoff(report: Report, L: int) -> None:
     dim = len(occ)
     particles = (occ != VACANT).sum(axis=1)
 
-    # the sector summation row vector annihilates both ladders on full sectors
-    bad = []
-    for n in range(2 * L + 1):
-        full = np.flatnonzero(((occ == A).sum(axis=1) == n) & (particles == 2 * L))
-        summation = SparseMatrix.from_arrays(
-            dim, np.zeros_like(full), full, np.zeros_like(full), np.ones_like(full)
-        )
-        for name, y in (("Y1-", build_Y(1, -1, L)), ("Y2+", build_Y(2, +1, L))):
-            if not (summation @ y).is_zero():
-                bad.append((n, name))
+    # the sector summation row vectors annihilate both ladders on full
+    # sectors: row n of `summation` sums the full sector with n A's
+    # (2L + 1 < dim rows), so row n of the product is its residual
+    full = particles == 2 * L
+    a_count = (occ == A).sum(axis=1)[full]
+    cols = np.flatnonzero(full)
+    summation = SparseMatrix.from_arrays(
+        dim, a_count, cols, np.zeros_like(cols), np.ones_like(cols)
+    )
+    nonzero_rows = {
+        name: set((summation @ y).row.tolist())
+        for name, y in (("Y1-", build_Y(1, -1, L)), ("Y2+", build_Y(2, +1, L)))
+    }
+    bad = [(n, name) for n in range(2 * L + 1) for name in nonzero_rows if n in nonzero_rows[name]]
     report.check(f"L{L}:saturated-sector-annihilation", bad)
 
     bad = []

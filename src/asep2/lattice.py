@@ -96,14 +96,6 @@ class Config:
         if any(s not in _STATES for s in self.occ):
             raise ValueError(f"invalid state in {self.occ}")
 
-    def _pos(self, k: int) -> int:
-        if not -self.L + 1 <= k <= self.L:
-            raise SiteOutOfRange(f"site {k} outside lattice of size 2L={2 * self.L}")
-        return k + self.L - 1
-
-    def state(self, k: int) -> int:
-        return self.occ[self._pos(k)]
-
     @property
     def N(self) -> int:
         return self.occ.count(A)

@@ -71,11 +71,6 @@ class LaurentPoly:
         """The monomial q**exponent for integer exponent."""
         return cls({2 * exponent: 1})
 
-    @classmethod
-    def q_half_power(cls, half_steps: int) -> "LaurentPoly":
-        """The monomial q**(half_steps/2)."""
-        return cls({half_steps: 1})
-
     # -- structure ----------------------------------------------------
 
     @property

@@ -18,6 +18,11 @@ a.col (`searchsorted` on b's sorted rows, `np.repeat` for the pairs),
 and the gathered terms go through `_reduce` one block of output rows
 (about CHUNK_PAIRS terms and pairs) at a time.
 
+A family of same-shaped identities takes one kernel pass: `direct_sum`
+stacks its operands block-diagonally, the identity is formed once on the
+direct sums, and `blocks` splits the residual into each identity's own
+residual, in the same normal form as if it had been formed alone.
+
 Exactness: the int64 arrays never wrap.  Before `_combine` forms a term,
 sum max|a| max|b| pairs over its products plus sum max|x| size over its
 summands (a bound on every coefficient and partial sum it can reach),
@@ -26,6 +31,8 @@ and max|h_a| + max|h_b| for the exponents, are checked against
 largest sort key; past any bound they raise OverflowError.  Numpy does not warn when int64 arithmetic wraps, so
 these bounds are the only guard.  Building a matrix from a LaurentPoly
 with a coefficient of magnitude 2^63 or more raises OverflowError too.
+The bound of a product of direct sums counts the pairs of every block,
+so a batch can raise where each identity formed alone would not.
 No float, modular or evaluation shortcut is used.
 
 A float matrix (the float generator) shares the layout with h = 0 and
@@ -226,6 +233,43 @@ def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 def matrix_sum(dim: int, matrices) -> SparseMatrix:
     """The sum of an iterable of dim x dim matrices, in one pass."""
     return _combine(dim, sums=((1, m) for m in matrices))
+
+
+def direct_sum(matrices) -> SparseMatrix:
+    """The block-diagonal matrix of equal-dim matrices m_0, m_1, ...:
+    block k holds m_k at rows and columns k*dim .. (k+1)*dim - 1.  Each
+    term array is in normal form and the offsets grow with k, so their
+    concatenation is too."""
+    matrices = list(matrices)
+    if not matrices:
+        raise ValueError("a direct sum needs at least one matrix")
+    dim = matrices[0].dim
+    for m in matrices:
+        if m.dim != dim:
+            raise ValueError(f"dimension mismatch {dim} vs {m.dim}")
+    offsets = np.repeat(np.arange(len(matrices)) * dim, [len(m.coeff) for m in matrices])
+    row, col, h, coeff = (
+        np.concatenate(arrays)
+        for arrays in zip(*((m.row, m.col, m.h, m.coeff) for m in matrices))
+    )
+    return SparseMatrix._trusted(len(matrices) * dim, row + offsets, col + offsets, h, coeff)
+
+
+def blocks(m: SparseMatrix, dim: int) -> list[SparseMatrix]:
+    """The dim x dim diagonal blocks of a direct sum, in order; each one
+    is in normal form as its slice of m's terms.  ValueError if m.dim is
+    not a multiple of dim or a term lies off the diagonal blocks."""
+    if dim <= 0 or m.dim % dim:
+        raise ValueError(f"dim {m.dim} is not a multiple of {dim}")
+    if np.any(m.row // dim != m.col // dim):
+        raise ValueError("a term lies off the diagonal blocks")
+    starts = np.searchsorted(m.row, np.arange(0, m.dim + 1, dim)).tolist()
+    return [
+        SparseMatrix._trusted(
+            dim, m.row[lo:hi] - k * dim, m.col[lo:hi] - k * dim, m.h[lo:hi], m.coeff[lo:hi]
+        )
+        for k, (lo, hi) in enumerate(zip(starts, starts[1:]))
+    ]
 
 
 def _combine(dim: int, sums=(), products=()) -> SparseMatrix:

@@ -2,10 +2,25 @@
 package's occupation tables."""
 
 import itertools
+import sys
 
 from asep2.generator import rate_table
 from asep2.lattice import A, B, VACANT
 from asep2.sparse import SparseMatrix
+
+
+def package_modules():
+    """The imported modules of the asep2 package."""
+    return [m for name, m in sys.modules.items() if name.partition(".")[0] == "asep2"]
+
+
+def clear_caches():
+    """Empty every `lru_cache` of the package, so an operator built before
+    a monkeypatched fault, or under one, is not reused."""
+    for module in package_modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def matrix_row(m, r: int) -> dict:

@@ -1,0 +1,189 @@
+"""Seeded faults in the operators behind the algebra, conjugation and
+duality checks, and the FAIL lines each one makes those checks print.
+
+Each fault monkeypatches one production constant or function.  The
+pinned lines are those the checks print with every relation formed on
+its own; the checks that form a family of relations on direct sums must
+print the same, so a failing block is neither hidden nor blamed on its
+neighbour.  The `lru_cache`s are cleared around each fault, so no
+operator built before or under it leaks across.
+
+`serre-quadratic` has no row: it is [Y, Y] for one ladder Y, which is
+zero for any matrix, so no operator fault can fail it.
+"""
+
+import pytest
+
+from asep2 import qsym
+from asep2.duality import check_duality
+from asep2.lattice import A, VACANT, left_counts
+from asep2.qring import Q, q_number
+from asep2.qsym import (
+    A_MINUS,
+    C_MINUS,
+    C_PLUS,
+    check_algebra_relations,
+    check_conjugation_lemma,
+)
+from asep2.reporting import Report
+
+from helpers import clear_caches
+
+_real_site_embed = qsym.site_embed
+
+
+def _wrong_serre_coefficient(monkeypatch):
+    # [2] replaced by q [2]; the per-eigenvalue q-integers read it too
+    monkeypatch.setattr(qsym, "q_number", lambda n: q_number(n) * Q if n == 2 else q_number(n))
+
+
+def _flipped_dressing(monkeypatch):
+    # Y1- dressed by q**(+(left - right)) instead of q**(-(left - right))
+    monkeypatch.setitem(qsym._Y_RECIPE, (1, -1), (A_MINUS, A, +1))
+
+
+def _raising_exchanges(monkeypatch):
+    # Y1+ turns a B into an A instead of filling a vacancy
+    monkeypatch.setitem(qsym._Y_RECIPE, (1, +1), (C_PLUS, VACANT, +1))
+
+
+def _lowering_exchanges(monkeypatch):
+    # Y1- turns an A into a B, so it keeps a saturated sector saturated
+    monkeypatch.setitem(qsym._Y_RECIPE, (1, -1), (C_MINUS, A, -1))
+
+
+def _projector_leaks(monkeypatch):
+    # the A projector also keeps vacancies
+    monkeypatch.setattr(qsym, "PROJ_A", ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+
+
+def _embedding_dressed(monkeypatch):
+    # an undressed embedding picks up q**(number of A left of the site)
+    def dressed(u, k, L, dressing=None):
+        if dressing is None:
+            dressing = 2 * left_counts(L, A)[:, k + L - 1]
+        return _real_site_embed(u, k, L, dressing)
+
+    monkeypatch.setattr(qsym, "site_embed", dressed)
+
+
+ALGEBRA = (check_algebra_relations, (1, 2))
+CONJUGATION = (check_conjugation_lemma, (1, 2))
+DUALITY = (check_duality, (1, 2))
+
+# fault -> (the checks and sizes it runs, the FAIL lines they print)
+FAULTS = {
+    "serre coefficient": (
+        _wrong_serre_coefficient,
+        [ALGEBRA],
+        [
+            "L1:cartan-qnumber-consistency-H1 FAIL 0 0 1*q^-1 + -1*q^0 + 1*q^1 + -1*q^2",
+            "L1:cartan-qnumber-consistency-H2 FAIL 4 4 1*q^-1 + -1*q^0 + 1*q^1 + -1*q^2",
+            "L1:serre-cubic-Y1p-Y2p FAIL 0 5 1*q^-1 + -1*q^0 + 1*q^1 + -1*q^2",
+            "L1:serre-cubic-Y1m-Y2m FAIL 5 0 1*q^0 + -1*q^1 + 1*q^2 + -1*q^3",
+            "L1:serre-cubic-Y2p-Y1p FAIL 1 8 1*q^0 + -1*q^1 + 1*q^2 + -1*q^3",
+            "L1:serre-cubic-Y2m-Y1m FAIL 8 1 1*q^-1 + -1*q^0 + 1*q^1 + -1*q^2",
+            "L2:cartan-qnumber-consistency-H1 FAIL 1 1 1*q^-1 + -1*q^0 + 1*q^1 + -1*q^2",
+            "L2:cartan-qnumber-consistency-H2 FAIL 4 4 1*q^-1 + -1*q^0 + 1*q^1 + -1*q^2",
+            "L2:serre-cubic-Y1p-Y2p FAIL 0 5 1*q^-1 + -1*q^0 + 1*q^1 + -1*q^2",
+            "L2:serre-cubic-Y1m-Y2m FAIL 5 0 1*q^4 + -1*q^5 + 1*q^6 + -1*q^7",
+            "L2:serre-cubic-Y2p-Y1p FAIL 1 8 1*q^0 + -1*q^1 + 1*q^2 + -1*q^3",
+            "L2:serre-cubic-Y2m-Y1m FAIL 8 1 1*q^1 + -1*q^2 + 1*q^3 + -1*q^4",
+        ],
+    ),
+    "flipped Y1- dressing": (
+        _flipped_dressing,
+        [ALGEBRA],
+        [
+            "L1:ladder-commutator-Y1p-Y1m FAIL 1 1 -1*q^-1 + 1*q^1",
+            "L1:serre-cubic-Y1m-Y2m FAIL 5 0 -1*q^-2 + 1*q^2",
+            "L2:ladder-commutator-Y1p-Y1m FAIL 1 1 -1*q^-3 + 1*q^3",
+            "L2:serre-cubic-Y1m-Y2m FAIL 5 0 -1*q^-6 + 1*q^-2",
+        ],
+    ),
+    "Y1+ exchanges": (
+        _raising_exchanges,
+        [ALGEBRA],
+        [
+            "L1:cartan-ladder-exchange-L2-Y1p FAIL 0 2 1*q^0 + -1*q^1/2",
+            "L1:cartan-ladder-exchange-L3-Y1p FAIL 0 2 -1*q^-1/2 + 1*q^0",
+            "L1:ladder-commutator-Y1p-Y1m FAIL 0 0 -1*q^-1 + -1*q^1",
+            "L1:ladder-commutator-Y1p-Y2m FAIL 0 1 1*q^0",
+            "L2:cartan-ladder-exchange-L2-Y1p FAIL 0 2 1*q^0 + -1*q^1/2",
+            "L2:cartan-ladder-exchange-L3-Y1p FAIL 0 2 -1*q^-1/2 + 1*q^0",
+            "L2:ladder-commutator-Y1p-Y1m FAIL 0 0 -1*q^-3 + -1*q^-1 + -1*q^1 + -1*q^3",
+            "L2:ladder-commutator-Y1p-Y2m FAIL 0 1 1*q^0",
+            "L2:serre-cubic-Y1p-Y2p FAIL 1 26 -2*q^-1 + 4*q^0 + -2*q^1",
+            "L2:serre-cubic-Y2p-Y1p FAIL 4 26 -1*q^-2 + 2*q^-1 + -2*q^0 + 2*q^1 + -1*q^2",
+        ],
+    ),
+    "Y1- exchanges": (
+        _lowering_exchanges,
+        [ALGEBRA, DUALITY],
+        [
+            "L1:cartan-ladder-exchange-L2-Y1m FAIL 2 0 -1*q^1/2 + 1*q^1",
+            "L1:cartan-ladder-exchange-L3-Y1m FAIL 2 0 1*q^1/2 + -1*q^1",
+            "L1:ladder-commutator-Y1p-Y1m FAIL 0 0 -1*q^-1 + -1*q^1",
+            "L1:ladder-commutator-Y2p-Y1m FAIL 1 0 1*q^1",
+            "L2:cartan-ladder-exchange-L2-Y1m FAIL 2 0 -1*q^5/2 + 1*q^3",
+            "L2:cartan-ladder-exchange-L3-Y1m FAIL 2 0 1*q^5/2 + -1*q^3",
+            "L2:ladder-commutator-Y1p-Y1m FAIL 0 0 -1*q^-3 + -1*q^-1 + -1*q^1 + -1*q^3",
+            "L2:ladder-commutator-Y2p-Y1m FAIL 1 0 1*q^3",
+            "L2:serre-cubic-Y1m-Y2m FAIL 26 1 -1*q^0 + 2*q^1 + -2*q^2 + 2*q^3 + -1*q^4",
+            "L2:serre-cubic-Y2m-Y1m FAIL 26 4 -1*q^-1 + 2*q^0 + -2*q^1 + 2*q^2 + -1*q^3",
+            "L1:closed-form-vs-symmetry FAIL 1 0 1*q^0",
+            "L1:commutator-S-H FAIL 5 1 -1*q^-1 + 1*q^1",
+            "L1:commutator-Y1m-Y2p FAIL 1 0 -1*q^1",
+            "L1:S-vacuum-row FAIL 0",
+            "L1:rows-S-vs-Qhat FAIL 1 0 -1*q^1",
+            "L1:saturated-sector-annihilation FAIL (0, 'Y1-')",
+            "L1:divided-power-cutoff FAIL (1, 0, 2)",
+            "L2:closed-form-vs-symmetry FAIL 1 0 1*q^0",
+            "L2:commutator-S-H FAIL 5 1 -1*q^1 + 1*q^3",
+            "L2:commutator-Y1m-Y2p FAIL 1 0 -1*q^3",
+            "L2:S-vacuum-row FAIL 0",
+            "L2:rows-S-vs-Qhat FAIL 1 0 -1*q^3",
+            "L2:saturated-sector-annihilation FAIL (0, 'Y1-')",
+            "L2:divided-power-cutoff FAIL (1, 0, 2)",
+        ],
+    ),
+    "A projector keeps vacancies": (
+        _projector_leaks,
+        [CONJUGATION],
+        [
+            "L1:projector-eigenvalue FAIL (0, '0A')",
+            "L2:projector-eigenvalue FAIL (-1, '0AAA')",
+        ],
+    ),
+    "dressed embedding": (
+        _embedding_dressed,
+        [CONJUGATION],
+        [
+            "L1:projector-eigenvalue FAIL (1, 'AA')",
+            "L1:embed-commute FAIL ('a+', 0, 'a+', 1)",
+            "L2:projector-eigenvalue FAIL (0, 'AAAA')",
+            "L2:embed-commute FAIL ('a+', -1, 'a+', 0)",
+        ],
+    ),
+}
+
+
+def fault_report(fault, monkeypatch) -> Report:
+    apply, checks, _expected = FAULTS[fault]
+    apply(monkeypatch)
+    clear_caches()
+    try:
+        report = Report()
+        for check, sizes in checks:
+            for L in sizes:
+                report.extend(check(L))
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    return report
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_lines_pinned(monkeypatch, fault):
+    lines = [line.removeprefix("RELATION ") for line in fault_report(fault, monkeypatch).lines()]
+    assert [line for line in lines if " FAIL " in line] == FAULTS[fault][2]

@@ -1,5 +1,4 @@
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -36,24 +35,13 @@ from asep2.qring import LaurentPoly
 from asep2.qsym import build_Y_site, check_symmetry
 from asep2.reporting import Report
 
-from helpers import matrix_row
+from helpers import clear_caches, matrix_row, package_modules
 
 
 def _lowering_row(text: str, k: int) -> dict:
     c = Config.from_text(text)
     row = matrix_row(build_Y_site(1, -1, k, c.L), c.index)
     return {all_configs(c.L)[j].text(): v for j, v in row.items()}
-
-
-def _package_modules():
-    return [m for name, m in sys.modules.items() if name.partition(".")[0] == "asep2"]
-
-
-def _clear_caches():
-    for module in _package_modules():
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
 
 
 _real_count_left = lattice.count_left
@@ -260,8 +248,8 @@ class TestPositions:
         # local occupations are sums of coordinate indicators
         for c in all_configs(2):
             for k in sites(2):
-                assert (c.state(k) == A) == (k in c.x)
-                assert (c.state(k) == B) == (k in c.y)
+                assert (c.occ[k + c.L - 1] == A) == (k in c.x)
+                assert (c.occ[k + c.L - 1] == B) == (k in c.y)
 
 
 class TestTextForm:
@@ -405,17 +393,17 @@ class TestLemmaChecks:
         def wrong(occ, k, species):
             return real(occ, k, species) + (1 if k == 1 else 0)
 
-        for module in _package_modules():
+        for module in package_modules():
             if getattr(module, "count_left", None) is real:
                 monkeypatch.setattr(module, "count_left", wrong)
-        _clear_caches()
+        clear_caches()
         try:
             report = check_counting_lemmas(1)
             report.extend(check_symmetry(h_exact(1), 1))
             report.extend(check_duality(1))
         finally:
             monkeypatch.undo()
-            _clear_caches()
+            clear_caches()
         failed = {line.split()[1] for line in report.lines() if " FAIL " in line}
         assert "L1:left-count-union-additivity-A" in failed
         assert {"L1:DH=HtD", "L1:commutator-H-Y1-"} <= failed

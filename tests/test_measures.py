@@ -130,10 +130,12 @@ class TestPureMeasures:
             for k in sites(2):
                 if j >= k:
                     continue
-                aj = sum(w for c, w in mu.items() if c.state(j) == A)
-                ak = sum(w for c, w in mu.items() if c.state(k) == A)
+                aj = sum(w for c, w in mu.items() if c.occ[j + c.L - 1] == A)
+                ak = sum(w for c, w in mu.items() if c.occ[k + c.L - 1] == A)
                 ajk = sum(
-                    w for c, w in mu.items() if c.state(j) == A and c.state(k) == A
+                    w
+                    for c, w in mu.items()
+                    if c.occ[j + c.L - 1] == A and c.occ[k + c.L - 1] == A
                 )
                 assert ajk == pytest.approx(aj * ak, abs=1e-10)
 
@@ -239,7 +241,7 @@ class TestMomentIndependence:
                         (
                             pi_unnormalized(c)
                             for c in enumerate_sector(sector)
-                            if all(c.state(k) == species for k in sites_tuple)
+                            if all(c.occ[k + c.L - 1] == species for k in sites_tuple)
                         ),
                         LaurentPoly.zero(),
                     )

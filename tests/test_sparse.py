@@ -16,7 +16,14 @@ from asep2 import sparse
 from asep2.generator import h_exact
 from asep2.qring import Q, LaurentPoly
 from asep2.qsym import check_symmetry, symmetry_operators
-from asep2.sparse import SparseMatrix, commutator, matrix_sum, product_difference
+from asep2.sparse import (
+    SparseMatrix,
+    blocks,
+    commutator,
+    direct_sum,
+    matrix_sum,
+    product_difference,
+)
 
 DIM = 3
 KERNEL_EXAMPLES = settings(max_examples=60, deadline=None)
@@ -124,6 +131,64 @@ def test_row_blocks(a, b, c, d):
     assert out == product_difference(a, b, c, d)
     assert total == matrix_sum(DIM, [a, b, c.scale(LaurentPoly.const(-1))])
     assert_clean(out)
+
+
+@KERNEL_EXAMPLES
+@given(st.lists(matrices, min_size=1, max_size=4), st.integers(0, 4))
+def test_direct_sum_blocks_roundtrip(ms, at):
+    # an empty block first, in the middle or last is kept in its place
+    ms.insert(min(at, len(ms)), SparseMatrix(DIM))
+    batch = direct_sum(ms)
+    assert batch.dim == DIM * len(ms)
+    assert batch == SparseMatrix.from_arrays(batch.dim, batch.row, batch.col, batch.h, batch.coeff)
+    assert blocks(batch, DIM) == ms
+    assert blocks(direct_sum([SparseMatrix(DIM)] * 3), DIM) == [SparseMatrix(DIM)] * 3
+
+
+@KERNEL_EXAMPLES
+@given(st.lists(st.tuples(matrices, matrices, matrices, matrices), min_size=1, max_size=3))
+def test_batched_blocks_match_single(cases):
+    # each block of a batched kernel pass is that relation's own result,
+    # term for term
+    a, b, c, d = (direct_sum(ms) for ms in zip(*cases))
+    batched = {
+        "commutator": blocks(commutator(a, b), DIM),
+        "product_difference": blocks(product_difference(a, b, c, d), DIM),
+        "matmul chain": blocks(a @ b @ c - d.scale(Q), DIM),
+    }
+    for k, (ak, bk, ck, dk) in enumerate(cases):
+        assert batched["commutator"][k] == commutator(ak, bk)
+        assert batched["product_difference"][k] == product_difference(ak, bk, ck, dk)
+        assert batched["matmul chain"][k] == ak @ bk @ ck - dk.scale(Q)
+
+
+def test_blocks_rejects_a_non_direct_sum():
+    off = SparseMatrix(2 * DIM, {(0, DIM): LaurentPoly.const(1)})
+    with pytest.raises(ValueError):
+        blocks(off, DIM)
+    with pytest.raises(ValueError):
+        blocks(SparseMatrix(2 * DIM), 4)
+    with pytest.raises(ValueError):
+        direct_sum([SparseMatrix(2), SparseMatrix(3)])
+    with pytest.raises(ValueError):
+        direct_sum([])
+
+
+def test_batch_past_int64_raises_before_pairs(monkeypatch):
+    # 2^61 * 2 fits one product, but the batch bound sums the two blocks'
+    # pairs to 2^63; it raises before the row blocks that form the pairs
+    big = SparseMatrix(1, {(0, 0): LaurentPoly.const(2**61)})
+    two = SparseMatrix(1, {(0, 0): LaurentPoly.const(2)})
+    assert (big @ two).get(0, 0) == LaurentPoly.const(2**62)
+
+    def no_pairs(*args):
+        raise AssertionError("term pairs formed past the bound")
+
+    monkeypatch.setattr(sparse, "_row_blocks", no_pairs)
+    with pytest.raises(OverflowError):
+        direct_sum([big, big]) @ direct_sum([two, two])
+    with pytest.raises(OverflowError):
+        commutator(direct_sum([big, big]), direct_sum([two, two]))
 
 
 def test_partial_cancellation_drops_coefficients():
