@@ -17,11 +17,13 @@ time, a non-finite chemical potential, no trajectories, a sector outside
 the lattice, a shock profile at q = 1 or a simulate seed outside
 0..2^63 - (number of times)) or desk-scale resource cap breached
 (including a sector larger than the full basis at FLOAT_FULL_MAX_L, a
-simulation whose jump-proposal bound exceeds SIMULATE_MAX_PROPOSALS,
-and a sector or a simulation at L > lattice.CODE_MAX_L = 19, where a
-basis index would overflow int64), each printed as one `usage error: ...`
-line, 3 internal error: any other exception, such as a write that fails
-after its file was opened, prints one `error: ...` line and no traceback.
+simulation whose jump-proposal bound exceeds SIMULATE_MAX_PROPOSALS or
+whose exact law and duality predictions need more than SIMULATE_MAX_SERIES
+term products, and a sector or a simulation at L > lattice.CODE_MAX_L =
+19, where a basis index would overflow int64), each printed as one
+`usage error: ...` line, 3 internal error: any other exception, such as
+a write that fails after its file was opened, prints one `error: ...`
+line and no traceback.
 
 Parameters come from DEFAULTS (L=2, r=2, l=1/2 so q=2, w=1 and all
 evaluated q-powers are dyadic), overridden by an optional flat
@@ -69,6 +71,11 @@ SLOW_CHECK_MAX_L = 2
 # trajectories * (2L - 1) * max(r, l) * sum of the times bounds the
 # expected number of jump proposals of a simulate run
 SIMULATE_MAX_PROPOSALS = 1e8
+# the work of the exact law and the duality predictions in term products
+# (`dynamics.series_work`), summed over the start's sector and the dual
+# sectors at every time: `simulate --L 19 --t 1` needs 6.5e6 and --t 100
+# 5.4e8; at about 4.5 ns a term, 1e9 is some 5 s of series
+SIMULATE_MAX_SERIES = 1e9
 # a simulate record's exact mean and duality prediction must agree within
 # EXACT_RTOL relative or EXACT_ATOL absolute: the float self-duality check
 EXACT_RTOL, EXACT_ATOL = 1e-10, 1e-15
@@ -323,20 +330,34 @@ def zscore(mean: float, sigma: float, prediction: float) -> float:
     return (mean - prediction) / sigma
 
 
+def _series_work(p, ts: list[float]) -> float:
+    """`dynamics.series_work` summed over the sectors of the start and of
+    the dual coordinates, at every time: the work of `law_at` and
+    `duality_rhs` in one run."""
+    configs = [default_initial_config(p.L), *default_dual_coordinates(p.L)]
+    ops = [
+        dynamics.sector_generator(p, Sector(p.L, n, m))
+        for n, m in sorted({(c.N, c.M) for c in configs})
+    ]
+    return sum(dynamics.series_work(op, t) for op in ops for t in ts)
+
+
 def _closure_payload(args, ts: list[float]) -> dict:
     p = args.params
     zs = default_dual_coordinates(p.L)
     eta0 = default_initial_config(p.L)
     p0 = Measure.point_mass(eta0)
+    z_rows = lattice.config_rows(zs)
     records = []
     for it, t in enumerate(ts):
         estimates = dynamics.estimate_Q_many(
             zs, p0, t, args.trajectories, args.seed + it, p
         )
-        law = dynamics.law_at(p0, t, p)
+        exacts, variances = dynamics.q_moments(z_rows, *dynamics.law_at(p0, t, p), p.q0)
         predictions = dynamics.duality_rhs(zs, p0, t, p)
-        for z, est, prediction in zip(zs, estimates, predictions):
-            exact, var = dynamics.q_moments(z, law, p.q0)
+        for z, est, prediction, exact, var in zip(
+            zs, estimates, predictions, exacts.tolist(), variances.tolist()
+        ):
             sigma = math.sqrt(var / est.n)
             records.append(
                 {
@@ -379,6 +400,12 @@ def cmd_simulate(args) -> int:
         raise UsageError(
             f"simulation is desk-scale: up to {proposals:.3g} jump proposals, "
             f"need at most {SIMULATE_MAX_PROPOSALS:.0e}"
+        )
+    series = _series_work(p, ts)
+    if series > SIMULATE_MAX_SERIES:
+        raise UsageError(
+            f"simulation is desk-scale: the exact law and the duality predictions "
+            f"need {series:.3g} sparse term products, at most {SIMULATE_MAX_SERIES:.0e}"
         )
     with _writing(args.out, sys.stdout) as fh:
         payload = _closure_payload(args, ts)

@@ -7,8 +7,9 @@ against a configuration is a product of one-site factors, each a q-power
 of the particle counts on either side of the coordinate times a
 projector that kills mismatched sites.  Dividing by the reversible
 weight of z gives a family of functions D with D H = H^T D exactly.
-`duality_products` builds every Q_z(eta) at once from arrays; `Qz`, one
-pair at a time, is the brute-force side of `rows-S-vs-Qhat`.
+`duality_products` builds every Q_z(eta) at once from arrays, `q_values`
+their float values on given occupation rows; `Qz`, one pair at a time,
+is the brute-force side of `rows-S-vs-Qhat`.
 
 The same matrix arises a second, independent way: the exponential-free
 symmetry operator S (a double sum of divided powers of two dressed
@@ -75,10 +76,32 @@ def Qz(z: Config, c: Config) -> LaurentPoly:
     return ZERO if e is None else LaurentPoly.q_power(e)
 
 
-def qz_value(z: Config, occ, q0: float) -> float:
-    """Numeric duality product for a raw occupation sequence on 2L sites."""
-    e = qz_exponent(z, occ)
-    return 0.0 if e is None else float(q0**e)
+def q_values(z_rows, eta_rows, q0: float) -> np.ndarray:
+    """Q_z(eta) in floats as a [z, eta] array, from int8 occupation rows.
+
+    As in `qz_exponent`, each A of z adds eta's A count left of its site
+    minus the count right of it, and each B of z the reverse; the left
+    counts are eta's cumulative species counts.  The projectors are a
+    mismatch count: Q_z(eta) = 0 where z holds a particle that eta does
+    not hold at that site.  Each distinct exponent e is evaluated once,
+    as the Python float q0**e.
+    """
+    z_rows, eta_rows = np.asarray(z_rows), np.asarray(eta_rows)
+    exponent = np.zeros((len(z_rows), len(eta_rows)))
+    mismatch = np.zeros_like(exponent)
+    for species, sign in ((A, 1), (B, -1)):
+        held = eta_rows == species
+        left = np.cumsum(held, axis=1) - held
+        # left - right, with right = total - left - 1 (the particle at the site)
+        factor = sign * (2 * left + 1 - held.sum(axis=1, keepdims=True))
+        in_z = (z_rows == species).astype(np.float64)
+        exponent += in_z @ factor.T.astype(np.float64)
+        mismatch += in_z @ (~held).T.astype(np.float64)
+    out = np.zeros_like(exponent)
+    keep = mismatch == 0
+    powers, inverse = np.unique(exponent[keep].astype(np.int64), return_inverse=True)
+    out[keep] = np.array([q0 ** e for e in powers.tolist()])[inverse]
+    return out
 
 
 # the states (z, eta) a site takes when z is a sub-configuration of eta:

@@ -1,8 +1,11 @@
-"""Time evolution: uniformized kernels, the batch sampler, the law of eta_t.
+"""Time evolution: the uniformized series, the batch sampler, the law of eta_t.
 
 The kernel exp(-H t) is a Poisson-weighted power series in the
 column-stochastic, entrywise nonnegative P = I - H/lam (uniformization),
-so no term cancels another; it is summed at a scaled horizon and squared.
+so no term cancels another.  `evolve` sums it at a scaled horizon and
+squares the dense result; `evolve_vector` applies the same series to one
+vector, a chunk of the scaled horizon at a time, with sparse products
+only.  The law of eta_t and the duality predictions take the vector path.
 
 There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows with rates from `generator.rate_table`.
@@ -10,21 +13,22 @@ Block b draws from the counter-based Philox stream keyed (seed, b)
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
 so a run depends only on (seed, trajectories).  Final rows are counted
 by their `lattice.encode` codes.  Dual coordinate sets z are `Config`s
-of the same lattice.
+of the same lattice; the moments of Q_z are taken over occupation rows
+by `duality.q_values`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
 
-from .duality import qz_value
+from .duality import q_values
 from .generator import ModelParams, Ring, build_H_sector, rate_table
-from .lattice import Config, Sector, decode, encode, enumerate_sector
+from .lattice import A, B, Config, Sector, config_rows, decode, encode, sector_occupations
 from .measures import Measure
 from .sparse import SparseMatrix
 
@@ -33,6 +37,9 @@ SCALE_MU = 16.0  # largest rate-time product summed without squaring
 MAX_SQUARINGS = 10  # squarings the plan may add: lam t = 1e4 takes as many
 STORED_POWERS = 3  # powers of P kept by the Paterson-Stockmeyer series
 BLOCK = 4096  # trajectories per Philox stream
+# the fixed numpy cost of one sparse product by P, counted in terms: about
+# 3 us a call against 4.5 ns a term (measured on sectors of L = 1..19)
+PRODUCT_CALL_TERMS = 700
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,12 @@ def _poisson_weights(mu: float, tol: float) -> list[float]:
     return weights
 
 
+def _scaled_horizon(lam_t: float) -> int:
+    """s0, the least s >= 0 with lam t/2^s <= SCALE_MU: where `evolve`'s
+    squaring plan starts, and the chunk count 2^s0 of `evolve_vector`."""
+    return max(0, math.ceil(math.log2(lam_t / SCALE_MU)))
+
+
 def _product_count(s: int, weights: list[float]) -> int:
     """Dense products of `evolve` at s squarings: the powers P^2..P^p,
     p = min(STORED_POWERS, len(weights)), the Horner steps in P^p, and s."""
@@ -73,12 +86,22 @@ def _squaring_plan(lam_t: float) -> tuple[int, list[float]]:
     the fewest dense products, the fewer squarings on a tie.  Candidates
     run from s0, the least s with lam t/2^s <= SCALE_MU, to
     max(s0, MAX_SQUARINGS); the tail tolerance at s is TAIL_TOL/2^s."""
-    s0 = max(0, math.ceil(math.log2(lam_t / SCALE_MU)))
+    s0 = _scaled_horizon(lam_t)
     plans = [
         (s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s)))
         for s in range(s0, max(s0, MAX_SQUARINGS) + 1)
     ]
     return min(plans, key=lambda plan: _product_count(*plan))
+
+
+def _rate_time(lam: float, t: float) -> float:
+    """lam t, or ValueError for a negative t or a product that is not finite."""
+    lam_t = lam * t
+    if not (t >= 0 and math.isfinite(lam_t)):
+        raise ValueError(
+            f"time must be nonnegative with a finite rate-time product, got t={t!r}"
+        )
+    return lam_t
 
 
 def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
@@ -125,11 +148,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     p = op.to_numpy()
     n = p.shape[0]
     lam = float(np.max(np.diag(p))) if n else 0.0
-    lam_t = lam * t
-    if not (t >= 0 and math.isfinite(lam_t)):
-        raise ValueError(
-            f"time must be nonnegative with a finite rate-time product, got t={t!r}"
-        )
+    lam_t = _rate_time(lam, t)
     if lam_t == 0.0:
         return TransitionKernel(np.eye(n))
     s, weights = _squaring_plan(lam_t)
@@ -142,18 +161,81 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     return TransitionKernel(out)
 
 
+def _uniformized(op: SparseMatrix, t: float):
+    """The terms (target, source, value) of P = I - H/lam for a float
+    generator, lam its largest exit rate, each value >= 0, with the
+    scaled horizon s0 and the chunk weights of `evolve_vector`; None when
+    lam t = 0 and exp(-H t) is the identity."""
+    on = op.row == op.col
+    lam = float(op.coeff[on].max()) if on.any() else 0.0
+    lam_t = _rate_time(lam, t)
+    if lam_t == 0.0:
+        return None
+    every = np.arange(op.dim)
+    diag = 1.0 - np.bincount(op.row[on], op.coeff[on], minlength=op.dim) / lam
+    off = ~on
+    terms = (
+        np.concatenate([op.row[off], every]),
+        np.concatenate([op.col[off], every]),
+        np.concatenate([op.coeff[off] / -lam, diag]),
+    )
+    s = _scaled_horizon(lam_t)
+    return terms, s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))
+
+
+def series_work(op: SparseMatrix, t: float) -> float:
+    """Cost of `evolve_vector(op, v, t)` in term products: its 2^s0 (m - 1)
+    products by P, each over P's terms plus PRODUCT_CALL_TERMS; inf when
+    lam t is not finite."""
+    try:
+        plan = _uniformized(op, t)
+    except ValueError:
+        return math.inf
+    if plan is None:
+        return 0.0
+    (tgt, _src, _value), s, weights = plan
+    return math.ldexp(len(weights) - 1, s) * (len(tgt) + PRODUCT_CALL_TERMS)
+
+
+def evolve_vector(op: SparseMatrix, v, t: float) -> np.ndarray:
+    """exp(-H t) v for a float generator, by the series of `evolve`
+    applied to the vector (Al-Mohy & Higham, "Computing the action of the
+    matrix exponential", SIAM J. Sci. Comput. 33, 2011).
+
+    The horizon is cut into 2^s0 chunks of rate-time mu = lam t/2^s0 <=
+    SCALE_MU (s0 as in `_scaled_horizon`), and each chunk sums
+    sum_k w_k P^k v with the Poisson(mu) weights of `_poisson_weights` at
+    tail tolerance TAIL_TOL/2^s0; P v is a COO product by `np.bincount`
+    over P's terms.  P and the weights are nonnegative, so a nonnegative
+    v stays nonnegative entry by entry, and the tail cuts lose less than
+    TAIL_TOL of its mass.  A sector with no moves (lam = 0) and t = 0
+    return a copy of v.
+    """
+    v = np.array(v, dtype=np.float64)
+    plan = _uniformized(op, t)
+    if plan is None:
+        return v
+    (tgt, src, value), s, weights = plan
+    dim = len(v)
+    for _ in range(1 << s):
+        term = v
+        v = weights[0] * term
+        for w in weights[1:]:
+            term = np.bincount(tgt, value * term[src], minlength=dim)
+            v += w * term
+    return v
+
+
 # ---------------------------------------------------------------------
 # batch sampling
 # ---------------------------------------------------------------------
 
 
-def _support_arrays(p0: Measure):
-    """Occupations of p0's support as int8 rows, and its cumulative weights."""
+def _support_arrays(p0: Measure) -> tuple[np.ndarray, np.ndarray]:
+    """Occupations of p0's support as int8 rows in basis order, and their
+    float weights."""
     configs = sorted(p0.support(), key=attrgetter("index"))
-    cdf = np.cumsum([float(p0.weights[c]) for c in configs])
-    if not math.isclose(cdf[-1], 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ValueError("initial distribution must be normalised")
-    return np.array([c.occ for c in configs], dtype=np.int8), cdf
+    return config_rows(configs), np.array([float(p0.weights[c]) for c in configs])
 
 
 def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelParams):
@@ -162,11 +244,16 @@ def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelP
     Each path starts from a draw of p0 and makes Poisson(lam t) proposals,
     lam = (2L - 1) max(r, l), each a uniform bond exchanged with probability
     rate/max(r, l): the uniformized chain, so eta_t has its exact law.  Rows
-    are sorted by proposal count; at each step the last m rows propose.
+    are sorted by proposal count; at step k the last alive[k] rows propose,
+    one bond each, so each writes back its own two sites, exchanged or not.
     """
-    starts, cdf = _support_arrays(p0)
+    starts, weights = _support_arrays(p0)
+    cdf = np.cumsum(weights)
+    if not math.isclose(cdf[-1], 1.0, rel_tol=0, abs_tol=1e-9):
+        raise ValueError("initial distribution must be normalised")
     top = float(max(p.r, p.ell))
-    accept = np.array(rate_table(p, Ring.FLOAT)) / top
+    # acceptance of the bond states (s1, s2) at [3 s1 + s2]
+    accept = np.ravel(rate_table(p, Ring.FLOAT)) / top
     n_sites = 2 * p.L
     lam_t = (n_sites - 1) * top * t
     for b, first in enumerate(range(0, trajectories, BLOCK)):
@@ -174,15 +261,18 @@ def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelP
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
         occ = starts[np.searchsorted(cdf[:-1], rng.random(n), side="right")]
         proposals = np.sort(rng.poisson(lam_t, n))
+        alive = n - np.searchsorted(proposals, np.arange(proposals[-1]), side="right")
         flat = occ.reshape(-1)
-        for step in range(int(proposals[-1])):
-            m = n - int(np.searchsorted(proposals, step, side="right"))
-            left = np.arange((n - m) * n_sites, n * n_sites, n_sites)
-            left += rng.integers(n_sites - 1, size=m)
-            s1, s2 = flat[left], flat[left + 1]
-            swap = rng.random(m) < accept[s1, s2]
-            hit = left[swap]
-            flat[hit], flat[hit + 1] = s2[swap], s1[swap]
+        row_start = np.arange(0, n * n_sites, n_sites)
+        for m in alive.tolist():
+            left = row_start[n - m :] + rng.integers(n_sites - 1, size=m)
+            right = left + 1
+            s1, s2 = flat[left], flat[right]
+            swap = rng.random(m) < accept.take(3 * s1 + s2)
+            # the exchange as +-d, d = s2 - s1 where swapped and 0 elsewhere
+            d = (s2 - s1) * swap
+            flat[left] = s1 + d
+            flat[right] = s2 - d
         yield occ
 
 
@@ -211,38 +301,64 @@ def estimate_Q_many(
     Every trajectory is evaluated against all coordinate sets at once, so
     a grid of observables reuses the same sampled paths; each distinct
     final configuration is evaluated once, weighted by its frequency.
-    Rows are counted by `lattice.encode` of the reversed row, whose order
-    is the rows' lexicographic order.
+    Rows are counted by their `lattice.encode` codes, merged block by
+    block, so the count arrays hold one entry per distinct final row.
     """
-    counts: Counter = Counter()
+    codes, counts = np.empty(0, np.int64), np.empty(0)
     for occ in _final_blocks(p0, t, trajectories, seed, p):
-        codes, hits = np.unique(encode(occ[:, ::-1]), return_counts=True)
-        rows = decode(codes, p.L)[:, ::-1]
-        counts.update(dict(zip(map(tuple, rows.tolist()), hits.tolist())))
+        new, hits = np.unique(encode(occ), return_counts=True)
+        codes, where = np.unique(np.concatenate([codes, new]), return_inverse=True)
+        counts = np.bincount(where, np.concatenate([counts, hits]))
+    means, variances = q_moments(config_rows(zs), decode(codes, p.L), counts, p.q0)
     n = trajectories
-    sample = Measure(p.L, {Config(p.L, occ): c for occ, c in counts.items()})
-    moments = [q_moments(z, sample, p.q0) for z in zs]
-    return [QEstimate(m, math.sqrt(var / max(1, n - 1)), n) for m, var in moments]
+    return [
+        QEstimate(m, math.sqrt(var / max(1, n - 1)), n)
+        for m, var in zip(means.tolist(), variances.tolist())
+    ]
 
 
-def q_moments(z: Config, law: Measure, q0: float) -> tuple[float, float]:
-    """Mean and variance of the duality product Q_z under float weights,
-    normalised by their sum (a law, or the counts of a sample)."""
-    values = [(w, qz_value(z, eta.occ, q0)) for eta, w in law.items()]
-    total = sum(w for w, _ in values)
-    mean = sum(w * v for w, v in values) / total
-    return mean, max(0.0, sum(w * (v - mean) ** 2 for w, v in values) / total)
+def q_moments(z_rows, rows, weights, q0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of each duality product Q_z, z in `z_rows`, over
+    occupation `rows` with float weights normalised by their sum (a law,
+    or the counts of a sample).  The sums over rows are numpy's pairwise
+    sums, so they do not depend on a BLAS kernel."""
+    values = q_values(z_rows, rows, q0)
+    weights = np.asarray(weights, dtype=np.float64)
+    total = weights.sum()
+    mean = (values * weights).sum(axis=1) / total
+    var = ((values - mean[:, None]) ** 2 * weights).sum(axis=1) / total
+    return mean, np.maximum(var, 0.0)
 
 
-def law_at(p0: Measure, t: float, p: ModelParams) -> Measure:
-    """Exact law of eta_t: each sector's part of p0 evolved by its kernel."""
-    weights = {}
-    for n, m in sorted({(c.N, c.M) for c in p0.support()}):
+@lru_cache(maxsize=32)
+def sector_generator(p: ModelParams, sector: Sector) -> SparseMatrix:
+    """The float generator of a sector, built once for all the times of a
+    simulation."""
+    return build_H_sector(p, sector, Ring.FLOAT)
+
+
+def _by_sector(rows: np.ndarray, p: ModelParams):
+    """(sector, its table, positions in the table, which rows) for each
+    sector that holds rows, in sorted order."""
+    counts = np.stack([(rows == A).sum(axis=1), (rows == B).sum(axis=1)], axis=1)
+    for n, m in sorted(set(map(tuple, counts.tolist()))):
         sector = Sector(p.L, n, m)
-        configs = enumerate_sector(sector)
-        kernel = evolve(build_H_sector(p, sector, Ring.FLOAT), t).matrix
-        weights.update(zip(configs, (kernel @ p0.as_vector(configs)).tolist()))
-    return Measure(p.L, weights)
+        table = sector_occupations(sector)
+        held = (counts == (n, m)).all(axis=1)
+        yield sector, table, np.searchsorted(encode(table), encode(rows[held])), held
+
+
+def law_at(p0: Measure, t: float, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of eta_t as sector-table rows and their probabilities:
+    each sector's part of p0 evolved by `evolve_vector`."""
+    starts, weights = _support_arrays(p0)
+    rows, probs = [], []
+    for sector, table, at, held in _by_sector(starts, p):
+        v = np.zeros(len(table))
+        v[at] = weights[held]
+        rows.append(table)
+        probs.append(evolve_vector(sector_generator(p, sector), v, t))
+    return np.concatenate(rows), np.concatenate(probs)
 
 
 def duality_rhs(zs: list[Config], p0: Measure, t: float, p: ModelParams) -> list[float]:
@@ -250,10 +366,12 @@ def duality_rhs(zs: list[Config], p0: Measure, t: float, p: ModelParams) -> list
 
     The initial-time means of Q_zc, for every zc in the sectors of zs,
     evolved as a law of those sectors: the expectation propagates through
-    the dynamics of N(z) + M(z) particles only, one kernel per sector.
+    the dynamics of N(z) + M(z) particles only, one series per sector.
     """
-    sectors = sorted({(z.N, z.M) for z in zs})
-    zcs = [zc for n, m in sectors for zc in enumerate_sector(Sector(p.L, n, m))]
-    means = Measure(p.L, {zc: q_moments(zc, p0, p.q0)[0] for zc in zcs})
-    law = law_at(means, t, p).weights
-    return [law[z] for z in zs]
+    starts, weights = _support_arrays(p0)
+    z_rows = config_rows(zs)
+    out = np.empty(len(zs))
+    for sector, table, at, held in _by_sector(z_rows, p):
+        means = q_moments(table, starts, weights, p.q0)[0]
+        out[held] = evolve_vector(sector_generator(p, sector), means, t)[at]
+    return out.tolist()

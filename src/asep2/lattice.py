@@ -214,6 +214,11 @@ def all_configs(L: int) -> tuple[Config, ...]:
     return tuple(Config(L, tuple(row.tolist())) for row in occupations(L))
 
 
+def config_rows(configs) -> np.ndarray:
+    """The occupation rows of Configs as an int8 array, one row each."""
+    return np.array([c.occ for c in configs], dtype=np.int8)
+
+
 def vacant_config(L: int) -> Config:
     return Config(L, (VACANT,) * (2 * L))
 

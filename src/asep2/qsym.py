@@ -242,7 +242,16 @@ def check_algebra_relations(L: int) -> Report:
         direct_sum(l_op(i + 1, L, -2) for i in (1, 2)),
         direct_sum(l_op(i, L, 2) for i in (1, 2)),
     )
-    rhs = blocks(k2_minus_k2inv.map_entries(lambda v: exact_div(v, q_minus_qinv)), dim)
+    # the entries take a few values [h]_q (q - q^-1): each distinct one is
+    # divided once
+    quotients: dict[LaurentPoly, LaurentPoly] = {}
+
+    def over_q_minus_qinv(v: LaurentPoly) -> LaurentPoly:
+        if v not in quotients:
+            quotients[v] = exact_div(v, q_minus_qinv)
+        return quotients[v]
+
+    rhs = blocks(k2_minus_k2inv.map_entries(over_q_minus_qinv), dim)
     for (i, j), comm in zip(ij, comms):
         if i != j:
             matrix_is_zero(report, f"L{L}:ladder-commutator-Y{i}p-Y{j}m", comm)

@@ -126,6 +126,32 @@ class TestSimulate:
         assert sorted({r["t"] for r in payload["records"]}) == [0.0, 1.0]
         assert all(abs(r["zscore"]) <= 3.0 for r in payload["records"])
 
+    def test_largest_lattice(self, capsys):
+        # L = CODE_MAX_L: the start's sector (2,1) has dim 25,308, whose
+        # dense kernel would need 5.1 GB; the series applied to vectors
+        # needs a few megabytes
+        argv = ["simulate", "--L", "19", "--trajectories", "2000", "--t", "1"]
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert len(records) == len(default_dual_coordinates(19))
+        assert all(r["exact"] == pytest.approx(r["prediction"], rel=1e-10) for r in records)
+
+    def test_series_budget_before_sampling(self, monkeypatch, capsys):
+        # 1 trajectory at t = 1000 is far inside the proposal bound, but
+        # its exact law needs 5e9 term products: exit 2, nothing sampled
+        def never(*args, **kwargs):
+            raise AssertionError("sampled past the series budget")
+
+        monkeypatch.setattr(dynamics, "estimate_Q_many", never)
+        argv = ["simulate", "--L", "19", "--trajectories", "1", "--t", "1000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "term products" in captured.err
+        assert cli.SIMULATE_MAX_SERIES < cli._series_work(
+            ModelParams(19, Fraction(2), Fraction(1, 2)), [1000.0]
+        )
+
     def test_long_horizon_prediction(self, capsys):
         # the duality prediction needs exp(-H t) at t = 100 on every sector
         argv = ["simulate", "--L", "1", "--trajectories", "200", "--t", "100"]

@@ -11,13 +11,14 @@ from asep2.duality import (
     check_sum_rules,
     duality_closed_form,
     duality_from_symmetry,
-    qz_value,
+    q_values,
     sum_rule_table,
 )
 from asep2.generator import ModelParams, Ring, build_H, h_exact
 from asep2.lattice import (
     Config,
     all_configs,
+    occupations,
     vacant_config,
 )
 from asep2.qring import LaurentPoly, exact_div
@@ -77,10 +78,15 @@ class TestDualityFunctions:
         assert _closed_form_entry("0A", "AA") == LaurentPoly.one()
 
     def test_numeric_matches_ring(self):
-        q0 = 2.0
-        for c in all_configs(2):
-            z = Config.from_coordinates(2, x=c.x[:1], y=c.y[:1])
-            assert qz_value(z, c.occ, q0) == pytest.approx(Qz(z, c).eval(q0))
+        # every (z, eta) pair at L <= 2: the array products against the
+        # exact brute force, evaluated at q0
+        for L in (1, 2):
+            configs = all_configs(L)
+            for q0 in (2.0, 1.5):
+                values = q_values(occupations(L), occupations(L), q0)
+                exact = np.array([[Qz(z, c).eval(q0) for c in configs] for z in configs])
+                assert np.array_equal(values == 0, exact == 0)
+                assert values == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 class TestSymmetryOperator:
@@ -138,12 +144,7 @@ class TestDynamicDuality:
 
         for L, t in ((1, 0.7), (2, 0.4)):
             p = ModelParams(L, Fraction(1), Fraction(1))
-            configs = all_configs(L)
-            dim = len(configs)
-            qmat = np.zeros((dim, dim))
-            for zi, z in enumerate(configs):
-                for ci, c in enumerate(configs):
-                    qmat[zi, ci] = qz_value(z, c.occ, 1.0)
+            qmat = q_values(occupations(L), occupations(L), 1.0)
             kernel = evolve(build_H(p, Ring.FLOAT), t).matrix
             assert float(np.max(np.abs(qmat @ kernel - kernel.T @ qmat))) < 1e-10
 

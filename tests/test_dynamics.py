@@ -1,13 +1,15 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from asep2.duality import qz_value, sum_rule_table
+from asep2.duality import Qz, q_values, sum_rule_table
 from asep2.dynamics import (
     BLOCK,
     MAX_SQUARINGS,
+    PRODUCT_CALL_TERMS,
     SCALE_MU,
     TAIL_TOL,
     QEstimate,
@@ -19,14 +21,17 @@ from asep2.dynamics import (
     duality_rhs,
     estimate_Q_many,
     evolve,
+    evolve_vector,
     law_at,
     q_moments,
+    series_work,
 )
 from asep2.generator import ModelParams, Ring, build_H, build_H_sector
 from asep2.lattice import (
     VACANT,
     Config,
     Sector,
+    config_rows,
     enumerate_sector,
     vacant_config,
 )
@@ -192,11 +197,102 @@ class TestEvolve:
         assert np.array_equal(k.matrix, np.eye(1))
 
 
+# every sector at L <= 3, and three at L = 4 up to the benchmark's dim 560
+VECTOR_SECTORS = [
+    (L, n, m) for L in (1, 2, 3) for n in range(2 * L + 1) for m in range(2 * L - n + 1)
+] + [(4, 1, 1), (4, 2, 1), (4, 3, 3)]
+
+
+class TestEvolveVector:
+    @pytest.mark.parametrize("L, N, M", VECTOR_SECTORS)
+    def test_matches_kernel(self, L, N, M):
+        # the series applied to a random law against the dense kernel: the
+        # same weights at s0, so they agree to rounding; mass is kept, and
+        # a nonnegative series of a nonnegative vector has no negative entry
+        p = ModelParams(L, Fraction(2), Fraction(1, 2))
+        op = build_H_sector(p, Sector(L, N, M), Ring.FLOAT)
+        rng = np.random.default_rng([L, N, M])
+        for t in (0.25, 1.0, 4.0, 30.0, 1000.0):
+            v = rng.random(op.dim)
+            v /= v.sum()
+            out = evolve_vector(op, v, t)
+            assert float(np.max(np.abs(out - evolve(op, t).matrix @ v))) <= 1e-12
+            assert abs(out.sum() - v.sum()) <= 1e-12
+            assert out.min() >= 0.0
+
+    def test_no_moves(self):
+        # L=1 (0,0) has no terms at all, so no diagonal to take lam from
+        op = build_H_sector(P1, Sector(1, 0, 0), Ring.FLOAT)
+        assert len(op.coeff) == 0
+        assert evolve_vector(op, [0.3], 5.0).tolist() == [0.3]
+        assert series_work(op, 5.0) == 0.0
+
+    def test_zero_time_is_a_copy(self):
+        op = build_H_sector(P2, SECTOR11, Ring.FLOAT)
+        v = np.linspace(0.0, 1.0, op.dim)
+        out = evolve_vector(op, v, 0.0)
+        assert np.array_equal(out, v) and out is not v
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, 1e308])
+    def test_bad_time(self, t):
+        op = build_H_sector(P2, SECTOR11, Ring.FLOAT)
+        with pytest.raises(ValueError, match="finite rate-time product"):
+            evolve_vector(op, np.ones(op.dim), t)
+
+    def test_unbounded_work(self):
+        assert series_work(build_H_sector(P2, SECTOR11, Ring.FLOAT), 1e308) == math.inf
+
+    @pytest.mark.parametrize("t", [0.5, 30.0])
+    def test_work_counts_products(self, t, monkeypatch):
+        # one bincount forms the diagonal of P, each other one is a product
+        op = build_H_sector(P2, SECTOR11, Ring.FLOAT)
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+        evolve_vector(op, np.ones(op.dim), t)
+        products = len(calls) - 1
+        off_diagonal = int(np.sum(op.row != op.col))
+        assert products > 0
+        assert series_work(op, t) == products * (off_diagonal + op.dim + PRODUCT_CALL_TERMS)
+
+
 def final_rows(p0, t, trajectories, seed, p=P2):
     return np.concatenate(list(_final_blocks(p0, t, trajectories, seed, p)))
 
 
+# sha256 of the int8 final rows of `_final_blocks`, concatenated over
+# blocks: the sampled paths, fixed by (initial law, t, trajectories, seed)
+SAMPLER_PINS = {
+    # simulate --L 4 --t 4 --seed 1 --trajectories 10000: 3 blocks, the jump loop
+    "L4-t4": (
+        "A000B00A", None, 4.0, 10_000, 1,
+        "5bacda6df00bab06b19542ecff42927242539003cfdfa4ba4da0f543568cc1ff",
+    ),
+    # a sampled start from the canonical law over 2 full blocks and 7 rows
+    "multi-block": (
+        None, (2, 1, 1), 1.0, 2 * BLOCK + 7, 3,
+        "38f7e4757e9d9712effa00a9d90496016b2b86e5aceb128458bb524a4c9020d2",
+    ),
+    # no proposals: the start draws alone
+    "t0": (
+        None, (2, 2, 1), 0.0, 1000, 5,
+        "ef14fc4e5029aef6fce475e68120ba101ef10f72ed0b7ba6e9d251bff023a8fe",
+    ),
+}
+
+
 class TestGillespie:
+    @pytest.mark.parametrize("label", SAMPLER_PINS)
+    def test_pinned_rows(self, label):
+        start, sector, t, n, seed, digest = SAMPLER_PINS[label]
+        if start is not None:
+            p0 = Measure.point_mass(Config.from_text(start))
+        else:
+            p0 = canonical(Sector(*sector)).normalize(P2.q0)
+        rows = final_rows(p0, t, n, seed, ModelParams(p0.L, Fraction(2), Fraction(1, 2)))
+        assert rows.dtype == np.int8 and rows.shape == (n, 2 * p0.L)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
     def test_two_site_chain(self):
         # A0 -> 0A at rate r, back at rate l: P(0A at t) = r/(r+l) (1 - e^{-(r+l) t})
         t, n = 0.4, 20_000
@@ -275,7 +371,7 @@ class TestEstimators:
         eta = Config.from_text("A0BA")
         z = Config.from_coordinates(2, x=(-1,), y=(1,))
         est = estimate_Q_many([z], Measure.point_mass(eta), 0.0, 50, 5, P2)[0]
-        assert est.mean == qz_value(z, eta.occ, P2.q0)
+        assert est.mean == Qz(z, eta).eval(P2.q0)
         assert est.stderr == 0.0
 
     def test_shared_trajectories(self):
@@ -284,6 +380,16 @@ class TestEstimators:
         both = estimate_Q_many(zs, p0, 0.7, 500, 9, P2)
         single = estimate_Q_many(zs[:1], p0, 0.7, 500, 9, P2)[0]
         assert both[0] == single
+
+    def test_counts_merge_blocks(self):
+        # rows counted block by block and merged give the means of the rows
+        p0 = canonical(SECTOR11).normalize(P2.q0)
+        zs = [Config.from_coordinates(2, x=(-1,)), Config.from_coordinates(2, x=(0,), y=(2,))]
+        n = 2 * BLOCK + 7
+        rows = final_rows(p0, 1.0, n, 3)
+        means = q_values(config_rows(zs), rows, P2.q0).mean(axis=1)
+        estimates = estimate_Q_many(zs, p0, 1.0, n, 3, P2)
+        assert [e.mean for e in estimates] == pytest.approx(means.tolist(), rel=1e-14)
 
     def test_sampled_initial_distribution(self):
         p0 = canonical(SECTOR11).normalize(P2.q0)
@@ -296,9 +402,7 @@ class TestDualityRhs:
         eta = Config.from_text("A0BA")
         p0 = Measure.point_mass(eta)
         for z in (Config.from_coordinates(2, x=(0,)), Config.from_coordinates(2, x=(2,), y=(1,))):
-            assert duality_rhs([z], p0, 0.0, P2)[0] == pytest.approx(
-                qz_value(z, eta.occ, P2.q0)
-            )
+            assert duality_rhs([z], p0, 0.0, P2)[0] == pytest.approx(Qz(z, eta).eval(P2.q0))
 
     def test_stationary_initial_distribution(self):
         p0 = canonical(Sector(2, 2, 1)).normalize(P2.q0)
@@ -326,10 +430,12 @@ class TestDualityRhs:
         # E Q_z(eta_t) under the exact law of eta_t, started from a mix of
         # two sectors, against the few-particle prediction
         p0 = Measure(2, {Config.from_text("A0BA"): 0.25, Config.from_text("AB00"): 0.75})
-        law = law_at(p0, 1.5, P2)
-        assert sum(law.weights.values()) == pytest.approx(1.0, abs=1e-12)
-        for z in enumerate_sector(Sector(2, 1, 1))[:5] + enumerate_sector(Sector(2, 2, 0))[:3]:
-            mean, var = q_moments(z, law, P2.q0)
+        rows, weights = law_at(p0, 1.5, P2)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        zs = enumerate_sector(Sector(2, 1, 1))[:5] + enumerate_sector(Sector(2, 2, 0))[:3]
+        means, variances = q_moments(config_rows(zs), rows, weights, P2.q0)
+        for z, mean, var in zip(zs, means, variances):
             assert mean == pytest.approx(duality_rhs([z], p0, 1.5, P2)[0], rel=1e-12, abs=1e-15)
             assert var >= 0.0
 
