@@ -17,13 +17,14 @@ time, a non-finite chemical potential, no trajectories, a sector outside
 the lattice, a shock profile at q = 1 or a simulate seed outside
 0..2^63 - (number of times)) or desk-scale resource cap breached
 (including a sector larger than the full basis at FLOAT_FULL_MAX_L, a
-simulation whose jump-proposal bound exceeds SIMULATE_MAX_PROPOSALS or
-whose exact law and duality predictions need more than SIMULATE_MAX_SERIES
-term products, and a sector or a simulation at L > lattice.CODE_MAX_L =
-19, where a basis index would overflow int64), each printed as one
-`usage error: ...` line, 3 internal error: any other exception, such as
-a write that fails after its file was opened, prints one `error: ...`
-line and no traceback.
+simulation whose bound trajectories * (number of times + (2L - 1) *
+max(r, l) * sum of the times) on start draws and jump proposals exceeds
+SIMULATE_MAX_PROPOSALS or whose exact law and duality predictions need
+more than SIMULATE_MAX_SERIES term products, and a sector or a
+simulation at L > lattice.CODE_MAX_L = 19, where a basis index would
+overflow int64), each printed as one `usage error: ...` line, 3
+internal error: any other exception, such as a write that fails after
+its file was opened, prints one `error: ...` line and no traceback.
 
 Parameters come from DEFAULTS (L=2, r=2, l=1/2 so q=2, w=1 and all
 evaluated q-powers are dyadic), overridden by an optional flat
@@ -65,11 +66,13 @@ MEASURE_KINDS = ("canonical", "grandcanonical", "pure", "profile", "partition")
 # ones (algebra relations, duality chain, sum rules, grandcanonical,
 # uniqueness and moment checks, chain conjugation lemma) and the
 # --lambda-out table stop at SLOW_CHECK_MAX_L: at 3 they would take
-# `verify all --L 3` from 0.2 s to 1.9-2.4 s and from 34 to 52 MB peak
-# RSS (in-process, three runs on a shared 2-core machine)
+# `verify all --L 3` from 0.2 s to 0.4 s and from 34 to 52 MB peak RSS
+# (in-process, once, on a shared 2-core machine)
 SLOW_CHECK_MAX_L = 2
-# trajectories * (2L - 1) * max(r, l) * sum of the times bounds the
-# expected number of jump proposals of a simulate run
+# trajectories * (number of times + (2L - 1) * max(r, l) * sum of the
+# times) bounds the expected number of start draws and jump proposals of a
+# simulate run: each trajectory draws its start once per time, so t = 0
+# runs are bounded too
 SIMULATE_MAX_PROPOSALS = 1e8
 # the work of the exact law and the duality predictions in term products
 # (`dynamics.series_work`), summed over the start's sector and the dual
@@ -395,10 +398,11 @@ def cmd_simulate(args) -> int:
         raise UsageError(
             f"seed must be in 0..2^63 - {len(ts)} for {len(ts)} time(s), got {args.seed}"
         )
-    proposals = args.trajectories * (2 * p.L - 1) * float(max(p.r, p.ell)) * sum(ts)
+    rate = (2 * p.L - 1) * float(max(p.r, p.ell))
+    proposals = args.trajectories * (len(ts) + rate * sum(ts))
     if proposals > SIMULATE_MAX_PROPOSALS:
         raise UsageError(
-            f"simulation is desk-scale: up to {proposals:.3g} jump proposals, "
+            f"simulation is desk-scale: up to {proposals:.3g} start draws and jump proposals, "
             f"need at most {SIMULATE_MAX_PROPOSALS:.0e}"
         )
     series = _series_work(p, ts)

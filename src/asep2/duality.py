@@ -1,15 +1,16 @@
 """Self-duality machinery: duality functions, the symmetry operator, and
 the intertwining duality matrix.
 
-A dual coordinate set z is a configuration of the same lattice (a
-`Config`, whose `x` and `y` are its A and B sites); its duality weight
-against a configuration is a product of one-site factors, each a q-power
-of the particle counts on either side of the coordinate times a
-projector that kills mismatched sites.  Dividing by the reversible
-weight of z gives a family of functions D with D H = H^T D exactly.
-`duality_products` builds every Q_z(eta) at once from arrays, `q_values`
-their float values on given occupation rows; `Qz`, one pair at a time,
-is the brute-force side of `rows-S-vs-Qhat`.
+A dual coordinate set z is a configuration of the same lattice, given
+as an occupation row; its duality weight against a configuration is a
+product of one-site factors, each a q-power of the particle counts on
+either side of the coordinate times a projector that kills mismatched
+sites.  Dividing by the reversible weight of z gives a family of
+functions D with D H = H^T D exactly.  `q_exponents` gives the exponent
+of Q_z(eta) on given rows of z and eta, `q_values` its float value;
+`duality_products` builds every nonzero Q_z(eta) exactly from the
+sub-configuration pairs alone, while `rows-S-vs-Qhat` reads its brute
+force from `q_exponents` over every pair.
 
 The same matrix arises a second, independent way: the exponential-free
 symmetry operator S (a double sum of divided powers of two dressed
@@ -24,19 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (
-    A,
-    B,
-    VACANT,
-    Config,
-    all_configs,
-    count_left,
-    encode,
-    left_counts,
-    occupations,
-    vacant_config,
-)
-from .measures import pi_hat, pi_unnormalized
+from .lattice import A, B, VACANT, encode, left_counts, occupations, vacant_config
+from .measures import pi_hat
 from .qring import ZERO, LaurentPoly, exact_div, q_factorial, q_multinomial
 from .reporting import Report, matrices_equal, matrix_is_zero
 from .sparse import SparseMatrix, commutator, matrix_sum, product_difference
@@ -53,38 +43,15 @@ class NotConstant(ArithmeticError):
 # ---------------------------------------------------------------------
 
 
-def qz_exponent(z: Config, occ) -> int | None:
-    """q-exponent of the product Q_z on an occupation sequence.
+def q_exponents(z_rows, eta_rows) -> tuple[np.ndarray, np.ndarray]:
+    """The q-exponent of Q_z(eta) as an int64 [z, eta] array, from int8
+    occupation rows, and the mask of the pairs where Q_z(eta) != 0.
 
-    An A at x contributes (A left of x) - (A right of x), a B at y
-    (B right of y) - (B left of y).  None if a projector vanishes, i.e.
-    some coordinate of z does not hold its species in occ.
-    """
-    e = 0
-    for coords, species, sign in ((z.x, A, 1), (z.y, B, -1)):
-        total = occ.count(species)
-        for site in coords:
-            if occ[site + z.L - 1] != species:
-                return None
-            # left - right, with right = total - left - 1 (the particle at site)
-            e += sign * (2 * count_left(occ, site, species) + 1 - total)
-    return e
-
-
-def Qz(z: Config, c: Config) -> LaurentPoly:
-    e = qz_exponent(z, c.occ)
-    return ZERO if e is None else LaurentPoly.q_power(e)
-
-
-def q_values(z_rows, eta_rows, q0: float) -> np.ndarray:
-    """Q_z(eta) in floats as a [z, eta] array, from int8 occupation rows.
-
-    As in `qz_exponent`, each A of z adds eta's A count left of its site
-    minus the count right of it, and each B of z the reverse; the left
-    counts are eta's cumulative species counts.  The projectors are a
-    mismatch count: Q_z(eta) = 0 where z holds a particle that eta does
-    not hold at that site.  Each distinct exponent e is evaluated once,
-    as the Python float q0**e.
+    Each A of z adds eta's A count left of its site minus the count right
+    of it, and each B of z the reverse; the left counts are eta's
+    cumulative species counts.  The projectors are a mismatch count:
+    Q_z(eta) = 0 where z holds a particle that eta does not hold at that
+    site.  Both counts are float matrix products of exact small integers.
     """
     z_rows, eta_rows = np.asarray(z_rows), np.asarray(eta_rows)
     exponent = np.zeros((len(z_rows), len(eta_rows)))
@@ -97,9 +64,16 @@ def q_values(z_rows, eta_rows, q0: float) -> np.ndarray:
         in_z = (z_rows == species).astype(np.float64)
         exponent += in_z @ factor.T.astype(np.float64)
         mismatch += in_z @ (~held).T.astype(np.float64)
-    out = np.zeros_like(exponent)
-    keep = mismatch == 0
-    powers, inverse = np.unique(exponent[keep].astype(np.int64), return_inverse=True)
+    return exponent.astype(np.int64), mismatch == 0
+
+
+def q_values(z_rows, eta_rows, q0: float) -> np.ndarray:
+    """Q_z(eta) in floats as a [z, eta] array, from int8 occupation rows:
+    `q_exponents` with each distinct exponent e evaluated once, as the
+    Python float q0**e."""
+    exponent, keep = q_exponents(z_rows, eta_rows)
+    out = np.zeros(exponent.shape)
+    powers, inverse = np.unique(exponent[keep], return_inverse=True)
     out[keep] = np.array([q0 ** e for e in powers.tolist()])[inverse]
     return out
 
@@ -200,61 +174,62 @@ def sum_rule_table(L: int) -> list[tuple[int, int, int, int, LaurentPoly]]:
     Z_t / (pi(z) Z_s) * sum over eta in s of pi(eta) Q_z(eta) must not
     depend on z in t, the right side sum over z in t of Q_z(eta) must not
     depend on eta in s, and the two must agree; lambda is their common
-    value.  Both sides are accumulated in one pass over the nonzero
-    duality products.  A violation raises NotConstant (it would falsify
-    the identity, so it is surfaced, never masked).
+    value.
+
+    Sector k, in (N, M) order, stands in row and column k of two 0/1
+    matrices: member[eta, k] maps eta to its sector and first[k, eta]
+    picks the sector's first eta.  With left = D pi_hat member ([z, s])
+    and right = Q^T member ([eta, t]), a side is constant on sectors iff
+    side - member (first side) is zero, lambda is first right, and the
+    sides agree iff (first left)^T Z - Z lambda is zero, Z the diagonal
+    of the partition functions.  A violation raises NotConstant naming
+    the side, the source and target sectors and the residual (it would
+    falsify the identity, so it is surfaced, never masked).
     """
-    configs = all_configs(L)
-    sector_of = [(c.N, c.M) for c in configs]
-    pi = [pi_unnormalized(c) for c in configs]
-    zero = LaurentPoly.zero()
-    weighted: dict = {}  # (z, source sector) -> sum of pi(eta) Q_z(eta)
-    summed: dict = {}  # (eta, target sector) -> sum of Q_z(eta)
-    for (z, eta), value in duality_products(L).sorted_items():
-        key = (z, sector_of[eta])
-        weighted[key] = weighted.get(key, zero) + pi[eta] * value
-        key = (eta, sector_of[z])
-        summed[key] = summed.get(key, zero) + value
+    occ = occupations(L)
+    dim = len(occ)
+    # every sector holds a configuration, so the sorted keys are all of them
+    keys, firsts, sector = np.unique(
+        (occ == A).sum(axis=1) * dim + (occ == B).sum(axis=1),
+        return_index=True,
+        return_inverse=True,
+    )
+    spans = [divmod(int(key), dim) for key in keys]
+    ones = np.ones(dim, np.int64)
+    member = SparseMatrix.from_arrays(dim, np.arange(dim), sector, 0 * ones, ones)
+    first = SparseMatrix.from_arrays(dim, np.arange(len(keys)), firsts, 0 * firsts, ones[firsts])
 
-    spans = [(n, m) for n in range(2 * L + 1) for m in range(2 * L - n + 1)]
-    partition = {span: q_multinomial(2 * L, *span) for span in spans}
-    members: dict = {span: [] for span in spans}
-    for i, span in enumerate(sector_of):
-        members[span].append(i)
-    rows = []
-    for source in spans:
-        for target in spans:
-            left = _constant(
-                "left side depends on z",
-                configs,
-                members[target],
-                lambda z: exact_div(
-                    weighted.get((z, source), zero) * partition[target],
-                    pi[z] * partition[source],
-                ),
-            )
-            right = _constant(
-                "right side depends on eta",
-                configs,
-                members[source],
-                lambda eta: summed.get((eta, target), zero),
-            )
-            if left != right:
-                raise NotConstant(f"sides disagree: left {left}, right {right}")
-            rows.append((*source, *target, left))
-    return rows
+    def require_zero(side: str, residual: SparseMatrix, sectors) -> None:
+        if not residual.is_zero():
+            (r, c), value = residual.first_entry()
+            s, t = sectors(r, c)
+            raise NotConstant(f"{side}: source {spans[s]}, target {spans[t]}, residual {value}")
 
-
-def _constant(side: str, configs, indices, value) -> LaurentPoly:
-    """value(i), the same for every i in indices; NotConstant names the first outlier."""
-    expected = value(indices[0])
-    for i in indices[1:]:
-        got = value(i)
-        if got != expected:
-            raise NotConstant(
-                f"{side}: {configs[i].text()} gives {got}, expected {expected}"
-            )
-    return expected
+    left = duality_closed_form(L) @ pi_hat(L) @ member
+    right = duality_products(L).transpose() @ member
+    require_zero(
+        "left side depends on z", left - member @ (first @ left), lambda z, s: (s, sector[z])
+    )
+    require_zero(
+        "right side depends on eta",
+        right - member @ (first @ right),
+        lambda eta, t: (sector[eta], t),
+    )
+    lam = first @ right
+    partition = SparseMatrix(
+        dim, {(k, k): q_multinomial(2 * L, *span) for k, span in enumerate(spans)}
+    )
+    require_zero(
+        "sides disagree",
+        product_difference((first @ left).transpose(), partition, partition, lam),
+        lambda s, t: (s, t),
+    )
+    values = dict(lam.sorted_items())
+    return [
+        (*source, *target, values.get((s, t), ZERO))
+        for s, source in enumerate(spans)
+        for t, target in enumerate(spans)
+    ]
 
 
 def write_lambda_csv(fh, rows) -> None:
@@ -304,7 +279,6 @@ def check_duality(L: int) -> Report:
     D_closed = duality_closed_form(L)
     S = build_S(L)
     dim = 3 ** (2 * L)
-    configs = all_configs(L)
 
     matrix_is_zero(
         report, f"L{L}:DH=HtD", product_difference(D_closed, H, H.transpose(), D_closed)
@@ -323,14 +297,11 @@ def check_duality(L: int) -> Report:
     report.check(f"L{L}:S-vacuum-row", [c for c in range(dim) if S.get(vacuum, c) != 1])
 
     # Q_z(eta) by brute force over every pair: row z of S is Q_z
-    brute = {
-        (r, c): v
-        for r, z in enumerate(configs)
-        for c, eta in enumerate(configs)
-        if (v := Qz(z, eta))
-    }
-    matrices_equal(report, f"L{L}:rows-S-vs-Qhat", S, SparseMatrix(dim, brute))
     occ = occupations(L)
+    exponent, keep = q_exponents(occ, occ)
+    z, eta = np.nonzero(keep)
+    brute = SparseMatrix.from_arrays(dim, z, eta, 2 * exponent[keep], np.ones(len(z), np.int64))
+    matrices_equal(report, f"L{L}:rows-S-vs-Qhat", S, brute)
     n_of, m_of = (occ == A).sum(axis=1), (occ == B).sum(axis=1)
     r, c = D_closed.row, D_closed.col
     outside = (n_of[r] > n_of[c]) | (m_of[r] > m_of[c])

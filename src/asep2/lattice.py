@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -77,11 +77,8 @@ def theta(k: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class Config:
-    """Occupation-variable form of a configuration.
-
-    The same type serves as a dual coordinate set z = (x, y): `x` and `y`
-    are the sorted sites of the A and B particles.
-    """
+    """Occupation-variable form of a configuration; the same type serves
+    as a dual coordinate set z."""
 
     L: int
     occ: tuple[int, ...]
@@ -108,14 +105,6 @@ class Config:
     def index(self) -> int:
         """Basis index, from 0: `encode` of the occupation row."""
         return int(encode(self.occ))
-
-    @cached_property
-    def x(self) -> tuple[int, ...]:
-        return tuple(k for k, s in zip(sites(self.L), self.occ) if s == A)
-
-    @cached_property
-    def y(self) -> tuple[int, ...]:
-        return tuple(k for k, s in zip(sites(self.L), self.occ) if s == B)
 
     @classmethod
     def from_coordinates(cls, L: int, x=(), y=()) -> "Config":

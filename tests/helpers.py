@@ -1,11 +1,12 @@
-"""Shared test helpers, and a reference generator independent of the
-package's occupation tables."""
+"""Shared test helpers, and a reference generator and duality function
+independent of the package's occupation tables."""
 
 import itertools
 import sys
 
 from asep2.generator import rate_table
 from asep2.lattice import A, B, VACANT
+from asep2.qring import LaurentPoly
 from asep2.sparse import SparseMatrix
 
 
@@ -59,3 +60,26 @@ def reference_generator(p, ring, rows: list[tuple]) -> SparseMatrix:
                 entries[(index[swapped(occ, i)], src)] = -rate
                 entries[(src, src)] = entries.get((src, src), rate * 0) + rate
     return SparseMatrix(len(rows), entries)
+
+
+def coordinates(c) -> tuple[tuple, tuple]:
+    """The sorted A sites x and B sites y of a Config."""
+    labels = range(-c.L + 1, c.L + 1)
+    return tuple(
+        tuple(k for k, s in zip(labels, c.occ) if s == species) for species in (A, B)
+    )
+
+
+def reference_q(z, eta) -> LaurentPoly:
+    """Q_z(eta) for two Configs by a loop over z's particles: an A adds
+    eta's A count left of its site minus the count right of it, a B the
+    reverse, and the product is zero if eta does not hold z's particle."""
+    e = 0
+    for i, (s, held) in enumerate(zip(z.occ, eta.occ)):
+        if s == VACANT:
+            continue
+        if held != s:
+            return LaurentPoly.zero()
+        left, right = eta.occ[:i].count(s), eta.occ[i + 1 :].count(s)
+        e += left - right if s == A else right - left
+    return LaurentPoly.q_power(e)

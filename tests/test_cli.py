@@ -306,6 +306,7 @@ class TestUsageErrors:
             ["measure", "pure", "--L", "7"],
             ["simulate", "--L", "1", "--trajectories", "2", "--t", "1e308"],
             ["simulate", "--L", "2", "--trajectories", "1000000", "--t", "100"],
+            ["simulate", "--L", "2", "--t", "0", "--trajectories", "1000000000000"],
             ["simulate", "--L", "1", "--trajectories", "10", "--seed", "-1"],
             ["simulate", "--L", "1", "--trajectories", "10", "--t", "0", "--t", "1",
              "--seed", str(2**63 - 1)],
@@ -324,9 +325,9 @@ class TestUsageErrors:
             "out-dir-missing", "lambda-out-dir-missing", "measure-out-dir-missing",
             "nu-nan", "nu-inf", "nu-minus-inf", "mu-nan", "profile-q-one",
             "grandcanonical-lattice-too-large", "pure-lattice-too-large",
-            "huge-time", "proposals-over-budget", "negative-seed", "seed-key-overflow",
-            "row-code-overflow", "abbreviated-flag", "abbreviated-command-flag",
-            "abbreviated-choice-flag",
+            "huge-time", "proposals-over-budget", "start-draws-over-budget", "negative-seed",
+            "seed-key-overflow", "row-code-overflow", "abbreviated-flag",
+            "abbreviated-command-flag", "abbreviated-choice-flag",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):

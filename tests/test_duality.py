@@ -3,28 +3,38 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from asep2 import duality, measures
 from asep2.duality import (
     NotConstant,
-    Qz,
     build_S,
     check_duality,
     check_sum_rules,
     duality_closed_form,
     duality_from_symmetry,
+    q_exponents,
     q_values,
     sum_rule_table,
 )
 from asep2.generator import ModelParams, Ring, build_H, h_exact
 from asep2.lattice import (
+    A,
     Config,
     all_configs,
+    config_rows,
     occupations,
     vacant_config,
 )
-from asep2.qring import LaurentPoly, exact_div
-from asep2.sparse import commutator
+from asep2.measures import pi_hat
+from asep2.qring import LaurentPoly, exact_div, q_multinomial
+from asep2.sparse import SparseMatrix, commutator
 
-from helpers import matrix_row
+from helpers import clear_caches, matrix_row, reference_q
+
+
+def q_pair(z: Config, eta: Config) -> LaurentPoly:
+    """Q_z(eta) from `q_exponents` on one pair of rows."""
+    exponent, keep = q_exponents(config_rows([z]), config_rows([eta]))
+    return LaurentPoly.q_power(int(exponent[0, 0])) if keep[0, 0] else LaurentPoly.zero()
 
 
 def _closed_form_entry(z_text: str, eta_text: str) -> LaurentPoly:
@@ -38,34 +48,34 @@ def _closed_form_entry(z_text: str, eta_text: str) -> LaurentPoly:
 class TestDualityFunctions:
     def test_projector_kills_mismatch(self):
         c = Config.from_text("0A")
-        assert Qz(Config.from_coordinates(1, x=(0,)), c) == LaurentPoly.zero()
-        assert Qz(Config.from_coordinates(1, y=(1,)), c) == LaurentPoly.zero()
+        assert q_pair(Config.from_coordinates(1, x=(0,)), c) == LaurentPoly.zero()
+        assert q_pair(Config.from_coordinates(1, y=(1,)), c) == LaurentPoly.zero()
 
     def test_lone_particle_is_one(self):
         c = Config.from_text("A0")
-        assert Qz(Config.from_coordinates(1, x=(0,)), c) == LaurentPoly.one()
+        assert q_pair(Config.from_coordinates(1, x=(0,)), c) == LaurentPoly.one()
 
     def test_counts_left_neighbours(self):
         c = Config.from_text("AA")
-        assert Qz(Config.from_coordinates(1, x=(1,)), c) == LaurentPoly.q_power(1)
-        assert Qz(Config.from_coordinates(1, x=(0,)), c) == LaurentPoly.q_power(-1)
+        assert q_pair(Config.from_coordinates(1, x=(1,)), c) == LaurentPoly.q_power(1)
+        assert q_pair(Config.from_coordinates(1, x=(0,)), c) == LaurentPoly.q_power(-1)
         c = Config.from_text("BB")
-        assert Qz(Config.from_coordinates(1, y=(1,)), c) == LaurentPoly.q_power(-1)
+        assert q_pair(Config.from_coordinates(1, y=(1,)), c) == LaurentPoly.q_power(-1)
 
     def test_product_empty(self):
         z = Config.from_coordinates(2)
         for c in all_configs(2):
-            assert Qz(z, c) == LaurentPoly.one()
+            assert q_pair(z, c) == LaurentPoly.one()
 
     def test_product_is_monomial_on_support(self):
         # the ring's units are the signed monomials
         for c in all_configs(2):
-            value = Qz(c, c)
+            value = q_pair(c, c)
             assert value * exact_div(LaurentPoly.one(), value) == LaurentPoly.one()
 
     def test_mismatched_coordinate(self):
         z = Config.from_coordinates(2, x=(0,))
-        assert Qz(z, Config.from_text("0B00")) == LaurentPoly.zero()
+        assert q_pair(z, Config.from_text("0B00")) == LaurentPoly.zero()
 
     def test_duality_unit_on_empty(self):
         for c in all_configs(1):
@@ -79,12 +89,14 @@ class TestDualityFunctions:
 
     def test_numeric_matches_ring(self):
         # every (z, eta) pair at L <= 2: the array products against the
-        # exact brute force, evaluated at q0
+        # exact loop over z's particles, evaluated at q0
         for L in (1, 2):
             configs = all_configs(L)
             for q0 in (2.0, 1.5):
                 values = q_values(occupations(L), occupations(L), q0)
-                exact = np.array([[Qz(z, c).eval(q0) for c in configs] for z in configs])
+                exact = np.array(
+                    [[reference_q(z, c).eval(q0) for c in configs] for z in configs]
+                )
                 assert np.array_equal(values == 0, exact == 0)
                 assert values == pytest.approx(exact, rel=1e-14, abs=0)
 
@@ -109,7 +121,7 @@ class TestSymmetryOperator:
             row = matrix_row(S, z.index)
             for c in all_configs(1):
                 got = row.get(c.index, LaurentPoly.zero())
-                assert got == Qz(z, c)
+                assert got == reference_q(z, c)
 
 
 class TestDualityMatrix:
@@ -172,18 +184,63 @@ class TestSumRule:
         rows = sum_rule_table(1)
         assert len(rows) == 36  # 6 sectors at L=1, all ordered pairs
 
-    def test_not_constant_is_surfaced(self):
-        # a deliberately skewed weight must make the two sides disagree
-        # visibly instead of being averaged away
-        import asep2.duality as dual
-        from asep2.measures import pi_exponent
+    def test_lambda_is_product_of_gaussian_binomials(self):
+        # lambda = [N choose N']_q [M choose M']_q when the dual sector
+        # fits inside the source sector, else 0
+        for L, size in ((1, 36), (2, 225), (3, 784), (4, 2025)):
+            rows = sum_rule_table(L)
+            assert len(rows) == size
+            for n, m, np_, mp_, lam in rows:
+                fits = np_ <= n and mp_ <= m
+                expected = (
+                    q_multinomial(n, np_, 0) * q_multinomial(m, mp_, 0)
+                    if fits
+                    else LaurentPoly.zero()
+                )
+                assert lam == expected, (n, m, np_, mp_)
 
-        original = dual.pi_unnormalized
+    def test_not_constant_is_surfaced(self, monkeypatch):
+        # a reversible weight skewed by q**N keeps each side constant on
+        # sectors (H conserves N) but makes the two disagree, visibly
+        # instead of being averaged away
+        real = measures.pi_exponent
+        monkeypatch.setattr(measures, "pi_exponent", lambda occ: real(occ) + occ.count(A))
+        assert self.not_constant(monkeypatch) == (
+            "sides disagree: source (1, 0), target (0, 0), "
+            "residual -1*q^-1 + 1*q^0 + -1*q^1 + 1*q^2"
+        )
+
+    def test_side_not_constant_is_surfaced(self, monkeypatch):
+        # a weight or a duality product skewed where the configuration
+        # holds an A at site -L+1 makes one side vary within a sector
+        real_pi, real_products = measures.pi_exponent, duality.duality_products
+        monkeypatch.setattr(measures, "pi_exponent", lambda occ: real_pi(occ) + (occ[0] == A))
+        assert self.not_constant(monkeypatch) == (
+            "left side depends on z: source (1, 1), target (0, 1), residual -1*q^0 + 1*q^1"
+        )
+
+        # Q_z(eta) times q where eta holds that A, on the right side only
+        def skewed(L):
+            at_first = occupations(L)[:, 0] == A
+            return real_products(L) @ SparseMatrix.monomial_diagonal(2 * at_first)
+
+        monkeypatch.setattr(duality, "duality_products", skewed)
+        monkeypatch.setattr(
+            duality, "duality_closed_form", lambda L: pi_hat(L, -1) @ real_products(L)
+        )
+        assert self.not_constant(monkeypatch) == (
+            "right side depends on eta: source (1, 0), target (0, 0), residual -1*q^0 + 1*q^1"
+        )
+
+    @staticmethod
+    def not_constant(monkeypatch) -> str:
+        """The NotConstant message of `sum_rule_table(1)` under the
+        monkeypatched fault, which is undone, caches cleared around it."""
+        clear_caches()
         try:
-            dual.pi_unnormalized = lambda c: LaurentPoly.q_power(
-                pi_exponent(c.occ) + c.N
-            )
-            with pytest.raises(NotConstant, match=r"sides disagree: left 1\*q\^1, right 1"):
-                dual.sum_rule_table(1)
+            with pytest.raises(NotConstant) as raised:
+                sum_rule_table(1)
         finally:
-            dual.pi_unnormalized = original
+            monkeypatch.undo()
+            clear_caches()
+        return str(raised.value)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asep2.duality import Qz, q_values, sum_rule_table
+from asep2.duality import q_values, sum_rule_table
 from asep2.dynamics import (
     BLOCK,
     MAX_SQUARINGS,
@@ -36,6 +36,8 @@ from asep2.lattice import (
     vacant_config,
 )
 from asep2.measures import Measure, canonical
+
+from helpers import reference_q
 
 P1 = ModelParams(1, Fraction(2), Fraction(1, 2))
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
@@ -371,7 +373,7 @@ class TestEstimators:
         eta = Config.from_text("A0BA")
         z = Config.from_coordinates(2, x=(-1,), y=(1,))
         est = estimate_Q_many([z], Measure.point_mass(eta), 0.0, 50, 5, P2)[0]
-        assert est.mean == Qz(z, eta).eval(P2.q0)
+        assert est.mean == reference_q(z, eta).eval(P2.q0)
         assert est.stderr == 0.0
 
     def test_shared_trajectories(self):
@@ -402,7 +404,8 @@ class TestDualityRhs:
         eta = Config.from_text("A0BA")
         p0 = Measure.point_mass(eta)
         for z in (Config.from_coordinates(2, x=(0,)), Config.from_coordinates(2, x=(2,), y=(1,))):
-            assert duality_rhs([z], p0, 0.0, P2)[0] == pytest.approx(Qz(z, eta).eval(P2.q0))
+            expected = reference_q(z, eta).eval(P2.q0)
+            assert duality_rhs([z], p0, 0.0, P2)[0] == pytest.approx(expected)
 
     def test_stationary_initial_distribution(self):
         p0 = canonical(Sector(2, 2, 1)).normalize(P2.q0)

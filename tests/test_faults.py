@@ -1,5 +1,6 @@
-"""Seeded faults in the operators behind the algebra, conjugation and
-duality checks, and the FAIL lines each one makes those checks print.
+"""Seeded faults in the operators behind the algebra, conjugation,
+duality and sum-rule checks, and the FAIL lines each one makes those
+checks print.
 
 Each fault monkeypatches one production constant or function.  The
 pinned lines are those the checks print with every relation formed on
@@ -12,10 +13,11 @@ operator built before or under it leaks across.
 zero for any matrix, so no operator fault can fail it.
 """
 
+import numpy as np
 import pytest
 
-from asep2 import qsym
-from asep2.duality import check_duality
+from asep2 import duality, measures, qsym
+from asep2.duality import check_duality, check_sum_rules
 from asep2.lattice import A, VACANT, left_counts
 from asep2.qring import Q, q_number
 from asep2.qsym import (
@@ -67,9 +69,30 @@ def _embedding_dressed(monkeypatch):
     monkeypatch.setattr(qsym, "site_embed", dressed)
 
 
+def _skewed_weight(monkeypatch):
+    # the reversible weight times q**N: H conserves N, so D H = H^T D and
+    # each sum-rule side survive, and only the sides' agreement breaks
+    real = measures.pi_exponent
+    monkeypatch.setattr(measures, "pi_exponent", lambda occ: real(occ) + occ.count(A))
+
+
+def _q_exponent_off(monkeypatch):
+    # Q_z one q-power off where z holds an A at site -L+1; the exact
+    # duality products do not read q_exponents, so only the brute-force
+    # side of rows-S-vs-Qhat moves
+    real = duality.q_exponents
+
+    def off(z_rows, eta_rows):
+        exponent, keep = real(z_rows, eta_rows)
+        return exponent + (np.asarray(z_rows)[:, :1] == A), keep
+
+    monkeypatch.setattr(duality, "q_exponents", off)
+
+
 ALGEBRA = (check_algebra_relations, (1, 2))
 CONJUGATION = (check_conjugation_lemma, (1, 2))
 DUALITY = (check_duality, (1, 2))
+SUM_RULES = (check_sum_rules, (1, 2))
 
 # fault -> (the checks and sizes it runs, the FAIL lines they print)
 FAULTS = {
@@ -163,6 +186,24 @@ FAULTS = {
             "L1:embed-commute FAIL ('a+', 0, 'a+', 1)",
             "L2:projector-eigenvalue FAIL (0, 'AAAA')",
             "L2:embed-commute FAIL ('a+', -1, 'a+', 0)",
+        ],
+    ),
+    "skewed reversible weight": (
+        _skewed_weight,
+        [DUALITY, SUM_RULES],
+        [
+            "L1:sum-rule-constancy FAIL sides disagree: source (1, 0), target (0, 0), "
+            "residual -1*q^-1 + 1*q^0 + -1*q^1 + 1*q^2",
+            "L2:sum-rule-constancy FAIL sides disagree: source (1, 0), target (0, 0), "
+            "residual -1*q^-3 + 1*q^-2 + -1*q^-1 + 1*q^0 + -1*q^1 + 1*q^2 + -1*q^3 + 1*q^4",
+        ],
+    ),
+    "Q exponent off at the first site": (
+        _q_exponent_off,
+        [DUALITY, SUM_RULES],
+        [
+            "L1:rows-S-vs-Qhat FAIL 0 0 1*q^0 + -1*q^1",
+            "L2:rows-S-vs-Qhat FAIL 0 0 1*q^0 + -1*q^1",
         ],
     ),
 }

@@ -35,7 +35,7 @@ from asep2.qring import LaurentPoly
 from asep2.qsym import build_Y_site, check_symmetry
 from asep2.reporting import Report
 
-from helpers import clear_caches, matrix_row, package_modules
+from helpers import clear_caches, coordinates, matrix_row, package_modules
 
 
 def _lowering_row(text: str, k: int) -> dict:
@@ -211,21 +211,21 @@ class TestPositions:
     """The coordinate form of a Config: sorted A sites x, B sites y."""
 
     def test_ab(self):
-        c = Config.from_text("AB")
-        assert c.x == (0,) and c.y == (1,)
+        assert Config.from_coordinates(1, x=(0,), y=(1,)) == Config.from_text("AB")
 
     def test_vacant(self):
-        c = vacant_config(2)
-        assert c.x == () and c.y == ()
+        assert Config.from_coordinates(2) == vacant_config(2)
 
     def test_roundtrip_exhaustive(self):
         for L in (1, 2, 3):
             for c in all_configs(L):
-                assert Config.from_coordinates(L, c.x, c.y) == c
+                assert Config.from_coordinates(L, *coordinates(c)) == c
 
     def test_counts(self):
         for c in all_configs(2):
-            assert (len(c.x), len(c.y)) == (c.N, c.M)
+            x, y = coordinates(c)
+            made = Config.from_coordinates(2, x, y)
+            assert (made.N, made.M) == (len(x), len(y))
 
     def test_overlap_rejected(self):
         with pytest.raises(OverlappingCoordinates):
@@ -240,16 +240,20 @@ class TestPositions:
             Config.from_coordinates(2, y=(-2,))
 
     def test_sorted(self):
-        assert Config.from_coordinates(2, x=(2, -1)).x == (-1, 2)
+        # the order coordinates are given in does not matter
+        assert Config.from_coordinates(2, x=(2, -1)) == Config.from_coordinates(2, x=(-1, 2))
         for c in all_configs(2):
-            assert list(c.x) == sorted(c.x) and list(c.y) == sorted(c.y)
+            x, y = coordinates(c)
+            assert Config.from_coordinates(2, x[::-1], y[::-1]) == c
 
     def test_occupation_from_positions(self):
         # local occupations are sums of coordinate indicators
         for c in all_configs(2):
+            x, y = coordinates(c)
+            made = Config.from_coordinates(2, x, y)
             for k in sites(2):
-                assert (c.occ[k + c.L - 1] == A) == (k in c.x)
-                assert (c.occ[k + c.L - 1] == B) == (k in c.y)
+                assert (made.occ[k + c.L - 1] == A) == (k in x)
+                assert (made.occ[k + c.L - 1] == B) == (k in y)
 
 
 class TestTextForm:

@@ -40,7 +40,7 @@ from asep2.qsym import (
 )
 from asep2.sparse import SparseMatrix, commutator
 
-from helpers import matrix_row
+from helpers import coordinates, matrix_row
 
 
 def count_op(L: int, i: int) -> SparseMatrix:
@@ -105,7 +105,8 @@ class TestLadders:
             for r in sites(L):
                 row = matrix_row(build_Y_site(1, -1, r, L), zc.index)
                 if zc.occ[r + zc.L - 1] == VACANT:
-                    extended = Config.from_coordinates(L, zc.x + (r,), zc.y)
+                    x, y = coordinates(zc)
+                    extended = Config.from_coordinates(L, x + (r,), y)
                     centred = 2 * count_left(zc.occ, r, A) - zc.N
                     expect = {extended.index: LaurentPoly.q_power(-centred)}
                     assert row == expect
