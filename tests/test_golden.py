@@ -33,6 +33,26 @@ DUMP_SHA256 = [
     (["dump-symmetry", "--L", "2"], "0bb2f9aec686b764d35af2f61cd28d1ae4e202ea286dd96ac81098affaa0b341"),
     (["dump-symmetry", "--L", "3"], "2229fca341f128cf89aa17b26c4d0e78c3421cabe774c21612708d2b2665e006"),
     (["dump-generator", "--L", "3"], "af9688e8fe161fed453ba07ab5338f4688187155eac77693228ed9a75dbb984b"),
+    (
+        ["measure", "canonical", "--N", "1", "--M", "1", "--ring", "float"],
+        "864a68ec4814da667e743b00b00b907077cbeafbb5b8aa4b2a2c85a2b61bbaaf",
+    ),
+    (
+        ["measure", "canonical", "--L", "3", "--N", "2", "--M", "2", "--ring", "float"],
+        "3f85f4e01c7dd9a9d2fa09d0da85a40132ff44b4819182371dfe908432b5abc2",
+    ),
+    (
+        ["measure", "grandcanonical", "--nu", "0.3", "--mu", "-0.7"],
+        "466b600c423231115adcc1f63cb23d5d4967782a6b5050d774e7449e35d28794",
+    ),
+    (
+        ["measure", "pure", "--species", "B", "--mu", "0.5"],
+        "6cd0dab2f1faeeb252d029b6fb06f0fd9493f47a16bcd5fc379ca6864875c3ae",
+    ),
+    (
+        ["measure", "pure", "--L", "3", "--nu", "1"],
+        "04969dd41371a63128f3f79511309d5079d278e227f2b23586b546906dfbaf5b",
+    ),
 ]
 
 # SHA-256 of the sum-rule CSV written by `verify duality --L 2 --lambda-out`
