@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import A, B, VACANT, encode, left_counts, occupations, vacant_config
-from .measures import pi_hat
+from .measures import pi_hat, q_powers
 from .qring import ZERO, LaurentPoly, exact_div, q_factorial, q_multinomial
 from .reporting import Report, matrices_equal, matrix_is_zero
 from .sparse import SparseMatrix, commutator, matrix_sum, product_difference
@@ -69,12 +69,10 @@ def q_exponents(z_rows, eta_rows) -> tuple[np.ndarray, np.ndarray]:
 
 def q_values(z_rows, eta_rows, q0: float) -> np.ndarray:
     """Q_z(eta) in floats as a [z, eta] array, from int8 occupation rows:
-    `q_exponents` with each distinct exponent e evaluated once, as the
-    Python float q0**e."""
+    `q_exponents` evaluated by `measures.q_powers`."""
     exponent, keep = q_exponents(z_rows, eta_rows)
     out = np.zeros(exponent.shape)
-    powers, inverse = np.unique(exponent[keep], return_inverse=True)
-    out[keep] = np.array([q0 ** e for e in powers.tolist()])[inverse]
+    out[keep] = q_powers(exponent[keep], q0)
     return out
 
 
@@ -293,8 +291,13 @@ def check_duality(L: int) -> Report:
         commutator(build_Y(1, -1, L), build_Y(2, +1, L)),
     )
 
+    # the vacuum row is one slice of S's sorted rows; an entry is 1 iff its
+    # column holds one term and it is q^0, so a q^0 term scores 1, any other 2
     vacuum = vacant_config(L).index
-    report.check(f"L{L}:S-vacuum-row", [c for c in range(dim) if S.get(vacuum, c) != 1])
+    lo, hi = np.searchsorted(S.row, (vacuum, vacuum + 1))
+    other = (S.h[lo:hi] != 0) | (S.coeff[lo:hi] != 1)
+    score = np.bincount(S.col[lo:hi], 1 + other, minlength=dim)
+    report.check(f"L{L}:S-vacuum-row", np.flatnonzero(score != 1)[:1].tolist())
 
     # Q_z(eta) by brute force over every pair: row z of S is Q_z
     occ = occupations(L)

@@ -11,10 +11,11 @@ There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows with rates from `generator.rate_table`.
 Block b draws from the counter-based Philox stream keyed (seed, b)
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
-so a run depends only on (seed, trajectories).  Final rows are counted
-by their `lattice.encode` codes.  Dual coordinate sets z are `Config`s
-of the same lattice; the moments of Q_z are taken over occupation rows
-by `duality.q_values`.
+so a run depends only on (seed, trajectories).  The initial law p0 is a
+float `measures.Measure`, read as its rows and weights; final rows are
+counted by their `lattice.encode` codes.  Dual coordinate sets z are
+`Config`s of the same lattice; the moments of Q_z are taken over
+occupation rows by `duality.q_values`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 
 import numpy as np
 
@@ -231,13 +231,6 @@ def evolve_vector(op: SparseMatrix, v, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
-def _support_arrays(p0: Measure) -> tuple[np.ndarray, np.ndarray]:
-    """Occupations of p0's support as int8 rows in basis order, and their
-    float weights."""
-    configs = sorted(p0.support(), key=attrgetter("index"))
-    return config_rows(configs), np.array([float(p0.weights[c]) for c in configs])
-
-
 def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelParams):
     """Final occupations of `trajectories` paths, one (n, 2L) int8 array per block.
 
@@ -247,8 +240,7 @@ def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelP
     are sorted by proposal count; at step k the last alive[k] rows propose,
     one bond each, so each writes back its own two sites, exchanged or not.
     """
-    starts, weights = _support_arrays(p0)
-    cdf = np.cumsum(weights)
+    cdf = np.cumsum(p0.weights)
     if not math.isclose(cdf[-1], 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValueError("initial distribution must be normalised")
     top = float(max(p.r, p.ell))
@@ -259,7 +251,7 @@ def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelP
     for b, first in enumerate(range(0, trajectories, BLOCK)):
         n = min(BLOCK, trajectories - first)
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
-        occ = starts[np.searchsorted(cdf[:-1], rng.random(n), side="right")]
+        occ = p0.rows[np.searchsorted(cdf[:-1], rng.random(n), side="right")]
         proposals = np.sort(rng.poisson(lam_t, n))
         alive = n - np.searchsorted(proposals, np.arange(proposals[-1]), side="right")
         flat = occ.reshape(-1)
@@ -351,11 +343,10 @@ def _by_sector(rows: np.ndarray, p: ModelParams):
 def law_at(p0: Measure, t: float, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of eta_t as sector-table rows and their probabilities:
     each sector's part of p0 evolved by `evolve_vector`."""
-    starts, weights = _support_arrays(p0)
     rows, probs = [], []
-    for sector, table, at, held in _by_sector(starts, p):
+    for sector, table, at, held in _by_sector(p0.rows, p):
         v = np.zeros(len(table))
-        v[at] = weights[held]
+        v[at] = p0.weights[held]
         rows.append(table)
         probs.append(evolve_vector(sector_generator(p, sector), v, t))
     return np.concatenate(rows), np.concatenate(probs)
@@ -368,10 +359,9 @@ def duality_rhs(zs: list[Config], p0: Measure, t: float, p: ModelParams) -> list
     evolved as a law of those sectors: the expectation propagates through
     the dynamics of N(z) + M(z) particles only, one series per sector.
     """
-    starts, weights = _support_arrays(p0)
     z_rows = config_rows(zs)
     out = np.empty(len(zs))
     for sector, table, at, held in _by_sector(z_rows, p):
-        means = q_moments(table, starts, weights, p.q0)[0]
+        means = q_moments(table, p0.rows, p0.weights, p.q0)[0]
         out[held] = evolve_vector(sector_generator(p, sector), means, t)[at]
     return out.tolist()

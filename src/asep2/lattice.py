@@ -14,8 +14,8 @@ Every full-basis matrix lives on the 3^(2L) configurations in ternary
 order, site -L+1 the least significant digit.  `encode` and `decode` are
 the one base-3 codec (exact in int64 up to CODE_MAX_L); the array
 builders read the int8 tables `occupations(L)` and `sector_occupations`,
-whose `Config` views `all_configs(L)` and `enumerate_sector` serve text,
-measure keys and FAIL details.
+whose `Config` views `all_configs(L)` and `enumerate_sector` serve text
+and FAIL details.
 
 The left count has one table, `left_count_table(L, species)`: `count_left`
 of every set of sites holding a species, indexed by the set's bitmask.

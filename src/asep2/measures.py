@@ -1,38 +1,37 @@
 """Reversible, canonical, grandcanonical and pure measures of the process.
 
 The unnormalised reversible weight of a configuration is a pure power of
-q whose exponent combines a (2k-1)-weighted species asymmetry with a
-cross-species ordering term.  Restricted to a particle-number sector and
-divided by the Gaussian trinomial it is the unique invariant measure of
-the sector; fugacity mixtures over sectors give the grandcanonical
-family, whose single-species limits are product measures with
-tanh-shaped density profiles.
+q whose exponent (`pi_exponents`, over occupation rows) combines a
+(2k-1)-weighted species asymmetry with a cross-species ordering term.
+Restricted to a particle-number sector and divided by the Gaussian
+trinomial it is the unique invariant measure of the sector; fugacity
+mixtures over sectors give the grandcanonical family, whose
+single-species limits are product measures with tanh-shaped density
+profiles.  A `Measure` holds occupation rows and one weight per row.
 
-Exact identities (detailed balance, partition-function evaluation) are
-kept in the ring; probabilities appear only after substituting a numeric
-q0.
+Exact identities (detailed balance, partition functions, sector
+uniqueness) are kept in the ring; probabilities appear only after
+substituting a numeric q0.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .generator import ModelParams, Ring, build_H_sector
+from .generator import ModelParams, Ring, build_H, build_H_sector
 from .lattice import (
     A,
     B,
     Config,
     Sector,
-    all_configs,
+    config_rows,
     encode,
-    enumerate_sector,
     occupations,
     sector_occupations,
     sites,
@@ -45,7 +44,6 @@ from .sparse import SparseMatrix, product_difference
 # grid and tolerances of the float checks
 CHEM_POTS = (-1.0, 0.0, 1.0)  # chemical potentials nu, mu
 SHOCK_QS = (Fraction(2), Fraction(6, 5))
-KERNEL_TOL = 1e-10
 STATIONARY_TOL = 1e-12
 SHOCK_TOL = 1e-10
 
@@ -55,50 +53,59 @@ class DegenerateWidth(ValueError):
 
 
 class Measure:
-    """Weights over configurations.
-
-    Exact measures keep ring-valued weights with the partition function
-    stored separately; normalisation happens only at evaluation time.
+    """Weights over occupation rows: int8 `rows` in basis order (the
+    constructor sorts them) and one weight per row, an int64 q-exponent in
+    an exact measure (its partition function stored apart) or a float.
+    Both arrays are read-only; normalisation happens at evaluation time.
     """
 
-    def __init__(self, L, weights, partition=None):
-        self.L = L
-        self.weights = dict(weights)
+    def __init__(self, rows, weights, partition=None):
+        rows = np.asarray(rows, dtype=np.int8)
+        order = np.argsort(encode(rows))
+        self.rows, self.weights = rows[order], np.asarray(weights)[order]
+        self.rows.flags.writeable = self.weights.flags.writeable = False
         self.partition = partition
 
-    def support(self):
-        return self.weights.keys()
+    @property
+    def L(self) -> int:
+        return self.rows.shape[1] // 2
 
-    def items(self):
-        return self.weights.items()
+    @property
+    def exact(self) -> bool:
+        return self.weights.dtype.kind == "i"
 
-    def as_vector(self, order) -> np.ndarray:
-        return np.array([float(self.weights.get(c, 0.0)) for c in order])
+    @cached_property
+    def _positions(self) -> dict:
+        """The position of each row, keyed by its occupation tuple."""
+        return {occ: i for i, occ in enumerate(map(tuple, self.rows.tolist()))}
 
     def probability(self, c: Config, q0: float | None = None) -> float:
-        w = self.weights.get(c)
-        if w is None:
+        i = self._positions.get(c.occ)
+        if i is None:
             return 0.0
-        if isinstance(w, LaurentPoly):
-            if q0 is None:
-                raise ValueError("q0 required for exact weights")
-            z = self.partition.eval(q0) if self.partition is not None else 1.0
-            return w.eval(q0) / z
-        return float(w)
+        if not self.exact:
+            return float(self.weights[i])
+        if q0 is None:
+            raise ValueError("q0 required for exact weights")
+        z = self.partition.eval(q0) if self.partition is not None else 1.0
+        return q0 ** int(self.weights[i]) / z
 
     def normalize(self, q0: float | None = None) -> "Measure":
-        """Float measure with weights summing to one."""
-        vals = {}
-        for c, w in self.weights.items():
-            vals[c] = w.eval(q0) if isinstance(w, LaurentPoly) else float(w)
-        total = sum(vals.values())
+        """Float measure with weights summing to one, summed in row order."""
+        if self.exact:
+            if q0 is None:
+                raise ValueError("q0 required for exact weights")
+            values = q_powers(self.weights, q0)
+        else:
+            values = self.weights.astype(np.float64)
+        total = sum(values.tolist())
         if total <= 0:
             raise ValueError("cannot normalise a vanishing measure")
-        return Measure(self.L, {c: v / total for c, v in vals.items()})
+        return Measure(self.rows, values / total)
 
     @classmethod
     def point_mass(cls, c: Config) -> "Measure":
-        return cls(c.L, {c: 1.0})
+        return cls(config_rows([c]), np.ones(1))
 
 
 # ---------------------------------------------------------------------
@@ -106,27 +113,21 @@ class Measure:
 # ---------------------------------------------------------------------
 
 
-def pi_exponent(occ) -> int:
-    """Exponent of the reversible q-power weight of an occupation sequence.
-
-    An A at site k adds 2k - 1 minus the B count to its left, a B at k
-    adds the A count to its left minus (2k - 1).
-    """
-    L = len(occ) // 2
-    e = left_a = left_b = 0
-    for i, s in enumerate(occ):
-        odd = 2 * (i - L) + 1  # 2k - 1 at site k = i - L + 1
-        if s == A:
-            e += odd - left_b
-            left_a += 1
-        elif s == B:
-            e += left_a - odd
-            left_b += 1
-    return e
+def pi_exponents(rows) -> np.ndarray:
+    """Exponent of the reversible q-power weight of each row of an (n, 2L)
+    occupation table: an A at site k adds 2k - 1 minus the B count to its
+    left, a B at k the A count to its left minus (2k - 1)."""
+    a, b = rows == A, rows == B
+    odd = 2 * np.arange(rows.shape[1]) + 1 - rows.shape[1]  # 2k - 1 at each site k
+    left_a, left_b = np.cumsum(a, axis=1) - a, np.cumsum(b, axis=1) - b
+    return (a * (odd - left_b) + b * (left_a - odd)).sum(axis=1)
 
 
-def pi_unnormalized(c: Config) -> LaurentPoly:
-    return LaurentPoly.q_power(pi_exponent(c.occ))
+def q_powers(exponents, q0: float) -> np.ndarray:
+    """q0**e for each e of an integer array, each exponent from the least to
+    the greatest evaluated once as the Python float q0**e."""
+    lo, hi = int(exponents.min(initial=0)), int(exponents.max(initial=0))
+    return np.array([q0**e for e in range(lo, hi + 1)])[exponents - lo]
 
 
 # ---------------------------------------------------------------------
@@ -134,25 +135,25 @@ def pi_unnormalized(c: Config) -> LaurentPoly:
 # ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def canonical(sector: Sector) -> Measure:
-    """Unique invariant measure of a sector, unnormalised in the ring.
+    """Unique invariant measure of a sector, unnormalised in the ring
+    (cached: a Measure is immutable, so callers share it).
 
     The stored partition function is the Gaussian trinomial; the
     brute-force weight sum over the sector must reproduce it exactly,
     which the verification suite checks.
     """
-    weights = {c: pi_unnormalized(c) for c in enumerate_sector(sector)}
+    rows = sector_occupations(sector)
     return Measure(
-        sector.L, weights, partition=q_multinomial(2 * sector.L, sector.N, sector.M)
+        rows, pi_exponents(rows), partition=q_multinomial(2 * sector.L, sector.N, sector.M)
     )
 
 
 def sector_weight_sum(sector: Sector) -> LaurentPoly:
-    """Brute-force sum of reversible weights over a sector (test oracle)."""
-    total = LaurentPoly.zero()
-    for c in enumerate_sector(sector):
-        total = total + pi_unnormalized(c)
-    return total
+    """Sum of the reversible weights over a sector: its moment of the
+    empty site tuple."""
+    return ring_moments(sector, [()], A)[0]
 
 
 def _top_exponent(L: int, *chem_pots: float) -> float:
@@ -171,9 +172,7 @@ def grandcanonical(nu: float, mu: float, p: ModelParams) -> Measure:
     is the pure A measure and grandcanonical(-inf, mu, p) the pure B one.
     """
     weights, support = _grandcanonical_weights(nu, mu, p)
-    configs = all_configs(p.L)
-    held = np.flatnonzero(support).tolist()
-    return Measure(p.L, {configs[i]: w for i, w in zip(held, weights[held].tolist())})
+    return Measure(occupations(p.L)[support], weights[support])
 
 
 def _grandcanonical_weights(
@@ -183,8 +182,9 @@ def _grandcanonical_weights(
     mask of its support (0.0 weight outside it).
 
     Each weight is e^(nu N + mu M - shift) q0**pi_exponent / y with the two
-    powers taken as Python floats, one per sector and one per exponent, so
-    the array holds the same floats as a loop over configurations would.
+    powers taken as Python floats, one per sector and one per exponent
+    (`q_powers`), so the array holds the same floats as a loop over
+    configurations would.
     """
     q0 = p.q0
     shift = _top_exponent(p.L, nu, mu)
@@ -198,10 +198,8 @@ def _grandcanonical_weights(
         for b in range(size - a):
             e = fugacity_exponent(nu, a) + fugacity_exponent(mu, b)
             exponent[a, b], fugacity[a, b] = e, math.exp(e - shift)
-    pi = _pi_exponents(p.L)
-    lo = int(pi.min())
-    powers = np.array([q0**e for e in range(lo, int(pi.max()) + 1)])
-    return fugacity[n, m] * powers[pi - lo] / y, exponent[n, m] > -math.inf
+    powers = q_powers(pi_exponents(occ), q0)
+    return fugacity[n, m] * powers / y, exponent[n, m] > -math.inf
 
 
 def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
@@ -209,15 +207,15 @@ def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
     q0 = p.q0
     shift = _top_exponent(p.L, nu, mu)
     y = rogers_szego_y(2 * p.L, nu, mu, q0, shift)
-    weights: dict = {}
+    rows, weights = [], []
     for n in range(2 * p.L + 1):
         for m in range(2 * p.L - n + 1):
-            sector = Sector(p.L, n, m)
-            z = q_multinomial(2 * p.L, n, m).eval(q0)
+            part = canonical(Sector(p.L, n, m))
+            z = part.partition.eval(q0)
             coeff = math.exp(nu * n + mu * m - shift) * z / y
-            for c, w in canonical(sector).items():
-                weights[c] = coeff * w.eval(q0) / z
-    return Measure(p.L, weights)
+            rows.append(part.rows)
+            weights.append(coeff * q_powers(part.weights, q0) / z)
+    return Measure(np.concatenate(rows), np.concatenate(weights))
 
 
 # ---------------------------------------------------------------------
@@ -275,18 +273,10 @@ def shock_profile(species: int, chem_pot: float, p: ModelParams) -> ShockProfile
 
 
 @lru_cache(maxsize=None)
-def _pi_exponents(L: int) -> np.ndarray:
-    """`pi_exponent` of every basis row, as a read-only int64 array in basis order."""
-    exponents = np.array([pi_exponent(row) for row in occupations(L).tolist()], dtype=np.int64)
-    exponents.flags.writeable = False
-    return exponents
-
-
-@lru_cache(maxsize=None)
 def pi_hat(L: int, power: int = 1) -> SparseMatrix:
     """Diagonal matrix of reversible weights on the full basis, to `power`:
-    the monomials q**(power * pi_exponent)."""
-    return SparseMatrix.monomial_diagonal(2 * power * _pi_exponents(L))
+    the monomials q**(power * pi_exponents)."""
+    return SparseMatrix.monomial_diagonal(2 * power * pi_exponents(occupations(L)))
 
 
 def check_reversibility(H: SparseMatrix, L: int) -> Report:
@@ -323,74 +313,91 @@ def check_partition_functions(L: int) -> Report:
     return report
 
 
-def stationary_vector(op: SparseMatrix) -> np.ndarray:
-    """Normalised kernel vector of a float sector generator.
-
-    Solves the rate equations with one row replaced by the normalisation
-    (LU with partial pivoting underneath); the caller checks residuals.
-    """
-    a = op.to_numpy()
-    n = a.shape[0]
-    if n == 1:
-        return np.ones(1)
-    system = a.copy()
-    system[0, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    return np.linalg.solve(system, rhs)
-
-
 def check_uniqueness(p: ModelParams) -> Report:
-    """Each sector kernel is one-dimensional and canonical."""
+    """Each sector's invariant measure is unique and canonical, decided
+    exactly sector by sector (`check_sector_uniqueness`)."""
     report = Report()
-    L, q0 = p.L, p.q0
-    for n in range(2 * L + 1):
-        for m in range(2 * L - n + 1):
-            sector = Sector(L, n, m)
-            op = build_H_sector(p, sector, Ring.FLOAT)
-            a = op.to_numpy()
-            size = sector.size
-            rank = int(np.linalg.matrix_rank(a))
-            report.check(
-                f"L{L}:kernel-dimension-N{n}-M{m}",
-                [] if rank == size - 1 else [f"rank {rank} of {size}"],
-            )
-            vec = stationary_vector(op)
-            residual = float(np.max(np.abs(a @ vec))) if size > 1 else 0.0
-            mu = canonical(sector)
-            probs = np.array(
-                [mu.probability(c, q0) for c in enumerate_sector(sector)]
-            )
-            diff = float(np.max(np.abs(vec - probs)))
-            report.check(
-                f"L{L}:kernel-matches-canonical-N{n}-M{m}",
-                [] if residual < KERNEL_TOL and diff < KERNEL_TOL
-                else [f"residual {residual:g} diff {diff:g}"],
-            )
+    for n in range(2 * p.L + 1):
+        for m in range(2 * p.L - n + 1):
+            report.extend(check_sector_uniqueness(p, Sector(p.L, n, m)))
+    return report
+
+
+def _reached(dim: int, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """The mask of the rows reached from row 0 by moves src -> tgt: a
+    frontier search, one sparse step per round."""
+    reached = frontier = np.arange(dim) == 0
+    while frontier.any():
+        frontier = (np.bincount(tgt[frontier[src]], minlength=dim) > 0) & ~reached
+        reached = reached | frontier
+    return reached
+
+
+def check_sector_uniqueness(p: ModelParams, sector: Sector) -> Report:
+    """The exact sector generator H has a one-dimensional kernel spanned by
+    `canonical(sector)`.
+
+    kernel-dimension: every row reaches the first row along H's
+    off-diagonal terms and is reached from it, so the chain is
+    irreducible and, by Perron-Frobenius, H's kernel is one-dimensional.
+    kernel-matches-canonical: H P = P H^T for the canonical weights P and
+    1^T H = 0, which give H pi = 0.  Each residual is one normal-form
+    reduction of H's terms: c q^h at (r, s) adds c q^(h + pi_s) to H P at
+    (r, s) and to P H^T at (s, r), and c q^h to 1^T H at (0, s).
+    """
+    report = Report()
+    tag = f"L{sector.L}:kernel-%s-N{sector.N}-M{sector.M}"
+    H = build_H_sector(p, sector, Ring.EXACT)
+    dim, row, col = H.dim, H.row, H.col
+    off = row != col
+    apart = np.flatnonzero(
+        ~(_reached(dim, col[off], row[off]) & _reached(dim, row[off], col[off]))
+    )
+    rows = sector_occupations(sector)
+
+    def text(j: int) -> str:
+        return Config(sector.L, rows[j].tolist()).text()
+
+    report.check(
+        tag % "dimension",
+        [f"{text(j)} does not communicate with {text(0)}" for j in apart[:1].tolist()],
+    )
+    h = H.h + 2 * canonical(sector).weights[col]
+    balance = SparseMatrix.from_arrays(
+        dim, np.append(row, col), np.append(col, row), np.append(h, h), np.append(H.coeff, -H.coeff)
+    )
+    sums = SparseMatrix.from_arrays(dim, 0 * col, col, H.h, H.coeff)
+    bad = []
+    for name, residual in (("detailed balance", balance), ("column sums", sums)):
+        if not residual.is_zero():
+            (r, c), v = residual.first_entry()
+            bad.append(f"{name} {r} {c} {v}")
+    report.check(tag % "matches-canonical", bad)
     return report
 
 
 def check_grandcanonical_stationarity(p: ModelParams) -> Report:
-    """Fugacity mixtures are killed by the float generator, grid-wise.
+    """Fugacity mixtures are killed by the float generator, grid-wise: the
+    sparse product H w is one `np.bincount` over H's terms.
 
     Also checks that the direct weights and the sector-by-sector mixture
     assemble to the same measure.
     """
-    from .generator import build_H
-
     report = Report()
-    H = build_H(p, Ring.FLOAT).to_numpy()
-    order = all_configs(p.L)
+    H = build_H(p, Ring.FLOAT)
     for nu in CHEM_POTS:
         for mu in CHEM_POTS:
             vec = _grandcanonical_weights(nu, mu, p)[0]
-            residual = float(np.max(np.abs(H @ vec)))
+            residual = np.bincount(H.row, H.coeff * vec[H.col], minlength=H.dim)
+            worst = float(np.max(np.abs(residual)))
             report.check(
                 f"L{p.L}:grandcanonical-stationary-nu{nu:g}-mu{mu:g}",
-                [] if residual < STATIONARY_TOL else [f"residual {residual:g}"],
+                [] if worst < STATIONARY_TOL else [f"residual {worst:g}"],
             )
-            mix = grandcanonical_mixture(nu, mu, p).as_vector(order)
-            gap = float(np.max(np.abs(mix - vec)))
+            mix = grandcanonical_mixture(nu, mu, p)
+            mix_vec = np.zeros(H.dim)
+            mix_vec[encode(mix.rows)] = mix.weights
+            gap = float(np.max(np.abs(mix_vec - vec)))
             report.check(
                 f"L{p.L}:grandcanonical-mixture-form-nu{nu:g}-mu{mu:g}",
                 [] if gap < STATIONARY_TOL else ["forms disagree"],
@@ -462,18 +469,14 @@ def ring_moments(sector: Sector, site_tuples, species: int) -> list[LaurentPoly]
     per site tuple: the reversible weights summed over the sector's
     configurations with `species` at every site of the tuple.
 
-    One pass over the sector's occupation rows and their `pi_exponent`s;
+    One pass over the sector's occupation rows and their `pi_exponents`;
     callers compare moments across sectors by cross-multiplication with
     the partition functions, without division.
     """
     rows = sector_occupations(sector)
-    half_exponents = 2 * _pi_exponents(sector.L)[encode(rows)]
-    held = rows == species
-    moments = []
-    for sites_tuple in site_tuples:
-        hit = held[:, [k + sector.L - 1 for k in sites_tuple]].all(axis=1)
-        moments.append(from_terms(dict(Counter(half_exponents[hit].tolist()))))
-    return moments
+    half_exponents, held = 2 * pi_exponents(rows), rows == species
+    hits = (held[:, [k + sector.L - 1 for k in tup]].all(axis=1) for tup in site_tuples)
+    return [from_terms(dict(Counter(half_exponents[hit].tolist()))) for hit in hits]
 
 
 # ---------------------------------------------------------------------
@@ -488,12 +491,9 @@ def write_profile_csv(fh, rows) -> None:
 
 
 def write_measure_csv(fh, measure: Measure) -> None:
+    """One line per row, in basis order: the configuration's text and its
+    weight, the monomial q**e of an exact measure or a float's repr."""
     fh.write("config,weight\n")
-    configs = list(measure.support())
-    # in basis order, every row encoded at once
-    rows = np.fromiter(itertools.chain.from_iterable(c.occ for c in configs), np.int8)
-    for i in np.argsort(encode(rows.reshape(len(configs), -1))):
-        c = configs[i]
-        w = measure.weights[c]
-        text = str(w) if isinstance(w, LaurentPoly) else repr(float(w))
-        fh.write(f"{c.text()},{text}\n")
+    show = (lambda e: str(LaurentPoly.q_power(e))) if measure.exact else repr
+    for row, w in zip(measure.rows.tolist(), measure.weights.tolist()):
+        fh.write(f"{Config(measure.L, row).text()},{show(w)}\n")

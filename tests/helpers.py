@@ -1,5 +1,5 @@
-"""Shared test helpers, and a reference generator and duality function
-independent of the package's occupation tables."""
+"""Shared test helpers, and a reference generator, duality function and
+reversible weight independent of the package's occupation tables."""
 
 import itertools
 import sys
@@ -83,3 +83,21 @@ def reference_q(z, eta) -> LaurentPoly:
         left, right = eta.occ[:i].count(s), eta.occ[i + 1 :].count(s)
         e += left - right if s == A else right - left
     return LaurentPoly.q_power(e)
+
+
+def pi_exponent(occ) -> int:
+    """Exponent of the reversible q-power weight of one occupation
+    sequence, by a loop over its sites: an A at site k adds 2k - 1 minus
+    the B count to its left, a B at k adds the A count to its left minus
+    (2k - 1)."""
+    L = len(occ) // 2
+    e = left_a = left_b = 0
+    for i, s in enumerate(occ):
+        odd = 2 * (i - L) + 1  # 2k - 1 at site k = i - L + 1
+        if s == A:
+            e += odd - left_b
+            left_a += 1
+        elif s == B:
+            e += left_a - odd
+            left_b += 1
+    return e

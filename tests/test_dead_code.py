@@ -19,7 +19,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "asep2"
 ALLOWLIST: dict[str, str] = {
     "evolve": (
         "full kernels for the kernel tests and the benchmark's kernel-horizon "
-        "workload (ROADMAP item 3)"
+        "workload (ROADMAP item 13)"
+    ),
+    "Measure.probability": (
+        "`bench/workloads.py` `kernel_prepare`; leaves at the next benchmark PR, item 14"
+    ),
+    "enumerate_sector": (
+        "`bench/workloads.py` `kernel_prepare`; leaves at the next benchmark PR, item 14"
     ),
 }
 

@@ -203,8 +203,8 @@ class TestSumRule:
         # a reversible weight skewed by q**N keeps each side constant on
         # sectors (H conserves N) but makes the two disagree, visibly
         # instead of being averaged away
-        real = measures.pi_exponent
-        monkeypatch.setattr(measures, "pi_exponent", lambda occ: real(occ) + occ.count(A))
+        real = measures.pi_exponents
+        monkeypatch.setattr(measures, "pi_exponents", lambda rows: real(rows) + (rows == A).sum(1))
         assert self.not_constant(monkeypatch) == (
             "sides disagree: source (1, 0), target (0, 0), "
             "residual -1*q^-1 + 1*q^0 + -1*q^1 + 1*q^2"
@@ -213,8 +213,10 @@ class TestSumRule:
     def test_side_not_constant_is_surfaced(self, monkeypatch):
         # a weight or a duality product skewed where the configuration
         # holds an A at site -L+1 makes one side vary within a sector
-        real_pi, real_products = measures.pi_exponent, duality.duality_products
-        monkeypatch.setattr(measures, "pi_exponent", lambda occ: real_pi(occ) + (occ[0] == A))
+        real_pi, real_products = measures.pi_exponents, duality.duality_products
+        monkeypatch.setattr(
+            measures, "pi_exponents", lambda rows: real_pi(rows) + (rows[:, 0] == A)
+        )
         assert self.not_constant(monkeypatch) == (
             "left side depends on z: source (1, 1), target (0, 1), residual -1*q^0 + 1*q^1"
         )

@@ -432,7 +432,8 @@ class TestDualityRhs:
     def test_exact_law_closes_duality(self):
         # E Q_z(eta_t) under the exact law of eta_t, started from a mix of
         # two sectors, against the few-particle prediction
-        p0 = Measure(2, {Config.from_text("A0BA"): 0.25, Config.from_text("AB00"): 0.75})
+        starts = config_rows([Config.from_text("A0BA"), Config.from_text("AB00")])
+        p0 = Measure(starts, [0.25, 0.75])
         rows, weights = law_at(p0, 1.5, P2)
         assert len(np.unique(rows, axis=0)) == len(rows)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)

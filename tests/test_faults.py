@@ -1,6 +1,6 @@
 """Seeded faults in the operators behind the algebra, conjugation,
-duality and sum-rule checks, and the FAIL lines each one makes those
-checks print.
+duality, sum-rule and uniqueness checks, and the FAIL lines each one
+makes those checks print.
 
 Each fault monkeypatches one production constant or function.  The
 pinned lines are those the checks print with every relation formed on
@@ -13,12 +13,16 @@ operator built before or under it leaks across.
 zero for any matrix, so no operator fault can fail it.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from asep2 import duality, measures, qsym
 from asep2.duality import check_duality, check_sum_rules
-from asep2.lattice import A, VACANT, left_counts
+from asep2.generator import ModelParams, Ring
+from asep2.lattice import A, VACANT, left_counts, sector_occupations
+from asep2.measures import check_uniqueness
 from asep2.qring import Q, q_number
 from asep2.qsym import (
     A_MINUS,
@@ -28,6 +32,7 @@ from asep2.qsym import (
     check_conjugation_lemma,
 )
 from asep2.reporting import Report
+from asep2.sparse import SparseMatrix
 
 from helpers import clear_caches
 
@@ -72,8 +77,36 @@ def _embedding_dressed(monkeypatch):
 def _skewed_weight(monkeypatch):
     # the reversible weight times q**N: H conserves N, so D H = H^T D and
     # each sum-rule side survive, and only the sides' agreement breaks
-    real = measures.pi_exponent
-    monkeypatch.setattr(measures, "pi_exponent", lambda occ: real(occ) + occ.count(A))
+    real = measures.pi_exponents
+    monkeypatch.setattr(measures, "pi_exponents", lambda rows: real(rows) + (rows == A).sum(1))
+
+
+def _weight_off_at_first_site(monkeypatch):
+    # the reversible weight one q-power off where site -L+1 holds an A:
+    # detailed balance breaks on every bond move of that A
+    real = measures.pi_exponents
+    monkeypatch.setattr(measures, "pi_exponents", lambda rows: real(rows) + (rows[:, 0] == A))
+
+
+def _first_bond_dropped(monkeypatch):
+    # the exchange on the bond of sites -L+1 and -L+2 dropped from the
+    # exact sector generators, exit rates too, so column sums and detailed
+    # balance hold: site -L+1 never changes, and a sector whose first
+    # site can hold two states splits
+    real = measures.build_H_sector
+
+    def dropped(p, sector, ring=Ring.EXACT):
+        H = real(p, sector, ring)
+        rows = sector_occupations(sector)
+        moves = (H.row != H.col) & (rows[H.row, 0] != rows[H.col, 0])
+        r, c, h, x = H.row[moves], H.col[moves], H.h[moves], H.coeff[moves]
+        # each move's term and its share of the source's exit rate, undone
+        undo = SparseMatrix.from_arrays(
+            H.dim, np.append(r, c), np.append(c, c), np.append(h, h), np.append(-x, x)
+        )
+        return H + undo
+
+    monkeypatch.setattr(measures, "build_H_sector", dropped)
 
 
 def _q_exponent_off(monkeypatch):
@@ -93,6 +126,7 @@ ALGEBRA = (check_algebra_relations, (1, 2))
 CONJUGATION = (check_conjugation_lemma, (1, 2))
 DUALITY = (check_duality, (1, 2))
 SUM_RULES = (check_sum_rules, (1, 2))
+UNIQUENESS = (lambda L: check_uniqueness(ModelParams(L, Fraction(2), Fraction(1, 2))), (1, 2))
 
 # fault -> (the checks and sizes it runs, the FAIL lines they print)
 FAULTS = {
@@ -196,6 +230,44 @@ FAULTS = {
             "residual -1*q^-1 + 1*q^0 + -1*q^1 + 1*q^2",
             "L2:sum-rule-constancy FAIL sides disagree: source (1, 0), target (0, 0), "
             "residual -1*q^-3 + 1*q^-2 + -1*q^-1 + 1*q^0 + -1*q^1 + 1*q^2 + -1*q^3 + 1*q^4",
+        ],
+    ),
+    "reversible weight off at the first site": (
+        _weight_off_at_first_site,
+        [UNIQUENESS],
+        [
+            "L1:kernel-matches-canonical-N1-M0 FAIL detailed balance 1 0 -1*q^0 + 1*q^1",
+            "L1:kernel-matches-canonical-N1-M1 FAIL detailed balance 1 0 -1*q^0 + 1*q^1",
+            "L2:kernel-matches-canonical-N1-M0 FAIL detailed balance 3 2 -1*q^-2 + 1*q^-1",
+            "L2:kernel-matches-canonical-N1-M1 FAIL detailed balance 6 5 -1*q^0 + 1*q^1",
+            "L2:kernel-matches-canonical-N1-M2 FAIL detailed balance 5 4 -1*q^0 + 1*q^1",
+            "L2:kernel-matches-canonical-N1-M3 FAIL detailed balance 3 2 -1*q^-2 + 1*q^-1",
+            "L2:kernel-matches-canonical-N2-M0 FAIL detailed balance 2 1 -1*q^1 + 1*q^2",
+            "L2:kernel-matches-canonical-N2-M1 FAIL detailed balance 3 2 -1*q^2 + 1*q^3",
+            "L2:kernel-matches-canonical-N2-M2 FAIL detailed balance 2 1 -1*q^1 + 1*q^2",
+            "L2:kernel-matches-canonical-N3-M0 FAIL detailed balance 1 0 -1*q^2 + 1*q^3",
+            "L2:kernel-matches-canonical-N3-M1 FAIL detailed balance 1 0 -1*q^2 + 1*q^3",
+        ],
+    ),
+    "first bond dropped": (
+        _first_bond_dropped,
+        [UNIQUENESS],
+        [
+            "L1:kernel-dimension-N0-M1 FAIL 0B does not communicate with B0",
+            "L1:kernel-dimension-N1-M0 FAIL A0 does not communicate with 0A",
+            "L1:kernel-dimension-N1-M1 FAIL AB does not communicate with BA",
+            "L2:kernel-dimension-N0-M1 FAIL 0B00 does not communicate with B000",
+            "L2:kernel-dimension-N0-M2 FAIL 0BB0 does not communicate with BB00",
+            "L2:kernel-dimension-N0-M3 FAIL 0BBB does not communicate with BBB0",
+            "L2:kernel-dimension-N1-M0 FAIL A000 does not communicate with 000A",
+            "L2:kernel-dimension-N1-M1 FAIL 0B0A does not communicate with B00A",
+            "L2:kernel-dimension-N1-M2 FAIL 0BBA does not communicate with BB0A",
+            "L2:kernel-dimension-N1-M3 FAIL ABBB does not communicate with BBBA",
+            "L2:kernel-dimension-N2-M0 FAIL A00A does not communicate with 00AA",
+            "L2:kernel-dimension-N2-M1 FAIL 0BAA does not communicate with B0AA",
+            "L2:kernel-dimension-N2-M2 FAIL ABBA does not communicate with BBAA",
+            "L2:kernel-dimension-N3-M0 FAIL A0AA does not communicate with 0AAA",
+            "L2:kernel-dimension-N3-M1 FAIL ABAA does not communicate with BAAA",
         ],
     ),
     "Q exponent off at the first site": (

@@ -12,8 +12,11 @@ from asep2.lattice import (
     Config,
     Sector,
     all_configs,
+    config_rows,
     enumerate_sector,
+    occupations,
     sites,
+    vacant_config,
 )
 from asep2.measures import (
     DegenerateWidth,
@@ -24,45 +27,57 @@ from asep2.measures import (
     check_partition_functions,
     check_reversibility,
     check_shock_agreement,
+    check_sector_uniqueness,
     check_uniqueness,
     grandcanonical,
     grandcanonical_mixture,
-    pi_unnormalized,
+    pi_exponents,
     pure_marginal,
     ring_moments,
     sector_weight_sum,
     shock_profile,
-    stationary_vector,
     write_measure_csv,
     write_profile_csv,
 )
 from asep2.qring import LaurentPoly, q_multinomial
 
+from helpers import pi_exponent
+
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
+
+
+def weight(c: Config) -> LaurentPoly:
+    """The reversible weight of one configuration, from `pi_exponents`."""
+    return LaurentPoly.q_power(int(pi_exponents(config_rows([c]))[0]))
 
 
 class TestReversibleWeight:
     def test_vacant(self):
-        from asep2.lattice import vacant_config
-
-        assert pi_unnormalized(vacant_config(2)) == LaurentPoly.one()
+        assert weight(vacant_config(2)) == LaurentPoly.one()
 
     def test_single_bond(self):
-        assert pi_unnormalized(Config.from_text("A0")) == LaurentPoly.q_power(-1)
-        assert pi_unnormalized(Config.from_text("0A")) == LaurentPoly.q_power(1)
+        assert weight(Config.from_text("A0")) == LaurentPoly.q_power(-1)
+        assert weight(Config.from_text("0A")) == LaurentPoly.q_power(1)
 
     def test_detailed_balance_on_bond(self):
         # weight(A0) * r = weight(0A) * l = w, with r = w q and l = w/q
         q = LaurentPoly.q_power(1)
         qinv = LaurentPoly.q_power(-1)
-        left = pi_unnormalized(Config.from_text("A0")) * q
-        right = pi_unnormalized(Config.from_text("0A")) * qinv
+        left = weight(Config.from_text("A0")) * q
+        right = weight(Config.from_text("0A")) * qinv
         assert left == right == LaurentPoly.one()
 
     def test_single_a_from_positions(self):
         for x in sites(2):
             c = Config.from_coordinates(2, x=(x,))
-            assert pi_unnormalized(c) == LaurentPoly.q_power(2 * x - 1)
+            assert weight(c) == LaurentPoly.q_power(2 * x - 1)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_against_loop(self, L):
+        # every basis row against the loop over its sites
+        rows = occupations(L)
+        expected = [pi_exponent(row) for row in rows.tolist()]
+        assert pi_exponents(rows).tolist() == expected
 
 
 class TestCanonical:
@@ -89,30 +104,30 @@ class TestCanonical:
 
     def test_probabilities_sum_to_one(self):
         mu = canonical(Sector(2, 2, 1))
-        total = sum(mu.probability(c, 2.0) for c in mu.support())
+        total = sum(mu.probability(c, 2.0) for c in enumerate_sector(Sector(2, 2, 1)))
         assert total == pytest.approx(1.0, abs=1e-12)
+        assert mu.probability(vacant_config(2), 2.0) == 0.0
 
 
 class TestGrandcanonical:
     def test_normalised(self):
         mu = grandcanonical(0.0, 0.0, P2)
-        assert sum(mu.weights.values()) == pytest.approx(1.0, abs=1e-12)
+        assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_concentration_limit(self):
-        from asep2.lattice import vacant_config
-
         mu = grandcanonical(-40.0, -40.0, P2)
-        assert mu.weights[vacant_config(2)] == pytest.approx(1.0, abs=1e-10)
+        assert mu.probability(vacant_config(2)) == pytest.approx(1.0, abs=1e-10)
 
     def test_stationary(self):
         report = check_grandcanonical_stationarity(P2)
         assert report.passed, report.render()
 
     def test_mixture_form_equal(self):
-        order = all_configs(2)
-        direct = grandcanonical(0.4, -0.7, P2).as_vector(order)
-        mixture = grandcanonical_mixture(0.4, -0.7, P2).as_vector(order)
-        assert float(np.max(np.abs(direct - mixture))) < 1e-12
+        direct = grandcanonical(0.4, -0.7, P2)
+        mixture = grandcanonical_mixture(0.4, -0.7, P2)
+        assert np.array_equal(direct.rows, occupations(2))
+        assert np.array_equal(mixture.rows, occupations(2))
+        assert float(np.max(np.abs(direct.weights - mixture.weights))) < 1e-12
 
 
 class TestPureMeasures:
@@ -125,19 +140,15 @@ class TestPureMeasures:
 
     def test_product_factorisation(self):
         mu = grandcanonical(0.3, -math.inf, P2)
-        assert sum(mu.weights.values()) == pytest.approx(1.0, abs=1e-12)
+        assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        held = mu.rows == A
         for j in sites(2):
             for k in sites(2):
                 if j >= k:
                     continue
-                aj = sum(w for c, w in mu.items() if c.occ[j + c.L - 1] == A)
-                ak = sum(w for c, w in mu.items() if c.occ[k + c.L - 1] == A)
-                ajk = sum(
-                    w
-                    for c, w in mu.items()
-                    if c.occ[j + c.L - 1] == A and c.occ[k + c.L - 1] == A
-                )
-                assert ajk == pytest.approx(aj * ak, abs=1e-10)
+                aj, ak = held[:, j + 1], held[:, k + 1]
+                ajk = mu.weights[aj & ak].sum()
+                assert ajk == pytest.approx(mu.weights[aj].sum() * mu.weights[ak].sum(), abs=1e-10)
 
     def test_b_mirrors_a(self):
         for k in sites(2):
@@ -148,9 +159,9 @@ class TestPureMeasures:
     def test_support(self):
         # zero fugacity keeps exactly the configurations without that species
         mu = grandcanonical(-math.inf, 0.0, P2)
-        assert set(mu.support()) == {c for c in all_configs(2) if c.N == 0}
+        assert mu.rows.tolist() == [list(c.occ) for c in all_configs(2) if c.N == 0]
         mu = grandcanonical(0.0, -math.inf, P2)
-        assert set(mu.support()) == {c for c in all_configs(2) if c.M == 0}
+        assert mu.rows.tolist() == [list(c.occ) for c in all_configs(2) if c.M == 0]
 
     @pytest.mark.parametrize("chem", [-1e6, 700.0, 800.0, 1e6])
     def test_large_chemical_potentials(self, chem):
@@ -162,7 +173,7 @@ class TestPureMeasures:
             grandcanonical(chem, chem, P2),
             grandcanonical_mixture(chem, chem, P2),
         ):
-            weights = list(mu.weights.values())
+            weights = mu.weights.tolist()
             assert all(math.isfinite(w) for w in weights)
             assert sum(weights) == pytest.approx(1.0, abs=1e-12)
         for species in (A, B):
@@ -216,10 +227,27 @@ class TestUniqueness:
         assert report.passed, report.render()
 
     def test_stationary_vector_solves(self):
-        op = build_H_sector(P2, Sector(2, 1, 1), Ring.FLOAT)
-        vec = stationary_vector(op)
+        # the canonical probabilities are killed by the float generator
+        sector = Sector(2, 1, 1)
+        op = build_H_sector(P2, sector, Ring.FLOAT)
+        vec = canonical(sector).normalize(P2.q0).weights
         assert float(np.max(np.abs(op.to_numpy() @ vec))) < 1e-12
         assert vec.sum() == pytest.approx(1.0)
+
+    def test_every_sector_at_l5(self):
+        report = check_uniqueness(ModelParams(5, Fraction(2), Fraction(1, 2)))
+        assert len(report.results) == 2 * 66
+        assert report.passed, report.render()
+
+    def test_largest_sector_at_l19(self):
+        # (2, 1): the largest sector of L = 19 with at most 30,000 rows
+        sector = Sector(19, 2, 1)
+        assert sector.size == 25_308
+        report = check_sector_uniqueness(ModelParams(19, Fraction(2), Fraction(1, 2)), sector)
+        assert report.lines() == [
+            "RELATION L19:kernel-dimension-N2-M1 PASS",
+            "RELATION L19:kernel-matches-canonical-N2-M1 PASS",
+        ]
 
 
 class TestMomentIndependence:
@@ -239,7 +267,7 @@ class TestMomentIndependence:
                 expected = [
                     sum(
                         (
-                            pi_unnormalized(c)
+                            LaurentPoly.q_power(pi_exponent(c.occ))
                             for c in enumerate_sector(sector)
                             if all(c.occ[k + c.L - 1] == species for k in sites_tuple)
                         ),
@@ -262,9 +290,9 @@ class TestCsv:
         assert fh.getvalue() == "config,weight\n00,1*q^0\n"
 
     def test_measure_rows_in_basis_order(self):
-        # a support held in reverse order is written by basis index
+        # rows given in reverse order are written by basis index
         configs = all_configs(2)
         fh = io.StringIO()
-        write_measure_csv(fh, Measure(2, {c: 1.0 for c in reversed(configs)}))
+        write_measure_csv(fh, Measure(occupations(2)[::-1], np.ones(len(configs))))
         rows = [line.split(",")[0] for line in fh.getvalue().splitlines()[1:]]
         assert rows == [c.text() for c in configs]
