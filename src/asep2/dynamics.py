@@ -2,10 +2,13 @@
 
 The kernel exp(-H t) is a Poisson-weighted power series in the
 column-stochastic, entrywise nonnegative P = I - H/lam (uniformization),
-so no term cancels another.  `evolve` sums it at a scaled horizon and
-squares the dense result; `evolve_vector` applies the same series to one
-vector, a chunk of the scaled horizon at a time, with sparse products
-only.  The law of eta_t and the duality predictions take the vector path.
+so no term cancels another.  `evolve` sums the series in the symmetric
+S = D^-1 P D, D = diag(sqrt(pi)) for the reversible weights pi read off
+the generator's rates, filled from H's terms; it squares the dense result
+by x x^T products and transforms back.  `evolve_vector` applies the
+series in P to one vector, a chunk of the scaled horizon at a time, with
+one `np.bincount` over P's terms per product.  The law of eta_t and the
+duality predictions take the vector path.
 
 There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows with rates from `generator.rate_table`.
@@ -29,7 +32,7 @@ import numpy as np
 from .duality import q_values
 from .generator import ModelParams, Ring, build_H_sector, rate_table
 from .lattice import A, B, Config, Sector, config_rows, decode, encode, sector_occupations
-from .measures import Measure
+from .measures import Measure, spread
 from .sparse import SparseMatrix
 
 TAIL_TOL = 1e-14
@@ -37,6 +40,12 @@ SCALE_MU = 16.0  # largest rate-time product summed without squaring
 MAX_SQUARINGS = 10  # squarings the plan may add: lam t = 1e4 takes as many
 STORED_POWERS = 3  # powers of P kept by the Paterson-Stockmeyer series
 BLOCK = 4096  # trajectories per Philox stream
+# the cost of a dense product x x^T (BLAS syrk, one triangle) against a
+# general one (gemm): 0.56-0.61 at dim 140-560 on one thread
+SYRK_COST = 0.6
+# a reversible generator's rates meet Kolmogorov's criterion to this
+# relative tolerance, well above the rounding of the spread weights
+REVERSIBLE_TOL = 1e-10
 # the fixed numpy cost of one sparse product by P, counted in terms: about
 # 3 us a call against 4.5 ns a term (measured on sectors of L = 1..19)
 PRODUCT_CALL_TERMS = 700
@@ -73,25 +82,28 @@ def _scaled_horizon(lam_t: float) -> int:
     return max(0, math.ceil(math.log2(lam_t / SCALE_MU)))
 
 
-def _product_count(s: int, weights: list[float]) -> int:
-    """Dense products of `evolve` at s squarings: the powers P^2..P^p,
-    p = min(STORED_POWERS, len(weights)), the Horner steps in P^p, and s."""
+def _product_cost(s: int, weights: list[float]) -> float:
+    """Dense-product cost of `evolve` at s squarings, in general products:
+    P^2 and the s squarings are x x^T products at SYRK_COST each; the
+    powers P^3..P^p, p = min(STORED_POWERS, len(weights)), and the Horner
+    steps in P^p are general products at 1 each."""
     m = len(weights)
     p = min(STORED_POWERS, m)
-    return s + (p - 1) + (math.ceil(m / p) - 1)
+    syrk = s + (p > 1)
+    return SYRK_COST * syrk + max(0, p - 2) + (math.ceil(m / p) - 1)
 
 
 def _squaring_plan(lam_t: float) -> tuple[int, list[float]]:
-    """The squaring count s and the series weights at lam t/2^s that need
-    the fewest dense products, the fewer squarings on a tie.  Candidates
-    run from s0, the least s with lam t/2^s <= SCALE_MU, to
-    max(s0, MAX_SQUARINGS); the tail tolerance at s is TAIL_TOL/2^s."""
+    """The squaring count s and the series weights at lam t/2^s of the
+    least dense-product cost (`_product_cost`), the fewer squarings on a
+    tie.  Candidates run from s0, the least s with lam t/2^s <= SCALE_MU,
+    to max(s0, MAX_SQUARINGS); the tail tolerance at s is TAIL_TOL/2^s."""
     s0 = _scaled_horizon(lam_t)
     plans = [
         (s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s)))
         for s in range(s0, max(s0, MAX_SQUARINGS) + 1)
     ]
-    return min(plans, key=lambda plan: _product_count(*plan))
+    return min(plans, key=lambda plan: _product_cost(*plan))
 
 
 def _rate_time(lam: float, t: float) -> float:
@@ -105,12 +117,13 @@ def _rate_time(lam: float, t: float) -> float:
 
 
 def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
-    """sum_k weights[k] p^k by Paterson-Stockmeyer: Horner's rule in p^b
-    over blocks of b coefficients, b = min(STORED_POWERS, len(weights))."""
+    """sum_k weights[k] p^k for a symmetric p by Paterson-Stockmeyer:
+    Horner's rule in p^b over blocks of b coefficients,
+    b = min(STORED_POWERS, len(weights)); p^2 is formed as p p^T."""
     n = p.shape[0]
     powers = [p]
     while len(powers) < min(STORED_POWERS, len(weights)):
-        powers.append(powers[-1] @ p)
+        powers.append(p @ p.T if len(powers) == 1 else powers[-1] @ p)
     size = len(powers)
     blocks = [weights[i : i + size] for i in range(0, len(weights), size)]
     out = np.zeros_like(p)
@@ -126,38 +139,91 @@ def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
     return out
 
 
+def _exit_rates(op: SparseMatrix) -> tuple[np.ndarray, float]:
+    """The exit rates of a float generator, its diagonal, and lam, the
+    largest (0 when nothing moves)."""
+    on = op.row == op.col
+    exits = np.bincount(op.row[on], op.coeff[on], minlength=op.dim)
+    return exits, float(exits.max(initial=0.0))
+
+
+def _detailed_balance(op: SparseMatrix):
+    """The off-diagonal terms (row, col) of a float generator, with
+    sqrt(H_rc H_cr) for each, and sqrt(pi) for reversible weights pi read
+    off the rates: sqrt(pi_r/pi_c) = sqrt(H_rc/H_cr) along each term,
+    spread from the first row of each communicating class (weight 1) by
+    `measures.spread`.
+
+    ValueError when a term has no reverse of its sign, or when the rates
+    break Kolmogorov's criterion (a cycle's rate product differs from its
+    reverse's), seen as a term whose weights miss pi_c H_rc = pi_r H_cr
+    by more than REVERSIBLE_TOL relative."""
+    dim = op.dim
+    off = op.row != op.col
+    row, col, coeff = op.row[off], op.col[off], op.coeff[off]
+    keys, reverse = row * dim + col, col * dim + row  # keys ascend: normal form
+    at = np.minimum(np.searchsorted(keys, reverse), max(len(keys) - 1, 0))
+    back = np.where(keys[at] == reverse, coeff[at], 0.0)
+    one_way = np.flatnonzero(~(coeff * back > 0))
+    if len(one_way):
+        i = one_way[0]
+        raise ValueError(
+            f"not reversible: the term ({row[i]}, {col[i]}) has no reverse of its sign"
+        )
+    gain = np.sqrt(coeff / back)
+    root, done = np.zeros(dim), np.zeros(dim, bool)
+    while not done.all():
+        reached, value = spread(dim, col, row, gain, int(np.argmin(done)))
+        root[reached], done = value[reached], done | reached
+    skewed = np.flatnonzero(~(np.abs(root[row] / (root[col] * gain) - 1.0) <= REVERSIBLE_TOL))
+    if len(skewed):
+        i = skewed[0]
+        raise ValueError(
+            f"not reversible: a cycle through the term ({row[i]}, {col[i]}) "
+            "breaks Kolmogorov's criterion"
+        )
+    return row, col, np.sqrt(coeff * back), root
+
+
 def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
-    """exp(-H t) for a float generator by uniformization.
+    """exp(-H t) for a reversible float generator by uniformization.
 
     With lam the largest exit rate, exp(-H t) = sum_k w_k P^k for
-    P = I - H/lam and Poisson(lam t) weights w_k.  The series is summed
-    at t/2^s by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then
-    squared s times (Higham, "The scaling and squaring method for the
-    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005).
-    As in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s is the one
-    that needs the fewest dense products (`_squaring_plan`): between s0,
-    the least s with mu = lam t/2^s <= SCALE_MU, and MAX_SQUARINGS, each
-    candidate's weights cut at the tail tolerance TAIL_TOL/2^s
-    (`_poisson_weights`).  MAX_SQUARINGS = 10 is the s that lam t = 1e4
-    takes at s0, where the bound below is stated; past lam t = 16 * 2^10
-    the plan is s0.  Column sums are within 1e-12 of one for lam t <= 1e4
-    on the tested sectors (L <= 4; at most 5.2e-13 on the benchmark's
-    kernels, 3.5e-13 at s0 alone); beyond that the error grows like 2^s
-    times the unit roundoff.
+    P = I - H/lam and Poisson(lam t) weights w_k.  Detailed balance makes
+    S = D^-1 P D symmetric and entrywise nonnegative, D = diag(sqrt(pi)):
+    off the diagonal sqrt(H_rc H_cr)/lam, on it 1 - exit/lam, formed from
+    H's terms (`_detailed_balance`, which raises ValueError for a
+    generator that is not reversible).  The series in S is summed at
+    t/2^s by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then
+    squared s times as x x^T products (Higham, "The scaling and squaring
+    method for the matrix exponential revisited", SIAM J. Matrix Anal.
+    Appl. 26, 2005), and the result E is replaced by D E D^-1 in place.  As in
+    Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s is the one of
+    least dense-product cost (`_squaring_plan`): between s0, the least s
+    with mu = lam t/2^s <= SCALE_MU, and MAX_SQUARINGS, each candidate's
+    weights cut at the tail tolerance TAIL_TOL/2^s (`_poisson_weights`).
+    MAX_SQUARINGS = 10 is the s that lam t = 1e4 takes at s0, where the
+    bound below is stated; past lam t = 16 * 2^10 the plan is s0.  Column
+    sums are within 1e-12 of one for lam t <= 1e4 on the tested sectors
+    (L <= 4; at most 5.2e-13 on the benchmark's kernels); beyond that the
+    error grows like 2^s times the unit roundoff.
     """
-    p = op.to_numpy()
-    n = p.shape[0]
-    lam = float(np.max(np.diag(p))) if n else 0.0
+    exits, lam = _exit_rates(op)
     lam_t = _rate_time(lam, t)
+    row, col, geo_mean, root = _detailed_balance(op)
+    n = op.dim
     if lam_t == 0.0:
         return TransitionKernel(np.eye(n))
     s, weights = _squaring_plan(lam_t)
-    p /= -lam
-    p.flat[:: n + 1] += 1.0
-    out, buf = _power_series(p, weights), p  # P is spent: square into it
+    sym = np.zeros((n, n))
+    sym[row, col] = geo_mean / lam
+    sym.flat[:: n + 1] = 1.0 - exits / lam
+    out, buf = _power_series(sym, weights), sym  # S is spent: square into it
     for _ in range(s):
-        np.matmul(out, out, out=buf)
+        np.matmul(out, out.T, out=buf)
         out, buf = buf, out
+    out *= root[:, None]
+    out /= root
     return TransitionKernel(out)
 
 
@@ -166,18 +232,16 @@ def _uniformized(op: SparseMatrix, t: float):
     generator, lam its largest exit rate, each value >= 0, with the
     scaled horizon s0 and the chunk weights of `evolve_vector`; None when
     lam t = 0 and exp(-H t) is the identity."""
-    on = op.row == op.col
-    lam = float(op.coeff[on].max()) if on.any() else 0.0
+    exits, lam = _exit_rates(op)
     lam_t = _rate_time(lam, t)
     if lam_t == 0.0:
         return None
     every = np.arange(op.dim)
-    diag = 1.0 - np.bincount(op.row[on], op.coeff[on], minlength=op.dim) / lam
-    off = ~on
+    off = op.row != op.col
     terms = (
         np.concatenate([op.row[off], every]),
         np.concatenate([op.col[off], every]),
-        np.concatenate([op.coeff[off] / -lam, diag]),
+        np.concatenate([op.coeff[off] / -lam, 1.0 - exits / lam]),
     )
     s = _scaled_horizon(lam_t)
     return terms, s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))

@@ -203,16 +203,21 @@ def _grandcanonical_weights(
 
 
 def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
-    """The same measure assembled sector by sector (cross-check form)."""
+    """The same measure assembled sector by sector (cross-check form); a
+    sector at zero fugacity (a chemical potential of -inf and a count of
+    that species) is left out, as `grandcanonical` leaves it out."""
     q0 = p.q0
     shift = _top_exponent(p.L, nu, mu)
     y = rogers_szego_y(2 * p.L, nu, mu, q0, shift)
     rows, weights = [], []
     for n in range(2 * p.L + 1):
         for m in range(2 * p.L - n + 1):
+            exponent = fugacity_exponent(nu, n) + fugacity_exponent(mu, m)
+            if exponent == -math.inf:
+                continue
             part = canonical(Sector(p.L, n, m))
             z = part.partition.eval(q0)
-            coeff = math.exp(nu * n + mu * m - shift) * z / y
+            coeff = math.exp(exponent - shift) * z / y
             rows.append(part.rows)
             weights.append(coeff * q_powers(part.weights, q0) / z)
     return Measure(np.concatenate(rows), np.concatenate(weights))
@@ -323,14 +328,24 @@ def check_uniqueness(p: ModelParams) -> Report:
     return report
 
 
-def _reached(dim: int, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """The mask of the rows reached from row 0 by moves src -> tgt: a
-    frontier search, one sparse step per round."""
-    reached = frontier = np.arange(dim) == 0
+def spread(dim: int, src: np.ndarray, tgt: np.ndarray, gain=None, start: int = 0):
+    """Frontier search from row `start` along the moves src -> tgt, one
+    sparse step per round: the mask of the rows reached and, when each
+    move carries a float `gain`, the product of the gains along the path
+    that first reached each row (1 at `start`, 0 off the mask).  Of the
+    moves that reach a row in the same round, the first in term order
+    gives its value."""
+    reached = frontier = np.arange(dim) == start
+    value = reached.astype(np.float64)
     while frontier.any():
-        frontier = (np.bincount(tgt[frontier[src]], minlength=dim) > 0) & ~reached
+        step = np.flatnonzero(frontier[src] & ~reached[tgt])
+        new, first = np.unique(tgt[step], return_index=True)
+        if gain is not None:
+            value[new] = value[src[step[first]]] * gain[step[first]]
+        frontier = np.zeros(dim, bool)
+        frontier[new] = True
         reached = reached | frontier
-    return reached
+    return reached, value
 
 
 def check_sector_uniqueness(p: ModelParams, sector: Sector) -> Report:
@@ -351,7 +366,7 @@ def check_sector_uniqueness(p: ModelParams, sector: Sector) -> Report:
     dim, row, col = H.dim, H.row, H.col
     off = row != col
     apart = np.flatnonzero(
-        ~(_reached(dim, col[off], row[off]) & _reached(dim, row[off], col[off]))
+        ~(spread(dim, col[off], row[off])[0] & spread(dim, row[off], col[off])[0])
     )
     rows = sector_occupations(sector)
 

@@ -36,9 +36,11 @@ so a batch can raise where each identity formed alone would not.
 No float, modular or evaluation shortcut is used.
 
 A float matrix (the float generator) shares the layout with h = 0 and
-float64 coefficients, one per entry.  It is built and converted, never
-multiplied: `_combine` refuses it, and its arithmetic goes through
-`to_numpy`.
+float64 coefficients, one per entry.  `_combine` refuses it; its users
+read the term arrays themselves.  `dynamics.evolve_vector` and
+`measures.check_grandcanonical_stationarity` multiply a vector by it with
+one `np.bincount` over its terms, and `dynamics.evolve` fills its dense
+symmetrized kernel from them.
 
 Matrices are treated as immutable once built.
 """
@@ -204,16 +206,6 @@ class SparseMatrix:
     def map_entries(self, fn) -> "SparseMatrix":
         """The matrix of fn(value) over the entries, each read as a value."""
         return SparseMatrix(self.dim, {rc: fn(v) for rc, v in self.sorted_items()})
-
-    # -- conversion ---------------------------------------------------------
-
-    def to_numpy(self) -> np.ndarray:
-        """Dense float array of a float matrix."""
-        if self.coeff.dtype.kind != "f" and len(self.coeff):
-            raise TypeError("to_numpy converts float matrices only")
-        out = np.zeros((self.dim, self.dim))
-        out[self.row, self.col] = self.coeff
-        return out
 
     def __repr__(self):
         return f"SparseMatrix(dim={self.dim}, nnz={self.nnz})"

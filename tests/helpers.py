@@ -4,6 +4,8 @@ reversible weight independent of the package's occupation tables."""
 import itertools
 import sys
 
+import numpy as np
+
 from asep2.generator import rate_table
 from asep2.lattice import A, B, VACANT
 from asep2.qring import LaurentPoly
@@ -22,6 +24,13 @@ def clear_caches():
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+def dense(m) -> np.ndarray:
+    """A float SparseMatrix as a dense array, entry [row, col]."""
+    out = np.zeros((m.dim, m.dim))
+    out[m.row, m.col] = m.coeff
+    return out
 
 
 def matrix_row(m, r: int) -> dict:

@@ -15,8 +15,9 @@ from asep2.dynamics import (
     QEstimate,
     _final_blocks,
     _poisson_weights,
+    _detailed_balance,
     _power_series,
-    _product_count,
+    _product_cost,
     _squaring_plan,
     duality_rhs,
     estimate_Q_many,
@@ -32,12 +33,15 @@ from asep2.lattice import (
     Config,
     Sector,
     config_rows,
+    encode,
     enumerate_sector,
+    sector_occupations,
     vacant_config,
 )
-from asep2.measures import Measure, canonical
+from asep2.measures import Measure, canonical, grandcanonical
+from asep2.sparse import SparseMatrix
 
-from helpers import reference_q
+from helpers import dense, reference_q
 
 P1 = ModelParams(1, Fraction(2), Fraction(1, 2))
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
@@ -49,8 +53,7 @@ def sector_kernel(t):
 
 
 def canonical_vector(p, sector):
-    mu = canonical(sector)
-    return np.array([mu.probability(c, p.q0) for c in enumerate_sector(sector)])
+    return canonical(sector).normalize(p.q0).weights
 
 
 def assert_sound_kernel(k, pi, t):
@@ -101,10 +104,7 @@ class TestEvolve:
 
     def test_ergodic_limit(self):
         k = evolve(build_H_sector(P2, SECTOR11, Ring.FLOAT), 1e3)
-        mu = canonical(SECTOR11)
-        probs = np.array(
-            [mu.probability(c, P2.q0) for c in enumerate_sector(SECTOR11)]
-        )
+        probs = canonical_vector(P2, SECTOR11)
         assert float(np.max(np.abs(k.matrix - probs[:, None]))) < 1e-8
 
     @pytest.mark.parametrize(
@@ -129,13 +129,13 @@ class TestEvolve:
 
     def test_cross_plan_semigroup(self):
         # the benchmark's 560-state sector at horizons whose plans square
-        # 3 and 5 times: the semigroup law holds across plans, and each
+        # 6 and 8 times: the semigroup law holds across plans, and each
         # kernel keeps the invariants at the benchmark's horizons
         p = ModelParams(4, Fraction(2), Fraction(1, 2))
         sector = Sector(4, 3, 3)
         op = build_H_sector(p, sector, Ring.FLOAT)
-        lam = float(np.max(np.diag(op.to_numpy())))
-        assert [_squaring_plan(lam * t)[0] for t in (1.0, 3.0, 4.0)] == [3, 5, 5]
+        lam = float(np.max(np.diag(dense(op))))
+        assert [_squaring_plan(lam * t)[0] for t in (1.0, 3.0, 4.0)] == [6, 6, 8]
         k = {t: evolve(op, t).matrix for t in (0.25, 1.0, 3.0, 4.0)}
         assert float(np.max(np.abs(k[1.0] @ k[3.0] - k[4.0]))) <= 1e-12
         pi = canonical_vector(p, sector)
@@ -144,13 +144,13 @@ class TestEvolve:
 
     @pytest.mark.parametrize("lam_t", PLAN_GRID)
     def test_squaring_plan(self, lam_t):
-        # never more products than squaring s0 times, never past
+        # never a dearer product cost than squaring s0 times, never past
         # MAX_SQUARINGS unless s0 is, and the weights at s0 are unchanged
         s0, reference = fixed_rule_weights(lam_t)
         mu0, tol0 = math.ldexp(lam_t, -s0), math.ldexp(TAIL_TOL, -s0)
         assert _poisson_weights(mu0, tol0) == reference
         s, weights = _squaring_plan(lam_t)
-        assert _product_count(s, weights) <= _product_count(s0, reference)
+        assert _product_cost(s, weights) <= _product_cost(s0, reference)
         assert s0 <= s <= max(s0, MAX_SQUARINGS)
         assert math.ldexp(lam_t, -s) <= SCALE_MU
         assert weights == _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))
@@ -158,9 +158,11 @@ class TestEvolve:
     @pytest.mark.parametrize("terms", [1, 2, 3, 4, 7])
     def test_power_series_short(self, terms):
         # dyadic entries and weights keep every sum exact, so the series
-        # equals sum_k w_k P^k bit for bit however few powers it forms
+        # equals sum_k w_k P^k bit for bit however few powers it forms;
+        # P is symmetric, as `evolve` passes it, since P^2 is formed as P P^T
         rng = np.random.default_rng(terms)
-        p = rng.integers(0, 4, size=(5, 5)) / 4.0
+        half = rng.integers(0, 4, size=(5, 5)) / 8.0
+        p = half + half.T
         weights = [2.0 ** -(k + 1) for k in range(terms)]
         expected = sum(w * np.linalg.matrix_power(p, k) for k, w in enumerate(weights))
         assert np.array_equal(_power_series(p, weights), expected)
@@ -177,7 +179,7 @@ class TestEvolve:
         sector = Sector(L, N, M)
         op = build_H_sector(p, sector, Ring.FLOAT)
         root = np.sqrt(canonical_vector(p, sector))
-        h = op.to_numpy()
+        h = dense(op)
         d, v = np.linalg.eigh(h * root[None, :] / root[:, None])
         reference = (root[:, None] * v) @ (np.exp(-d * t)[:, None] * v.T / root[None, :])
         k = evolve(op, t).matrix
@@ -197,6 +199,79 @@ class TestEvolve:
     def test_absorbing_sector(self):
         k = evolve(build_H_sector(P2, Sector(2, 0, 0), Ring.FLOAT), 3.0)
         assert np.array_equal(k.matrix, np.eye(1))
+
+
+# every sector at L <= 3, and L = 4 (2,2) and (3,3), the benchmark's dim 420 and 560
+BALANCE_SECTORS = [
+    (L, n, m) for L in (1, 2, 3) for n in range(2 * L + 1) for m in range(2 * L - n + 1)
+] + [(4, 2, 2), (4, 3, 3)]
+
+
+def three_cycle(forward: float, back: float) -> SparseMatrix:
+    """A generator on 0 -> 1 -> 2 -> 0, each move at rate `forward` and
+    its reverse at rate `back`."""
+    entries = {(a, a): forward + back for a in range(3)}
+    for a in range(3):
+        entries[(a + 1) % 3, a] = -forward
+        entries[a, (a + 1) % 3] = -back
+    return SparseMatrix(3, entries)
+
+
+class TestDetailedBalance:
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(6, 5)])
+    @pytest.mark.parametrize("L, N, M", BALANCE_SECTORS)
+    def test_rate_weights_are_canonical(self, L, N, M, q):
+        # sqrt(pi) spread from the rates alone, squared and normalised,
+        # is the canonical measure of the sector; each step multiplies by
+        # q, exact at q = 2 and rounded at q = 6/5
+        p = ModelParams.from_qw(L, q)
+        sector = Sector(L, N, M)
+        root = _detailed_balance(build_H_sector(p, sector, Ring.FLOAT))[3]
+        pi = canonical_vector(p, sector)
+        assert float(np.max(np.abs(root**2 / (root**2).sum() / pi - 1.0))) <= 1e-13
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_full_generator(self, q):
+        # the full basis holds one communicating class per sector, each
+        # spread from its own first row: the kernel is sound, zero between
+        # sectors, and each sector's block is that sector's kernel
+        p = ModelParams.from_qw(2, Fraction(q))
+        op = build_H(p, Ring.FLOAT)
+        pi = grandcanonical(0.0, 0.0, p).weights
+        for t in (1.0, 30.0):
+            k = evolve(op, t).matrix
+            assert_sound_kernel(k, pi, t)
+            outside = np.ones_like(k, dtype=bool)
+            for n in range(2 * p.L + 1):
+                for m in range(2 * p.L - n + 1):
+                    sector = Sector(p.L, n, m)
+                    at = encode(sector_occupations(sector))
+                    block = k[np.ix_(at, at)]
+                    own = evolve(build_H_sector(p, sector, Ring.FLOAT), t).matrix
+                    assert float(np.max(np.abs(block - own))) <= 1e-12
+                    outside[np.ix_(at, at)] = False
+            assert not k[outside].any()
+
+    def test_one_way_term(self):
+        # 0 -> 1 at rate 1 and no way back
+        op = SparseMatrix(2, {(0, 0): 1.0, (1, 0): -1.0})
+        with pytest.raises(ValueError, match="no reverse"):
+            evolve(op, 1.0)
+
+    def test_cycle_breaks_kolmogorov(self):
+        # every move has a reverse, but around the cycle the rates
+        # multiply to 8 one way and to 1 the other
+        with pytest.raises(ValueError, match="Kolmogorov"):
+            evolve(three_cycle(2.0, 1.0), 1.0)
+
+    def test_reversible_cycle(self):
+        # equal rates both ways round a cycle: uniform pi, and the kernel
+        # of the symmetric generator is itself symmetric
+        root = _detailed_balance(three_cycle(2.0, 2.0))[3]
+        assert root.tolist() == [1.0, 1.0, 1.0]
+        k = evolve(three_cycle(2.0, 2.0), 1.0).matrix
+        assert_sound_kernel(k, np.full(3, 1 / 3), 1.0)
+        assert np.array_equal(k, k.T)
 
 
 # every sector at L <= 3, and three at L = 4 up to the benchmark's dim 560

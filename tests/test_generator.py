@@ -18,7 +18,7 @@ from asep2.qring import LaurentPoly
 from asep2.qsym import species_counts
 from asep2.sparse import SparseMatrix, commutator
 
-from helpers import basis, reference_generator, swapped
+from helpers import basis, dense, reference_generator, swapped
 
 P1 = ModelParams(1, Fraction(2), Fraction(1, 2))
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
@@ -101,7 +101,7 @@ class TestBuildH:
     def test_column_sums_vanish(self):
         # the dyadic rates 2 and 1/2 keep the float sums exact; the exact
         # ring is checked by the summation-vector test below
-        H = build_H(P2, Ring.FLOAT).to_numpy()
+        H = dense(build_H(P2, Ring.FLOAT))
         assert not np.any(np.ones(H.shape[0]) @ H)
 
     @pytest.mark.parametrize("L", [1, 2, 3])

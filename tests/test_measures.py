@@ -41,7 +41,7 @@ from asep2.measures import (
 )
 from asep2.qring import LaurentPoly, q_multinomial
 
-from helpers import pi_exponent
+from helpers import dense, pi_exponent
 
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
 
@@ -128,6 +128,16 @@ class TestGrandcanonical:
         assert np.array_equal(direct.rows, occupations(2))
         assert np.array_equal(mixture.rows, occupations(2))
         assert float(np.max(np.abs(direct.weights - mixture.weights))) < 1e-12
+
+    @pytest.mark.parametrize("nu, mu", [(-math.inf, 0.0), (0.0, -math.inf), (-math.inf, 0.7)])
+    def test_mixture_at_zero_fugacity(self, nu, mu):
+        # a chemical potential of -inf leaves out that species' sectors,
+        # where e^(nu N) would be -inf * 0 at N = 0
+        direct = grandcanonical(nu, mu, P2)
+        mixture = grandcanonical_mixture(nu, mu, P2)
+        assert np.array_equal(mixture.rows, direct.rows)
+        assert float(np.max(np.abs(direct.weights - mixture.weights))) < 1e-12
+        assert mixture.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPureMeasures:
@@ -231,7 +241,7 @@ class TestUniqueness:
         sector = Sector(2, 1, 1)
         op = build_H_sector(P2, sector, Ring.FLOAT)
         vec = canonical(sector).normalize(P2.q0).weights
-        assert float(np.max(np.abs(op.to_numpy() @ vec))) < 1e-12
+        assert float(np.max(np.abs(dense(op) @ vec))) < 1e-12
         assert vec.sum() == pytest.approx(1.0)
 
     def test_every_sector_at_l5(self):

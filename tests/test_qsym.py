@@ -40,7 +40,7 @@ from asep2.qsym import (
 )
 from asep2.sparse import SparseMatrix, commutator
 
-from helpers import coordinates, matrix_row
+from helpers import coordinates, dense, matrix_row
 
 
 def count_op(L: int, i: int) -> SparseMatrix:
@@ -191,8 +191,8 @@ class TestSymmetry:
 
     def test_q_one_specialisation(self):
         # integer entries at q = 1, so the float products are exact
-        H1 = h_exact(1).map_entries(lambda v: v.eval(1.0)).to_numpy()
-        y = build_Y(1, +1, 1).map_entries(lambda v: v.eval(1.0)).to_numpy()
+        H1 = dense(h_exact(1).map_entries(lambda v: v.eval(1.0)))
+        y = dense(build_Y(1, +1, 1).map_entries(lambda v: v.eval(1.0)))
         assert not np.any(H1 @ y - y @ H1)
 
 
