@@ -20,7 +20,10 @@ the lattice, a shock profile at q = 1 or a simulate seed outside
 simulation whose bound trajectories * (number of times + (2L - 1) *
 max(r, l) * sum of the times) on start draws and jump proposals exceeds
 SIMULATE_MAX_PROPOSALS or whose exact law and duality predictions need
-more than SIMULATE_MAX_SERIES term products, and a sector or a
+more than SIMULATE_MAX_SERIES term products on the cheaper of the dense
+kernel and the vector series in each sector (`dynamics.series_work`; at
+L <= 5 every default sector fits the dense kernel, whose work grows like
+log t, so long horizons pass this cap there), and a sector or a
 simulation at L > lattice.CODE_MAX_L = 19, where a basis index would
 overflow int64), each printed as one `usage error: ...` line, 3
 internal error: any other exception, such as a write that fails after
@@ -75,9 +78,10 @@ SLOW_CHECK_MAX_L = 2
 # runs are bounded too
 SIMULATE_MAX_PROPOSALS = 1e8
 # the work of the exact law and the duality predictions in term products
-# (`dynamics.series_work`), summed over the start's sector and the dual
-# sectors at every time: `simulate --L 19 --t 1` needs 6.5e6 and --t 100
-# 5.4e8; at about 4.5 ns a term, 1e9 is some 5 s of series
+# (`dynamics.series_work`, on the path each sector takes), summed over the
+# start's sector and the dual sectors at every time: `simulate --L 19
+# --t 1` needs 6.5e6 and --t 100 5.4e8; at about 4.5 ns a term, 1e9 is
+# some 5 s of series
 SIMULATE_MAX_SERIES = 1e9
 # a simulate record's exact mean and duality prediction must agree within
 # EXACT_RTOL relative or EXACT_ATOL absolute: the float self-duality check
@@ -336,7 +340,7 @@ def zscore(mean: float, sigma: float, prediction: float) -> float:
 def _series_work(p, ts: list[float]) -> float:
     """`dynamics.series_work` summed over the sectors of the start and of
     the dual coordinates, at every time: the work of `law_at` and
-    `duality_rhs` in one run."""
+    `duality_rhs` in one run, each sector on the path it takes."""
     configs = [default_initial_config(p.L), *default_dual_coordinates(p.L)]
     ops = [
         dynamics.sector_generator(p, Sector(p.L, n, m))

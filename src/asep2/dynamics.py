@@ -8,7 +8,11 @@ the generator's rates, filled from H's terms; it squares the dense result
 by x x^T products and transforms back.  `evolve_vector` applies the
 series in P to one vector, a chunk of the scaled horizon at a time, with
 one `np.bincount` over P's terms per product.  The law of eta_t and the
-duality predictions take the vector path.
+duality predictions apply exp(-H t) to one vector per sector and time,
+by whichever of `evolve(op, t).matrix @ v` and `evolve_vector` costs
+less (`takes_dense`): the vector series' work grows like lam t, the dense
+kernel's like dim^3 log(lam t), and the dense side stops at
+DENSE_MAX_DIM rows.
 
 There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows with rates from `generator.rate_table`.
@@ -43,12 +47,30 @@ BLOCK = 4096  # trajectories per Philox stream
 # the cost of a dense product x x^T (BLAS syrk, one triangle) against a
 # general one (gemm): 0.56-0.61 at dim 140-560 on one thread
 SYRK_COST = 0.6
+# a symmetric product formed as its upper triangle, one gemm per row
+# panel of PANELS, and mirrored (`_symmetric_product`): 0.80-0.81 of a
+# gemm at dim 420-560, 0.85 at 360, 0.90-0.94 at 240-280, about even at
+# 168-200 and 2.0 at 90 (one thread, medians of interleaved runs); below
+# PANEL_MIN_DIM it is one gemm
+PANELS = 4
+PANEL_MIN_DIM = 200
+PANEL_COST = 0.8
 # a reversible generator's rates meet Kolmogorov's criterion to this
 # relative tolerance, well above the rounding of the spread weights
 REVERSIBLE_TOL = 1e-10
 # the fixed numpy cost of one sparse product by P, counted in terms: about
 # 3 us a call against 4.5 ns a term (measured on sectors of L = 1..19)
 PRODUCT_CALL_TERMS = 700
+# the dense side of `takes_dense`: `evolve` on at most DENSE_MAX_DIM rows
+# (the benchmark's largest kernel), costed in terms as EVOLVE_CALL_TERMS a
+# call, DENSE_ENTRY_TERMS an entry and dim^3/GEMM_TERM_CUBES a general
+# product; fitted on one thread to `evolve(op, t).matrix @ v` against
+# `evolve_vector` on every sector of dim <= 560 at L <= 5, t = 0.25..1000
+# (0.23 ms a call, 42 ns an entry, 31 ps per dim^3 against 3.9 ns a term)
+DENSE_MAX_DIM = 560
+EVOLVE_CALL_TERMS = 60_000
+DENSE_ENTRY_TERMS = 11
+GEMM_TERM_CUBES = 125
 
 
 @dataclass(frozen=True)
@@ -86,18 +108,21 @@ def _product_cost(s: int, weights: list[float]) -> float:
     """Dense-product cost of `evolve` at s squarings, in general products:
     P^2 and the s squarings are x x^T products at SYRK_COST each; the
     powers P^3..P^p, p = min(STORED_POWERS, len(weights)), and the Horner
-    steps in P^p are general products at 1 each."""
+    steps in P^p are symmetric products at PANEL_COST each."""
     m = len(weights)
     p = min(STORED_POWERS, m)
     syrk = s + (p > 1)
-    return SYRK_COST * syrk + max(0, p - 2) + (math.ceil(m / p) - 1)
+    return SYRK_COST * syrk + PANEL_COST * (max(0, p - 2) + math.ceil(m / p) - 1)
 
 
+@lru_cache(maxsize=64)
 def _squaring_plan(lam_t: float) -> tuple[int, list[float]]:
     """The squaring count s and the series weights at lam t/2^s of the
     least dense-product cost (`_product_cost`), the fewer squarings on a
     tie.  Candidates run from s0, the least s with lam t/2^s <= SCALE_MU,
-    to max(s0, MAX_SQUARINGS); the tail tolerance at s is TAIL_TOL/2^s."""
+    to max(s0, MAX_SQUARINGS); the tail tolerance at s is TAIL_TOL/2^s.
+    Cached: `series_work`, `takes_dense` and `evolve` plan the same lam t
+    in turn, and callers only read the weights."""
     s0 = _scaled_horizon(lam_t)
     plans = [
         (s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s)))
@@ -116,22 +141,44 @@ def _rate_time(lam: float, t: float) -> float:
     return lam_t
 
 
+def _symmetric_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into out, for a product known to be symmetric (a and b are
+    polynomials in one symmetric matrix).  From PANEL_MIN_DIM on, only the
+    upper triangle is formed, one gemm per row panel of PANELS, and the
+    lower triangle is copied from it, so the result is exactly symmetric;
+    below it, one plain gemm."""
+    n = a.shape[0]
+    if n < PANEL_MIN_DIM:
+        return np.matmul(a, b, out=out)
+    edges = [n * i // PANELS for i in range(PANELS + 1)]
+    below = np.tri(-(-n // PANELS), k=-1, dtype=bool)  # a panel's strict lower triangle
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(a[lo:hi], b[:, lo:], out=out[lo:hi, lo:])
+        out[lo:hi, :lo] = out[:lo, lo:hi].T
+        block = out[lo:hi, lo:hi]
+        np.copyto(block, block.T, where=below[: hi - lo, : hi - lo])
+    return out
+
+
 def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
     """sum_k weights[k] p^k for a symmetric p by Paterson-Stockmeyer:
     Horner's rule in p^b over blocks of b coefficients,
-    b = min(STORED_POWERS, len(weights)); p^2 is formed as p p^T."""
+    b = min(STORED_POWERS, len(weights)); p^2 is formed as p p^T, p^3 and
+    the Horner steps by `_symmetric_product`."""
     n = p.shape[0]
     powers = [p]
     while len(powers) < min(STORED_POWERS, len(weights)):
-        powers.append(p @ p.T if len(powers) == 1 else powers[-1] @ p)
+        if len(powers) == 1:
+            powers.append(p @ p.T)
+        else:
+            powers.append(_symmetric_product(powers[-1], p, np.empty_like(p)))
     size = len(powers)
     blocks = [weights[i : i + size] for i in range(0, len(weights), size)]
     out = np.zeros_like(p)
     buf = np.empty_like(p)
     for j, block in enumerate(reversed(blocks)):
         if j:
-            np.matmul(out, powers[-1], out=buf)
-            out, buf = buf, out
+            out, buf = _symmetric_product(out, powers[-1], buf), out
         for w, pk in zip(block[1:], powers):
             np.multiply(pk, w, out=buf)
             out += buf
@@ -197,16 +244,21 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     t/2^s by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then
     squared s times as x x^T products (Higham, "The scaling and squaring
     method for the matrix exponential revisited", SIAM J. Matrix Anal.
-    Appl. 26, 2005), and the result E is replaced by D E D^-1 in place.  As in
-    Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s is the one of
-    least dense-product cost (`_squaring_plan`): between s0, the least s
-    with mu = lam t/2^s <= SCALE_MU, and MAX_SQUARINGS, each candidate's
-    weights cut at the tail tolerance TAIL_TOL/2^s (`_poisson_weights`).
-    MAX_SQUARINGS = 10 is the s that lam t = 1e4 takes at s0, where the
-    bound below is stated; past lam t = 16 * 2^10 the plan is s0.  Column
-    sums are within 1e-12 of one for lam t <= 1e4 on the tested sectors
-    (L <= 4; at most 5.2e-13 on the benchmark's kernels); beyond that the
-    error grows like 2^s times the unit roundoff.
+    Appl. 26, 2005), and the result E is replaced by D E D^-1 in place.
+    Every product is symmetric: P^2 and the squarings are x x^T (BLAS
+    syrk), P^3 and the Horner steps, two polynomials in S, are formed as
+    their upper triangle (`_symmetric_product`); at most five n x n arrays
+    are held.  As in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s
+    is the one of least dense-product cost (`_squaring_plan`, a syrk at
+    SYRK_COST and a symmetric product at PANEL_COST of a gemm): between
+    s0, the least s with mu = lam t/2^s <= SCALE_MU, and MAX_SQUARINGS,
+    each candidate's weights cut at the tail tolerance TAIL_TOL/2^s
+    (`_poisson_weights`).  MAX_SQUARINGS = 10 is the s that lam t = 1e4
+    takes at s0, where the bound below is stated; past lam t = 16 * 2^10
+    the plan is s0.  Column sums are within 1e-12 of one for lam t <= 1e4
+    on the tested sectors (L <= 4 up to t = 1000: at most 6.0e-13, and
+    5.2e-13 on the benchmark's kernels); beyond that the error grows like
+    2^s times the unit roundoff.
     """
     exits, lam = _exit_rates(op)
     lam_t = _rate_time(lam, t)
@@ -227,6 +279,16 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     return TransitionKernel(out)
 
 
+@lru_cache(maxsize=64)
+def _chunk_weights(lam_t: float) -> tuple[int, list[float]]:
+    """The scaled horizon s0 of lam t > 0 and the Poisson weights of one
+    chunk of `evolve_vector`: mu = lam t/2^s0 at tail tolerance
+    TAIL_TOL/2^s0.  Cached like `_squaring_plan`: `series_work`,
+    `takes_dense` and `evolve_vector` read the same lam t in turn."""
+    s = _scaled_horizon(lam_t)
+    return s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))
+
+
 def _uniformized(op: SparseMatrix, t: float):
     """The terms (target, source, value) of P = I - H/lam for a float
     generator, lam its largest exit rate, each value >= 0, with the
@@ -243,22 +305,7 @@ def _uniformized(op: SparseMatrix, t: float):
         np.concatenate([op.col[off], every]),
         np.concatenate([op.coeff[off] / -lam, 1.0 - exits / lam]),
     )
-    s = _scaled_horizon(lam_t)
-    return terms, s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))
-
-
-def series_work(op: SparseMatrix, t: float) -> float:
-    """Cost of `evolve_vector(op, v, t)` in term products: its 2^s0 (m - 1)
-    products by P, each over P's terms plus PRODUCT_CALL_TERMS; inf when
-    lam t is not finite."""
-    try:
-        plan = _uniformized(op, t)
-    except ValueError:
-        return math.inf
-    if plan is None:
-        return 0.0
-    (tgt, _src, _value), s, weights = plan
-    return math.ldexp(len(weights) - 1, s) * (len(tgt) + PRODUCT_CALL_TERMS)
+    return (terms, *_chunk_weights(lam_t))
 
 
 def evolve_vector(op: SparseMatrix, v, t: float) -> np.ndarray:
@@ -288,6 +335,81 @@ def evolve_vector(op: SparseMatrix, v, t: float) -> np.ndarray:
             term = np.bincount(tgt, value * term[src], minlength=dim)
             v += w * term
     return v
+
+
+def _vector_work(op: SparseMatrix, s0: int, products: int) -> float:
+    """Work of `evolve_vector` in term products: 2^s0 chunks of `products`
+    products by P, each over P's terms (H's off-diagonal ones and a full
+    diagonal) plus PRODUCT_CALL_TERMS."""
+    terms = int(np.count_nonzero(op.row != op.col)) + op.dim
+    return math.ldexp(products, s0) * (terms + PRODUCT_CALL_TERMS)
+
+
+@lru_cache(maxsize=None)
+def _chunk_products(s0: int) -> int:
+    """The most products by P one chunk of `evolve_vector` takes at scaled
+    horizon s0: the count at mu = SCALE_MU, the largest over mu <= SCALE_MU
+    (checked on a fine grid of mu by the tests)."""
+    return len(_poisson_weights(SCALE_MU, math.ldexp(TAIL_TOL, -s0))) - 1
+
+
+def _dense_work(dim: int, product_cost: float) -> float:
+    """Work of `evolve(op, t).matrix @ v` in term products, at a plan of
+    `product_cost` general products (`_product_cost`): EVOLVE_CALL_TERMS,
+    DENSE_ENTRY_TERMS per entry and dim^3/GEMM_TERM_CUBES per product."""
+    return EVOLVE_CALL_TERMS + DENSE_ENTRY_TERMS * dim**2 + dim**3 / GEMM_TERM_CUBES * product_cost
+
+
+def _vector_plainly_cheaper(op: SparseMatrix, lam_t: float) -> bool:
+    """Whether `evolve_vector` costs less than the dense kernel at lam t > 0,
+    decided from dim, P's terms and s0 alone, with no Poisson list: past
+    DENSE_MAX_DIM, or when its most products (`_chunk_products`) cost no
+    more than the dense work of s0 squarings alone."""
+    if op.dim > DENSE_MAX_DIM:
+        return True
+    s0 = _scaled_horizon(lam_t)
+    return _vector_work(op, s0, _chunk_products(s0)) <= _dense_work(op.dim, SYRK_COST * s0)
+
+
+def _path_works(op: SparseMatrix, lam_t: float) -> tuple[float, float]:
+    """The work of exp(-H t) v at lam t > 0 by `evolve_vector` and by the
+    dense kernel, in term products; the dense one is inf, and not
+    planned, where the vector series is plainly cheaper."""
+    s0, weights = _chunk_weights(lam_t)
+    vector = _vector_work(op, s0, len(weights) - 1)
+    if _vector_plainly_cheaper(op, lam_t):
+        return vector, math.inf
+    return vector, _dense_work(op.dim, _product_cost(*_squaring_plan(lam_t)))
+
+
+def takes_dense(op: SparseMatrix, t: float) -> bool:
+    """Whether exp(-H t) v is formed as `evolve(op, t).matrix @ v` rather
+    than as `evolve_vector(op, v, t)`: when its work is the lesser
+    (`_path_works`), the vector series on a tie.  Where the vector series
+    is plainly cheaper, no Poisson list is formed.  ValueError as
+    `evolve_vector`."""
+    lam_t = _rate_time(_exit_rates(op)[1], t)
+    if lam_t == 0.0 or _vector_plainly_cheaper(op, lam_t):
+        return False
+    vector, dense = _path_works(op, lam_t)
+    return dense < vector
+
+
+def series_work(op: SparseMatrix, t: float) -> float:
+    """Work in term products of exp(-H t) v by the path `takes_dense`
+    picks, the lesser of `_path_works`; inf when lam t is not finite."""
+    try:
+        lam_t = _rate_time(_exit_rates(op)[1], t)
+    except ValueError:
+        return math.inf
+    return min(_path_works(op, lam_t)) if lam_t else 0.0
+
+
+def _evolved(op: SparseMatrix, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(-H t) v by the path `takes_dense` picks."""
+    if takes_dense(op, t):
+        return evolve(op, t).matrix @ v
+    return evolve_vector(op, v, t)
 
 
 # ---------------------------------------------------------------------
@@ -412,7 +534,7 @@ def law_at(p0: Measure, t: float, p: ModelParams) -> tuple[np.ndarray, np.ndarra
         v = np.zeros(len(table))
         v[at] = p0.weights[held]
         rows.append(table)
-        probs.append(evolve_vector(sector_generator(p, sector), v, t))
+        probs.append(_evolved(sector_generator(p, sector), v, t))
     return np.concatenate(rows), np.concatenate(probs)
 
 
@@ -427,5 +549,5 @@ def duality_rhs(zs: list[Config], p0: Measure, t: float, p: ModelParams) -> list
     out = np.empty(len(zs))
     for sector, table, at, held in _by_sector(z_rows, p):
         means = q_moments(table, p0.rows, p0.weights, p.q0)[0]
-        out[held] = evolve_vector(sector_generator(p, sector), means, t)[at]
+        out[held] = _evolved(sector_generator(p, sector), means, t)[at]
     return out.tolist()

@@ -126,10 +126,14 @@ class TestSimulate:
         assert sorted({r["t"] for r in payload["records"]}) == [0.0, 1.0]
         assert all(abs(r["zscore"]) <= 3.0 for r in payload["records"])
 
-    def test_largest_lattice(self, capsys):
+    def test_largest_lattice(self, capsys, monkeypatch):
         # L = CODE_MAX_L: the start's sector (2,1) has dim 25,308, whose
         # dense kernel would need 5.1 GB; the series applied to vectors
-        # needs a few megabytes
+        # needs a few megabytes, and no sector forms a dense kernel
+        def never(*args, **kwargs):
+            raise AssertionError("formed a dense kernel")
+
+        monkeypatch.setattr(dynamics, "evolve", never)
         argv = ["simulate", "--L", "19", "--trajectories", "2000", "--t", "1"]
         assert main(argv) == 0
         records = json.loads(capsys.readouterr().out)["records"]
@@ -151,6 +155,22 @@ class TestSimulate:
         assert cli.SIMULATE_MAX_SERIES < cli._series_work(
             ModelParams(19, Fraction(2), Fraction(1, 2)), [1000.0]
         )
+
+    def test_dense_kernels_lift_the_series_budget(self, monkeypatch, capsys):
+        # at L = 5 every default sector has at most dynamics.DENSE_MAX_DIM
+        # rows: t = 1e4 needs 1.3e9 term products as vector series, which
+        # exit 2, and 9.5e6 as dense kernels; the sampled side is stubbed
+        # (1.8e5 proposals would take seconds), the exact side is not
+        def stub(zs, p0, t, trajectories, seed, p):
+            return [dynamics.QEstimate(0.0, 0.0, trajectories)] * len(zs)
+
+        monkeypatch.setattr(dynamics, "estimate_Q_many", stub)
+        p = ModelParams(5, Fraction(2), Fraction(1, 2))
+        assert cli._series_work(p, [1e4]) <= cli.SIMULATE_MAX_SERIES
+        argv = ["simulate", "--L", "5", "--trajectories", "1", "--t", "10000"]
+        assert main(argv) in (0, 1)
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert all(r["exact"] == pytest.approx(r["prediction"], rel=1e-10) for r in records)
 
     def test_long_horizon_prediction(self, capsys):
         # the duality prediction needs exp(-H t) at t = 100 on every sector

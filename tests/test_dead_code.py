@@ -17,10 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "asep2"
 
 # "name" or "Class.name" -> why nothing in src references it
 ALLOWLIST: dict[str, str] = {
-    "evolve": (
-        "full kernels for the kernel tests and the benchmark's kernel-horizon "
-        "workload (ROADMAP item 13)"
-    ),
     "Measure.probability": (
         "`bench/workloads.py` `kernel_prepare`; leaves at the next benchmark PR, item 14"
     ),

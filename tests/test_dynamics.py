@@ -5,27 +5,37 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from asep2 import dynamics
 from asep2.duality import q_values, sum_rule_table
 from asep2.dynamics import (
     BLOCK,
+    DENSE_MAX_DIM,
     MAX_SQUARINGS,
+    PANEL_MIN_DIM,
     PRODUCT_CALL_TERMS,
     SCALE_MU,
     TAIL_TOL,
     QEstimate,
+    _chunk_products,
+    _dense_work,
+    _detailed_balance,
+    _evolved,
     _final_blocks,
     _poisson_weights,
-    _detailed_balance,
     _power_series,
     _product_cost,
     _squaring_plan,
+    _symmetric_product,
+    _vector_work,
     duality_rhs,
     estimate_Q_many,
     evolve,
     evolve_vector,
     law_at,
     q_moments,
+    sector_generator,
     series_work,
+    takes_dense,
 )
 from asep2.generator import ModelParams, Ring, build_H, build_H_sector
 from asep2.lattice import (
@@ -201,6 +211,42 @@ class TestEvolve:
         assert np.array_equal(k.matrix, np.eye(1))
 
 
+def commuting_pair(n: int, seed: int):
+    """s^2 and s^3 for a random symmetric s with entries in [0, 2/n]: two
+    polynomials in one symmetric matrix, as `_power_series` multiplies."""
+    rng = np.random.default_rng(seed)
+    half = rng.random((n, n)) / n
+    s = half + half.T
+    a = s @ s.T
+    return a, a @ s
+
+
+class TestSymmetricProduct:
+    @pytest.mark.parametrize("n", [PANEL_MIN_DIM - 1, PANEL_MIN_DIM, PANEL_MIN_DIM + 1, 283])
+    def test_matches_gemm(self, n):
+        # one gemm below PANEL_MIN_DIM (odd, the last dim that falls back);
+        # from it on, PANELS row panels, ragged when PANELS does not divide n
+        a, b = commuting_pair(n, n)
+        buf = np.empty_like(a)
+        out = _symmetric_product(a, b, buf)
+        assert out is buf
+        ref = a @ b
+        assert float(np.max(np.abs(out - ref))) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
+        if n < PANEL_MIN_DIM:
+            assert np.array_equal(out, ref)
+        else:
+            assert np.array_equal(out, out.T)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 13])
+    def test_small_ragged_panels(self, n, monkeypatch):
+        # panels of one, two or no rows (n < PANELS), each mirrored into place
+        monkeypatch.setattr(dynamics, "PANEL_MIN_DIM", 1)
+        a, b = commuting_pair(n, n)
+        out = _symmetric_product(a, b, np.full_like(a, np.nan))
+        assert float(np.max(np.abs(out - a @ b))) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
+        assert np.array_equal(out, out.T)
+
+
 # every sector at L <= 3, and L = 4 (2,2) and (3,3), the benchmark's dim 420 and 560
 BALANCE_SECTORS = [
     (L, n, m) for L in (1, 2, 3) for n in range(2 * L + 1) for m in range(2 * L - n + 1)
@@ -293,9 +339,12 @@ class TestEvolveVector:
             v = rng.random(op.dim)
             v /= v.sum()
             out = evolve_vector(op, v, t)
-            assert float(np.max(np.abs(out - evolve(op, t).matrix @ v))) <= 1e-12
+            kernel = evolve(op, t).matrix @ v
+            assert float(np.max(np.abs(out - kernel))) <= 1e-12
             assert abs(out.sum() - v.sum()) <= 1e-12
             assert out.min() >= 0.0
+            # `law_at` and `duality_rhs` take the path `takes_dense` picks
+            assert np.array_equal(_evolved(op, v, t), kernel if takes_dense(op, t) else out)
 
     def test_no_moves(self):
         # L=1 (0,0) has no terms at all, so no diagonal to take lam from
@@ -321,16 +370,92 @@ class TestEvolveVector:
 
     @pytest.mark.parametrize("t", [0.5, 30.0])
     def test_work_counts_products(self, t, monkeypatch):
-        # one bincount forms the diagonal of P, each other one is a product
+        # one bincount forms the diagonal of P, each other one is a product;
+        # `series_work` is the lesser of that work and the dense kernel's
         op = build_H_sector(P2, SECTOR11, Ring.FLOAT)
         calls = []
         bincount = np.bincount
         monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
         evolve_vector(op, np.ones(op.dim), t)
         products = len(calls) - 1
-        off_diagonal = int(np.sum(op.row != op.col))
+        terms = int(np.sum(op.row != op.col)) + op.dim
         assert products > 0
-        assert series_work(op, t) == products * (off_diagonal + op.dim + PRODUCT_CALL_TERMS)
+        lam_t = float(np.max(np.diag(dense(op)))) * t
+        s0, weights = fixed_rule_weights(lam_t)
+        vector = _vector_work(op, s0, len(weights) - 1)
+        assert vector == products * (terms + PRODUCT_CALL_TERMS)
+        dense_work = _dense_work(op.dim, _product_cost(*_squaring_plan(lam_t)))
+        assert series_work(op, t) == min(vector, dense_work)
+
+
+def simulate_sectors(L):
+    """The sectors of `simulate`'s default start and dual coordinates."""
+    from asep2.cli import default_dual_coordinates, default_initial_config
+
+    configs = [default_initial_config(L), *default_dual_coordinates(L)]
+    return sorted({(c.N, c.M) for c in configs})
+
+
+# (L, t) -> the sectors (N, M) of `simulate --L L --t t` whose exp(-H t)
+# `takes_dense` forms as a dense kernel, with those it decides without
+# `_path_works` (no Poisson list): the closure-mc runs, L=2 at t = 1, 4
+# and L=4 at t=4, and `--t 1000` at L = 2 and 4.  At L=2, t=4, (1,1) and
+# (2,1) are a measured tie (0.35 ms each way) and take the vector series.
+PATH_PINS = {
+    (2, 1.0): (set(), {(0, 1), (1, 0), (1, 1), (2, 1)}),
+    (2, 4.0): (set(), {(0, 1), (1, 0)}),
+    (4, 4.0): (set(), {(0, 1), (1, 0), (2, 1)}),
+    (2, 1000.0): ({(0, 1), (1, 0), (1, 1), (2, 1)}, set()),
+    (4, 1000.0): ({(0, 1), (1, 0), (1, 1), (2, 1)}, set()),
+}
+
+# sectors for the path choice: every one at L <= 3, L=4 up to the
+# benchmark's dim 560, and L=5 (2,2) past DENSE_MAX_DIM at dim 1260
+CHOICE_SECTORS = VECTOR_SECTORS + [(4, 2, 2), (5, 2, 2)]
+
+
+class TestPathChoice:
+    @pytest.mark.parametrize("L, t", PATH_PINS)
+    def test_pinned_paths(self, L, t, monkeypatch):
+        p = ModelParams(L, Fraction(2), Fraction(1, 2))
+        on_dense, plain = PATH_PINS[L, t]
+        ops = {nm: sector_generator(p, Sector(L, *nm)) for nm in simulate_sectors(L)}
+        priced = []
+        works = dynamics._path_works
+        monkeypatch.setattr(
+            dynamics, "_path_works", lambda op, lam_t: priced.append(op) or works(op, lam_t)
+        )
+        assert {nm for nm, op in ops.items() if takes_dense(op, t)} == on_dense
+        assert {nm for nm, op in ops.items() if all(op is not o for o in priced)} == plain
+
+    @pytest.mark.parametrize("L, N, M", CHOICE_SECTORS)
+    def test_lesser_work(self, L, N, M):
+        # the path of the lesser work, the vector series on a tie, and the
+        # plain rule never overrules the full comparison on these sectors;
+        # `series_work` is the chosen path's work
+        p = ModelParams(L, Fraction(2), Fraction(1, 2))
+        op = build_H_sector(p, Sector(L, N, M), Ring.FLOAT)
+        lam = float(np.max(np.diag(dense(op)), initial=0.0))
+        for t in (0.0, 0.25, 1.0, 4.0, 30.0, 1000.0, 1e5):
+            if lam * t == 0.0:
+                assert not takes_dense(op, t) and series_work(op, t) == 0.0
+                continue
+            s0, weights = fixed_rule_weights(lam * t)
+            vector = _vector_work(op, s0, len(weights) - 1)
+            dense_work = math.inf
+            if op.dim <= DENSE_MAX_DIM:
+                dense_work = _dense_work(op.dim, _product_cost(*_squaring_plan(lam * t)))
+            assert takes_dense(op, t) == (dense_work < vector)
+            assert series_work(op, t) == min(vector, dense_work)
+
+    @pytest.mark.parametrize("s0", range(13))
+    def test_chunk_products_bound(self, s0):
+        # the plain rule's bound: no mu <= SCALE_MU (above SCALE_MU/2 once
+        # s0 > 0) takes more products per chunk than mu = SCALE_MU
+        tol = math.ldexp(TAIL_TOL, -s0)
+        lo = SCALE_MU / 2 if s0 else 0.0
+        mus = np.linspace(lo, SCALE_MU, 801)[1:]
+        assert max(len(_poisson_weights(float(mu), tol)) - 1 for mu in mus) <= _chunk_products(s0)
 
 
 def final_rows(p0, t, trajectories, seed, p=P2):

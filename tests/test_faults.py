@@ -9,8 +9,10 @@ print the same, so a failing block is neither hidden nor blamed on its
 neighbour.  The `lru_cache`s are cleared around each fault, so no
 operator built before or under it leaks across.
 
-`serre-quadratic` has no row: it is [Y, Y] for one ladder Y, which is
-zero for any matrix, so no operator fault can fail it.
+Two relation families are structural and have no row: `serre-quadratic`
+is [Y, Y] for one ladder Y, and `cartan-commute-*` commutes two diagonal
+matrices.  Both are zero for any operators, so no operator fault can
+fail them.
 """
 
 from fractions import Fraction
