@@ -10,7 +10,8 @@ functions D with D H = H^T D exactly.  `q_exponents` gives the exponent
 of Q_z(eta) on given rows of z and eta, `q_values` its float value;
 `duality_products` builds every nonzero Q_z(eta) exactly from the
 sub-configuration pairs alone, while `rows-S-vs-Qhat` reads its brute
-force from `q_exponents` over every pair.
+force from `q_exponents` over every pair.  Both take eta's left counts
+from `lattice.left_counts`, the package's one left count.
 
 The same matrix arises a second, independent way: the exponential-free
 symmetry operator S (a double sum of divided powers of two dressed
@@ -48,17 +49,18 @@ def q_exponents(z_rows, eta_rows) -> tuple[np.ndarray, np.ndarray]:
     occupation rows, and the mask of the pairs where Q_z(eta) != 0.
 
     Each A of z adds eta's A count left of its site minus the count right
-    of it, and each B of z the reverse; the left counts are eta's
-    cumulative species counts.  The projectors are a mismatch count:
-    Q_z(eta) = 0 where z holds a particle that eta does not hold at that
-    site.  Both counts are float matrix products of exact small integers.
+    of it, and each B of z the reverse; the left counts are
+    `lattice.left_counts` of eta's rows.  The projectors are a mismatch
+    count: Q_z(eta) = 0 where z holds a particle that eta does not hold at
+    that site.  Both counts are float matrix products of exact small
+    integers.
     """
     z_rows, eta_rows = np.asarray(z_rows), np.asarray(eta_rows)
     exponent = np.zeros((len(z_rows), len(eta_rows)))
     mismatch = np.zeros_like(exponent)
     for species, sign in ((A, 1), (B, -1)):
         held = eta_rows == species
-        left = np.cumsum(held, axis=1) - held
+        left = left_counts(eta_rows, species)
         # left - right, with right = total - left - 1 (the particle at the site)
         factor = sign * (2 * left + 1 - held.sum(axis=1, keepdims=True))
         in_z = (z_rows == species).astype(np.float64)
@@ -88,7 +90,8 @@ def duality_products(L: int) -> SparseMatrix:
 
     Q_z(eta) vanishes unless z is a sub-configuration of eta, so only
     those 5^(2L) pairs are built, one base-5 digit per site over the pair
-    states above; eta's left counts are read from `lattice.left_counts`.
+    states above; eta's left counts are read at its basis index from
+    `lattice.left_counts` of the basis, so no 5^(2L)-row count is formed.
     """
     n = 2 * L
     pairs = np.indices((5,) * n, dtype=np.int8).reshape(n, -1).T
@@ -96,7 +99,7 @@ def duality_products(L: int) -> SparseMatrix:
     col = encode(eta)
     e = np.zeros(len(col), dtype=np.int64)
     for species, sign in ((A, 1), (B, -1)):
-        table = left_counts(L, species)
+        table = left_counts(occupations(L), species)
         total = (eta == species).sum(axis=1)
         for i in range(n):
             # z's particle at position i adds sign * (left - right) of it in eta

@@ -405,6 +405,17 @@ def series_work(op: SparseMatrix, t: float) -> float:
     return min(_path_works(op, lam_t)) if lam_t else 0.0
 
 
+def rounding_bound(op: SparseMatrix, t: float) -> float:
+    """The relative rounding of exp(-H t) v on the path `takes_dense` picks,
+    to first order: a machine epsilon per series term of its plan, times 2^s
+    for s squarings (`_squaring_plan`) or 2^s0 chunks (`_chunk_weights`)."""
+    lam_t = _rate_time(_exit_rates(op)[1], t)
+    if lam_t == 0.0:
+        return 0.0
+    s, weights = _squaring_plan(lam_t) if takes_dense(op, t) else _chunk_weights(lam_t)
+    return math.ldexp(len(weights) * np.finfo(np.float64).eps, s)
+
+
 def _evolved(op: SparseMatrix, v: np.ndarray, t: float) -> np.ndarray:
     """exp(-H t) v by the path `takes_dense` picks."""
     if takes_dense(op, t):

@@ -17,14 +17,14 @@ builders read the int8 tables `occupations(L)` and `sector_occupations`,
 whose `Config` views `all_configs(L)` and `enumerate_sector` serve text
 and FAIL details.
 
-The left count has one table, `left_count_table(L, species)`: `count_left`
-of every set of sites holding a species, indexed by the set's bitmask.
-The counting-lemma checks read it, and `left_counts(L, species)` looks
-it up for every basis configuration.
+The one left count, `left_counts(rows, species)`, counts a species
+strictly left of every site of every row of an occupation table.  The
+reversible weight, the duality values, the ladder dressing and the
+counting lemmas all call it.
 
 The lemma checks at the end of the module (`check_counting_lemmas`,
 `check_permutation_identities`) test the left count and the step
-function exhaustively.  They call `count_left`, `theta` and
+function exhaustively.  They evaluate `left_counts`, `theta` and
 `q_factorial` into small tables, then compare each identity over all
 its cases at once on exact int64 numpy arrays (no float or modular
 shortcut); a FAIL detail is the first counterexample in the order of
@@ -238,47 +238,17 @@ def enumerate_sector(sector: Sector) -> list[Config]:
     return [Config(sector.L, tuple(row)) for row in sector_occupations(sector).tolist()]
 
 
-def count_left(occ, k: int, species: int) -> int:
-    """Number of sites strictly left of site k in the given state.
-
-    occ is the occupation sequence of 2L sites: the `occ` of a Config
-    (which also serves as a dual coordinate set) or a raw list.  species
-    is A, VACANT or B.  This is the one left count: the duality exponent
-    and the ladder dressing derive their right counts from it as the
-    species total minus the left count minus the site's own particle.
+def left_counts(rows, species: int) -> np.ndarray:
+    """The count of `species` strictly left of each site, for every row of
+    an (n, 2L) occupation table, as an (n, 2L) int64 array: the cumulative
+    count along the sites minus the site's own.  species is A, VACANT or
+    B.  This is the one left count: a right count is the species total
+    minus the left count minus the site's own.
     """
-    L = len(occ) // 2
-    if not -L + 1 <= k <= L:
-        raise SiteOutOfRange(f"site {k} outside lattice")
     if species not in _STATES:
         raise ValueError("species must be A, VACANT or B")
-    return occ[: k + L - 1].count(species)
-
-
-def left_count_table(L: int, species: int) -> np.ndarray:
-    """`count_left` of every set of sites holding `species`, as an int64
-    array indexed [mask, site position]: bit i of the mask puts `species`
-    at position i, and the other sites hold a different state.
-
-    `count_left` is called 2^(2L) * 2L times.  The left counts of a basis
-    configuration are the row of the mask of its `species` sites.
-    """
-    n = 2 * L
-    other = A if species == VACANT else VACANT
-    rows = []
-    for mask in range(1 << n):
-        occ = tuple(species if mask >> i & 1 else other for i in range(n))
-        rows.append([count_left(occ, k, species) for k in sites(L)])
-    return np.array(rows, dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def left_counts(L: int, species: int) -> np.ndarray:
-    """count_left(occ, k, species) as a read-only int64 array indexed
-    [basis index, site position]: the `left_count_table` row of each basis
-    configuration's mask of `species` sites."""
-    held = occupations(L) == species
-    return _read_only(left_count_table(L, species)[held @ (1 << np.arange(2 * L))])
+    held = np.asarray(rows) == species
+    return np.cumsum(held, axis=1) - held
 
 
 def weyl_alcove(n: int, L: int):
@@ -311,17 +281,18 @@ def check_counting_lemmas(L: int) -> Report:
     """Step-function identities and additivity/inversion of left counts.
 
     Exhausts every pair of disjoint coordinate sets on the 2L sites, for
-    both species, as occupation tuples fed to the same `count_left` that
-    the duality exponent and the ladder dressing call.  `count_left` is
-    called once per (set of occupied sites, site, species), 2^(2L) * 2L
-    times per species, through `left_count_table`; `theta`
-    once per pair of sites.  Each identity is then compared as one int64
-    array over all its cases: for the left-count identities, the 3^(2L)
-    assignments of every site to neither set, the first or the second,
-    times the 2L sites.  On failure the detail is the first counterexample
-    in the order (assignment in `itertools.product` order, then site);
-    there is none if the implementation is sound.  The largest arrays are
-    the 3^(2L) x 2L ones (6561 x 8 int64 values at L = 4).
+    both species, through the same `left_counts` that the reversible
+    weight, the duality exponents and the ladder dressing call.  It is
+    evaluated once per species, on the 2^(2L) rows that hold the species
+    on one set of sites and vacancies elsewhere, indexed by the set's
+    bitmask; `theta` is called once per pair of sites.  Each identity is
+    then compared as one int64 array over all its cases: for the
+    left-count identities, the 3^(2L) assignments of every site to
+    neither set, the first or the second, times the 2L sites.  On failure
+    the detail is the first counterexample in the order (assignment in
+    `itertools.product` order, then site); there is none if the
+    implementation is sound.  The largest arrays are the 3^(2L) x 2L
+    ones (6561 x 8 int64 values at L = 4).
     """
     report = Report()
     lam = list(sites(L))
@@ -342,8 +313,10 @@ def check_counting_lemmas(L: int) -> Report:
         _first(bad, lambda r, x, side: (lam[r], lam[x], ("left", "right")[side])),
     )
 
-    counts = {A: left_count_table(L, A), B: left_count_table(L, B)}
     lone = 1 << np.arange(n)  # the mask of one particle at site lam[i]
+    # row `mask` holds the species where the mask has a bit, else a vacancy
+    bits = np.arange(1 << n)[:, None] & lone != 0
+    counts = {s: left_counts(np.where(bits, s, VACANT), s) for s in (A, B)}
 
     # single-particle left counts reduce to the step function
     bad = np.stack([counts[s][lone] != step for s in (A, B)], axis=-1)

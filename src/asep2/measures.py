@@ -32,6 +32,7 @@ from .lattice import (
     Sector,
     config_rows,
     encode,
+    left_counts,
     occupations,
     sector_occupations,
     sites,
@@ -119,8 +120,7 @@ def pi_exponents(rows) -> np.ndarray:
     left, a B at k the A count to its left minus (2k - 1)."""
     a, b = rows == A, rows == B
     odd = 2 * np.arange(rows.shape[1]) + 1 - rows.shape[1]  # 2k - 1 at each site k
-    left_a, left_b = np.cumsum(a, axis=1) - a, np.cumsum(b, axis=1) - b
-    return (a * (odd - left_b) + b * (left_a - odd)).sum(axis=1)
+    return (a * (odd - left_counts(rows, B)) + b * (left_counts(rows, A) - odd)).sum(axis=1)
 
 
 def q_powers(exponents, q0: float) -> np.ndarray:

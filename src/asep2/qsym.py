@@ -18,7 +18,7 @@ exponent shift read off rows r and c of the occupation table.
 Embedded operators are built as term arrays from the occupation table:
 `site_embed` moves every configuration with a given state at site k at
 once, and a ladder's dressing is one half-exponent per basis state, from
-the left counts of `lattice.left_counts`.
+`lattice.left_counts` of the basis table, the package's one left count.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def build_Y_site(i: int, sign: int, k: int, L: int) -> SparseMatrix:
         raise SiteOutOfRange(f"site {k} outside lattice")
     pos = k + L - 1
     held = occupations(L) == species
-    left = left_counts(L, species)[:, pos]
+    left = left_counts(occupations(L), species)[:, pos]
     right = held.sum(axis=1) - left - held[:, pos]
     return site_embed(op, k, L, 2 * left_sign * (left - right))
 

@@ -61,23 +61,19 @@ class SparseMatrix:
     __slots__ = ("dim", "row", "col", "h", "coeff")
 
     def __init__(self, dim: int, entries=None):
-        """From a {(row, col): value} map: LaurentPoly or int values give
-        an exact matrix, float values a float one; zero values are dropped."""
+        """An exact matrix from a {(row, col): LaurentPoly or int} map, zero
+        values dropped; float matrices are built by `from_arrays`."""
         items = [(rc, v) for rc, v in entries.items() if v] if entries else []
         rows = np.fromiter((r for (r, _c), _v in items), np.int64, len(items))
         cols = np.fromiter((c for (_r, c), _v in items), np.int64, len(items))
-        if items and all(isinstance(v, float) for _rc, v in items):
-            values = np.fromiter((v for _rc, v in items), np.float64, len(items))
-            terms = (rows, cols, np.zeros(len(items), np.int64), values)
-        else:
-            polys = [_coerce(v) for _rc, v in items]
-            if any(p is None for p in polys):
-                raise TypeError("entries must all be floats, or all LaurentPoly or int")
-            sizes = [len(p.terms) for p in polys]
-            n = sum(sizes)
-            h = np.fromiter((h for p in polys for h in p.terms), np.int64, n)
-            coeff = _int64([x for p in polys for x in p.terms.values()])
-            terms = (np.repeat(rows, sizes), np.repeat(cols, sizes), h, coeff)
+        polys = [_coerce(v) for _rc, v in items]
+        if any(p is None for p in polys):
+            raise TypeError("entries must all be LaurentPoly or int")
+        sizes = [len(p.terms) for p in polys]
+        n = sum(sizes)
+        h = np.fromiter((h for p in polys for h in p.terms), np.int64, n)
+        coeff = _int64([x for p in polys for x in p.terms.values()])
+        terms = (np.repeat(rows, sizes), np.repeat(cols, sizes), h, coeff)
         _check_range(dim, rows, cols)
         self.dim = dim
         self.row, self.col, self.h, self.coeff = _reduce(dim, *terms)
@@ -386,4 +382,4 @@ def _require_exact(dim: int, m: SparseMatrix) -> None:
     if m.dim != dim:
         raise ValueError(f"dimension mismatch {dim} vs {m.dim}")
     if m.coeff.dtype.kind == "f":
-        raise TypeError("float matrices are built and converted, never combined")
+        raise TypeError("float matrices are built from term arrays and read, never combined")

@@ -1,12 +1,13 @@
-"""Shared test helpers, and a reference generator, duality function and
-reversible weight independent of the package's occupation tables."""
+"""Shared test helpers, and a reference generator, left count, duality
+function and reversible weight independent of the package's occupation
+tables."""
 
 import itertools
 import sys
 
 import numpy as np
 
-from asep2.generator import rate_table
+from asep2.generator import Ring, rate_table
 from asep2.lattice import A, B, VACANT
 from asep2.qring import LaurentPoly
 from asep2.sparse import SparseMatrix
@@ -31,6 +32,19 @@ def dense(m) -> np.ndarray:
     out = np.zeros((m.dim, m.dim))
     out[m.row, m.col] = m.coeff
     return out
+
+
+def float_matrix(dim: int, entries: dict) -> SparseMatrix:
+    """A float SparseMatrix from a {(row, col): float} map, by `from_arrays`."""
+    keys = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    values = np.array(list(entries.values()), dtype=np.float64)
+    h = np.zeros(len(values), np.int64)
+    return SparseMatrix.from_arrays(dim, keys[:, 0], keys[:, 1], h, values)
+
+
+def evaluated(m, q0: float) -> SparseMatrix:
+    """An exact SparseMatrix at q = q0, as a float one."""
+    return float_matrix(m.dim, {rc: v.eval(q0) for rc, v in m.sorted_items()})
 
 
 def matrix_row(m, r: int) -> dict:
@@ -68,7 +82,8 @@ def reference_generator(p, ring, rows: list[tuple]) -> SparseMatrix:
             if rate:
                 entries[(index[swapped(occ, i)], src)] = -rate
                 entries[(src, src)] = entries.get((src, src), rate * 0) + rate
-    return SparseMatrix(len(rows), entries)
+    build = float_matrix if ring is Ring.FLOAT else SparseMatrix
+    return build(len(rows), entries)
 
 
 def coordinates(c) -> tuple[tuple, tuple]:
@@ -77,6 +92,13 @@ def coordinates(c) -> tuple[tuple, tuple]:
     return tuple(
         tuple(k for k, s in zip(labels, c.occ) if s == species) for species in (A, B)
     )
+
+
+def count_left(occ, k: int, species: int) -> int:
+    """Number of sites strictly left of site k holding `species`, by a
+    slice of the occupation sequence: the reference for
+    `lattice.left_counts`."""
+    return occ[: k + len(occ) // 2 - 1].count(species)
 
 
 def reference_q(z, eta) -> LaurentPoly:

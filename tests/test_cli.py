@@ -8,7 +8,8 @@ import pytest
 
 from asep2 import cli, dynamics, qsym
 from asep2.cli import default_dual_coordinates, default_initial_config, main, zscore
-from asep2.measures import pure_marginal
+from asep2.lattice import config_rows
+from asep2.measures import Measure, pure_marginal
 from asep2.generator import ModelParams
 
 
@@ -210,6 +211,46 @@ class TestSimulate:
         assert main(["simulate", "--L", "1", "--trajectories", "200", "--t", "1"]) == 1
         records = json.loads(capsys.readouterr().out)["records"]
         assert max(abs(r["zscore"]) for r in records) <= 5.0
+
+    def test_long_horizon_self_duality(self, monkeypatch, capsys):
+        # at t = 1e6 the two sides differ by 1.3e-10, past EXACT_RTOL: the
+        # rounding of 19 squarings, which the tolerance follows; a
+        # prediction 1e-6 off still fails.  The sampled side is stubbed
+        # with the exact means (the run would take 6e6 proposals)
+        def exact_means(zs, p0, t, trajectories, seed, p):
+            means = dynamics.q_moments(config_rows(zs), *dynamics.law_at(p0, t, p), p.q0)[0]
+            return [dynamics.QEstimate(m, 0.0, trajectories) for m in means.tolist()]
+
+        monkeypatch.setattr(dynamics, "estimate_Q_many", exact_means)
+        argv = ["simulate", "--L", "2", "--trajectories", "1", "--t", "1e6"]
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert max(abs(r["exact"] / r["prediction"] - 1) for r in records) > cli.EXACT_RTOL
+        rhs = dynamics.duality_rhs
+        monkeypatch.setattr(
+            dynamics,
+            "duality_rhs",
+            lambda zs, p0, t, p: [v * (1 + 1e-6) for v in rhs(zs, p0, t, p)],
+        )
+        assert main(argv) == 1
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert max(abs(r["zscore"]) for r in records) <= 5.0
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_tolerance_follows_the_rounding(self, L):
+        # the exact means and the predictions of the default sectors agree
+        # within the tolerance up to t = 1e7, and the tolerance is
+        # EXACT_RTOL itself up to t = 1e4
+        p = ModelParams(L, Fraction(2), Fraction(1, 2))
+        zs = default_dual_coordinates(L)
+        p0 = Measure.point_mass(default_initial_config(L))
+        for t in (1.0, 1e2, 1e4):
+            assert cli._self_duality_rtol(p, t) == cli.EXACT_RTOL
+        for t in (1e4, 1e5, 1e6, 1e7):
+            exact = dynamics.q_moments(config_rows(zs), *dynamics.law_at(p0, t, p), p.q0)[0]
+            rtol = cli._self_duality_rtol(p, t)
+            for a, b in zip(exact.tolist(), dynamics.duality_rhs(zs, p0, t, p)):
+                assert math.isclose(a, b, rel_tol=rtol, abs_tol=cli.EXACT_ATOL), (t, a, b)
 
     def test_zscore_edge_cases(self):
         assert zscore(1.0, 0.0, 1.0) == 0.0

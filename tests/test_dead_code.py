@@ -1,5 +1,6 @@
 """Every public name in the package is reached from the package itself,
-and only the lattice module reads basis indices as base-3 digits.
+and only the lattice module reads basis indices as base-3 digits or
+counts along the sites of an occupation table.
 
 A public module-level function or class needs a `Name` or `Attribute`
 reference somewhere in `src/asep2` outside its own definition; a public
@@ -7,7 +8,9 @@ method or property needs an `Attribute` reference.  Code that only tests
 reach is deleted, or its tests move onto the code the package runs.
 
 A basis index is decoded by `lattice.decode`, the one base-3 codec, so
-no other module takes a base-3 digit with `% 3`.
+no other module takes a base-3 digit with `% 3`.  A left count is
+`lattice.left_counts`, the one cumulative count along a table's sites,
+so no other module calls `cumsum` with an axis.
 """
 
 import ast
@@ -79,17 +82,39 @@ def _mod_three(node) -> bool:
     return isinstance(operand, ast.Constant) and operand.value == 3
 
 
-def digit_arithmetic() -> list[str]:
-    """Top-level definitions outside lattice.py that take a base-3 digit."""
+def _outside_lattice(found) -> list[str]:
+    """Top-level definitions outside lattice.py with a node `found` holds for."""
     out = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "lattice.py":
             continue
         for top in ast.parse(path.read_text()).body:
-            if any(_mod_three(node) for node in ast.walk(top)):
+            if any(found(node) for node in ast.walk(top)):
                 out.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     return sorted(out)
 
 
+def digit_arithmetic() -> list[str]:
+    """Top-level definitions outside lattice.py that take a base-3 digit."""
+    return _outside_lattice(_mod_three)
+
+
 def test_basis_digits_only_in_lattice():
     assert digit_arithmetic() == sorted(DIGIT_ALLOWLIST)
+
+
+def _cumsum_along_axis(node) -> bool:
+    """`np.cumsum(x, axis)` or `x.cumsum(axis)`, the axis by position or keyword."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    # the method `x.cumsum` takes the axis first, the function the array
+    method = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) != "np"
+    given = len(node.args) > (0 if method else 1) or any(k.arg == "axis" for k in node.keywords)
+    return name == "cumsum" and given
+
+
+def test_left_counts_only_in_lattice():
+    # a 1-D cumsum (a cdf, an offset table) is not a count along sites
+    assert _outside_lattice(_cumsum_along_axis) == []

@@ -51,7 +51,7 @@ from asep2.lattice import (
 from asep2.measures import Measure, canonical, grandcanonical
 from asep2.sparse import SparseMatrix
 
-from helpers import dense, reference_q
+from helpers import dense, float_matrix, reference_q
 
 P1 = ModelParams(1, Fraction(2), Fraction(1, 2))
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
@@ -260,7 +260,7 @@ def three_cycle(forward: float, back: float) -> SparseMatrix:
     for a in range(3):
         entries[(a + 1) % 3, a] = -forward
         entries[a, (a + 1) % 3] = -back
-    return SparseMatrix(3, entries)
+    return float_matrix(3, entries)
 
 
 class TestDetailedBalance:
@@ -300,7 +300,7 @@ class TestDetailedBalance:
 
     def test_one_way_term(self):
         # 0 -> 1 at rate 1 and no way back
-        op = SparseMatrix(2, {(0, 0): 1.0, (1, 0): -1.0})
+        op = float_matrix(2, {(0, 0): 1.0, (1, 0): -1.0})
         with pytest.raises(ValueError, match="no reverse"):
             evolve(op, 1.0)
 

@@ -23,7 +23,7 @@ import pytest
 from asep2 import duality, measures, qsym
 from asep2.duality import check_duality, check_sum_rules
 from asep2.generator import ModelParams, Ring
-from asep2.lattice import A, VACANT, left_counts, sector_occupations
+from asep2.lattice import A, VACANT, left_counts, occupations, sector_occupations
 from asep2.measures import check_uniqueness
 from asep2.qring import Q, q_number
 from asep2.qsym import (
@@ -70,7 +70,7 @@ def _embedding_dressed(monkeypatch):
     # an undressed embedding picks up q**(number of A left of the site)
     def dressed(u, k, L, dressing=None):
         if dressing is None:
-            dressing = 2 * left_counts(L, A)[:, k + L - 1]
+            dressing = 2 * left_counts(occupations(L), A)[:, k + L - 1]
         return _real_site_embed(u, k, L, dressing)
 
     monkeypatch.setattr(qsym, "site_embed", dressed)

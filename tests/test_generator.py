@@ -18,7 +18,7 @@ from asep2.qring import LaurentPoly
 from asep2.qsym import species_counts
 from asep2.sparse import SparseMatrix, commutator
 
-from helpers import basis, dense, reference_generator, swapped
+from helpers import basis, dense, evaluated, reference_generator, swapped
 
 P1 = ModelParams(1, Fraction(2), Fraction(1, 2))
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
@@ -118,7 +118,7 @@ class TestBuildH:
         p = ModelParams(2, Fraction(1), Fraction(1))
         H = build_H(p, Ring.FLOAT)
         assert H == H.transpose()
-        He = h_exact(2).map_entries(lambda v: v.eval(1.0))
+        He = evaluated(h_exact(2), 1.0)
         assert He == He.transpose()
 
     @pytest.mark.parametrize("L", [1, 2])

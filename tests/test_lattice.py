@@ -18,10 +18,11 @@ from asep2.lattice import (
     all_configs,
     check_counting_lemmas,
     check_permutation_identities,
-    count_left,
+    config_rows,
     decode,
     encode,
     enumerate_sector,
+    left_counts,
     occupations,
     sector_occupations,
     sites,
@@ -31,11 +32,12 @@ from asep2.lattice import (
 )
 from asep2.duality import check_duality
 from asep2.generator import h_exact
+from asep2.measures import check_reversibility
 from asep2.qring import LaurentPoly
 from asep2.qsym import build_Y_site, check_symmetry
 from asep2.reporting import Report
 
-from helpers import clear_caches, coordinates, matrix_row, package_modules
+from helpers import clear_caches, coordinates, count_left, matrix_row, package_modules
 
 
 def _lowering_row(text: str, k: int) -> dict:
@@ -44,8 +46,22 @@ def _lowering_row(text: str, k: int) -> dict:
     return {all_configs(c.L)[j].text(): v for j, v in row.items()}
 
 
-_real_count_left = lattice.count_left
+_real_left_counts = lattice.left_counts
 _real_theta = lattice.theta
+
+
+def _off_at_site_one(rows, species):
+    # a left count one too high at site 1 (position L of 2L), in every row
+    n = np.shape(rows)[1]
+    return _real_left_counts(rows, species) + (np.arange(n) == n // 2)
+
+
+def _off_at_last_site(rows, species):
+    # one too high at the last site, in the rows that hold two or more
+    n = np.shape(rows)[1]
+    many = (np.asarray(rows) == species).sum(axis=1, keepdims=True) >= 2
+    return _real_left_counts(rows, species) + (many & (np.arange(n) == n - 1))
+
 
 # injected faults -> the FAIL lines both lemma checks print at L = 1, 2
 # (and 3 for the step function), as computed by the one-case-at-a-time
@@ -53,8 +69,8 @@ _real_theta = lattice.theta
 # counterexample
 LEMMA_FAULTS = {
     "left count off by one at site 1": (
-        "count_left",
-        lambda occ, k, species: _real_count_left(occ, k, species) + (k == 1),
+        "left_counts",
+        _off_at_site_one,
         (1, 2),
         [
             "L1:single-left-count FAIL (0, 1, 'A')",
@@ -74,9 +90,8 @@ LEMMA_FAULTS = {
         ],
     ),
     "left count off by one at the last site of a multi-particle set": (
-        "count_left",
-        lambda occ, k, species: _real_count_left(occ, k, species)
-        + (occ.count(species) >= 2 and k == len(occ) // 2),
+        "left_counts",
+        _off_at_last_site,
         (1, 2),
         [
             "L1:left-count-union-additivity-A FAIL ((0,), (1,), 1)",
@@ -311,31 +326,39 @@ class TestSectors:
             Sector(1, 2, 1)
 
 
+def _left(c: Config, species: int) -> list[int]:
+    """`left_counts` of the one row of c, site by site."""
+    return left_counts(config_rows([c]), species)[0].tolist()
+
+
 class TestCounting:
     def test_example(self):
-        occ = Config.from_coordinates(2, x=(-1, 2)).occ
-        assert count_left(occ, 2, A) == 1
+        c = Config.from_coordinates(2, x=(-1, 2))
+        assert _left(c, A) == [0, 1, 1, 1]
 
     def test_left_edge(self):
-        occ = Config.from_coordinates(2, x=(0, 1), y=(2,)).occ
-        assert count_left(occ, -1, A) == 0
-        assert count_left(occ, -1, B) == 0
+        c = Config.from_coordinates(2, x=(0, 1), y=(2,))
+        assert _left(c, A)[0] == 0
+        assert _left(c, B)[0] == 0
 
     def test_vacancies(self):
-        occ = Config.from_text("A0B0").occ
-        assert [count_left(occ, k, VACANT) for k in sites(2)] == [0, 0, 1, 1]
+        assert _left(Config.from_text("A0B0"), VACANT) == [0, 0, 1, 1]
 
     def test_invalid(self):
-        with pytest.raises(SiteOutOfRange):
-            count_left(vacant_config(2).occ, 3, A)
         with pytest.raises(ValueError):
-            count_left(vacant_config(2).occ, 0, 3)
+            left_counts(config_rows([vacant_config(2)]), 3)
 
     def test_single_particle_step(self):
         for x in sites(2):
-            for r in sites(2):
-                occ = Config.from_coordinates(2, x=(x,)).occ
-                assert count_left(occ, r, A) == theta(x, r)
+            assert _left(Config.from_coordinates(2, x=(x,)), A) == [theta(x, r) for r in sites(2)]
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_matches_reference(self, L):
+        # every basis row, for each state, against the loop over one row
+        rows = occupations(L)
+        for species in (A, VACANT, B):
+            expect = [[count_left(occ, k, species) for k in sites(L)] for occ in rows.tolist()]
+            assert left_counts(rows, species).tolist() == expect
 
     # the site-k term of Y1- adds an A at k, dressed by q**(-c) for the
     # centred count c = (A left of k) - (A right of k)
@@ -391,18 +414,15 @@ class TestLemmaChecks:
 
     def test_wrong_left_count_is_seen(self, monkeypatch):
         # negative control: a left count that is wrong at one site fails the
-        # lemma suite and the symmetry and duality checks, which call it too
-        real = lattice.count_left
-
-        def wrong(occ, k, species):
-            return real(occ, k, species) + (1 if k == 1 else 0)
-
+        # lemma suite and the reversibility, symmetry and duality checks,
+        # whose weights, ladders and duality values call it too
         for module in package_modules():
-            if getattr(module, "count_left", None) is real:
-                monkeypatch.setattr(module, "count_left", wrong)
+            if getattr(module, "left_counts", None) is _real_left_counts:
+                monkeypatch.setattr(module, "left_counts", _off_at_site_one)
         clear_caches()
         try:
             report = check_counting_lemmas(1)
+            report.extend(check_reversibility(h_exact(1), 1))
             report.extend(check_symmetry(h_exact(1), 1))
             report.extend(check_duality(1))
         finally:
@@ -410,7 +430,7 @@ class TestLemmaChecks:
             clear_caches()
         failed = {line.split()[1] for line in report.lines() if " FAIL " in line}
         assert "L1:left-count-union-additivity-A" in failed
-        assert {"L1:DH=HtD", "L1:commutator-H-Y1-"} <= failed
+        assert {"L1:detailed-balance", "L1:DH=HtD", "L1:commutator-H-Y1-"} <= failed
 
     @pytest.mark.parametrize("fault", sorted(LEMMA_FAULTS))
     def test_first_counterexample_pinned(self, monkeypatch, fault):

@@ -41,7 +41,7 @@ from asep2.measures import (
 )
 from asep2.qring import LaurentPoly, q_multinomial
 
-from helpers import dense, pi_exponent
+from helpers import dense, evaluated, pi_exponent
 
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
 
@@ -227,7 +227,7 @@ class TestReversibility:
         assert report.passed, report.render()
 
     def test_q_one_reduces_to_symmetry(self):
-        H = h_exact(1).map_entries(lambda v: v.eval(1.0))
+        H = evaluated(h_exact(1), 1.0)
         assert H == H.transpose()
 
 

@@ -9,7 +9,6 @@ from asep2.lattice import (
     Config,
     SiteOutOfRange,
     all_configs,
-    count_left,
     sites,
     vacant_config,
 )
@@ -40,7 +39,7 @@ from asep2.qsym import (
 )
 from asep2.sparse import SparseMatrix, commutator
 
-from helpers import coordinates, dense, matrix_row
+from helpers import coordinates, count_left, dense, evaluated, matrix_row
 
 
 def count_op(L: int, i: int) -> SparseMatrix:
@@ -191,8 +190,8 @@ class TestSymmetry:
 
     def test_q_one_specialisation(self):
         # integer entries at q = 1, so the float products are exact
-        H1 = dense(h_exact(1).map_entries(lambda v: v.eval(1.0)))
-        y = dense(build_Y(1, +1, 1).map_entries(lambda v: v.eval(1.0)))
+        H1 = dense(evaluated(h_exact(1), 1.0))
+        y = dense(evaluated(build_Y(1, +1, 1), 1.0))
         assert not np.any(H1 @ y - y @ H1)
 
 

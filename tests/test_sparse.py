@@ -274,10 +274,15 @@ def test_normal_form():
 
 
 def test_float_matrices_are_not_combined():
-    f = SparseMatrix(2, {(0, 1): 0.5, (1, 1): -0.25})
+    # float matrices are built from term arrays, here out of order
+    f = SparseMatrix.from_arrays(
+        2, np.array([1, 0]), np.array([1, 1]), np.zeros(2, np.int64), np.array([-0.25, 0.5])
+    )
     assert f.coeff.dtype == np.float64 and f.get(0, 1) == 0.5
     assert (f.row.tolist(), f.col.tolist(), f.coeff.tolist()) == ([0, 1], [1, 1], [0.5, -0.25])
     with pytest.raises(TypeError):
         f @ f
     with pytest.raises(TypeError):
         f + f
+    with pytest.raises(TypeError):
+        SparseMatrix(2, {(0, 1): 0.5})
