@@ -33,6 +33,7 @@ from asep2.dynamics import (
     evolve_vector,
     law_at,
     q_moments,
+    rounding_bound,
     sector_generator,
     series_work,
     takes_dense,
@@ -412,6 +413,11 @@ PATH_PINS = {
 # sectors for the path choice: every one at L <= 3, L=4 up to the
 # benchmark's dim 560, and L=5 (2,2) past DENSE_MAX_DIM at dim 1260
 CHOICE_SECTORS = VECTOR_SECTORS + [(4, 2, 2), (5, 2, 2)]
+CHOICE_TIMES = (0.0, 0.25, 1.0, 4.0, 30.0, 1000.0, 1e5)
+# sha256 of the repr of the list of (dense path?, work, rounding) over
+# CHOICE_SECTORS at r=2, l=1/2, each at CHOICE_TIMES in turn: 378
+# entries, 139 of them on the dense path
+CHOICE_PIN = "956763beb25f74acd0ff5d75b1e0a4328a1512b957b9d5b45e406775747fbb46"
 
 
 class TestPathChoice:
@@ -427,6 +433,17 @@ class TestPathChoice:
         )
         assert {nm for nm, op in ops.items() if takes_dense(op, t)} == on_dense
         assert {nm for nm, op in ops.items() if all(op is not o for o in priced)} == plain
+
+    def test_pinned_table(self):
+        # the path, work and rounding of every choice, bit for bit
+        table = []
+        for L, N, M in CHOICE_SECTORS:
+            p = ModelParams(L, Fraction(2), Fraction(1, 2))
+            op = build_H_sector(p, Sector(L, N, M), Ring.FLOAT)
+            for t in CHOICE_TIMES:
+                table.append((takes_dense(op, t), series_work(op, t), rounding_bound(op, t)))
+        assert len(table) == 378 and sum(dense for dense, _, _ in table) == 139
+        assert hashlib.sha256(repr(table).encode()).hexdigest() == CHOICE_PIN
 
     @pytest.mark.parametrize("L, N, M", CHOICE_SECTORS)
     def test_lesser_work(self, L, N, M):
