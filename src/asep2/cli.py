@@ -11,7 +11,7 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 an identity or statistical check failed
 (for simulate: a z-score beyond 5, or an exact mean of Q_z(eta_t) that
 disagrees with its duality prediction beyond EXACT_RTOL relative or, at
-long horizons, beyond `dynamics.rounding_bound`), 2 usage error
+long horizons, beyond the planned rounding of `dynamics.plan`), 2 usage error
 (including a bad flag value, an unknown config key, an unreadable config
 file or value, an output path that cannot be opened, a negative or
 non-finite time, a non-finite chemical potential, no trajectories, a
@@ -22,7 +22,7 @@ simulation whose bound trajectories * (number of times + (2L - 1) *
 max(r, l) * sum of the times) on start draws and jump proposals exceeds
 SIMULATE_MAX_PROPOSALS or whose exact law and duality predictions need
 more than SIMULATE_MAX_SERIES term products on the cheaper of the dense
-kernel and the vector series in each sector (`dynamics.series_work`; at
+kernel and the vector series in each sector (`dynamics.plan`; at
 L <= 5 every default sector fits the dense kernel, whose work grows like
 log t, so long horizons pass this cap there), and a sector or a
 simulation at L > lattice.CODE_MAX_L = 19, where a basis index would
@@ -79,7 +79,7 @@ SLOW_CHECK_MAX_L = 2
 # runs are bounded too
 SIMULATE_MAX_PROPOSALS = 1e8
 # the work of the exact law and the duality predictions in term products
-# (`dynamics.series_work`, on the path each sector takes), summed over the
+# (`dynamics.plan`, on the path each sector takes), summed over the
 # start's sector and the dual sectors at every time: `simulate --L 19
 # --t 1` needs 6.5e6 and --t 100 5.4e8; at about 4.5 ns a term, 1e9 is
 # some 5 s of series
@@ -351,16 +351,16 @@ def _sector_generators(p) -> list:
 
 
 def _series_work(p, ts: list[float]) -> float:
-    """The work of `law_at` and `duality_rhs` in one run: `series_work`
-    of `_sector_generators` at every time, each on the path it takes."""
-    return sum(dynamics.series_work(op, t) for op in _sector_generators(p) for t in ts)
+    """The planned work (`dynamics.plan`) of `law_at` and `duality_rhs` at
+    every time; called under the proposal cap, which keeps lam t finite."""
+    return sum(dynamics.plan(op, t).work for op in _sector_generators(p) for t in ts)
 
 
 def _self_duality_rtol(p, t: float) -> float:
     """The float self-duality check's relative tolerance at time t: the
-    largest `dynamics.rounding_bound` of `_sector_generators`, at least
-    EXACT_RTOL."""
-    return max([EXACT_RTOL] + [dynamics.rounding_bound(op, t) for op in _sector_generators(p)])
+    largest planned rounding (`dynamics.plan`) of `_sector_generators`, at
+    least EXACT_RTOL."""
+    return max([EXACT_RTOL] + [dynamics.plan(op, t).rounding for op in _sector_generators(p)])
 
 
 def _closure_payload(args, ts: list[float]) -> dict:

@@ -10,9 +10,9 @@ series in P to one vector, a chunk of the scaled horizon at a time, with
 one `np.bincount` over P's terms per product.  The law of eta_t and the
 duality predictions apply exp(-H t) to one vector per sector and time,
 by whichever of `evolve(op, t).matrix @ v` and `evolve_vector` costs
-less (`takes_dense`): the vector series' work grows like lam t, the dense
-kernel's like dim^3 log(lam t), and the dense side stops at
-DENSE_MAX_DIM rows.
+less (`plan`, which also prices the work and the rounding): the vector
+series' work grows like lam t, the dense kernel's like dim^3 log(lam t),
+and the dense side stops at DENSE_MAX_DIM rows.
 
 There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows with rates from `generator.rate_table`.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +62,7 @@ REVERSIBLE_TOL = 1e-10
 # the fixed numpy cost of one sparse product by P, counted in terms: about
 # 3 us a call against 4.5 ns a term (measured on sectors of L = 1..19)
 PRODUCT_CALL_TERMS = 700
-# the dense side of `takes_dense`: `evolve` on at most DENSE_MAX_DIM rows
+# the dense side of `plan`: `evolve` on at most DENSE_MAX_DIM rows
 # (the benchmark's largest kernel), costed in terms as EVOLVE_CALL_TERMS a
 # call, DENSE_ENTRY_TERMS an entry and dim^3/GEMM_TERM_CUBES a general
 # product; fitted on one thread to `evolve(op, t).matrix @ v` against
@@ -121,8 +122,8 @@ def _squaring_plan(lam_t: float) -> tuple[int, list[float]]:
     least dense-product cost (`_product_cost`), the fewer squarings on a
     tie.  Candidates run from s0, the least s with lam t/2^s <= SCALE_MU,
     to max(s0, MAX_SQUARINGS); the tail tolerance at s is TAIL_TOL/2^s.
-    Cached: `series_work`, `takes_dense` and `evolve` plan the same lam t
-    in turn, and callers only read the weights."""
+    Cached: `plan` and `evolve` plan the same lam t in turn, and callers
+    only read the weights."""
     s0 = _scaled_horizon(lam_t)
     plans = [
         (s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s)))
@@ -283,8 +284,8 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
 def _chunk_weights(lam_t: float) -> tuple[int, list[float]]:
     """The scaled horizon s0 of lam t > 0 and the Poisson weights of one
     chunk of `evolve_vector`: mu = lam t/2^s0 at tail tolerance
-    TAIL_TOL/2^s0.  Cached like `_squaring_plan`: `series_work`,
-    `takes_dense` and `evolve_vector` read the same lam t in turn."""
+    TAIL_TOL/2^s0.  Cached like `_squaring_plan`: `plan` and
+    `evolve_vector` read the same lam t in turn."""
     s = _scaled_horizon(lam_t)
     return s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))
 
@@ -345,14 +346,6 @@ def _vector_work(op: SparseMatrix, s0: int, products: int) -> float:
     return math.ldexp(products, s0) * (terms + PRODUCT_CALL_TERMS)
 
 
-@lru_cache(maxsize=None)
-def _chunk_products(s0: int) -> int:
-    """The most products by P one chunk of `evolve_vector` takes at scaled
-    horizon s0: the count at mu = SCALE_MU, the largest over mu <= SCALE_MU
-    (checked on a fine grid of mu by the tests)."""
-    return len(_poisson_weights(SCALE_MU, math.ldexp(TAIL_TOL, -s0))) - 1
-
-
 def _dense_work(dim: int, product_cost: float) -> float:
     """Work of `evolve(op, t).matrix @ v` in term products, at a plan of
     `product_cost` general products (`_product_cost`): EVOLVE_CALL_TERMS,
@@ -360,65 +353,39 @@ def _dense_work(dim: int, product_cost: float) -> float:
     return EVOLVE_CALL_TERMS + DENSE_ENTRY_TERMS * dim**2 + dim**3 / GEMM_TERM_CUBES * product_cost
 
 
-def _vector_plainly_cheaper(op: SparseMatrix, lam_t: float) -> bool:
-    """Whether `evolve_vector` costs less than the dense kernel at lam t > 0,
-    decided from dim, P's terms and s0 alone, with no Poisson list: past
-    DENSE_MAX_DIM, or when its most products (`_chunk_products`) cost no
-    more than the dense work of s0 squarings alone."""
-    if op.dim > DENSE_MAX_DIM:
-        return True
-    s0 = _scaled_horizon(lam_t)
-    return _vector_work(op, s0, _chunk_products(s0)) <= _dense_work(op.dim, SYRK_COST * s0)
+class Plan(NamedTuple):
+    """How exp(-H t) v is formed: by `evolve(op, t).matrix @ v` (dense) or
+    by `evolve_vector`, with that path's work in term products and its
+    relative rounding to first order."""
+
+    dense: bool
+    work: float
+    rounding: float
 
 
-def _path_works(op: SparseMatrix, lam_t: float) -> tuple[float, float]:
-    """The work of exp(-H t) v at lam t > 0 by `evolve_vector` and by the
-    dense kernel, in term products; the dense one is inf, and not
-    planned, where the vector series is plainly cheaper."""
-    s0, weights = _chunk_weights(lam_t)
-    vector = _vector_work(op, s0, len(weights) - 1)
-    if _vector_plainly_cheaper(op, lam_t):
-        return vector, math.inf
-    return vector, _dense_work(op.dim, _product_cost(*_squaring_plan(lam_t)))
-
-
-def takes_dense(op: SparseMatrix, t: float) -> bool:
-    """Whether exp(-H t) v is formed as `evolve(op, t).matrix @ v` rather
-    than as `evolve_vector(op, v, t)`: when its work is the lesser
-    (`_path_works`), the vector series on a tie.  Where the vector series
-    is plainly cheaper, no Poisson list is formed.  ValueError as
-    `evolve_vector`."""
-    lam_t = _rate_time(_exit_rates(op)[1], t)
-    if lam_t == 0.0 or _vector_plainly_cheaper(op, lam_t):
-        return False
-    vector, dense = _path_works(op, lam_t)
-    return dense < vector
-
-
-def series_work(op: SparseMatrix, t: float) -> float:
-    """Work in term products of exp(-H t) v by the path `takes_dense`
-    picks, the lesser of `_path_works`; inf when lam t is not finite."""
-    try:
-        lam_t = _rate_time(_exit_rates(op)[1], t)
-    except ValueError:
-        return math.inf
-    return min(_path_works(op, lam_t)) if lam_t else 0.0
-
-
-def rounding_bound(op: SparseMatrix, t: float) -> float:
-    """The relative rounding of exp(-H t) v on the path `takes_dense` picks,
-    to first order: a machine epsilon per series term of its plan, times 2^s
-    for s squarings (`_squaring_plan`) or 2^s0 chunks (`_chunk_weights`)."""
+def plan(op: SparseMatrix, t: float) -> Plan:
+    """The path of the lesser work for exp(-H t) v, the vector series on a
+    tie: `_vector_work` of its chunks (`_chunk_weights`) against, up to
+    DENSE_MAX_DIM rows, `_dense_work` of the squaring plan
+    (`_squaring_plan`).  The rounding is a machine epsilon per series term
+    of the path's plan, times 2^s for s squarings or 2^s0 chunks.
+    ValueError as `evolve_vector`."""
     lam_t = _rate_time(_exit_rates(op)[1], t)
     if lam_t == 0.0:
-        return 0.0
-    s, weights = _squaring_plan(lam_t) if takes_dense(op, t) else _chunk_weights(lam_t)
-    return math.ldexp(len(weights) * np.finfo(np.float64).eps, s)
+        return Plan(False, 0.0, 0.0)
+    (s, weights), dense = _chunk_weights(lam_t), False
+    work = _vector_work(op, s, len(weights) - 1)
+    if op.dim <= DENSE_MAX_DIM:
+        squared = _squaring_plan(lam_t)
+        dense_work = _dense_work(op.dim, _product_cost(*squared))
+        if dense_work < work:
+            (s, weights), work, dense = squared, dense_work, True
+    return Plan(dense, work, math.ldexp(len(weights) * np.finfo(np.float64).eps, s))
 
 
 def _evolved(op: SparseMatrix, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(-H t) v by the path `takes_dense` picks."""
-    if takes_dense(op, t):
+    """exp(-H t) v by the path `plan` picks."""
+    if plan(op, t).dense:
         return evolve(op, t).matrix @ v
     return evolve_vector(op, v, t)
 

@@ -16,7 +16,6 @@ from asep2.dynamics import (
     SCALE_MU,
     TAIL_TOL,
     QEstimate,
-    _chunk_products,
     _dense_work,
     _detailed_balance,
     _evolved,
@@ -32,11 +31,9 @@ from asep2.dynamics import (
     evolve,
     evolve_vector,
     law_at,
+    plan,
     q_moments,
-    rounding_bound,
     sector_generator,
-    series_work,
-    takes_dense,
 )
 from asep2.generator import ModelParams, Ring, build_H, build_H_sector
 from asep2.lattice import (
@@ -344,15 +341,15 @@ class TestEvolveVector:
             assert float(np.max(np.abs(out - kernel))) <= 1e-12
             assert abs(out.sum() - v.sum()) <= 1e-12
             assert out.min() >= 0.0
-            # `law_at` and `duality_rhs` take the path `takes_dense` picks
-            assert np.array_equal(_evolved(op, v, t), kernel if takes_dense(op, t) else out)
+            # `law_at` and `duality_rhs` take the path `plan` picks
+            assert np.array_equal(_evolved(op, v, t), kernel if plan(op, t).dense else out)
 
     def test_no_moves(self):
         # L=1 (0,0) has no terms at all, so no diagonal to take lam from
         op = build_H_sector(P1, Sector(1, 0, 0), Ring.FLOAT)
         assert len(op.coeff) == 0
         assert evolve_vector(op, [0.3], 5.0).tolist() == [0.3]
-        assert series_work(op, 5.0) == 0.0
+        assert plan(op, 5.0) == (False, 0.0, 0.0)
 
     def test_zero_time_is_a_copy(self):
         op = build_H_sector(P2, SECTOR11, Ring.FLOAT)
@@ -366,13 +363,23 @@ class TestEvolveVector:
         with pytest.raises(ValueError, match="finite rate-time product"):
             evolve_vector(op, np.ones(op.dim), t)
 
-    def test_unbounded_work(self):
-        assert series_work(build_H_sector(P2, SECTOR11, Ring.FLOAT), 1e308) == math.inf
+    def test_unbounded_work(self, capsys):
+        # a rate-time product that overflows has no plan; `simulate` exits 2
+        # at the proposal cap, which it checks before it plans
+        from asep2.cli import main
+
+        with pytest.raises(ValueError, match="finite rate-time product"):
+            plan(build_H_sector(P2, SECTOR11, Ring.FLOAT), 1e308)
+        assert main(["simulate", "--L", "3", "--trajectories", "100", "--t", "1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: simulation is desk-scale: up to inf start draws and jump "
+            "proposals, need at most 1e+08\n"
+        )
 
     @pytest.mark.parametrize("t", [0.5, 30.0])
     def test_work_counts_products(self, t, monkeypatch):
         # one bincount forms the diagonal of P, each other one is a product;
-        # `series_work` is the lesser of that work and the dense kernel's
+        # the planned work is the lesser of that work and the dense kernel's
         op = build_H_sector(P2, SECTOR11, Ring.FLOAT)
         calls = []
         bincount = np.bincount
@@ -386,7 +393,7 @@ class TestEvolveVector:
         vector = _vector_work(op, s0, len(weights) - 1)
         assert vector == products * (terms + PRODUCT_CALL_TERMS)
         dense_work = _dense_work(op.dim, _product_cost(*_squaring_plan(lam_t)))
-        assert series_work(op, t) == min(vector, dense_work)
+        assert plan(op, t).work == min(vector, dense_work)
 
 
 def simulate_sectors(L):
@@ -398,16 +405,15 @@ def simulate_sectors(L):
 
 
 # (L, t) -> the sectors (N, M) of `simulate --L L --t t` whose exp(-H t)
-# `takes_dense` forms as a dense kernel, with those it decides without
-# `_path_works` (no Poisson list): the closure-mc runs, L=2 at t = 1, 4
-# and L=4 at t=4, and `--t 1000` at L = 2 and 4.  At L=2, t=4, (1,1) and
+# `plan` forms as a dense kernel: the closure-mc runs, L=2 at t = 1, 4 and
+# L=4 at t=4, and `--t 1000` at L = 2 and 4.  At L=2, t=4, (1,1) and
 # (2,1) are a measured tie (0.35 ms each way) and take the vector series.
 PATH_PINS = {
-    (2, 1.0): (set(), {(0, 1), (1, 0), (1, 1), (2, 1)}),
-    (2, 4.0): (set(), {(0, 1), (1, 0)}),
-    (4, 4.0): (set(), {(0, 1), (1, 0), (2, 1)}),
-    (2, 1000.0): ({(0, 1), (1, 0), (1, 1), (2, 1)}, set()),
-    (4, 1000.0): ({(0, 1), (1, 0), (1, 1), (2, 1)}, set()),
+    (2, 1.0): set(),
+    (2, 4.0): set(),
+    (4, 4.0): set(),
+    (2, 1000.0): {(0, 1), (1, 0), (1, 1), (2, 1)},
+    (4, 1000.0): {(0, 1), (1, 0), (1, 1), (2, 1)},
 }
 
 # sectors for the path choice: every one at L <= 3, L=4 up to the
@@ -422,17 +428,10 @@ CHOICE_PIN = "956763beb25f74acd0ff5d75b1e0a4328a1512b957b9d5b45e406775747fbb46"
 
 class TestPathChoice:
     @pytest.mark.parametrize("L, t", PATH_PINS)
-    def test_pinned_paths(self, L, t, monkeypatch):
+    def test_pinned_paths(self, L, t):
         p = ModelParams(L, Fraction(2), Fraction(1, 2))
-        on_dense, plain = PATH_PINS[L, t]
         ops = {nm: sector_generator(p, Sector(L, *nm)) for nm in simulate_sectors(L)}
-        priced = []
-        works = dynamics._path_works
-        monkeypatch.setattr(
-            dynamics, "_path_works", lambda op, lam_t: priced.append(op) or works(op, lam_t)
-        )
-        assert {nm for nm, op in ops.items() if takes_dense(op, t)} == on_dense
-        assert {nm for nm, op in ops.items() if all(op is not o for o in priced)} == plain
+        assert {nm for nm, op in ops.items() if plan(op, t).dense} == PATH_PINS[L, t]
 
     def test_pinned_table(self):
         # the path, work and rounding of every choice, bit for bit
@@ -441,38 +440,31 @@ class TestPathChoice:
             p = ModelParams(L, Fraction(2), Fraction(1, 2))
             op = build_H_sector(p, Sector(L, N, M), Ring.FLOAT)
             for t in CHOICE_TIMES:
-                table.append((takes_dense(op, t), series_work(op, t), rounding_bound(op, t)))
+                table.append(tuple(plan(op, t)))
         assert len(table) == 378 and sum(dense for dense, _, _ in table) == 139
         assert hashlib.sha256(repr(table).encode()).hexdigest() == CHOICE_PIN
 
     @pytest.mark.parametrize("L, N, M", CHOICE_SECTORS)
     def test_lesser_work(self, L, N, M):
-        # the path of the lesser work, the vector series on a tie, and the
-        # plain rule never overrules the full comparison on these sectors;
-        # `series_work` is the chosen path's work
+        # the path of the lesser work, the vector series on a tie, with
+        # that path's work and the rounding of its series and squarings
         p = ModelParams(L, Fraction(2), Fraction(1, 2))
         op = build_H_sector(p, Sector(L, N, M), Ring.FLOAT)
         lam = float(np.max(np.diag(dense(op)), initial=0.0))
-        for t in (0.0, 0.25, 1.0, 4.0, 30.0, 1000.0, 1e5):
+        for t in CHOICE_TIMES:
             if lam * t == 0.0:
-                assert not takes_dense(op, t) and series_work(op, t) == 0.0
+                assert plan(op, t) == (False, 0.0, 0.0)
                 continue
             s0, weights = fixed_rule_weights(lam * t)
             vector = _vector_work(op, s0, len(weights) - 1)
-            dense_work = math.inf
+            dense_work, squared = math.inf, None
             if op.dim <= DENSE_MAX_DIM:
-                dense_work = _dense_work(op.dim, _product_cost(*_squaring_plan(lam * t)))
-            assert takes_dense(op, t) == (dense_work < vector)
-            assert series_work(op, t) == min(vector, dense_work)
-
-    @pytest.mark.parametrize("s0", range(13))
-    def test_chunk_products_bound(self, s0):
-        # the plain rule's bound: no mu <= SCALE_MU (above SCALE_MU/2 once
-        # s0 > 0) takes more products per chunk than mu = SCALE_MU
-        tol = math.ldexp(TAIL_TOL, -s0)
-        lo = SCALE_MU / 2 if s0 else 0.0
-        mus = np.linspace(lo, SCALE_MU, 801)[1:]
-        assert max(len(_poisson_weights(float(mu), tol)) - 1 for mu in mus) <= _chunk_products(s0)
+                squared = _squaring_plan(lam * t)
+                dense_work = _dense_work(op.dim, _product_cost(*squared))
+            on_dense = dense_work < vector
+            s, used = squared if on_dense else (s0, weights)
+            rounding = len(used) * np.finfo(np.float64).eps * 2.0**s
+            assert plan(op, t) == (on_dense, min(vector, dense_work), rounding)
 
 
 def final_rows(p0, t, trajectories, seed, p=P2):
