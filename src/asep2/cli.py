@@ -20,11 +20,15 @@ outside 0..2^63 - (number of times)) or desk-scale resource cap breached
 (including a sector larger than the full basis at FLOAT_FULL_MAX_L, a
 simulation whose bound trajectories * (number of times + (2L - 1) *
 max(r, l) * sum of the times) on start draws and jump proposals exceeds
-SIMULATE_MAX_PROPOSALS or whose exact law and duality predictions need
-more than SIMULATE_MAX_SERIES term products on the cheaper of the dense
-kernel and the vector series in each sector (`dynamics.plan`; at
-L <= 5 every default sector fits the dense kernel, whose work grows like
-log t, so long horizons pass this cap there), and a sector or a
+SIMULATE_MAX_PROPOSALS, alone or with the steps of each block's longest
+path, (2L - 1) * max(r, l) * sum of the times, at STEP_PROPOSALS each
+(so `--L 2 --trajectories 10 --t 100000` and `--L 5 --trajectories 1
+--t 10000`, which take 1.5 s and more of sampler steps, exit 2), or
+whose exact law and duality predictions need more than
+SIMULATE_MAX_SERIES term products on the cheaper of the dense kernel and
+the vector series in each sector (`dynamics.plan`; at L <= 5 every
+default sector fits the dense kernel, whose work grows like log t, so
+long horizons pass this cap there), and a sector or a
 simulation at L > lattice.CODE_MAX_L = 19, where a basis index would
 overflow int64), each printed as one `usage error: ...` line, 3 internal
 error: any other exception, such as a write that fails after its file
@@ -78,6 +82,12 @@ SLOW_CHECK_MAX_L = 2
 # simulate run: each trajectory draws its start once per time, so t = 0
 # runs are bounded too
 SIMULATE_MAX_PROPOSALS = 1e8
+# the fixed cost of one step of the sampler, counted in proposals: about
+# 8.3 us a step of a one-row block against 14-18 ns a proposal at full
+# width (BLOCK rows; one thread).  Each block steps once per proposal of
+# its longest path, about (2L - 1) * max(r, l) * t steps at each time, so
+# those steps are charged at this price under SIMULATE_MAX_PROPOSALS too
+STEP_PROPOSALS = 560
 # the work of the exact law and the duality predictions in term products
 # (`dynamics.plan`, on the path each sector takes), summed over the
 # start's sector and the dual sectors at every time: `simulate --L 19
@@ -421,6 +431,13 @@ def cmd_simulate(args) -> int:
     if proposals > SIMULATE_MAX_PROPOSALS:
         raise UsageError(
             f"simulation is desk-scale: up to {proposals:.3g} start draws and jump proposals, "
+            f"need at most {SIMULATE_MAX_PROPOSALS:.0e}"
+        )
+    steps = -(-args.trajectories // dynamics.BLOCK) * rate * sum(ts)
+    if proposals + STEP_PROPOSALS * steps > SIMULATE_MAX_PROPOSALS:
+        raise UsageError(
+            f"simulation is desk-scale: {proposals:.3g} start draws and jump proposals and "
+            f"{steps:.3g} sampler steps at {STEP_PROPOSALS} proposals each, "
             f"need at most {SIMULATE_MAX_PROPOSALS:.0e}"
         )
     series = _series_work(p, ts)

@@ -159,19 +159,40 @@ class TestSimulate:
 
     def test_dense_kernels_lift_the_series_budget(self, monkeypatch, capsys):
         # at L = 5 every default sector has at most dynamics.DENSE_MAX_DIM
-        # rows: t = 1e4 needs 1.3e9 term products as vector series, which
+        # rows: t = 9000 needs 1.3e9 term products as vector series, which
         # exit 2, and 9.5e6 as dense kernels; the sampled side is stubbed
-        # (1.8e5 proposals would take seconds), the exact side is not
+        # (1.6e5 sampler steps would take over a second), the exact side
+        # is not.  Its 1.6e5 steps are charged 9.1e7 of the proposal cap
         def stub(zs, p0, t, trajectories, seed, p):
             return [dynamics.QEstimate(0.0, 0.0, trajectories)] * len(zs)
 
         monkeypatch.setattr(dynamics, "estimate_Q_many", stub)
         p = ModelParams(5, Fraction(2), Fraction(1, 2))
-        assert cli._series_work(p, [1e4]) <= cli.SIMULATE_MAX_SERIES
-        argv = ["simulate", "--L", "5", "--trajectories", "1", "--t", "10000"]
+        assert cli._series_work(p, [9000.0]) <= cli.SIMULATE_MAX_SERIES
+        argv = ["simulate", "--L", "5", "--trajectories", "1", "--t", "9000"]
         assert main(argv) in (0, 1)
         records = json.loads(capsys.readouterr().out)["records"]
         assert all(r["exact"] == pytest.approx(r["prediction"], rel=1e-10) for r in records)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--L", "2", "--trajectories", "10", "--t", "100000"],
+            ["--L", "5", "--trajectories", "1", "--t", "10000"],
+        ],
+    )
+    def test_longest_path_cap(self, argv, monkeypatch, capsys):
+        # few proposals in all, but one block's longest path takes 6e5 and
+        # 1.8e5 sampler steps (seconds of Python steps): exit 2, nothing
+        # sampled
+        def never(*args, **kwargs):
+            raise AssertionError("sampled past the longest-path cap")
+
+        monkeypatch.setattr(dynamics, "_final_blocks", never)
+        assert main(["simulate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sampler steps at 560 proposals each" in captured.err
 
     def test_long_horizon_prediction(self, capsys):
         # the duality prediction needs exp(-H t) at t = 100 on every sector
@@ -216,12 +237,14 @@ class TestSimulate:
         # at t = 1e6 the two sides differ by 1.3e-10, past EXACT_RTOL: the
         # rounding of 19 squarings, which the tolerance follows; a
         # prediction 1e-6 off still fails.  The sampled side is stubbed
-        # with the exact means (the run would take 6e6 proposals)
+        # with the exact means (the run would take 6e6 sampler steps, which
+        # the longest-path cap rejects; the stub takes none)
         def exact_means(zs, p0, t, trajectories, seed, p):
             means = dynamics.q_moments(config_rows(zs), *dynamics.law_at(p0, t, p), p.q0)[0]
             return [dynamics.QEstimate(m, 0.0, trajectories) for m in means.tolist()]
 
         monkeypatch.setattr(dynamics, "estimate_Q_many", exact_means)
+        monkeypatch.setattr(cli, "STEP_PROPOSALS", 0)
         argv = ["simulate", "--L", "2", "--trajectories", "1", "--t", "1e6"]
         assert main(argv) == 0
         records = json.loads(capsys.readouterr().out)["records"]
