@@ -302,9 +302,8 @@ def cmd_measure(args) -> int:
     with _writing(args.out, sys.stdout) as fh:
         if what == "partition":
             fh.write("N,M,Z\n")
-            for n in range(2 * p.L + 1):
-                for m in range(2 * p.L - n + 1):
-                    fh.write(f"{n},{m},{q_multinomial(2 * p.L, n, m)}\n")
+            for s in lattice.sectors(p.L):
+                fh.write(f"{s.N},{s.M},{q_multinomial(2 * p.L, s.N, s.M)}\n")
         elif what == "canonical":
             mu = measures.canonical(sector)
             if args.ring is Ring.FLOAT:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import A, B, VACANT, encode, left_counts, occupations, vacant_config
+from .lattice import A, B, VACANT, encode, left_counts, occupations, sectors, vacant_config
 from .measures import pi_hat, q_powers
 from .qring import ZERO, LaurentPoly, exact_div, q_factorial, q_multinomial
 from .reporting import Report, matrices_equal, matrix_is_zero
@@ -134,9 +134,7 @@ def divided_power_terms(L: int) -> dict[tuple[int, int], SparseMatrix]:
 
     d1 = divided_powers(build_Y(1, -1, L))
     d2 = divided_powers(build_Y(2, +1, L))
-    return {
-        (n, m): d1[n] @ d2[m] for n in range(2 * L + 1) for m in range(2 * L - n + 1)
-    }
+    return {(s.N, s.M): d1[s.N] @ d2[s.M] for s in sectors(L)}
 
 
 @lru_cache(maxsize=None)

@@ -159,6 +159,11 @@ class Sector:
         return comb(2 * self.L, self.N) * comb(2 * self.L - self.N, self.M)
 
 
+def sectors(L: int) -> list[Sector]:
+    """The lattice's sectors in (N, M) order."""
+    return [Sector(L, n, m) for n in range(2 * L + 1) for m in range(2 * L - n + 1)]
+
+
 @lru_cache(maxsize=None)
 def _places(L: int) -> np.ndarray:
     if L > CODE_MAX_L:

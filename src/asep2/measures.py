@@ -35,6 +35,7 @@ from .lattice import (
     left_counts,
     occupations,
     sector_occupations,
+    sectors,
     sites,
 )
 from .qring import LaurentPoly, from_terms, fugacity_exponent, q_multinomial, rogers_szego_y
@@ -194,10 +195,9 @@ def _grandcanonical_weights(
     # by sector (N, M); the corner N + M > 2L holds no configuration
     size = 2 * p.L + 1
     exponent, fugacity = np.full((size, size), -math.inf), np.zeros((size, size))
-    for a in range(size):
-        for b in range(size - a):
-            e = fugacity_exponent(nu, a) + fugacity_exponent(mu, b)
-            exponent[a, b], fugacity[a, b] = e, math.exp(e - shift)
+    for s in sectors(p.L):
+        e = fugacity_exponent(nu, s.N) + fugacity_exponent(mu, s.M)
+        exponent[s.N, s.M], fugacity[s.N, s.M] = e, math.exp(e - shift)
     powers = q_powers(pi_exponents(occ), q0)
     return fugacity[n, m] * powers / y, exponent[n, m] > -math.inf
 
@@ -210,16 +210,15 @@ def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
     shift = _top_exponent(p.L, nu, mu)
     y = rogers_szego_y(2 * p.L, nu, mu, q0, shift)
     rows, weights = [], []
-    for n in range(2 * p.L + 1):
-        for m in range(2 * p.L - n + 1):
-            exponent = fugacity_exponent(nu, n) + fugacity_exponent(mu, m)
-            if exponent == -math.inf:
-                continue
-            part = canonical(Sector(p.L, n, m))
-            z = part.partition.eval(q0)
-            coeff = math.exp(exponent - shift) * z / y
-            rows.append(part.rows)
-            weights.append(coeff * q_powers(part.weights, q0) / z)
+    for sector in sectors(p.L):
+        exponent = fugacity_exponent(nu, sector.N) + fugacity_exponent(mu, sector.M)
+        if exponent == -math.inf:
+            continue
+        part = canonical(sector)
+        z = part.partition.eval(q0)
+        coeff = math.exp(exponent - shift) * z / y
+        rows.append(part.rows)
+        weights.append(coeff * q_powers(part.weights, q0) / z)
     return Measure(np.concatenate(rows), np.concatenate(weights))
 
 
@@ -297,22 +296,18 @@ def check_reversibility(H: SparseMatrix, L: int) -> Report:
 def check_partition_functions(L: int) -> Report:
     """Sector weight sums against the Gaussian trinomials, exactly."""
     report = Report()
-    spans = [(n, m) for n in range(2 * L + 1) for m in range(2 * L - n + 1)]
+    every = sectors(L)
     report.check(
         f"L{L}:partition-function",
-        [
-            (n, m)
-            for n, m in spans
-            if sector_weight_sum(Sector(L, n, m)) != q_multinomial(2 * L, n, m)
-        ],
+        [(s.N, s.M) for s in every if sector_weight_sum(s) != q_multinomial(2 * L, s.N, s.M)],
     )
     report.check(
         f"L{L}:partition-factorization",
         [
-            (n, m)
-            for n, m in spans
-            if q_multinomial(2 * L, n, m)
-            != q_multinomial(2 * L, n, 0) * q_multinomial(2 * L - n, 0, m)
+            (s.N, s.M)
+            for s in every
+            if q_multinomial(2 * L, s.N, s.M)
+            != q_multinomial(2 * L, s.N, 0) * q_multinomial(2 * L - s.N, 0, s.M)
         ],
     )
     return report
@@ -322,9 +317,8 @@ def check_uniqueness(p: ModelParams) -> Report:
     """Each sector's invariant measure is unique and canonical, decided
     exactly sector by sector (`check_sector_uniqueness`)."""
     report = Report()
-    for n in range(2 * p.L + 1):
-        for m in range(2 * p.L - n + 1):
-            report.extend(check_sector_uniqueness(p, Sector(p.L, n, m)))
+    for sector in sectors(p.L):
+        report.extend(check_sector_uniqueness(p, sector))
     return report
 
 
@@ -464,17 +458,16 @@ def check_marginal_independence(L: int) -> Report:
         B: [moments(Sector(L, 0, m), B) for m in range(2 * L + 1)],
     }
     bad = []
-    for n in range(2 * L + 1):
-        for m in range(2 * L - n + 1):
-            sector = Sector(L, n, m)
-            sides = [
-                (tag, moments(sector, species), pure[species][count])
-                for tag, species, count in (("A", A, n), ("B", B, m))
-            ]
-            for i, sites_tuple in enumerate(pairs):
-                for tag, (s, z), (s0, z0) in sides:
-                    if s[i] * z0 != s0[i] * z:
-                        bad.append((tag, n, m, sites_tuple))
+    for sector in sectors(L):
+        n, m = sector.N, sector.M
+        sides = [
+            (tag, moments(sector, species), pure[species][count])
+            for tag, species, count in (("A", A, n), ("B", B, m))
+        ]
+        for i, sites_tuple in enumerate(pairs):
+            for tag, (s, z), (s0, z0) in sides:
+                if s[i] * z0 != s0[i] * z:
+                    bad.append((tag, n, m, sites_tuple))
     report.check(f"L{L}:moment-independence", bad)
     return report
 

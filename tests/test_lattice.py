@@ -25,6 +25,7 @@ from asep2.lattice import (
     left_counts,
     occupations,
     sector_occupations,
+    sectors,
     sites,
     theta,
     vacant_config,
@@ -320,6 +321,12 @@ class TestSectors:
                 for m in range(2 * L - n + 1)
             )
             assert total == 3 ** (2 * L)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_sector_list(self, L):
+        # every (N, M) the basis holds, once each and in (N, M) order
+        assert [(s.N, s.M) for s in sectors(L)] == sorted({(c.N, c.M) for c in all_configs(L)})
+        assert sum(s.size for s in sectors(L)) == 3 ** (2 * L)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
