@@ -432,7 +432,7 @@ def cmd_simulate(args) -> int:
             f"simulation is desk-scale: up to {proposals:.3g} start draws and jump proposals, "
             f"need at most {SIMULATE_MAX_PROPOSALS:.0e}"
         )
-    steps = -(-args.trajectories // dynamics.BLOCK) * rate * sum(ts)
+    steps = math.ceil(args.trajectories / dynamics.BLOCK) * rate * sum(ts)
     if proposals + STEP_PROPOSALS * steps > SIMULATE_MAX_PROPOSALS:
         raise UsageError(
             f"simulation is desk-scale: {proposals:.3g} start draws and jump proposals and "

@@ -373,13 +373,13 @@ def plan(op: SparseMatrix, t: float) -> Plan:
     lam_t = _rate_time(_exit_rates(op)[1], t)
     if lam_t == 0.0:
         return Plan(False, 0.0, 0.0)
-    (s, weights), dense = _chunk_weights(lam_t), False
-    work = _vector_work(op, s, len(weights) - 1)
+    s, weights = _chunk_weights(lam_t)
+    dense, work = False, _vector_work(op, s, len(weights) - 1)
     if op.dim <= DENSE_MAX_DIM:
         squared = _squaring_plan(lam_t)
         dense_work = _dense_work(op.dim, _product_cost(*squared))
         if dense_work < work:
-            (s, weights), work, dense = squared, dense_work, True
+            dense, work, (s, weights) = True, dense_work, squared
     return Plan(dense, work, math.ldexp(len(weights) * np.finfo(np.float64).eps, s))
 
 
