@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -44,12 +45,13 @@ from asep2.lattice import (
     encode,
     enumerate_sector,
     sector_occupations,
+    sectors,
     vacant_config,
 )
 from asep2.measures import Measure, canonical, grandcanonical
 from asep2.sparse import SparseMatrix
 
-from helpers import dense, float_matrix, reference_q
+from helpers import clear_caches, dense, float_matrix, reference_q
 
 P1 = ModelParams(1, Fraction(2), Fraction(1, 2))
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
@@ -316,6 +318,135 @@ class TestDetailedBalance:
         k = evolve(three_cycle(2.0, 2.0), 1.0).matrix
         assert_sound_kernel(k, np.full(3, 1 / 3), 1.0)
         assert np.array_equal(k, k.T)
+
+
+def sector_op(L, N, M):
+    return build_H_sector(ModelParams(L, Fraction(2), Fraction(1, 2)), Sector(L, N, M), Ring.FLOAT)
+
+
+def cold_kernel(op, t):
+    """evolve(op, t) from an empty store: its series summed again."""
+    clear_caches()
+    return evolve(op, t).matrix
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """One entry per `_power_series` call from here on, the store emptied."""
+    calls = []
+    power_series = dynamics._power_series
+    monkeypatch.setattr(dynamics, "_power_series", lambda *a: calls.append(1) or power_series(*a))
+    clear_caches()
+    return calls
+
+
+class TestResume:
+    def test_shared_series(self):
+        # the benchmark's 560-state sector at lam = 11: t = 1 and t = 4
+        # square one series, mu = 11/64 with 11 weights, 6 and 8 times;
+        # t = 0.25 plans other weights
+        op = sector_op(4, 3, 3)
+        lam = float(np.max(np.diag(dense(op))))
+        assert lam == 11.0
+        (s1, w1), (s4, w4) = _squaring_plan(lam), _squaring_plan(4 * lam)
+        assert (s1, s4) == (6, 8)
+        assert math.ldexp(lam, -s1) == math.ldexp(4 * lam, -s4) == 11 / 64
+        assert w1 == w4 and len(w1) == 11
+        assert _squaring_plan(lam / 4)[1] != w1
+
+    def test_resumed_equals_cold(self):
+        op = sector_op(4, 3, 3)
+        reference = cold_kernel(op, 4.0)
+        clear_caches()
+        evolve(op, 1.0)
+        assert np.array_equal(evolve(op, 4.0).matrix, reference)
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 30.0])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_doubling_ladder(self, L, t):
+        # t, 2t, 4t, 8t on one operator, resumed where the plans share a
+        # series, bit for bit the kernels of calls from an empty store
+        p = ModelParams(L, Fraction(2), Fraction(1, 2))
+        for sector in sectors(L):
+            op = build_H_sector(p, sector, Ring.FLOAT)
+            times = [t * 2**k for k in range(4)]
+            clear_caches()
+            ladder = [evolve(op, u).matrix for u in times]
+            for u, kernel in zip(times, ladder):
+                assert np.array_equal(kernel, cold_kernel(op, u))
+
+    @pytest.mark.parametrize(
+        "times, rebuilt, summed",
+        [
+            ((1.0, 4.0), False, 1),  # one series, squared 6 times and then 2 more
+            ((0.25, 1.0), False, 2),  # the weights differ
+            ((1.0, 4.0), True, 2),  # an equal operator, not the same object
+            ((1.0, 1.0), False, 1),  # an exact repeat squares zero times
+        ],
+    )
+    def test_series_count(self, series_calls, times, rebuilt, summed):
+        op = sector_op(4, 3, 3)
+        first = evolve(op, times[0]).matrix
+        second = evolve(sector_op(4, 3, 3) if rebuilt else op, times[1]).matrix
+        assert len(series_calls) == summed
+        if times[0] == times[1]:
+            assert np.array_equal(first, second) and first is not second
+
+    def test_clear_caches_empties_the_store(self, series_calls):
+        op = sector_op(4, 3, 3)
+        evolve(op, 1.0)
+        clear_caches()
+        evolve(op, 4.0)
+        assert len(series_calls) == 2
+
+    def test_returned_kernels_are_the_callers(self):
+        # writing into a returned kernel leaves the stored square alone
+        op = sector_op(4, 3, 3)
+        reference = {t: cold_kernel(op, t) for t in (1.0, 4.0)}
+        clear_caches()
+        evolve(op, 1.0).matrix[:] = np.nan
+        resumed = evolve(op, 4.0).matrix
+        assert np.array_equal(resumed, reference[4.0])
+        resumed[:] = np.nan
+        assert np.array_equal(evolve(op, 4.0).matrix, reference[4.0])
+
+    def test_errors_leave_the_store_sound(self):
+        op = sector_op(4, 3, 3)
+        reference = cold_kernel(op, 4.0)
+        clear_caches()
+        evolve(op, 1.0)
+        with pytest.raises(ValueError):
+            evolve(op, -1.0)
+        assert np.array_equal(evolve(op, 4.0).matrix, reference)
+        with pytest.raises(ValueError, match="no reverse"):
+            evolve(float_matrix(2, {(0, 0): 1.0, (1, 0): -1.0}), 1.0)
+        assert np.array_equal(evolve(op, 4.0).matrix, reference)
+
+    def test_peak_memory(self):
+        # traced peaks above an empty store: a miss releases the stored
+        # square before its series, so it peaks where a cold call does;
+        # a hit holds the square, one buffer and the kernel, where a cold
+        # call holds five n x n arrays
+        op = sector_op(4, 3, 3)
+        square = 8 * op.dim**2
+
+        def peak(t, stored=None):
+            clear_caches()
+            base = tracemalloc.get_traced_memory()[0]
+            if stored is not None:
+                evolve(op, stored)
+            tracemalloc.reset_peak()
+            evolve(op, t)
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            cold, miss = peak(0.25), peak(0.25, stored=1.0)
+            cold4, hit = peak(4.0), peak(4.0, stored=1.0)
+        finally:
+            tracemalloc.stop()
+        assert miss < cold + square / 2
+        assert hit < cold4 - square
 
 
 # every sector at L <= 3, and three at L = 4 up to the benchmark's dim 560
