@@ -12,10 +12,10 @@ duality predictions apply exp(-H t) to one vector per sector and time,
 by whichever of `evolve(op, t).matrix @ v` and `evolve_vector` costs
 less (`plan`, which also prices the work and the rounding): the vector
 series' work grows like lam t, the dense kernel's like dim^3 log(lam t),
-and the dense side stops at DENSE_MAX_DIM rows.  `evolve` keeps its last
-symmetrized square, so a later horizon on the same operator whose plan
-shares the series squares that square further instead of summing the
-series again.
+and the dense side stops at DENSE_MAX_DIM rows.  `evolve` keeps each
+operator's last symmetrized square, so a later horizon on the same
+operator whose plan shares the series squares that square further
+instead of summing the series again.
 
 There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows with rates from `generator.rate_table`.
@@ -236,26 +236,37 @@ def _detailed_balance(op: SparseMatrix):
     return row, col, np.sqrt(coeff * back), root
 
 
-class _StoredSquare:
-    """The one square `evolve` keeps: the symmetrized result of its last
-    call on at most DENSE_MAX_DIM rows, before D E D^-1, as the entry
-    (op, (lam, mu, weights), square, sqrt(pi), squarings)."""
+class _StoredSquares:
+    """The squares `evolve` keeps: per operator, the symmetrized result of
+    its last call before D E D^-1, as entries[id(op)] = (op, (mu, weights),
+    square, sqrt(pi), squarings).  An entry holds its operator, so the id
+    names no other while it is stored.  The squares have at most
+    DENSE_MAX_DIM^2 entries in all, the earliest stored released first."""
 
-    entry = None
+    entries: dict = {}
 
     @classmethod
     def cache_clear(cls):
-        cls.entry = None
+        cls.entries.clear()
 
     @classmethod
     def take(cls, op, key, s: int):
-        """Release the slot; return (square, sqrt(pi), squarings) when it
-        held op (the same object) at the same (lam, mu, weights) and at
-        most s squarings, else None."""
-        entry, cls.entry = cls.entry, None
-        if entry is not None and entry[0] is op and entry[1] == key and entry[4] <= s:
+        """Release op's square and return (square, sqrt(pi), squarings) when
+        it was stored at the same (mu, weights) and at most s squarings.
+        Else release the earliest other squares until op's would fit, and
+        return None."""
+        entry = cls.entries.pop(id(op), None)
+        if entry is not None and entry[1] == key and entry[4] <= s:
             return entry[2:]
+        held = sum(e[2].size for e in cls.entries.values())
+        while cls.entries and held > DENSE_MAX_DIM**2 - op.dim**2:
+            held -= cls.entries.pop(next(iter(cls.entries)))[2].size
         return None
+
+    @classmethod
+    def keep(cls, op, key, square, root, s: int):
+        if op.dim <= DENSE_MAX_DIM:
+            cls.entries[id(op)] = (op, key, square, root, s)
 
 
 def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
@@ -270,7 +281,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     t/2^s by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then
     squared s times as x x^T products (Higham, "The scaling and squaring
     method for the matrix exponential revisited", SIAM J. Matrix Anal.
-    Appl. 26, 2005), and D E D^-1 is returned as a new array.
+    Appl. 26, 2005), and D E D^-1 is formed in a spent buffer.
     Every product is symmetric: P^2 and the squarings are x x^T (BLAS
     syrk), P^3 and the Horner steps, two polynomials in S, are formed as
     their upper triangle (`_symmetric_product`); at most five n x n arrays
@@ -286,27 +297,28 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     5.2e-13 on the benchmark's kernels); beyond that the error grows like
     2^s times the unit roundoff.
 
-    On at most DENSE_MAX_DIM rows, the symmetrized result E is kept in one
-    slot (`_StoredSquare`) with the operator, lam, mu = lam t/2^s, the
-    weights and s.  A later call on the same operator object (operators
-    are not changed in place, as `sector_generator`'s cache also assumes)
-    resumes when its plan has the same lam, mu and weights and at least s
+    On at most DENSE_MAX_DIM rows, the symmetrized result E is kept per
+    operator object (`_StoredSquares`; a SparseMatrix is read-only) with
+    mu = lam t/2^s, the weights and s.  A later call on the same operator
+    resumes when its plan has the same mu and weights and at least s
     squarings: it squares E the remaining times and forms neither S nor
-    the series, so its kernel is bit for bit that of a call from an empty
-    slot.  The plans at t and 2^k t share a series when mu and the tail
-    cut agree (L4 (3,3) at t = 1 and 4).  Any other call releases the
-    slot before it forms S, so it holds at most five n x n arrays, as a
-    call without the slot does; a resumed call holds at most three (the
-    stored square, one buffer and the kernel).
+    the series, so its kernel is bit for bit that of a cold call.  The
+    plans at t and 2^k t share a series when mu and the tail cut agree:
+    L4 (3,3) at t = 1 and 4, and `simulate`'s sectors of dim 6 and 30 at
+    L = 3, t = 30, 60 and 120.  A call that does not resume first releases
+    its operator's square and the earliest others until its own would fit
+    the DENSE_MAX_DIM^2 entries, so with its five n x n arrays it never
+    holds more than a cold call on DENSE_MAX_DIM rows; a resumed call
+    holds two (the square and one buffer, which takes the kernel).
     """
     exits, lam = _exit_rates(op)
     lam_t = _rate_time(lam, t)
     s, weights = _squaring_plan(lam_t) if lam_t else (0, [])
-    key = (lam, math.ldexp(lam_t, -s), tuple(weights))
-    stored = _StoredSquare.take(op, key, s)
+    key = (math.ldexp(lam_t, -s), tuple(weights))
+    stored = _StoredSquares.take(op, key, s)
     if stored is not None:
         out, root, done = stored
-        buf = np.empty_like(out) if done < s else None
+        buf = np.empty_like(out)
     else:
         row, col, geo_mean, root = _detailed_balance(op)
         n = op.dim
@@ -319,9 +331,8 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     for _ in range(done, s):
         np.matmul(out, out.T, out=buf)
         out, buf = buf, out
-    if op.dim <= DENSE_MAX_DIM:
-        _StoredSquare.entry = (op, key, out, root, s)
-    kernel = np.multiply(out, root[:, None])
+    _StoredSquares.keep(op, key, out, root, s)
+    kernel = np.multiply(out, root[:, None], out=buf)  # buf is spent: the kernel
     kernel /= root
     return TransitionKernel(kernel)
 

@@ -42,7 +42,10 @@ read the term arrays themselves.  `dynamics.evolve_vector` and
 one `np.bincount` over its terms, and `dynamics.evolve` fills its dense
 symmetrized kernel from them.
 
-Matrices are treated as immutable once built.
+Matrices are immutable once built: every constructor marks the four
+term arrays read-only, so a cache keyed on a matrix object (such as
+`dynamics.sector_generator`'s and `evolve`'s stored squares) cannot go
+stale.
 """
 
 from __future__ import annotations
@@ -75,8 +78,7 @@ class SparseMatrix:
         coeff = _int64([x for p in polys for x in p.terms.values()])
         terms = (np.repeat(rows, sizes), np.repeat(cols, sizes), h, coeff)
         _check_range(dim, rows, cols)
-        self.dim = dim
-        self.row, self.col, self.h, self.coeff = _reduce(dim, *terms)
+        self._own(dim, *_reduce(dim, *terms))
 
     @classmethod
     def from_arrays(cls, dim: int, row, col, h, coeff) -> "SparseMatrix":
@@ -90,9 +92,15 @@ class SparseMatrix:
     def _trusted(cls, dim: int, row, col, h, coeff) -> "SparseMatrix":
         """Take ownership of term arrays already in normal form."""
         out = cls.__new__(cls)
-        out.dim = dim
-        out.row, out.col, out.h, out.coeff = row, col, h, coeff
+        out._own(dim, row, col, h, coeff)
         return out
+
+    def _own(self, dim: int, row, col, h, coeff) -> None:
+        """Store dim and the term arrays, made read-only."""
+        for terms in (row, col, h, coeff):
+            terms.setflags(write=False)
+        self.dim = dim
+        self.row, self.col, self.h, self.coeff = row, col, h, coeff
 
     # -- constructors ---------------------------------------------------
 
@@ -174,7 +182,7 @@ class SparseMatrix:
             and all(np.array_equal(x, y) for x, y in zip(mine, theirs))
         )
 
-    __hash__ = None  # mutable container semantics; equality is by value
+    __hash__ = None  # equality is by value, over arrays numpy does not hash
 
     # -- algebra ----------------------------------------------------------
 
@@ -336,7 +344,7 @@ def _reduce(dim: int, row, col, h, coeff) -> tuple:
     Raises OverflowError if the sort key (row*dim + col)*span + (h - h_min)
     could pass 2^63 - 1."""
     if not len(coeff):
-        return row, col, h, coeff
+        return row[:0], col[:0], h[:0], coeff[:0]  # views: the caller's stay writeable
     lo = int(h.min())
     span = int(h.max()) - lo + 1
     _guard(dim * dim * span, "sparse sort key")

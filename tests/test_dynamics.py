@@ -422,31 +422,78 @@ class TestResume:
             evolve(float_matrix(2, {(0, 0): 1.0, (1, 0): -1.0}), 1.0)
         assert np.array_equal(evolve(op, 4.0).matrix, reference)
 
+    def test_alternating_sectors_resume(self, series_calls):
+        # simulate's order: law_at's sector, then duality_rhs's three, at
+        # each time; at L = 3, t = 30, 60, 120 the sectors of dim 6, 6 and
+        # 30 resume at 60 and 120, bit for bit as from an empty store
+        from asep2.cli import default_dual_coordinates, default_initial_config
+
+        p = ModelParams(3, Fraction(2), Fraction(1, 2))
+        eta0, zs = default_initial_config(3), default_dual_coordinates(3)
+        p0 = Measure.point_mass(eta0)
+        times = (30.0, 60.0, 120.0)
+        ops = [sector_generator(p, Sector(3, c.N, c.M)) for c in [eta0, *zs]]
+        assert all(plan(op, t).dense for op in ops for t in times)
+        resumed = [(law_at(p0, t, p), duality_rhs(zs, p0, t, p)) for t in times]
+        assert len(series_calls) == 6
+        for t, (law, rhs) in zip(times, resumed):
+            clear_caches()
+            cold_law = law_at(p0, t, p)
+            clear_caches()
+            assert rhs == duality_rhs(zs, p0, t, p)
+            assert all(np.array_equal(x, y) for x, y in zip(law, cold_law))
+        assert len(series_calls) == 6 + 12
+
+    def test_store_budget(self, series_calls):
+        # the squares never pass DENSE_MAX_DIM^2 entries: a miss releases
+        # the earliest until its own fits, so the dim 420 square releases
+        # the dim 560 one and keeps the dim 90 and 30 ones
+        big, mid = sector_op(4, 3, 3), sector_op(4, 2, 2)
+        small = [sector_op(3, 2, 2), sector_op(3, 1, 1)]
+        assert (big.dim, mid.dim, small[0].dim, small[1].dim) == (560, 420, 90, 30)
+        for op in small:
+            evolve(op, 1.0)
+        evolve(big, 1.0)  # releases both small squares
+        evolve(mid, 1.0)  # releases the big one
+        stored = dynamics._StoredSquares.entries.values()
+        assert [e[2].shape[0] for e in stored] == [420]
+        for op in small:
+            evolve(op, 1.0)
+        assert [e[2].shape[0] for e in stored] == [420, 90, 30]
+        assert sum(e[2].size for e in stored) <= DENSE_MAX_DIM**2
+        series_calls.clear()
+        for op in (mid, *small, big):
+            evolve(op, 1.0)
+        assert len(series_calls) == 1  # the big square was released
+
     def test_peak_memory(self):
         # traced peaks above an empty store: a miss releases the stored
-        # square before its series, so it peaks where a cold call does;
-        # a hit holds the square, one buffer and the kernel, where a cold
-        # call holds five n x n arrays
-        op = sector_op(4, 3, 3)
+        # squares until its own fits before its series, so it peaks where a
+        # cold call does, and a miss on a smaller operator stays below a
+        # cold call on the larger; a hit holds the square and one buffer,
+        # where a cold call holds five n x n arrays
+        op, mid = sector_op(4, 3, 3), sector_op(4, 2, 2)
         square = 8 * op.dim**2
 
-        def peak(t, stored=None):
+        def peak(t, stored=None, on=op):
             clear_caches()
             base = tracemalloc.get_traced_memory()[0]
             if stored is not None:
                 evolve(op, stored)
             tracemalloc.reset_peak()
-            evolve(op, t)
+            evolve(on, t)
             return tracemalloc.get_traced_memory()[1] - base
 
         tracemalloc.start()
         try:
             cold, miss = peak(0.25), peak(0.25, stored=1.0)
             cold4, hit = peak(4.0), peak(4.0, stored=1.0)
+            other = peak(30.0, stored=1.0, on=mid)
         finally:
             tracemalloc.stop()
         assert miss < cold + square / 2
         assert hit < cold4 - square
+        assert other < cold
 
 
 # every sector at L <= 3, and three at L = 4 up to the benchmark's dim 560

@@ -286,3 +286,36 @@ def test_float_matrices_are_not_combined():
         f + f
     with pytest.raises(TypeError):
         SparseMatrix(2, {(0, 1): 0.5})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SparseMatrix(2, {(0, 1): Q, (1, 1): 3}),
+        lambda: SparseMatrix.from_arrays(
+            2, np.array([1, 0]), np.array([1, 1]), np.zeros(2, np.int64), np.array([-0.25, 0.5])
+        ),
+        lambda: SparseMatrix(2, {(0, 1): Q}) @ SparseMatrix(2, {(1, 0): 2}),
+        lambda: SparseMatrix(2, {(0, 1): Q}).transpose(),
+        lambda: blocks(direct_sum([SparseMatrix.identity(2)] * 2), 2)[1],
+        lambda: SparseMatrix(2),
+    ],
+    ids=["exact", "float", "product", "transpose", "block", "empty"],
+)
+def test_terms_are_read_only(build):
+    # caches keyed on a matrix object (sector generators, evolve's stored
+    # squares) rely on it: no constructor leaves a term array writeable
+    m = build()
+    for terms in (m.row, m.col, m.h, m.coeff):
+        with pytest.raises(ValueError, match="read-only"):
+            terms[:1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        m.coeff *= 2
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_callers_arrays_stay_writeable(n):
+    # only the matrix's own term arrays are read-only, even with no terms
+    terms = [np.arange(n), np.arange(n), np.zeros(n, np.int64), np.ones(n)]
+    SparseMatrix.from_arrays(2, *terms)
+    assert all(x.flags.writeable for x in terms)
