@@ -496,6 +496,52 @@ class TestResume:
         assert other < cold
 
 
+def blas_fingerprint() -> str:
+    """The first 16 hex digits of the SHA-256 of a syrk and a gemm product
+    at dim 560: two BLAS builds or thread counts that round these alike
+    are taken to round the kernels alike."""
+    x = np.random.default_rng(0).random((560, 560))
+    return hashlib.sha256((x @ x.T).tobytes() + (x @ x[::-1]).tobytes()).hexdigest()[:16]
+
+
+PIN_TIMES = (0.25, 1.0, 30.0, 1000.0)
+# SHA-256 of the bytes of `evolve`'s cold kernels, each case's sectors in
+# turn at PIN_TIMES: sectors with N != M at r=2, l=1/2, and N = M sectors
+# at r=7/10, l=3/10, whose float exit sums are not mirror-symmetric.  The
+# products round by the BLAS build and its thread count, so the digests
+# are keyed by `blas_fingerprint`: numpy 2.4's OpenBLAS 0.3.31 (Haswell
+# kernels) on one and on two threads
+PIN_CASES = {
+    "unequal": ((Fraction(2), Fraction(1, 2)), ((3, 2, 1), (3, 1, 0), (4, 2, 1))),
+    "skewed": ((Fraction(7, 10), Fraction(3, 10)), ((3, 2, 2), (4, 2, 2), (4, 3, 3))),
+}
+KERNEL_PINS = {
+    "07578b38096089f6": {
+        "unequal": "742a1991c91fb783985d780f43af36d16587fb7ae286623512a6fa1af85fea97",
+        "skewed": "195d634f73a58f3dbfcbaf797da9cd925f7f63d37a37e001612792e81031a31b",
+    },
+    "edc4aff3481de4db": {
+        "unequal": "742a1991c91fb783985d780f43af36d16587fb7ae286623512a6fa1af85fea97",
+        "skewed": "65904a2567243ef2708e4a9efd9e25604a08315760bd92091e6498ec38dcd182",
+    },
+}
+
+
+@pytest.mark.parametrize("case", PIN_CASES)
+def test_kernel_pins(case):
+    # the kernels of sectors evolved without a mirror fold, bit for bit
+    pins = KERNEL_PINS.get(blas_fingerprint())
+    if pins is None:
+        pytest.skip("kernel digests are recorded for other BLAS builds only")
+    (r, ell), cases = PIN_CASES[case]
+    digest = hashlib.sha256()
+    for L, N, M in cases:
+        op = build_H_sector(ModelParams(L, r, ell), Sector(L, N, M), Ring.FLOAT)
+        for t in PIN_TIMES:
+            digest.update(cold_kernel(op, t).tobytes())
+    assert digest.hexdigest() == pins[case]
+
+
 # every sector at L <= 3, and three at L = 4 up to the benchmark's dim 560
 VECTOR_SECTORS = [
     (L, n, m) for L in (1, 2, 3) for n in range(2 * L + 1) for m in range(2 * L - n + 1)
