@@ -164,29 +164,81 @@ def _symmetric_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
-    """sum_k weights[k] p^k for a symmetric p by Paterson-Stockmeyer:
+def _fold_square(m, out):
+    """The square of a folded symmetric matrix m = (A, B, [X | Y]) into
+    the fold `out`: A A^T + 2 B B^T, A B + B (X + Y),
+    [X | Y] [X | Y]^T + B^T B = X X^T + Y Y^T + B^T B (one syrk) and
+    XY + (XY)^T + B^T B.  With no pairs it is the one syrk A A^T."""
+    a, b, w = m
+    oa, ob, ow = out
+    np.matmul(a, a.T, out=oa)
+    k = b.shape[1]
+    if k:
+        x, y = w[:, :k], w[:, k:]
+        oa += 2.0 * (b @ b.T)
+        np.matmul(a, b, out=ob)
+        ob += b @ (x + y)
+        np.matmul(w, w.T, out=ow[:, :k])
+        oy = np.matmul(x, y, out=ow[:, k:])
+        oy += oy.T
+        ow.reshape(k, 2, k)[:] += (b.T @ b)[:, None]
+    return out
+
+
+def _fold_product(m, n, out):
+    """m n into the fold `out`, for folded m and n whose product is
+    symmetric (polynomials in one symmetric matrix): A_m A_n + 2 B_m B_n^T
+    (`_symmetric_product`), A_m B_n + B_m (X_n + Y_n),
+    [X_m | Y_m] [X_n | Y_n]^T + B_m^T B_n and
+    [X_m | Y_m] [Y_n | X_n]^T + B_m^T B_n, two gemms of m rows by 2m.
+    With no pairs it is `_symmetric_product` of the two A blocks."""
+    (a, b, w), (na, nb, nw) = m, n
+    oa, ob, ow = out
+    _symmetric_product(a, na, oa)
+    k = b.shape[1]
+    if k:
+        oa += 2.0 * (b @ nb.T)
+        np.matmul(a, nb, out=ob)
+        ob += b @ (nw[:, :k] + nw[:, k:])
+        np.matmul(w, nw.T, out=ow[:, :k])
+        np.matmul(w, np.roll(nw, k, axis=1).T, out=ow[:, k:])
+        ow.reshape(k, 2, k)[:] += (b.T @ nb)[:, None]
+    return out
+
+
+def _add_identity(m, c: float) -> None:
+    """m + c I in place, on the diagonals of A and X."""
+    a, _b, w = m
+    a.flat[:: len(a) + 1] += c
+    w.flat[:: w.shape[1] + 1] += c
+
+
+def _empty_fold(m) -> tuple:
+    return tuple(np.empty_like(block) for block in m)
+
+
+def _power_series(p, weights: list[float]) -> tuple:
+    """sum_k weights[k] p^k for a folded symmetric p by Paterson-Stockmeyer:
     Horner's rule in p^b over blocks of b coefficients,
-    b = min(STORED_POWERS, len(weights)); p^2 is formed as p p^T, p^3 and
-    the Horner steps by `_symmetric_product`."""
-    n = p.shape[0]
+    b = min(STORED_POWERS, len(weights)); p^2 is formed by `_fold_square`,
+    p^3 and the Horner steps by `_fold_product`."""
     powers = [p]
     while len(powers) < min(STORED_POWERS, len(weights)):
-        if len(powers) == 1:
-            powers.append(p @ p.T)
-        else:
-            powers.append(_symmetric_product(powers[-1], p, np.empty_like(p)))
+        square = len(powers) == 1
+        more = _fold_square(p, _empty_fold(p)) if square else _fold_product(powers[-1], p, _empty_fold(p))
+        powers.append(more)
     size = len(powers)
     blocks = [weights[i : i + size] for i in range(0, len(weights), size)]
-    out = np.zeros_like(p)
-    buf = np.empty_like(p)
+    out = tuple(np.zeros_like(block) for block in p)
+    buf = _empty_fold(p)
     for j, block in enumerate(reversed(blocks)):
         if j:
-            out, buf = _symmetric_product(out, powers[-1], buf), out
+            out, buf = _fold_product(out, powers[-1], buf), out
         for w, pk in zip(block[1:], powers):
-            np.multiply(pk, w, out=buf)
-            out += buf
-        out.flat[:: n + 1] += block[0]
+            for o, scratch, x in zip(out, buf, pk):
+                np.multiply(x, w, out=scratch)
+                o += scratch
+        _add_identity(out, block[0])
     return out
 
 
@@ -236,12 +288,77 @@ def _detailed_balance(op: SparseMatrix):
     return row, col, np.sqrt(coeff * back), root
 
 
+def _orbits(op: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fixed, low, high) of op's attached mirror J: the fixed states, and
+    the pairs low[i] < high[i] = J(low[i]), each ascending.  J is used only
+    when it is an involution and H's terms equal their relabelling by J
+    exactly (value for value); otherwise every state is fixed."""
+    every = np.arange(op.dim)
+    j = op.mirror
+    if j is None or not np.array_equal(j[j], every):
+        return every, every[:0], every[:0]
+    if SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff) != op:
+        return every, every[:0], every[:0]
+    low = np.flatnonzero(j > every)
+    return np.flatnonzero(j == every), low, j[low]
+
+
+def _fold_size(orbits) -> int:
+    """The entries of a fold over the orbits: f^2 + f m + 2 m^2."""
+    f, m = len(orbits[0]), len(orbits[1])
+    return f * f + f * m + 2 * m * m
+
+
+def _folded_S(op: SparseMatrix, lam: float, exits: np.ndarray, orbits):
+    """S = D^-1 (I - H/lam) D folded over the orbits, filled from H's
+    terms, with sqrt(pi) (`_detailed_balance`): the blocks A = S_ff,
+    B = S_fl and [X | Y] = [S_ll | S_l,Jl] of the fixed states f and the
+    pairs (l, Jl).  With no pairs, A is S."""
+    row, col, geo_mean, root = _detailed_balance(op)
+    fixed, low, high = orbits
+    f, k = len(fixed), len(low)
+    kind, at = np.zeros(op.dim, np.int8), np.empty(op.dim, np.intp)
+    kind[low], kind[high] = 1, 2
+    at[fixed], at[low], at[high] = np.arange(f), np.arange(k), np.arange(k, 2 * k)
+    fold = (np.zeros((f, f)), np.zeros((f, k)), np.zeros((k, 2 * k)))
+    value = geo_mean / lam
+    to, of = kind[row], kind[col]
+    for block, on in zip(fold, ((to == 0) & (of == 0), (to == 0) & (of == 1), (to == 1) & (of > 0))):
+        block[at[row[on]], at[col[on]]] = value[on]
+    fold[0].flat[:: f + 1] = 1.0 - exits[fixed] / lam
+    fold[2].flat[:: 2 * k + 1] = 1.0 - exits[low] / lam
+    return fold, root
+
+
+def _unfold(fold, orbits, root: np.ndarray) -> np.ndarray:
+    """D E D^-1 for the folded E, formed in one n x n array: E's rows
+    and columns of the pairs' high states repeat those of the low states
+    (E commutes with J), and D = diag(sqrt(pi))."""
+    a, b, w = fold
+    fixed, low, high = orbits
+    kernel = np.empty((len(root), len(root)))
+    for block, rows, cols in (
+        (a, fixed, fixed),
+        (b, fixed, low),
+        (b, fixed, high),
+        (b.T, low, fixed),
+        (b.T, high, fixed),
+        (w, low, np.concatenate([low, high])),
+        (w, high, np.concatenate([high, low])),
+    ):
+        kernel[np.ix_(rows, cols)] = block
+    kernel *= root[:, None]
+    kernel /= root
+    return kernel
+
+
 class _StoredSquares:
-    """The squares `evolve` keeps: per operator, the symmetrized result of
-    its last call before D E D^-1, as entries[id(op)] = (op, (mu, weights),
-    square, sqrt(pi), squarings).  An entry holds its operator, so the id
-    names no other while it is stored.  The squares have at most
-    DENSE_MAX_DIM^2 entries in all, the earliest stored released first."""
+    """The squares `evolve` keeps: per operator, the folded symmetrized
+    result of its last call before D E D^-1, as entries[id(op)] =
+    (op, (mu, weights), fold, sqrt(pi), squarings).  An entry holds its
+    operator, so the id names no other while it is stored.  The folds
+    have at most DENSE_MAX_DIM^2 entries in all, the earliest stored
+    released first."""
 
     entries: dict = {}
 
@@ -250,23 +367,27 @@ class _StoredSquares:
         cls.entries.clear()
 
     @classmethod
-    def take(cls, op, key, s: int):
-        """Release op's square and return (square, sqrt(pi), squarings) when
-        it was stored at the same (mu, weights) and at most s squarings.
-        Else release the earliest other squares until op's would fit, and
-        return None."""
+    def take(cls, op, key, s: int, size: int):
+        """Release op's fold and return (fold, sqrt(pi), squarings) when it
+        was stored at the same (mu, weights) and at most s squarings.  Else
+        release the earliest other folds until a fold of `size` entries
+        would fit, and return None."""
         entry = cls.entries.pop(id(op), None)
         if entry is not None and entry[1] == key and entry[4] <= s:
             return entry[2:]
-        held = sum(e[2].size for e in cls.entries.values())
-        while cls.entries and held > DENSE_MAX_DIM**2 - op.dim**2:
-            held -= cls.entries.pop(next(iter(cls.entries)))[2].size
+        held = sum(_entries(e[2]) for e in cls.entries.values())
+        while cls.entries and held > DENSE_MAX_DIM**2 - size:
+            held -= _entries(cls.entries.pop(next(iter(cls.entries)))[2])
         return None
 
     @classmethod
-    def keep(cls, op, key, square, root, s: int):
+    def keep(cls, op, key, fold, root, s: int):
         if op.dim <= DENSE_MAX_DIM:
-            cls.entries[id(op)] = (op, key, square, root, s)
+            cls.entries[id(op)] = (op, key, fold, root, s)
+
+
+def _entries(fold) -> int:
+    return sum(block.size for block in fold)
 
 
 def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
@@ -279,25 +400,49 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     H's terms (`_detailed_balance`, which raises ValueError for a
     generator that is not reversible).  The series in S is summed at
     t/2^s by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then
-    squared s times as x x^T products (Higham, "The scaling and squaring
-    method for the matrix exponential revisited", SIAM J. Matrix Anal.
-    Appl. 26, 2005), and D E D^-1 is formed in a spent buffer.
-    Every product is symmetric: P^2 and the squarings are x x^T (BLAS
-    syrk), P^3 and the Horner steps, two polynomials in S, are formed as
-    their upper triangle (`_symmetric_product`); at most five n x n arrays
-    are held.  As in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s
-    is the one of least dense-product cost (`_squaring_plan`, a syrk at
-    SYRK_COST and a symmetric product at PANEL_COST of a gemm): between
-    s0, the least s with mu = lam t/2^s <= SCALE_MU, and MAX_SQUARINGS,
-    each candidate's weights cut at the tail tolerance TAIL_TOL/2^s
-    (`_poisson_weights`).  MAX_SQUARINGS = 10 is the s that lam t = 1e4
-    takes at s0, where the bound below is stated; past lam t = 16 * 2^10
-    the plan is s0.  Column sums are within 1e-12 of one for lam t <= 1e4
-    on the tested sectors (L <= 4 up to t = 1000: at most 6.0e-13, and
-    5.2e-13 on the benchmark's kernels); beyond that the error grows like
-    2^s times the unit roundoff.
+    squared s times (Higham, "The scaling and squaring method for the
+    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005),
+    and D E D^-1 is formed in one new n x n array (`_unfold`).
 
-    On at most DENSE_MAX_DIM rows, the symmetrized result E is kept per
+    The series and the squarings run on S folded over the mirror J
+    (`_orbits`): a matrix that commutes with an involution is fixed by
+    its blocks over J's orbits (Cantoni & Butler, Linear Algebra Appl.
+    13, 1976).  With f fixed states and m pairs (l, Jl), a symmetric S
+    that commutes with J is A = S_ff, B = S_fl, X = S_ll and Y = S_l,Jl,
+    f^2 + f m + 2 m^2 entries, filled from H's terms (`_folded_S`).  A
+    squaring (`_fold_square`) is A A^T + 2 B B^T, A B + B (X + Y),
+    X X^T + Y Y^T + B^T B and XY + (XY)^T + B^T B: two half-size syrks
+    and one half-size gemm, about 0.275 n^3 against 0.6 n^3 for the
+    syrk of S.  A series product (`_fold_product`) is four half-size
+    gemms, about 0.5 n^3 against 0.8 n^3 for the upper triangle of a
+    product of S.  Every product and sum is of nonnegative terms, so no
+    entry cancels.  J is the generator's attached `SparseMatrix.mirror`
+    (`generator._gather` attaches `lattice.mirror`, which permutes the
+    full basis and every N = M sector); it is used only after checking
+    exactly that H's terms commute with it.  Otherwise, or with no
+    mirror, every state is fixed: m = 0, the fold is S itself, the
+    squarings are x x^T (BLAS syrk) and the series products
+    `_symmetric_product`, the same arithmetic, bit for bit, as with no
+    fold.  The float diagonal sums the exit rates bond by bond, so at
+    rates whose sums round (r = 7/10, l = 3/10) some N = M sectors miss
+    the check and are evolved unfolded.
+
+    As in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s is the one
+    of least dense-product cost (`_squaring_plan`, a syrk at SYRK_COST
+    and a symmetric product at PANEL_COST of a gemm; the plan prices an
+    unfolded S): between s0, the least s with mu = lam t/2^s <= SCALE_MU,
+    and MAX_SQUARINGS, each candidate's weights cut at the tail tolerance
+    TAIL_TOL/2^s (`_poisson_weights`).  MAX_SQUARINGS = 10 is the s that
+    lam t = 1e4 takes at s0, where the bound below is stated; past
+    lam t = 16 * 2^10 the plan is s0.  Column sums are within 1e-12 of
+    one for lam t <= 1e4 on the tested sectors (L <= 4 up to t = 1000:
+    at most 6.0e-13, and 5.2e-13 on the benchmark's kernels); beyond
+    that the error grows like 2^s times the unit roundoff.  A cold call
+    holds at most five folds (S, its square and cube, the Horner sum and
+    one buffer) and the products' half-size temporaries, under five
+    n x n arrays; with no pairs, five n x n arrays.
+
+    On at most DENSE_MAX_DIM rows, the folded result E is kept per
     operator object (`_StoredSquares`; a SparseMatrix is read-only) with
     mu = lam t/2^s, the weights and s.  A later call on the same operator
     resumes when its plan has the same mu and weights and at least s
@@ -306,35 +451,31 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     plans at t and 2^k t share a series when mu and the tail cut agree:
     L4 (3,3) at t = 1 and 4, and `simulate`'s sectors of dim 6 and 30 at
     L = 3, t = 30, 60 and 120.  A call that does not resume first releases
-    its operator's square and the earliest others until its own would fit
-    the DENSE_MAX_DIM^2 entries, so with its five n x n arrays it never
-    holds more than a cold call on DENSE_MAX_DIM rows; a resumed call
-    holds two (the square and one buffer, which takes the kernel).
+    its operator's fold and the earliest others until its own would fit
+    the DENSE_MAX_DIM^2 entries, so it never holds more than a cold call
+    on DENSE_MAX_DIM rows; a resumed call holds two folds (E and one
+    buffer) and the kernel.
     """
     exits, lam = _exit_rates(op)
     lam_t = _rate_time(lam, t)
     s, weights = _squaring_plan(lam_t) if lam_t else (0, [])
     key = (math.ldexp(lam_t, -s), tuple(weights))
-    stored = _StoredSquares.take(op, key, s)
+    orbits = _orbits(op)
+    stored = _StoredSquares.take(op, key, s, _fold_size(orbits))
     if stored is not None:
         out, root, done = stored
-        buf = np.empty_like(out)
+        buf = _empty_fold(out)
     else:
-        row, col, geo_mean, root = _detailed_balance(op)
-        n = op.dim
         if lam_t == 0.0:
-            return TransitionKernel(np.eye(n))
-        sym = np.zeros((n, n))
-        sym[row, col] = geo_mean / lam
-        sym.flat[:: n + 1] = 1.0 - exits / lam
+            _detailed_balance(op)
+            return TransitionKernel(np.eye(op.dim))
+        sym, root = _folded_S(op, lam, exits, orbits)
         out, buf, done = _power_series(sym, weights), sym, 0  # S is spent: square into it
     for _ in range(done, s):
-        np.matmul(out, out.T, out=buf)
-        out, buf = buf, out
+        out, buf = _fold_square(out, buf), out
     _StoredSquares.keep(op, key, out, root, s)
-    kernel = np.multiply(out, root[:, None], out=buf)  # buf is spent: the kernel
-    kernel /= root
-    return TransitionKernel(kernel)
+    del buf
+    return TransitionKernel(_unfold(out, orbits, root))
 
 
 @lru_cache(maxsize=64)

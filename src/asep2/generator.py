@@ -17,6 +17,15 @@ carries the physical rates r and l.
 
 The full generator and a sector block are one gather over an occupation
 table in basis order, `lattice.occupations` or `lattice.sector_occupations`.
+
+The generator commutes with the mirror J of `lattice.mirror` (sites
+reversed, A and B exchanged): J turns each right exchange A0, 0B, AB into
+a right exchange.  So J maps sector (N, M) onto (M, N) and permutes the
+full basis and every N = M sector, and the built matrix carries J's index
+permutation of its basis as `SparseMatrix.mirror` (None on other
+sectors).  In exact mode, and in float mode when the rates' sums are
+exact, the matrix equals its relabelling by J; a float diagonal whose
+bond-by-bond exit sums round by their order may miss it in the last bit.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import A, B, VACANT, Sector, encode, occupations, sector_occupations
+from .lattice import A, B, VACANT, Sector, encode, mirror, occupations, sector_occupations
 from .qring import QINV, ZERO, LaurentPoly, Q
 from .sparse import SparseMatrix
 
@@ -118,6 +127,8 @@ def _gather(p: ModelParams, ring: Ring, rows: np.ndarray) -> SparseMatrix:
     2 (s_k - s_k+1) 3^pos, ranked by `np.searchsorted` on the rows' indices.
     A float diagonal adds the exit rates bond by bond from the left, the
     same sum in the same order as a loop over one configuration's bonds.
+    The matrix carries the basis's `lattice.mirror` (None on a table not
+    closed under it).
     """
     h3, c3 = _rate_arrays(p, ring)
     codes = encode(rows)
@@ -139,7 +150,8 @@ def _gather(p: ModelParams, ring: Ring, rows: np.ndarray) -> SparseMatrix:
     if ring is Ring.FLOAT:
         every = np.arange(dim)
         terms.append((every, every, np.zeros(dim, np.int64), exit_rate))
-    return SparseMatrix.from_arrays(dim, *(np.concatenate(t) for t in zip(*terms)))
+    terms = (np.concatenate(t) for t in zip(*terms))
+    return SparseMatrix.from_arrays(dim, *terms, mirror=mirror(rows))
 
 
 def build_H(p: ModelParams, ring: Ring = Ring.EXACT) -> SparseMatrix:

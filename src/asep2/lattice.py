@@ -238,6 +238,19 @@ def sector_occupations(sector: Sector) -> np.ndarray:
     return _read_only(rows[np.argsort(encode(rows))])
 
 
+def mirror(rows) -> np.ndarray | None:
+    """The mirror J on a basis table (occupation rows in basis order): the
+    index of each row read right to left, site k at position 2L - 1 - k,
+    with A and B exchanged; None when the table is not closed under J.
+    J is an involution that maps sector (N, M) onto (M, N), so it permutes
+    the full basis and every N = M sector, and the exchange rules commute
+    with it: each of A0, 0B and AB turns into one of them."""
+    codes = encode(rows)
+    images = encode((A + B) - np.asarray(rows)[:, ::-1])
+    at = np.searchsorted(codes, images).clip(max=len(codes) - 1)
+    return at if np.array_equal(codes[at], images) else None
+
+
 def enumerate_sector(sector: Sector) -> list[Config]:
     """All configurations in the sector, in basis order."""
     return [Config(sector.L, tuple(row)) for row in sector_occupations(sector).tolist()]

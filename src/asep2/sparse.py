@@ -46,6 +46,12 @@ Matrices are immutable once built: every constructor marks the four
 term arrays read-only, so a cache keyed on a matrix object (such as
 `dynamics.sector_generator`'s and `evolve`'s stored squares) cannot go
 stale.
+
+`mirror` is a read-only index permutation of the basis that a generator
+builder attaches (`generator._gather`, through `from_arrays`); every
+other constructor sets it to None.  It is a hint, not a guarantee:
+`dynamics.evolve` folds over it only after testing that the terms commute
+with it exactly.  Equality compares the terms alone.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ CHUNK_PAIRS = 1 << 20
 
 
 class SparseMatrix:
-    __slots__ = ("dim", "row", "col", "h", "coeff")
+    __slots__ = ("dim", "row", "col", "h", "coeff", "mirror")
 
     def __init__(self, dim: int, entries=None):
         """An exact matrix from a {(row, col): LaurentPoly or int} map, zero
@@ -81,12 +87,17 @@ class SparseMatrix:
         self._own(dim, *_reduce(dim, *terms))
 
     @classmethod
-    def from_arrays(cls, dim: int, row, col, h, coeff) -> "SparseMatrix":
+    def from_arrays(cls, dim: int, row, col, h, coeff, mirror=None) -> "SparseMatrix":
         """From parallel term arrays in any order, repeated keys summed;
         int64 coefficients make an exact matrix, float64 ones (h = 0) a
-        float one."""
+        float one.  `mirror` is an index permutation of the basis to
+        attach (`lattice.mirror`), or None."""
         _check_range(dim, row, col)
-        return cls._trusted(dim, *_reduce(dim, row, col, h, coeff))
+        out = cls._trusted(dim, *_reduce(dim, row, col, h, coeff))
+        if mirror is not None:
+            out.mirror = np.array(mirror, dtype=np.intp)
+            out.mirror.setflags(write=False)
+        return out
 
     @classmethod
     def _trusted(cls, dim: int, row, col, h, coeff) -> "SparseMatrix":
@@ -96,11 +107,12 @@ class SparseMatrix:
         return out
 
     def _own(self, dim: int, row, col, h, coeff) -> None:
-        """Store dim and the term arrays, made read-only."""
+        """Store dim and the term arrays, made read-only, with no mirror."""
         for terms in (row, col, h, coeff):
             terms.setflags(write=False)
         self.dim = dim
         self.row, self.col, self.h, self.coeff = row, col, h, coeff
+        self.mirror = None
 
     # -- constructors ---------------------------------------------------
 

@@ -93,6 +93,23 @@ def fixed_rule_weights(lam_t):
     return s, weights
 
 
+def mirror_orbits(j: np.ndarray):
+    """(fixed, low, high) of an involution j, as `dynamics._orbits` reads them."""
+    every = np.arange(len(j))
+    low = np.flatnonzero(j > every)
+    return np.flatnonzero(j == every), low, j[low]
+
+
+def fold_of(s: np.ndarray, orbits):
+    """The blocks (S_ff, S_fl, [S_ll | S_l,Jl]) of a dense matrix s."""
+    fixed, low, high = orbits
+    pairs = np.concatenate([low, high])
+    return tuple(
+        np.ascontiguousarray(s[np.ix_(rows, cols)])
+        for rows, cols in ((fixed, fixed), (fixed, low), (low, pairs))
+    )
+
+
 # a log grid of rate-time products with those of the benchmark's kernels
 PLAN_GRID = sorted({*np.logspace(-3, 5, 41).tolist(), 2.75, 11.0, 44.0, 285.0, 850.0, 8500.0})
 
@@ -165,17 +182,25 @@ class TestEvolve:
         assert math.ldexp(lam_t, -s) <= SCALE_MU
         assert weights == _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))
 
+    @pytest.mark.parametrize("mirror", [None, [0, 3, 4, 1, 2], [2, 4, 0, 3, 1]])
     @pytest.mark.parametrize("terms", [1, 2, 3, 4, 7])
-    def test_power_series_short(self, terms):
+    def test_power_series_short(self, terms, mirror):
         # dyadic entries and weights keep every sum exact, so the series
-        # equals sum_k w_k P^k bit for bit however few powers it forms;
-        # P is symmetric, as `evolve` passes it, since P^2 is formed as P P^T
+        # equals sum_k w_k P^k bit for bit however few powers it forms,
+        # unfolded or folded over an involution P commutes with; P is
+        # symmetric, as `evolve` passes it, since P^2 is formed as P P^T
         rng = np.random.default_rng(terms)
         half = rng.integers(0, 4, size=(5, 5)) / 8.0
         p = half + half.T
+        j = np.arange(5)
+        if mirror is not None:
+            j = np.array(mirror)
+            p = p + p[np.ix_(j, j)]
         weights = [2.0 ** -(k + 1) for k in range(terms)]
         expected = sum(w * np.linalg.matrix_power(p, k) for k, w in enumerate(weights))
-        assert np.array_equal(_power_series(p, weights), expected)
+        orbits = mirror_orbits(j)
+        series = dynamics._unfold(_power_series(fold_of(p, orbits), weights), orbits, np.ones(5))
+        assert np.array_equal(series, expected)
 
     @pytest.mark.parametrize(
         "L, N, M", [(2, 1, 1), (3, 1, 1), (3, 2, 2), (3, 1, 2)]
@@ -445,35 +470,48 @@ class TestResume:
         assert len(series_calls) == 6 + 12
 
     def test_store_budget(self, series_calls):
-        # the squares never pass DENSE_MAX_DIM^2 entries: a miss releases
-        # the earliest until its own fits, so the dim 420 square releases
-        # the dim 560 one and keeps the dim 90 and 30 ones
+        # the folds never pass DENSE_MAX_DIM^2 entries, counted as
+        # f^2 + f m + 2 m^2 for f fixed states and m mirror pairs: the N = M
+        # sectors of dim 560, 420, 90 and 30 fit together, and the unfolded
+        # dim 560 of (3,2), the whole budget, releases them all; a miss
+        # releases the earliest until its own fits
         big, mid = sector_op(4, 3, 3), sector_op(4, 2, 2)
         small = [sector_op(3, 2, 2), sector_op(3, 1, 1)]
-        assert (big.dim, mid.dim, small[0].dim, small[1].dim) == (560, 420, 90, 30)
-        for op in small:
+        unfolded = sector_op(4, 3, 2)
+        ops = (big, mid, *small, unfolded)
+        sizes = [dynamics._fold_size(dynamics._orbits(op)) for op in ops]
+        assert [op.dim for op in ops] == [560, 420, 90, 30, 560]
+        assert sizes == [148_864, 83_736, 3_654, 396, DENSE_MAX_DIM**2]
+        for op in (*small, big, mid):
             evolve(op, 1.0)
-        evolve(big, 1.0)  # releases both small squares
-        evolve(mid, 1.0)  # releases the big one
         stored = dynamics._StoredSquares.entries.values()
-        assert [e[2].shape[0] for e in stored] == [420]
+        held = lambda: [dynamics._entries(e[2]) for e in stored]  # noqa: E731
+        assert held() == [3_654, 396, 148_864, 83_736]
+        evolve(unfolded, 1.0)  # releases every fold
+        assert held() == [DENSE_MAX_DIM**2]
         for op in small:
-            evolve(op, 1.0)
-        assert [e[2].shape[0] for e in stored] == [420, 90, 30]
-        assert sum(e[2].size for e in stored) <= DENSE_MAX_DIM**2
+            evolve(op, 1.0)  # the first releases the unfolded square
+        assert held() == [3_654, 396]
         series_calls.clear()
-        for op in (mid, *small, big):
+        for op in (*small, big, mid, *small):
             evolve(op, 1.0)
-        assert len(series_calls) == 1  # the big square was released
+        assert len(series_calls) == 2  # big and mid were released
+        assert sum(held()) <= DENSE_MAX_DIM**2
 
     def test_peak_memory(self):
-        # traced peaks above an empty store: a miss releases the stored
-        # squares until its own fits before its series, so it peaks where a
-        # cold call does, and a miss on a smaller operator stays below a
-        # cold call on the larger; a hit holds the square and one buffer,
-        # where a cold call holds five n x n arrays
+        # traced peaks above an empty store, against n x n float64 arrays
+        # (`square`) and the fold of L4 (3,3) (`fold`, f = 32 fixed states
+        # and m = 264 pairs: 0.47 of a square).  A cold call holds five
+        # folds and the products' half-size temporaries, below the five
+        # squares of an unfolded call.  A miss releases the stored folds
+        # until its own fits before its series, so it peaks where a cold
+        # call does, and a miss on a smaller operator stays below a cold
+        # call on the larger.  A hit holds the stored fold with one buffer
+        # fold, then with the kernel
         op, mid = sector_op(4, 3, 3), sector_op(4, 2, 2)
         square = 8 * op.dim**2
+        fold = 8 * dynamics._fold_size(dynamics._orbits(op))
+        assert 0.47 * square < fold < 0.48 * square
 
         def peak(t, stored=None, on=op):
             clear_caches()
@@ -491,8 +529,10 @@ class TestResume:
             other = peak(30.0, stored=1.0, on=mid)
         finally:
             tracemalloc.stop()
-        assert miss < cold + square / 2
-        assert hit < cold4 - square
+        assert cold < 5 * fold + square < 5 * square
+        assert cold4 < 5 * fold + square
+        assert miss < cold + fold / 2
+        assert hit < fold + square + fold / 2
         assert other < cold
 
 
