@@ -147,7 +147,8 @@ def _rate_time(lam: float, t: float) -> float:
 
 def _symmetric_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a @ b into out, for a product known to be symmetric (a and b are
-    polynomials in one symmetric matrix).  From PANEL_MIN_DIM on, only the
+    polynomials in one symmetric matrix, or n x k and k x n blocks of
+    such a product).  From PANEL_MIN_DIM on, only the
     upper triangle is formed, one gemm per row panel of PANELS, and the
     lower triangle is copied from it, so the result is exactly symmetric;
     below it, one plain gemm."""
@@ -164,81 +165,66 @@ def _symmetric_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _fold_square(m, out):
-    """The square of a folded symmetric matrix m = (A, B, [X | Y]) into
-    the fold `out`: A A^T + 2 B B^T, A B + B (X + Y),
-    [X | Y] [X | Y]^T + B^T B = X X^T + Y Y^T + B^T B (one syrk) and
-    XY + (XY)^T + B^T B.  With no pairs it is the one syrk A A^T."""
-    a, b, w = m
-    oa, ob, ow = out
-    np.matmul(a, a.T, out=oa)
-    k = b.shape[1]
+def _fold_square(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The square of a folded symmetric matrix into the fold `out` (see
+    `evolve`): its rows [f, l] are m m^T, one syrk, which holds
+    A A^T + 2 B B^T, A B + B (X + Y) and X X^T + Y Y^T + B^T B, and its
+    block Y is XY + (XY)^T + B^T B.  With no pairs it is the one syrk."""
+    top, k = m.shape[0], m.shape[1] - m.shape[0]
+    f = top - k
+    np.matmul(m, m.T, out=out[:, :top])
     if k:
-        x, y = w[:, :k], w[:, k:]
-        oa += 2.0 * (b @ b.T)
-        np.matmul(a, b, out=ob)
-        ob += b @ (x + y)
-        np.matmul(w, w.T, out=ow[:, :k])
-        oy = np.matmul(x, y, out=ow[:, k:])
-        oy += oy.T
-        ow.reshape(k, 2, k)[:] += (b.T @ b)[:, None]
+        bt = m[f:, :f]
+        y = np.matmul(m[f:, f:top], m[f:, top:], out=out[f:, top:])
+        y += y.T
+        y += bt @ bt.T
+        out[:f, top:] = out[:f, f:top]
     return out
 
 
-def _fold_product(m, n, out):
+def _fold_product(m: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
     """m n into the fold `out`, for folded m and n whose product is
-    symmetric (polynomials in one symmetric matrix): A_m A_n + 2 B_m B_n^T
-    (`_symmetric_product`), A_m B_n + B_m (X_n + Y_n),
-    [X_m | Y_m] [X_n | Y_n]^T + B_m^T B_n and
-    [X_m | Y_m] [Y_n | X_n]^T + B_m^T B_n, two gemms of m rows by 2m.
-    With no pairs it is `_symmetric_product` of the two A blocks."""
-    (a, b, w), (na, nb, nw) = m, n
-    oa, ob, ow = out
-    _symmetric_product(a, na, oa)
-    k = b.shape[1]
-    if k:
-        oa += 2.0 * (b @ nb.T)
-        np.matmul(a, nb, out=ob)
-        ob += b @ (nw[:, :k] + nw[:, k:])
-        np.matmul(w, nw.T, out=ow[:, :k])
-        np.matmul(w, np.roll(nw, k, axis=1).T, out=ow[:, k:])
-        ow.reshape(k, 2, k)[:] += (b.T @ nb)[:, None]
+    symmetric (polynomials in one symmetric matrix): its rows [f, l] are
+    m times the columns [f, l] of n, which are n^T, and its block Y is
+    m's rows l times n's rows l with the columns of each pair exchanged.
+    Both are symmetric and formed by `_symmetric_product`.  With no pairs
+    the columns of n are n itself: one `_symmetric_product`."""
+    top, k = m.shape[0], m.shape[1] - m.shape[0]
+    if not k:
+        return _symmetric_product(m, n, out)
+    f = top - k
+    _symmetric_product(m, n.T, out[:, :top])
+    rows = n[f:]
+    exchanged = np.concatenate([rows[:, :f], rows[:, top:], rows[:, f:top]], axis=1)
+    _symmetric_product(m[f:], exchanged.T, out[f:, top:])
+    out[:f, top:] = out[:f, f:top]
     return out
 
 
-def _add_identity(m, c: float) -> None:
-    """m + c I in place, on the diagonals of A and X."""
-    a, _b, w = m
-    a.flat[:: len(a) + 1] += c
-    w.flat[:: w.shape[1] + 1] += c
-
-
-def _empty_fold(m) -> tuple:
-    return tuple(np.empty_like(block) for block in m)
-
-
-def _power_series(p, weights: list[float]) -> tuple:
+def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
     """sum_k weights[k] p^k for a folded symmetric p by Paterson-Stockmeyer:
     Horner's rule in p^b over blocks of b coefficients,
     b = min(STORED_POWERS, len(weights)); p^2 is formed by `_fold_square`,
-    p^3 and the Horner steps by `_fold_product`."""
+    p^3 and the Horner steps by `_fold_product`.  The identity's entries
+    in a fold are its diagonal from the corner."""
+    n = p.shape[1]
     powers = [p]
     while len(powers) < min(STORED_POWERS, len(weights)):
-        square = len(powers) == 1
-        more = _fold_square(p, _empty_fold(p)) if square else _fold_product(powers[-1], p, _empty_fold(p))
-        powers.append(more)
+        if len(powers) == 1:
+            powers.append(_fold_square(p, np.empty_like(p)))
+        else:
+            powers.append(_fold_product(powers[-1], p, np.empty_like(p)))
     size = len(powers)
     blocks = [weights[i : i + size] for i in range(0, len(weights), size)]
-    out = tuple(np.zeros_like(block) for block in p)
-    buf = _empty_fold(p)
+    out = np.zeros_like(p)
+    buf = np.empty_like(p)
     for j, block in enumerate(reversed(blocks)):
         if j:
             out, buf = _fold_product(out, powers[-1], buf), out
         for w, pk in zip(block[1:], powers):
-            for o, scratch, x in zip(out, buf, pk):
-                np.multiply(x, w, out=scratch)
-                o += scratch
-        _add_identity(out, block[0])
+            np.multiply(pk, w, out=buf)
+            out += buf
+        out.flat[:: n + 1] += block[0]
     return out
 
 
@@ -304,49 +290,35 @@ def _orbits(op: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fold_size(orbits) -> int:
-    """The entries of a fold over the orbits: f^2 + f m + 2 m^2."""
+    """The entries of a fold over the orbits: (f + m)(f + 2m)."""
     f, m = len(orbits[0]), len(orbits[1])
-    return f * f + f * m + 2 * m * m
+    return (f + m) * (f + 2 * m)
 
 
 def _folded_S(op: SparseMatrix, lam: float, exits: np.ndarray, orbits):
-    """S = D^-1 (I - H/lam) D folded over the orbits, filled from H's
-    terms, with sqrt(pi) (`_detailed_balance`): the blocks A = S_ff,
-    B = S_fl and [X | Y] = [S_ll | S_l,Jl] of the fixed states f and the
-    pairs (l, Jl).  With no pairs, A is S."""
+    """S = D^-1 (I - H/lam) D folded over the orbits (see `evolve`),
+    filled from H's terms, with sqrt(pi) (`_detailed_balance`).  With no
+    pairs the fold is S."""
     row, col, geo_mean, root = _detailed_balance(op)
-    fixed, low, high = orbits
-    f, k = len(fixed), len(low)
-    kind, at = np.zeros(op.dim, np.int8), np.empty(op.dim, np.intp)
-    kind[low], kind[high] = 1, 2
-    at[fixed], at[low], at[high] = np.arange(f), np.arange(k), np.arange(k, 2 * k)
-    fold = (np.zeros((f, f)), np.zeros((f, k)), np.zeros((k, 2 * k)))
-    value = geo_mean / lam
-    to, of = kind[row], kind[col]
-    for block, on in zip(fold, ((to == 0) & (of == 0), (to == 0) & (of == 1), (to == 1) & (of > 0))):
-        block[at[row[on]], at[col[on]]] = value[on]
-    fold[0].flat[:: f + 1] = 1.0 - exits[fixed] / lam
-    fold[2].flat[:: 2 * k + 1] = 1.0 - exits[low] / lam
+    order = np.concatenate(orbits)
+    top = op.dim - len(orbits[1])
+    rank = np.empty(op.dim, np.intp)
+    rank[order] = np.arange(op.dim)
+    fold = np.zeros((top, op.dim))
+    on = rank[row] < top
+    fold[rank[row[on]], rank[col[on]]] = geo_mean[on] / lam
+    fold.flat[:: op.dim + 1] = 1.0 - exits[order[:top]] / lam
     return fold, root
 
 
-def _unfold(fold, orbits, root: np.ndarray) -> np.ndarray:
-    """D E D^-1 for the folded E, formed in one n x n array: E's rows
-    and columns of the pairs' high states repeat those of the low states
-    (E commutes with J), and D = diag(sqrt(pi))."""
-    a, b, w = fold
+def _unfold(fold: np.ndarray, orbits, root: np.ndarray) -> np.ndarray:
+    """D E D^-1 for the folded E, formed in one n x n array: E's row of
+    a pair's high state is that of its low state with the columns of each
+    pair exchanged (E commutes with J), and D = diag(sqrt(pi))."""
     fixed, low, high = orbits
     kernel = np.empty((len(root), len(root)))
-    for block, rows, cols in (
-        (a, fixed, fixed),
-        (b, fixed, low),
-        (b, fixed, high),
-        (b.T, low, fixed),
-        (b.T, high, fixed),
-        (w, low, np.concatenate([low, high])),
-        (w, high, np.concatenate([high, low])),
-    ):
-        kernel[np.ix_(rows, cols)] = block
+    kernel[np.ix_(np.concatenate([fixed, low]), np.concatenate(orbits))] = fold
+    kernel[np.ix_(high, np.concatenate([fixed, high, low]))] = fold[len(fixed) :]
     kernel *= root[:, None]
     kernel /= root
     return kernel
@@ -375,19 +347,15 @@ class _StoredSquares:
         entry = cls.entries.pop(id(op), None)
         if entry is not None and entry[1] == key and entry[4] <= s:
             return entry[2:]
-        held = sum(_entries(e[2]) for e in cls.entries.values())
+        held = sum(e[2].size for e in cls.entries.values())
         while cls.entries and held > DENSE_MAX_DIM**2 - size:
-            held -= _entries(cls.entries.pop(next(iter(cls.entries)))[2])
+            held -= cls.entries.pop(next(iter(cls.entries)))[2].size
         return None
 
     @classmethod
     def keep(cls, op, key, fold, root, s: int):
         if op.dim <= DENSE_MAX_DIM:
             cls.entries[id(op)] = (op, key, fold, root, s)
-
-
-def _entries(fold) -> int:
-    return sum(block.size for block in fold)
 
 
 def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
@@ -464,7 +432,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     stored = _StoredSquares.take(op, key, s, _fold_size(orbits))
     if stored is not None:
         out, root, done = stored
-        buf = _empty_fold(out)
+        buf = np.empty_like(out)
     else:
         if lam_t == 0.0:
             _detailed_balance(op)
