@@ -533,6 +533,73 @@ class TestResume:
         assert other < cold
 
 
+def without_mirror(op: SparseMatrix, mirror=None) -> SparseMatrix:
+    """op's terms with another attached mirror, None by default."""
+    return SparseMatrix.from_arrays(op.dim, op.row, op.col, op.h, op.coeff, mirror=mirror)
+
+
+class TestMirrorFold:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_folded_matches_unfolded(self, L):
+        # every N = M sector at r=2, l=1/2 commutes with its mirror exactly
+        # and is folded; its kernels keep every entry >= 0 with no
+        # tolerance and agree with the unfolded ones to 1e-12 relative
+        p = ModelParams(L, Fraction(2), Fraction(1, 2))
+        for sector in sectors(L):
+            if sector.N != sector.M:
+                continue
+            op = build_H_sector(p, sector, Ring.FLOAT)
+            fixed, low, high = dynamics._orbits(op)
+            assert np.array_equal(np.sort(np.concatenate([fixed, low, high])), np.arange(op.dim))
+            assert np.array_equal(op.mirror[low], high) and np.all(op.mirror[fixed] == fixed)
+            for t in (0.25, 4.0, 1000.0):
+                folded = cold_kernel(op, t)
+                plain = cold_kernel(without_mirror(op), t)
+                assert folded.min() >= 0.0
+                assert np.abs(folded.sum(axis=0) - 1).max() <= 1e-12
+                assert np.all(np.abs(folded - plain) <= 1e-12 * plain)
+                if not len(low):
+                    assert np.array_equal(folded, plain)
+
+    def test_full_basis_folds(self):
+        op = build_H(P2, Ring.FLOAT)
+        fixed, low, _high = dynamics._orbits(op)
+        assert (len(fixed), len(low)) == (9, 36)
+
+    @pytest.mark.parametrize("fault", ["skewed term", "shifted permutation", "no mirror"])
+    def test_noncommuting_mirror_is_not_used(self, fault):
+        # a mirror that is not an involution, or that H's terms miss by one
+        # ulp of one off-diagonal rate, is not folded over: the kernel is
+        # bit for bit that of the same terms with no mirror
+        op = sector_op(3, 2, 2)
+        coeff = op.coeff.copy()
+        if fault == "skewed term":
+            i = int(np.flatnonzero(op.row != op.col)[0])
+            coeff[i] = np.nextafter(coeff[i], 0.0)
+        skewed = SparseMatrix.from_arrays(op.dim, op.row, op.col, op.h, coeff)
+        j = {"skewed term": op.mirror, "shifted permutation": np.roll(op.mirror, 1)}.get(fault)
+        faulty = without_mirror(skewed, j)
+        assert len(dynamics._orbits(faulty)[1]) == 0
+        for t in (1.0, 30.0):
+            assert np.array_equal(cold_kernel(faulty, t), cold_kernel(skewed, t))
+
+    @pytest.mark.parametrize("L, N", [(3, 2), (4, 2), (4, 3)])
+    def test_rounded_exit_sums_are_not_folded(self, L, N):
+        # at r=7/10, l=3/10 the float diagonal's bond-by-bond exit sums
+        # round by their order, so the generator misses its relabelling in
+        # the last bit and is evolved unfolded, bit for bit
+        p = ModelParams(L, Fraction(7, 10), Fraction(3, 10))
+        op = build_H_sector(p, Sector(L, N, N), Ring.FLOAT)
+        j = op.mirror
+        relabelled = SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff)
+        assert j is not None and relabelled != op
+        diff = dense(relabelled) - dense(op)
+        assert np.any(np.diag(diff)) and not np.any(diff - np.diag(np.diag(diff)))
+        assert len(dynamics._orbits(op)[1]) == 0
+        for t in (1.0, 30.0):
+            assert np.array_equal(cold_kernel(op, t), cold_kernel(without_mirror(op), t))
+
+
 def blas_fingerprint() -> str:
     """The first 16 hex digits of the SHA-256 of a syrk and a gemm product
     at dim 560: two BLAS builds or thread counts that round these alike

@@ -13,7 +13,7 @@ from asep2.generator import (
     h_exact,
     rate_table,
 )
-from asep2.lattice import A, B, VACANT, Config, Sector, all_configs
+from asep2.lattice import A, B, VACANT, Config, Sector, all_configs, sectors
 from asep2.qring import LaurentPoly
 from asep2.qsym import species_counts
 from asep2.sparse import SparseMatrix, commutator
@@ -160,6 +160,40 @@ class TestSectorH:
                             block = build_H_sector(p, Sector(L, n, m), ring)
                             ref = reference_generator(p, ring, basis(L, (n, m)))
                             assert items(block) == items(ref), (r, ell, L, ring, n, m)
+
+
+def relabelled(op: SparseMatrix) -> SparseMatrix:
+    """J H J: the matrix with rows and columns relabelled by its mirror."""
+    j = op.mirror
+    return SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff)
+
+
+class TestMirror:
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_exact_sectors_commute(self, L):
+        # the mirror maps each right exchange onto a right exchange, so the
+        # exact generator equals its relabelling on every N = M sector
+        for sector in sectors(L):
+            op = build_H_sector(ModelParams(L, 2, Fraction(1, 2)), sector, Ring.EXACT)
+            if sector.N != sector.M:
+                assert op.mirror is None
+                continue
+            assert op.mirror is not None and relabelled(op) == op
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_exact_full_basis_commutes(self, L):
+        op = build_H(ModelParams(L, 2, Fraction(1, 2)), Ring.EXACT)
+        assert relabelled(op) == op
+        # a relabelling by the wrong permutation does not
+        j = np.roll(op.mirror, 1)
+        assert SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff) != op
+
+    def test_read_only_and_not_inherited(self):
+        # only the builder attaches a mirror; derived matrices carry none
+        op = build_H(P1, Ring.EXACT)
+        with pytest.raises(ValueError):
+            op.mirror[0] = 1
+        assert all(m.mirror is None for m in (op.transpose(), op @ op, op + op, relabelled(op)))
 
 
 class TestApplyGenerator:

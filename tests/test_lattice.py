@@ -23,6 +23,7 @@ from asep2.lattice import (
     encode,
     enumerate_sector,
     left_counts,
+    mirror,
     occupations,
     sector_occupations,
     sectors,
@@ -331,6 +332,39 @@ class TestSectors:
     def test_invalid(self):
         with pytest.raises(ValueError):
             Sector(1, 2, 1)
+
+
+class TestMirror:
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_full_basis(self, L):
+        # J reverses the sites and exchanges A and B: an involution of the
+        # basis that maps the rows of sector (N, M) onto those of (M, N)
+        configs = all_configs(L)
+        j = mirror(occupations(L))
+        assert np.array_equal(j[j], np.arange(3 ** (2 * L)))
+        swap = {"A": "B", "B": "A", "0": "0"}
+        for c, image in zip(configs, j.tolist()):
+            assert configs[image].text() == "".join(swap[ch] for ch in reversed(c.text()))
+            assert (configs[image].N, configs[image].M) == (c.M, c.N)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_sector_tables(self, L):
+        # closed under J exactly when N = M: the permutation of the
+        # sector's own rows, else None
+        full = mirror(occupations(L))
+        for sector in sectors(L):
+            table = sector_occupations(sector)
+            j = mirror(table)
+            if sector.N != sector.M:
+                assert j is None
+                continue
+            codes = encode(table)
+            assert np.array_equal(codes[j], full[codes])
+
+    def test_not_closed(self):
+        # a table whose mirror image is missing from it
+        assert mirror(config_rows([Config.from_text("A0"), Config.from_text("0B")])) is not None
+        assert mirror(config_rows([Config.from_text("A0")])) is None
 
 
 def _left(c: Config, species: int) -> list[int]:

@@ -14,7 +14,10 @@ from asep2.lattice import (
     all_configs,
     config_rows,
     enumerate_sector,
+    mirror,
     occupations,
+    sector_occupations,
+    sectors,
     sites,
     vacant_config,
 )
@@ -78,6 +81,21 @@ class TestReversibleWeight:
         rows = occupations(L)
         expected = [pi_exponent(row) for row in rows.tolist()]
         assert pi_exponents(rows).tolist() == expected
+
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_mirror_invariant(self, L):
+        # J (sites reversed, A and B exchanged) keeps the weight exactly on
+        # N = M sectors; it maps (N, M) onto (M, N), whose weights differ
+        # from the images' by one constant per sector
+        for sector in sectors(L):
+            rows = sector_occupations(sector)
+            if sector.N == sector.M:
+                assert np.array_equal(pi_exponents(rows[mirror(rows)]), pi_exponents(rows))
+                continue
+            images = (A + B) - rows[:, ::-1]
+            shift = pi_exponents(images) - pi_exponents(rows)
+            assert len(np.unique(shift)) == 1
 
 
 class TestCanonical:
