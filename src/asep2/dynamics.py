@@ -5,7 +5,12 @@ column-stochastic, entrywise nonnegative P = I - H/lam (uniformization),
 so no term cancels another.  `evolve` sums the series in the symmetric
 S = D^-1 P D, D = diag(sqrt(pi)) for the reversible weights pi read off
 the generator's rates, filled from H's terms; it squares the dense result
-by x x^T products and transforms back.  `evolve_vector` applies the
+by x x^T products and transforms back.  On an N = M sector, S commutes
+with the mirror J (sites reversed, A and B exchanged), and `evolve`
+keeps S folded over J's orbits, (f + m) x n for f fixed states and m
+pairs, so each product is about half as much work; it checks that H
+commutes with J exactly first, and with no pairs the fold is S and the
+arithmetic that of the unfolded S.  `evolve_vector` applies the
 series in P to one vector, a chunk of the scaled horizon at a time, with
 one `np.bincount` over P's terms per product.  The law of eta_t and the
 duality predictions apply exp(-H t) to one vector per sector and time,
@@ -146,12 +151,13 @@ def _rate_time(lam: float, t: float) -> float:
 
 
 def _symmetric_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ b into out, for a product known to be symmetric (a and b are
-    polynomials in one symmetric matrix, or n x k and k x n blocks of
-    such a product).  From PANEL_MIN_DIM on, only the
-    upper triangle is formed, one gemm per row panel of PANELS, and the
-    lower triangle is copied from it, so the result is exactly symmetric;
-    below it, one plain gemm."""
+    """a @ b into out, for a product known to be symmetric: a and b are
+    polynomials in one symmetric matrix, or n rows of one and n columns
+    of another whose n x n product is a symmetric block of theirs
+    (`_fold_product`).  From PANEL_MIN_DIM on, only the upper triangle is
+    formed, one gemm per row panel of PANELS, and the lower triangle is
+    copied from it, so the result is exactly symmetric; below it, one
+    plain gemm."""
     n = a.shape[0]
     if n < PANEL_MIN_DIM:
         return np.matmul(a, b, out=out)
@@ -372,28 +378,34 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005),
     and D E D^-1 is formed in one new n x n array (`_unfold`).
 
-    The series and the squarings run on S folded over the mirror J
-    (`_orbits`): a matrix that commutes with an involution is fixed by
-    its blocks over J's orbits (Cantoni & Butler, Linear Algebra Appl.
-    13, 1976).  With f fixed states and m pairs (l, Jl), a symmetric S
-    that commutes with J is A = S_ff, B = S_fl, X = S_ll and Y = S_l,Jl,
-    f^2 + f m + 2 m^2 entries, filled from H's terms (`_folded_S`).  A
-    squaring (`_fold_square`) is A A^T + 2 B B^T, A B + B (X + Y),
-    X X^T + Y Y^T + B^T B and XY + (XY)^T + B^T B: two half-size syrks
-    and one half-size gemm, about 0.275 n^3 against 0.6 n^3 for the
-    syrk of S.  A series product (`_fold_product`) is four half-size
-    gemms, about 0.5 n^3 against 0.8 n^3 for the upper triangle of a
-    product of S.  Every product and sum is of nonnegative terms, so no
-    entry cancels.  J is the generator's attached `SparseMatrix.mirror`
+    The series and the squarings run on S folded over the mirror J, and
+    only the returned kernel is unfolded: a matrix that commutes with an
+    involution is fixed by its blocks over J's orbits (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976).  With f fixed states and m pairs
+    (l, Jl) (`_orbits`), S is A = S_ff, B = S_fl, X = S_ll and
+    Y = S_l,Jl, and the fold is one (f + m) x n array: S's rows of the
+    fixed and low states, its columns in the order f, l, Jl, so
+    [[A, B, B], [B^T, X, Y]], filled straight from H's terms
+    (`_folded_S`).  A squaring (`_fold_square`) is the syrk of the fold,
+    which holds A A^T + 2 B B^T, A B + B (X + Y) and
+    X X^T + Y Y^T + B^T B, and the gemm XY for XY + (XY)^T + B^T B:
+    about 0.275 n^3 against 0.6 n^3 for the syrk of S, counting a gemm
+    as n^3.  A series product (`_fold_product`) is two symmetric half
+    products (`_symmetric_product`), about 0.4 n^3 against 0.8 n^3.  At
+    dim 560 on one thread they take 0.65 and 0.62 of the unfolded time:
+    half-size products run less efficiently.  Every product and sum adds
+    nonnegative terms, so no entry cancels and none turns negative (an
+    even/odd split X +- Y would take a quarter of the work but
+    subtracts).  J is the generator's `SparseMatrix.mirror`
     (`generator._gather` attaches `lattice.mirror`, which permutes the
     full basis and every N = M sector); it is used only after checking
-    exactly that H's terms commute with it.  Otherwise, or with no
-    mirror, every state is fixed: m = 0, the fold is S itself, the
-    squarings are x x^T (BLAS syrk) and the series products
-    `_symmetric_product`, the same arithmetic, bit for bit, as with no
-    fold.  The float diagonal sums the exit rates bond by bond, so at
-    rates whose sums round (r = 7/10, l = 3/10) some N = M sectors miss
-    the check and are evolved unfolded.
+    exactly that it is an involution and that H's terms equal their
+    relabelling by it.  Otherwise, or with no mirror, every state is
+    fixed: m = 0, the fold is S, a squaring is x x^T (BLAS syrk) and a
+    series product `_symmetric_product`, the same arithmetic, bit for bit,
+    as before the fold.  The float diagonal sums the exit rates bond by
+    bond, so at rates whose sums round (r = 7/10, l = 3/10) some N = M
+    sectors miss the check and are evolved unfolded.
 
     As in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s is the one
     of least dense-product cost (`_squaring_plan`, a syrk at SYRK_COST
@@ -406,9 +418,9 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     one for lam t <= 1e4 on the tested sectors (L <= 4 up to t = 1000:
     at most 6.0e-13, and 5.2e-13 on the benchmark's kernels); beyond
     that the error grows like 2^s times the unit roundoff.  A cold call
-    holds at most five folds (S, its square and cube, the Horner sum and
-    one buffer) and the products' half-size temporaries, under five
-    n x n arrays; with no pairs, five n x n arrays.
+    holds five folds (S, its square and cube, the Horner sum and one
+    buffer) and a product's half-size temporaries: 3.2 n x n arrays at
+    L4 (3,3); with no pairs, five n x n arrays.
 
     On at most DENSE_MAX_DIM rows, the folded result E is kept per
     operator object (`_StoredSquares`; a SparseMatrix is read-only) with
@@ -435,7 +447,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
         buf = np.empty_like(out)
     else:
         if lam_t == 0.0:
-            _detailed_balance(op)
+            _detailed_balance(op)  # a generator that is not reversible raises at t = 0 too
             return TransitionKernel(np.eye(op.dim))
         sym, root = _folded_S(op, lam, exits, orbits)
         out, buf, done = _power_series(sym, weights), sym, 0  # S is spent: square into it

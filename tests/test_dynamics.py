@@ -269,6 +269,30 @@ class TestSymmetricProduct:
         assert np.array_equal(out, out.T)
 
 
+class TestFoldProducts:
+    @pytest.mark.parametrize("n", [2, 41, 2 * PANEL_MIN_DIM, 2 * PANEL_MIN_DIM + 1])
+    def test_match_dense(self, n):
+        # folded over the reversal of range(n), whose pairs (i, n-1-i) leave
+        # the middle state fixed for odd n: from 2 PANEL_MIN_DIM on, both
+        # half products of `_fold_product` take the row panels
+        j = np.arange(n)[::-1]
+        rng = np.random.default_rng(n)
+        half = rng.random((n, n)) / n
+        s = half + half.T
+        s = (s + s[np.ix_(j, j)]) / 2
+        a, b = s @ s, s @ s @ s
+        orbits = mirror_orbits(j)
+        fa, fb = fold_of(a, orbits), fold_of(b, orbits)
+        assert fa.shape == (n - n // 2, n)
+        ones = np.ones(n)
+        square = dynamics._unfold(dynamics._fold_square(fa, np.empty_like(fa)), orbits, ones)
+        product = dynamics._unfold(dynamics._fold_product(fa, fb, np.empty_like(fa)), orbits, ones)
+        bound = 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
+        assert float(np.max(np.abs(square - a @ a))) <= 1e-15 * np.linalg.norm(a) ** 2
+        assert float(np.max(np.abs(product - a @ b))) <= bound
+        assert np.array_equal(square, square.T)
+
+
 # every sector at L <= 3, and L = 4 (2,2) and (3,3), the benchmark's dim 420 and 560
 BALANCE_SECTORS = [
     (L, n, m) for L in (1, 2, 3) for n in range(2 * L + 1) for m in range(2 * L - n + 1)
