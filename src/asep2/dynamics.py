@@ -287,18 +287,13 @@ def _orbits(op: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exactly (value for value); otherwise every state is fixed."""
     every = np.arange(op.dim)
     j = op.mirror
-    if j is None or not np.array_equal(j[j], every):
-        return every, every[:0], every[:0]
-    if SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff) != op:
-        return every, every[:0], every[:0]
+    if j is None or not (
+        np.array_equal(j[j], every)
+        and SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff) == op
+    ):
+        j = every
     low = np.flatnonzero(j > every)
     return np.flatnonzero(j == every), low, j[low]
-
-
-def _fold_size(orbits) -> int:
-    """The entries of a fold over the orbits: (f + m)(f + 2m)."""
-    f, m = len(orbits[0]), len(orbits[1])
-    return (f + m) * (f + 2 * m)
 
 
 def _folded_S(op: SparseMatrix, lam: float, exits: np.ndarray, orbits):
@@ -348,8 +343,9 @@ class _StoredSquares:
     def take(cls, op, key, s: int, size: int):
         """Release op's fold and return (fold, sqrt(pi), squarings) when it
         was stored at the same (mu, weights) and at most s squarings.  Else
-        release the earliest other folds until a fold of `size` entries
-        would fit, and return None."""
+        release the earliest other folds until a fold of `size` entries,
+        (f + m)(f + 2m) = (n - m) n for m pairs, would fit, and return
+        None."""
         entry = cls.entries.pop(id(op), None)
         if entry is not None and entry[1] == key and entry[4] <= s:
             return entry[2:]
@@ -441,7 +437,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     s, weights = _squaring_plan(lam_t) if lam_t else (0, [])
     key = (math.ldexp(lam_t, -s), tuple(weights))
     orbits = _orbits(op)
-    stored = _StoredSquares.take(op, key, s, _fold_size(orbits))
+    stored = _StoredSquares.take(op, key, s, (op.dim - len(orbits[1])) * op.dim)
     if stored is not None:
         out, root, done = stored
         buf = np.empty_like(out)

@@ -500,7 +500,7 @@ class TestResume:
         small = [sector_op(3, 2, 2), sector_op(3, 1, 1)]
         unfolded = sector_op(4, 3, 2)
         ops = (big, mid, *small, unfolded)
-        sizes = [dynamics._fold_size(dynamics._orbits(op)) for op in ops]
+        sizes = [(op.dim - len(dynamics._orbits(op)[1])) * op.dim for op in ops]
         assert [op.dim for op in ops] == [560, 420, 90, 30, 560]
         assert sizes == [165_760, 93_240, 4_590, 540, DENSE_MAX_DIM**2]
         for op in (*small, big, mid):
@@ -531,7 +531,7 @@ class TestResume:
         # fold, then with the kernel
         op, mid = sector_op(4, 3, 3), sector_op(4, 2, 2)
         square = 8 * op.dim**2
-        fold = 8 * dynamics._fold_size(dynamics._orbits(op))
+        fold = 8 * (op.dim - len(dynamics._orbits(op)[1])) * op.dim
         assert 0.52 * square < fold < 0.53 * square
 
         def peak(t, stored=None, on=op):
