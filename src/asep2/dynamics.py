@@ -175,16 +175,16 @@ def _fold_square(m: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The square of a folded symmetric matrix into the fold `out` (see
     `evolve`): its rows [f, l] are m m^T, one syrk, which holds
     A A^T + 2 B B^T, A B + B (X + Y) and X X^T + Y Y^T + B^T B, and its
-    block Y is XY + (XY)^T + B^T B.  With no pairs it is the one syrk."""
-    top, k = m.shape[0], m.shape[1] - m.shape[0]
-    f = top - k
+    block Y is XY + (XY)^T + B^T B.  With no pairs the other blocks are
+    empty and it is the one syrk."""
+    top = m.shape[0]
+    f = 2 * top - m.shape[1]
     np.matmul(m, m.T, out=out[:, :top])
-    if k:
-        bt = m[f:, :f]
-        y = np.matmul(m[f:, f:top], m[f:, top:], out=out[f:, top:])
-        y += y.T
-        y += bt @ bt.T
-        out[:f, top:] = out[:f, f:top]
+    bt = m[f:, :f]
+    y = np.matmul(m[f:, f:top], m[f:, top:], out=out[f:, top:])
+    y += y.T
+    y += bt @ bt.T
+    out[:f, top:] = out[:f, f:top]
     return out
 
 
