@@ -607,6 +607,16 @@ class TestMirrorFold:
         for t in (1.0, 30.0):
             assert np.array_equal(cold_kernel(faulty, t), cold_kernel(skewed, t))
 
+    def test_symmetry_that_is_no_involution_is_not_used(self):
+        # the rotation of a uniform three-cycle commutes with it exactly,
+        # but it is no involution, so it has no pairs to fold over
+        op = three_cycle(1.0, 1.0)
+        rotated = without_mirror(op, [1, 2, 0])
+        j = rotated.mirror
+        assert SparseMatrix.from_arrays(3, j[op.row], j[op.col], op.h, op.coeff) == op
+        assert len(dynamics._orbits(rotated)[1]) == 0
+        assert np.array_equal(cold_kernel(rotated, 1.0), cold_kernel(op, 1.0))
+
     @pytest.mark.parametrize("L, N", [(3, 2), (4, 2), (4, 3)])
     def test_rounded_exit_sums_are_not_folded(self, L, N):
         # at r=7/10, l=3/10 the float diagonal's bond-by-bond exit sums
