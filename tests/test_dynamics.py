@@ -179,20 +179,29 @@ class TestEvolve:
         assert math.ldexp(lam_t, -s) <= SCALE_MU
         assert weights == _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))
 
-    @pytest.mark.parametrize("mirror", [None, [0, 3, 4, 1, 2], [2, 4, 0, 3, 1]])
     @pytest.mark.parametrize("terms", [1, 2, 3, 4, 7])
-    def test_power_series_short(self, terms, mirror):
+    def test_power_series_short(self, terms):
         # dyadic entries and weights keep every sum exact, so the series
-        # equals sum_k w_k P^k bit for bit however few powers it forms,
-        # unfolded or folded over an involution P commutes with; P is
-        # symmetric, as `evolve` passes it, since P^2 is formed as P P^T
+        # equals sum_k w_k P^k bit for bit however few powers it forms;
+        # P is symmetric, as `evolve` passes it, since P^2 is formed as P P^T;
+        # with no mirror pairs the fold of P is P itself
         rng = np.random.default_rng(terms)
         half = rng.integers(0, 4, size=(5, 5)) / 8.0
         p = half + half.T
-        j = np.arange(5)
-        if mirror is not None:
-            j = np.array(mirror)
-            p = p + p[np.ix_(j, j)]
+        weights = [2.0 ** -(k + 1) for k in range(terms)]
+        expected = sum(w * np.linalg.matrix_power(p, k) for k, w in enumerate(weights))
+        assert np.array_equal(_power_series(p, weights), expected)
+
+    @pytest.mark.parametrize("mirror", [[0, 3, 4, 1, 2], [2, 4, 0, 3, 1]])
+    @pytest.mark.parametrize("terms", [1, 2, 3, 4, 7])
+    def test_power_series_folded(self, terms, mirror):
+        # the same exact sums on a P that commutes with an involution,
+        # folded over its orbits and unfolded after the series
+        rng = np.random.default_rng(terms)
+        half = rng.integers(0, 4, size=(5, 5)) / 8.0
+        j = np.array(mirror)
+        p = half + half.T
+        p = p + p[np.ix_(j, j)]
         weights = [2.0 ** -(k + 1) for k in range(terms)]
         expected = sum(w * np.linalg.matrix_power(p, k) for k, w in enumerate(weights))
         orbits = mirror_orbits(j)
