@@ -150,8 +150,8 @@ def _gather(p: ModelParams, ring: Ring, rows: np.ndarray) -> SparseMatrix:
     if ring is Ring.FLOAT:
         every = np.arange(dim)
         terms.append((every, every, np.zeros(dim, np.int64), exit_rate))
-    terms = (np.concatenate(t) for t in zip(*terms))
-    return SparseMatrix.from_arrays(dim, *terms, mirror=mirror(rows))
+    arrays = (np.concatenate(t) for t in zip(*terms))
+    return SparseMatrix.from_arrays(dim, *arrays, mirror=mirror(rows))
 
 
 def build_H(p: ModelParams, ring: Ring = Ring.EXACT) -> SparseMatrix:
