@@ -21,11 +21,12 @@ table in basis order, `lattice.occupations` or `lattice.sector_occupations`.
 The generator commutes with the mirror J of `lattice.mirror` (sites
 reversed, A and B exchanged): J turns each right exchange A0, 0B, AB into
 a right exchange.  So J maps sector (N, M) onto (M, N) and permutes the
-full basis and every N = M sector, and the built matrix carries J's index
+full basis and every N = M sector.  A float matrix carries J's index
 permutation of its basis as `SparseMatrix.mirror` (None on other
-sectors).  In exact mode, and in float mode when the rates' sums are
-exact, the matrix equals its relabelling by J; a float diagonal whose
-bond-by-bond exit sums round by their order may miss it in the last bit.
+sectors, and on every exact matrix: only `dynamics.evolve` reads it).
+In exact mode, and in float mode when the rates' sums are exact, the
+matrix equals its relabelling by J; a float diagonal whose bond-by-bond
+exit sums round by their order may miss it in the last bit.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ def _gather(p: ModelParams, ring: Ring, rows: np.ndarray) -> SparseMatrix:
     2 (s_k - s_k+1) 3^pos, ranked by `np.searchsorted` on the rows' indices.
     A float diagonal adds the exit rates bond by bond from the left, the
     same sum in the same order as a loop over one configuration's bonds.
-    The matrix carries the basis's `lattice.mirror` (None on a table not
-    closed under it).
+    A float matrix carries the basis's `lattice.mirror` (None on a table
+    not closed under it), for `dynamics.evolve`; an exact one carries
+    None.
     """
     h3, c3 = _rate_arrays(p, ring)
     codes = encode(rows)
@@ -147,11 +149,13 @@ def _gather(p: ModelParams, ring: Ring, rows: np.ndarray) -> SparseMatrix:
             terms.append((src, src, h, rate))
         else:
             exit_rate[src] += rate
+    j = None
     if ring is Ring.FLOAT:
         every = np.arange(dim)
         terms.append((every, every, np.zeros(dim, np.int64), exit_rate))
+        j = mirror(rows)
     arrays = (np.concatenate(t) for t in zip(*terms))
-    return SparseMatrix.from_arrays(dim, *arrays, mirror=mirror(rows))
+    return SparseMatrix.from_arrays(dim, *arrays, mirror=j)
 
 
 def build_H(p: ModelParams, ring: Ring = Ring.EXACT) -> SparseMatrix:

@@ -47,9 +47,9 @@ term arrays read-only, so a cache keyed on a matrix object (such as
 `dynamics.sector_generator`'s and `evolve`'s stored squares) cannot go
 stale.
 
-`mirror` is a read-only index permutation of the basis that a generator
-builder attaches (`generator._gather`, through `from_arrays`); every
-other constructor sets it to None.  It is a hint, not a guarantee:
+`mirror` is a read-only index permutation of the basis that the float
+generator builder attaches (`generator._gather`, through `from_arrays`);
+every other constructor sets it to None.  It is a hint, not a guarantee:
 `dynamics.evolve` folds over it only after testing that the terms commute
 with it exactly.  Equality compares the terms alone.
 """

@@ -13,7 +13,18 @@ from asep2.generator import (
     h_exact,
     rate_table,
 )
-from asep2.lattice import A, B, VACANT, Config, Sector, all_configs, sectors
+from asep2.lattice import (
+    A,
+    B,
+    VACANT,
+    Config,
+    Sector,
+    all_configs,
+    mirror,
+    occupations,
+    sector_occupations,
+    sectors,
+)
 from asep2.qring import LaurentPoly
 from asep2.qsym import species_counts
 from asep2.sparse import SparseMatrix, commutator
@@ -162,9 +173,8 @@ class TestSectorH:
                             assert items(block) == items(ref), (r, ell, L, ring, n, m)
 
 
-def relabelled(op: SparseMatrix) -> SparseMatrix:
-    """J H J: the matrix with rows and columns relabelled by its mirror."""
-    j = op.mirror
+def relabelled(op: SparseMatrix, j: np.ndarray) -> SparseMatrix:
+    """J H J: the matrix with rows and columns relabelled by the permutation j."""
     return SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff)
 
 
@@ -174,26 +184,47 @@ class TestMirror:
         # the mirror maps each right exchange onto a right exchange, so the
         # exact generator equals its relabelling on every N = M sector
         for sector in sectors(L):
-            op = build_H_sector(ModelParams(L, 2, Fraction(1, 2)), sector, Ring.EXACT)
+            j = mirror(sector_occupations(sector))
             if sector.N != sector.M:
-                assert op.mirror is None
+                assert j is None
                 continue
-            assert op.mirror is not None and relabelled(op) == op
+            op = build_H_sector(ModelParams(L, 2, Fraction(1, 2)), sector, Ring.EXACT)
+            assert relabelled(op, j) == op
 
     @pytest.mark.parametrize("L", [1, 2])
     def test_exact_full_basis_commutes(self, L):
         op = build_H(ModelParams(L, 2, Fraction(1, 2)), Ring.EXACT)
-        assert relabelled(op) == op
+        j = mirror(occupations(L))
+        assert relabelled(op, j) == op
         # a relabelling by the wrong permutation does not
-        j = np.roll(op.mirror, 1)
-        assert SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff) != op
+        assert relabelled(op, np.roll(j, 1)) != op
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_attached_to_float_only(self, L):
+        # a float matrix carries its table's mirror, None where the table is
+        # not closed under it; an exact matrix carries None
+        p = ModelParams(L, 2, Fraction(1, 2))
+        tables = [(build_H, p, occupations(L))]
+        tables += [(build_H_sector, (p, s), sector_occupations(s)) for s in sectors(L)]
+        for build, args, table in tables:
+            args = args if isinstance(args, tuple) else (args,)
+            j = mirror(table)
+            attached = build(*args, Ring.FLOAT).mirror
+            assert build(*args, Ring.EXACT).mirror is None
+            assert attached is None if j is None else np.array_equal(attached, j)
 
     def test_read_only_and_not_inherited(self):
         # only the builder attaches a mirror; derived matrices carry none
-        op = build_H(P1, Ring.EXACT)
+        op = build_H(P1, Ring.FLOAT)
         with pytest.raises(ValueError):
             op.mirror[0] = 1
-        assert all(m.mirror is None for m in (op.transpose(), op @ op, op + op, relabelled(op)))
+        assert relabelled(op, op.mirror).mirror is None
+        # float matrices are never combined: an exact one given a mirror
+        # passes it to none of its products, sums or transposes
+        exact = build_H(P1, Ring.EXACT)
+        terms = (exact.row, exact.col, exact.h, exact.coeff)
+        tagged = SparseMatrix.from_arrays(exact.dim, *terms, mirror=op.mirror)
+        assert all(m.mirror is None for m in (tagged.transpose(), tagged @ tagged, tagged + tagged))
 
 
 class TestApplyGenerator:
