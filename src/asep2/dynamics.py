@@ -6,11 +6,11 @@ so no term cancels another.  `evolve` sums the series in the symmetric
 S = D^-1 P D, D = diag(sqrt(pi)) for the reversible weights pi read off
 the generator's rates, filled from H's terms; it squares the dense result
 by x x^T products and transforms back.  On an N = M sector, S commutes
-with the mirror J (sites reversed, A and B exchanged), and `evolve`
-keeps S folded over J's orbits, (f + m) x n for f fixed states and m
-pairs, so each product is about half as much work; it checks that H
-commutes with J exactly first, and with no pairs the fold is S and the
-arithmetic that of the unfolded S.  `evolve_vector` applies the
+with the mirror J (sites reversed, A and B exchanged), and from
+PANEL_MIN_DIM states on `evolve` keeps S folded over J's orbits,
+(f + m) x n for f fixed states and m pairs, so each product is about
+half as much work; it checks that H commutes with J exactly first, and
+with no pairs the fold is S and the arithmetic that of the unfolded S.  `evolve_vector` applies the
 series in P to one vector, a chunk of the scaled horizon at a time, with
 one `np.bincount` over P's terms per product.  The law of eta_t and the
 duality predictions apply exp(-H t) to one vector per sector and time,
@@ -60,7 +60,7 @@ SYRK_COST = 0.6
 # panel of PANELS, and mirrored (`_symmetric_product`): 0.80-0.81 of a
 # gemm at dim 420-560, 0.85 at 360, 0.90-0.94 at 240-280, about even at
 # 168-200 and 2.0 at 90 (one thread, medians of interleaved runs); below
-# PANEL_MIN_DIM it is one gemm
+# PANEL_MIN_DIM it is one gemm, and `evolve` does not fold over the mirror
 PANELS = 4
 PANEL_MIN_DIM = 200
 PANEL_COST = 0.8
@@ -175,9 +175,11 @@ def _fold_square(m: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The square of a folded symmetric matrix into the fold `out` (see
     `evolve`): its rows [f, l] are m m^T, one syrk, which holds
     A A^T + 2 B B^T, A B + B (X + Y) and X X^T + Y Y^T + B^T B, and its
-    block Y is XY + (XY)^T + B^T B.  With no pairs the other blocks are
-    empty and it is the one syrk."""
+    block Y is XY + (XY)^T + B^T B.  With no pairs it is the one syrk
+    m m^T."""
     top = m.shape[0]
+    if top == m.shape[1]:
+        return np.matmul(m, m.T, out=out)
     f = 2 * top - m.shape[1]
     np.matmul(m, m.T, out=out[:, :top])
     bt = m[f:, :f]
@@ -283,11 +285,13 @@ def _detailed_balance(op: SparseMatrix):
 def _orbits(op: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(fixed, low, high) of op's attached mirror J: the fixed states, and
     the pairs low[i] < high[i] = J(low[i]), each ascending.  J is used only
-    when it is an involution and H's terms equal their relabelling by J
-    exactly (value for value); otherwise every state is fixed."""
+    on at least PANEL_MIN_DIM states, where the fold's half-size products
+    save more than their extra numpy calls cost, and when it is an
+    involution and H's terms equal their relabelling by J exactly (value
+    for value); otherwise every state is fixed."""
     every = np.arange(op.dim)
     j = op.mirror
-    if j is None or not (
+    if j is None or op.dim < PANEL_MIN_DIM or not (
         np.array_equal(j[j], every)
         and SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff) == op
     ):
@@ -303,24 +307,31 @@ def _folded_S(op: SparseMatrix, lam: float, exits: np.ndarray, orbits):
     row, col, geo_mean, root = _detailed_balance(op)
     order = np.concatenate(orbits)
     top = op.dim - len(orbits[1])
-    rank = np.empty(op.dim, np.intp)
-    rank[order] = np.arange(op.dim)
+    if top < op.dim:  # S's terms in the rows of the fixed and low states, ranked by the orbits
+        rank = np.empty(op.dim, np.intp)
+        rank[order] = np.arange(op.dim)
+        on = rank[row] < top
+        row, col, geo_mean = rank[row[on]], rank[col[on]], geo_mean[on]
     fold = np.zeros((top, op.dim))
-    on = rank[row] < top
-    fold[rank[row[on]], rank[col[on]]] = geo_mean[on] / lam
+    fold[row, col] = geo_mean / lam
     fold.flat[:: op.dim + 1] = 1.0 - exits[order[:top]] / lam
     return fold, root
 
 
-def _unfold(fold: np.ndarray, orbits, root: np.ndarray) -> np.ndarray:
-    """D E D^-1 for the folded E, formed in one n x n array: E's row of
-    a pair's high state is that of its low state with the columns of each
-    pair exchanged (E commutes with J), and D = diag(sqrt(pi))."""
+def _unfold(fold: np.ndarray, orbits, root: np.ndarray, spare=None) -> np.ndarray:
+    """D E D^-1 for the folded E, D = diag(sqrt(pi)).  With pairs, E is
+    unfolded into one new n x n array, in which the kernel is formed: E's
+    row of a pair's high state is that of its low state with the columns
+    of each pair exchanged (E commutes with J).  With none the fold is E,
+    and the kernel is formed in `spare`, a spent array of its shape (a new
+    one when None)."""
     fixed, low, high = orbits
-    kernel = np.empty((len(root), len(root)))
-    kernel[np.ix_(np.concatenate([fixed, low]), np.concatenate(orbits))] = fold
-    kernel[np.ix_(high, np.concatenate([fixed, high, low]))] = fold[len(fixed) :]
-    kernel *= root[:, None]
+    if len(low):
+        spare = np.empty((len(root), len(root)))
+        spare[np.ix_(np.concatenate([fixed, low]), np.concatenate(orbits))] = fold
+        spare[np.ix_(high, np.concatenate([fixed, high, low]))] = fold[len(fixed) :]
+        fold = spare
+    kernel = np.multiply(fold, root[:, None], out=spare)
     kernel /= root
     return kernel
 
@@ -328,10 +339,11 @@ def _unfold(fold: np.ndarray, orbits, root: np.ndarray) -> np.ndarray:
 class _StoredSquares:
     """The squares `evolve` keeps: per operator, the folded symmetrized
     result of its last call before D E D^-1, as entries[id(op)] =
-    (op, (mu, weights), fold, sqrt(pi), squarings).  An entry holds its
-    operator, so the id names no other while it is stored.  The folds
-    have at most DENSE_MAX_DIM^2 entries in all, the earliest stored
-    released first."""
+    (op, (mu, weights), fold, sqrt(pi), squarings, orbits).  An entry
+    holds its operator, so the id names no other while it is stored, and
+    its orbits, so the operator's mirror is checked once while it is
+    stored.  The folds have at most DENSE_MAX_DIM^2 entries in all, the
+    earliest stored released first."""
 
     entries: dict = {}
 
@@ -340,24 +352,26 @@ class _StoredSquares:
         cls.entries.clear()
 
     @classmethod
-    def take(cls, op, key, s: int, size: int):
-        """Release op's fold and return (fold, sqrt(pi), squarings) when it
-        was stored at the same (mu, weights) and at most s squarings.  Else
-        release the earliest other folds until a fold of `size` entries,
-        (f + m)(f + 2m) = (n - m) n for m pairs, would fit, and return
-        None."""
+    def take(cls, op, key, s: int):
+        """Release op's entry and return (stored, orbits).  stored is
+        (fold, sqrt(pi), squarings) when op's fold was stored at the same
+        (mu, weights) and at most s squarings.  Else it is None, and the
+        earliest other folds are released until op's, (f + m)(f + 2m) =
+        (n - m) n entries for m pairs, would fit.  The orbits are the
+        entry's, or `_orbits(op)` when op has none."""
         entry = cls.entries.pop(id(op), None)
+        orbits = _orbits(op) if entry is None else entry[5]
         if entry is not None and entry[1] == key and entry[4] <= s:
-            return entry[2:]
+            return entry[2:5], orbits
         held = sum(e[2].size for e in cls.entries.values())
-        while cls.entries and held > DENSE_MAX_DIM**2 - size:
+        while cls.entries and held > DENSE_MAX_DIM**2 - (op.dim - len(orbits[1])) * op.dim:
             held -= cls.entries.pop(next(iter(cls.entries)))[2].size
-        return None
+        return None, orbits
 
     @classmethod
-    def keep(cls, op, key, fold, root, s: int):
+    def keep(cls, op, key, fold, root, s: int, orbits):
         if op.dim <= DENSE_MAX_DIM:
-            cls.entries[id(op)] = (op, key, fold, root, s)
+            cls.entries[id(op)] = (op, key, fold, root, s, orbits)
 
 
 def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
@@ -372,9 +386,10 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     t/2^s by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then
     squared s times (Higham, "The scaling and squaring method for the
     matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005),
-    and D E D^-1 is formed in one new n x n array (`_unfold`).
+    and D E D^-1 is formed (`_unfold`).
 
-    The series and the squarings run on S folded over the mirror J, and
+    On at least PANEL_MIN_DIM states, the series and the squarings run on
+    S folded over the mirror J, and
     only the returned kernel is unfolded: a matrix that commutes with an
     involution is fixed by its blocks over J's orbits (Cantoni & Butler,
     Linear Algebra Appl. 13, 1976).  With f fixed states and m pairs
@@ -389,16 +404,20 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     as n^3.  A series product (`_fold_product`) is two symmetric half
     products (`_symmetric_product`), about 0.4 n^3 against 0.8 n^3.  At
     dim 560 on one thread they take 0.65 and 0.62 of the unfolded time:
-    half-size products run less efficiently.  Every product and sum adds
+    half-size products run less efficiently, and below PANEL_MIN_DIM,
+    where a half product is one small gemm, the fold's extra numpy calls
+    cost more than it saves (L3 (1,1), dim 30: 0.18 ms unfolded against
+    0.31 ms folded), so smaller operators are not folded.  Every product and sum adds
     nonnegative terms, so no entry cancels and none turns negative (an
     even/odd split X +- Y would take a quarter of the work but
     subtracts).  J is the generator's `SparseMatrix.mirror`
     (`generator._gather` attaches `lattice.mirror`, which permutes the
     full basis and every N = M sector); it is used only after checking
     exactly that it is an involution and that H's terms equal their
-    relabelling by it.  Otherwise, or with no mirror, every state is
-    fixed: m = 0, the fold is S, a squaring is x x^T (BLAS syrk) and a
-    series product `_symmetric_product`, the same arithmetic, bit for bit,
+    relabelling by it, once per stored operator.  Otherwise, or with no
+    mirror, every state is fixed: m = 0, the fold is S, a squaring is
+    x x^T (BLAS syrk), a series product `_symmetric_product` and the
+    kernel is scaled in a spent buffer, the same arithmetic, bit for bit,
     as before the fold.  The float diagonal sums the exit rates bond by
     bond, so at rates whose sums round (r = 7/10, l = 3/10) some N = M
     sectors miss the check and are evolved unfolded.
@@ -416,7 +435,8 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     that the error grows like 2^s times the unit roundoff.  A cold call
     holds five folds (S, its square and cube, the Horner sum and one
     buffer) and a product's half-size temporaries: 3.2 n x n arrays at
-    L4 (3,3); with no pairs, five n x n arrays.
+    L4 (3,3), whose kernel is a new n x n array; with no pairs, five
+    n x n arrays, one of which takes the kernel.
 
     On at most DENSE_MAX_DIM rows, the folded result E is kept per
     operator object (`_StoredSquares`; a SparseMatrix is read-only) with
@@ -430,14 +450,13 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     its operator's fold and the earliest others until its own would fit
     the DENSE_MAX_DIM^2 entries, so it never holds more than a cold call
     on DENSE_MAX_DIM rows; a resumed call holds two folds (E and one
-    buffer) and the kernel.
+    buffer), and with pairs the kernel.
     """
     exits, lam = _exit_rates(op)
     lam_t = _rate_time(lam, t)
     s, weights = _squaring_plan(lam_t) if lam_t else (0, [])
     key = (math.ldexp(lam_t, -s), tuple(weights))
-    orbits = _orbits(op)
-    stored = _StoredSquares.take(op, key, s, (op.dim - len(orbits[1])) * op.dim)
+    stored, orbits = _StoredSquares.take(op, key, s)
     if stored is not None:
         out, root, done = stored
         buf = np.empty_like(out)
@@ -449,9 +468,10 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
         out, buf, done = _power_series(sym, weights), sym, 0  # S is spent: square into it
     for _ in range(done, s):
         out, buf = _fold_square(out, buf), out
-    _StoredSquares.keep(op, key, out, root, s)
+    _StoredSquares.keep(op, key, out, root, s, orbits)
+    spare = None if len(orbits[1]) else buf  # a fold with pairs unfolds into a new array
     del buf
-    return TransitionKernel(_unfold(out, orbits, root))
+    return TransitionKernel(_unfold(out, orbits, root, spare))
 
 
 @lru_cache(maxsize=64)

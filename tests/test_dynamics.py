@@ -501,27 +501,28 @@ class TestResume:
 
     def test_store_budget(self, series_calls):
         # the folds never pass DENSE_MAX_DIM^2 entries, counted as
-        # (f + m)(f + 2m) for f fixed states and m mirror pairs: the N = M
-        # sectors of dim 560, 420, 90 and 30 fit together, and the unfolded
-        # dim 560 of (3,2), the whole budget, releases them all; a miss
-        # releases the earliest until its own fits
+        # (f + m)(f + 2m) for f fixed states and m mirror pairs: the folded
+        # N = M sectors of dim 560 and 420 and the unfolded ones of dim 90
+        # and 30 fit together, and the unfolded dim 560 of (3,2), the whole
+        # budget, releases them all; a miss releases the earliest until its
+        # own fits
         big, mid = sector_op(4, 3, 3), sector_op(4, 2, 2)
         small = [sector_op(3, 2, 2), sector_op(3, 1, 1)]
         unfolded = sector_op(4, 3, 2)
         ops = (big, mid, *small, unfolded)
         sizes = [(op.dim - len(dynamics._orbits(op)[1])) * op.dim for op in ops]
         assert [op.dim for op in ops] == [560, 420, 90, 30, 560]
-        assert sizes == [165_760, 93_240, 4_590, 540, DENSE_MAX_DIM**2]
+        assert sizes == [165_760, 93_240, 8_100, 900, DENSE_MAX_DIM**2]
         for op in (*small, big, mid):
             evolve(op, 1.0)
         stored = dynamics._StoredSquares.entries.values()
         held = lambda: [e[2].size for e in stored]  # noqa: E731
-        assert held() == [4_590, 540, 165_760, 93_240]
+        assert held() == [8_100, 900, 165_760, 93_240]
         evolve(unfolded, 1.0)  # releases every fold
         assert held() == [DENSE_MAX_DIM**2]
         for op in small:
             evolve(op, 1.0)  # the first releases the unfolded square
-        assert held() == [4_590, 540]
+        assert held() == [8_100, 900]
         series_calls.clear()
         for op in (*small, big, mid, *small):
             evolve(op, 1.0)
@@ -575,8 +576,10 @@ class TestMirrorFold:
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_folded_matches_unfolded(self, L):
         # every N = M sector at r=2, l=1/2 commutes with its mirror exactly
-        # and is folded; its kernels keep every entry >= 0 with no
-        # tolerance and agree with the unfolded ones to 1e-12 relative
+        # and is folded from PANEL_MIN_DIM states on (L4 (2,2) and (3,3));
+        # its kernels keep every entry >= 0 with no tolerance and agree with
+        # the unfolded ones to 1e-12 relative, and those of the smaller
+        # sectors, not folded, bit for bit
         p = ModelParams(L, Fraction(2), Fraction(1, 2))
         for sector in sectors(L):
             if sector.N != sector.M:
@@ -584,7 +587,11 @@ class TestMirrorFold:
             op = build_H_sector(p, sector, Ring.FLOAT)
             fixed, low, high = dynamics._orbits(op)
             assert np.array_equal(np.sort(np.concatenate([fixed, low, high])), np.arange(op.dim))
-            assert np.array_equal(op.mirror[low], high) and np.all(op.mirror[fixed] == fixed)
+            if op.dim < PANEL_MIN_DIM:
+                assert len(low) == 0
+            else:
+                assert len(low) and np.array_equal(op.mirror[low], high)
+                assert np.all(op.mirror[fixed] == fixed)
             for t in (0.25, 4.0, 1000.0):
                 folded = cold_kernel(op, t)
                 plain = cold_kernel(without_mirror(op), t)
@@ -594,17 +601,23 @@ class TestMirrorFold:
                 if not len(low):
                     assert np.array_equal(folded, plain)
 
-    def test_full_basis_folds(self):
-        op = build_H(P2, Ring.FLOAT)
-        fixed, low, _high = dynamics._orbits(op)
-        assert (len(fixed), len(low)) == (9, 36)
+    @pytest.mark.parametrize("L, fixed, pairs", [(2, 81, 0), (3, 27, 351)])
+    def test_full_basis_orbits(self, L, fixed, pairs):
+        # the full basis at L = 3 folds over 3^3 fixed states, those whose
+        # site k holds the mirror image of site 5 - k; at L = 2 its 81
+        # states are below PANEL_MIN_DIM and are not folded
+        op = build_H(ModelParams(L, Fraction(2), Fraction(1, 2)), Ring.FLOAT)
+        orbits = dynamics._orbits(op)
+        assert (len(orbits[0]), len(orbits[1])) == (fixed, pairs)
 
     @pytest.mark.parametrize("fault", ["skewed term", "shifted permutation", "no mirror"])
     def test_noncommuting_mirror_is_not_used(self, fault):
         # a mirror that is not an involution, or that H's terms miss by one
         # ulp of one off-diagonal rate, is not folded over: the kernel is
-        # bit for bit that of the same terms with no mirror
-        op = sector_op(3, 2, 2)
+        # bit for bit that of the same terms with no mirror.  Unskewed, with
+        # its own mirror, the sector folds
+        op = sector_op(4, 2, 2)
+        assert len(dynamics._orbits(op)[1]) == 198
         coeff = op.coeff.copy()
         if fault == "skewed term":
             i = int(np.flatnonzero(op.row != op.col)[0])
@@ -617,13 +630,19 @@ class TestMirrorFold:
             assert np.array_equal(cold_kernel(faulty, t), cold_kernel(skewed, t))
 
     def test_symmetry_that_is_no_involution_is_not_used(self):
-        # the rotation of a uniform three-cycle commutes with it exactly,
-        # but it is no involution, so it has no pairs to fold over
-        op = three_cycle(1.0, 1.0)
-        rotated = without_mirror(op, [1, 2, 0])
+        # the rotation of a uniform cycle of PANEL_MIN_DIM states commutes
+        # with it exactly, but it is no involution, so it has no pairs to
+        # fold over; the reflection of the cycle has them
+        n = PANEL_MIN_DIM
+        entries = {(a, a): 2.0 for a in range(n)}
+        for a in range(n):
+            entries[(a + 1) % n, a] = entries[a, (a + 1) % n] = -1.0
+        op = float_matrix(n, entries)
+        rotated = without_mirror(op, np.roll(np.arange(n), 1))
         j = rotated.mirror
-        assert SparseMatrix.from_arrays(3, j[op.row], j[op.col], op.h, op.coeff) == op
+        assert SparseMatrix.from_arrays(n, j[op.row], j[op.col], op.h, op.coeff) == op
         assert len(dynamics._orbits(rotated)[1]) == 0
+        assert len(dynamics._orbits(without_mirror(op, -np.arange(n) % n))[1]) == n // 2 - 1
         assert np.array_equal(cold_kernel(rotated, 1.0), cold_kernel(op, 1.0))
 
     @pytest.mark.parametrize("L, N", [(3, 2), (4, 2), (4, 3)])
