@@ -295,7 +295,7 @@ def _orbits(op: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.array_equal(j[j], every)
         and SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff) == op
     ):
-        j = every
+        return every, every[:0], every[:0]
     low = np.flatnonzero(j > every)
     return np.flatnonzero(j == every), low, j[low]
 
@@ -305,16 +305,16 @@ def _folded_S(op: SparseMatrix, lam: float, exits: np.ndarray, orbits):
     filled from H's terms, with sqrt(pi) (`_detailed_balance`).  With no
     pairs the fold is S."""
     row, col, geo_mean, root = _detailed_balance(op)
-    order = np.concatenate(orbits)
     top = op.dim - len(orbits[1])
     if top < op.dim:  # S's terms in the rows of the fixed and low states, ranked by the orbits
         rank = np.empty(op.dim, np.intp)
-        rank[order] = np.arange(op.dim)
+        rank[np.concatenate(orbits)] = np.arange(op.dim)
         on = rank[row] < top
         row, col, geo_mean = rank[row[on]], rank[col[on]], geo_mean[on]
+        exits = exits[np.concatenate(orbits[:2])]
     fold = np.zeros((top, op.dim))
     fold[row, col] = geo_mean / lam
-    fold.flat[:: op.dim + 1] = 1.0 - exits[order[:top]] / lam
+    fold.flat[:: op.dim + 1] = 1.0 - exits / lam
     return fold, root
 
 
