@@ -10,8 +10,9 @@ with the mirror J (sites reversed, A and B exchanged), and from
 PANEL_MIN_DIM states on `evolve` keeps S folded over J's orbits,
 (f + m) x n for f fixed states and m pairs, so each product is about
 half as much work; it checks that H commutes with J exactly first, and
-with no pairs the fold is S and the arithmetic that of the unfolded S.  `evolve_vector` applies the
-series in P to one vector, a chunk of the scaled horizon at a time, with
+with no pairs the fold is S and the arithmetic that of the unfolded S.
+`evolve_vector` applies the series in P to one vector, a chunk of the
+scaled horizon at a time, with
 one `np.bincount` over P's terms per product.  The law of eta_t and the
 duality predictions apply exp(-H t) to one vector per sector and time,
 by whichever of `evolve(op, t).matrix @ v` and `evolve_vector` costs

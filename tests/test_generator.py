@@ -224,7 +224,8 @@ class TestMirror:
         exact = build_H(P1, Ring.EXACT)
         terms = (exact.row, exact.col, exact.h, exact.coeff)
         tagged = SparseMatrix.from_arrays(exact.dim, *terms, mirror=op.mirror)
-        assert all(m.mirror is None for m in (tagged.transpose(), tagged @ tagged, tagged + tagged))
+        derived = (tagged.transpose(), tagged @ tagged, tagged + tagged)
+        assert all(m.mirror is None for m in derived)
 
 
 class TestApplyGenerator:
