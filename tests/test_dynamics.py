@@ -447,6 +447,21 @@ class TestResume:
         if times[0] == times[1]:
             assert np.array_equal(first, second) and first is not second
 
+    def test_mirror_checked_once(self, monkeypatch):
+        # the orbits are stored with the fold: later calls on the same
+        # operator, resumed or not, do not check its mirror again, and an
+        # equal operator that is not the same object is checked afresh
+        checks = []
+        orbits = dynamics._orbits
+        monkeypatch.setattr(dynamics, "_orbits", lambda op: checks.append(op) or orbits(op))
+        clear_caches()
+        op = sector_op(4, 3, 3)
+        for t in (1.0, 4.0, 0.25):
+            evolve(op, t)
+        assert len(checks) == 1
+        evolve(sector_op(4, 3, 3), 1.0)
+        assert len(checks) == 2
+
     def test_clear_caches_empties_the_store(self, series_calls):
         op = sector_op(4, 3, 3)
         evolve(op, 1.0)
@@ -538,17 +553,19 @@ class TestResume:
         # until its own fits before its series, so it peaks where a cold
         # call does, and a miss on a smaller operator stays below a cold
         # call on the larger.  A hit holds the stored fold with one buffer
-        # fold, then with the kernel
+        # fold, then with the kernel; on the same terms with no mirror, the
+        # stored square with one buffer, which takes the kernel
         op, mid = sector_op(4, 3, 3), sector_op(4, 2, 2)
+        plain = without_mirror(op)
         square = 8 * op.dim**2
         fold = 8 * (op.dim - len(dynamics._orbits(op)[1])) * op.dim
         assert 0.52 * square < fold < 0.53 * square
 
-        def peak(t, stored=None, on=op):
+        def peak(t, stored=None, on=op, first=op):
             clear_caches()
             base = tracemalloc.get_traced_memory()[0]
             if stored is not None:
-                evolve(op, stored)
+                evolve(first, stored)
             tracemalloc.reset_peak()
             evolve(on, t)
             return tracemalloc.get_traced_memory()[1] - base
@@ -558,6 +575,7 @@ class TestResume:
             cold, miss = peak(0.25), peak(0.25, stored=1.0)
             cold4, hit = peak(4.0), peak(4.0, stored=1.0)
             other = peak(30.0, stored=1.0, on=mid)
+            plain_hit = peak(4.0, stored=1.0, on=plain, first=plain)
         finally:
             tracemalloc.stop()
         assert cold < 5 * fold + square < 5 * square
@@ -565,6 +583,7 @@ class TestResume:
         assert miss < cold + fold / 2
         assert hit < fold + square + fold / 2
         assert other < cold
+        assert plain_hit < 2 * square + square / 2
 
 
 def without_mirror(op: SparseMatrix, mirror=None) -> SparseMatrix:
