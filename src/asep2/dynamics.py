@@ -7,13 +7,13 @@ S = D^-1 P D, D = diag(sqrt(pi)) for the reversible weights pi read off
 the generator's rates, filled from H's terms; it squares the dense result
 by x x^T products and transforms back.  On an N = M sector, S commutes
 with the mirror J (sites reversed, A and B exchanged), and from
-PANEL_MIN_DIM states on `evolve` keeps S folded over J's orbits,
+`fold.PANEL_MIN_DIM` states on `evolve` keeps S folded over J's orbits,
 (f + m) x n for f fixed states and m pairs, so each product is about
 half as much work; it checks that H commutes with J exactly first, and
 with no pairs the fold is S and the arithmetic that of the unfolded S.
 `evolve_vector` applies the series in P to one vector, a chunk of the
-scaled horizon at a time, with
-one `np.bincount` over P's terms per product.  The law of eta_t and the
+scaled horizon at a time, with one `np.bincount` over P's terms per
+product.  The law of eta_t and the
 duality predictions apply exp(-H t) to one vector per sector and time,
 by whichever of `evolve(op, t).matrix @ v` and `evolve_vector` costs
 less (`plan`, which also prices the work and the rounding): the vector
@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import fold
 from .duality import q_values
 from .generator import ModelParams, Ring, build_H_sector, rate_table
 from .lattice import A, B, Config, Sector, config_rows, decode, encode, sector_occupations
@@ -57,13 +58,8 @@ BLOCK = 4096  # trajectories per Philox stream
 # the cost of a dense product x x^T (BLAS syrk, one triangle) against a
 # general one (gemm): 0.56-0.61 at dim 140-560 on one thread
 SYRK_COST = 0.6
-# a symmetric product formed as its upper triangle, one gemm per row
-# panel of PANELS, and mirrored (`_symmetric_product`): 0.80-0.81 of a
-# gemm at dim 420-560, 0.85 at 360, 0.90-0.94 at 240-280, about even at
-# 168-200 and 2.0 at 90 (one thread, medians of interleaved runs); below
-# PANEL_MIN_DIM it is one gemm, and `evolve` does not fold over the mirror
-PANELS = 4
-PANEL_MIN_DIM = 200
+# the cost of a symmetric product formed in row panels
+# (`fold.symmetric_product`) against a gemm: 0.80-0.81 at dim 420-560
 PANEL_COST = 0.8
 # a reversible generator's rates meet Kolmogorov's criterion to this
 # relative tolerance, well above the rounding of the spread weights
@@ -151,85 +147,26 @@ def _rate_time(lam: float, t: float) -> float:
     return lam_t
 
 
-def _symmetric_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ b into out, for a product known to be symmetric: a and b are
-    polynomials in one symmetric matrix, or n rows of one and n columns
-    of another whose n x n product is a symmetric block of theirs
-    (`_fold_product`).  From PANEL_MIN_DIM on, only the upper triangle is
-    formed, one gemm per row panel of PANELS, and the lower triangle is
-    copied from it, so the result is exactly symmetric; below it, one
-    plain gemm."""
-    n = a.shape[0]
-    if n < PANEL_MIN_DIM:
-        return np.matmul(a, b, out=out)
-    edges = [n * i // PANELS for i in range(PANELS + 1)]
-    below = np.tri(-(-n // PANELS), k=-1, dtype=bool)  # a panel's strict lower triangle
-    for lo, hi in zip(edges, edges[1:]):
-        np.matmul(a[lo:hi], b[:, lo:], out=out[lo:hi, lo:])
-        out[lo:hi, :lo] = out[:lo, lo:hi].T
-        block = out[lo:hi, lo:hi]
-        np.copyto(block, block.T, where=below[: hi - lo, : hi - lo])
-    return out
-
-
-def _fold_square(m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The square of a folded symmetric matrix into the fold `out` (see
-    `evolve`): its rows [f, l] are m m^T, one syrk, which holds
-    A A^T + 2 B B^T, A B + B (X + Y) and X X^T + Y Y^T + B^T B, and its
-    block Y is XY + (XY)^T + B^T B.  With no pairs it is the one syrk
-    m m^T."""
-    top = m.shape[0]
-    if top == m.shape[1]:
-        return np.matmul(m, m.T, out=out)
-    f = 2 * top - m.shape[1]
-    np.matmul(m, m.T, out=out[:, :top])
-    bt = m[f:, :f]
-    y = np.matmul(m[f:, f:top], m[f:, top:], out=out[f:, top:])
-    y += y.T
-    y += bt @ bt.T
-    out[:f, top:] = out[:f, f:top]
-    return out
-
-
-def _fold_product(m: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """m n into the fold `out`, for folded m and n whose product is
-    symmetric (polynomials in one symmetric matrix): its rows [f, l] are
-    m times the columns [f, l] of n, which are n^T, and its block Y is
-    m's rows l times n's rows l with the columns of each pair exchanged.
-    Both are symmetric and formed by `_symmetric_product`.  With no pairs
-    the columns of n are n itself: one `_symmetric_product`."""
-    top, k = m.shape[0], m.shape[1] - m.shape[0]
-    if not k:
-        return _symmetric_product(m, n, out)
-    f = top - k
-    _symmetric_product(m, n.T, out[:, :top])
-    rows = n[f:]
-    exchanged = np.concatenate([rows[:, :f], rows[:, top:], rows[:, f:top]], axis=1)
-    _symmetric_product(m[f:], exchanged.T, out[f:, top:])
-    out[:f, top:] = out[:f, f:top]
-    return out
-
-
 def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
     """sum_k weights[k] p^k for a folded symmetric p by Paterson-Stockmeyer:
     Horner's rule in p^b over blocks of b coefficients,
-    b = min(STORED_POWERS, len(weights)); p^2 is formed by `_fold_square`,
-    p^3 and the Horner steps by `_fold_product`.  The identity's entries
+    b = min(STORED_POWERS, len(weights)); p^2 is formed by `fold.square`,
+    p^3 and the Horner steps by `fold.product`.  The identity's entries
     in a fold are its diagonal from the corner."""
     n = p.shape[1]
     powers = [p]
     while len(powers) < min(STORED_POWERS, len(weights)):
         if len(powers) == 1:
-            powers.append(_fold_square(p, np.empty_like(p)))
+            powers.append(fold.square(p, np.empty_like(p)))
         else:
-            powers.append(_fold_product(powers[-1], p, np.empty_like(p)))
+            powers.append(fold.product(powers[-1], p, np.empty_like(p)))
     size = len(powers)
     blocks = [weights[i : i + size] for i in range(0, len(weights), size)]
     out = np.zeros_like(p)
     buf = np.empty_like(p)
     for j, block in enumerate(reversed(blocks)):
         if j:
-            out, buf = _fold_product(out, powers[-1], buf), out
+            out, buf = fold.product(out, powers[-1], buf), out
         for w, pk in zip(block[1:], powers):
             np.multiply(pk, w, out=buf)
             out += buf
@@ -286,55 +223,25 @@ def _detailed_balance(op: SparseMatrix):
 def _orbits(op: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(fixed, low, high) of op's attached mirror J: the fixed states, and
     the pairs low[i] < high[i] = J(low[i]), each ascending.  J is used only
-    on at least PANEL_MIN_DIM states, where the fold's half-size products
-    save more than their extra numpy calls cost, and when it is an
-    involution and H's terms equal their relabelling by J exactly (value
-    for value); otherwise every state is fixed."""
-    every = np.arange(op.dim)
+    on at least `fold.PANEL_MIN_DIM` states, where the fold's half-size
+    products save more than their extra numpy calls cost, and when it is
+    an involution and H's terms equal their relabelling by J exactly
+    (value for value); otherwise every state is fixed."""
     j = op.mirror
-    if j is None or op.dim < PANEL_MIN_DIM or not (
-        np.array_equal(j[j], every)
+    if j is None or op.dim < fold.PANEL_MIN_DIM or not (
+        np.array_equal(j[j], np.arange(op.dim))
         and SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff) == op
     ):
-        return every, every[:0], every[:0]
-    low = np.flatnonzero(j > every)
-    return np.flatnonzero(j == every), low, j[low]
+        j = None
+    return fold.orbits(op.dim, j)
 
 
 def _folded_S(op: SparseMatrix, lam: float, exits: np.ndarray, orbits):
-    """S = D^-1 (I - H/lam) D folded over the orbits (see `evolve`),
+    """S = D^-1 (I - H/lam) D folded over the orbits (`fold.fill`),
     filled from H's terms, with sqrt(pi) (`_detailed_balance`).  With no
     pairs the fold is S."""
     row, col, geo_mean, root = _detailed_balance(op)
-    top = op.dim - len(orbits[1])
-    if top < op.dim:  # S's terms in the rows of the fixed and low states, ranked by the orbits
-        rank = np.empty(op.dim, np.intp)
-        rank[np.concatenate(orbits)] = np.arange(op.dim)
-        on = rank[row] < top
-        row, col, geo_mean = rank[row[on]], rank[col[on]], geo_mean[on]
-        exits = exits[np.concatenate(orbits[:2])]
-    fold = np.zeros((top, op.dim))
-    fold[row, col] = geo_mean / lam
-    fold.flat[:: op.dim + 1] = 1.0 - exits / lam
-    return fold, root
-
-
-def _unfold(fold: np.ndarray, orbits, root: np.ndarray, spare=None) -> np.ndarray:
-    """D E D^-1 for the folded E, D = diag(sqrt(pi)).  With pairs, E is
-    unfolded into one new n x n array, in which the kernel is formed: E's
-    row of a pair's high state is that of its low state with the columns
-    of each pair exchanged (E commutes with J).  With none the fold is E,
-    and the kernel is formed in `spare`, a spent array of its shape (a new
-    one when None)."""
-    fixed, low, high = orbits
-    if len(low):
-        spare = np.empty((len(root), len(root)))
-        spare[np.ix_(np.concatenate([fixed, low]), np.concatenate(orbits))] = fold
-        spare[np.ix_(high, np.concatenate([fixed, high, low]))] = fold[len(fixed) :]
-        fold = spare
-    kernel = np.multiply(fold, root[:, None], out=spare)
-    kernel /= root
-    return kernel
+    return fold.fill(op.dim, orbits, row, col, geo_mean / lam, 1.0 - exits / lam), root
 
 
 class _StoredSquares:
@@ -370,9 +277,9 @@ class _StoredSquares:
         return None, orbits
 
     @classmethod
-    def keep(cls, op, key, fold, root, s: int, orbits):
+    def keep(cls, op, key, folded, root, s: int, orbits):
         if op.dim <= DENSE_MAX_DIM:
-            cls.entries[id(op)] = (op, key, fold, root, s, orbits)
+            cls.entries[id(op)] = (op, key, folded, root, s, orbits)
 
 
 def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
@@ -387,41 +294,34 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     t/2^s by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then
     squared s times (Higham, "The scaling and squaring method for the
     matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005),
-    and D E D^-1 is formed (`_unfold`).
+    and D E D^-1 is formed (`fold.unfold`).
 
-    On at least PANEL_MIN_DIM states, the series and the squarings run on
-    S folded over the mirror J, and
-    only the returned kernel is unfolded: a matrix that commutes with an
-    involution is fixed by its blocks over J's orbits (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976).  With f fixed states and m pairs
-    (l, Jl) (`_orbits`), S is A = S_ff, B = S_fl, X = S_ll and
-    Y = S_l,Jl, and the fold is one (f + m) x n array: S's rows of the
-    fixed and low states, its columns in the order f, l, Jl, so
-    [[A, B, B], [B^T, X, Y]], filled straight from H's terms
-    (`_folded_S`).  A squaring (`_fold_square`) is the syrk of the fold,
-    which holds A A^T + 2 B B^T, A B + B (X + Y) and
-    X X^T + Y Y^T + B^T B, and the gemm XY for XY + (XY)^T + B^T B:
-    about 0.275 n^3 against 0.6 n^3 for the syrk of S, counting a gemm
-    as n^3.  A series product (`_fold_product`) is two symmetric half
-    products (`_symmetric_product`), about 0.4 n^3 against 0.8 n^3.  At
-    dim 560 on one thread they take 0.65 and 0.62 of the unfolded time:
-    half-size products run less efficiently, and below PANEL_MIN_DIM,
-    where a half product is one small gemm, the fold's extra numpy calls
-    cost more than it saves (L3 (1,1), dim 30: 0.18 ms unfolded against
-    0.31 ms folded), so smaller operators are not folded.  Every product and sum adds
-    nonnegative terms, so no entry cancels and none turns negative (an
-    even/odd split X +- Y would take a quarter of the work but
-    subtracts).  J is the generator's `SparseMatrix.mirror`
-    (`generator._gather` attaches `lattice.mirror`, which permutes the
-    full basis and every N = M sector); it is used only after checking
-    exactly that it is an involution and that H's terms equal their
-    relabelling by it, once per stored operator.  Otherwise, or with no
-    mirror, every state is fixed: m = 0, the fold is S, a squaring is
-    x x^T (BLAS syrk), a series product `_symmetric_product` and the
-    kernel is scaled in a spent buffer, the same arithmetic, bit for bit,
-    as before the fold.  The float diagonal sums the exit rates bond by
-    bond, so at rates whose sums round (r = 7/10, l = 3/10) some N = M
-    sectors miss the check and are evolved unfolded.
+    On at least `fold.PANEL_MIN_DIM` states, the series and the squarings
+    run on S folded over the mirror J, and only the returned kernel is
+    unfolded (`fold`): with f fixed states and m pairs (l, Jl)
+    (`_orbits`), the fold is the (f + m) x n array of S's rows of the
+    fixed and low states, filled straight from H's terms (`_folded_S`).
+    A squaring (`fold.square`) takes about 0.275 n^3 against 0.6 n^3 for
+    the syrk of S, a series product (`fold.product`) about 0.4 n^3
+    against 0.8 n^3, counting a gemm as n^3; at dim 560 on one thread
+    they take 0.65 and 0.62 of the unfolded time, since half-size
+    products run less efficiently.  Below `fold.PANEL_MIN_DIM`, where a
+    half product is one small gemm, the fold's extra numpy calls cost
+    more than it saves (L3 (2,2), dim 90: 0.55 ms unfolded against
+    0.68 ms folded), so smaller operators are not folded.  Every product
+    and sum adds nonnegative terms, so no entry cancels and none turns
+    negative.  J is the generator's `SparseMatrix.mirror`
+    (`generator._gather` attaches `lattice.mirror` to float generators;
+    it permutes the full basis and every N = M sector); it is used only
+    after checking exactly that it is an involution and that H's terms
+    equal their relabelling by it, once per stored operator.  Otherwise,
+    or with no mirror, every state is fixed: m = 0, the fold is S, a
+    squaring is x x^T (BLAS syrk), a series product
+    `fold.symmetric_product` and the kernel is scaled in a spent buffer,
+    the same arithmetic, bit for bit, as before the fold.  The float
+    diagonal sums the exit rates bond by bond, so at rates whose sums
+    round (r = 7/10, l = 3/10) some N = M sectors miss the check and are
+    evolved unfolded.
 
     As in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s is the one
     of least dense-product cost (`_squaring_plan`, a syrk at SYRK_COST
@@ -468,11 +368,11 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
         sym, root = _folded_S(op, lam, exits, orbits)
         out, buf, done = _power_series(sym, weights), sym, 0  # S is spent: square into it
     for _ in range(done, s):
-        out, buf = _fold_square(out, buf), out
+        out, buf = fold.square(out, buf), out
     _StoredSquares.keep(op, key, out, root, s, orbits)
     spare = None if len(orbits[1]) else buf  # a fold with pairs unfolds into a new array
     del buf
-    return TransitionKernel(_unfold(out, orbits, root, spare))
+    return TransitionKernel(fold.unfold(out, orbits, root, spare))
 
 
 @lru_cache(maxsize=64)

@@ -6,13 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asep2 import dynamics
+from asep2 import dynamics, fold
 from asep2.duality import q_values, sum_rule_table
 from asep2.dynamics import (
     BLOCK,
     DENSE_MAX_DIM,
     MAX_SQUARINGS,
-    PANEL_MIN_DIM,
     PRODUCT_CALL_TERMS,
     SCALE_MU,
     TAIL_TOL,
@@ -25,7 +24,6 @@ from asep2.dynamics import (
     _power_series,
     _product_cost,
     _squaring_plan,
-    _symmetric_product,
     _vector_work,
     duality_rhs,
     estimate_Q_many,
@@ -36,6 +34,7 @@ from asep2.dynamics import (
     q_moments,
     sector_generator,
 )
+from asep2.fold import PANEL_MIN_DIM
 from asep2.generator import ModelParams, Ring, build_H, build_H_sector
 from asep2.lattice import (
     VACANT,
@@ -91,13 +90,6 @@ def fixed_rule_weights(lam_t):
         weights.append(weights[k - 1] * mu / k)
         cum += weights[k]
     return s, weights
-
-
-def mirror_orbits(j: np.ndarray):
-    """(fixed, low, high) of an involution j, as `dynamics._orbits` reads them."""
-    every = np.arange(len(j))
-    low = np.flatnonzero(j > every)
-    return np.flatnonzero(j == every), low, j[low]
 
 
 def fold_of(s: np.ndarray, orbits):
@@ -204,8 +196,8 @@ class TestEvolve:
         p = p + p[np.ix_(j, j)]
         weights = [2.0 ** -(k + 1) for k in range(terms)]
         expected = sum(w * np.linalg.matrix_power(p, k) for k, w in enumerate(weights))
-        orbits = mirror_orbits(j)
-        series = dynamics._unfold(_power_series(fold_of(p, orbits), weights), orbits, np.ones(5))
+        orbits = fold.orbits(len(j), j)
+        series = fold.unfold(_power_series(fold_of(p, orbits), weights), orbits, np.ones(5))
         assert np.array_equal(series, expected)
 
     @pytest.mark.parametrize(
@@ -259,7 +251,7 @@ class TestSymmetricProduct:
         # from it on, PANELS row panels, ragged when PANELS does not divide n
         a, b = commuting_pair(n, n)
         buf = np.empty_like(a)
-        out = _symmetric_product(a, b, buf)
+        out = fold.symmetric_product(a, b, buf)
         assert out is buf
         ref = a @ b
         assert float(np.max(np.abs(out - ref))) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
@@ -271,9 +263,9 @@ class TestSymmetricProduct:
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 13])
     def test_small_ragged_panels(self, n, monkeypatch):
         # panels of one, two or no rows (n < PANELS), each mirrored into place
-        monkeypatch.setattr(dynamics, "PANEL_MIN_DIM", 1)
+        monkeypatch.setattr(fold, "PANEL_MIN_DIM", 1)
         a, b = commuting_pair(n, n)
-        out = _symmetric_product(a, b, np.full_like(a, np.nan))
+        out = fold.symmetric_product(a, b, np.full_like(a, np.nan))
         assert float(np.max(np.abs(out - a @ b))) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
         assert np.array_equal(out, out.T)
 
@@ -283,19 +275,19 @@ class TestFoldProducts:
     def test_match_dense(self, n):
         # folded over the reversal of range(n), whose pairs (i, n-1-i) leave
         # the middle state fixed for odd n: from 2 PANEL_MIN_DIM on, both
-        # half products of `_fold_product` take the row panels
+        # half products of `fold.product` take the row panels
         j = np.arange(n)[::-1]
         rng = np.random.default_rng(n)
         half = rng.random((n, n)) / n
         s = half + half.T
         s = (s + s[np.ix_(j, j)]) / 2
         a, b = s @ s, s @ s @ s
-        orbits = mirror_orbits(j)
+        orbits = fold.orbits(len(j), j)
         fa, fb = fold_of(a, orbits), fold_of(b, orbits)
         assert fa.shape == (n - n // 2, n)
         ones = np.ones(n)
-        square = dynamics._unfold(dynamics._fold_square(fa, np.empty_like(fa)), orbits, ones)
-        product = dynamics._unfold(dynamics._fold_product(fa, fb, np.empty_like(fa)), orbits, ones)
+        square = fold.unfold(fold.square(fa, np.empty_like(fa)), orbits, ones)
+        product = fold.unfold(fold.product(fa, fb, np.empty_like(fa)), orbits, ones)
         bound = 1e-15 * np.linalg.norm(a) * np.linalg.norm(b)
         assert float(np.max(np.abs(square - a @ a))) <= 1e-15 * np.linalg.norm(a) ** 2
         assert float(np.max(np.abs(product - a @ b))) <= bound
@@ -546,7 +538,7 @@ class TestResume:
 
     def test_peak_memory(self):
         # traced peaks above an empty store, against n x n float64 arrays
-        # (`square`) and the fold of L4 (3,3) (`fold`, f = 32 fixed states
+        # (`square`) and the fold of L4 (3,3) (`folded`, f = 32 fixed states
         # and m = 264 pairs: 0.53 of a square).  A cold call holds five
         # folds and the products' half-size temporaries, below the five
         # squares of an unfolded call.  A miss releases the stored folds
@@ -558,8 +550,8 @@ class TestResume:
         op, mid = sector_op(4, 3, 3), sector_op(4, 2, 2)
         plain = without_mirror(op)
         square = 8 * op.dim**2
-        fold = 8 * (op.dim - len(dynamics._orbits(op)[1])) * op.dim
-        assert 0.52 * square < fold < 0.53 * square
+        folded = 8 * (op.dim - len(dynamics._orbits(op)[1])) * op.dim
+        assert 0.52 * square < folded < 0.53 * square
 
         def peak(t, stored=None, on=op, first=op):
             clear_caches()
@@ -578,10 +570,10 @@ class TestResume:
             plain_hit = peak(4.0, stored=1.0, on=plain, first=plain)
         finally:
             tracemalloc.stop()
-        assert cold < 5 * fold + square < 5 * square
-        assert cold4 < 5 * fold + square
-        assert miss < cold + fold / 2
-        assert hit < fold + square + fold / 2
+        assert cold < 5 * folded + square < 5 * square
+        assert cold4 < 5 * folded + square
+        assert miss < cold + folded / 2
+        assert hit < folded + square + folded / 2
         assert other < cold
         assert plain_hit < 2 * square + square / 2
 
