@@ -825,6 +825,9 @@ CHOICE_TIMES = (0.0, 0.25, 1.0, 4.0, 30.0, 1000.0, 1e5)
 # CHOICE_SECTORS at r=2, l=1/2, each at CHOICE_TIMES in turn: 378
 # entries, 139 of them on the dense path
 CHOICE_PIN = "956763beb25f74acd0ff5d75b1e0a4328a1512b957b9d5b45e406775747fbb46"
+# sha256 of the repr of the list of (dense path?, work) over the same
+# entries: the path and its work alone
+WORK_PIN = "68e73d2283dda5e91cfe3ea7f1103d5ad1abac303f426eae56ed636188fda934"
 
 
 class TestPathChoice:
@@ -844,6 +847,8 @@ class TestPathChoice:
                 table.append(tuple(plan(op, t)))
         assert len(table) == 378 and sum(dense for dense, _, _ in table) == 139
         assert hashlib.sha256(repr(table).encode()).hexdigest() == CHOICE_PIN
+        paths = [(dense, work) for dense, work, _ in table]
+        assert hashlib.sha256(repr(paths).encode()).hexdigest() == WORK_PIN
 
     @pytest.mark.parametrize("L, N, M", CHOICE_SECTORS)
     def test_lesser_work(self, L, N, M):
