@@ -13,15 +13,14 @@ half as much work; it checks that H commutes with J exactly first, and
 with no pairs the fold is S and the arithmetic that of the unfolded S.
 `evolve_vector` applies the series in P to one vector, a chunk of the
 scaled horizon at a time, with one `np.bincount` over P's terms per
-product.  The law of eta_t and the
-duality predictions apply exp(-H t) to one vector per sector and time,
-by whichever of `evolve(op, t).matrix @ v` and `evolve_vector` costs
-less (`plan`, which also prices the work and the rounding): the vector
-series' work grows like lam t, the dense kernel's like dim^3 log(lam t),
-and the dense side stops at DENSE_MAX_DIM rows.  `evolve` keeps each
-operator's last symmetrized square, so a later horizon on the same
-operator whose plan shares the series squares that square further
-instead of summing the series again.
+product.  The law of eta_t and the duality predictions apply exp(-H t)
+to one vector per sector and time, by whichever of
+`evolve(op, t).matrix @ v` and `evolve_vector` costs less (`plan`, which
+prices both in term products): the vector series' work grows like lam t,
+the dense kernel's like dim^3 log(lam t), and the dense side stops at
+DENSE_MAX_DIM rows.  `evolve` keeps each operator's last symmetrized
+square, so a later horizon on the same operator whose plan shares the
+series squares that square further instead of summing the series again.
 
 There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows with rates from `generator.rate_table`.
@@ -351,20 +350,22 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     its operator's fold and the earliest others until its own would fit
     the DENSE_MAX_DIM^2 entries, so it never holds more than a cold call
     on DENSE_MAX_DIM rows; a resumed call holds two folds (E and one
-    buffer), and with pairs the kernel.
+    buffer), and with pairs the kernel.  At lam t = 0 (t = 0, or a sector
+    with no moves) the kernel is the identity and the store is left as it
+    is.
     """
     exits, lam = _exit_rates(op)
     lam_t = _rate_time(lam, t)
-    s, weights = _squaring_plan(lam_t) if lam_t else (0, [])
+    if lam_t == 0.0:
+        _detailed_balance(op)  # a generator that is not reversible raises at t = 0 too
+        return TransitionKernel(np.eye(op.dim))
+    s, weights = _squaring_plan(lam_t)
     key = (math.ldexp(lam_t, -s), tuple(weights))
     stored, orbits = _StoredSquares.take(op, key, s)
     if stored is not None:
         out, root, done = stored
         buf = np.empty_like(out)
     else:
-        if lam_t == 0.0:
-            _detailed_balance(op)  # a generator that is not reversible raises at t = 0 too
-            return TransitionKernel(np.eye(op.dim))
         sym, root = _folded_S(op, lam, exits, orbits)
         out, buf, done = _power_series(sym, weights), sym, 0  # S is spent: square into it
     for _ in range(done, s):
@@ -450,32 +451,27 @@ def _dense_work(dim: int, product_cost: float) -> float:
 
 class Plan(NamedTuple):
     """How exp(-H t) v is formed: by `evolve(op, t).matrix @ v` (dense) or
-    by `evolve_vector`, with that path's work in term products and its
-    relative rounding to first order."""
+    by `evolve_vector`, with that path's work in term products."""
 
     dense: bool
     work: float
-    rounding: float
 
 
 def plan(op: SparseMatrix, t: float) -> Plan:
     """The path of the lesser work for exp(-H t) v, the vector series on a
     tie: `_vector_work` of its chunks (`_chunk_weights`) against, up to
     DENSE_MAX_DIM rows, `_dense_work` of the squaring plan
-    (`_squaring_plan`).  The rounding is a machine epsilon per series term
-    of the path's plan, times 2^s for s squarings or 2^s0 chunks.
-    ValueError as `evolve_vector`."""
+    (`_squaring_plan`).  ValueError as `evolve_vector`."""
     lam_t = _rate_time(_exit_rates(op)[1], t)
     if lam_t == 0.0:
-        return Plan(False, 0.0, 0.0)
+        return Plan(False, 0.0)
     s, weights = _chunk_weights(lam_t)
-    dense, work = False, _vector_work(op, s, len(weights) - 1)
+    work = _vector_work(op, s, len(weights) - 1)
     if op.dim <= DENSE_MAX_DIM:
-        squared = _squaring_plan(lam_t)
-        dense_work = _dense_work(op.dim, _product_cost(*squared))
+        dense_work = _dense_work(op.dim, _product_cost(*_squaring_plan(lam_t)))
         if dense_work < work:
-            dense, work, (s, weights) = True, dense_work, squared
-    return Plan(dense, work, math.ldexp(len(weights) * np.finfo(np.float64).eps, s))
+            return Plan(True, dense_work)
+    return Plan(False, work)
 
 
 def _evolved(op: SparseMatrix, v: np.ndarray, t: float) -> np.ndarray:

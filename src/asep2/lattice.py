@@ -42,6 +42,7 @@ import numpy as np
 
 from .qring import LaurentPoly, q_factorial
 from .reporting import Report
+from .sparse import INT64_MAX
 
 # Local states, in ternary order: the encoding A=0, vacancy=1, B=2 fixes
 # the basis ordering of every matrix in the package.
@@ -384,9 +385,6 @@ def check_counting_lemmas(L: int) -> Report:
 # the permutation identities are checked for tuples of up to this many sites
 PERMUTATION_MAX_N = 4
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
 def _coefficient_rows(n_rows: int, lo: int, hi: int, terms) -> np.ndarray:
     """One Laurent polynomial per row: row t holds the coefficients of the
     exponents lo..hi, summed over the (exponents, coefficients) in `terms`,
@@ -478,7 +476,7 @@ def check_permutation_identities(L: int) -> Report:
     array is allocated, rather than let a sum wrap.
     """
     n_max = min(PERMUTATION_MAX_N, 2 * L)
-    if _symmetrization_bound(L, n_max) > _INT64_MAX:
+    if _symmetrization_bound(L, n_max) > INT64_MAX:
         raise OverflowError(
             f"permutation identities at L={L}, n={n_max} exceed int64 coefficients"
         )

@@ -233,47 +233,35 @@ class TestSimulate:
         records = json.loads(capsys.readouterr().out)["records"]
         assert max(abs(r["zscore"]) for r in records) <= 5.0
 
-    def test_long_horizon_self_duality(self, monkeypatch, capsys):
-        # at t = 1e6 the two sides differ by 1.3e-10, past EXACT_RTOL: the
-        # rounding of 19 squarings, which the tolerance follows; a
-        # prediction 1e-6 off still fails.  The sampled side is stubbed
-        # with the exact means (the run would take 6e6 sampler steps, which
-        # the longest-path cap rejects; the stub takes none)
-        def exact_means(zs, p0, t, trajectories, seed, p):
-            means = dynamics.q_moments(config_rows(zs), *dynamics.law_at(p0, t, p), p.q0)[0]
-            return [dynamics.QEstimate(m, 0.0, trajectories) for m in means.tolist()]
-
-        monkeypatch.setattr(dynamics, "estimate_Q_many", exact_means)
-        monkeypatch.setattr(cli, "STEP_PROPOSALS", 0)
-        argv = ["simulate", "--L", "2", "--trajectories", "1", "--t", "1e6"]
-        assert main(argv) == 0
-        records = json.loads(capsys.readouterr().out)["records"]
-        assert max(abs(r["exact"] / r["prediction"] - 1) for r in records) > cli.EXACT_RTOL
-        rhs = dynamics.duality_rhs
-        monkeypatch.setattr(
-            dynamics,
-            "duality_rhs",
-            lambda zs, p0, t, p: [v * (1 + 1e-6) for v in rhs(zs, p0, t, p)],
-        )
-        assert main(argv) == 1
-        records = json.loads(capsys.readouterr().out)["records"]
-        assert max(abs(r["zscore"]) for r in records) <= 5.0
-
-    @pytest.mark.parametrize("L", [1, 2, 3, 4])
-    def test_tolerance_follows_the_rounding(self, L):
-        # the exact means and the predictions of the default sectors agree
-        # within the tolerance up to t = 1e7, and the tolerance is
-        # EXACT_RTOL itself up to t = 1e4
-        p = ModelParams(L, Fraction(2), Fraction(1, 2))
+    @pytest.mark.parametrize(
+        "r, ell",
+        [
+            ("2", "1/2"), ("7/10", "3/10"), ("1", "1"),
+            ("1/3", "3"), ("100", "1"), ("1/1000", "1000"),
+        ],
+    )
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    def test_cap_edge_self_duality(self, L, r, ell, capsys):
+        # at the longest single horizon the proposal, step and series caps
+        # accept for one trajectory, the exact means and the duality
+        # predictions of the default sectors agree within EXACT_RTOL
+        p = ModelParams(L, Fraction(r), Fraction(ell))
+        rate = (2 * L - 1) * float(max(p.r, p.ell))
+        t = (cli.SIMULATE_MAX_PROPOSALS - 1) / (rate * (1 + cli.STEP_PROPOSALS))
+        # one start draw, rate t proposals and rate t steps
+        while (1 + rate * t) + cli.STEP_PROPOSALS * (rate * t) > cli.SIMULATE_MAX_PROPOSALS:
+            t = math.nextafter(t, 0.0)
+        # the step charge binds: the series cap accepts t, and a horizon
+        # 0.1% longer exits 2
+        assert cli._series_work(p, [t]) <= cli.SIMULATE_MAX_SERIES
+        argv = ["simulate", "--L", str(L), "--r", r, "--ell", ell, "--trajectories", "1"]
+        assert main([*argv, "--t", repr(t * 1.001)]) == 2
+        assert "sampler steps" in capsys.readouterr().err
         zs = default_dual_coordinates(L)
         p0 = Measure.point_mass(default_initial_config(L))
-        for t in (1.0, 1e2, 1e4):
-            assert cli._self_duality_rtol(p, t) == cli.EXACT_RTOL
-        for t in (1e4, 1e5, 1e6, 1e7):
-            exact = dynamics.q_moments(config_rows(zs), *dynamics.law_at(p0, t, p), p.q0)[0]
-            rtol = cli._self_duality_rtol(p, t)
-            for a, b in zip(exact.tolist(), dynamics.duality_rhs(zs, p0, t, p)):
-                assert math.isclose(a, b, rel_tol=rtol, abs_tol=cli.EXACT_ATOL), (t, a, b)
+        exact = dynamics.q_moments(config_rows(zs), *dynamics.law_at(p0, t, p), p.q0)[0]
+        for a, b in zip(exact.tolist(), dynamics.duality_rhs(zs, p0, t, p)):
+            assert math.isclose(a, b, rel_tol=cli.EXACT_RTOL, abs_tol=cli.EXACT_ATOL), (a, b)
 
     def test_zscore_edge_cases(self):
         assert zscore(1.0, 0.0, 1.0) == 0.0

@@ -439,6 +439,21 @@ class TestResume:
         if times[0] == times[1]:
             assert np.array_equal(first, second) and first is not second
 
+    def test_zero_time_leaves_the_store(self, series_calls):
+        # lam t = 0 returns the identity before the store is read: a call
+        # at t = 0 releases neither its operator's fold nor, though the
+        # unfolded square of (3,2) would need the whole budget, another's
+        op, mid, unfolded = sector_op(4, 3, 3), sector_op(4, 2, 2), sector_op(4, 3, 2)
+        evolve(mid, 1.0)
+        evolve(op, 1.0)
+        stored = list(dynamics._StoredSquares.entries)
+        for zero in (unfolded, op):
+            assert np.array_equal(evolve(zero, 0.0).matrix, np.eye(zero.dim))
+        assert list(dynamics._StoredSquares.entries) == stored
+        evolve(op, 4.0)  # resumed: squared twice more
+        evolve(mid, 1.0)  # an exact repeat
+        assert len(series_calls) == 2
+
     def test_mirror_checked_once(self, monkeypatch):
         # the orbits are stored with the fold: later calls on the same
         # operator, resumed or not, do not check its mirror again, and an
@@ -750,7 +765,7 @@ class TestEvolveVector:
         op = build_H_sector(P1, Sector(1, 0, 0), Ring.FLOAT)
         assert len(op.coeff) == 0
         assert evolve_vector(op, [0.3], 5.0).tolist() == [0.3]
-        assert plan(op, 5.0) == (False, 0.0, 0.0)
+        assert plan(op, 5.0) == (False, 0.0)
 
     def test_zero_time_is_a_copy(self):
         op = build_H_sector(P2, SECTOR11, Ring.FLOAT)
@@ -773,8 +788,25 @@ class TestEvolveVector:
             plan(build_H_sector(P2, SECTOR11, Ring.FLOAT), 1e308)
         assert main(["simulate", "--L", "3", "--trajectories", "100", "--t", "1e308"]) == 2
         assert capsys.readouterr().err == (
-            "usage error: simulation is desk-scale: up to inf start draws and jump "
-            "proposals, need at most 1e+08\n"
+            "usage error: simulation is desk-scale: inf start draws and jump proposals "
+            "and inf sampler steps at 560 proposals each, need at most 1e+08\n"
+        )
+
+    def test_proposals_alone_over_the_cap(self, monkeypatch, capsys):
+        # 2e8 start draws at t = 0 take no sampler step, and still exit 2
+        # before any sampling
+        from asep2.cli import main
+
+        def never(*args, **kwargs):
+            raise AssertionError("sampled past the proposal cap")
+
+        monkeypatch.setattr(dynamics, "_final_blocks", never)
+        assert main(["simulate", "--L", "2", "--trajectories", "200000000", "--t", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: simulation is desk-scale: 2e+08 start draws and jump proposals "
+            "and 0 sampler steps at 560 proposals each, need at most 1e+08\n"
         )
 
     @pytest.mark.parametrize("t", [0.5, 30.0])
@@ -821,12 +853,9 @@ PATH_PINS = {
 # benchmark's dim 560, and L=5 (2,2) past DENSE_MAX_DIM at dim 1260
 CHOICE_SECTORS = VECTOR_SECTORS + [(4, 2, 2), (5, 2, 2)]
 CHOICE_TIMES = (0.0, 0.25, 1.0, 4.0, 30.0, 1000.0, 1e5)
-# sha256 of the repr of the list of (dense path?, work, rounding) over
+# sha256 of the repr of the list of (dense path?, work) over
 # CHOICE_SECTORS at r=2, l=1/2, each at CHOICE_TIMES in turn: 378
 # entries, 139 of them on the dense path
-CHOICE_PIN = "956763beb25f74acd0ff5d75b1e0a4328a1512b957b9d5b45e406775747fbb46"
-# sha256 of the repr of the list of (dense path?, work) over the same
-# entries: the path and its work alone
 WORK_PIN = "68e73d2283dda5e91cfe3ea7f1103d5ad1abac303f426eae56ed636188fda934"
 
 
@@ -838,39 +867,33 @@ class TestPathChoice:
         assert {nm for nm, op in ops.items() if plan(op, t).dense} == PATH_PINS[L, t]
 
     def test_pinned_table(self):
-        # the path, work and rounding of every choice, bit for bit
+        # the path and work of every choice, bit for bit
         table = []
         for L, N, M in CHOICE_SECTORS:
             p = ModelParams(L, Fraction(2), Fraction(1, 2))
             op = build_H_sector(p, Sector(L, N, M), Ring.FLOAT)
             for t in CHOICE_TIMES:
                 table.append(tuple(plan(op, t)))
-        assert len(table) == 378 and sum(dense for dense, _, _ in table) == 139
-        assert hashlib.sha256(repr(table).encode()).hexdigest() == CHOICE_PIN
-        paths = [(dense, work) for dense, work, _ in table]
-        assert hashlib.sha256(repr(paths).encode()).hexdigest() == WORK_PIN
+        assert len(table) == 378 and sum(dense for dense, _ in table) == 139
+        assert hashlib.sha256(repr(table).encode()).hexdigest() == WORK_PIN
 
     @pytest.mark.parametrize("L, N, M", CHOICE_SECTORS)
     def test_lesser_work(self, L, N, M):
         # the path of the lesser work, the vector series on a tie, with
-        # that path's work and the rounding of its series and squarings
+        # that path's work
         p = ModelParams(L, Fraction(2), Fraction(1, 2))
         op = build_H_sector(p, Sector(L, N, M), Ring.FLOAT)
         lam = float(np.max(np.diag(dense(op)), initial=0.0))
         for t in CHOICE_TIMES:
             if lam * t == 0.0:
-                assert plan(op, t) == (False, 0.0, 0.0)
+                assert plan(op, t) == (False, 0.0)
                 continue
             s0, weights = fixed_rule_weights(lam * t)
             vector = _vector_work(op, s0, len(weights) - 1)
-            dense_work, squared = math.inf, None
+            dense_work = math.inf
             if op.dim <= DENSE_MAX_DIM:
-                squared = _squaring_plan(lam * t)
-                dense_work = _dense_work(op.dim, _product_cost(*squared))
-            on_dense = dense_work < vector
-            s, used = squared if on_dense else (s0, weights)
-            rounding = len(used) * np.finfo(np.float64).eps * 2.0**s
-            assert plan(op, t) == (on_dense, min(vector, dense_work), rounding)
+                dense_work = _dense_work(op.dim, _product_cost(*_squaring_plan(lam * t)))
+            assert plan(op, t) == (dense_work < vector, min(vector, dense_work))
 
 
 def final_rows(p0, t, trajectories, seed, p=P2):
