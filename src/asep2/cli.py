@@ -349,20 +349,16 @@ def zscore(mean: float, sigma: float, prediction: float) -> float:
     return (mean - prediction) / sigma
 
 
-def _sector_generators(p) -> list:
-    """The float generators of the sectors of the start and of the dual
-    coordinates: those `law_at` and `duality_rhs` evolve in."""
+def _series_work(p, ts: list[float]) -> float:
+    """The planned work (`dynamics.plan`) of `law_at` and `duality_rhs` at
+    every time, in the sectors of the start and of the dual coordinates;
+    called under the proposal cap, which keeps lam t finite."""
     configs = [default_initial_config(p.L), *default_dual_coordinates(p.L)]
-    return [
+    ops = [
         dynamics.sector_generator(p, Sector(p.L, n, m))
         for n, m in sorted({(c.N, c.M) for c in configs})
     ]
-
-
-def _series_work(p, ts: list[float]) -> float:
-    """The planned work (`dynamics.plan`) of `law_at` and `duality_rhs` at
-    every time; called under the proposal cap, which keeps lam t finite."""
-    return sum(dynamics.plan(op, t).work for op in _sector_generators(p) for t in ts)
+    return sum(dynamics.plan(op, t).work for op in ops for t in ts)
 
 
 def _closure_payload(args, ts: list[float]) -> dict:
