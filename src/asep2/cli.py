@@ -97,7 +97,7 @@ SIMULATE_MAX_SERIES = 1e9
 # a simulate record's exact mean and duality prediction must agree within
 # EXACT_ATOL absolute or EXACT_RTOL relative: the float self-duality
 # check.  At the longest horizon the caps accept for one trajectory, on
-# L <= 5 from q = 1 to r/l = 1e6, they agree within 1.7e-11 relative
+# L <= 5 at r/l from 1e-6 to 100, they agree within 1.7e-11 relative
 EXACT_RTOL, EXACT_ATOL = 1e-10, 1e-15
 
 
