@@ -385,6 +385,7 @@ def check_counting_lemmas(L: int) -> Report:
 # the permutation identities are checked for tuples of up to this many sites
 PERMUTATION_MAX_N = 4
 
+
 def _coefficient_rows(n_rows: int, lo: int, hi: int, terms) -> np.ndarray:
     """One Laurent polynomial per row: row t holds the coefficients of the
     exponents lo..hi, summed over the (exponents, coefficients) in `terms`,

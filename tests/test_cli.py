@@ -194,6 +194,21 @@ class TestSimulate:
         assert captured.out == ""
         assert "sampler steps at 560 proposals each" in captured.err
 
+    def test_proposals_alone_over_the_cap(self, monkeypatch, capsys):
+        # 2e8 start draws at t = 0 take no sampler step, and still exit 2
+        # before any sampling
+        def never(*args, **kwargs):
+            raise AssertionError("sampled past the proposal cap")
+
+        monkeypatch.setattr(dynamics, "_final_blocks", never)
+        assert main(["simulate", "--L", "2", "--trajectories", "200000000", "--t", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: simulation is desk-scale: 2e+08 start draws and jump proposals "
+            "and 0 sampler steps at 560 proposals each, need at most 1e+08\n"
+        )
+
     def test_long_horizon_prediction(self, capsys):
         # the duality prediction needs exp(-H t) at t = 100 on every sector
         argv = ["simulate", "--L", "1", "--trajectories", "200", "--t", "100"]

@@ -792,23 +792,6 @@ class TestEvolveVector:
             "and inf sampler steps at 560 proposals each, need at most 1e+08\n"
         )
 
-    def test_proposals_alone_over_the_cap(self, monkeypatch, capsys):
-        # 2e8 start draws at t = 0 take no sampler step, and still exit 2
-        # before any sampling
-        from asep2.cli import main
-
-        def never(*args, **kwargs):
-            raise AssertionError("sampled past the proposal cap")
-
-        monkeypatch.setattr(dynamics, "_final_blocks", never)
-        assert main(["simulate", "--L", "2", "--trajectories", "200000000", "--t", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "usage error: simulation is desk-scale: 2e+08 start draws and jump proposals "
-            "and 0 sampler steps at 560 proposals each, need at most 1e+08\n"
-        )
-
     @pytest.mark.parametrize("t", [0.5, 30.0])
     def test_work_counts_products(self, t, monkeypatch):
         # one bincount forms the diagonal of P, each other one is a product;
