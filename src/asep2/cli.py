@@ -15,7 +15,8 @@ EXACT_ATOL absolute), 2 usage error
 (including a bad flag value, an unknown config key, an unreadable config
 file or value, an output path that cannot be opened, a negative or
 non-finite time, a non-finite chemical potential, no trajectories, a
-sector outside the lattice, a shock profile at q = 1 or a simulate seed
+sector outside the lattice, a shock profile at q = 1, a float measure
+whose q-powers overflow a float (q0**e past 1.8e308) or a simulate seed
 outside 0..2^63 - (number of times)) or desk-scale resource cap breached
 (including a sector larger than the full basis at FLOAT_FULL_MAX_L, a
 simulation whose bound trajectories * (number of times + (2L - 1) *
@@ -299,22 +300,29 @@ def cmd_measure(args) -> int:
         raise UsageError(
             f"measures over all configurations are desk-scale: need L <= {FLOAT_FULL_MAX_L}"
         )
+    # a float measure's q-powers are Python floats, which raise past 1.8e308
+    try:
+        if what == "canonical":
+            measure = measures.canonical(sector)
+            if args.ring is Ring.FLOAT:
+                measure = measure.normalize(p.q0)
+        elif what == "grandcanonical":
+            measure = measures.grandcanonical(args.nu, args.mu, p)
+        elif what == "pure":
+            # the grandcanonical measure with the other species at zero fugacity
+            nu, mu = (chem, -math.inf) if species == A else (-math.inf, chem)
+            measure = measures.grandcanonical(nu, mu, p)
+    except OverflowError as exc:
+        raise UsageError(
+            f"the {what} measure overflows at q = {p.q0:g}: a q-power is past the float range"
+        ) from exc
     with _writing(args.out, sys.stdout) as fh:
         if what == "partition":
             fh.write("N,M,Z\n")
             for s in lattice.sectors(p.L):
                 fh.write(f"{s.N},{s.M},{q_multinomial(2 * p.L, s.N, s.M)}\n")
-        elif what == "canonical":
-            mu = measures.canonical(sector)
-            if args.ring is Ring.FLOAT:
-                mu = mu.normalize(p.q0)
-            measures.write_measure_csv(fh, mu)
-        elif what == "grandcanonical":
-            measures.write_measure_csv(fh, measures.grandcanonical(args.nu, args.mu, p))
-        elif what == "pure":
-            # the grandcanonical measure with the other species at zero fugacity
-            nu, mu = (chem, -math.inf) if species == A else (-math.inf, chem)
-            measures.write_measure_csv(fh, measures.grandcanonical(nu, mu, p))
+        elif what in ("canonical", "grandcanonical", "pure"):
+            measures.write_measure_csv(fh, measure)
         elif what == "profile":
             rows = [(k, profile.density(k)) for k in range(-p.L + 1, p.L + 1)]
             measures.write_profile_csv(fh, rows)
@@ -414,9 +422,7 @@ def cmd_simulate(args) -> int:
         raise UsageError(
             f"seed must be in 0..2^63 - {len(ts)} for {len(ts)} time(s), got {args.seed}"
         )
-    rate = (2 * p.L - 1) * float(max(p.r, p.ell))
-    proposals = args.trajectories * (len(ts) + rate * sum(ts))
-    steps = math.ceil(args.trajectories / dynamics.BLOCK) * rate * sum(ts)
+    proposals, steps = dynamics.sampler_work(p, args.trajectories, ts)
     if proposals + STEP_PROPOSALS * steps > SIMULATE_MAX_PROPOSALS:
         raise UsageError(
             f"simulation is desk-scale: {proposals:.3g} start draws and jump proposals and "

@@ -23,14 +23,15 @@ square, so a later horizon on the same operator whose plan shares the
 series squares that square further instead of summing the series again.
 
 There is one sampler: `_final_blocks`, the uniformized chain run on
-blocks of BLOCK occupation rows with rates from `generator.rate_table`.
-Block b draws from the counter-based Philox stream keyed (seed, b)
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
-so a run depends only on (seed, trajectories).  The initial law p0 is a
-float `measures.Measure`, read as its rows and weights; final rows are
-counted by their `lattice.encode` codes.  Dual coordinate sets z are
-`Config`s of the same lattice; the moments of Q_z are taken over
-occupation rows by `duality.q_values`.
+blocks of BLOCK occupation rows with rates from `generator.rate_table`,
+whose proposals and steps `sampler_work` counts.  Block b draws from the
+counter-based Philox stream keyed (seed, b) (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), so a run depends only on
+(seed, trajectories).  The initial law p0 is a float `measures.Measure`,
+read as its rows and weights; final rows are counted by their
+`lattice.encode` codes.  Dual coordinate sets z are `Config`s of the
+same lattice; the moments of Q_z are taken over occupation rows by
+`duality.q_values`.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ def _poisson_weights(mu: float, tol: float) -> list[float]:
 
 def _scaled_horizon(lam_t: float) -> int:
     """s0, the least s >= 0 with lam t/2^s <= SCALE_MU: where `evolve`'s
-    squaring plan starts, and the chunk count 2^s0 of `evolve_vector`."""
-    return max(0, math.ceil(math.log2(lam_t / SCALE_MU)))
+    squaring plan starts, and the chunk count 2^s0 of `evolve_vector`.
+    s0 = 0 takes no log: at a subnormal lam t, lam t/SCALE_MU may be 0."""
+    return 0 if lam_t <= SCALE_MU else math.ceil(math.log2(lam_t / SCALE_MU))
 
 
 def _product_cost(s: int, weights: list[float]) -> float:
@@ -136,14 +138,19 @@ def _squaring_plan(lam_t: float) -> tuple[int, list[float]]:
     return min(plans, key=lambda plan: _product_cost(*plan))
 
 
-def _rate_time(lam: float, t: float) -> float:
-    """lam t, or ValueError for a negative t or a product that is not finite."""
+def _rate_time(op: SparseMatrix, t: float) -> tuple[np.ndarray, float, float]:
+    """The uniformization of a float generator at time t: its exit rates
+    (the diagonal), lam, the largest of them (0 when nothing moves), and
+    lam t; ValueError for a negative t or a product that is not finite."""
+    on = op.row == op.col
+    exits = np.bincount(op.row[on], op.coeff[on], minlength=op.dim)
+    lam = float(exits.max(initial=0.0))
     lam_t = lam * t
     if not (t >= 0 and math.isfinite(lam_t)):
         raise ValueError(
             f"time must be nonnegative with a finite rate-time product, got t={t!r}"
         )
-    return lam_t
+    return exits, lam, lam_t
 
 
 def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
@@ -171,14 +178,6 @@ def _power_series(p: np.ndarray, weights: list[float]) -> np.ndarray:
             out += buf
         out.flat[:: n + 1] += block[0]
     return out
-
-
-def _exit_rates(op: SparseMatrix) -> tuple[np.ndarray, float]:
-    """The exit rates of a float generator, its diagonal, and lam, the
-    largest (0 when nothing moves)."""
-    on = op.row == op.col
-    exits = np.bincount(op.row[on], op.coeff[on], minlength=op.dim)
-    return exits, float(exits.max(initial=0.0))
 
 
 def _detailed_balance(op: SparseMatrix):
@@ -220,12 +219,14 @@ def _detailed_balance(op: SparseMatrix):
 
 
 def _orbits(op: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fixed, low, high) of op's attached mirror J: the fixed states, and
+    """(fixed, low, high) of op's attached mirror J (`generator._gather`
+    attaches `lattice.mirror` to float generators): the fixed states, and
     the pairs low[i] < high[i] = J(low[i]), each ascending.  J is used only
     on at least `fold.PANEL_MIN_DIM` states, where the fold's half-size
-    products save more than their extra numpy calls cost, and when it is
-    an involution and H's terms equal their relabelling by J exactly
-    (value for value); otherwise every state is fixed."""
+    products save more than their extra numpy calls cost (L3 (2,2), dim
+    90: 0.55 ms unfolded against 0.68 ms folded), and when it is an
+    involution and H's terms equal their relabelling by J exactly (value
+    for value); otherwise every state is fixed."""
     j = op.mirror
     if j is None or op.dim < fold.PANEL_MIN_DIM or not (
         np.array_equal(j[j], np.arange(op.dim))
@@ -233,14 +234,6 @@ def _orbits(op: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ):
         j = None
     return fold.orbits(op.dim, j)
-
-
-def _folded_S(op: SparseMatrix, lam: float, exits: np.ndarray, orbits):
-    """S = D^-1 (I - H/lam) D folded over the orbits (`fold.fill`),
-    filled from H's terms, with sqrt(pi) (`_detailed_balance`).  With no
-    pairs the fold is S."""
-    row, col, geo_mean, root = _detailed_balance(op)
-    return fold.fill(op.dim, orbits, row, col, geo_mean / lam, 1.0 - exits / lam), root
 
 
 class _StoredSquares:
@@ -284,43 +277,33 @@ class _StoredSquares:
 def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     """exp(-H t) for a reversible float generator by uniformization.
 
-    With lam the largest exit rate, exp(-H t) = sum_k w_k P^k for
-    P = I - H/lam and Poisson(lam t) weights w_k.  Detailed balance makes
-    S = D^-1 P D symmetric and entrywise nonnegative, D = diag(sqrt(pi)):
-    off the diagonal sqrt(H_rc H_cr)/lam, on it 1 - exit/lam, formed from
-    H's terms (`_detailed_balance`, which raises ValueError for a
-    generator that is not reversible).  The series in S is summed at
-    t/2^s by Paterson & Stockmeyer (SIAM J. Comput. 2, 1973), then
-    squared s times (Higham, "The scaling and squaring method for the
-    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005),
-    and D E D^-1 is formed (`fold.unfold`).
+    With lam the largest exit rate (`_rate_time`), exp(-H t) is
+    sum_k w_k P^k for P = I - H/lam and Poisson(lam t) weights w_k.
+    Detailed balance makes S = D^-1 P D symmetric and entrywise
+    nonnegative, D = diag(sqrt(pi)): off the diagonal sqrt(H_rc H_cr)/lam,
+    on it 1 - exit/lam, formed from H's terms (`_detailed_balance`, which
+    raises ValueError for a generator that is not reversible).  The series
+    in S is summed at t/2^s by Paterson & Stockmeyer (SIAM J. Comput. 2,
+    1973), then squared s times (Higham, "The scaling and squaring method
+    for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26,
+    2005), and D E D^-1 is formed (`fold.unfold`).
 
     On at least `fold.PANEL_MIN_DIM` states, the series and the squarings
     run on S folded over the mirror J, and only the returned kernel is
     unfolded (`fold`): with f fixed states and m pairs (l, Jl)
-    (`_orbits`), the fold is the (f + m) x n array of S's rows of the
-    fixed and low states, filled straight from H's terms (`_folded_S`).
-    A squaring (`fold.square`) takes about 0.275 n^3 against 0.6 n^3 for
-    the syrk of S, a series product (`fold.product`) about 0.4 n^3
-    against 0.8 n^3, counting a gemm as n^3; at dim 560 on one thread
-    they take 0.65 and 0.62 of the unfolded time, since half-size
-    products run less efficiently.  Below `fold.PANEL_MIN_DIM`, where a
-    half product is one small gemm, the fold's extra numpy calls cost
-    more than it saves (L3 (2,2), dim 90: 0.55 ms unfolded against
-    0.68 ms folded), so smaller operators are not folded.  Every product
-    and sum adds nonnegative terms, so no entry cancels and none turns
-    negative.  J is the generator's `SparseMatrix.mirror`
-    (`generator._gather` attaches `lattice.mirror` to float generators;
-    it permutes the full basis and every N = M sector); it is used only
-    after checking exactly that it is an involution and that H's terms
-    equal their relabelling by it, once per stored operator.  Otherwise,
-    or with no mirror, every state is fixed: m = 0, the fold is S, a
-    squaring is x x^T (BLAS syrk), a series product
-    `fold.symmetric_product` and the kernel is scaled in a spent buffer,
-    the same arithmetic, bit for bit, as before the fold.  The float
-    diagonal sums the exit rates bond by bond, so at rates whose sums
-    round (r = 7/10, l = 3/10) some N = M sectors miss the check and are
-    evolved unfolded.
+    (`_orbits`, which says when J is used), the fold is the (f + m) x n
+    array of S's rows of the fixed and low states, filled straight from
+    H's terms (`fold.fill`).  A squaring (`fold.square`) takes about
+    0.275 n^3 against 0.6 n^3 for the syrk of S, a series product
+    (`fold.product`) about 0.4 n^3 against 0.8 n^3, counting a gemm as
+    n^3; at dim 560 on one thread they take 0.65 and 0.62 of the
+    unfolded time, since half-size products run less efficiently.  Every
+    product and sum adds nonnegative terms, so no entry cancels and none
+    turns negative.  With no pairs the fold is S, a squaring is x x^T
+    (BLAS syrk), a series product `fold.symmetric_product`, and the
+    kernel is scaled in a spent buffer.  The float diagonal sums the exit
+    rates bond by bond, so at rates whose sums round (r = 7/10, l = 3/10)
+    some N = M sectors miss the mirror check and are evolved unfolded.
 
     As in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s is the one
     of least dense-product cost (`_squaring_plan`, a syrk at SYRK_COST
@@ -354,8 +337,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     with no moves) the kernel is the identity and the store is left as it
     is.
     """
-    exits, lam = _exit_rates(op)
-    lam_t = _rate_time(lam, t)
+    exits, lam, lam_t = _rate_time(op, t)
     if lam_t == 0.0:
         _detailed_balance(op)  # a generator that is not reversible raises at t = 0 too
         return TransitionKernel(np.eye(op.dim))
@@ -366,7 +348,8 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
         out, root, done = stored
         buf = np.empty_like(out)
     else:
-        sym, root = _folded_S(op, lam, exits, orbits)
+        row, col, geo_mean, root = _detailed_balance(op)
+        sym = fold.fill(op.dim, orbits, row, col, geo_mean / lam, 1.0 - exits / lam)
         out, buf, done = _power_series(sym, weights), sym, 0  # S is spent: square into it
     for _ in range(done, s):
         out, buf = fold.square(out, buf), out
@@ -386,25 +369,6 @@ def _chunk_weights(lam_t: float) -> tuple[int, list[float]]:
     return s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))
 
 
-def _uniformized(op: SparseMatrix, t: float):
-    """The terms (target, source, value) of P = I - H/lam for a float
-    generator, lam its largest exit rate, each value >= 0, with the
-    scaled horizon s0 and the chunk weights of `evolve_vector`; None when
-    lam t = 0 and exp(-H t) is the identity."""
-    exits, lam = _exit_rates(op)
-    lam_t = _rate_time(lam, t)
-    if lam_t == 0.0:
-        return None
-    every = np.arange(op.dim)
-    off = op.row != op.col
-    terms = (
-        np.concatenate([op.row[off], every]),
-        np.concatenate([op.col[off], every]),
-        np.concatenate([op.coeff[off] / -lam, 1.0 - exits / lam]),
-    )
-    return (terms, *_chunk_weights(lam_t))
-
-
 def evolve_vector(op: SparseMatrix, v, t: float) -> np.ndarray:
     """exp(-H t) v for a float generator, by the series of `evolve`
     applied to the vector (Al-Mohy & Higham, "Computing the action of the
@@ -420,16 +384,21 @@ def evolve_vector(op: SparseMatrix, v, t: float) -> np.ndarray:
     return a copy of v.
     """
     v = np.array(v, dtype=np.float64)
-    plan = _uniformized(op, t)
-    if plan is None:
+    exits, lam, lam_t = _rate_time(op, t)
+    if lam_t == 0.0:
         return v
-    (tgt, src, value), s, weights = plan
-    dim = len(v)
+    s, weights = _chunk_weights(lam_t)
+    # P's terms (target, source, value): H's off-diagonal ones and a full diagonal
+    every = np.arange(op.dim)
+    off = op.row != op.col
+    tgt = np.concatenate([op.row[off], every])
+    src = np.concatenate([op.col[off], every])
+    value = np.concatenate([op.coeff[off] / -lam, 1.0 - exits / lam])
     for _ in range(1 << s):
         term = v
         v = weights[0] * term
         for w in weights[1:]:
-            term = np.bincount(tgt, value * term[src], minlength=dim)
+            term = np.bincount(tgt, value * term[src], minlength=op.dim)
             v += w * term
     return v
 
@@ -462,7 +431,7 @@ def plan(op: SparseMatrix, t: float) -> Plan:
     tie: `_vector_work` of its chunks (`_chunk_weights`) against, up to
     DENSE_MAX_DIM rows, `_dense_work` of the squaring plan
     (`_squaring_plan`).  ValueError as `evolve_vector`."""
-    lam_t = _rate_time(_exit_rates(op)[1], t)
+    lam_t = _rate_time(op, t)[2]
     if lam_t == 0.0:
         return Plan(False, 0.0)
     s, weights = _chunk_weights(lam_t)
@@ -486,6 +455,20 @@ def _evolved(op: SparseMatrix, v: np.ndarray, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
+def _sampler_rate(p: ModelParams) -> float:
+    """lam of the sampler's chain: 2L - 1 bonds, each proposed at max(r, l)."""
+    return (2 * p.L - 1) * float(max(p.r, p.ell))
+
+
+def sampler_work(p: ModelParams, trajectories: int, ts: list[float]) -> tuple[float, float]:
+    """(proposals, steps) of sampling at each time of ts: the expected start
+    draws and jump proposals, and the steps of the blocks' longest paths."""
+    rate = _sampler_rate(p)
+    proposals = trajectories * (len(ts) + rate * sum(ts))
+    steps = math.ceil(trajectories / BLOCK) * rate * sum(ts)
+    return proposals, steps
+
+
 def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelParams):
     """Final occupations of `trajectories` paths, one (n, 2L) int8 array per block.
 
@@ -502,7 +485,7 @@ def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelP
     # acceptance of the bond states (s1, s2) at [3 s1 + s2]
     accept = np.ravel(rate_table(p, Ring.FLOAT)) / top
     n_sites = 2 * p.L
-    lam_t = (n_sites - 1) * top * t
+    lam_t = _sampler_rate(p) * t
     for b, first in enumerate(range(0, trajectories, BLOCK)):
         n = min(BLOCK, trajectories - first)
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))

@@ -117,6 +117,12 @@ class TestSimulate:
             assert record["stderr"] == 0.0
             assert record["mean"] == record["prediction"]
 
+    def test_subnormal_time(self, capsys):
+        # lam t is subnormal: every path is the identity, as at t = 0
+        assert main(["simulate", "--L", "2", "--trajectories", "5", "--t", "5e-324"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert all(r["exact"] == r["prediction"] and r["zscore"] == 0.0 for r in records)
+
     def test_default_desk_configuration(self, tmp_path):
         # default parameters (L=2, q=2, t in {0,1}, 1e5 trajectories):
         # the whole grid closes within three standard errors
@@ -346,6 +352,9 @@ class TestConfigFile:
         assert main(["verify", "algebra", "--config", str(cfg)]) == 2
 
 
+# q = 1e12: the float measures' q-powers at L = 6 pass 1.8e308
+HUGE_Q = ["--r", "1000000000000", "--ell", "1/1000000000000"]
+
 # config files that test_exit_2 reads as "{tmp}/<name>.cfg"
 CONFIG_FILES = {
     "t": "t = abc\n",
@@ -401,6 +410,14 @@ class TestUsageErrors:
             ["simulate", "--L", "1", "--traj", "3", "--t", "0"],
             ["verify", "duality", "--L", "1", "--lam", "{tmp}/lambda.csv"],
             ["dump-generator", "--L", "1", "--ri", "float"],
+            ["measure", "grandcanonical", "--L", "6", *HUGE_Q],
+            ["measure", "pure", "--L", "6", *HUGE_Q],
+            ["measure", "canonical", "--L", "6", "--N", "3", "--M", "3", "--ring", "float",
+             *HUGE_Q],
+            ["measure", "canonical", "--L", "19", "--N", "2", "--M", "0", "--ring", "float",
+             "--r", "1000000", "--ell", "1/1000000"],
+            ["measure", "canonical", "--L", "4", "--N", "4", "--M", "4", "--ring", "float",
+             "--r", "1e30", "--ell", "1e-30", "--out", "{tmp}/canonical.csv"],
         ],
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
@@ -415,6 +432,9 @@ class TestUsageErrors:
             "huge-time", "proposals-over-budget", "start-draws-over-budget", "negative-seed",
             "seed-key-overflow", "row-code-overflow", "abbreviated-flag",
             "abbreviated-command-flag", "abbreviated-choice-flag",
+            "grandcanonical-q-power-overflow", "pure-q-power-overflow",
+            "canonical-q-power-overflow", "canonical-q-power-overflow-l19",
+            "canonical-q-power-overflow-out",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):
@@ -425,6 +445,7 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
         assert captured.err.count("\n") == 1
+        assert not (tmp_path / "canonical.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--nu", "--mu"])
     def test_negative_exponent_notation(self, flag, capsys):

@@ -32,6 +32,7 @@ from asep2.dynamics import (
     law_at,
     plan,
     q_moments,
+    sampler_work,
     sector_generator,
 )
 from asep2.fold import PANEL_MIN_DIM
@@ -232,6 +233,17 @@ class TestEvolve:
     def test_absorbing_sector(self):
         k = evolve(build_H_sector(P2, Sector(2, 0, 0), Ring.FLOAT), 3.0)
         assert np.array_equal(k.matrix, np.eye(1))
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-322])
+    def test_subnormal_horizon(self, t):
+        # lam t = 4.5 t > 0 is subnormal (at 5e-324, lam t/SCALE_MU underflows
+        # to 0): s0 = 0 takes no log, and one Poisson weight of 1 leaves the
+        # identity on every path
+        op = build_H_sector(P2, SECTOR11, Ring.FLOAT)
+        v = np.linspace(0.0, 1.0, op.dim)
+        assert plan(op, t) == (False, 0.0)
+        assert np.array_equal(evolve(op, t).matrix, np.eye(op.dim))
+        assert np.array_equal(evolve_vector(op, v, t), v)
 
 
 def commuting_pair(n: int, seed: int):
@@ -938,6 +950,13 @@ class TestGillespie:
         blocks = list(_final_blocks(p0, 1.0, 2 * BLOCK + 7, 3, P2))
         assert [len(b) for b in blocks] == [BLOCK, BLOCK, 7]
         assert np.array_equal(blocks[0], final_rows(p0, 1.0, BLOCK, 3))
+
+    def test_sampler_work(self):
+        # lam = (2L - 1) max(r, l) = 6 at L = 2; three blocks each step
+        # about lam * sum(ts) times
+        n = 2 * BLOCK + 7
+        assert sampler_work(P2, n, [1.0, 4.0]) == (n * (2 + 6.0 * 5.0), 3 * 6.0 * 5.0)
+        assert sampler_work(P2, n, [0.0]) == (n, 0.0)
 
     def test_reproducible_trajectories(self):
         p0 = Measure.point_mass(Config.from_text("A0BA"))
