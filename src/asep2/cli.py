@@ -14,7 +14,9 @@ disagrees with its duality prediction beyond EXACT_RTOL relative and
 EXACT_ATOL absolute), 2 usage error
 (including a bad flag value, an unknown config key, an unreadable config
 file or value, an output path that cannot be opened, a negative or
-non-finite time, a non-finite chemical potential, no trajectories, a
+non-finite time, a chemical potential whose fugacity exponent 2L nu or
+2L mu is not a finite float, rates whose float r, l or q0 = sqrt(r/l)
+is not a positive finite float, no trajectories, a
 sector outside the lattice, a shock profile at q = 1, a float measure
 whose q-powers overflow a float (q0**e past 1.8e308) or a simulate seed
 outside 0..2^63 - (number of times)) or desk-scale resource cap breached
@@ -174,13 +176,27 @@ def parse_run(argv: list[str]) -> argparse.Namespace:
             args.params = ModelParams(args.L, args.r, args.ell)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # float of a Fraction past 1.8e308 raises, and below 5e-324 it is 0
+    p = args.params
+    try:
+        floats = (float(p.r), float(p.ell), p.q0)
+    except OverflowError:
+        floats = (math.inf,)
+    if not all(0 < x < math.inf for x in floats):
+        raise UsageError("rates must be positive finite floats: r, l and q0 = sqrt(r/l)")
     if not all(0 <= t < math.inf for t in args.t):
         raise UsageError("times must be finite and nonnegative")
     if args.trajectories < 1:
         raise UsageError(f"need at least one trajectory, got {args.trajectories}")
-    if not (math.isfinite(args.nu) and math.isfinite(args.mu)):
+    # the fugacity exponents nu N and mu M reach 2L nu and 2L mu, compared
+    # as Fractions since L may be past the float range
+    if not all(
+        math.isfinite(chem) and 2 * p.L * abs(Fraction(chem)) <= sys.float_info.max
+        for chem in (args.nu, args.mu)
+    ):
         raise UsageError(
-            f"chemical potentials must be finite, got nu={args.nu}, mu={args.mu}"
+            f"chemical potentials must keep 2L nu and 2L mu finite, got nu={args.nu}, "
+            f"mu={args.mu} at L={p.L}"
         )
     return args
 

@@ -21,6 +21,8 @@ the dense kernel's like dim^3 log(lam t), and the dense side stops at
 DENSE_MAX_DIM rows.  `evolve` keeps each operator's last symmetrized
 square, so a later horizon on the same operator whose plan shares the
 series squares that square further instead of summing the series again.
+Every squaring plan cuts its series at one tail tolerance, so below
+MAX_SQUARINGS the plans at t and 2^k t share one series.
 
 There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows with rates from `generator.rate_table`,
@@ -127,13 +129,19 @@ def _squaring_plan(lam_t: float) -> tuple[int, list[float]]:
     """The squaring count s and the series weights at lam t/2^s of the
     least dense-product cost (`_product_cost`), the fewer squarings on a
     tie.  Candidates run from s0, the least s with lam t/2^s <= SCALE_MU,
-    to max(s0, MAX_SQUARINGS); the tail tolerance at s is TAIL_TOL/2^s.
-    Cached: `plan` and `evolve` plan the same lam t in turn, and callers
-    only read the weights."""
+    to max(s0, MAX_SQUARINGS), and every one is cut at the one tail
+    tolerance TAIL_TOL/2^max(s0, MAX_SQUARINGS): s squarings lose at most
+    2^s times that, at most TAIL_TOL.  So the weights depend on mu =
+    lam t/2^s alone, the cost at (2 lam t, s + 1) is that at (lam t, s)
+    and one syrk, and below the cap the plan at 2 lam t is the plan at
+    lam t with one more squaring, which `evolve` resumes.  Cached: `plan`
+    and `evolve` plan the same lam t in turn, and callers only read the
+    weights."""
     s0 = _scaled_horizon(lam_t)
+    cap = max(s0, MAX_SQUARINGS)
     plans = [
-        (s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s)))
-        for s in range(s0, max(s0, MAX_SQUARINGS) + 1)
+        (s, _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -cap)))
+        for s in range(s0, cap + 1)
     ]
     return min(plans, key=lambda plan: _product_cost(*plan))
 
@@ -309,33 +317,38 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     of least dense-product cost (`_squaring_plan`, a syrk at SYRK_COST
     and a symmetric product at PANEL_COST of a gemm; the plan prices an
     unfolded S): between s0, the least s with mu = lam t/2^s <= SCALE_MU,
-    and MAX_SQUARINGS, each candidate's weights cut at the tail tolerance
-    TAIL_TOL/2^s (`_poisson_weights`).  MAX_SQUARINGS = 10 is the s that
-    lam t = 1e4 takes at s0, where the bound below is stated; past
+    and max(s0, MAX_SQUARINGS), every candidate's weights cut at the one
+    tail tolerance TAIL_TOL/2^max(s0, MAX_SQUARINGS) (`_poisson_weights`),
+    so the s squarings lose at most TAIL_TOL.  MAX_SQUARINGS = 10 is the
+    s that lam t = 1e4 takes at s0, where the bound below is stated; past
     lam t = 16 * 2^10 the plan is s0.  Column sums are within 1e-12 of
-    one for lam t <= 1e4 on the tested sectors (L <= 4 up to t = 1000:
-    at most 6.0e-13, and 5.2e-13 on the benchmark's kernels); beyond
-    that the error grows like 2^s times the unit roundoff.  A cold call
-    holds five folds (S, its square and cube, the Horner sum and one
-    buffer) and a product's half-size temporaries: 3.2 n x n arrays at
-    L4 (3,3), whose kernel is a new n x n array; with no pairs, five
-    n x n arrays, one of which takes the kernel.
+    one for lam t <= 1e4 on the tested sectors (every sector at L <= 4,
+    r/l = 2/(1/2) and 7/10 / 3/10, t = 0.25 to 1000: at most 6.0e-13,
+    and 4.8e-13 on the benchmark's kernels); beyond that the error
+    grows like 2^s times the unit roundoff.  A cold call holds five folds
+    (S, its square and cube, the Horner sum and one buffer) and a
+    product's half-size temporaries: 3.2 n x n arrays at L4 (3,3), whose
+    kernel is a new n x n array; with no pairs, five n x n arrays, one of
+    which takes the kernel.
 
     On at most DENSE_MAX_DIM rows, the folded result E is kept per
     operator object (`_StoredSquares`; a SparseMatrix is read-only) with
     mu = lam t/2^s, the weights and s.  A later call on the same operator
     resumes when its plan has the same mu and weights and at least s
     squarings: it squares E the remaining times and forms neither S nor
-    the series, so its kernel is bit for bit that of a cold call.  The
-    plans at t and 2^k t share a series when mu and the tail cut agree:
-    L4 (3,3) at t = 1 and 4, and `simulate`'s sectors of dim 6 and 30 at
-    L = 3, t = 30, 60 and 120.  A call that does not resume first releases
-    its operator's fold and the earliest others until its own would fit
-    the DENSE_MAX_DIM^2 entries, so it never holds more than a cold call
-    on DENSE_MAX_DIM rows; a resumed call holds two folds (E and one
-    buffer), and with pairs the kernel.  At lam t = 0 (t = 0, or a sector
-    with no moves) the kernel is the identity and the store is left as it
-    is.
+    the series, so its kernel is bit for bit that of a cold call.  Below
+    the cap the plan at 2 lam t is the plan at lam t with one more
+    squaring, so the plans at t and 2^k t share a series: L4 (3,3) at
+    t = 0.25, 1 and 4 (mu = 11/64, 11 weights, 4, 6 and 8 squarings) sums
+    one.  `simulate`'s dense sectors mostly take capped plans (s =
+    MAX_SQUARINGS), where mu differs; its sectors of dim 6 and 30 at
+    L = 3 share at t = 30, 60 and 120.  A call that does not resume first
+    releases its operator's fold and the earliest others until its own
+    would fit the DENSE_MAX_DIM^2 entries, so it never holds more than a
+    cold call on DENSE_MAX_DIM rows; a resumed call holds two folds (E
+    and one buffer), and with pairs the kernel.  At lam t = 0 (t = 0, or
+    a sector with no moves) the kernel is the identity and the store is
+    left as it is.
     """
     exits, lam, lam_t = _rate_time(op, t)
     if lam_t == 0.0:

@@ -418,6 +418,14 @@ class TestUsageErrors:
              "--r", "1000000", "--ell", "1/1000000"],
             ["measure", "canonical", "--L", "4", "--N", "4", "--M", "4", "--ring", "float",
              "--r", "1e30", "--ell", "1e-30", "--out", "{tmp}/canonical.csv"],
+            ["verify", "all", "--L", "1", "--q", "1e200"],
+            ["measure", "canonical", "--L", "2", "--q=1e200", "--N", "0", "--M", "2",
+             "--ring", "float"],
+            ["simulate", "--L", "3", "--ell=5e-324", "--trajectories", "20", "--t=1"],
+            ["measure", "grandcanonical", "--L", "2", "--q", "1e-200"],
+            ["measure", "grandcanonical", "--L", "1", "--nu", "1e308"],
+            ["measure", "pure", "--L", "1", "--nu", "1e308"],
+            ["measure", "pure", "--L", "1", "--species", "B", "--mu=-1e308"],
         ],
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
@@ -434,7 +442,9 @@ class TestUsageErrors:
             "abbreviated-command-flag", "abbreviated-choice-flag",
             "grandcanonical-q-power-overflow", "pure-q-power-overflow",
             "canonical-q-power-overflow", "canonical-q-power-overflow-l19",
-            "canonical-q-power-overflow-out",
+            "canonical-q-power-overflow-out", "q0-overflow", "canonical-q0-overflow",
+            "ell-q0-overflow", "q0-underflow", "grandcanonical-exponent-overflow",
+            "pure-exponent-overflow", "pure-b-exponent-overflow",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):
@@ -454,6 +464,14 @@ class TestUsageErrors:
         spaced = capsys.readouterr().out
         assert main(argv + [f"{flag}=-1e3"]) == 0
         assert spaced == capsys.readouterr().out != ""
+
+    @pytest.mark.parametrize("what", ["grandcanonical", "pure"])
+    def test_largest_fugacity_exponent(self, what, capsys):
+        # 2L nu = 1.6e308 is finite: the measure is written with no nan
+        # weight (`--nu 1e308` at L=1 is a usage error, in test_exit_2)
+        assert main(["measure", what, "--L", "1", "--nu", "8e307"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") > 1 and "nan" not in out and "inf" not in out
 
     def test_zero_denominator_flag(self, capsys):
         # a bad flag value is one usage-error line, not argparse's usage block

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asep2 import dynamics, fold
 from asep2.duality import q_values, sum_rule_table
@@ -75,12 +77,13 @@ def assert_sound_kernel(k, pi, t):
         assert float(np.max(np.abs(k - pi[:, None]))) <= 1e-8
 
 
-def fixed_rule_weights(lam_t):
+def fixed_rule_weights(lam_t, cut=None):
     """The series weights of the rule that always squares s0 times, the
     least s with lam t/2^s <= SCALE_MU, with its stopping rule written out
-    as a reference: returns (s0, weights)."""
+    as a reference: returns (s0, weights).  The tail is cut at
+    TAIL_TOL/2^cut, by default TAIL_TOL/2^s0 (a chunk of `evolve_vector`)."""
     s = max(0, math.ceil(math.log2(lam_t / SCALE_MU)))
-    mu, tol = math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s)
+    mu, tol = math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -(s if cut is None else cut))
     weights = [math.exp(-mu)]
     cum = weights[0]
     k = 0
@@ -161,16 +164,28 @@ class TestEvolve:
 
     @pytest.mark.parametrize("lam_t", PLAN_GRID)
     def test_squaring_plan(self, lam_t):
-        # never a dearer product cost than squaring s0 times, never past
-        # MAX_SQUARINGS unless s0 is, and the weights at s0 are unchanged
-        s0, reference = fixed_rule_weights(lam_t)
-        mu0, tol0 = math.ldexp(lam_t, -s0), math.ldexp(TAIL_TOL, -s0)
-        assert _poisson_weights(mu0, tol0) == reference
+        # every candidate is cut at TAIL_TOL/2^max(s0, MAX_SQUARINGS): never
+        # a dearer product cost than squaring s0 times at that cut, never
+        # past MAX_SQUARINGS unless s0 is
+        s0 = fixed_rule_weights(lam_t)[0]
+        cut = max(s0, MAX_SQUARINGS)
+        reference = fixed_rule_weights(lam_t, cut)[1]
+        assert _poisson_weights(math.ldexp(lam_t, -s0), math.ldexp(TAIL_TOL, -cut)) == reference
         s, weights = _squaring_plan(lam_t)
         assert _product_cost(s, weights) <= _product_cost(s0, reference)
-        assert s0 <= s <= max(s0, MAX_SQUARINGS)
+        assert s0 <= s <= cut
         assert math.ldexp(lam_t, -s) <= SCALE_MU
-        assert weights == _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -s))
+        assert weights == _poisson_weights(math.ldexp(lam_t, -s), math.ldexp(TAIL_TOL, -cut))
+
+    @pytest.mark.parametrize(
+        "lam_t", [x for x in PLAN_GRID if x > SCALE_MU and _squaring_plan(x)[0] < MAX_SQUARINGS]
+    )
+    def test_doubled_horizon_squares_once_more(self, lam_t):
+        # the weights depend on mu alone, so below the cap the plan at
+        # 2 lam t is the plan at lam t with one more squaring: one series
+        s, weights = _squaring_plan(lam_t)
+        assert _squaring_plan(2 * lam_t) == (s + 1, weights)
+        assert math.ldexp(2 * lam_t, -(s + 1)) == math.ldexp(lam_t, -s)
 
     @pytest.mark.parametrize("terms", [1, 2, 3, 4, 7])
     def test_power_series_short(self, terms):
@@ -401,17 +416,25 @@ def series_calls(monkeypatch):
 
 class TestResume:
     def test_shared_series(self):
-        # the benchmark's 560-state sector at lam = 11: t = 1 and t = 4
-        # square one series, mu = 11/64 with 11 weights, 6 and 8 times;
-        # t = 0.25 plans other weights
+        # the benchmark's 560-state sector at lam = 11: t = 0.25, 1 and 4
+        # square one series, mu = 11/64 with 11 weights, 4, 6 and 8 times
         op = sector_op(4, 3, 3)
         lam = float(np.max(np.diag(dense(op))))
         assert lam == 11.0
-        (s1, w1), (s4, w4) = _squaring_plan(lam), _squaring_plan(4 * lam)
-        assert (s1, s4) == (6, 8)
-        assert math.ldexp(lam, -s1) == math.ldexp(4 * lam, -s4) == 11 / 64
-        assert w1 == w4 and len(w1) == 11
-        assert _squaring_plan(lam / 4)[1] != w1
+        plans = [_squaring_plan(lam * t) for t in (0.25, 1.0, 4.0)]
+        assert [s for s, _ in plans] == [4, 6, 8]
+        assert {math.ldexp(lam * t, -s) for t, (s, _) in zip((0.25, 1.0, 4.0), plans)} == {11 / 64}
+        assert plans[0][1] == plans[1][1] == plans[2][1] and len(plans[0][1]) == 11
+
+    def test_benchmark_ladder(self, series_calls):
+        # the ladder t = 0.25, 1, 4 on L4 (3,3) sums one series and squares
+        # it 4, 2 and 2 times; each kernel is bit for bit a cold call's
+        op = sector_op(4, 3, 3)
+        times = (0.25, 1.0, 4.0)
+        ladder = [evolve(op, t).matrix for t in times]
+        assert len(series_calls) == 1
+        for t, kernel in zip(times, ladder):
+            assert np.array_equal(kernel, cold_kernel(op, t))
 
     def test_resumed_equals_cold(self):
         op = sector_op(4, 3, 3)
@@ -438,7 +461,7 @@ class TestResume:
         "times, rebuilt, summed",
         [
             ((1.0, 4.0), False, 1),  # one series, squared 6 times and then 2 more
-            ((0.25, 1.0), False, 2),  # the weights differ
+            ((0.25, 1.0), False, 1),  # one series, squared 4 times and then 2 more
             ((1.0, 4.0), True, 2),  # an equal operator, not the same object
             ((1.0, 1.0), False, 1),  # an exact repeat squares zero times
         ],
@@ -721,12 +744,12 @@ PIN_CASES = {
 }
 KERNEL_PINS = {
     "07578b38096089f6": {
-        "unequal": "742a1991c91fb783985d780f43af36d16587fb7ae286623512a6fa1af85fea97",
-        "skewed": "195d634f73a58f3dbfcbaf797da9cd925f7f63d37a37e001612792e81031a31b",
+        "unequal": "6bd62a45c08d3030fc216818c8e24b04ae2dafccbef3b0f4803bc5e466fc7da8",
+        "skewed": "408cc4d52e053a82fb68708a38be83a1c4f00c39d46623424fdb519c9752f67c",
     },
     "edc4aff3481de4db": {
-        "unequal": "742a1991c91fb783985d780f43af36d16587fb7ae286623512a6fa1af85fea97",
-        "skewed": "65904a2567243ef2708e4a9efd9e25604a08315760bd92091e6498ec38dcd182",
+        "unequal": "6bd62a45c08d3030fc216818c8e24b04ae2dafccbef3b0f4803bc5e466fc7da8",
+        "skewed": "631f0b3198060a06a182c2e89d0f14a1c1321cbd4e87920bf6d858c77993c8ff",
     },
 }
 
@@ -756,7 +779,9 @@ class TestEvolveVector:
     @pytest.mark.parametrize("L, N, M", VECTOR_SECTORS)
     def test_matches_kernel(self, L, N, M):
         # the series applied to a random law against the dense kernel: the
-        # same weights at s0, so they agree to rounding; mass is kept, and
+        # chunks cut at TAIL_TOL/2^s0, the dense plan at TAIL_TOL/2^max(s0,
+        # MAX_SQUARINGS) and perhaps at more squarings, so they agree to the
+        # tail cut and rounding; mass is kept, and
         # a nonnegative series of a nonnegative vector has no negative entry
         p = ModelParams(L, Fraction(2), Fraction(1, 2))
         op = build_H_sector(p, Sector(L, N, M), Ring.FLOAT)
@@ -771,6 +796,26 @@ class TestEvolveVector:
             assert out.min() >= 0.0
             # `law_at` and `duality_rhs` take the path `plan` picks
             assert np.array_equal(_evolved(op, v, t), kernel if plan(op, t).dense else out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.fractions(Fraction(1, 9), 9, max_denominator=9),
+        st.fractions(Fraction(1, 9), 9, max_denominator=9),
+        st.sampled_from([(s.L, s.N, s.M) for L in (1, 2, 3, 4) for s in sectors(L)]),
+        st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_rates_match_kernel(self, r, ell, sector, t, seed):
+        # random rational rates, sectors and horizons: the vector series
+        # and the dense kernel agree to 1e-10 of the largest entry, and
+        # neither has a negative entry
+        L, N, M = sector
+        op = build_H_sector(ModelParams(L, r, ell), Sector(L, N, M), Ring.FLOAT)
+        v = np.random.default_rng(seed).random(op.dim)
+        out = evolve_vector(op, v, t)
+        kernel = evolve(op, t).matrix @ v
+        assert float(np.max(np.abs(out - kernel))) <= 1e-10 * float(np.max(kernel))
+        assert out.min() >= 0.0 and kernel.min() >= 0.0
 
     def test_no_moves(self):
         # L=1 (0,0) has no terms at all, so no diagonal to take lam from
@@ -851,7 +896,7 @@ CHOICE_TIMES = (0.0, 0.25, 1.0, 4.0, 30.0, 1000.0, 1e5)
 # sha256 of the repr of the list of (dense path?, work) over
 # CHOICE_SECTORS at r=2, l=1/2, each at CHOICE_TIMES in turn: 378
 # entries, 139 of them on the dense path
-WORK_PIN = "68e73d2283dda5e91cfe3ea7f1103d5ad1abac303f426eae56ed636188fda934"
+WORK_PIN = "efa648e0c2f6145e2493a7956284387978c6d6d5a05f50a7d46c3f54e0157b17"
 
 
 class TestPathChoice:
