@@ -179,10 +179,10 @@ def parse_run(argv: list[str]) -> argparse.Namespace:
     # float of a Fraction past 1.8e308 raises, and below 5e-324 it is 0
     p = args.params
     try:
-        floats = (float(p.r), float(p.ell), p.q0)
+        in_range = all(0 < x < math.inf for x in (float(p.r), float(p.ell), p.q0))
     except OverflowError:
-        floats = (math.inf,)
-    if not all(0 < x < math.inf for x in floats):
+        in_range = False
+    if not in_range:
         raise UsageError("rates must be positive finite floats: r, l and q0 = sqrt(r/l)")
     if not all(0 <= t < math.inf for t in args.t):
         raise UsageError("times must be finite and nonnegative")

@@ -781,8 +781,8 @@ class TestEvolveVector:
         # the series applied to a random law against the dense kernel: the
         # chunks cut at TAIL_TOL/2^s0, the dense plan at TAIL_TOL/2^max(s0,
         # MAX_SQUARINGS) and perhaps at more squarings, so they agree to the
-        # tail cut and rounding; mass is kept, and
-        # a nonnegative series of a nonnegative vector has no negative entry
+        # tail cut and rounding; mass is kept, and a nonnegative series of
+        # a nonnegative vector has no negative entry
         p = ModelParams(L, Fraction(2), Fraction(1, 2))
         op = build_H_sector(p, Sector(L, N, M), Ring.FLOAT)
         rng = np.random.default_rng([L, N, M])
