@@ -17,8 +17,9 @@ file or value, an output path that cannot be opened, a negative or
 non-finite time, a chemical potential whose fugacity exponent 2L nu or
 2L mu is not a finite float, rates whose float r, l or q0 = sqrt(r/l)
 is not a positive finite float, no trajectories, a
-sector outside the lattice, a shock profile at q = 1, a float measure
-whose q-powers overflow a float (q0**e past 1.8e308) or a simulate seed
+sector outside the lattice, a shock profile at q = 1, a float measure or
+verify's float grandcanonical stationarity check whose q-powers overflow
+a float (q0**e past 1.8e308) or a simulate seed
 outside 0..2^63 - (number of times)) or desk-scale resource cap breached
 (including a sector larger than the full basis at FLOAT_FULL_MAX_L, a
 simulation whose bound trajectories * (number of times + (2L - 1) *
@@ -202,6 +203,19 @@ def parse_run(argv: list[str]) -> argparse.Namespace:
 
 
 @contextlib.contextmanager
+def _q_powers_in_range(what: str, q0: float):
+    """A float q-power past 1.8e308 raises OverflowError: a usage error.
+    Wraps float evaluations only: an exact kernel that could pass int64
+    raises OverflowError too (`sparse`), an internal error."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise UsageError(
+            f"{what} overflows at q = {q0:g}: a q-power is past the float range"
+        ) from exc
+
+
+@contextlib.contextmanager
 def _writing(path: str | None, default=None):
     """Open path for writing, a usage error if it cannot be; default if no path."""
     if path is None:
@@ -235,6 +249,10 @@ def _suite_reports(suite: str, L: int, params: ModelParams) -> Report:
     def rates(size):
         return ModelParams(size, params.r, params.ell)
 
+    def stationarity(size):
+        with _q_powers_in_range("the grandcanonical stationarity check", params.q0):
+            return measures.check_grandcanonical_stationarity(rates(size))
+
     if suite in ("algebra", "all"):
         run(every, lambda size: qsym.check_symmetry(h_exact(size), size))
         run(slow, qsym.check_algebra_relations)
@@ -246,7 +264,7 @@ def _suite_reports(suite: str, L: int, params: ModelParams) -> Report:
         run(every, measures.check_partition_functions)
         run(
             slow,
-            lambda size: measures.check_grandcanonical_stationarity(rates(size)),
+            stationarity,
             lambda size: measures.check_uniqueness(rates(size)),
             measures.check_marginal_independence,
         )
@@ -316,8 +334,7 @@ def cmd_measure(args) -> int:
         raise UsageError(
             f"measures over all configurations are desk-scale: need L <= {FLOAT_FULL_MAX_L}"
         )
-    # a float measure's q-powers are Python floats, which raise past 1.8e308
-    try:
+    with _q_powers_in_range(f"the {what} measure", p.q0):
         if what == "canonical":
             measure = measures.canonical(sector)
             if args.ring is Ring.FLOAT:
@@ -328,10 +345,6 @@ def cmd_measure(args) -> int:
             # the grandcanonical measure with the other species at zero fugacity
             nu, mu = (chem, -math.inf) if species == A else (-math.inf, chem)
             measure = measures.grandcanonical(nu, mu, p)
-    except OverflowError as exc:
-        raise UsageError(
-            f"the {what} measure overflows at q = {p.q0:g}: a q-power is past the float range"
-        ) from exc
     with _writing(args.out, sys.stdout) as fh:
         if what == "partition":
             fh.write("N,M,Z\n")

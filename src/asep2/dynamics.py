@@ -25,15 +25,15 @@ Every squaring plan cuts its series at one tail tolerance, so below
 MAX_SQUARINGS the plans at t and 2^k t share one series.
 
 There is one sampler: `_final_blocks`, the uniformized chain run on
-blocks of BLOCK occupation rows with rates from `generator.rate_table`,
-whose proposals and steps `sampler_work` counts.  Block b draws from the
-counter-based Philox stream keyed (seed, b) (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11), so a run depends only on
-(seed, trajectories).  The initial law p0 is a float `measures.Measure`,
-read as its rows and weights; final rows are counted by their
-`lattice.encode` codes.  Dual coordinate sets z are `Config`s of the
-same lattice; the moments of Q_z are taken over occupation rows by
-`duality.q_values`.
+blocks of BLOCK occupation rows, each proposed bond exchanged at the rate
+of its `generator.BOND_SIGN`, whose proposals and steps `sampler_work`
+counts.  Block b draws from the counter-based Philox stream keyed
+(seed, b) (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11), so a run depends only on (seed, trajectories).  The initial law
+p0 is a float `measures.Measure`, read as its rows and weights; final
+rows are counted by their `lattice.encode` codes.  Dual coordinate sets
+z are `Config`s of the same lattice; the moments of Q_z are taken over
+occupation rows by `duality.q_values`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import fold
 from .duality import q_values
-from .generator import ModelParams, Ring, build_H_sector, rate_table
+from .generator import BOND_SIGN, ModelParams, Ring, build_H_sector, rate_by_sign
 from .lattice import A, B, Config, Sector, config_rows, decode, encode, sector_occupations
 from .measures import Measure, spread
 from .sparse import SparseMatrix
@@ -234,7 +234,9 @@ def _orbits(op: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     products save more than their extra numpy calls cost (L3 (2,2), dim
     90: 0.55 ms unfolded against 0.68 ms folded), and when it is an
     involution and H's terms equal their relabelling by J exactly (value
-    for value); otherwise every state is fixed."""
+    for value); otherwise every state is fixed.  Every generator
+    `_gather` builds passes that check at any rates; it guards a mirror
+    attached to other terms through `SparseMatrix.from_arrays`."""
     j = op.mirror
     if j is None or op.dim < fold.PANEL_MIN_DIM or not (
         np.array_equal(j[j], np.arange(op.dim))
@@ -309,9 +311,7 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     product and sum adds nonnegative terms, so no entry cancels and none
     turns negative.  With no pairs the fold is S, a squaring is x x^T
     (BLAS syrk), a series product `fold.symmetric_product`, and the
-    kernel is scaled in a spent buffer.  The float diagonal sums the exit
-    rates bond by bond, so at rates whose sums round (r = 7/10, l = 3/10)
-    some N = M sectors miss the mirror check and are evolved unfolded.
+    kernel is scaled in a spent buffer.
 
     As in Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), s is the one
     of least dense-product cost (`_squaring_plan`, a syrk at SYRK_COST
@@ -496,7 +496,7 @@ def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelP
         raise ValueError("initial distribution must be normalised")
     top = float(max(p.r, p.ell))
     # acceptance of the bond states (s1, s2) at [3 s1 + s2]
-    accept = np.ravel(rate_table(p, Ring.FLOAT)) / top
+    accept = rate_by_sign(p, Ring.FLOAT)[1][BOND_SIGN].ravel() / top
     n_sites = 2 * p.L
     lam_t = _sampler_rate(p) * t
     for b, first in enumerate(range(0, trajectories, BLOCK)):

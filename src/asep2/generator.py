@@ -1,14 +1,13 @@
 """The Markov generator of the two-component exclusion process.
 
-Exchange rules on a bond (k, k+1):
-
-    A0 -> 0A,  0B -> B0,  AB -> BA   with rate r
-    0A -> A0,  B0 -> 0B,  BA -> AB   with rate l
-
-with reflecting boundaries.  The generator is stored as the transition
-matrix H with H[target, source] = -rate and the total exit rate on the
-diagonal, so that probability vectors evolve as exp(-H t) and the
-all-ones row vector annihilates H.
+Order the states A = 0 < vacancy = 1 < B = 2.  On each bond (k, k+1) the
+lower state moves right at rate r and the higher one left at rate l, so
+the pair (s_k, s_k+1) exchanges at the rate of sign(s_k+1 - s_k)
+(`BOND_SIGN`, with the rates of `rate_by_sign`): +1 at r (A0, 0B, AB),
+-1 at l (0A, B0, BA), 0 never.  Boundaries reflect.  The generator is
+stored as the transition matrix H with H[target, source] = -rate and the
+total exit rate on the diagonal, so that probability vectors evolve as
+exp(-H t) and the all-ones row vector annihilates H.
 
 In exact mode the matrix entries are Laurent monomials in q: the time
 scale w = sqrt(r*l) is factored out globally (exact H is H/w, with the
@@ -18,15 +17,15 @@ carries the physical rates r and l.
 The full generator and a sector block are one gather over an occupation
 table in basis order, `lattice.occupations` or `lattice.sector_occupations`.
 
-The generator commutes with the mirror J of `lattice.mirror` (sites
-reversed, A and B exchanged): J turns each right exchange A0, 0B, AB into
-a right exchange.  So J maps sector (N, M) onto (M, N) and permutes the
-full basis and every N = M sector.  A float matrix carries J's index
-permutation of its basis as `SparseMatrix.mirror` (None on other
-sectors, and on every exact matrix: only `dynamics.evolve` reads it).
-In exact mode, and in float mode when the rates' sums are exact, the
-matrix equals its relabelling by J; a float diagonal whose bond-by-bond
-exit sums round by their order may miss it in the last bit.
+The mirror J of `lattice.mirror` (sites reversed, A and B exchanged)
+keeps the sign of every bond.  So it maps each exchange onto one at the
+same rate, and a row's counts n_right and n_left of +1 and -1 bonds, whose
+exit rate is n_right r + n_left l, onto its image's: every matrix equals
+its relabelling by J exactly, in both rings and at any rates.  J maps
+sector (N, M) onto (M, N) and permutes the full basis and every N = M
+sector.  A float matrix carries J's index permutation of its basis as
+`SparseMatrix.mirror` (None on other sectors, and on every exact matrix:
+only `dynamics.evolve` reads it).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import A, B, VACANT, Sector, encode, mirror, occupations, sector_occupations
-from .qring import QINV, ZERO, LaurentPoly, Q
+from .qring import LaurentPoly
 from .sparse import SparseMatrix
 
 
@@ -49,9 +48,11 @@ class Ring(enum.Enum):
     FLOAT = "float"
 
 
-# pairs (state_k, state_{k+1}) that exchange with the right/left rate
-RIGHT_PAIRS = frozenset({(A, VACANT), (VACANT, B), (A, B)})
-LEFT_PAIRS = frozenset({(VACANT, A), (B, VACANT), (B, A)})
+# the exchange rule, [s_k, s_k+1] = sign(s_k+1 - s_k) over the states
+# A < vacancy < B: +1 exchanges at the right rate, -1 at the left, 0 never
+_STATES = np.array([A, VACANT, B])
+BOND_SIGN = np.sign(_STATES - _STATES[:, None]).astype(np.int8)
+BOND_SIGN.setflags(write=False)
 
 EXACT_FULL_MAX_L = 3
 FLOAT_FULL_MAX_L = 6
@@ -86,75 +87,45 @@ class ModelParams:
         return math.sqrt(float(self.r / self.ell))
 
 
-def rate_table(p: ModelParams, ring: Ring) -> tuple:
-    """The exchange rule as a table of bond rates, [state_k][state_k+1].
-
-    RIGHT_PAIRS exchange at r and LEFT_PAIRS at l, all other pairs never.
-    Exact mode factors out the time scale w, so the rates become the
-    symbols q and 1/q.  Rows and columns follow the state encoding
-    A=0, vacancy=1, B=2.
-    """
+def rate_by_sign(p: ModelParams, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
+    """The rate of a bond by its `BOND_SIGN`, as (half-exponent,
+    coefficient) arrays indexed by the sign itself: [1] right, [-1] left,
+    [0] no exchange.  Exact mode factors out the time scale w, so the
+    rates are the monomials q and 1/q; float rates are r and l, h = 0."""
     if ring is Ring.EXACT:
-        right, left, zero = Q, QINV, ZERO
-    else:
-        right, left, zero = float(p.r), float(p.ell), 0.0
-    return tuple(
-        tuple(
-            right if (s1, s2) in RIGHT_PAIRS else left if (s1, s2) in LEFT_PAIRS else zero
-            for s2 in (A, VACANT, B)
-        )
-        for s1 in (A, VACANT, B)
-    )
-
-
-def _rate_arrays(p: ModelParams, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
-    """`rate_table` as (half-exponent, coefficient) arrays indexed [s1, s2]:
-    the exact rates are the monomials q, 1/q and 0; float rates keep h = 0."""
-    table = rate_table(p, ring)
-    if ring is Ring.FLOAT:
-        return np.zeros((3, 3), np.int64), np.array(table, dtype=np.float64)
-    terms = np.array(
-        [[next(iter(v.terms.items()), (0, 0)) for v in row] for row in table],
-        dtype=np.int64,
-    )
-    return terms[..., 0], terms[..., 1]
+        return np.array([0, 2, -2]), np.array([0, 1, 1])
+    return np.zeros(3, np.int64), np.array([0.0, float(p.r), float(p.ell)])
 
 
 def _gather(p: ModelParams, ring: Ring, rows: np.ndarray) -> SparseMatrix:
     """The generator on the basis of occupation `rows`, given in basis order.
 
-    One masked gather per bond: the rows that exchange on bond (k, k+1),
-    site k at position pos, jump to the row of basis index theirs plus
-    2 (s_k - s_k+1) 3^pos, ranked by `np.searchsorted` on the rows' indices.
-    A float diagonal adds the exit rates bond by bond from the left, the
-    same sum in the same order as a loop over one configuration's bonds.
-    A float matrix carries the basis's `lattice.mirror` (None on a table
-    not closed under it), for `dynamics.evolve`; an exact one carries
-    None.
+    One gather over every (row, bond) sign: a row whose bond (k, k+1),
+    site k at position pos, has a nonzero sign jumps to the row of basis
+    index theirs minus 2 (s_k+1 - s_k) 3^pos, ranked by `np.searchsorted`
+    on the rows' indices.  A row with n_right bonds of sign +1 and n_left
+    of sign -1 exits at n_right r + n_left l (q and 1/q in exact mode),
+    two terms of the diagonal.  A float matrix carries the basis's
+    `lattice.mirror` (None on a table not closed under it), for
+    `dynamics.evolve`; an exact one carries None.
     """
-    h3, c3 = _rate_arrays(p, ring)
+    h, c = rate_by_sign(p, ring)
     codes = encode(rows)
-    dim = len(rows)
-    exit_rate = np.zeros(dim, dtype=c3.dtype)
-    terms = []
-    for pos in range(rows.shape[1] - 1):  # the bond at positions pos, pos + 1
-        s1, s2 = rows[:, pos], rows[:, pos + 1]
-        src = np.flatnonzero(c3[s1, s2])
-        a, b = s1[src], s2[src]
-        h, rate = h3[a, b], c3[a, b]
-        shift = (a.astype(np.int64) - b) * (2 * 3**pos)
-        tgt = np.searchsorted(codes, codes[src] + shift)
-        terms.append((tgt, src, h, -rate))
-        if ring is Ring.EXACT:
-            terms.append((src, src, h, rate))
-        else:
-            exit_rate[src] += rate
-    j = None
-    if ring is Ring.FLOAT:
-        every = np.arange(dim)
-        terms.append((every, every, np.zeros(dim, np.int64), exit_rate))
-        j = mirror(rows)
+    dim, width = rows.shape
+    cols = np.ascontiguousarray(rows.T)  # bond by bond: runs that `_reduce` sorts fast
+    sign = BOND_SIGN.ravel().take(3 * cols[:-1] + cols[1:])  # at [3 s_k + s_k+1]
+    move = np.flatnonzero(sign)
+    pos, src = np.divmod(move, dim)
+    s = sign.ravel()[move]
+    step = cols.ravel()[move + dim] - cols.ravel()[move]  # s_k+1 - s_k
+    tgt = np.searchsorted(codes, codes[src] - (2 * 3 ** np.arange(width - 1)).take(pos) * step)
+    every = np.arange(dim)
+    terms = [(tgt, src, h[s], -c[s])] + [
+        (every, every, np.full(dim, h[k]), np.bincount(src[s == k], minlength=dim) * c[k])
+        for k in (1, -1)
+    ]
     arrays = (np.concatenate(t) for t in zip(*terms))
+    j = mirror(rows) if ring is Ring.FLOAT else None
     return SparseMatrix.from_arrays(dim, *arrays, mirror=j)
 
 

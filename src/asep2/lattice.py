@@ -244,8 +244,10 @@ def mirror(rows) -> np.ndarray | None:
     index of each row read right to left, site k at position 2L - 1 - k,
     with A and B exchanged; None when the table is not closed under J.
     J is an involution that maps sector (N, M) onto (M, N), so it permutes
-    the full basis and every N = M sector, and the exchange rules commute
-    with it: each of A0, 0B and AB turns into one of them."""
+    the full basis and every N = M sector.  It keeps the sign of every
+    bond (`generator.BOND_SIGN`): the bond (s, s') turns into (B - s',
+    B - s), whose difference is s' - s, so the exchange rule commutes
+    with it."""
     codes = encode(rows)
     images = encode((A + B) - np.asarray(rows)[:, ::-1])
     at = np.searchsorted(codes, images).clip(max=len(codes) - 1)

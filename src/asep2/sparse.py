@@ -49,9 +49,10 @@ stale.
 
 `mirror` is a read-only index permutation of the basis that the float
 generator builder attaches (`generator._gather`, through `from_arrays`);
-every other constructor sets it to None.  It is a hint, not a guarantee:
-`dynamics.evolve` folds over it only after testing that the terms commute
-with it exactly.  Equality compares the terms alone.
+every other constructor sets it to None.  The builder's generators
+commute with it exactly at any rates, but `from_arrays` attaches any
+permutation, so `dynamics.evolve` folds over it only after testing that
+the terms commute with it exactly.  Equality compares the terms alone.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from asep2.generator import Ring, rate_table
+from asep2.generator import Ring
 from asep2.lattice import A, B, VACANT
 from asep2.qring import LaurentPoly
 from asep2.sparse import SparseMatrix
@@ -69,19 +69,43 @@ def basis(L: int, sector=None) -> list[tuple]:
     return sorted(rows, key=lambda occ: occ[::-1])
 
 
+# the bond states (s_k, s_k+1) that exchange at the right rate r and at
+# the left rate l, spelled out from the paper's rules
+RIGHT_PAIRS = ((A, VACANT), (VACANT, B), (A, B))
+LEFT_PAIRS = ((VACANT, A), (B, VACANT), (B, A))
+
+
+def pair_rates(p, ring) -> tuple:
+    """(right, left): the rates r and l, or in exact mode q and 1/q."""
+    if ring is Ring.EXACT:
+        return LaurentPoly.q_power(1), LaurentPoly.q_power(-1)
+    return float(p.r), float(p.ell)
+
+
+def pair_rate(p, ring, s1: int, s2: int):
+    """The rate at which the bond states (s1, s2) exchange, 0 if never."""
+    right, left = pair_rates(p, ring)
+    return right if (s1, s2) in RIGHT_PAIRS else left if (s1, s2) in LEFT_PAIRS else 0
+
+
 def reference_generator(p, ring, rows: list[tuple]) -> SparseMatrix:
-    """The generator on the basis `rows` by a loop over each row's bonds,
-    with the rates read off `rate_table`: H[target, source] = -rate and
-    the exit rates, summed from the left bond, on the diagonal."""
-    table = rate_table(p, ring)
+    """The generator on the basis `rows` by a loop over each row's bonds:
+    H[target, source] = -rate, and on the diagonal n_right r + n_left l
+    for the row's counts of right and left exchanges."""
+    right, left = pair_rates(p, ring)
     index = {occ: i for i, occ in enumerate(rows)}
     entries = {}
     for src, occ in enumerate(rows):
-        for i in range(len(occ) - 1):
-            rate = table[occ[i]][occ[i + 1]]
-            if rate:
-                entries[(index[swapped(occ, i)], src)] = -rate
-                entries[(src, src)] = entries.get((src, src), rate * 0) + rate
+        n_right = n_left = 0
+        for i, pair in enumerate(zip(occ, occ[1:])):
+            if pair in RIGHT_PAIRS:
+                entries[(index[swapped(occ, i)], src)] = -right
+                n_right += 1
+            elif pair in LEFT_PAIRS:
+                entries[(index[swapped(occ, i)], src)] = -left
+                n_left += 1
+        if n_right or n_left:
+            entries[(src, src)] = n_right * right + n_left * left
     build = float_matrix if ring is Ring.FLOAT else SparseMatrix
     return build(len(rows), entries)
 

@@ -1,12 +1,16 @@
+import contextlib
 import errno
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from asep2 import cli, dynamics, qsym
+from asep2 import cli, dynamics, measures, qsym, sparse
 from asep2.cli import default_dual_coordinates, default_initial_config, main, zscore
 from asep2.lattice import config_rows
 from asep2.measures import Measure, pure_marginal
@@ -426,6 +430,10 @@ class TestUsageErrors:
             ["measure", "grandcanonical", "--L", "1", "--nu", "1e308"],
             ["measure", "pure", "--L", "1", "--nu", "1e308"],
             ["measure", "pure", "--L", "1", "--species", "B", "--mu=-1e308"],
+            ["verify", "all", "--L", "2", "--q", "1e150"],
+            ["verify", "measures", "--L", "2", "--q", "1e-150"],
+            ["verify", "measures", "--L", "2", "--q", "1e100"],
+            ["verify", "measures", "--L", "2", "--r", "1e300"],
         ],
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
@@ -445,6 +453,8 @@ class TestUsageErrors:
             "canonical-q-power-overflow-out", "q0-overflow", "canonical-q0-overflow",
             "ell-q0-overflow", "q0-underflow", "grandcanonical-exponent-overflow",
             "pure-exponent-overflow", "pure-b-exponent-overflow",
+            "verify-q-power-overflow", "stationarity-small-q-power-overflow",
+            "stationarity-q-power-overflow", "stationarity-r-q-power-overflow",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):
@@ -500,6 +510,15 @@ class TestInternalErrors:
         monkeypatch.setattr(qsym, "check_conjugation_lemma", broken)
         self._assert_exit_3(["verify", "lemmas", "--L", "1"], capsys)
 
+    def test_exact_kernel_overflow(self, monkeypatch, capsys):
+        # verify turns only its float q-power overflow into a usage error:
+        # an exact kernel past int64 (the guard of `sparse`) is internal
+        def guarded(p):
+            sparse._guard(2**63, "sparse sort key")
+
+        monkeypatch.setattr(measures, "check_uniqueness", guarded)
+        self._assert_exit_3(["verify", "measures", "--L", "1"], capsys)
+
     def test_write_fails_after_open(self, monkeypatch, tmp_path, capsys):
         class FullDisk(io.StringIO):
             def write(self, text):
@@ -508,3 +527,48 @@ class TestInternalErrors:
         monkeypatch.setattr(cli, "open", lambda path, mode: FullDisk(), raising=False)
         argv = ["measure", "partition", "--L", "1", "--out", str(tmp_path / "z.csv")]
         self._assert_exit_3(argv, capsys)
+
+
+# the sweep's commands, every one at L <= 2
+SWEEP_COMMANDS = (
+    [["verify", suite] for suite in ("measures", "duality", "reversibility", "lemmas", "algebra")]
+    + [["measure", what] for what in cli.MEASURE_KINDS]
+    + [["simulate", "--trajectories", "20"]]
+)
+# flag values of both signs, from the subnormal 5e-324 to 1.7e308, and
+# small fractions, written p/q for a rate and as a float otherwise
+NUMBERS = st.one_of(
+    st.floats(min_value=-1.7e308, max_value=1.7e308, allow_nan=False),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+@st.composite
+def cli_runs(draw) -> list[str]:
+    argv = draw(st.sampled_from(SWEEP_COMMANDS)) + ["--L", str(draw(st.integers(1, 2)))]
+    rates = draw(st.sampled_from([("r", "ell"), ("q", "w")]))
+    for flag in (*rates, "nu", "mu", "t"):
+        if draw(st.booleans()):
+            value = draw(NUMBERS)
+            rational = isinstance(value, Fraction) and flag in rates
+            argv.append(f"--{flag}={value if rational else repr(float(value))}")
+    if argv[:2] == ["measure", "canonical"]:
+        argv += ["--N", str(draw(st.integers(0, 2))), "--M", str(draw(st.integers(0, 2)))]
+    if argv[0] == "measure":
+        argv += ["--ring", draw(st.sampled_from(["exact", "float"]))]
+    return argv
+
+
+class TestSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=cli_runs())
+    @example(argv=["verify", "measures", "--L", "2", "--q", "1e150"])
+    def test_no_valid_input_crashes(self, argv):
+        # every run ends in a documented code other than 3, and a passing
+        # run writes no nan or inf
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if code == 0:
+            assert not re.search(r"\b(nan|inf)\b", out.getvalue()), argv

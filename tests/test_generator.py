@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from asep2 import dynamics
+from asep2.fold import PANEL_MIN_DIM
 from asep2.generator import (
+    BOND_SIGN,
     ModelParams,
     Ring,
     build_H,
     build_H_sector,
     dump_matrix,
     h_exact,
-    rate_table,
+    rate_by_sign,
 )
 from asep2.lattice import (
     A,
@@ -29,7 +34,16 @@ from asep2.qring import LaurentPoly
 from asep2.qsym import species_counts
 from asep2.sparse import SparseMatrix, commutator
 
-from helpers import basis, dense, evaluated, reference_generator, swapped
+from helpers import (
+    LEFT_PAIRS,
+    RIGHT_PAIRS,
+    basis,
+    dense,
+    evaluated,
+    pair_rate,
+    reference_generator,
+    swapped,
+)
 
 P1 = ModelParams(1, Fraction(2), Fraction(1, 2))
 P2 = ModelParams(2, Fraction(2), Fraction(1, 2))
@@ -48,11 +62,11 @@ def _generator_action(H: SparseMatrix, f, configs) -> list:
     return out
 
 
-def _bond_sum(f, c: Config, table):
+def _bond_sum(f, c: Config, p, ring):
     """sum over the bonds of c of rate * (f(swapped) - f(c)), read off the rule."""
     total = f(c) * 0
     for i in range(2 * c.L - 1):
-        rate = table[c.occ[i]][c.occ[i + 1]]
+        rate = pair_rate(p, ring, c.occ[i], c.occ[i + 1])
         if rate:
             total = total + rate * (f(Config(c.L, swapped(c.occ, i))) - f(c))
     return total
@@ -74,25 +88,39 @@ class TestModelParams:
 
 
 class TestLocalRate:
-    FLOAT = rate_table(P1, Ring.FLOAT)
-    EXACT = rate_table(P1, Ring.EXACT)
+    H_FLOAT, FLOAT = rate_by_sign(P1, Ring.FLOAT)
+    H_EXACT, EXACT = rate_by_sign(P1, Ring.EXACT)
 
     def test_right_moves(self):
         for s1, s2 in ((A, VACANT), (VACANT, B), (A, B)):
-            assert self.FLOAT[s1][s2] == 2.0
+            assert BOND_SIGN[s1, s2] == 1
+            assert self.FLOAT[BOND_SIGN[s1, s2]] == 2.0
 
     def test_left_moves(self):
         for s1, s2 in ((B, A), (VACANT, A), (B, VACANT)):
-            assert self.FLOAT[s1][s2] == 0.5
+            assert BOND_SIGN[s1, s2] == -1
+            assert self.FLOAT[BOND_SIGN[s1, s2]] == 0.5
 
     def test_frozen_pairs(self):
         for s in (A, B, VACANT):
-            assert self.FLOAT[s][s] == 0.0
-            assert not self.EXACT[s][s]
+            assert BOND_SIGN[s, s] == 0
+            assert self.FLOAT[0] == 0.0 and self.EXACT[0] == 0
 
     def test_scaled_symbol(self):
-        assert self.EXACT[A][VACANT] == LaurentPoly.q_power(1)
-        assert self.EXACT[B][A] == LaurentPoly.q_power(-1)
+        # q**(h/2) with coefficient 1: q at sign +1, 1/q at sign -1
+        for sign, power in ((1, 1), (-1, -1)):
+            monomial = {int(self.H_EXACT[sign]): int(self.EXACT[sign])}
+            assert LaurentPoly(monomial) == LaurentPoly.q_power(power)
+        assert not self.H_FLOAT.any()
+
+    def test_table_is_the_rule(self):
+        # the array against the six pairs spelled out in tests/helpers.py
+        for s1 in (A, VACANT, B):
+            for s2 in (A, VACANT, B):
+                want = 1 if (s1, s2) in RIGHT_PAIRS else -1 if (s1, s2) in LEFT_PAIRS else 0
+                assert BOND_SIGN[s1, s2] == want
+        with pytest.raises(ValueError):
+            BOND_SIGN[A, B] = 0
 
 
 class TestBuildH:
@@ -173,6 +201,10 @@ class TestSectorH:
                             assert items(block) == items(ref), (r, ell, L, ring, n, m)
 
 
+# rates p/q with p, q <= 99
+RATES = st.builds(Fraction, st.integers(1, 99), st.integers(1, 99))
+
+
 def relabelled(op: SparseMatrix, j: np.ndarray) -> SparseMatrix:
     """J H J: the matrix with rows and columns relabelled by the permutation j."""
     return SparseMatrix.from_arrays(op.dim, j[op.row], j[op.col], op.h, op.coeff)
@@ -198,6 +230,22 @@ class TestMirror:
         assert relabelled(op, j) == op
         # a relabelling by the wrong permutation does not
         assert relabelled(op, np.roll(j, 1)) != op
+
+    @settings(max_examples=50, deadline=None)
+    @given(r=RATES, ell=RATES)
+    @example(r=Fraction(7, 10), ell=Fraction(3, 10))
+    def test_float_generators_commute_at_any_rates(self, r, ell):
+        # each exit rate is n_right r + n_left l from counts the mirror
+        # keeps, so every float generator equals its relabelling bit for
+        # bit, whatever its sums round to, and the sectors of at least
+        # PANEL_MIN_DIM states find pairs to fold over
+        ops = [build_H(ModelParams(L, r, ell), Ring.FLOAT) for L in (1, 2)]
+        for L in (1, 2, 3, 4):
+            p = ModelParams(L, r, ell)
+            ops += [build_H_sector(p, Sector(L, n, n), Ring.FLOAT) for n in range(L + 1)]
+        for op in ops:
+            assert relabelled(op, op.mirror) == op
+            assert op.dim < PANEL_MIN_DIM or len(dynamics._orbits(op)[1])
 
     @pytest.mark.parametrize("L", [1, 2])
     def test_attached_to_float_only(self, L):
@@ -249,9 +297,8 @@ class TestApplyGenerator:
         def f(c):
             return float(c.index % 7)
 
-        table = rate_table(P2, Ring.FLOAT)
         for c, got in zip(configs, _generator_action(H, f, configs)):
-            assert got == pytest.approx(_bond_sum(f, c, table))
+            assert got == pytest.approx(_bond_sum(f, c, P2, Ring.FLOAT))
 
     def test_matches_matrix_exact(self):
         H = h_exact(2)
@@ -260,9 +307,8 @@ class TestApplyGenerator:
         def f(c):
             return LaurentPoly.q_power(c.N - c.M)
 
-        table = rate_table(P2, Ring.EXACT)
         for c, got in zip(configs[:20], _generator_action(H, f, configs)):
-            assert got == _bond_sum(f, c, table)
+            assert got == _bond_sum(f, c, P2, Ring.EXACT)
 
     def test_delta_function_reads_entry(self):
         H = h_exact(1)
@@ -272,10 +318,9 @@ class TestApplyGenerator:
         def delta(c):
             return LaurentPoly.one() if c == target else LaurentPoly.zero()
 
-        table = rate_table(P1, Ring.EXACT)
         for c in configs:
             entry = H.get(target.index, c.index)
-            assert _bond_sum(delta, c, table) == -(entry or LaurentPoly.zero())
+            assert _bond_sum(delta, c, P1, Ring.EXACT) == -(entry or LaurentPoly.zero())
 
 
 class TestDump:
