@@ -482,6 +482,19 @@ def sampler_work(p: ModelParams, trajectories: int, ts: list[float]) -> tuple[fl
     return proposals, steps
 
 
+def _bond_draws(u: np.ndarray, bonds: int) -> tuple[np.ndarray, np.ndarray]:
+    """The proposed bond and the acceptance draw of each uniform u in
+    [0, 1): the integer and fractional parts of u * bonds.  Subtracting
+    the integer part is exact, so the fraction is in [0, 1), and for odd
+    `bonds` (2L - 1) the largest double below 1 still maps to bond
+    bonds - 1; the two parts are uniform and independent up to the
+    2^-53 grid of u."""
+    scaled = u * bonds
+    bond = scaled.astype(np.intp)  # the floor: scaled >= 0
+    scaled -= bond
+    return bond, scaled
+
+
 def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelParams):
     """Final occupations of `trajectories` paths, one (n, 2L) int8 array per block.
 
@@ -501,17 +514,18 @@ def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelP
     lam_t = _sampler_rate(p) * t
     for b, first in enumerate(range(0, trajectories, BLOCK)):
         n = min(BLOCK, trajectories - first)
-        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, b])))
         occ = p0.rows[np.searchsorted(cdf[:-1], rng.random(n), side="right")]
         proposals = np.sort(rng.poisson(lam_t, n))
         alive = n - np.searchsorted(proposals, np.arange(proposals[-1]), side="right")
         flat = occ.reshape(-1)
         row_start = np.arange(0, n * n_sites, n_sites)
         for m in alive.tolist():
-            left = row_start[n - m :] + rng.integers(n_sites - 1, size=m)
+            bond, draw = _bond_draws(rng.random(m), n_sites - 1)
+            left = row_start[n - m :] + bond
             right = left + 1
             s1, s2 = flat[left], flat[right]
-            swap = rng.random(m) < accept.take(3 * s1 + s2)
+            swap = draw < accept.take(3 * s1 + s2)
             # the exchange as +-d, d = s2 - s1 where swapped and 0 elsewhere
             d = (s2 - s1) * swap
             flat[left] = s1 + d

@@ -19,6 +19,7 @@ from asep2.dynamics import (
     TAIL_TOL,
     QEstimate,
     _dense_work,
+    _bond_draws,
     _detailed_balance,
     _evolved,
     _final_blocks,
@@ -40,6 +41,7 @@ from asep2.dynamics import (
 from asep2.fold import PANEL_MIN_DIM
 from asep2.generator import ModelParams, Ring, build_H, build_H_sector
 from asep2.lattice import (
+    CODE_MAX_L,
     VACANT,
     Config,
     Sector,
@@ -940,6 +942,63 @@ def final_rows(p0, t, trajectories, seed, p=P2):
     return np.concatenate(list(_final_blocks(p0, t, trajectories, seed, p)))
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """P(X >= x) for X chi-square with df degrees of freedom: the
+    regularized upper incomplete gamma Q(df/2, x/2), by its power series
+    below a + 1 and by Lentz's continued fraction above (Press et al.,
+    Numerical Recipes, 3rd ed., 2007, section 6.2)."""
+    a, x = df / 2, x / 2
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1.0 / a
+        k = a
+        while term > total * 1e-16:
+            k += 1
+            term *= x / k
+            total += term
+        return 1.0 - front * total
+    tiny = 1e-300
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1) < 1e-15:
+            break
+    return front * h
+
+
+def g_test_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
+    """The p-value of the G-test (likelihood ratio) of multinomial counts
+    against cell probabilities, chi-square with cells - 1 degrees of
+    freedom.  Cells of expected count below 5 are pooled into one
+    (Cochran, Biometrics 10, 1954), and a pool that is itself below 5 is
+    merged into the smallest other cell."""
+    expected = counts.sum() * probs
+    small = expected < 5
+    observed, expected = counts[~small], expected[~small]
+    if small.any():
+        pool_observed, pool_expected = counts[small].sum(), (counts.sum() * probs)[small].sum()
+        if pool_expected < 5:
+            i = int(np.argmin(expected))
+            observed[i] += pool_observed
+            expected[i] += pool_expected
+        else:
+            observed = np.append(observed, pool_observed)
+            expected = np.append(expected, pool_expected)
+    hit = observed > 0
+    g = 2.0 * float(np.sum(observed[hit] * np.log(observed[hit] / expected[hit])))
+    return chi2_sf(g, len(observed) - 1)
+
+
 # sha256 of the int8 final rows of `_final_blocks`, concatenated over
 # blocks: the sampled paths, fixed by (initial law, t, trajectories, seed)
 SAMPLER_PINS = {
@@ -961,6 +1020,26 @@ SAMPLER_PINS = {
 }
 
 
+# the whole-law test of the sampler: rates (r = 2, l = 1/2 and r = 7/10,
+# l = 3/10), and the level below which its p-value fails
+LAW_RATES = [(Fraction(2), Fraction(1, 2)), (Fraction(7, 10), Fraction(3, 10))]
+LAW_ALPHA = 1e-3
+
+
+def law_pvalue(p: ModelParams, t: float = 1.0, n: int = 20_000, seed: int = 1) -> float:
+    """The G-test p-value of the final rows of `_final_blocks` from the
+    point mass A00B0A (L3 (2,1), 60 states) against `law_at`; every row
+    lies in the start's sector."""
+    p0 = Measure.point_mass(Config.from_text("A00B0A"))
+    table, probs = law_at(p0, t, p)
+    codes, hits = np.unique(encode(final_rows(p0, t, n, seed, p)), return_counts=True)
+    at = np.searchsorted(encode(table), codes)
+    assert np.array_equal(encode(table)[np.minimum(at, len(table) - 1)], codes)
+    counts = np.zeros(len(table), np.int64)
+    counts[at] = hits
+    return g_test_pvalue(counts, probs)
+
+
 class TestGillespie:
     @pytest.mark.parametrize("label", SAMPLER_PINS)
     def test_pinned_rows(self, label):
@@ -972,6 +1051,32 @@ class TestGillespie:
         rows = final_rows(p0, t, n, seed, ModelParams(p0.L, Fraction(2), Fraction(1, 2)))
         assert rows.dtype == np.int8 and rows.shape == (n, 2 * p0.L)
         assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("r, ell", LAW_RATES)
+    def test_whole_law(self, r, ell):
+        # the G-test of the final rows of 2e4 paths from a point mass in
+        # L3 (2,1), 60 states, against the exact law at t = 1
+        assert law_pvalue(ModelParams(3, r, ell)) > LAW_ALPHA
+
+    @pytest.mark.parametrize("r, ell", LAW_RATES)
+    def test_whole_law_fails_on_uniform_acceptance(self, monkeypatch, r, ell):
+        # negative control: accepting when u itself, not the fractional
+        # part of u (2L - 1), is below the acceptance ties acceptance to
+        # the bond, so left moves happen on the leftmost bonds only
+        def raw(u, bonds):
+            return _bond_draws(u, bonds)[0], u
+
+        monkeypatch.setattr(dynamics, "_bond_draws", raw)
+        assert law_pvalue(ModelParams(3, r, ell)) < LAW_ALPHA
+
+    def test_last_uniform_stays_in_row(self):
+        # the largest double below 1 proposes the last bond of its row, so
+        # no proposal writes past its own row, at every L the codes reach
+        last = np.array([0.0, np.nextafter(1.0, 0.0)])
+        for L in range(1, CODE_MAX_L + 1):
+            bond, draw = _bond_draws(last, 2 * L - 1)
+            assert bond.tolist() == [0, 2 * L - 2]
+            assert draw[0] == 0.0 and 0.0 <= draw[1] < 1.0
 
     def test_two_site_chain(self):
         # A0 -> 0A at rate r, back at rate l: P(0A at t) = r/(r+l) (1 - e^{-(r+l) t})
