@@ -227,8 +227,9 @@ class TestSimulate:
         assert len(records) == len(default_dual_coordinates(1))
 
     def test_zero_hit_record_has_finite_z(self, capsys):
-        # A000000B gets no hits in 1e4 trajectories (prediction ~9e-6); its
-        # z-score divides by the exact-law sigma, not the empirical stderr of 0
+        # on seed 1's SFC64 block streams A000000B gets no hits in 1e4
+        # trajectories (prediction ~9e-6); its z-score divides by the
+        # exact-law sigma, not the empirical stderr of 0
         argv = ["simulate", "--L", "4", "--t", "4", "--trajectories", "10000", "--seed", "1"]
         assert main(argv) == 0
         records = json.loads(capsys.readouterr().out)["records"]

@@ -1001,21 +1001,22 @@ def g_test_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
 
 # sha256 of the int8 final rows of `_final_blocks`, concatenated over
 # blocks: the sampled paths, fixed by (initial law, t, trajectories, seed)
+# on the SFC64 block streams
 SAMPLER_PINS = {
     # simulate --L 4 --t 4 --seed 1 --trajectories 10000: 3 blocks, the jump loop
     "L4-t4": (
         "A000B00A", None, 4.0, 10_000, 1,
-        "5bacda6df00bab06b19542ecff42927242539003cfdfa4ba4da0f543568cc1ff",
+        "9451072a481ac35c43ce98efefdd09e98c955b2365d49df43a286d609b878362",
     ),
     # a sampled start from the canonical law over 2 full blocks and 7 rows
     "multi-block": (
         None, (2, 1, 1), 1.0, 2 * BLOCK + 7, 3,
-        "38f7e4757e9d9712effa00a9d90496016b2b86e5aceb128458bb524a4c9020d2",
+        "76015afe32e1ccd0bd5edcd9ebd3a2d6e379b6e47215a0a9f758c7076074c72e",
     ),
     # no proposals: the start draws alone
     "t0": (
         None, (2, 2, 1), 0.0, 1000, 5,
-        "ef14fc4e5029aef6fce475e68120ba101ef10f72ed0b7ba6e9d251bff023a8fe",
+        "de7476d645688a6ffbbe87b576e3fc0d8f26c0825f3ff1f03d7da03a50939732",
     ),
 }
 

@@ -63,7 +63,7 @@ LAMBDA_L2_SHA256 = "3e85ec9d0fcc25167cc072de11a81206cc78f95e1944e309fcf957da95af
 LAMBDA_L3_SHA256 = "7053cf2a9da288bf84c6ae0283f13561bd98d67e6b5a85e457d0a7664dcdee18"
 
 # (z, t, n, mean, stderr) of `simulate --L 2 --trajectories 2000 --seed 7
-# --t 0 --t 1` on the block Philox streams; `prediction`, `exact` and
+# --t 0 --t 1` on the SFC64 block streams; `prediction`, `exact` and
 # `sigma` are left out because they depend on the BLAS build
 SIMULATE_L2_SEED7 = [
     ("A000", 0.0, 2000, 0.5, 0.0),
@@ -71,11 +71,11 @@ SIMULATE_L2_SEED7 = [
     ("0AB0", 0.0, 2000, 0.0, 0.0),
     ("000B", 0.0, 2000, 0.0, 0.0),
     ("A00B", 0.0, 2000, 0.0, 0.0),
-    ("A000", 1.0, 2000, 0.10875, 0.004613551905049979),
-    ("0B00", 1.0, 2000, 0.29, 0.010148965501487094),
-    ("0AB0", 1.0, 2000, 0.082, 0.004964909381104683),
-    ("000B", 1.0, 2000, 0.0725, 0.005799887442629692),
-    ("A00B", 1.0, 2000, 0.01275, 0.0017628875847081568),
+    ("A000", 1.0, 2000, 0.1115, 0.004655073560635478),
+    ("0B00", 1.0, 2000, 0.288, 0.010128143445114826),
+    ("0AB0", 1.0, 2000, 0.0735, 0.004736569702461174),
+    ("000B", 1.0, 2000, 0.077, 0.005962656843917748),
+    ("A00B", 1.0, 2000, 0.013, 0.0017796301699428694),
 ]
 
 
