@@ -33,10 +33,12 @@ import numpy as np
 # PANEL_MIN_DIM it is one gemm, and `dynamics.evolve` does not fold
 PANELS = 4
 PANEL_MIN_DIM = 200
-# `unfold` forms the kernel UNFOLD_ROWS rows at a time, so each block is
-# gathered, scaled twice and stored while it is in cache, and its
-# temporaries are UNFOLD_ROWS rows: 0.85 ms against 1.32 ms for two
-# scatters and two full passes at L = 4, (N, M) = (3, 3), dim 560
+# `unfold` forms a kernel with pairs UNFOLD_ROWS rows at a time, so each
+# block is gathered, scaled twice and stored while it is in cache, and its
+# temporaries are UNFOLD_ROWS rows: 0.92-0.96 ms against 1.51-1.57 ms for
+# two scatters and two full passes at L = 4, (N, M) = (3, 3), dim 560
+# (one thread, medians of 200 calls).  Without pairs the two full passes
+# stay: in blocks they took 3-25% longer at dim 30 to 1000
 UNFOLD_ROWS = 64
 
 
@@ -127,23 +129,20 @@ def product(m: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def unfold(fold: np.ndarray, orbits, root: np.ndarray, spare=None) -> np.ndarray:
-    """D E D^-1 for the fold of E and D = diag(root), UNFOLD_ROWS rows at
-    a time.  With pairs, the result is a new n x n array: the rows of the
-    fixed and low states are the fold's rows with its columns put back in
-    state order, and a pair's high state's row is its low state's with the
-    columns of each pair exchanged (E commutes with J); each block of rows
-    is gathered, scaled and stored whole.  With none the fold is E, and
-    the result is formed in `spare`, a spent array of its shape (a new one
-    when None)."""
+    """D E D^-1 for the fold of E and D = diag(root).  With pairs, the
+    result is a new n x n array, formed UNFOLD_ROWS rows at a time: the
+    rows of the fixed and low states are the fold's rows with its columns
+    put back in state order, and a pair's high state's row is its low
+    state's with the columns of each pair exchanged (E commutes with J);
+    each block of rows is gathered, scaled and stored whole.  With none
+    the fold is E, and the result is formed in `spare`, a spent array of
+    its shape (a new one when None), in two whole-array passes."""
     fixed, low, high = orbits
-    n = len(root)
     if not len(low):
-        kernel = np.empty_like(fold) if spare is None else spare
-        for i in range(0, n, UNFOLD_ROWS):
-            rows = slice(i, i + UNFOLD_ROWS)
-            block = np.multiply(fold[rows], root[rows, None], out=kernel[rows])
-            block /= root
+        kernel = np.multiply(fold, root[:, None], out=spare)
+        kernel /= root
         return kernel
+    n = len(root)
     kernel = np.empty((n, n))
     cols = np.empty(n, np.intp)
     for states, rows, order in (
