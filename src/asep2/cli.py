@@ -87,10 +87,12 @@ SLOW_CHECK_MAX_L = 2
 # runs are bounded too
 SIMULATE_MAX_PROPOSALS = 1e8
 # the fixed cost of one step of the sampler, counted in proposals: about
-# 8.3 us a step of a one-row block against 14-18 ns a proposal at full
-# width (BLOCK rows; one thread).  Each block steps once per proposal of
-# its longest path, about (2L - 1) * max(r, l) * t steps at each time, so
-# those steps are charged at this price under SIMULATE_MAX_PROPOSALS too
+# 8.2-9.0 us a step of a one-row block against 10.5-11 ns a proposal at
+# full width (BLOCK rows, L = 2, 4 and 10; one thread), a ratio near 800
+# that the kept 560 undercharges, so the runs the cap admits stay as they
+# were.  Each block steps once per proposal of its longest path, about
+# (2L - 1) * max(r, l) * t steps at each time, so those steps are charged
+# at this price under SIMULATE_MAX_PROPOSALS too
 STEP_PROPOSALS = 560
 # the work of the exact law and the duality predictions in term products
 # (`dynamics.plan`, on the path each sector takes), summed over the
@@ -445,8 +447,10 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"simulation is desk-scale: need L <= {lattice.CODE_MAX_L}, got {p.L}")
     # an empty `t =` line asks for the default times
     ts = sorted(args.t or DEFAULTS["t"])
-    # time i samples on Philox keys seed + i, which numpy keeps exact only
-    # below 2^63 (larger keys alias through float64)
+    # time i seeds its block streams with SeedSequence([seed + i, b]), which
+    # takes any nonnegative int; the bound seed + i < 2^63 is kept so that
+    # the seeds accepted, and so the exit codes, stay as they were, and so
+    # that every seed a run samples on fits a signed 64-bit integer
     if args.seed < 0 or args.seed + len(ts) - 1 >= 2**63:
         raise UsageError(
             f"seed must be in 0..2^63 - {len(ts)} for {len(ts)} time(s), got {args.seed}"

@@ -27,9 +27,12 @@ MAX_SQUARINGS the plans at t and 2^k t share one series.
 There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows, each proposed bond exchanged at the rate
 of its `generator.BOND_SIGN`, whose proposals and steps `sampler_work`
-counts.  Block b draws from the counter-based Philox stream keyed
-(seed, b) (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11), so a run depends only on (seed, trajectories).  The initial law
+counts.  Block b draws from its own SFC64 stream (numpy's Small Fast
+Chaotic generator, after Doty-Humphrey's PractRand) seeded by
+`np.random.SeedSequence([seed, b])`, so a run depends only on (seed,
+trajectories) and a longer run only appends blocks.  Each proposal takes
+one uniform u: the integer part of u (2L - 1) is its bond and the
+fractional part its acceptance draw (`_bond_draws`).  The initial law
 p0 is a float `measures.Measure`, read as its rows and weights; final
 rows are counted by their `lattice.encode` codes.  Dual coordinate sets
 z are `Config`s of the same lattice; the moments of Q_z are taken over
@@ -56,7 +59,7 @@ TAIL_TOL = 1e-14
 SCALE_MU = 16.0  # largest rate-time product summed without squaring
 MAX_SQUARINGS = 10  # squarings the plan may add: lam t = 1e4 takes as many
 STORED_POWERS = 3  # powers of P kept by the Paterson-Stockmeyer series
-BLOCK = 4096  # trajectories per Philox stream
+BLOCK = 4096  # trajectories per SFC64 stream
 # the cost of a dense product x x^T (BLAS syrk, one triangle) against a
 # general one (gemm): 0.56-0.61 at dim 140-560 on one thread
 SYRK_COST = 0.6
@@ -500,9 +503,11 @@ def _final_blocks(p0: Measure, t: float, trajectories: int, seed: int, p: ModelP
 
     Each path starts from a draw of p0 and makes Poisson(lam t) proposals,
     lam = (2L - 1) max(r, l), each a uniform bond exchanged with probability
-    rate/max(r, l): the uniformized chain, so eta_t has its exact law.  Rows
-    are sorted by proposal count; at step k the last alive[k] rows propose,
-    one bond each, so each writes back its own two sites, exchanged or not.
+    rate/max(r, l): the uniformized chain, so eta_t has its exact law.  A
+    proposal's bond and acceptance draw come from one uniform
+    (`_bond_draws`).  Rows are sorted by proposal count; at step k the last
+    alive[k] rows propose, one bond each, so each writes back its own two
+    sites, exchanged or not.
     """
     cdf = np.cumsum(p0.weights)
     if not math.isclose(cdf[-1], 1.0, rel_tol=0, abs_tol=1e-9):

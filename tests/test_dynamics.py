@@ -18,8 +18,8 @@ from asep2.dynamics import (
     SCALE_MU,
     TAIL_TOL,
     QEstimate,
-    _dense_work,
     _bond_draws,
+    _dense_work,
     _detailed_balance,
     _evolved,
     _final_blocks,
@@ -984,18 +984,18 @@ def g_test_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
     merged into the smallest other cell."""
     expected = counts.sum() * probs
     small = expected < 5
-    observed, expected = counts[~small], expected[~small]
+    observed, cells = counts[~small], expected[~small]
     if small.any():
-        pool_observed, pool_expected = counts[small].sum(), (counts.sum() * probs)[small].sum()
+        pool_observed, pool_expected = counts[small].sum(), expected[small].sum()
         if pool_expected < 5:
-            i = int(np.argmin(expected))
+            i = int(np.argmin(cells))
             observed[i] += pool_observed
-            expected[i] += pool_expected
+            cells[i] += pool_expected
         else:
             observed = np.append(observed, pool_observed)
-            expected = np.append(expected, pool_expected)
+            cells = np.append(cells, pool_expected)
     hit = observed > 0
-    g = 2.0 * float(np.sum(observed[hit] * np.log(observed[hit] / expected[hit])))
+    g = 2.0 * float(np.sum(observed[hit] * np.log(observed[hit] / cells[hit])))
     return chi2_sf(g, len(observed) - 1)
 
 
