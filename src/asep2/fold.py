@@ -38,7 +38,7 @@ PANEL_MIN_DIM = 200
 # temporaries are UNFOLD_ROWS rows: 0.92-0.96 ms against 1.51-1.57 ms for
 # two scatters and two full passes at L = 4, (N, M) = (3, 3), dim 560
 # (one thread, medians of 200 calls).  Without pairs the two full passes
-# stay: in blocks they took 3-25% longer at dim 30 to 1000
+# stay: in blocks they took 2-27% longer at dim 30 to 1000
 UNFOLD_ROWS = 64
 
 

@@ -1033,9 +1033,10 @@ def law_pvalue(p: ModelParams, t: float = 1.0, n: int = 20_000, seed: int = 1) -
     lies in the start's sector."""
     p0 = Measure.point_mass(Config.from_text("A00B0A"))
     table, probs = law_at(p0, t, p)
+    keys = encode(table)
     codes, hits = np.unique(encode(final_rows(p0, t, n, seed, p)), return_counts=True)
-    at = np.searchsorted(encode(table), codes)
-    assert np.array_equal(encode(table)[np.minimum(at, len(table) - 1)], codes)
+    at = np.searchsorted(keys, codes)
+    assert np.array_equal(keys[np.minimum(at, len(table) - 1)], codes)
     counts = np.zeros(len(table), np.int64)
     counts[at] = hits
     return g_test_pvalue(counts, probs)
