@@ -28,7 +28,7 @@ import numpy as np
 
 from .lattice import A, B, VACANT, encode, left_counts, occupations, sectors, vacant_config
 from .measures import pi_hat, q_powers
-from .qring import ZERO, LaurentPoly, exact_div, q_factorial, q_multinomial
+from .qring import ZERO, LaurentPoly, q_factorial, q_multinomial
 from .reporting import Report, matrices_equal, matrix_is_zero
 from .sparse import SparseMatrix, commutator, matrix_sum, product_difference
 from .qsym import build_Y
@@ -127,10 +127,7 @@ def divided_power_terms(L: int) -> dict[tuple[int, int], SparseMatrix]:
         powers = [SparseMatrix.identity(dim)]
         for n in range(1, 2 * L + 1):
             powers.append(powers[-1] @ y)
-        return [
-            p.map_entries(lambda v, f=q_factorial(n): exact_div(v, f))
-            for n, p in enumerate(powers)
-        ]
+        return [p.exact_quotient(q_factorial(n)) for n, p in enumerate(powers)]
 
     d1 = divided_powers(build_Y(1, -1, L))
     d2 = divided_powers(build_Y(2, +1, L))

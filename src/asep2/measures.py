@@ -477,12 +477,12 @@ def ring_moments(sector: Sector, site_tuples, species: int) -> list[LaurentPoly]
     per site tuple: the reversible weights summed over the sector's
     configurations with `species` at every site of the tuple.
 
-    One pass over the sector's occupation rows and their `pi_exponents`;
-    callers compare moments across sectors by cross-multiplication with
-    the partition functions, without division.
+    One pass over the rows and exponents of the sector's cached
+    `canonical` measure; callers compare moments across sectors by
+    cross-multiplication with the partition functions, without division.
     """
-    rows = sector_occupations(sector)
-    half_exponents, held = 2 * pi_exponents(rows), rows == species
+    measure = canonical(sector)
+    half_exponents, held = 2 * measure.weights, measure.rows == species
     hits = (held[:, [k + sector.L - 1 for k in tup]].all(axis=1) for tup in site_tuples)
     return [from_terms(dict(Counter(half_exponents[hit].tolist()))) for hit in hits]
 

@@ -38,7 +38,7 @@ from .lattice import (
     occupations,
     sites,
 )
-from .qring import ONE, LaurentPoly, exact_div, q_number
+from .qring import ONE, LaurentPoly, q_number
 from .reporting import Report, matrices_equal, matrix_is_zero
 from .sparse import (
     SparseMatrix,
@@ -94,6 +94,8 @@ def site_embed(u, k: int, L: int, dressing=None) -> SparseMatrix:
     for cs in range(3):
         cols = np.flatnonzero(state == cs)
         for rs in range(3):
+            if not u[rs][cs]:
+                continue
             # the column's configurations with site k turned from cs to rs
             rows = cols + (rs - cs) * 3**pos
             for h, x in (ONE * u[rs][cs]).terms.items():
@@ -242,16 +244,7 @@ def check_algebra_relations(L: int) -> Report:
         direct_sum(l_op(i + 1, L, -2) for i in (1, 2)),
         direct_sum(l_op(i, L, 2) for i in (1, 2)),
     )
-    # the entries take a few values [h]_q (q - q^-1): each distinct one is
-    # divided once
-    quotients: dict[LaurentPoly, LaurentPoly] = {}
-
-    def over_q_minus_qinv(v: LaurentPoly) -> LaurentPoly:
-        if v not in quotients:
-            quotients[v] = exact_div(v, q_minus_qinv)
-        return quotients[v]
-
-    rhs = blocks(k2_minus_k2inv.map_entries(over_q_minus_qinv), dim)
+    rhs = blocks(k2_minus_k2inv.exact_quotient(q_minus_qinv), dim)
     for (i, j), comm in zip(ij, comms):
         if i != j:
             matrix_is_zero(report, f"L{L}:ladder-commutator-Y{i}p-Y{j}m", comm)

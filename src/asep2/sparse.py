@@ -10,30 +10,48 @@ Dumps order entries column-compressed, (col, row) ascending, so
 serialised matrices are deterministic.
 
 Every constructor normalises through `_reduce`: one stable sort on the
-key (row*dim + col)*span + (h - h_min), `np.add.reduceat` over equal
-keys, and the zero sums dropped.  +, -, @, `scale`, `commutator`,
-`product_difference` and `matrix_sum` run through one kernel,
-`_combine`: a product joins each term of a to the terms of b's row
-a.col (`searchsorted` on b's sorted rows, `np.repeat` for the pairs),
-and the gathered terms go through `_reduce` one block of output rows
-(about CHUNK_PAIRS terms and pairs) at a time.
+key (row*dim + col)*span + (h - h_min); each key keeps its first term's
+row, col and h, the later terms of a repeated key are added onto it in
+sort order (input order within a key, so a float sum is the
+left-to-right sum), and the zero sums are dropped.  +, -, @, `scale`,
+`commutator`, `product_difference` and `matrix_sum` run through one
+kernel, `_combine`: a product joins each term of a to the terms of b's
+row a.col (b's row pointer, `np.repeat` for the pairs), and the gathered
+terms go through `_reduce` one block of output rows (about CHUNK_PAIRS
+terms and pairs) at a time.  A matrix computes its row pointer, max
+|coeff| and max |h| once, when a kernel first asks for them; its terms
+are read-only, so they cannot go stale.
+
+`exact_quotient` divides every entry by a monic polynomial: long
+division on a dense int64 table, one row per exponent and one column per
+entry, so that one step divides every entry.
 
 A family of same-shaped identities takes one kernel pass: `direct_sum`
 stacks its operands block-diagonally, the identity is formed once on the
 direct sums, and `blocks` splits the residual into each identity's own
 residual, in the same normal form as if it had been formed alone.
 
-Exactness: the int64 arrays never wrap.  Before `_combine` forms a term,
-sum max|a| max|b| pairs over its products plus sum max|x| size over its
-summands (a bound on every coefficient and partial sum it can reach),
-and max|h_a| + max|h_b| for the exponents, are checked against
-2^63 - 1 in Python integers, and `_reduce` checks dim^2 span, the
-largest sort key; past any bound they raise OverflowError.  Numpy does not warn when int64 arithmetic wraps, so
-these bounds are the only guard.  Building a matrix from a LaurentPoly
-with a coefficient of magnitude 2^63 or more raises OverflowError too.
-The bound of a product of direct sums counts the pairs of every block,
-so a batch can raise where each identity formed alone would not.
-No float, modular or evaluation shortcut is used.
+Exactness: the kernel's int64 arrays never wrap.  Before `_combine`
+forms a term, sum max|a| max|b| pairs over its products plus sum max|x|
+size over its summands (a bound on every coefficient and partial sum it
+can reach), and max|h_a| + max|h_b| for the exponents, are checked
+against 2^63 - 1 in Python integers, and `_reduce` checks dim^2 span, the
+largest sort key; past any bound they raise OverflowError.  Numpy does
+not warn when int64 arithmetic wraps, so these bounds are the only guard.
+Building a matrix from a LaurentPoly with a coefficient of magnitude 2^63
+or more raises OverflowError too, and `from_arrays` bounds its int terms
+as one summand.  The bound of a product of direct sums counts the pairs
+of every block, so a batch can raise where each identity formed alone
+would not.
+
+`exact_quotient`'s table is the one place int64 may wrap: it is computed
+modulo 2^64 on purpose, since exact division by a monic polynomial is
+unique modulo 2^64 as it is over the integers.  So a nonzero remainder
+proves that no exact quotient exists (NonIntegralQuotient), and a zero
+one gives quotient * divisor = entry modulo 2^64, which is an equality
+once max|quotient| sum|divisor| <= 2^63 - 1; past that bound it raises
+OverflowError.  Every identity is decided over the integers: no float,
+modular or evaluation shortcut decides one.
 
 A float matrix (the float generator) shares the layout with h = 0 and
 float64 coefficients, one per entry.  `_combine` refuses it; its users
@@ -59,7 +77,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qring import ONE, _coerce, from_terms
+from .qring import ONE, NonIntegralQuotient, _coerce, from_terms
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 # `_combine` forms and reduces the terms of about this many output rows'
@@ -68,7 +86,7 @@ CHUNK_PAIRS = 1 << 20
 
 
 class SparseMatrix:
-    __slots__ = ("dim", "row", "col", "h", "coeff", "mirror")
+    __slots__ = ("dim", "row", "col", "h", "coeff", "mirror", "_ptr", "_bounds")
 
     def __init__(self, dim: int, entries=None):
         """An exact matrix from a {(row, col): LaurentPoly or int} map, zero
@@ -94,6 +112,9 @@ class SparseMatrix:
         float one.  `mirror` is an index permutation of the basis to
         attach (`lattice.mirror`), or None."""
         _check_range(dim, row, col)
+        if coeff.dtype.kind != "f":
+            # the terms are one summand, bounded as `_combine` bounds each
+            _guard(_max_abs(coeff) * len(coeff), "sparse sum")
         out = cls._trusted(dim, *_reduce(dim, row, col, h, coeff))
         if mirror is not None:
             out.mirror = np.array(mirror, dtype=np.intp)
@@ -113,7 +134,21 @@ class SparseMatrix:
             terms.setflags(write=False)
         self.dim = dim
         self.row, self.col, self.h, self.coeff = row, col, h, coeff
-        self.mirror = None
+        self.mirror = self._ptr = self._bounds = None
+
+    def _row_ptr(self) -> np.ndarray:
+        """Terms ptr[r]:ptr[r + 1] are row r's (computed once: the terms
+        are read-only)."""
+        if self._ptr is None:
+            self._ptr = np.zeros(self.dim + 1, np.int64)
+            np.cumsum(np.bincount(self.row, minlength=self.dim), out=self._ptr[1:])
+        return self._ptr
+
+    def _maxima(self) -> tuple[int, int]:
+        """(max |coeff|, max |h|) over the terms (computed once)."""
+        if self._bounds is None:
+            self._bounds = _max_abs(self.coeff), _max_abs(self.h)
+        return self._bounds
 
     # -- constructors ---------------------------------------------------
 
@@ -209,10 +244,11 @@ class SparseMatrix:
         """scalar * self for a LaurentPoly or int scalar: self times the
         diagonal matrix with scalar in every diagonal entry."""
         terms = (ONE * scalar).terms
-        i = np.repeat(np.arange(self.dim), len(terms))
-        h = np.tile(np.array(list(terms), dtype=np.int64), self.dim)
-        x = np.tile(_int64(list(terms.values())), self.dim)
-        return self @ SparseMatrix.from_arrays(self.dim, i, i, h, x)
+        hs = sorted(terms)
+        i = np.repeat(np.arange(self.dim), len(hs))
+        h = np.tile(np.array(hs, dtype=np.int64), self.dim)
+        x = np.tile(_int64([terms[k] for k in hs]), self.dim)
+        return self @ SparseMatrix._trusted(self.dim, i, i, h, x)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         return _combine(self.dim, products=((1, self, other),))
@@ -220,9 +256,46 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_arrays(self.dim, self.col, self.row, self.h, self.coeff)
 
-    def map_entries(self, fn) -> "SparseMatrix":
-        """The matrix of fn(value) over the entries, each read as a value."""
-        return SparseMatrix(self.dim, {rc: fn(v) for rc, v in self.sorted_items()})
+    def exact_quotient(self, divisor) -> "SparseMatrix":
+        """Every entry divided exactly by a monic LaurentPoly (or int).
+
+        Long division on a dense int64 table, one row per exponent and one
+        column per entry, from the highest exponent down.  A remainder
+        raises NonIntegralQuotient, as `qring.exact_div` does; the module
+        docstring gives the exactness rule."""
+        _require_exact(self.dim, self)
+        b = _coerce(divisor)
+        if b is None:
+            raise TypeError("the divisor must be a LaurentPoly or int")
+        if not b:
+            raise ZeroDivisionError("division by the zero polynomial")
+        top = max(b.terms)
+        if b.terms[top] != 1:
+            raise ValueError(f"the divisor ({b}) is not monic")
+        if self.is_zero():
+            return self
+        width = top - min(b.terms)
+        # the divisor's lower terms, by how far each sits below its top
+        lower = {top - k: v for k, v in b.terms.items() if k != top}
+        below = np.array(list(lower), dtype=np.int64)
+        factor = _int64(list(lower.values()))[:, None]
+        starts = self._entry_starts()
+        entry = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(self.coeff)))
+        low = int(self.h.min())
+        table = np.zeros((int(self.h.max()) - low + 1, len(starts)), np.int64)
+        table[self.h - low, entry] = self.coeff
+        # row k >= width ends as the quotient's row k - width
+        for k in range(len(table) - 1, width - 1, -1):
+            table[k - below] -= factor * table[k]
+        if table[:width].any():
+            raise NonIntegralQuotient(f"an entry is not divisible by ({b})")
+        e, k = np.nonzero(table[width:].T)
+        x = table[k + width, e]
+        _guard(_max_abs(x) * sum(abs(v) for v in b.terms.values()), "exact quotient")
+        starts = starts[e]
+        return SparseMatrix._trusted(
+            self.dim, self.row[starts], self.col[starts], k + (low + width - top), x
+        )
 
     def __repr__(self):
         return f"SparseMatrix(dim={self.dim}, nnz={self.nnz})"
@@ -287,7 +360,7 @@ def _combine(dim: int, sums=(), products=()) -> SparseMatrix:
 
     A product pairs each term (r, k, ha, xa) of a with every term
     (k, c, hb, xb) of b's row k, giving (r, c, ha + hb, xa * xb); b's
-    terms are sorted by row, so row k is the slice `searchsorted` finds.
+    terms are sorted by row, so row k is the slice its row pointer gives.
     The exactness bound is checked before any term pair is formed.  The
     output rows are taken in blocks of about CHUNK_PAIRS terms and pairs,
     each reduced on its own: a block's rows are final once reduced, so the
@@ -297,42 +370,54 @@ def _combine(dim: int, sums=(), products=()) -> SparseMatrix:
     joins, bound, total = [], 0, 0
     for _sign, m in sums:
         _require_exact(dim, m)
-        bound += _max_abs(m.coeff) * len(m.coeff)
+        bound += m._maxima()[0] * len(m.coeff)
         total += len(m.coeff)
     for sign, a, b in products:
         _require_exact(dim, a)
         _require_exact(dim, b)
-        lo, hi = np.searchsorted(b.row, a.col), np.searchsorted(b.row, a.col, "right")
-        counts = hi - lo
+        ptr = b._row_ptr()
+        lo = ptr[a.col]
+        counts = ptr[a.col + 1] - lo
         pairs = int(counts.sum())
-        bound += _max_abs(a.coeff) * _max_abs(b.coeff) * pairs
+        (xa, ha), (xb, hb) = a._maxima(), b._maxima()
+        bound += xa * xb * pairs
         total += pairs
-        _guard(_max_abs(a.h) + _max_abs(b.h), "product exponents")
+        _guard(ha + hb, "product exponents")
         joins.append((sign, a, b, lo, counts))
     _guard(bound, "sparse sum of products")
-    if not (sums or joins):
-        return SparseMatrix(dim)
     parts = []
-    for r0, r1 in _row_blocks(dim, total, sums, joins):
+    ranges = _row_blocks(dim, total, sums, joins) if total else []
+    for r0, r1 in ranges:
         block = []
         for sign, m in sums:
-            i0, i1 = np.searchsorted(m.row, (r0, r1))
+            i0, i1 = _rows(m, r0, r1)
             x = m.coeff[i0:i1]
             block.append((m.row[i0:i1], m.col[i0:i1], m.h[i0:i1], x if sign > 0 else -x))
         for sign, a, b, lo, counts in joins:
-            t0, t1 = np.searchsorted(a.row, (r0, r1))
+            t0, t1 = _rows(a, r0, r1)
             n = counts[t0:t1]
             ia = np.repeat(np.arange(t0, t1), n)
             # the j-th pair of term t of a takes term lo[t] + j of b
             ib = np.arange(len(ia)) + np.repeat(lo[t0:t1] - (np.cumsum(n) - n), n)
             x = a.coeff[ia] * b.coeff[ib]
             block.append((a.row[ia], b.col[ib], a.h[ia] + b.h[ib], x if sign > 0 else -x))
-        reduced = _reduce(dim, *(np.concatenate(arrays) for arrays in zip(*block)))
+        terms = block[0] if len(block) == 1 else (np.concatenate(t) for t in zip(*block))
+        reduced = _reduce(dim, *terms)
         if len(reduced[3]):
             parts.append(reduced)
     if not parts:
-        return SparseMatrix(dim)
+        return SparseMatrix._trusted(dim, *(np.zeros(0, np.int64) for _ in range(4)))
+    if len(parts) == 1:
+        return SparseMatrix._trusted(dim, *parts[0])
     return SparseMatrix._trusted(dim, *(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
+def _rows(m: SparseMatrix, r0: int, r1: int) -> tuple[int, int]:
+    """The positions i0:i1 of m's terms in rows r0:r1."""
+    if r0 == 0 and r1 == m.dim:
+        return 0, len(m.coeff)
+    ptr = m._row_ptr()
+    return int(ptr[r0]), int(ptr[r1])
 
 
 def _row_blocks(dim: int, total: int, sums, joins) -> list[tuple[int, int]]:
@@ -352,7 +437,8 @@ def _row_blocks(dim: int, total: int, sums, joins) -> list[tuple[int, int]]:
 
 def _reduce(dim: int, row, col, h, coeff) -> tuple:
     """The normal form of a list of terms: sorted by (row, col, h), the
-    coefficients of equal keys summed and zero sums dropped.
+    coefficients of equal keys summed left to right (see the module
+    docstring) and zero sums dropped.
 
     Raises OverflowError if the sort key (row*dim + col)*span + (h - h_min)
     could pass 2^63 - 1."""
@@ -366,15 +452,16 @@ def _reduce(dim: int, row, col, h, coeff) -> tuple:
     key = key[order]
     new = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    coeff = np.add.reduceat(coeff[order], starts)
-    key = key[starts]
-    keep = coeff != 0
+    first = order[new]
+    total = coeff[first]
+    if len(first) < len(order):
+        # `np.add.at` adds in index order, unbuffered: left to right per key
+        later = ~new
+        np.add.at(total, np.cumsum(new)[later] - 1, coeff[order[later]])
+    keep = total != 0
     if not keep.all():
-        key, coeff = key[keep], coeff[keep]
-    cell, h = np.divmod(key, span)
-    row, col = np.divmod(cell, dim)
-    return row, col, h + lo, coeff
+        first, total = first[keep], total[keep]
+    return row[first], col[first], h[first], total
 
 
 def _check_range(dim: int, row, col) -> None:
@@ -391,7 +478,8 @@ def _int64(values: list) -> np.ndarray:
 
 
 def _max_abs(x: np.ndarray) -> int:
-    return int(np.abs(x).max()) if len(x) else 0
+    """max |x|, in Python integers: np.abs of the int64 minimum wraps."""
+    return max(int(x.max()), -int(x.min())) if len(x) else 0
 
 
 def _guard(bound: int, what: str) -> None:
