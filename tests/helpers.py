@@ -42,6 +42,22 @@ def float_matrix(dim: int, entries: dict) -> SparseMatrix:
     return SparseMatrix.from_arrays(dim, keys[:, 0], keys[:, 1], h, values)
 
 
+def summed_terms(row, col, h, coeff) -> dict:
+    """{(row, col, h): coefficient} of a list of terms, each key's
+    coefficients added one at a time in input order and zero sums
+    dropped: the reference for `SparseMatrix.from_arrays`."""
+    out = {}
+    for key, x in zip(zip(row, col, h), coeff):
+        out[key] = out[key] + x if key in out else x
+    return {key: x for key, x in out.items() if x}
+
+
+def stored_terms(m) -> dict:
+    """{(row, col, h): coefficient} of a SparseMatrix's stored terms."""
+    keys = zip(m.row.tolist(), m.col.tolist(), m.h.tolist())
+    return dict(zip(keys, m.coeff.tolist()))
+
+
 def evaluated(m, q0: float) -> SparseMatrix:
     """An exact SparseMatrix at q = q0, as a float one."""
     return float_matrix(m.dim, {rc: v.eval(q0) for rc, v in m.sorted_items()})

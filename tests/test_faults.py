@@ -20,12 +20,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asep2 import duality, measures, qsym
+from asep2 import cli, duality, measures, qsym
 from asep2.duality import check_duality, check_sum_rules
 from asep2.generator import ModelParams, Ring
 from asep2.lattice import A, VACANT, left_counts, occupations, sector_occupations
 from asep2.measures import check_uniqueness
-from asep2.qring import Q, q_number
+from asep2.qring import Q, q_factorial, q_number
 from asep2.qsym import (
     A_MINUS,
     C_MINUS,
@@ -124,11 +124,23 @@ def _q_exponent_off(monkeypatch):
     monkeypatch.setattr(duality, "q_exponents", off)
 
 
+def _divided_power_off_by_one(monkeypatch):
+    # (Y1-)^n and (Y2+)^n divided by [n-1]! in place of [n]!: each is
+    # divisible, so S becomes sum [n]_q [m]_q (Y1-)^(n) (Y2+)^(m), still
+    # commutes with H, and only the rows compared with Q_z move
+    monkeypatch.setattr(duality, "q_factorial", lambda n: q_factorial(max(n - 1, 0)))
+
+
 ALGEBRA = (check_algebra_relations, (1, 2))
 CONJUGATION = (check_conjugation_lemma, (1, 2))
 DUALITY = (check_duality, (1, 2))
 SUM_RULES = (check_sum_rules, (1, 2))
 UNIQUENESS = (lambda L: check_uniqueness(ModelParams(L, Fraction(2), Fraction(1, 2))), (1, 2))
+# every suite of `verify all --L 2`, sizes 1 and 2
+VERIFY_ALL = (
+    lambda L: cli._suite_reports("all", L, ModelParams(L, Fraction(2), Fraction(1, 2))),
+    (2,),
+)
 
 # fault -> (the checks and sizes it runs, the FAIL lines they print)
 FAULTS = {
@@ -270,6 +282,18 @@ FAULTS = {
             "L2:kernel-dimension-N2-M2 FAIL ABBA does not communicate with BBAA",
             "L2:kernel-dimension-N3-M0 FAIL A0AA does not communicate with 0AAA",
             "L2:kernel-dimension-N3-M1 FAIL ABAA does not communicate with BAAA",
+        ],
+    ),
+    "divided powers off by one q-factorial": (
+        _divided_power_off_by_one,
+        [VERIFY_ALL],
+        [
+            "L1:closed-form-vs-symmetry FAIL 4 0 -1*q^-1 + 1*q^0 + -1*q^1",
+            "L1:S-vacuum-row FAIL 0",
+            "L1:rows-S-vs-Qhat FAIL 4 0 1*q^-1 + -1*q^0 + 1*q^1",
+            "L2:closed-form-vs-symmetry FAIL 4 0 -1*q^-1 + 1*q^0 + -1*q^1",
+            "L2:S-vacuum-row FAIL 0",
+            "L2:rows-S-vs-Qhat FAIL 4 0 1*q^3 + -1*q^4 + 1*q^5",
         ],
     ),
     "Q exponent off at the first site": (

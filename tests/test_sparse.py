@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from asep2 import sparse
 from asep2.generator import h_exact
-from asep2.qring import Q, LaurentPoly
+from asep2.qring import QINV, Q, LaurentPoly, NonIntegralQuotient, exact_div, q_factorial
 from asep2.qsym import check_symmetry, symmetry_operators
 from asep2.sparse import (
     SparseMatrix,
@@ -24,6 +24,8 @@ from asep2.sparse import (
     matrix_sum,
     product_difference,
 )
+
+from helpers import stored_terms, summed_terms
 
 DIM = 3
 KERNEL_EXAMPLES = settings(max_examples=60, deadline=None)
@@ -319,3 +321,171 @@ def test_callers_arrays_stay_writeable(n):
     terms = [np.arange(n), np.arange(n), np.zeros(n, np.int64), np.ones(n)]
     SparseMatrix.from_arrays(2, *terms)
     assert all(x.flags.writeable for x in terms)
+
+
+# terms on a few keys, so that most keys repeat; the floats mix scales
+# so that the order of a key's additions shows in its rounding
+term_keys = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-1, 1))
+int_terms = st.lists(st.tuples(term_keys, st.integers(-(2**40), 2**40)), max_size=30)
+float_terms = st.lists(
+    st.tuples(
+        term_keys.map(lambda key: (key[0], key[1], 0)),
+        st.sampled_from([1e16, -1e16, 1.0, -1.0, 0.1, 3.0, 2.5e-8]) | st.floats(-1e3, 1e3),
+    ),
+    max_size=30,
+)
+
+
+def _term_arrays(terms, dtype):
+    keys = np.array([key for key, _x in terms], dtype=np.int64).reshape(-1, 3)
+    return keys[:, 0], keys[:, 1], keys[:, 2], np.array([x for _key, x in terms], dtype=dtype)
+
+
+@KERNEL_EXAMPLES
+@given(st.one_of(int_terms.map(lambda t: (t, np.int64)), float_terms.map(lambda t: (t, np.float64))))
+def test_from_arrays_sums_like_a_dict(case):
+    # each key's terms added in input order, float sums bit for bit, and a
+    # key whose terms cancel is dropped; negated copies after the terms
+    # cancel every key of an int matrix
+    terms, dtype = case
+    arrays = _term_arrays(terms, dtype)
+    m = SparseMatrix.from_arrays(2, *arrays)
+    assert m.coeff.dtype == dtype
+    assert stored_terms(m) == summed_terms(*(x.tolist() for x in arrays))
+    keys = list(zip(m.row.tolist(), m.col.tolist(), m.h.tolist()))
+    assert keys == sorted(set(keys)) and np.all(m.coeff != 0)
+    if dtype == np.int64:
+        negated = [(key, -x) for key, x in terms]
+        assert SparseMatrix.from_arrays(2, *_term_arrays(terms + negated, dtype)).is_zero()
+
+
+@KERNEL_EXAMPLES
+@given(matrices, st.integers(0, 5))
+def test_exact_quotient_matches_exact_div(a, n):
+    for divisor in (q_factorial(n), Q - QINV):
+        product = a.scale(divisor)
+        quotient = product.exact_quotient(divisor)
+        assert quotient == a
+        assert entries(quotient) == {
+            rc: exact_div(v, divisor) for rc, v in entries(product).items()
+        }
+        assert_clean(quotient)
+
+
+@KERNEL_EXAMPLES
+@given(matrices, st.integers(0, DIM - 1), st.integers(0, DIM - 1))
+def test_exact_quotient_remainder_raises(a, r, c):
+    # entry (r, c) is a multiple of q - 1/q plus 1, which it does not divide
+    divisor = Q - QINV
+    m = a.scale(divisor) + SparseMatrix(DIM, {(r, c): 1})
+    with pytest.raises(NonIntegralQuotient):
+        exact_div(m.get(r, c), divisor)
+    with pytest.raises(NonIntegralQuotient):
+        m.exact_quotient(divisor)
+
+
+def test_exact_quotient_rejects_bad_divisors():
+    m = SparseMatrix(DIM, {(0, 1): Q})
+    assert m.exact_quotient(1) == m
+    with pytest.raises(ValueError):
+        m.exact_quotient(2 * Q)
+    with pytest.raises(ZeroDivisionError):
+        m.exact_quotient(0)
+    with pytest.raises(TypeError):
+        SparseMatrix.from_arrays(
+            1, np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1)
+        ).exact_quotient(1)
+
+
+big_polys = st.dictionaries(
+    st.integers(-3, 3), st.integers(-(2**62), 2**62).filter(bool), min_size=1, max_size=3
+).map(LaurentPoly)
+big_matrices = st.dictionaries(
+    st.tuples(st.integers(0, DIM - 1), st.integers(0, DIM - 1)), big_polys, max_size=6
+).map(lambda entries: SparseMatrix(DIM, entries))
+
+
+@KERNEL_EXAMPLES
+@given(big_matrices, big_matrices, big_polys)
+def test_past_int64_an_error_never_a_wrapped_value(a, b, p):
+    # with coefficients up to 2^62 every result is the exact one or raises
+    # OverflowError; the references compute in Python integers
+    for form, reference in (
+        (lambda: a @ b, lambda: ref_product(a, b)),
+        (lambda: a + b, lambda: ref_sum(a, b, 1)),
+        (lambda: commutator(a, b), lambda: ref_commutator(a, b)),
+        (
+            lambda: SparseMatrix.from_arrays(
+                DIM, *(np.concatenate([x, y]) for x, y in zip(
+                    (a.row, a.col, a.h, a.coeff), (b.row, b.col, b.h, b.coeff)
+                ))
+            ),
+            lambda: ref_sum(a, b, 1),
+        ),
+    ):
+        try:
+            out = form()
+        except OverflowError:
+            continue
+        assert entries(out) == reference()
+    # a monic divisor and a quotient with large coefficients: an entry
+    # that fits int64 divides back to the quotient or raises
+    divisor = Q + LaurentPoly.const(2)
+    try:
+        m = SparseMatrix(DIM, {(0, 0): p * divisor})
+    except OverflowError:
+        return
+    try:
+        quotient = m.exact_quotient(divisor)
+    except OverflowError:
+        return
+    assert quotient.get(0, 0) == p
+
+
+def test_exact_quotient_wrap_raises():
+    # c q + (2 c mod 2^64) + c/q, c = 2^62 + 1, is (q + 1)(c + c/q) modulo
+    # 2^64 only: the table leaves no remainder, and the quotient bound
+    # raises where a wrapped quotient would otherwise come out
+    c = 2**62 + 1
+    wrapped = LaurentPoly({2: c, 0: 2 * c - 2**64, -2: c})
+    divisor = Q + 1
+    with pytest.raises(NonIntegralQuotient):
+        exact_div(wrapped, divisor)
+    with pytest.raises(OverflowError):
+        SparseMatrix(1, {(0, 0): wrapped}).exact_quotient(divisor)
+    # at the edge: max|quotient| sum|divisor| = 2^63 - 2 is exact
+    edge = LaurentPoly.const(2**62 - 1) * (Q - QINV)
+    quotient = SparseMatrix(1, {(0, 0): edge}).exact_quotient(Q - QINV)
+    assert quotient.get(0, 0) == LaurentPoly.const(2**62 - 1)
+    with pytest.raises(OverflowError):
+        SparseMatrix(1, {(0, 0): LaurentPoly.const(2**62) * (Q - QINV)}).exact_quotient(Q - QINV)
+
+
+def test_from_arrays_past_int64_raises():
+    # two terms of one key summing past 2^63 - 1 raise, never wrap; so
+    # does the int64 minimum, whose negation (and np.abs) wraps
+    one = np.zeros(2, np.int64)
+    with pytest.raises(OverflowError):
+        SparseMatrix.from_arrays(1, one, one, one, np.full(2, 2**62, np.int64))
+    with pytest.raises(OverflowError):
+        SparseMatrix.from_arrays(1, one[:1], one[:1], one[:1], np.array([-(2**63)]))
+
+
+def _fresh(m: SparseMatrix) -> SparseMatrix:
+    """A copy of m with its own term arrays and no cached row pointer."""
+    return SparseMatrix.from_arrays(m.dim, m.row.copy(), m.col.copy(), m.h.copy(), m.coeff.copy())
+
+
+@KERNEL_EXAMPLES
+@given(matrices, st.lists(matrices, min_size=1, max_size=5), st.sampled_from([2, 1 << 20]))
+def test_reused_operand_matches_fresh_copies(a, others, chunk):
+    # the row pointer and maxima a matrix caches on its first product
+    # serve every later one, in one row block or in many
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse, "CHUNK_PAIRS", chunk)
+        for b in others:
+            assert a @ b == _fresh(a) @ _fresh(b)
+            assert b @ a == _fresh(b) @ _fresh(a)
+            assert commutator(a, b) == commutator(_fresh(a), _fresh(b))
+            assert a - b == _fresh(a) - _fresh(b)
+            assert a @ a @ b == _fresh(a) @ _fresh(a) @ _fresh(b)
