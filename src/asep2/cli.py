@@ -32,9 +32,10 @@ whose exact law and duality predictions need more than
 SIMULATE_MAX_SERIES term products on the cheaper of the dense kernel and
 the vector series in each sector (`dynamics.plan`; at L <= 5 every
 default sector fits the dense kernel, whose work grows like log t, so
-long horizons pass this cap there), and a sector or a
+long horizons pass this cap there), a sector or a
 simulation at L > lattice.CODE_MAX_L = 19, where a basis index would
-overflow int64), each printed as one `usage error: ...` line, 3 internal
+overflow int64, and a `measure partition` table at L > CODE_MAX_L),
+each printed as one `usage error: ...` line, 3 internal
 error: any other exception, such as a write that fails after its file
 was opened, prints one `error: ...` line and no traceback.
 
@@ -332,6 +333,10 @@ def cmd_measure(args) -> int:
             profile = measures.shock_profile(species, chem, p)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    elif what == "partition" and p.L > lattice.CODE_MAX_L:
+        raise UsageError(
+            f"partition functions are desk-scale: need L <= {lattice.CODE_MAX_L}, got {p.L}"
+        )
     if what in ("grandcanonical", "pure") and p.L > FLOAT_FULL_MAX_L:
         raise UsageError(
             f"measures over all configurations are desk-scale: need L <= {FLOAT_FULL_MAX_L}"

@@ -38,7 +38,9 @@ from .lattice import (
     sectors,
     sites,
 )
-from .qring import LaurentPoly, from_terms, fugacity_exponent, q_multinomial, rogers_szego_y
+from .qring import (
+    LaurentPoly, from_terms, fugacity_exponent, q_factorial, q_multinomial, rogers_szego_y
+)
 from .reporting import Report, matrix_is_zero
 from .sparse import SparseMatrix, product_difference
 
@@ -294,7 +296,11 @@ def check_reversibility(H: SparseMatrix, L: int) -> Report:
 
 
 def check_partition_functions(L: int) -> Report:
-    """Sector weight sums against the Gaussian trinomials, exactly."""
+    """Each sector's q-Pascal trinomial, exactly.  `partition-function`
+    compares it with the sector's weight sum, so it catches a wrong weight
+    or sector table; `partition-factorization` cross-multiplies the
+    q-factorial formula, q_multinomial(2L, N, M) [N]! [M]! [2L-N-M]! ==
+    [2L]!, so it catches a wrong trinomial or q-factorial."""
     report = Report()
     every = sectors(L)
     report.check(
@@ -307,7 +313,10 @@ def check_partition_functions(L: int) -> Report:
             (s.N, s.M)
             for s in every
             if q_multinomial(2 * L, s.N, s.M)
-            != q_multinomial(2 * L, s.N, 0) * q_multinomial(2 * L - s.N, 0, s.M)
+            * q_factorial(s.N)
+            * q_factorial(s.M)
+            * q_factorial(2 * L - s.N - s.M)
+            != q_factorial(2 * L)
         ],
     )
     return report

@@ -3,8 +3,10 @@
 Every symbolic identity in this package (commutators, detailed balance,
 duality intertwining, partition-function identities) is decided in this
 ring: coefficients are arbitrary-precision integers and equality means
-identically equal polynomials, never a numerical tolerance.  Every
-divisor the package uses is monic, so every quotient it takes stays integral.
+identically equal polynomials, never a numerical tolerance.  The ring
+takes no quotient: the Gaussian trinomials are built by the q-Pascal
+rule from shifts and additions, and the package's one exact division is
+`sparse.SparseMatrix.exact_quotient`.
 
 The exponent grid is half-integer because the diagonal Cartan-type
 operators q**(-n/2) need half steps; all other objects live on the even
@@ -17,10 +19,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-
-class NonIntegralQuotient(ArithmeticError):
-    """A polynomial quotient that must be exact left a remainder."""
 
 
 def _coerce(value):
@@ -80,12 +78,6 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self._c)
-
-    def _deg(self) -> int:
-        return max(self._c)
-
-    def _val(self) -> int:
-        return min(self._c)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -183,42 +175,6 @@ Q = LaurentPoly.q_power(1)
 QINV = LaurentPoly.q_power(-1)
 
 
-def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient a/b in the ring.
-
-    Long division by the leading term; any remainder raises
-    NonIntegralQuotient, which always signals a bug in the caller: every
-    quotient this package takes (q-multinomials, divided powers, the
-    sum-rule constants) is exact whenever the surrounding identities hold.
-    """
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not a:
-        return ZERO
-    low = a._val() - b._val()
-    deg_b = b._deg()
-    lead_b = b._c[deg_b]
-    rem = dict(a._c)
-    quot = {}
-    while rem:
-        deg_r = max(rem)
-        h = deg_r - deg_b
-        if h < low:
-            raise NonIntegralQuotient(f"({a}) is not divisible by ({b})")
-        coeff, left = divmod(rem[deg_r], lead_b)
-        if left:
-            raise NonIntegralQuotient(f"({a}) is not divisible by ({b})")
-        quot[h] = coeff
-        for hb, vb in b._c.items():
-            k = h + hb
-            s = rem.get(k, 0) - coeff * vb
-            if s:
-                rem[k] = s
-            elif k in rem:
-                del rem[k]
-    return LaurentPoly(quot)
-
-
 @lru_cache(maxsize=None)
 def q_number(n: int) -> LaurentPoly:
     """The symmetric q-integer (q**n - q**-n)/(q - q**-1).
@@ -241,13 +197,27 @@ def q_factorial(n: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
+def q_binomial(n: int, k: int) -> LaurentPoly:
+    """Gaussian binomial [n]!/([k]![n-k]!), 0 off 0 <= k <= n, by the
+    q-Pascal rule [n; k] = q**-k [n-1; k] + q**(n-k) [n-1; k-1]: shifts
+    and additions only (cached: a LaurentPoly is immutable)."""
+    if k < 0 or k > n:
+        return ZERO
+    if k == 0 or k == n:
+        return ONE
+    kept, taken = q_binomial(n - 1, k).terms, q_binomial(n - 1, k - 1).terms
+    return from_terms({h - 2 * k: v for h, v in kept.items()}) + from_terms(
+        {h + 2 * (n - k): v for h, v in taken.items()}
+    )
+
+
+@lru_cache(maxsize=None)
 def q_multinomial(K: int, N: int, M: int) -> LaurentPoly:
-    """Gaussian trinomial [K]!/([N]![M]![K-N-M]!), exact in the ring
-    (cached: a LaurentPoly is immutable, so callers share the result)."""
+    """Gaussian trinomial [K]!/([N]![M]![K-N-M]!) = [K; N] [K-N; M]
+    (cached, like q_binomial)."""
     if N < 0 or M < 0 or N + M > K:
         raise ValueError(f"need N,M >= 0 and N+M <= K, got N={N}, M={M}, K={K}")
-    den = q_factorial(N) * q_factorial(M) * q_factorial(K - N - M)
-    return exact_div(q_factorial(K), den)
+    return q_binomial(K, N) * q_binomial(K - N, M)
 
 
 def fugacity_exponent(chem: float, count: int) -> float:

@@ -24,7 +24,9 @@ are read-only, so they cannot go stale.
 
 `exact_quotient` divides every entry by a monic polynomial: long
 division on a dense int64 table, one row per exponent and one column per
-entry, so that one step divides every entry.
+entry, so that one step divides every entry.  It is the package's one
+exact division; the package divides by [n]! and q - 1/q, and a remainder
+(NonIntegralQuotient) always signals a bug in the caller.
 
 A family of same-shaped identities takes one kernel pass: `direct_sum`
 stacks its operands block-diagonally, the identity is formed once on the
@@ -77,12 +79,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qring import ONE, NonIntegralQuotient, _coerce, from_terms
+from .qring import ONE, _coerce, from_terms
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 # `_combine` forms and reduces the terms of about this many output rows'
 # terms and pairs at a time
 CHUNK_PAIRS = 1 << 20
+
+
+class NonIntegralQuotient(ArithmeticError):
+    """A polynomial quotient that must be exact left a remainder."""
 
 
 class SparseMatrix:
@@ -261,8 +267,8 @@ class SparseMatrix:
 
         Long division on a dense int64 table, one row per exponent and one
         column per entry, from the highest exponent down.  A remainder
-        raises NonIntegralQuotient, as `qring.exact_div` does; the module
-        docstring gives the exactness rule."""
+        raises NonIntegralQuotient; the module docstring gives the
+        exactness rule."""
         _require_exact(self.dim, self)
         b = _coerce(divisor)
         if b is None:

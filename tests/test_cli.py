@@ -435,6 +435,8 @@ class TestUsageErrors:
             ["verify", "measures", "--L", "2", "--q", "1e-150"],
             ["verify", "measures", "--L", "2", "--q", "1e100"],
             ["verify", "measures", "--L", "2", "--r", "1e300"],
+            ["measure", "partition", "--L", "20"],
+            ["measure", "partition", "--L", "300"],
         ],
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
@@ -456,6 +458,7 @@ class TestUsageErrors:
             "pure-exponent-overflow", "pure-b-exponent-overflow",
             "verify-q-power-overflow", "stationarity-small-q-power-overflow",
             "stationarity-q-power-overflow", "stationarity-r-q-power-overflow",
+            "partition-past-code-max-l", "partition-far-past-code-max-l",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):

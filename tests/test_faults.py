@@ -1,6 +1,6 @@
 """Seeded faults in the operators behind the algebra, conjugation,
-duality, sum-rule and uniqueness checks, and the FAIL lines each one
-makes those checks print.
+duality, sum-rule, uniqueness and partition-function checks, and the
+FAIL lines each one makes those checks print.
 
 Each fault monkeypatches one production constant or function.  The
 pinned lines are those the checks print with every relation formed on
@@ -131,10 +131,20 @@ def _divided_power_off_by_one(monkeypatch):
     monkeypatch.setattr(duality, "q_factorial", lambda n: q_factorial(max(n - 1, 0)))
 
 
+def _q_factorial_two_off(monkeypatch):
+    # [2]! times q where the partition check reads it: the trinomials
+    # come from the q-Pascal rule and the weight sums from the sector
+    # tables, so only the cross-multiplied factorial formula moves
+    monkeypatch.setattr(
+        measures, "q_factorial", lambda n: q_factorial(n) * Q if n == 2 else q_factorial(n)
+    )
+
+
 ALGEBRA = (check_algebra_relations, (1, 2))
 CONJUGATION = (check_conjugation_lemma, (1, 2))
 DUALITY = (check_duality, (1, 2))
 SUM_RULES = (check_sum_rules, (1, 2))
+PARTITION = (measures.check_partition_functions, (1, 2))
 UNIQUENESS = (lambda L: check_uniqueness(ModelParams(L, Fraction(2), Fraction(1, 2))), (1, 2))
 # every suite of `verify all --L 2`, sizes 1 and 2
 VERIFY_ALL = (
@@ -294,6 +304,14 @@ FAULTS = {
             "L2:closed-form-vs-symmetry FAIL 4 0 -1*q^-1 + 1*q^0 + -1*q^1",
             "L2:S-vacuum-row FAIL 0",
             "L2:rows-S-vs-Qhat FAIL 4 0 1*q^3 + -1*q^4 + 1*q^5",
+        ],
+    ),
+    "q-factorial [2]! times q": (
+        _q_factorial_two_off,
+        [PARTITION],
+        [
+            "L1:partition-factorization FAIL (0, 1)",
+            "L2:partition-factorization FAIL (0, 2)",
         ],
     ),
     "Q exponent off at the first site": (

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from asep2.qring import (
     LaurentPoly,
-    NonIntegralQuotient,
-    exact_div,
+    q_binomial,
     q_factorial,
     q_multinomial,
     q_number,
@@ -89,35 +88,47 @@ class TestQMultinomial:
             q_multinomial(2, 2, 1)
 
 
-class TestExactDiv:
-    def test_difference_of_squares(self):
-        num = LaurentPoly.q_power(2) - LaurentPoly.q_power(-2)
-        den = Q - QINV
-        assert exact_div(num, den) == Q + QINV
+def trinomials(K_max=12):
+    """Every (K, N, M) with N + M <= K <= K_max."""
+    return [
+        (K, N, M) for K in range(K_max + 1) for N in range(K + 1) for M in range(K - N + 1)
+    ]
 
-    def test_identity_divisor(self):
-        p = q_factorial(4)
-        assert exact_div(p, ONE) == p
 
-    def test_factorial_ratio(self):
-        assert exact_div(q_factorial(4), q_factorial(2)) == q_number(3) * q_number(4)
+class TestTrinomialOracles:
+    # the q-Pascal trinomials against oracles that take no q-Pascal step
 
-    def test_remainder_raises(self):
-        with pytest.raises(NonIntegralQuotient):
-            exact_div(Q + 1, Q + QINV)
+    def test_coefficient_sum_is_multinomial(self):
+        # at q = 1 the trinomial counts the sector's configurations
+        cases = trinomials() + [(38, 2, 1), (38, 12, 13), (38, 19, 19)]
+        for K, N, M in cases:
+            total = sum(q_multinomial(K, N, M).terms.values())
+            assert total == math.comb(K, N) * math.comb(K - N, M), (K, N, M)
 
-    def test_zero_divisor(self):
-        with pytest.raises(ZeroDivisionError):
-            exact_div(ONE, LaurentPoly.zero())
+    def test_factorial_formula(self):
+        # [K; N, M] [N]! [M]! [K-N-M]! = [K]!, by cross-multiplication
+        for K, N, M in trinomials():
+            product = q_factorial(N) * q_factorial(M) * q_factorial(K - N - M)
+            assert q_multinomial(K, N, M) * product == q_factorial(K), (K, N, M)
 
-    def test_coefficient_remainder_raises(self):
-        with pytest.raises(NonIntegralQuotient):
-            exact_div(2 * Q, LaurentPoly.const(3))
+    def test_species_swap(self):
+        for K, N, M in trinomials():
+            assert q_multinomial(K, N, M) == q_multinomial(K, M, N), (K, N, M)
 
-    def test_units_are_signed_monomials(self):
-        assert (-Q) * exact_div(ONE, -Q) == ONE
-        with pytest.raises(NonIntegralQuotient):
-            exact_div(ONE, 3 * Q)
+    def test_palindromic(self):
+        # unchanged by q -> 1/q, i.e. by h -> -h
+        for K, N, M in trinomials():
+            terms = q_multinomial(K, N, M).terms
+            assert {-h: v for h, v in terms.items()} == terms, (K, N, M)
+
+    def test_binomial_symmetry(self):
+        for n in range(13):
+            for k in range(n + 1):
+                assert q_binomial(n, k) == q_binomial(n, n - k), (n, k)
+
+    def test_binomial_zero_off_range(self):
+        for n, k in [(3, -1), (3, 4), (0, 1), (-1, 0)]:
+            assert q_binomial(n, k) == LaurentPoly.zero()
 
 
 class TestEval:
@@ -165,13 +176,6 @@ class TestRingAxioms:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-
-    @settings(deadline=None)
-    @given(poly_strategy(), poly_strategy())
-    def test_exact_div_roundtrip(self, a, b):
-        if not b:
-            return
-        assert exact_div(a * b, b) == a
 
     @given(poly_strategy())
     def test_additive_inverse(self, a):

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from asep2 import sparse
 from asep2.generator import h_exact
-from asep2.qring import QINV, Q, LaurentPoly, NonIntegralQuotient, exact_div, q_factorial
+from asep2.qring import QINV, Q, LaurentPoly, q_factorial
 from asep2.qsym import check_symmetry, symmetry_operators
 from asep2.sparse import (
+    NonIntegralQuotient,
     SparseMatrix,
     blocks,
     commutator,
@@ -361,25 +362,26 @@ def test_from_arrays_sums_like_a_dict(case):
 
 @KERNEL_EXAMPLES
 @given(matrices, st.integers(0, 5))
-def test_exact_quotient_matches_exact_div(a, n):
+def test_exact_quotient_times_divisor_is_entry(a, n):
+    # each quotient entry, multiplied back by the divisor in LaurentPoly
+    # arithmetic, is the dividend's entry
     for divisor in (q_factorial(n), Q - QINV):
         product = a.scale(divisor)
         quotient = product.exact_quotient(divisor)
         assert quotient == a
-        assert entries(quotient) == {
-            rc: exact_div(v, divisor) for rc, v in entries(product).items()
-        }
+        assert {rc: v * divisor for rc, v in entries(quotient).items()} == entries(product)
         assert_clean(quotient)
 
 
 @KERNEL_EXAMPLES
 @given(matrices, st.integers(0, DIM - 1), st.integers(0, DIM - 1))
 def test_exact_quotient_remainder_raises(a, r, c):
-    # entry (r, c) is a multiple of q - 1/q plus 1, which it does not divide
+    # entry (r, c) is a multiple of q - 1/q plus 1: every multiple of
+    # q - 1/q vanishes at q = 1 and the entry is 1 there, so q - 1/q does
+    # not divide it
     divisor = Q - QINV
     m = a.scale(divisor) + SparseMatrix(DIM, {(r, c): 1})
-    with pytest.raises(NonIntegralQuotient):
-        exact_div(m.get(r, c), divisor)
+    assert sum(m.get(r, c).terms.values()) == 1
     with pytest.raises(NonIntegralQuotient):
         m.exact_quotient(divisor)
 
@@ -444,13 +446,14 @@ def test_past_int64_an_error_never_a_wrapped_value(a, b, p):
 
 def test_exact_quotient_wrap_raises():
     # c q + (2 c mod 2^64) + c/q, c = 2^62 + 1, is (q + 1)(c + c/q) modulo
-    # 2^64 only: the table leaves no remainder, and the quotient bound
-    # raises where a wrapped quotient would otherwise come out
+    # 2^64 only: over the integers q + 1 divides it iff it vanishes at
+    # q = -1, and it is -2^64 there.  The table leaves no remainder, and
+    # the quotient bound raises where a wrapped quotient would otherwise
+    # come out
     c = 2**62 + 1
     wrapped = LaurentPoly({2: c, 0: 2 * c - 2**64, -2: c})
     divisor = Q + 1
-    with pytest.raises(NonIntegralQuotient):
-        exact_div(wrapped, divisor)
+    assert sum(v * (-1) ** (h // 2) for h, v in wrapped.terms.items()) == -(2**64)
     with pytest.raises(OverflowError):
         SparseMatrix(1, {(0, 0): wrapped}).exact_quotient(divisor)
     # at the edge: max|quotient| sum|divisor| = 2^63 - 2 is exact
