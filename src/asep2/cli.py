@@ -26,8 +26,8 @@ simulation whose bound trajectories * (number of times + (2L - 1) *
 max(r, l) * sum of the times) on start draws and jump proposals, with
 the steps of each block's longest path, (2L - 1) * max(r, l) * sum of
 the times, at STEP_PROPOSALS each, exceeds SIMULATE_MAX_PROPOSALS (so
-`--L 2 --trajectories 10 --t 100000` and `--L 5 --trajectories 1 --t
-10000`, which take 1.5 s and more of sampler steps, exit 2), or
+`--L 2 --trajectories 1 --t 18500` and `--L 5 --trajectories 1 --t
+6200`, about a second of sampler steps each, exit 2), or
 whose exact law and duality predictions need more than
 SIMULATE_MAX_SERIES term products on the cheaper of the dense kernel and
 the vector series in each sector (`dynamics.plan`; at L <= 5 every
@@ -87,14 +87,14 @@ SLOW_CHECK_MAX_L = 2
 # simulate run: each trajectory draws its start once per time, so t = 0
 # runs are bounded too
 SIMULATE_MAX_PROPOSALS = 1e8
-# the fixed cost of one step of the sampler, counted in proposals: about
-# 8.2-9.0 us a step of a one-row block against 10.5-11 ns a proposal at
-# full width (BLOCK rows, L = 2, 4 and 10; one thread), a ratio near 800
-# that the kept 560 undercharges, so the runs the cap admits stay as they
-# were.  Each block steps once per proposal of its longest path, about
+# the fixed cost of one step of the sampler, counted in proposals: a step
+# of a one-row block against a proposal at full width (BLOCK rows, its
+# steps charged), at L = 2, 4 and 10 on one thread, three runs each:
+# 9.3-16.8 us against 10.2-19 ns, a ratio of 790-1070, median 910.  Each
+# block steps once per proposal of its longest path, about
 # (2L - 1) * max(r, l) * t steps at each time, so those steps are charged
 # at this price under SIMULATE_MAX_PROPOSALS too
-STEP_PROPOSALS = 560
+STEP_PROPOSALS = 900
 # the work of the exact law and the duality predictions in term products
 # (`dynamics.plan`, on the path each sector takes), summed over the
 # start's sector and the dual sectors at every time: `simulate --L 19
@@ -104,7 +104,7 @@ SIMULATE_MAX_SERIES = 1e9
 # a simulate record's exact mean and duality prediction must agree within
 # EXACT_ATOL absolute or EXACT_RTOL relative: the float self-duality
 # check.  At the longest horizon the caps accept for one trajectory, on
-# L <= 5 at r/l from 1e-6 to 100, they agree within 1.7e-11 relative
+# L <= 5 at r/l from 1e-6 to 100, they agree within 5.9e-12 relative
 EXACT_RTOL, EXACT_ATOL = 1e-10, 1e-15
 
 

@@ -18,11 +18,12 @@ to one vector per sector and time, by whichever of
 `evolve(op, t).matrix @ v` and `evolve_vector` costs less (`plan`, which
 prices both in term products): the vector series' work grows like lam t,
 the dense kernel's like dim^3 log(lam t), and the dense side stops at
-DENSE_MAX_DIM rows.  `evolve` keeps each operator's last symmetrized
-square, so a later horizon on the same operator whose plan shares the
-series squares that square further instead of summing the series again.
-Every squaring plan cuts its series at one tail tolerance, so below
-MAX_SQUARINGS the plans at t and 2^k t share one series.
+DENSE_MAX_DIM rows.  `evolve` keeps the symmetrized square of the last
+operator it evolved, so a later horizon on that operator whose plan
+shares the series squares that square further instead of summing the
+series again.  Every squaring plan cuts its series at one tail
+tolerance, so below MAX_SQUARINGS the plans at t and 2^k t share one
+series.
 
 There is one sampler: `_final_blocks`, the uniformized chain run on
 blocks of BLOCK occupation rows, each proposed bond exchanged at the rate
@@ -249,42 +250,35 @@ def _orbits(op: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fold.orbits(op.dim, j)
 
 
-class _StoredSquares:
-    """The squares `evolve` keeps: per operator, the folded symmetrized
-    result of its last call before D E D^-1, as entries[id(op)] =
-    (op, (mu, weights), fold, sqrt(pi), squarings, orbits).  An entry
-    holds its operator, so the id names no other while it is stored, and
-    its orbits, so the operator's mirror is checked once while it is
-    stored.  The folds have at most DENSE_MAX_DIM^2 entries in all, the
-    earliest stored released first."""
+class _Slot:
+    """What `evolve` keeps of the last operator it evolved, one of at most
+    DENSE_MAX_DIM rows: the operator, its `_orbits`, its
+    `_detailed_balance` terms with sqrt(pi), and its folded result before
+    D E D^-1 as square = ((mu, weights), fold, squarings), or None."""
 
-    entries: dict = {}
+    op = orbits = balance = square = None
 
     @classmethod
     def cache_clear(cls):
-        cls.entries.clear()
+        cls.op = cls.orbits = cls.balance = cls.square = None
 
     @classmethod
     def take(cls, op, key, s: int):
-        """Release op's entry and return (stored, orbits).  stored is
-        (fold, sqrt(pi), squarings) when op's fold was stored at the same
-        (mu, weights) and at most s squarings.  Else it is None, and the
-        earliest other folds are released until op's, (f + m)(f + 2m) =
-        (n - m) n entries for m pairs, would fit.  The orbits are the
-        entry's, or `_orbits(op)` when op has none."""
-        entry = cls.entries.pop(id(op), None)
-        orbits = _orbits(op) if entry is None else entry[5]
-        if entry is not None and entry[1] == key and entry[4] <= s:
-            return entry[2:5], orbits
-        held = sum(e[2].size for e in cls.entries.values())
-        while cls.entries and held > DENSE_MAX_DIM**2 - (op.dim - len(orbits[1])) * op.dim:
-            held -= cls.entries.pop(next(iter(cls.entries)))[2].size
-        return None, orbits
-
-    @classmethod
-    def keep(cls, op, key, folded, root, s: int, orbits):
-        if op.dim <= DENSE_MAX_DIM:
-            cls.entries[id(op)] = (op, key, folded, root, s, orbits)
+        """(orbits, balance, stored) for a call on op.  Another operator
+        empties the slot, and op takes it on at most DENSE_MAX_DIM rows;
+        the slot's operator keeps its orbits and balance.  stored is
+        (fold, squarings) when op's square was kept at the same (mu,
+        weights) and at most s squarings, else None; the square leaves
+        the slot either way, so no series runs beside a fold."""
+        if op is not cls.op:
+            cls.cache_clear()
+            orbits, balance = _orbits(op), _detailed_balance(op)
+            if op.dim <= DENSE_MAX_DIM:
+                cls.op, cls.orbits, cls.balance = op, orbits, balance
+            return orbits, balance, None
+        square, cls.square = cls.square, None
+        hit = square is not None and square[0] == key and square[2] <= s
+        return cls.orbits, cls.balance, square[1:] if hit else None
 
 
 def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
@@ -334,24 +328,25 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
     kernel is a new n x n array; with no pairs, five n x n arrays, one of
     which takes the kernel.
 
-    On at most DENSE_MAX_DIM rows, the folded result E is kept per
-    operator object (`_StoredSquares`; a SparseMatrix is read-only) with
-    mu = lam t/2^s, the weights and s.  A later call on the same operator
-    resumes when its plan has the same mu and weights and at least s
-    squarings: it squares E the remaining times and forms neither S nor
-    the series, so its kernel is bit for bit that of a cold call.  Below
-    the cap the plan at 2 lam t is the plan at lam t with one more
-    squaring, so the plans at t and 2^k t share a series: L4 (3,3) at
-    t = 0.25, 1 and 4 (mu = 11/64, 11 weights, 4, 6 and 8 squarings) sums
-    one.  `simulate`'s dense sectors mostly take capped plans (s =
-    MAX_SQUARINGS), where mu differs; its sectors of dim 6 and 30 at
-    L = 3 share at t = 30, 60 and 120.  A call that does not resume first
-    releases its operator's fold and the earliest others until its own
-    would fit the DENSE_MAX_DIM^2 entries, so it never holds more than a
-    cold call on DENSE_MAX_DIM rows; a resumed call holds two folds (E
-    and one buffer), and with pairs the kernel.  At lam t = 0 (t = 0, or
-    a sector with no moves) the kernel is the identity and the store is
-    left as it is.
+    On at most DENSE_MAX_DIM rows, one slot (`_Slot`; a SparseMatrix is
+    read-only) keeps the last operator object evolved, with its orbits,
+    its detailed-balance terms and sqrt(pi), and its folded result E with
+    mu = lam t/2^s, the weights and s.  A later call on that operator
+    reads the orbits and terms from the slot, and resumes when its plan
+    has the same mu and weights and at least s squarings: it squares E
+    the remaining times and forms neither S nor the series, so its
+    kernel is bit for bit that of a cold call.  Below the cap the plan at
+    2 lam t is the plan at lam t with one more squaring, so the plans at
+    t and 2^k t share a series: L4 (3,3) at t = 0.25, 1 and 4 (mu =
+    11/64, 11 weights, 4, 6 and 8 squarings) sums one.  A call on another
+    operator empties the slot before its series, so it holds what a cold
+    call holds, and a call on the same operator that does not resume
+    releases E before its series; a resumed call holds two folds (E and
+    one buffer), and with pairs the kernel.  `simulate` evolves its
+    sectors in turn at each time, so each of its dense kernels sums its
+    series (`--L 3 --t 30,60,120`: 12 series for 12 kernels).  At
+    lam t = 0 (t = 0, or a sector with no moves) the kernel is the
+    identity and the slot is left as it is.
     """
     exits, lam, lam_t = _rate_time(op, t)
     if lam_t == 0.0:
@@ -359,17 +354,17 @@ def evolve(op: SparseMatrix, t: float) -> TransitionKernel:
         return TransitionKernel(np.eye(op.dim))
     s, weights = _squaring_plan(lam_t)
     key = (math.ldexp(lam_t, -s), tuple(weights))
-    stored, orbits = _StoredSquares.take(op, key, s)
+    orbits, (row, col, geo_mean, root), stored = _Slot.take(op, key, s)
     if stored is not None:
-        out, root, done = stored
+        out, done = stored
         buf = np.empty_like(out)
     else:
-        row, col, geo_mean, root = _detailed_balance(op)
         sym = fold.fill(op.dim, orbits, row, col, geo_mean / lam, 1.0 - exits / lam)
         out, buf, done = _power_series(sym, weights), sym, 0  # S is spent: square into it
     for _ in range(done, s):
         out, buf = fold.square(out, buf), out
-    _StoredSquares.keep(op, key, out, root, s, orbits)
+    if op is _Slot.op:
+        _Slot.square = (key, out, s)
     spare = None if len(orbits[1]) else buf  # a fold with pairs unfolds into a new array
     del buf
     return TransitionKernel(fold.unfold(out, orbits, root, spare))

@@ -64,8 +64,8 @@ symmetrized kernel from them.
 
 Matrices are immutable once built: every constructor marks the four
 term arrays read-only, so a cache keyed on a matrix object (such as
-`dynamics.sector_generator`'s and `evolve`'s stored squares) cannot go
-stale.
+`dynamics.sector_generator`'s and the slot that `evolve` keeps) cannot
+go stale.
 
 `mirror` is a read-only index permutation of the basis that the float
 generator builder attaches (`generator._gather`, through `from_arrays`);

@@ -169,17 +169,19 @@ class TestSimulate:
 
     def test_dense_kernels_lift_the_series_budget(self, monkeypatch, capsys):
         # at L = 5 every default sector has at most dynamics.DENSE_MAX_DIM
-        # rows: t = 9000 needs 1.3e9 term products as vector series, which
-        # exit 2, and 9.5e6 as dense kernels; the sampled side is stubbed
-        # (1.6e5 sampler steps would take over a second), the exact side
-        # is not.  Its 1.6e5 steps are charged 9.1e7 of the proposal cap
+        # rows: at r = l = 1, t = 12000 needs 1.4e9 term products as
+        # vector series, which exit 2, and 9.8e6 as dense kernels; the
+        # sampled side is stubbed (1.1e5 sampler steps would take over a
+        # second), the exact side is not.  Its 1.1e5 steps are charged
+        # 9.7e7 of the proposal cap
         def stub(zs, p0, t, trajectories, seed, p):
             return [dynamics.QEstimate(0.0, 0.0, trajectories)] * len(zs)
 
         monkeypatch.setattr(dynamics, "estimate_Q_many", stub)
-        p = ModelParams(5, Fraction(2), Fraction(1, 2))
-        assert cli._series_work(p, [9000.0]) <= cli.SIMULATE_MAX_SERIES
-        argv = ["simulate", "--L", "5", "--trajectories", "1", "--t", "9000"]
+        p = ModelParams(5, Fraction(1), Fraction(1))
+        assert cli._series_work(p, [12000.0]) <= cli.SIMULATE_MAX_SERIES
+        argv = ["simulate", "--L", "5", "--r", "1", "--ell", "1", "--trajectories", "1"]
+        argv += ["--t", "12000"]
         assert main(argv) in (0, 1)
         records = json.loads(capsys.readouterr().out)["records"]
         assert all(r["exact"] == pytest.approx(r["prediction"], rel=1e-10) for r in records)
@@ -189,12 +191,14 @@ class TestSimulate:
         [
             ["--L", "2", "--trajectories", "10", "--t", "100000"],
             ["--L", "5", "--trajectories", "1", "--t", "10000"],
+            ["--L", "2", "--trajectories", "1", "--t", "18500"],
+            ["--L", "5", "--trajectories", "1", "--t", "6200"],
         ],
     )
     def test_longest_path_cap(self, argv, monkeypatch, capsys):
-        # few proposals in all, but one block's longest path takes 6e5 and
-        # 1.8e5 sampler steps (seconds of Python steps): exit 2, nothing
-        # sampled
+        # few proposals in all, but one block's longest path takes 6e5,
+        # 1.8e5, 1.1e5 and 5.6e4 sampler steps (seconds of Python steps,
+        # the last two just past the cap's edge): exit 2, nothing sampled
         def never(*args, **kwargs):
             raise AssertionError("sampled past the longest-path cap")
 
@@ -202,7 +206,7 @@ class TestSimulate:
         assert main(["simulate", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "sampler steps at 560 proposals each" in captured.err
+        assert "sampler steps at 900 proposals each" in captured.err
 
     def test_proposals_alone_over_the_cap(self, monkeypatch, capsys):
         # 2e8 start draws at t = 0 take no sampler step, and still exit 2
@@ -216,7 +220,7 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == (
             "usage error: simulation is desk-scale: 2e+08 start draws and jump proposals "
-            "and 0 sampler steps at 560 proposals each, need at most 1e+08\n"
+            "and 0 sampler steps at 900 proposals each, need at most 1e+08\n"
         )
 
     def test_long_horizon_prediction(self, capsys):
@@ -470,6 +474,13 @@ class TestUsageErrors:
         assert captured.err.startswith("usage error: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "canonical.csv").exists()
+
+    def test_largest_seed(self, capsys):
+        # two times at seed 2^63 - 2 sample on seeds up to 2^63 - 1, the
+        # largest accepted; one more is `seed-key-overflow` above
+        argv = ["simulate", "--L", "1", "--trajectories", "10", "--t", "0", "--t", "1"]
+        assert main([*argv, "--seed", str(2**63 - 2)]) != 2
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**63 - 2
 
     @pytest.mark.parametrize("flag", ["--nu", "--mu"])
     def test_negative_exponent_notation(self, flag, capsys):

@@ -401,14 +401,14 @@ def sector_op(L, N, M):
 
 
 def cold_kernel(op, t):
-    """evolve(op, t) from an empty store: its series summed again."""
+    """evolve(op, t) from an empty slot: its series summed again."""
     clear_caches()
     return evolve(op, t).matrix
 
 
 @pytest.fixture
 def series_calls(monkeypatch):
-    """One entry per `_power_series` call from here on, the store emptied."""
+    """One entry per `_power_series` call from here on, the slot emptied."""
     calls = []
     power_series = dynamics._power_series
     monkeypatch.setattr(dynamics, "_power_series", lambda *a: calls.append(1) or power_series(*a))
@@ -449,7 +449,7 @@ class TestResume:
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_doubling_ladder(self, L, t):
         # t, 2t, 4t, 8t on one operator, resumed where the plans share a
-        # series, bit for bit the kernels of calls from an empty store
+        # series, bit for bit the kernels of calls from an empty slot
         p = ModelParams(L, Fraction(2), Fraction(1, 2))
         for sector in sectors(L):
             op = build_H_sector(p, sector, Ring.FLOAT)
@@ -477,22 +477,34 @@ class TestResume:
             assert np.array_equal(first, second) and first is not second
 
     def test_zero_time_leaves_the_store(self, series_calls):
-        # lam t = 0 returns the identity before the store is read: a call
-        # at t = 0 releases neither its operator's fold nor, though the
-        # unfolded square of (3,2) would need the whole budget, another's
-        op, mid, unfolded = sector_op(4, 3, 3), sector_op(4, 2, 2), sector_op(4, 3, 2)
-        evolve(mid, 1.0)
+        # lam t = 0 returns the identity before the slot is read: a call
+        # at t = 0, on another operator or on the slot's own, leaves the
+        # slot's operator and its square as they are
+        op, other = sector_op(4, 3, 3), sector_op(4, 3, 2)
         evolve(op, 1.0)
-        stored = list(dynamics._StoredSquares.entries)
-        for zero in (unfolded, op):
+        kept = dynamics._Slot.square
+        for zero in (other, op):
             assert np.array_equal(evolve(zero, 0.0).matrix, np.eye(zero.dim))
-        assert list(dynamics._StoredSquares.entries) == stored
+        assert dynamics._Slot.op is op and dynamics._Slot.square is kept
         evolve(op, 4.0)  # resumed: squared twice more
-        evolve(mid, 1.0)  # an exact repeat
-        assert len(series_calls) == 2
+        assert len(series_calls) == 1
+
+    def test_slot_reads_balance_once(self, series_calls, monkeypatch):
+        # the slot keeps its operator's orbits and detailed balance: an
+        # L3 (2,2) ladder whose plans share no series sums four and reads
+        # the mirror and the rates once
+        calls = []
+        for name in ("_orbits", "_detailed_balance"):
+            real = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name, lambda op, f=real, n=name: calls.append(n) or f(op))
+        op = sector_op(3, 2, 2)
+        for t in (1.0, 30.0, 100.0, 1000.0):
+            evolve(op, t)
+        assert len(series_calls) == 4
+        assert sorted(calls) == ["_detailed_balance", "_orbits"]
 
     def test_mirror_checked_once(self, monkeypatch):
-        # the orbits are stored with the fold: later calls on the same
+        # the orbits are kept in the slot: later calls on the same
         # operator, resumed or not, do not check its mirror again, and an
         # equal operator that is not the same object is checked afresh
         checks = []
@@ -539,7 +551,9 @@ class TestResume:
     def test_alternating_sectors_resume(self, series_calls):
         # simulate's order: law_at's sector, then duality_rhs's three, at
         # each time; at L = 3, t = 30, 60, 120 the sectors of dim 6, 6 and
-        # 30 resume at 60 and 120, bit for bit as from an empty store
+        # 30 are evolved in turn, so each call on one empties the slot of
+        # another and sums its series: 12 for 12 kernels, bit for bit as
+        # from an empty slot
         from asep2.cli import default_dual_coordinates, default_initial_config
 
         p = ModelParams(3, Fraction(2), Fraction(1, 2))
@@ -549,61 +563,59 @@ class TestResume:
         ops = [sector_generator(p, Sector(3, c.N, c.M)) for c in [eta0, *zs]]
         assert all(plan(op, t).dense for op in ops for t in times)
         resumed = [(law_at(p0, t, p), duality_rhs(zs, p0, t, p)) for t in times]
-        assert len(series_calls) == 6
+        assert len(series_calls) == 12
         for t, (law, rhs) in zip(times, resumed):
             clear_caches()
             cold_law = law_at(p0, t, p)
             clear_caches()
             assert rhs == duality_rhs(zs, p0, t, p)
             assert all(np.array_equal(x, y) for x, y in zip(law, cold_law))
-        assert len(series_calls) == 6 + 12
+        assert len(series_calls) == 12 + 12
 
     def test_store_budget(self, series_calls):
-        # the folds never pass DENSE_MAX_DIM^2 entries, counted as
-        # (f + m)(f + 2m) for f fixed states and m mirror pairs: the folded
-        # N = M sectors of dim 560 and 420 and the unfolded ones of dim 90
-        # and 30 fit together, and the unfolded dim 560 of (3,2), the whole
-        # budget, releases them all; a miss releases the earliest until its
-        # own fits
-        big, mid = sector_op(4, 3, 3), sector_op(4, 2, 2)
-        small = [sector_op(3, 2, 2), sector_op(3, 1, 1)]
-        unfolded = sector_op(4, 3, 2)
-        ops = (big, mid, *small, unfolded)
-        sizes = [(op.dim - len(dynamics._orbits(op)[1])) * op.dim for op in ops]
-        assert [op.dim for op in ops] == [560, 420, 90, 30, 560]
-        assert sizes == [165_760, 93_240, 8_100, 900, DENSE_MAX_DIM**2]
-        for op in (*small, big, mid):
+        # one slot: the last operator evolved on at most DENSE_MAX_DIM
+        # rows, with its fold of (f + m)(f + 2m) entries for f fixed
+        # states and m mirror pairs (the unfolded dim 560 of (3,2) keeps a
+        # whole square); a call on another operator empties it, one on
+        # more rows (the full basis at L = 3, dim 729) leaves it empty,
+        # and a return to an earlier operator sums its series again
+        big, mid, unfolded = sector_op(4, 3, 3), sector_op(4, 2, 2), sector_op(4, 3, 2)
+        small = sector_op(3, 2, 2)
+        full = build_H(ModelParams(3, Fraction(2), Fraction(1, 2)), Ring.FLOAT)
+        slot = dynamics._Slot
+        kept = ((big, 165_760), (mid, 93_240), (unfolded, DENSE_MAX_DIM**2), (small, 8_100))
+        for op, size in kept:
             evolve(op, 1.0)
-        stored = dynamics._StoredSquares.entries.values()
-        held = lambda: [e[2].size for e in stored]  # noqa: E731
-        assert held() == [8_100, 900, 165_760, 93_240]
-        evolve(unfolded, 1.0)  # releases every fold
-        assert held() == [DENSE_MAX_DIM**2]
-        for op in small:
-            evolve(op, 1.0)  # the first releases the unfolded square
-        assert held() == [8_100, 900]
+            assert slot.op is op and slot.square[1].size == size
+            assert size == (op.dim - len(dynamics._orbits(op)[1])) * op.dim
+        assert full.dim > DENSE_MAX_DIM
+        evolve(full, 1.0)
+        assert slot.op is None and slot.square is None
         series_calls.clear()
-        for op in (*small, big, mid, *small):
+        for op in (big, big, mid, big):
             evolve(op, 1.0)
-        assert len(series_calls) == 2  # big and mid were released
-        assert sum(held()) <= DENSE_MAX_DIM**2
+        assert len(series_calls) == 3  # the repeat resumes; mid released big
 
     def test_peak_memory(self):
-        # traced peaks above an empty store, against n x n float64 arrays
+        # traced peaks above an empty slot, against n x n float64 arrays
         # (`square`) and the fold of L4 (3,3) (`folded`, f = 32 fixed states
         # and m = 264 pairs: 0.53 of a square).  A cold call holds five
         # folds and the products' half-size temporaries, below the five
-        # squares of an unfolded call.  A miss releases the stored folds
-        # until its own fits before its series, so it peaks where a cold
-        # call does, and a miss on a smaller operator stays below a cold
-        # call on the larger.  A hit holds the stored fold with one buffer
-        # fold, then with the kernel; on the same terms with no mirror, the
-        # stored square with one buffer, which takes the kernel
+        # squares of an unfolded call.  A miss releases the kept fold
+        # before its series, so it peaks where a cold call does: a miss on
+        # L4 (2,2) after L4 (3,3) within half a (2,2) fold (`mid_folded`)
+        # of a cold (2,2) call.  A hit holds the stored fold and the kept
+        # detailed-balance terms (`terms`: row, col and value of each
+        # off-diagonal term) with one buffer fold, then with the kernel; on
+        # the same terms with no mirror, the stored square with one buffer,
+        # which takes the kernel
         op, mid = sector_op(4, 3, 3), sector_op(4, 2, 2)
         plain = without_mirror(op)
         square = 8 * op.dim**2
         folded = 8 * (op.dim - len(dynamics._orbits(op)[1])) * op.dim
         assert 0.52 * square < folded < 0.53 * square
+        mid_folded = 8 * (mid.dim - len(dynamics._orbits(mid)[1])) * mid.dim
+        terms = 24 * np.count_nonzero(op.row != op.col)
 
         def peak(t, stored=None, on=op, first=op):
             clear_caches()
@@ -618,15 +630,15 @@ class TestResume:
         try:
             cold, miss = peak(0.25), peak(0.25, stored=1.0)
             cold4, hit = peak(4.0), peak(4.0, stored=1.0)
-            other = peak(30.0, stored=1.0, on=mid)
+            cold_mid, other = peak(30.0, on=mid), peak(30.0, stored=1.0, on=mid)
             plain_hit = peak(4.0, stored=1.0, on=plain, first=plain)
         finally:
             tracemalloc.stop()
         assert cold < 5 * folded + square < 5 * square
         assert cold4 < 5 * folded + square
         assert miss < cold + folded / 2
-        assert hit < folded + square + folded / 2
-        assert other < cold
+        assert hit < folded + terms + square + folded / 2
+        assert other < cold_mid + mid_folded / 2
         assert plain_hit < 2 * square + square / 2
 
 
@@ -848,7 +860,7 @@ class TestEvolveVector:
         assert main(["simulate", "--L", "3", "--trajectories", "100", "--t", "1e308"]) == 2
         assert capsys.readouterr().err == (
             "usage error: simulation is desk-scale: inf start draws and jump proposals "
-            "and inf sampler steps at 560 proposals each, need at most 1e+08\n"
+            "and inf sampler steps at 900 proposals each, need at most 1e+08\n"
         )
 
     @pytest.mark.parametrize("t", [0.5, 30.0])

@@ -73,13 +73,13 @@ class TestQMultinomial:
                 assert q_multinomial(K, N, 0) == q_multinomial(K, K - N, 0)
 
     def test_pascal_factorization(self):
-        # the sector partition function factorises over the two species
+        # the sector partition function factorises over the two species in
+        # either order: q_multinomial chooses the N sites of A first, and
+        # choosing the M sites of B first gives the same polynomial
         for K in range(9):
             for N in range(K + 1):
                 for M in range(K - N + 1):
-                    assert q_multinomial(K, N, M) == q_multinomial(
-                        K, N, 0
-                    ) * q_multinomial(K - N, M, 0)
+                    assert q_multinomial(K, N, M) == q_binomial(K, M) * q_binomial(K - M, N)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
