@@ -13,7 +13,8 @@ Exit codes: 0 all checks pass, 1 an identity or statistical check failed
 disagrees with its duality prediction beyond EXACT_RTOL relative and
 EXACT_ATOL absolute), 2 usage error
 (including a bad flag value, an unknown config key, an unreadable config
-file or value, an output path that cannot be opened, a negative or
+file or value, an output path that cannot be opened, --lambda-out on a
+suite without the duality row's sum rules, a negative or
 non-finite time, a chemical potential whose fugacity exponent 2L nu or
 2L mu is not a finite float, rates whose float r, l or q0 = sqrt(r/l)
 is not a positive finite float, no trajectories, a
@@ -73,15 +74,7 @@ from .measures import Measure
 from .qring import q_multinomial
 from .reporting import Report
 
-SUITES = ("algebra", "reversibility", "duality", "measures", "lemmas", "all")
 MEASURE_KINDS = ("canonical", "grandcanonical", "pure", "profile", "partition")
-# verify runs each check at L = 1..EXACT_FULL_MAX_L, except that the slow
-# ones (algebra relations, duality chain, sum rules, grandcanonical,
-# uniqueness and moment checks, chain conjugation lemma) and the
-# --lambda-out table stop at SLOW_CHECK_MAX_L: at 3 they would take
-# `verify all --L 3` from 0.2 s to 0.4 s and from 34 to 52 MB peak RSS
-# (in-process, once, on a shared 2-core machine)
-SLOW_CHECK_MAX_L = 2
 # trajectories * (number of times + (2L - 1) * max(r, l) * sum of the
 # times) bounds the expected number of start draws and jump proposals of a
 # simulate run: each trajectory draws its start once per time, so t = 0
@@ -237,64 +230,68 @@ def _writing(path: str | None, default=None):
 # ---------------------------------------------------------------------
 
 
+def _stationarity(p: ModelParams) -> Report:
+    with _q_powers_in_range("the grandcanonical stationarity check", p.q0):
+        return measures.check_grandcanonical_stationarity(p)
+
+
+# verify's checks in report order, as rows (suite, largest L, checks); each
+# check takes the rates at one size and is looked up in its module when it
+# runs.  `verify SUITE --L n` runs the suite's rows in order, each at sizes
+# 1..min(n, largest L), sizes outer, or once at n where largest L is None.
+# The rows that stop at 2 are the slow ones: at 3 they would take `verify
+# all --L 3` from 0.2 s to 0.4 s and from 34 to 52 MB peak RSS (in-process,
+# once, on a shared 2-core machine).  --lambda-out writes the sum-rule table
+# at the duality row's largest size
+VERIFY_CHECKS = (
+    ("algebra", EXACT_FULL_MAX_L, (lambda p: qsym.check_symmetry(h_exact(p.L), p.L),)),
+    ("algebra", 2, (lambda p: qsym.check_algebra_relations(p.L),)),
+    ("reversibility", EXACT_FULL_MAX_L,
+     (lambda p: measures.check_reversibility(h_exact(p.L), p.L),)),
+    ("duality", 2, (lambda p: duality.check_duality(p.L), lambda p: duality.check_sum_rules(p.L))),
+    ("measures", EXACT_FULL_MAX_L, (lambda p: measures.check_partition_functions(p.L),)),
+    ("measures", 2, (_stationarity, lambda p: measures.check_uniqueness(p),
+                     lambda p: measures.check_marginal_independence(p.L))),
+    ("measures", None, (lambda p: measures.check_shock_agreement(p.L),)),
+    ("lemmas", EXACT_FULL_MAX_L, (lambda p: lattice.check_counting_lemmas(p.L),)),
+    ("lemmas", EXACT_FULL_MAX_L, (lambda p: lattice.check_permutation_identities(p.L),)),
+    ("lemmas", None, (lambda p: qsym.check_fundamental_matrices(),)),
+    ("lemmas", 2, (lambda p: qsym.check_conjugation_lemma(p.L),)),
+)
+SUITES = (*dict.fromkeys(suite for suite, _, _ in VERIFY_CHECKS), "all")
+
+
+def _rows(suite: str) -> list[tuple]:
+    """The rows of VERIFY_CHECKS that `verify suite` runs, in order."""
+    return [row for row in VERIFY_CHECKS if suite in (row[0], "all")]
+
+
 def _suite_reports(suite: str, L: int, params: ModelParams) -> Report:
-    """The suite's checks at sizes 1..L, the slow ones at 1..min(L, SLOW_CHECK_MAX_L),
-    each looked up in its module when the suite runs."""
+    """The suite's rows of VERIFY_CHECKS at lattice size L and the rates of params."""
     report = Report()
-    every = range(1, L + 1)
-    slow = range(1, min(L, SLOW_CHECK_MAX_L) + 1)
-
-    def run(sizes, *checks):
-        for size in sizes:
+    for _, largest, checks in _rows(suite):
+        for size in range(1, min(L, largest) + 1) if largest else (L,):
+            rates = ModelParams(size, params.r, params.ell)
             for check in checks:
-                report.extend(check(size))
-
-    def rates(size):
-        return ModelParams(size, params.r, params.ell)
-
-    def stationarity(size):
-        with _q_powers_in_range("the grandcanonical stationarity check", params.q0):
-            return measures.check_grandcanonical_stationarity(rates(size))
-
-    if suite in ("algebra", "all"):
-        run(every, lambda size: qsym.check_symmetry(h_exact(size), size))
-        run(slow, qsym.check_algebra_relations)
-    if suite in ("reversibility", "all"):
-        run(every, lambda size: measures.check_reversibility(h_exact(size), size))
-    if suite in ("duality", "all"):
-        run(slow, duality.check_duality, duality.check_sum_rules)
-    if suite in ("measures", "all"):
-        run(every, measures.check_partition_functions)
-        run(
-            slow,
-            stationarity,
-            lambda size: measures.check_uniqueness(rates(size)),
-            measures.check_marginal_independence,
-        )
-        report.extend(measures.check_shock_agreement(L))
-    if suite in ("lemmas", "all"):
-        run(every, lattice.check_counting_lemmas)
-        run(every, lattice.check_permutation_identities)
-        report.extend(qsym.check_fundamental_matrices())
-        run(slow, qsym.check_conjugation_lemma)
+                report.extend(check(rates))
     return report
 
 
 def cmd_verify(args) -> int:
-    if args.params.L > EXACT_FULL_MAX_L:
-        raise UsageError(
-            f"verification suites are desk-scale: need L <= {EXACT_FULL_MAX_L}"
-        )
-    lambda_out = args.lambda_out if args.suite in ("duality", "all") else None
-    with _writing(args.out) as out, _writing(lambda_out) as lambda_fh:
-        report = _suite_reports(args.suite, args.params.L, args.params)
+    L = args.params.L
+    if L > EXACT_FULL_MAX_L:
+        raise UsageError(f"verification suites are desk-scale: need L <= {EXACT_FULL_MAX_L}")
+    sum_rule_L = [min(L, largest) for name, largest, _ in _rows(args.suite) if name == "duality"]
+    if args.lambda_out is not None and not sum_rule_L:
+        raise UsageError(f"--lambda-out writes the sum rules, which verify {args.suite} omits")
+    with _writing(args.out) as out, _writing(args.lambda_out) as lambda_fh:
+        report = _suite_reports(args.suite, L, args.params)
         text = report.render()
         print(text)
         if out:
             out.write(text + "\n")
         if lambda_fh:
-            rows = duality.sum_rule_table(min(args.params.L, SLOW_CHECK_MAX_L))
-            duality.write_lambda_csv(lambda_fh, rows)
+            duality.write_lambda_csv(lambda_fh, duality.sum_rule_table(sum_rule_L[0]))
     return 0 if report.passed else 1
 
 

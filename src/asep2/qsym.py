@@ -195,6 +195,10 @@ def check_algebra_relations(L: int) -> Report:
     half-power form and the per-eigenvalue q-integer diagonal, and the
     quadratic and cubic Serre relations.
 
+    `cartan-commute-*` (two diagonal matrices) and `serre-quadratic-*` ([Y, Y]
+    of one ladder) are structural: they hold for any diagonal matrices and any
+    single ladder, so no operator fault can fail them.
+
     Each family of same-shaped relations is one kernel pass over direct
     sums (`sparse.direct_sum`): block k of the batched residual is
     relation k's residual in the same normal form, and is checked alone.

@@ -45,6 +45,15 @@ class TestVerify:
     def test_conflicting_parameter_pairs(self):
         assert main(["verify", "algebra", "--L", "1", "--r", "2", "--q", "2"]) == 2
 
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_single_suites_make_up_all(self, L):
+        # `verify all` prints the five single-suite reports in SUITES order
+        params = ModelParams(L, Fraction(2), Fraction(1, 2))
+        suites = [suite for suite in cli.SUITES if suite != "all"]
+        lines = [line for suite in suites for line in cli._suite_reports(suite, L, params).lines()]
+        assert len(suites) == 5
+        assert lines == cli._suite_reports("all", L, params).lines()
+
     def test_lambda_csv(self, tmp_path):
         path = tmp_path / "lambda.csv"
         assert main(["verify", "duality", "--L", "1", "--lambda-out", str(path)]) == 0
@@ -441,6 +450,7 @@ class TestUsageErrors:
             ["verify", "measures", "--L", "2", "--r", "1e300"],
             ["measure", "partition", "--L", "20"],
             ["measure", "partition", "--L", "300"],
+            ["verify", "algebra", "--L", "1", "--lambda-out", "{tmp}/lambda.csv"],
         ],
         ids=[
             "zero-trajectories", "negative-time", "nan-time", "sector-out-of-range",
@@ -463,6 +473,7 @@ class TestUsageErrors:
             "verify-q-power-overflow", "stationarity-small-q-power-overflow",
             "stationarity-q-power-overflow", "stationarity-r-q-power-overflow",
             "partition-past-code-max-l", "partition-far-past-code-max-l",
+            "lambda-out-without-sum-rules",
         ],
     )
     def test_exit_2(self, argv, tmp_path, capsys):
@@ -474,6 +485,7 @@ class TestUsageErrors:
         assert captured.err.startswith("usage error: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "canonical.csv").exists()
+        assert not (tmp_path / "lambda.csv").exists()
 
     def test_largest_seed(self, capsys):
         # two times at seed 2^63 - 2 sample on seeds up to 2^63 - 1, the

@@ -59,7 +59,7 @@ DUMP_SHA256 = [
 LAMBDA_L2_SHA256 = "3e85ec9d0fcc25167cc072de11a81206cc78f95e1944e309fcf957da95afb13e"
 
 # SHA-256 of the same CSV for `sum_rule_table(3)` (the CLI writes it at
-# L <= cli.SLOW_CHECK_MAX_L = 2)
+# the sizes of the duality row of cli.VERIFY_CHECKS, L <= 2)
 LAMBDA_L3_SHA256 = "7053cf2a9da288bf84c6ae0283f13561bd98d67e6b5a85e457d0a7664dcdee18"
 
 # (z, t, n, mean, stderr) of `simulate --L 2 --trajectories 2000 --seed 7
@@ -110,6 +110,13 @@ def test_dump_stdout(capsys, argv, digest):
 def test_lambda_csv_l2(tmp_path):
     path = tmp_path / "lambda.csv"
     assert main(["verify", "duality", "--L", "2", "--lambda-out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LAMBDA_L2_SHA256
+
+
+def test_lambda_csv_l3_cli(tmp_path):
+    # `--L 3` writes the table at the duality row's largest size, 2
+    path = tmp_path / "lambda.csv"
+    assert main(["verify", "duality", "--L", "3", "--lambda-out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LAMBDA_L2_SHA256
 
 
