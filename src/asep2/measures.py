@@ -30,6 +30,7 @@ from .lattice import (
     B,
     Config,
     Sector,
+    _read_only,
     config_rows,
     encode,
     left_counts,
@@ -187,7 +188,8 @@ def _grandcanonical_weights(
     Each weight is e^(nu N + mu M - shift) q0**pi_exponent / y with the two
     powers taken as Python floats, one per sector and one per exponent
     (`q_powers`), so the array holds the same floats as a loop over
-    configurations would.
+    configurations would.  The q0-powers do not depend on (nu, mu): they
+    are `_basis_q_powers(L, q0)`, built once per (L, q0).
     """
     q0 = p.q0
     shift = _top_exponent(p.L, nu, mu)
@@ -200,14 +202,30 @@ def _grandcanonical_weights(
     for s in sectors(p.L):
         e = fugacity_exponent(nu, s.N) + fugacity_exponent(mu, s.M)
         exponent[s.N, s.M], fugacity[s.N, s.M] = e, math.exp(e - shift)
-    powers = q_powers(pi_exponents(occ), q0)
-    return fugacity[n, m] * powers / y, exponent[n, m] > -math.inf
+    return fugacity[n, m] * _basis_q_powers(p.L, q0) / y, exponent[n, m] > -math.inf
+
+
+@lru_cache(maxsize=None)
+def _basis_q_powers(L: int, q0: float) -> np.ndarray:
+    """q0**pi_exponent of every basis row, in basis order (`q_powers`), as a
+    read-only array."""
+    return _read_only(q_powers(pi_exponents(occupations(L)), q0))
+
+
+@lru_cache(maxsize=None)
+def _sector_q_powers(sector: Sector, q0: float) -> tuple[np.ndarray, float]:
+    """q0**pi_exponent of each row of `canonical(sector)`, in its row order,
+    as a read-only array, and the sector's partition function at q0."""
+    part = canonical(sector)
+    return _read_only(q_powers(part.weights, q0)), part.partition.eval(q0)
 
 
 def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
     """The same measure assembled sector by sector (cross-check form); a
     sector at zero fugacity (a chemical potential of -inf and a count of
-    that species) is left out, as `grandcanonical` leaves it out."""
+    that species) is left out, as `grandcanonical` leaves it out.  Each
+    sector's q0-powers and partition value do not depend on (nu, mu): they
+    are `_sector_q_powers(sector, q0)`, built once per (sector, q0)."""
     q0 = p.q0
     shift = _top_exponent(p.L, nu, mu)
     y = rogers_szego_y(2 * p.L, nu, mu, q0, shift)
@@ -216,11 +234,10 @@ def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
         exponent = fugacity_exponent(nu, sector.N) + fugacity_exponent(mu, sector.M)
         if exponent == -math.inf:
             continue
-        part = canonical(sector)
-        z = part.partition.eval(q0)
+        powers, z = _sector_q_powers(sector, q0)
         coeff = math.exp(exponent - shift) * z / y
-        rows.append(part.rows)
-        weights.append(coeff * q_powers(part.weights, q0) / z)
+        rows.append(canonical(sector).rows)
+        weights.append(coeff * powers / z)
     return Measure(np.concatenate(rows), np.concatenate(weights))
 
 

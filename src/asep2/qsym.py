@@ -13,7 +13,10 @@ matrices over the exact ring.
 The conjugation lemma needs no matrix product on the chain: q**(P) for
 a diagonal projector P is the diagonal q**(P(i)), so conjugating an
 embedded ladder by it multiplies entry (r, c) by q**(P(r) - P(c)), an
-exponent shift read off rows r and c of the occupation table.
+exponent shift read off rows r and c of the occupation table.  Each
+embedded ladder gets one table of these shifts, for the single-site
+projectors at every site and their two-site products at every pair, and
+one array comparison checks all of them.
 
 Embedded operators are built as term arrays from the occupation table:
 `site_embed` moves every configuration with a given state at site k at
@@ -33,6 +36,7 @@ from .lattice import (
     B,
     VACANT,
     SiteOutOfRange,
+    _first,
     all_configs,
     left_counts,
     occupations,
@@ -369,11 +373,15 @@ def check_conjugation_lemma(L: int) -> Report:
 
     The conjugations are evaluated as exponent shifts: each stored entry
     (r, c) of an embedded ladder must have P(r) - P(c) equal to the
-    exponent of its factor, with P read from the basis table.  The 3x3
-    projector exponential (`check_fundamental_matrices`) and the
-    chain-level projector-eigenvalue check verify that q**(P) is that
-    diagonal.  Each ladder is embedded once per site, and embed-commute
-    reuses those embeddings.
+    exponent of its factor, with P read from the basis table.  Each
+    embedded ladder (name, x) gets one table: the differences between rows
+    r and c of the A and B indicators at every site and of their pairwise
+    products, compared in one array pass with the expected shift for
+    every l, or every (l, m).  A FAIL names the first counterexample in
+    (l, x) or (l, m, x) order.  The 3x3 projector exponential
+    (`check_fundamental_matrices`) and the chain-level projector-eigenvalue
+    check verify that q**(P) is that diagonal.  Each ladder is embedded
+    once per site, and embed-commute reuses those embeddings.
     """
     report = Report()
     ladders = _ladders()
@@ -381,45 +389,37 @@ def check_conjugation_lemma(L: int) -> Report:
         (name, x): site_embed(u, x, L) for name, u in ladders.items() for x in sites(L)
     }
     occ = occupations(L)
+    lam = list(sites(L))
+    # held[i, sp, k]: basis state i holds an A (sp = 0) or a B (sp = 1) at
+    # position k; pairs[i, l, m]: it holds an A at l and a B at m
+    held = np.stack([occ == A, occ == B], axis=1).astype(np.int8)
+    pairs = held[:, 0, :, None] * held[:, 1, None, :]
+    at = np.eye(len(lam), dtype=np.int8)  # at[x]: the indicator of position x
 
-    def occupation(species, k):
-        """Eigenvalue of the site-k projector onto species, by basis index."""
-        return (occ[:, k + L - 1] == species).astype(np.int64)
-
-    def conjugates(op, power, shift) -> bool:
-        """q**power op q**(-power) == q**shift op, for diagonal exponents
-        given as arrays (shift may be an int) over the basis: the
-        conjugation multiplies entry (r, c) by q**(power(r) - power(c))."""
-        shift = np.broadcast_to(shift, power.shape)
-        return bool(np.all(power[op.row] - power[op.col] == shift[op.row]))
-
-    chain_ladders = (("a+", A, +1), ("a-", A, -1), ("b+", B, +1), ("b-", B, -1))
+    # one table per embedding (name, x): its entries' P(r) - P(c) for every
+    # single and product projector, against q**(s * delta) for its own
+    # species at x and, for proj_A(l) proj_B(m), that times the *other*
+    # projector at r; single[sp, l, x] and product[l, m, x] mark failures
+    chain_ladders = (("a+", 0, +1), ("a-", 0, -1), ("b+", 1, +1), ("b-", 1, -1))
+    singles, products = [], []
     for name, sp, s in chain_ladders:
-        same_bad, cross_bad = [], []
-        for l in sites(L):
-            for x in sites(L):
-                op = embedded[(name, x)]
-                delta = 1 if l == x else 0
-                if not conjugates(op, occupation(sp, l), s * delta):
-                    same_bad.append((l, x))
-                if not conjugates(op, occupation(B if sp == A else A, l), 0):
-                    cross_bad.append((l, x))
+        single = np.zeros((2, len(lam), len(lam)), bool)
+        product = np.zeros((len(lam),) * 3, bool)
+        for x, site in enumerate(lam):
+            op = embedded[(name, site)]
+            want = np.zeros((len(op.row), 2, len(lam)), np.int8)
+            want[:, sp] = s * at[x]
+            single[..., x] = (held[op.row] - held[op.col] != want).any(axis=0)
+            other = s * held[op.row, 1 - sp]
+            want = at[x][:, None] * other[:, None, :] if sp == 0 else other[:, :, None] * at[x]
+            product[..., x] = (pairs[op.row] - pairs[op.col] != want).any(axis=0)
         tag = name[0] + _SIGN_TAG[s]
-        report.check(f"L{L}:conjugation-single-{tag}", same_bad)
-        report.check(f"L{L}:conjugation-single-cross-{tag}", cross_bad)
-
-    # two-site projector product P = proj_A(l) proj_B(m): conjugation of a
-    # ladder at x by q**P picks up q**(+-delta) times the *other* projector
-    for name, sp, s in chain_ladders:
-        bad = []
-        for l in sites(L):
-            for m in sites(L):
-                a_l, b_m = occupation(A, l), occupation(B, m)
-                for x in sites(L):
-                    delta, spectator = (l == x, b_m) if sp == A else (m == x, a_l)
-                    if not conjugates(embedded[(name, x)], a_l * b_m, s * delta * spectator):
-                        bad.append((l, m, x))
-        report.check(f"L{L}:conjugation-product-{name[0]}{_SIGN_TAG[s]}", bad)
+        singles += [(f"single-{tag}", single[sp]), (f"single-cross-{tag}", single[1 - sp])]
+        products.append((f"product-{tag}", product))
+    for relation, bad in singles + products:
+        report.check(
+            f"L{L}:conjugation-{relation}", _first(bad, lambda *i: tuple(lam[k] for k in i))
+        )
 
     # occupation projectors act diagonally with the local occupation numbers:
     # a configuration is bad where the residual against that diagonal has a
@@ -429,9 +429,10 @@ def check_conjugation_lemma(L: int) -> Report:
     embedded_projectors = [
         site_embed(PROJ_A if species == A else PROJ_B, k, L) for k, species in site_species
     ]
-    held = np.flatnonzero(np.concatenate([occupation(species, k) for k, species in site_species]))
+    # held in (site, species, state) order, the order of site_species' blocks
+    on = np.flatnonzero(held.transpose(2, 1, 0))
     eigen = SparseMatrix.from_arrays(
-        dim * len(site_species), held, held, np.zeros_like(held), np.ones_like(held)
+        dim * len(site_species), on, on, np.zeros_like(on), np.ones_like(on)
     )
     residuals = blocks(direct_sum(embedded_projectors) - eigen, dim)
     bad = []
@@ -447,10 +448,9 @@ def check_conjugation_lemma(L: int) -> Report:
     # embedded operators at distinct sites commute: the 36 ladder pairs of
     # each pair of sites are one commutator of direct sums
     bad = []
-    site_list = list(sites(L))
     names = [(u_name, v_name) for u_name in ladders for v_name in ladders]
-    for idx_k, k in enumerate(site_list):
-        for l in site_list[idx_k + 1 :]:
+    for idx_k, k in enumerate(lam):
+        for l in lam[idx_k + 1 :]:
             comms = blocks(
                 commutator(
                     direct_sum(embedded[(u_name, k)] for u_name, _ in names),

@@ -1,13 +1,16 @@
 """Seeded faults in the operators behind the algebra, conjugation,
-duality, sum-rule, uniqueness and partition-function checks, and the
-FAIL lines each one makes those checks print.
+duality, sum-rule, uniqueness, partition-function, grandcanonical and
+shock-profile checks, and the FAIL lines each one makes those checks
+print.
 
 Each fault monkeypatches one production constant or function.  The
 pinned lines are those the checks print with every relation formed on
 its own; the checks that form a family of relations on direct sums must
 print the same, so a failing block is neither hidden nor blamed on its
-neighbour.  The `lru_cache`s are cleared around each fault, so no
-operator built before or under it leaks across.
+neighbour.  Each fault's checks run once before it, so every cached
+table is warm when the fault applies, and the `lru_cache`s are cleared
+around each fault, so no operator or table built before or under it
+leaks across.
 
 Two relation families are structural and have no row: `serre-quadratic`
 is [Y, Y] for one ladder Y, and `cartan-commute-*` commutes two diagonal
@@ -64,6 +67,16 @@ def _lowering_exchanges(monkeypatch):
 def _projector_leaks(monkeypatch):
     # the A projector also keeps vacancies
     monkeypatch.setattr(qsym, "PROJ_A", ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+
+
+def _a_plus_exchanges(monkeypatch):
+    # the a+ ladder turns a B into an A: it fills no vacancy and empties a B
+    monkeypatch.setattr(qsym, "A_PLUS", C_PLUS)
+
+
+def _a_plus_lowers(monkeypatch):
+    # the a+ ladder removes an A instead of adding one
+    monkeypatch.setattr(qsym, "A_PLUS", A_MINUS)
 
 
 def _embedding_dressed(monkeypatch):
@@ -146,6 +159,13 @@ DUALITY = (check_duality, (1, 2))
 SUM_RULES = (check_sum_rules, (1, 2))
 PARTITION = (measures.check_partition_functions, (1, 2))
 UNIQUENESS = (lambda L: check_uniqueness(ModelParams(L, Fraction(2), Fraction(1, 2))), (1, 2))
+STATIONARITY = (
+    lambda L: measures.check_grandcanonical_stationarity(
+        ModelParams(L, Fraction(2), Fraction(1, 2))
+    ),
+    (1, 2),
+)
+SHOCK = (measures.check_shock_agreement, (3,))
 # every suite of `verify all --L 2`, sizes 1 and 2
 VERIFY_ALL = (
     lambda L: cli._suite_reports("all", L, ModelParams(L, Fraction(2), Fraction(1, 2))),
@@ -236,6 +256,26 @@ FAULTS = {
             "L2:projector-eigenvalue FAIL (-1, '0AAA')",
         ],
     ),
+    "a+ exchanges": (
+        _a_plus_exchanges,
+        [CONJUGATION],
+        [
+            "L1:conjugation-single-cross-ap FAIL (0, 0)",
+            "L1:conjugation-product-ap FAIL (0, 1, 1)",
+            "L2:conjugation-single-cross-ap FAIL (-1, -1)",
+            "L2:conjugation-product-ap FAIL (-1, 0, 0)",
+        ],
+    ),
+    "a+ lowers": (
+        _a_plus_lowers,
+        [CONJUGATION],
+        [
+            "L1:conjugation-single-ap FAIL (0, 0)",
+            "L1:conjugation-product-ap FAIL (0, 1, 0)",
+            "L2:conjugation-single-ap FAIL (-1, -1)",
+            "L2:conjugation-product-ap FAIL (-1, 0, -1)",
+        ],
+    ),
     "dressed embedding": (
         _embedding_dressed,
         [CONJUGATION],
@@ -271,6 +311,38 @@ FAULTS = {
             "L2:kernel-matches-canonical-N2-M2 FAIL detailed balance 2 1 -1*q^1 + 1*q^2",
             "L2:kernel-matches-canonical-N3-M0 FAIL detailed balance 1 0 -1*q^2 + 1*q^3",
             "L2:kernel-matches-canonical-N3-M1 FAIL detailed balance 1 0 -1*q^2 + 1*q^3",
+        ],
+    ),
+    # the grandcanonical weights and the shock densities read the weight
+    # through the q0-power tables cached per (L, q0) and per (sector, q0)
+    "reversible weight off at the first site, float measures": (
+        _weight_off_at_first_site,
+        [STATIONARITY, SHOCK],
+        [
+            "L1:grandcanonical-stationary-nu-1-mu-1 FAIL residual 0.106681",
+            "L1:grandcanonical-stationary-nu-1-mu0 FAIL residual 0.0568177",
+            "L1:grandcanonical-stationary-nu-1-mu1 FAIL residual 0.0533624",
+            "L1:grandcanonical-stationary-nu0-mu-1 FAIL residual 0.154447",
+            "L1:grandcanonical-stationary-nu0-mu0 FAIL residual 0.0952381",
+            "L1:grandcanonical-stationary-nu0-mu1 FAIL residual 0.106681",
+            "L1:grandcanonical-stationary-nu1-mu-1 FAIL residual 0.145054",
+            "L1:grandcanonical-stationary-nu1-mu0 FAIL residual 0.106681",
+            "L1:grandcanonical-stationary-nu1-mu1 FAIL residual 0.154447",
+            "L2:grandcanonical-stationary-nu-1-mu-1 FAIL residual 0.00906684",
+            "L2:grandcanonical-stationary-nu-1-mu0 FAIL residual 0.0049625",
+            "L2:grandcanonical-stationary-nu-1-mu1 FAIL residual 0.00339606",
+            "L2:grandcanonical-stationary-nu0-mu-1 FAIL residual 0.0366682",
+            "L2:grandcanonical-stationary-nu0-mu0 FAIL residual 0.0132877",
+            "L2:grandcanonical-stationary-nu0-mu1 FAIL residual 0.00906684",
+            "L2:grandcanonical-stationary-nu1-mu-1 FAIL residual 0.100375",
+            "L2:grandcanonical-stationary-nu1-mu0 FAIL residual 0.0492925",
+            "L2:grandcanonical-stationary-nu1-mu1 FAIL residual 0.0366682",
+            "L3:shock-profile-A-q2-nu-1 FAIL max deviation 0.0113656",
+            "L3:shock-profile-A-q2-nu0 FAIL max deviation 0.030303",
+            "L3:shock-profile-A-q2-nu1 FAIL max deviation 0.0782954",
+            "L3:shock-profile-A-q1.2-nu-1 FAIL max deviation 0.0257601",
+            "L3:shock-profile-A-q1.2-nu0 FAIL max deviation 0.0573342",
+            "L3:shock-profile-A-q1.2-nu1 FAIL max deviation 0.104417",
         ],
     ),
     "first bond dropped": (
@@ -327,6 +399,9 @@ FAULTS = {
 
 def fault_report(fault, monkeypatch) -> Report:
     apply, checks, _expected = FAULTS[fault]
+    for check, sizes in checks:
+        for L in sizes:
+            check(L)
     apply(monkeypatch)
     clear_caches()
     try:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from asep2 import measures
 from asep2.generator import ModelParams, Ring, build_H_sector, h_exact
 from asep2.lattice import (
     A,
@@ -156,6 +157,20 @@ class TestGrandcanonical:
         assert np.array_equal(mixture.rows, direct.rows)
         assert float(np.max(np.abs(direct.weights - mixture.weights))) < 1e-12
         assert mixture.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda: measures._basis_q_powers(2, P2.q0),
+            lambda: measures._sector_q_powers(Sector(2, 1, 1), P2.q0)[0],
+        ],
+        ids=["basis", "sector"],
+    )
+    def test_cached_q_powers_read_only(self, table):
+        # a caller that scaled a cached table in place would change every
+        # later grid of the stationarity and shock checks
+        with pytest.raises(ValueError):
+            table()[0] = 0.0
 
 
 class TestPureMeasures:
