@@ -13,9 +13,9 @@ left-to-right from site -L+1, e.g. "A0B0".
 Every full-basis matrix lives on the 3^(2L) configurations in ternary
 order, site -L+1 the least significant digit.  `encode` and `decode` are
 the one base-3 codec (exact in int64 up to CODE_MAX_L); the array
-builders read the int8 tables `occupations(L)` and `sector_occupations`,
-whose `Config` views `all_configs(L)` and `enumerate_sector` serve text
-and FAIL details.
+builders read the int8 tables `occupations(L)` and `sector_occupations`.
+Their `Config` views are `all_configs(L)`, which serves FAIL details,
+and `enumerate_sector`, which only the benchmark and the tests read.
 
 The one left count, `left_counts(rows, species)`, counts a species
 strictly left of every site of every row of an occupation table.  The

@@ -39,9 +39,7 @@ from .lattice import (
     sectors,
     sites,
 )
-from .qring import (
-    LaurentPoly, from_terms, fugacity_exponent, q_factorial, q_multinomial, rogers_szego_y
-)
+from .qring import LaurentPoly, from_terms, q_factorial, q_multinomial
 from .reporting import Report, matrix_is_zero
 from .sparse import SparseMatrix, product_difference
 
@@ -160,14 +158,6 @@ def sector_weight_sum(sector: Sector) -> LaurentPoly:
     return ring_moments(sector, [()], A)[0]
 
 
-def _top_exponent(L: int, *chem_pots: float) -> float:
-    """Largest exponent sum_i chem_i * count_i over all sectors (a corner).
-
-    Fugacity weights and their normaliser are shifted by it, so none overflows.
-    """
-    return max(0.0, *(2 * L * chem for chem in chem_pots))
-
-
 def grandcanonical(nu: float, mu: float, p: ModelParams) -> Measure:
     """Fugacity mixture over all sectors, normalised at the numeric q0.
 
@@ -179,30 +169,48 @@ def grandcanonical(nu: float, mu: float, p: ModelParams) -> Measure:
     return Measure(occupations(p.L)[support], weights[support])
 
 
+def _fugacities(nu: float, mu: float, p: ModelParams) -> tuple[dict[Sector, float], float]:
+    """The fugacity e^(nu N + mu M - shift) of each sector, in `sectors(L)`
+    order, and their normaliser y = sum fugacity * C_2L(N, M) at q0 (the
+    bivariate Rogers-Szego polynomial), summed term by term in that order.
+
+    A count of 0 adds nothing to the exponent, even at a chemical potential
+    of -inf; a sector with a count of a species at -inf has zero fugacity
+    and is left out.  The shift max(0, 2L nu, 2L mu) is the largest
+    exponent over all sectors (a corner), so no fugacity overflows.
+    """
+    q0 = p.q0
+    shift = max(0.0, 2 * p.L * nu, 2 * p.L * mu)
+    fugacity, y = {}, 0.0
+    for s in sectors(p.L):
+        exponent = (nu * s.N if s.N else 0.0) + (mu * s.M if s.M else 0.0)
+        if exponent > -math.inf:
+            fugacity[s] = math.exp(exponent - shift)
+            y += fugacity[s] * q_multinomial(2 * p.L, s.N, s.M).eval(q0)
+    return fugacity, y
+
+
 def _grandcanonical_weights(
     nu: float, mu: float, p: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """`grandcanonical`'s weight of every basis row, in basis order, and the
     mask of its support (0.0 weight outside it).
 
-    Each weight is e^(nu N + mu M - shift) q0**pi_exponent / y with the two
-    powers taken as Python floats, one per sector and one per exponent
-    (`q_powers`), so the array holds the same floats as a loop over
-    configurations would.  The q0-powers do not depend on (nu, mu): they
-    are `_basis_q_powers(L, q0)`, built once per (L, q0).
+    Each weight is a sector's fugacity (`_fugacities`) times
+    q0**pi_exponent over y, the power taken as a Python float once per
+    exponent (`q_powers`), so the array holds the same floats as a loop
+    over configurations would.  The q0-powers do not depend on (nu, mu):
+    they are `_basis_q_powers(L, q0)`, built once per (L, q0).
     """
-    q0 = p.q0
-    shift = _top_exponent(p.L, nu, mu)
-    y = rogers_szego_y(2 * p.L, nu, mu, q0, shift)
+    fugacity, y = _fugacities(nu, mu, p)
     occ = occupations(p.L)
     n, m = (occ == A).sum(axis=1), (occ == B).sum(axis=1)
     # by sector (N, M); the corner N + M > 2L holds no configuration
     size = 2 * p.L + 1
-    exponent, fugacity = np.full((size, size), -math.inf), np.zeros((size, size))
-    for s in sectors(p.L):
-        e = fugacity_exponent(nu, s.N) + fugacity_exponent(mu, s.M)
-        exponent[s.N, s.M], fugacity[s.N, s.M] = e, math.exp(e - shift)
-    return fugacity[n, m] * _basis_q_powers(p.L, q0) / y, exponent[n, m] > -math.inf
+    table, kept = np.zeros((size, size)), np.zeros((size, size), dtype=bool)
+    for s, f in fugacity.items():
+        table[s.N, s.M], kept[s.N, s.M] = f, True
+    return table[n, m] * _basis_q_powers(p.L, p.q0) / y, kept[n, m]
 
 
 @lru_cache(maxsize=None)
@@ -220,25 +228,23 @@ def _sector_q_powers(sector: Sector, q0: float) -> tuple[np.ndarray, float]:
     return _read_only(q_powers(part.weights, q0)), part.partition.eval(q0)
 
 
-def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> Measure:
-    """The same measure assembled sector by sector (cross-check form); a
-    sector at zero fugacity (a chemical potential of -inf and a count of
-    that species) is left out, as `grandcanonical` leaves it out.  Each
-    sector's q0-powers and partition value do not depend on (nu, mu): they
-    are `_sector_q_powers(sector, q0)`, built once per (sector, q0)."""
+def grandcanonical_mixture(nu: float, mu: float, p: ModelParams) -> np.ndarray:
+    """`_grandcanonical_weights`' vector assembled sector by sector
+    (cross-check form), in basis order: each sector's canonical measure at
+    q0 times its fugacity over y, 0.0 in a sector at zero fugacity.  A
+    sector's rows are in basis order, so they fill its mask of the basis
+    in turn.  Each sector's q0-powers and partition value do not depend on
+    (nu, mu): they are `_sector_q_powers(sector, q0)`, built once per
+    (sector, q0)."""
     q0 = p.q0
-    shift = _top_exponent(p.L, nu, mu)
-    y = rogers_szego_y(2 * p.L, nu, mu, q0, shift)
-    rows, weights = [], []
-    for sector in sectors(p.L):
-        exponent = fugacity_exponent(nu, sector.N) + fugacity_exponent(mu, sector.M)
-        if exponent == -math.inf:
-            continue
+    fugacity, y = _fugacities(nu, mu, p)
+    occ = occupations(p.L)
+    n, m = (occ == A).sum(axis=1), (occ == B).sum(axis=1)
+    vec = np.zeros(len(occ))
+    for sector, f in fugacity.items():
         powers, z = _sector_q_powers(sector, q0)
-        coeff = math.exp(exponent - shift) * z / y
-        rows.append(canonical(sector).rows)
-        weights.append(coeff * powers / z)
-    return Measure(np.concatenate(rows), np.concatenate(weights))
+        vec[(n == sector.N) & (m == sector.M)] = f * z / y * powers / z
+    return vec
 
 
 # ---------------------------------------------------------------------
@@ -429,10 +435,7 @@ def check_grandcanonical_stationarity(p: ModelParams) -> Report:
                 f"L{p.L}:grandcanonical-stationary-nu{nu:g}-mu{mu:g}",
                 [] if worst < STATIONARY_TOL else [f"residual {worst:g}"],
             )
-            mix = grandcanonical_mixture(nu, mu, p)
-            mix_vec = np.zeros(H.dim)
-            mix_vec[encode(mix.rows)] = mix.weights
-            gap = float(np.max(np.abs(mix_vec - vec)))
+            gap = float(np.max(np.abs(grandcanonical_mixture(nu, mu, p) - vec)))
             report.check(
                 f"L{p.L}:grandcanonical-mixture-form-nu{nu:g}-mu{mu:g}",
                 [] if gap < STATIONARY_TOL else ["forms disagree"],
@@ -452,11 +455,10 @@ def check_shock_agreement(L: int) -> Report:
                 # every site's density in one pass over the basis
                 mixture = _grandcanonical_weights(*chems, p)[0] @ (occ == species)
                 profile = shock_profile(species, nu, p)
-                worst = 0.0
-                for k in sites(L):
-                    closed = profile.density(k)
-                    marg = pure_marginal(species, nu, p, k)
-                    worst = max(worst, abs(mixture[k + L - 1] - closed), abs(marg - closed))
+                closed = np.array([profile.density(k) for k in sites(L)])
+                marg = np.array([pure_marginal(species, nu, p, k) for k in sites(L)])
+                # np.max, unlike max, keeps a NaN, so a NaN density fails
+                worst = float(np.max(np.abs(np.append(mixture - closed, marg - closed))))
                 report.check(
                     f"L{L}:shock-profile-{tag}-q{float(q):g}-nu{nu:g}",
                     [] if worst < SHOCK_TOL else [f"max deviation {worst:g}"],

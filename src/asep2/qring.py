@@ -16,7 +16,6 @@ i.e. the key ``h`` stands for q**(h/2).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -219,24 +218,3 @@ def q_multinomial(K: int, N: int, M: int) -> LaurentPoly:
         raise ValueError(f"need N,M >= 0 and N+M <= K, got N={N}, M={M}, K={K}")
     return q_binomial(K, N) * q_binomial(K - N, M)
 
-
-def fugacity_exponent(chem: float, count: int) -> float:
-    """chem * count, where a count of 0 contributes nothing, even for chem = -inf."""
-    return chem * count if count else 0.0
-
-
-def rogers_szego_y(two_l: int, nu: float, mu: float, q0: float, shift=0.0) -> float:
-    """Bivariate Rogers-Szego polynomial sum_{N,M} e^(nu*N+mu*M-shift) C_{2L}(N,M) at q0.
-
-    A shift by the largest exponent nu*N + mu*M keeps every term finite;
-    a chemical potential of -inf leaves only the sectors without that species.
-    """
-    if two_l < 0:
-        raise ValueError("lattice size must be nonnegative")
-    total = 0.0
-    for n in range(two_l + 1):
-        for m in range(two_l - n + 1):
-            exponent = fugacity_exponent(nu, n) + fugacity_exponent(mu, m)
-            if exponent > -math.inf:
-                total += math.exp(exponent - shift) * q_multinomial(two_l, n, m).eval(q0)
-    return total

@@ -144,6 +144,18 @@ def _divided_power_off_by_one(monkeypatch):
     monkeypatch.setattr(duality, "q_factorial", lambda n: q_factorial(max(n - 1, 0)))
 
 
+def _nan_grandcanonical_weights(monkeypatch):
+    # every grandcanonical weight NaN: a NaN compares false with any bound,
+    # so each float check must fail it rather than skip it
+    real = measures._grandcanonical_weights
+
+    def nan(nu, mu, p):
+        weights, support = real(nu, mu, p)
+        return np.full_like(weights, np.nan), support
+
+    monkeypatch.setattr(measures, "_grandcanonical_weights", nan)
+
+
 def _q_factorial_two_off(monkeypatch):
     # [2]! times q where the partition check reads it: the trinomials
     # come from the q-Pascal rule and the weight sums from the sector
@@ -166,6 +178,7 @@ STATIONARITY = (
     (1, 2),
 )
 SHOCK = (measures.check_shock_agreement, (3,))
+SMALL_SHOCK = (measures.check_shock_agreement, (1, 2))
 # every suite of `verify all --L 2`, sizes 1 and 2
 VERIFY_ALL = (
     lambda L: cli._suite_reports("all", L, ModelParams(L, Fraction(2), Fraction(1, 2))),
@@ -343,6 +356,29 @@ FAULTS = {
             "L3:shock-profile-A-q1.2-nu-1 FAIL max deviation 0.0257601",
             "L3:shock-profile-A-q1.2-nu0 FAIL max deviation 0.0573342",
             "L3:shock-profile-A-q1.2-nu1 FAIL max deviation 0.104417",
+        ],
+    ),
+    "NaN grandcanonical weights": (
+        _nan_grandcanonical_weights,
+        [STATIONARITY, SMALL_SHOCK],
+        [
+            *(
+                f"L{L}:grandcanonical-{form}-nu{nu}-mu{mu} FAIL {detail}"
+                for L in (1, 2)
+                for nu in (-1, 0, 1)
+                for mu in (-1, 0, 1)
+                for form, detail in (
+                    ("stationary", "residual nan"),
+                    ("mixture-form", "forms disagree"),
+                )
+            ),
+            *(
+                f"L{L}:shock-profile-{tag}-q{q}-nu{nu} FAIL max deviation nan"
+                for L in (1, 2)
+                for q in (2, 1.2)
+                for nu in (-1, 0, 1)
+                for tag in "AB"
+            ),
         ],
     ),
     "first bond dropped": (

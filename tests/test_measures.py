@@ -145,8 +145,8 @@ class TestGrandcanonical:
         direct = grandcanonical(0.4, -0.7, P2)
         mixture = grandcanonical_mixture(0.4, -0.7, P2)
         assert np.array_equal(direct.rows, occupations(2))
-        assert np.array_equal(mixture.rows, occupations(2))
-        assert float(np.max(np.abs(direct.weights - mixture.weights))) < 1e-12
+        assert np.all(mixture > 0)
+        assert float(np.max(np.abs(direct.weights - mixture))) < 1e-12
 
     @pytest.mark.parametrize("nu, mu", [(-math.inf, 0.0), (0.0, -math.inf), (-math.inf, 0.7)])
     def test_mixture_at_zero_fugacity(self, nu, mu):
@@ -154,9 +154,10 @@ class TestGrandcanonical:
         # where e^(nu N) would be -inf * 0 at N = 0
         direct = grandcanonical(nu, mu, P2)
         mixture = grandcanonical_mixture(nu, mu, P2)
-        assert np.array_equal(mixture.rows, direct.rows)
-        assert float(np.max(np.abs(direct.weights - mixture.weights))) < 1e-12
-        assert mixture.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        support = mixture > 0
+        assert np.array_equal(occupations(2)[support], direct.rows)
+        assert float(np.max(np.abs(direct.weights - mixture[support]))) < 1e-12
+        assert mixture.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "table",
@@ -208,15 +209,15 @@ class TestPureMeasures:
 
     @pytest.mark.parametrize("chem", [-1e6, 700.0, 800.0, 1e6])
     def test_large_chemical_potentials(self, chem):
-        for mu in (
-            grandcanonical(chem, -math.inf, P2),
-            grandcanonical(-math.inf, chem, P2),
-            grandcanonical(chem, 0.0, P2),
-            grandcanonical(0.0, chem, P2),
-            grandcanonical(chem, chem, P2),
+        for weights in (
+            grandcanonical(chem, -math.inf, P2).weights,
+            grandcanonical(-math.inf, chem, P2).weights,
+            grandcanonical(chem, 0.0, P2).weights,
+            grandcanonical(0.0, chem, P2).weights,
+            grandcanonical(chem, chem, P2).weights,
             grandcanonical_mixture(chem, chem, P2),
         ):
-            weights = mu.weights.tolist()
+            weights = weights.tolist()
             assert all(math.isfinite(w) for w in weights)
             assert sum(weights) == pytest.approx(1.0, abs=1e-12)
         for species in (A, B):

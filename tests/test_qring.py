@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asep2.generator import ModelParams
+from asep2.measures import _fugacities
 from asep2.qring import (
     LaurentPoly,
     q_binomial,
     q_factorial,
     q_multinomial,
     q_number,
-    rogers_szego_y,
 )
 
 ONE = LaurentPoly.one()
@@ -183,24 +184,34 @@ class TestRingAxioms:
 
 
 class TestRogersSzego:
+    """The normaliser y of `measures._fugacities`: the bivariate
+    Rogers-Szego polynomial sum_{N,M} e^(nu N + mu M) [2L; N, M] at q0,
+    unshifted where no chemical potential is positive."""
+
+    @staticmethod
+    def y(L, nu, mu, q0):
+        # rates with sqrt(r / l) = q0
+        return _fugacities(nu, mu, ModelParams(L, Fraction(q0) ** 2, Fraction(1)))[1]
+
     def test_x_at_one(self):
         # one species at zero fugacity: the 2^(2L) sets of sites of the other
-        assert rogers_szego_y(2, 0.0, -math.inf, 1.0) == 4.0
-        assert rogers_szego_y(2, -math.inf, 0.0, 1.0) == 4.0
+        assert self.y(1, 0.0, -math.inf, 1) == 4.0
+        assert self.y(1, -math.inf, 0.0, 1) == 4.0
 
     def test_y_limits(self):
-        assert rogers_szego_y(2, -1e3, -1e3, 2.0) == pytest.approx(1.0)
+        assert self.y(1, -1e3, -1e3, 2) == pytest.approx(1.0)
 
     def test_y_at_one(self):
-        assert rogers_szego_y(2, 0.0, 0.0, 1.0) == pytest.approx(9.0)
+        assert self.y(1, 0.0, 0.0, 1) == pytest.approx(9.0)
 
     def test_x_is_y_slice(self):
         # suppressing one species reduces the bivariate sum to the univariate
-        # one, sum_K e^(alpha*K) [4 choose K] at q0
-        q0 = 2.0
+        # one, sum_K e^(alpha*K) [4 choose K] at q0; the shift 2L alpha of
+        # the fugacities divides it out
+        q0 = 2
         univariate = sum(
             math.exp(0.3 * k) * q_multinomial(4, k, 0).eval(q0) for k in range(5)
-        )
-        assert rogers_szego_y(4, 0.3, -math.inf, q0) == pytest.approx(univariate)
-        assert rogers_szego_y(4, -math.inf, 0.3, q0) == pytest.approx(univariate)
-        assert rogers_szego_y(4, 0.3, -1e3, q0) == pytest.approx(univariate)
+        ) / math.exp(4 * 0.3)
+        assert self.y(2, 0.3, -math.inf, q0) == pytest.approx(univariate)
+        assert self.y(2, -math.inf, 0.3, q0) == pytest.approx(univariate)
+        assert self.y(2, 0.3, -1e3, q0) == pytest.approx(univariate)
